@@ -70,9 +70,10 @@ def pump(link_kind: str, packets: int = DEFAULT_PACKETS) -> dict:
     The whole batch is enqueued up front (the queue is sized to take
     it), so the measured loop is purely the kernel + link pipeline:
     serialize, (wireless: contend for the medium), propagate, deliver.
-    No processes, no timeouts, no transport — the two inner-loop event
-    types (``tx-done``, ``arrival``) dominate exactly as they do in a
-    full download's profile.
+    No processes, no timeouts, no transport.  Because the queue never
+    drains, every packet finds a successor waiting and so pays the
+    link's worst case of two events — its ``arrival`` plus the
+    ``tx-done`` hand-over a paced flow mostly skips.
     """
     sim, a, b = _build(link_kind, packets)
     dst = DagAddress.host(b.hid)

@@ -7,9 +7,22 @@ serializes packets at the link bandwidth, applies the loss model, waits
 the propagation delay and finally hands the packet to the peer port's
 device.
 
-Links can be taken down (``set_up(False)``) to model disconnection;
-queued and in-flight packets are then dropped, like a radio going out
-of range.
+Serialization is arithmetic, not an event per packet: a
+:class:`Medium` remembers until when it is busy, a transmit start
+schedules the packet's ``arrival`` directly at ``tx_end + delay``, and
+a ``tx-done`` hand-over event exists only when someone waits for the
+medium at ``tx_end`` (or a frame's link-layer recovery gave up and its
+fate is booked there).
+
+**Link-down contract.**  Links can be taken down (``set_up(False)``)
+to model disconnection, like a radio going out of range.  Every down
+transition starts a new *epoch*: anything queued, serializing or
+propagating at that moment is lost and counted ``dropped_down``
+exactly once — queued packets at once, the others when their
+``arrival`` (or ``tx-done``) event finds the epoch has moved on, even
+if the link is back up by then.  A doomed frame still occupies the
+medium for its airtime.  Packets offered while the link is down are
+``dropped_down`` at ``enqueue``.
 """
 
 from __future__ import annotations
@@ -88,17 +101,62 @@ class Port:
         return f"<Port {self.name} of {owner}>"
 
 
+class Medium:
+    """What serializes packets: a wired direction's transmitter, or the
+    radio channel both directions of a half-duplex link share.
+
+    ``owner`` is the direction that last started serializing and
+    ``busy_until`` when it finishes; ``waiting`` is the FIFO of other
+    directions with packets queued.  ``handover`` is True while a
+    ``tx-done`` event is scheduled at ``busy_until``; without one the
+    medium simply counts as free once the clock passes ``busy_until``.
+    """
+
+    __slots__ = ("busy_until", "owner", "waiting", "handover")
+
+    def __init__(self) -> None:
+        self.busy_until = float("-inf")
+        self.owner: Optional["LinkDirection"] = None
+        self.waiting: deque["LinkDirection"] = deque()
+        self.handover = False
+
+    def _expect_tx_done(self, sim: Simulator, lost_epoch: Optional[int]) -> None:
+        """Schedule the ``tx-done`` event at ``busy_until``; it carries
+        the link epoch of a frame lost on air, else ``None``."""
+        self.handover = True
+        done = sim.pooled_event("tx-done")
+        done.callbacks.append(self._tx_done)
+        done.succeed_at(lost_epoch, self.busy_until)
+
+    def _tx_done(self, event: Event) -> None:
+        """``busy_until`` reached: book a frame lost on air, then serve
+        the FIFO.  The finishing direction re-queues *behind* peers
+        already waiting, so saturated directions alternate."""
+        self.handover = False
+        owner = self.owner
+        if event.value is not None:
+            owner._lost_on_air(event.value)
+        waiting = self.waiting
+        if owner._queue:
+            waiting.append(owner)
+        while waiting:
+            direction = waiting.popleft()
+            if direction._queue:  # else: emptied by a link-down meanwhile
+                direction._start()
+                return
+
+
 class LinkDirection:
     """A one-way pipe: FIFO queue + serialization + delay + loss.
 
     This is the per-packet hot path: every simulated packet passes
-    through ``enqueue`` → ``_transmit`` → ``_tx_complete`` →
-    ``_deliver``.  The path is deliberately closure-free — each stage
-    is a bound method attached to a pooled kernel event (see
+    through ``enqueue`` → ``_start`` → ``_arrive``.  The path is
+    deliberately closure-free — each stage is a bound method attached
+    to a pooled kernel event (see
     :meth:`repro.sim.core.Simulator.pooled_event`), with the in-flight
-    packet carried on the event's value (propagation) or stashed on
-    the direction (serialization, which is one-at-a-time by
-    construction), so a steady-state packet allocates nothing.
+    packet and the link epoch it started in carried on the ``arrival``
+    event's value (arrivals pipeline, so they cannot live on the
+    direction).
     """
 
     def __init__(
@@ -121,23 +179,21 @@ class LinkDirection:
         self.stats = LinkStats()
         self._queue: deque["Packet"] = deque()
         self._queued_bytes = 0
-        self._transmitting = False
-        #: The packet being serialized and the medium grant it holds
-        #: (at most one per direction — transmission is serialized).
-        self._tx_packet: Optional["Packet"] = None
-        self._tx_grant = None
+        #: Our transmitter (half-duplex links point both directions at
+        #: one shared Medium).
+        self._medium = Medium()
+        #: Set by :meth:`airtime` when link-layer recovery gave up on
+        #: the frame being started: it never propagates.
+        self._air_lost = False
         #: The simulator probe, cached: the per-packet emit sites pay
         #: one attribute load + one bool check, not a chain.
         self._probe = sim.probe
         #: The owning Link, set by ``Link.__init__`` — lets the hot
-        #: path read ``_link._up`` directly instead of walking the
-        #: ``source.is_up`` property chain.  ``None`` for a direction
-        #: constructed standalone, which therefore counts as down
-        #: (matching ``Port.is_up`` with no link).
+        #: path read ``_link._up`` / ``_link._epoch`` directly instead
+        #: of walking the ``source.is_up`` property chain.  ``None``
+        #: for a direction constructed standalone, which therefore
+        #: counts as down (matching ``Port.is_up`` with no link).
         self._link: Optional["Link"] = None
-        #: Optional shared-medium resource (half-duplex links set this
-        #: to one Resource shared by both directions).
-        self.medium = None
 
     def _drop(self, count: int, reason: str) -> None:
         """Publish one batched drop event (counters update in the caller)."""
@@ -163,9 +219,15 @@ class LinkDirection:
             return
         self._queue.append(packet)
         self._queued_bytes += packet.size_bytes
-        if not self._transmitting:
-            self._transmitting = True
-            self._begin_next()
+        medium = self._medium
+        if not medium.handover:
+            if self.sim.now >= medium.busy_until:
+                self._start()  # free medium
+                return
+            # Busy and nobody waited so far: now someone does.
+            medium._expect_tx_done(self.sim, None)
+        if medium.owner is not self and self not in medium.waiting:
+            medium.waiting.append(self)
 
     def clear(self) -> None:
         """Drop everything queued (link went down).
@@ -201,38 +263,8 @@ class LinkDirection:
 
     # -- transmission ---------------------------------------------------------
 
-    def _begin_next(self) -> None:
-        """Start serializing the head-of-line packet (callback-driven:
-        the transmit path creates no generator processes)."""
-        if not self._queue:
-            self._transmitting = False
-            return
-        medium = self.medium
-        if medium is None:
-            self._transmit(None)
-            return
-        grant = medium.try_acquire()
-        if grant is not None:
-            # Uncontended medium: granted synchronously, no heap push.
-            self._transmit(grant)
-            return
-        request = medium.request()
-        self._tx_grant = request
-        request.callbacks.append(self._transmit_granted)
-
-    def _transmit_granted(self, event: Event) -> None:
-        grant = self._tx_grant
-        self._tx_grant = None
-        self._transmit(grant)
-
-    def _transmit(self, medium_request) -> None:
-        if not self._queue:
-            # The link went down (queue cleared) while we waited for
-            # the medium.
-            if medium_request is not None:
-                self.medium.release(medium_request)
-            self._transmitting = False
-            return
+    def _start(self) -> None:
+        """Take the (free) medium and serialize the head-of-line packet."""
         packet = self._queue.popleft()
         self._queued_bytes -= packet.size_bytes
         airtime = self.airtime(packet)
@@ -240,57 +272,57 @@ class LinkDirection:
         stats.sent_packets += 1
         stats.sent_bytes += packet.size_bytes
         stats.busy_time += airtime
-        # Serialization is one-at-a-time, so the in-flight packet and
-        # its medium grant live on the direction itself.
-        self._tx_packet = packet
-        self._tx_grant = medium_request
-        done = self.sim.pooled_event("tx-done")
-        done.callbacks.append(self._tx_complete)
-        done.succeed(delay=airtime)
+        sim = self.sim
+        medium = self._medium
+        medium.owner = self
+        tx_end = medium.busy_until = sim.now + airtime
+        epoch = self._link._epoch
+        if self._air_lost:
+            self._air_lost = False
+            medium._expect_tx_done(sim, epoch)
+            return
+        if self._queue or medium.waiting:
+            medium._expect_tx_done(sim, None)
+        arrival = sim.pooled_event("arrival")
+        arrival.callbacks.append(self._arrive)
+        arrival.succeed_at((packet, epoch), tx_end + self.delay)
 
-    def _tx_complete(self, event: Event) -> None:
-        packet = self._tx_packet
-        medium_request = self._tx_grant
-        self._tx_packet = None
-        self._tx_grant = None
-        if medium_request is not None:
-            self.medium.release(medium_request)
-        link = self._link
-        if link is None or not link._up:
+    def _lost_on_air(self, epoch: int) -> None:
+        """A frame the link layer gave up on reached its tx end."""
+        if epoch != self._link._epoch:
             self.stats.dropped_down += 1
             self._drop(1, "down")
-        elif self.sample_loss(packet):
+        else:
             self.stats.dropped_loss += 1
             self._drop(1, "loss")
-        else:
-            # Propagation: one pooled event carrying the packet as its
-            # value, delivering at the far end (arrivals pipeline, so
-            # the packet cannot live on the direction here).
-            arrival = self.sim.pooled_event("arrival")
-            arrival.callbacks.append(self._deliver)
-            arrival.succeed(value=packet, delay=self.delay)
-        self._begin_next()
 
-    def _deliver(self, event: Event) -> None:
-        link = self._link
-        if link is None or not link._up:
-            self.stats.dropped_down += 1
-            self._drop(1, "down")
-            return
-        packet = event.value
+    def _arrive(self, event: Event) -> None:
+        packet, epoch = event.value
         stats = self.stats
-        stats.delivered_packets += 1
-        stats.delivered_bytes += packet.size_bytes
-        self.sink.deliver(packet)
+        if epoch != self._link._epoch:
+            stats.dropped_down += 1
+            self._drop(1, "down")
+        elif self.sample_loss(packet):
+            stats.dropped_loss += 1
+            self._drop(1, "loss")
+        else:
+            stats.delivered_packets += 1
+            stats.delivered_bytes += packet.size_bytes
+            self.sink.deliver(packet)
 
     # -- hooks for subclasses ----------------------------------------------------
 
     def airtime(self, packet: "Packet") -> float:
-        """Time the medium is occupied sending ``packet``."""
+        """Time the medium is occupied sending ``packet`` (called once,
+        at transmit start; may set ``_air_lost``)."""
         return packet.size_bytes * 8 / self.bandwidth_bps
 
     def sample_loss(self, packet: "Packet") -> bool:
-        """Whether the packet is lost after (any) link-layer recovery."""
+        """Whether the channel loses a packet that left the transmitter.
+
+        Sampled on arrival — both directions share one delay, so draws
+        from a loss RNG they share stay ordered by tx-end time.
+        """
         return self.loss.dropped(self.sim.now)
 
 
@@ -313,6 +345,8 @@ class Link:
         self.sim = sim
         self.name = name
         self._up = True
+        #: Count of up→down transitions (see the module docstring).
+        self._epoch = 0
         self.port_a = Port(sim, f"{name}.a")
         self.port_b = Port(sim, f"{name}.b")
         self.forward = self.direction_class(
@@ -349,9 +383,11 @@ class Link:
         return self._up
 
     def set_up(self, up: bool) -> None:
-        """Bring the link up or down; going down drops queued packets."""
+        """Bring the link up or down; going down drops queued and
+        in-flight packets (a new epoch)."""
         changed = self._up != up
         if self._up and not up:
+            self._epoch += 1
             self.forward.clear()
             self.backward.clear()
         self._up = up

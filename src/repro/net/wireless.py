@@ -48,20 +48,18 @@ class WirelessDirection(LinkDirection):
         #: Fixed per-frame MAC cost (DIFS + preamble + SIFS + MAC ACK).
         self.frame_overhead = check_non_negative("frame_overhead", frame_overhead)
         self.retransmissions = 0
-        self.residual_drops = 0
-        self._pending_attempts = 0
 
     def airtime(self, packet: "Packet") -> float:
         """Sample ARQ attempts now; airtime covers all of them.
 
-        The attempt count is stashed so :meth:`sample_loss` can report
-        whether the packet ultimately got through.
+        When every retry failed the frame is flagged ``_air_lost``: it
+        holds the medium for its airtime and is booked at its tx end.
         """
         attempts = 1
         now = self.sim.now
         while self.loss.dropped(now) and attempts <= self.max_retries:
             attempts += 1
-        self._pending_attempts = attempts
+        self._air_lost = attempts > self.max_retries
         single = packet.size_bytes * 8 / self.bandwidth_bps + self.frame_overhead
         retries = attempts - 1
         self.retransmissions += retries
@@ -74,11 +72,12 @@ class WirelessDirection(LinkDirection):
         return attempts * single + retries * self.retry_backoff
 
     def sample_loss(self, packet: "Packet") -> bool:
-        attempts, self._pending_attempts = self._pending_attempts, 0
-        if attempts > self.max_retries:
-            self.residual_drops += 1
-            return True
-        return False
+        return False  # ARQ settled the frame's fate on air
+
+    @property
+    def residual_drops(self) -> int:
+        """Frames lost after all retries (every loss here is residual)."""
+        return self.stats.dropped_loss
 
     @property
     def residual_loss_estimate(self) -> float:
@@ -120,8 +119,4 @@ class WirelessLink(Link):
             frame_overhead=frame_overhead,
         )
         # 802.11 is half duplex: both directions contend for one medium.
-        from repro.sim import Resource
-
-        medium = Resource(sim, capacity=1)
-        self.forward.medium = medium
-        self.backward.medium = medium
+        self.backward._medium = self.forward._medium

@@ -105,8 +105,9 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         self._ok = True
         self._value = value
-        # Inlined Simulator.schedule (one call frame per event matters
-        # on the packet path — keep the two in sync).
+        # Inlined Simulator.schedule: the extra call frame costs ~5% of
+        # kernel events/s on the packet path (bench_kernel_hotpath).
+        # succeed_at holds a third copy — keep the three in sync.
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         if self._scheduled:
@@ -115,6 +116,30 @@ class Event:
         sim = self.sim
         sim._seq += 1
         heapq.heappush(sim._queue, (sim._now + delay, priority, sim._seq, self))
+        return self
+
+    def succeed_at(
+        self, value: Any, when: float, priority: int = NORMAL
+    ) -> "Event":
+        """Schedule the event to fire successfully at absolute time ``when``.
+
+        For callers that computed the timestamp themselves (a link's
+        ``tx_end + delay``, a retransmission deadline): the event fires
+        at exactly that float, not at ``now + (when - now)``.
+        """
+        if self._value is not PENDING:
+            raise SimulationError(f"event {self!r} already triggered")
+        self._ok = True
+        self._value = value
+        # Inlined Simulator.schedule — see succeed().
+        sim = self.sim
+        if when < sim._now:
+            raise ValueError(f"time {when!r} is in the past (now={sim._now!r})")
+        if self._scheduled:
+            raise SimulationError(f"event {self!r} already scheduled")
+        self._scheduled = True
+        sim._seq += 1
+        heapq.heappush(sim._queue, (when, priority, sim._seq, self))
         return self
 
     def fail(
@@ -130,15 +155,7 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        # Inlined Simulator.schedule — see succeed().
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        if self._scheduled:
-            raise SimulationError(f"event {self!r} already scheduled")
-        self._scheduled = True
-        sim = self.sim
-        sim._seq += 1
-        heapq.heappush(sim._queue, (sim._now + delay, priority, sim._seq, self))
+        self.sim.schedule(self, delay, priority)  # failures are off the hot path
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -218,6 +235,7 @@ class Simulator:
             raise ValueError(f"negative delay {delay!r}")
         if event._scheduled:
             raise SimulationError(f"event {event!r} already scheduled")
+        # Inlined in Event.succeed / succeed_at too — keep in sync.
         event._scheduled = True
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
@@ -368,10 +386,11 @@ class Simulator:
         and reuses the object right after its callbacks run, so
         holding a reference past processing — yielding it from a
         process, storing it, chaining it into AnyOf/AllOf — is
-        undefined behaviour.  The hot packet path (``tx-done``,
-        ``arrival``, ``cpu``, process bootstrap) runs entirely on
-        pooled events, making a steady-state simulation allocation-free
-        per event.
+        undefined behaviour.  The hot packet path (a link's per-packet
+        ``arrival`` and its on-demand ``tx-done`` hand-over, a router's
+        ``cpu``, a sender's ``rto`` timer, process bootstrap) runs
+        entirely on pooled events, making a steady-state simulation
+        allocation-free per event.
         """
         pool = self._event_pool
         if pool:

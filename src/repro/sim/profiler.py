@@ -9,7 +9,9 @@ step while installed — and a single ``is None`` check when not.
 Keys are intentionally coarse so the table stays readable at any
 scale: processes profile under ``process:<generator name>`` (e.g.
 ``process:download``, ``process:_stage_one``) and plain events under
-``event:<class name>`` (``event:Timeout``, ``event:Event``...).
+``event:<event name>`` — ``event:arrival``, ``event:tx-done``,
+``event:rto``, ``event:timeout`` — falling back to the class name for
+unnamed ones (``event:Event``).
 
 With ``sample_interval`` set, the profiler also emits a deterministic
 :class:`~repro.obs.events.ProfilerSample` (queue depth + step count)

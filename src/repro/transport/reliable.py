@@ -142,7 +142,12 @@ class SenderSession:
         self.rttvar = 0.0
         self.rto = config.min_rto * 5  # conservative until first sample
         self._send_times: dict[int, float] = {}
-        self._timer_version = 0
+        #: When the retransmission timer expires, and when this
+        #: sender's pending ``rto`` kernel event fires (None: none
+        #: pending).  Re-arming only moves the deadline; the event
+        #: re-arms itself if it fires before it.
+        self._rto_deadline = 0.0
+        self._rto_event_at: Optional[float] = None
 
         # Stats.
         self.started_at = self.sim.now
@@ -267,7 +272,6 @@ class SenderSession:
                 self.next_seq = self.head
             self._arm_timer()
             if self.completed:
-                self._timer_version += 1
                 self._wake()
                 if not self.done.triggered:
                     self.done.succeed(self)
@@ -311,16 +315,31 @@ class SenderSession:
     # -- timers ---------------------------------------------------------------
 
     def _arm_timer(self) -> None:
-        self._timer_version += 1
+        """(Re)start the retransmission timer at ``now + rto``."""
         if self.completed or self._paused:
             return
-        self.sim.process(self._rto_watch(self._timer_version, self.rto))
+        deadline = self._rto_deadline = self.sim.now + self.rto
+        pending = self._rto_event_at
+        if pending is None or deadline < pending:
+            self._push_rto_event(deadline)
 
-    def _rto_watch(self, version: int, delay: float):
-        yield self.sim.timeout(delay)
-        if version != self._timer_version or self.completed or self._paused:
+    def _push_rto_event(self, when: float) -> None:
+        self._rto_event_at = when
+        timer = self.sim.pooled_event("rto")
+        timer.callbacks.append(self._rto_fired)
+        timer.succeed_at(when, when)
+
+    def _rto_fired(self, event: Event) -> None:
+        if event.value != self._rto_event_at:
+            return  # superseded: a later push took an earlier deadline
+        self._rto_event_at = None
+        if self.completed or self._paused:
             return
-        self._on_timeout()
+        if self.sim.now < self._rto_deadline:
+            # Fired early (ACKs moved the deadline): wait out the rest.
+            self._push_rto_event(self._rto_deadline)
+        else:
+            self._on_timeout()
 
     def _on_timeout(self) -> None:
         self.timeouts += 1
@@ -386,7 +405,6 @@ class SenderSession:
 
     def _resume_after_migration(self):
         self._paused = True
-        self._timer_version += 1
         yield self.sim.timeout(self.config.migration_delay)
         self._paused = False
         self.cwnd = float(self.config.initial_cwnd)

@@ -255,3 +255,86 @@ def test_down_link_delivery_counts_match_metrics_collector():
     total_down = (link.forward.stats.dropped_down
                   + link.backward.stats.dropped_down)
     assert collector.counters["net.drops.down"] == total_down
+
+
+# -- the link-down contract (epochs) and on-demand tx-done --------------------
+
+
+def lossy_wireless(sim):
+    """A wireless link whose every attempt fails: each frame exhausts
+    ARQ (2 attempts x (1 ms + 150 us) + 0.5 ms backoff = 2.8 ms on air)."""
+    rng = RandomStreams(1).stream("loss")
+    return WirelessLink(sim, "w", mac_rate_bps=mbps(8), delay=ms(1),
+                        loss_up=BernoulliLoss(1.0, rng), max_retries=1)
+
+
+@pytest.mark.parametrize("down_at, reason", [
+    (None, "loss"),     # ARQ gives up: a residual loss, booked at tx end
+    (1e-3, "down"),     # ...unless the link drops while it is on air
+    (3e-3, "loss"),     # a link-down after its tx end changes nothing
+])
+def test_residual_lost_frame_caught_by_link_down_counts_down_once(
+        down_at, reason):
+    from repro.obs.events import PacketDropped
+
+    sim = Simulator()
+    link = lossy_wireless(sim)
+    _, a, b = make_pair(link)
+    drops = []
+    sim.probe.bus.subscribe(PacketDropped, lambda s: drops.append(
+        (s.event.reason, s.event.count, sim.now)))
+    a.send(packet_to(b, size=1000))
+    if down_at is not None:
+        done = sim.event()
+        done.callbacks.append(lambda _event: link.set_up(False))
+        done.succeed(delay=down_at)
+    sim.run()
+    stats = link.forward.stats
+    assert b.received == []
+    assert drops == [(reason, 1, pytest.approx(2.8e-3))]
+    assert (stats.dropped_down, stats.dropped_loss) == (
+        (1, 0) if reason == "down" else (0, 1))
+    assert link.forward.residual_drops == stats.dropped_loss
+
+
+@pytest.mark.parametrize("wireless", [False, True])
+def test_flap_does_not_resurrect_in_flight_packets(wireless):
+    """Down then up again while a packet serializes / propagates: it
+    belonged to the old epoch and stays lost; later packets get through."""
+    sim = Simulator()
+    if wireless:
+        link = WirelessLink(sim, "w", mac_rate_bps=mbps(8), delay=ms(5))
+    else:
+        link = Link(sim, "l", bandwidth_bps=mbps(8), delay=ms(5))
+    _, a, b = make_pair(link)
+
+    def script(sim):
+        a.send(packet_to(b, size=1000, seq=0))   # on air until >= 1 ms
+        yield sim.timeout(2e-3)                  # seq 0 now propagating
+        a.send(packet_to(b, size=1000, seq=1))   # seq 1 serializing
+        link.set_up(False)
+        link.set_up(True)
+        a.send(packet_to(b, size=1000, seq=2))   # new epoch: waits its turn
+
+    sim.process(script(sim))
+    sim.run()
+    assert [p.seq for _, p in b.received] == [2]
+    assert link.forward.stats.dropped_down == 2
+    assert link.forward.stats.sent_packets == 3
+
+
+def test_tx_done_event_exists_only_when_someone_waits():
+    """A lone packet costs one kernel event (its arrival); a burst adds
+    one hand-over per packet that found the transmitter busy."""
+    sim = Simulator()
+    link = Link(sim, "l", bandwidth_bps=mbps(8), delay=ms(1))
+    _, a, b = make_pair(link)
+    a.send(packet_to(b))
+    assert sim.heap_pushes == 1
+    sim.run()
+    assert sim.steps_processed == 1
+    for seq in range(5):
+        a.send(packet_to(b, seq=seq))
+    sim.run()
+    assert len(b.received) == 6
+    assert sim.steps_processed == 1 + 5 + 4  # 5 arrivals, 4 hand-overs

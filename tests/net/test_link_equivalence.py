@@ -1,0 +1,261 @@
+"""Differential test: the arithmetic-medium link against a two-event model.
+
+``RefLink`` below is the link this repo had before serialization became
+arithmetic — a ``tx-done`` event *and* an arrival event per packet, a
+FIFO grant queue for the half-duplex medium whose grants take a kernel
+turn — restated under the epoch link-down contract of
+``repro.net.link``.  It lives here only, as the reference the real
+``LinkDirection`` / ``WirelessLink`` must match packet for packet:
+delivery times, drops per reason, ``busy_time`` and the order of loss
+draws.
+"""
+
+import random
+from collections import deque
+
+from hypothesis import given, settings, strategies as st
+
+from repro.net import Host, Link, Network, WirelessLink
+from repro.net.loss import BernoulliLoss, NoLoss
+from repro.sim import Simulator
+from repro.xia import DagAddress, HID
+from repro.xia.packet import Packet, PacketType
+
+BANDWIDTH_BPS = 8e6
+QUEUE_BYTES = 6000
+MAX_RETRIES = 2
+RETRY_BACKOFF = 0.3e-3
+FRAME_OVERHEAD = 0.1e-3
+
+
+class RecordingLoss(BernoulliLoss):
+    """Bernoulli loss that logs which direction drew, in draw order."""
+
+    def __init__(self, rate, rng, log, tag):
+        super().__init__(rate, rng)
+        self._log, self._tag = log, tag
+
+    def dropped(self, now):
+        self._log.append(self._tag)
+        return super().dropped(now)
+
+
+class RefDirection:
+    def __init__(self, link, loss):
+        self.link, self.loss = link, loss
+        self.queue, self.queued, self.transmitting = deque(), 0, False
+        self.delivered, self.busy_time = [], 0.0
+        self.drops = {"down": 0, "loss": 0, "queue": 0}
+
+    def enqueue(self, ident, size):
+        if not self.link.up:
+            self.drops["down"] += 1
+        elif self.queued + size > QUEUE_BYTES:
+            self.drops["queue"] += 1
+        else:
+            self.queue.append((ident, size))
+            self.queued += size
+            if not self.transmitting:
+                self.transmitting = True
+                self.begin_next()
+
+    def begin_next(self):
+        link = self.link
+        if not self.queue:
+            self.transmitting = False
+        elif not link.wireless:
+            self.transmit()
+        elif link.holder is None and not link.waiting:
+            link.holder = self
+            self.transmit()
+        else:
+            link.waiting.append(self)
+
+    def release(self):
+        link = self.link
+        link.holder = None
+        if link.waiting:
+            link.holder = granted = link.waiting.popleft()
+            link.after(0.0, granted.on_grant)  # grants take a kernel turn
+
+    def on_grant(self):
+        if self.queue:
+            self.transmit()
+        else:  # emptied by a link-down while waiting
+            self.release()
+            self.transmitting = False
+
+    def transmit(self):
+        link = self.link
+        ident, size = self.queue.popleft()
+        self.queued -= size
+        airtime, lost = size * 8 / BANDWIDTH_BPS, False
+        if link.wireless:
+            attempts = 1
+            while self.loss.dropped(link.sim.now) and attempts <= MAX_RETRIES:
+                attempts += 1
+            lost = attempts > MAX_RETRIES
+            airtime = (attempts * (airtime + FRAME_OVERHEAD)
+                       + (attempts - 1) * RETRY_BACKOFF)
+        self.busy_time += airtime
+        link.after(airtime, self.tx_done, ident, link.epoch, lost)
+
+    def tx_done(self, ident, epoch, lost):
+        link = self.link
+        if link.wireless:
+            self.release()
+        if epoch != link.epoch:
+            self.drops["down"] += 1
+        elif lost or (not link.wireless and self.loss.dropped(link.sim.now)):
+            self.drops["loss"] += 1
+        else:
+            link.after(link.delay, self.arrive, ident, epoch)
+        self.begin_next()
+
+    def arrive(self, ident, epoch):
+        if epoch != self.link.epoch:
+            self.drops["down"] += 1
+        else:
+            self.delivered.append((ident, self.link.sim.now))
+
+
+class RefLink:
+    def __init__(self, sim, wireless, delay, losses):
+        self.sim, self.wireless, self.delay = sim, wireless, delay
+        self.up, self.epoch = True, 0
+        self.holder, self.waiting = None, deque()
+        self.directions = [RefDirection(self, loss) for loss in losses]
+
+    def after(self, delay, action, *args):
+        after(self.sim, delay, action, *args)
+
+    def set_up(self, up):
+        if self.up and not up:
+            self.epoch += 1
+            for direction in self.directions:
+                direction.drops["down"] += len(direction.queue)
+                direction.queue.clear()
+                direction.queued = 0
+        self.up = up
+
+
+class Sink(Host):
+    def __init__(self, sim, name):
+        super().__init__(sim, name, HID(name))
+        self.received = []
+        self.register_handler(
+            PacketType.DATA,
+            lambda packet, port: self.received.append((packet.seq, sim.now)),
+        )
+
+
+def after(sim, delay, action, *args):
+    event = sim.event()
+    event.callbacks.append(lambda _event: action(*args))
+    event.succeed(delay=delay)
+
+
+def losses(rate, seed, log):
+    """Both directions draw from ONE rng, like the Internet shaper."""
+    if not rate:
+        return [NoLoss(), NoLoss()]
+    rng = random.Random(seed)
+    return [RecordingLoss(rate, rng, log, tag) for tag in (0, 1)]
+
+
+def run_both(wireless, delay, loss_rate, seed, script):
+    """Drive the real link and the reference with one script; return
+    ``(real, reference)`` observations in a comparable shape."""
+    # -- the real link
+    sim, real_draws = Simulator(), []
+    up, down = losses(loss_rate, seed, real_draws)
+    if wireless:
+        link = WirelessLink(
+            sim, "l", BANDWIDTH_BPS, delay=delay, loss_up=up, loss_down=down,
+            max_retries=MAX_RETRIES, retry_backoff=RETRY_BACKOFF,
+            frame_overhead=FRAME_OVERHEAD, queue_bytes=QUEUE_BYTES,
+        )
+    else:
+        link = Link(sim, "l", BANDWIDTH_BPS, delay, loss_a_to_b=up,
+                    loss_b_to_a=down, queue_bytes=QUEUE_BYTES)
+    net = Network(sim)
+    ends = [net.add_device(Sink(sim, name)) for name in "ab"]
+    net.connect(ends[0], ends[1], link)
+    # -- the reference
+    ref_sim, ref_draws = Simulator(), []
+    ref = RefLink(ref_sim, wireless, delay, losses(loss_rate, seed, ref_draws))
+
+    def send(direction, ident, size):
+        source, sink = ends[direction], ends[1 - direction]
+        source.send(Packet(
+            PacketType.DATA, dst=DagAddress.host(sink.hid),
+            src=DagAddress.host(source.hid), size_bytes=size, seq=ident,
+            payload={},
+        ))
+
+    for ident, (when, kind, direction, size) in enumerate(script):
+        if kind == "send":
+            after(sim, when, send, direction, ident, size)
+            after(ref_sim, when, ref.directions[direction].enqueue, ident, size)
+        else:
+            after(sim, when, link.set_up, kind == "up")
+            after(ref_sim, when, ref.set_up, kind == "up")
+    sim.run()
+    ref_sim.run()
+
+    real = []
+    for direction, sink in ((link.forward, ends[1]), (link.backward, ends[0])):
+        stats = direction.stats
+        real.append((
+            sink.received,
+            {"down": stats.dropped_down, "loss": stats.dropped_loss,
+             "queue": stats.dropped_queue},
+            stats.busy_time,
+        ))
+    reference = [(d.delivered, d.drops, d.busy_time) for d in ref.directions]
+    return (real, real_draws), (reference, ref_draws)
+
+
+def scripts(flaps):
+    kinds = ["send"] * 6 + (["down", "up"] if flaps else [])
+    step = st.tuples(
+        st.floats(min_value=0.0, max_value=2.5e-3),      # gap to the previous
+        st.sampled_from(kinds),
+        st.integers(min_value=0, max_value=1),           # direction
+        st.integers(min_value=64, max_value=1500),       # bytes on the wire
+    )
+
+    def absolute(steps):
+        now, out = 0.0, []
+        for gap, kind, direction, size in steps:
+            now += gap
+            out.append((now, kind, direction, size))
+        return out
+
+    return st.lists(step, min_size=1, max_size=60).map(absolute)
+
+
+DELAYS = st.sampled_from([0.0, 0.4e-3, 3e-3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=scripts(flaps=False), delay=DELAYS,
+       seed=st.integers(min_value=0, max_value=999))
+def test_wired_matches_reference_and_draws_in_tx_done_order(
+        script, delay, seed):
+    """Lossy wired link, one loss RNG shared by both directions: the
+    reference draws at tx-done, the real link on arrival — outcomes and
+    draw order must agree all the same."""
+    real, reference = run_both(False, delay, 0.3, seed, script)
+    assert real == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=scripts(flaps=True), delay=DELAYS, wireless=st.booleans(),
+       seed=st.integers(min_value=0, max_value=999))
+def test_link_flaps_match_reference(script, delay, wireless, seed):
+    """Both directions, random flaps: wired (lossless) and half-duplex
+    wireless with ARQ, whose draws happen at transmit start."""
+    loss_rate = 0.45 if wireless else 0.0
+    real, reference = run_both(wireless, delay, loss_rate, seed, script)
+    assert real == reference

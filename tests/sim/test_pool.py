@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import Simulator
 from repro.sim.core import NORMAL, URGENT, SimulationError
-from repro.sim.resources import Resource
 
 
 def test_pooled_event_is_recycled_and_reused():
@@ -88,12 +87,39 @@ def test_triggered_pooled_event_rejects_double_trigger():
         event.succeed()
 
 
-def test_fast_acquire_token_reuse_round_trip():
+def test_succeed_at_fires_at_the_exact_absolute_time():
+    """No ``now + (when - now)`` round trip: the float arrives intact."""
+    sim = Simulator(initial_time=0.1)
+    when = 0.1 + 0.2 + 0.7  # not representable as 0.1 + (when - 0.1)
+    fired = []
+    event = sim.pooled_event("abs")
+    event.callbacks.append(lambda ev: fired.append((sim.now, ev.value)))
+    event.succeed_at("v", when)
+    sim.run()
+    assert fired == [(when, "v")]
+    assert sim.pool_reuses == 0 and len(sim._event_pool) == 1  # recycled
+
+
+def test_succeed_at_orders_with_relative_triggers_and_priorities():
     sim = Simulator()
-    resource = Resource(sim, capacity=1)
-    token = resource.try_acquire()
-    assert token is not None
-    resource.release(token)
-    again = resource.try_acquire()
-    assert again is token  # recycled, not reallocated
-    resource.release(again)
+    order = []
+    for name, trigger in (
+        ("relative", lambda ev: ev.succeed(delay=1.0)),
+        ("absolute", lambda ev: ev.succeed_at(None, 1.0)),
+        ("urgent", lambda ev: ev.succeed_at(None, 1.0, priority=URGENT)),
+    ):
+        event = sim.event(name)
+        event.callbacks.append(lambda ev: order.append(ev.name))
+        trigger(event)
+    sim.run()
+    assert order == ["urgent", "relative", "absolute"]
+
+
+def test_succeed_at_rejects_the_past_and_double_triggers():
+    sim = Simulator(initial_time=5.0)
+    with pytest.raises(ValueError):
+        sim.event().succeed_at(None, 4.0)
+    event = sim.event()
+    event.succeed_at(None, 5.0)  # "now" is allowed
+    with pytest.raises(SimulationError):
+        event.succeed_at(None, 6.0)

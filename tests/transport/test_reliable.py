@@ -176,3 +176,99 @@ def test_redirect_restarts_toward_new_destination():
     sender.redirect(DagAddress.host(pair.b.hid))
     pair.sim.run(until=receiver.done)
     assert receiver.bytes_received == 50_000
+
+
+# -- the retransmission timer: one deadline, one re-armable kernel event ------
+
+
+def rto_events(sim):
+    """The ``rto`` kernel events currently on the heap."""
+    return [entry for entry in sim._queue if entry[3].name == "rto"]
+
+
+def open_transfer(pair, total_bytes=2_000_000):
+    session = new_session_id()
+    receiver = pair.ep_b.open_receiver(session)
+    sender = pair.ep_a.start_send(
+        session, dst=DagAddress.host(pair.b.hid),
+        src=DagAddress.host(pair.a.hid), total_bytes=total_bytes,
+    )
+    return sender, receiver
+
+
+def test_rto_rearm_keeps_one_event_and_only_moves_the_deadline():
+    pair = Pair()
+    sender, _ = open_transfer(pair)
+    assert len(rto_events(pair.sim)) == 1
+    pair.sim.run(until=0.05)  # hundreds of ACKs re-armed the timer
+    assert sender.head > 100 and sender.timeouts == 0
+    assert sender._rto_deadline == pytest.approx(pair.sim.now + sender.rto,
+                                                 abs=5e-3)
+    # Nothing on the heap per ACK: the live event plus, at most, the one
+    # it superseded when the first RTT sample shrank the initial RTO.
+    live = [e for e in rto_events(pair.sim) if e[0] == sender._rto_event_at]
+    assert len(live) == 1 and len(rto_events(pair.sim)) <= 2
+    pair.sim.run(until=sender.done)
+    pair.sim.run()  # leftovers fire as no-ops
+    assert rto_events(pair.sim) == [] and sender.timeouts == 0
+
+
+def test_rto_deadline_pulled_earlier_when_rto_shrinks():
+    pair = Pair()
+    sender, _ = open_transfer(pair)
+    first = sender._rto_event_at
+    assert first == sender._rto_deadline == pytest.approx(sender.rto)
+    sender.rto /= 10
+    sender._arm_timer()
+    assert sender._rto_deadline == sender._rto_event_at < first
+    assert len(rto_events(pair.sim)) == 2  # the late one is now stale...
+    sender.rto *= 10
+    pair.sim.run(until=first + 1e-9)
+    assert sender.timeouts == 0            # ...and fired as a no-op
+
+
+def test_rto_early_fire_rearms_at_the_exact_stored_deadline():
+    """Cut the wire after the first flight: ACKs moved the deadline past
+    the pending event, which must re-arm at that float and time out there."""
+    pair = Pair()
+    sender, _ = open_transfer(pair)
+    pair.sim.run(until=0.02)
+    pair.a.port().link.set_up(False)
+    deadline, pending = sender._rto_deadline, sender._rto_event_at
+    assert pending < deadline
+    fired_at = []
+    on_timeout = sender._on_timeout
+    sender._on_timeout = lambda: (fired_at.append(pair.sim.now), on_timeout())
+    pair.sim.run(until=pending)
+    assert fired_at == [] and sender._rto_event_at == deadline
+    pair.sim.run(until=deadline)
+    assert fired_at == [deadline] and sender.timeouts == 1
+
+
+def test_rto_silent_while_paused_and_after_completion():
+    pair = Pair()
+    sender, _ = open_transfer(pair, total_bytes=200_000)
+    pair.sim.run(until=0.01)
+    pair.a.port().link.set_up(False)  # nothing will be acked any more
+    sender._paused = True
+    pair.sim.run(until=pair.sim.now + 10 * sender.rto)
+    assert sender.timeouts == 0 and rto_events(pair.sim) == []
+    sender._paused = False
+    sender._arm_timer()               # resume: one fresh event
+    assert len(rto_events(pair.sim)) == 1
+    sender.head = sender.total_segments  # completed
+    pair.sim.run(until=pair.sim.now + 10 * sender.rto)
+    assert sender.timeouts == 0 and rto_events(pair.sim) == []
+
+
+def test_profiler_shows_the_rto_timer_as_its_own_row():
+    from repro.sim.profiler import SimProfiler
+
+    pair = Pair(loss=0.05)
+    with SimProfiler(pair.sim) as profiler:
+        sender, _ = pair.transfer(300_000)
+    keys = {row.key: row for row in profiler.stats()}
+    assert keys["event:rto"].calls >= 1
+    # One kernel step per expiry or early wake-up, not three per ACK.
+    assert keys["event:rto"].calls < sender.head / 4
+    assert "process:_rto_watch" not in keys and "event:request" not in keys
