@@ -63,33 +63,26 @@ def _policy_arg(name):
     return name
 
 
-def _demo_pair(
-    file_mb, seed, policy,
-    trace=None, spans=False, gauges=False, audit=False,
-    hub=None, wide=None, sketches=False,
-):
+def _demo_pair(file_mb, seed, policy, trace=None, **attach):
     """Run the demo's Xftp + SoftStage pair with shared telemetry sinks.
 
-    ``trace`` (a path) and ``wide`` (an open
-    :class:`~repro.obs.wide.WideEventWriter`) are shared across both
-    runs, producing one multi-run file each; ``hub`` receives both
-    runs' live telemetry.  Used by ``demo`` (foreground and --live)
-    and ``serve --demo``.
+    ``attach`` holds :func:`run_download`'s telemetry keywords
+    (``spans``, ``gauges``, ``audit``, ``hub``, ``wide``,
+    ``sketches``), applied to both runs.  ``trace`` (a path) and
+    ``wide`` (an open :class:`~repro.obs.wide.WideEventWriter`) are
+    shared across both runs, producing one multi-run file each;
+    ``hub`` receives both runs' live telemetry.  Used by ``demo``
+    (foreground and --live) and ``serve --demo``.
     """
     params = MicrobenchParams(file_size=int(file_mb * MB))
     trace_fh = open(trace, "w", encoding="utf-8") if trace else None
     try:
         xftp = run_download(
-            "xftp", params=params, seed=seed,
-            trace_path=trace_fh, spans=spans,
-            gauges=gauges, audit=audit, hub=hub, wide=wide,
-            sketches=sketches,
+            "xftp", params=params, seed=seed, trace_path=trace_fh, **attach
         )
         softstage = run_download(
-            "softstage", params=params, seed=seed,
-            trace_path=trace_fh, spans=spans,
-            gauges=gauges, audit=audit, hub=hub, wide=wide,
-            policy=policy, sketches=sketches,
+            "softstage", params=params, seed=seed, trace_path=trace_fh,
+            policy=policy, **attach,
         )
     finally:
         if trace_fh is not None:
@@ -126,7 +119,10 @@ def _demo_wide_writer(args, policy):
 def cmd_demo(args) -> None:
     policy = _policy_arg(args.policy)
     wide_writer = _demo_wide_writer(args, policy)
-    gauges = args.gauges or args.live
+    attach = dict(
+        trace=args.trace, spans=args.spans, gauges=args.gauges or args.live,
+        audit=args.audit, wide=wide_writer, sketches=args.gauges,
+    )
     try:
         if args.live:
             import threading
@@ -141,11 +137,7 @@ def cmd_demo(args) -> None:
             def _work() -> None:
                 try:
                     outcome["runs"] = _demo_pair(
-                        args.file_mb, args.seed, policy,
-                        trace=args.trace, spans=args.spans,
-                        gauges=gauges, audit=args.audit,
-                        hub=hub, wide=wide_writer,
-                        sketches=args.gauges,
+                        args.file_mb, args.seed, policy, hub=hub, **attach
                     )
                 except BaseException as exc:  # repaint loop must end
                     outcome["error"] = exc
@@ -164,10 +156,7 @@ def cmd_demo(args) -> None:
             xftp, softstage = outcome["runs"]
         else:
             xftp, softstage = _demo_pair(
-                args.file_mb, args.seed, policy,
-                trace=args.trace, spans=args.spans,
-                gauges=gauges, audit=args.audit,
-                wide=wide_writer, sketches=args.gauges,
+                args.file_mb, args.seed, policy, **attach
             )
     finally:
         if wide_writer is not None:

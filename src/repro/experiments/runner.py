@@ -12,7 +12,7 @@ metrics report offline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Optional, Union
+from typing import IO, Callable, Optional, Union
 
 from repro.core.client import DownloadResult
 from repro.core.handoff import HandoffPolicy
@@ -29,7 +29,7 @@ from repro.obs.flight import (
     install_flight_recorder,
 )
 from repro.obs.sketch import SketchRecorder
-from repro.obs.spans import Span, SpanBuilder
+from repro.obs.spans import Span
 from repro.obs.stream import GaugeFeed, TelemetryHub
 from repro.obs.trace import TraceExporter
 from repro.obs.wide import WideEventBuilder, WideEventWriter
@@ -127,8 +127,9 @@ def run_download(
     additionally writes every event as JSONL (and implies
     ``instrument=True``) — pass an open file object instead of a path
     to append several runs into one multi-run trace.  ``spans=True``
-    attaches a live :class:`~repro.obs.spans.SpanBuilder` and returns
-    its finished spans; ``profile=True`` installs a
+    attaches the live lifecycle fold
+    (:class:`~repro.obs.wide.WideEventBuilder`) and returns its
+    finished spans; ``profile=True`` installs a
     :class:`~repro.sim.profiler.SimProfiler` on the kernel.
 
     ``gauges=True`` installs the flight recorder (standard testbed
@@ -141,21 +142,23 @@ def run_download(
     conservation violation.  Both are off by default and cost nothing
     when off.
 
-    ``wide`` (a path, open file or :class:`WideEventWriter`) attaches
-    a :class:`~repro.obs.wide.WideEventBuilder` and writes one wide
-    event per chunk/encounter/gap/handoff as JSONL — byte-identical to
-    what ``repro trace wide`` derives from this run's trace offline.
+    ``wide`` (a path, open file or :class:`WideEventWriter`) makes the
+    same fold write one wide event per chunk/encounter/gap/handoff as
+    JSONL — byte-identical to what ``repro trace wide`` derives from
+    this run's trace offline.  However many of ``spans``, ``wide``,
+    ``hub`` and ``sketches`` are set, one fold subscribes.
     ``sketches=True`` attaches a
     :class:`~repro.obs.sketch.SketchRecorder`: gauge samples (when
     ``gauges=True``) and wide-event phase latencies fold into
     fixed-memory mergeable sketches returned on the result — the
     bounded fleet-scale alternative to full gauge timelines.  Implies
-    a wide-event builder so the phase sketches always populate.
+    the fold so the phase sketches always populate.
 
     ``hub`` fans the run's live telemetry out to a
     :class:`~repro.obs.stream.TelemetryHub`: gauge samples (when
-    ``gauges=True``), wide events, and ``run`` started/finished
-    markers.  Hub delivery never blocks — slow subscribers drop (with
+    ``gauges=True``), wide events, and ``run`` markers — ``started``,
+    then ``finished`` or, when the run raises, ``failed`` with the
+    exception type.  Hub delivery never blocks — slow subscribers drop (with
     counters) instead of perturbing the run, so fixed-seed results
     stay bit-identical with subscribers attached.
 
@@ -196,53 +199,51 @@ def run_download(
             f"{system}-{pname}-seed{seed}" if pname else f"{system}-seed{seed}"
         )
     scenario.sim.probe.run_id = run_id
-    collector: Optional[MetricsCollector] = None
-    exporter: Optional[TraceExporter] = None
-    builder: Optional[SpanBuilder] = None
-    profiler: Optional[SimProfiler] = None
-    sampler: Optional[GaugeSampler] = None
-    auditor: Optional[InvariantAuditor] = None
-    wide_builder: Optional[WideEventBuilder] = None
-    wide_writer: Optional[WideEventWriter] = None
-    owns_wide_writer = False
-    gauge_feed: Optional[GaugeFeed] = None
+    bus = scenario.sim.probe.bus
+    #: How to undo each attachment made below; run in reverse in
+    #: ``finally`` so a raising run leaves nothing subscribed.
+    teardowns: list[Callable[[], None]] = []
+    collector = exporter = fold = profiler = sampler = auditor = recorder = None
     wide_records: Optional[list[dict]] = None
-    recorder: Optional[SketchRecorder] = None
-    if instrument or trace_path is not None or gauges or audit:
-        collector = MetricsCollector(scenario.sim).attach(scenario.sim.probe.bus)
-        if trace_path is not None:
-            exporter = TraceExporter(trace_path).attach(scenario.sim.probe.bus)
-    if spans:
-        builder = SpanBuilder(run_id=run_id).attach(scenario.sim.probe.bus)
-    if profile:
-        profiler = SimProfiler(scenario.sim).install()
-    if audit:
-        auditor = InvariantAuditor(strict=True).attach(scenario.sim.probe.bus)
-    if sketches:
-        recorder = SketchRecorder().attach(scenario.sim.probe.bus)
-    if wide is not None or hub is not None or sketches:
-        wide_records = []
-        sinks = [wide_records.append]
-        if recorder is not None:
-            sinks.append(recorder.feed_wide)
-        if wide is not None:
-            if isinstance(wide, WideEventWriter):
-                wide_writer = wide
-            else:
-                wide_writer = WideEventWriter(wide)
-                owns_wide_writer = wide_writer.path is not None
-            sinks.append(wide_writer.write)
-        if hub is not None:
-            sinks.append(lambda record: hub.publish("wide", record))
-        wide_builder = WideEventBuilder(run_id=run_id, sinks=sinks)
-        wide_builder.attach(scenario.sim.probe.bus)
-    if hub is not None:
-        gauge_feed = GaugeFeed(hub).attach(scenario.sim.probe.bus)
-        hub.publish("run", {
-            "run": run_id, "state": "started",
-            "system": system, "policy": pname, "seed": seed,
-        })
+    run_marker = {"run": run_id, "system": system, "policy": pname, "seed": seed}
     try:
+        if instrument or trace_path is not None or gauges or audit:
+            collector = MetricsCollector(scenario.sim).attach(bus)
+            if trace_path is not None:
+                exporter = TraceExporter(trace_path).attach(bus)
+                teardowns.append(exporter.close)
+        if profile:
+            profiler = SimProfiler(scenario.sim).install()
+            teardowns.append(profiler.uninstall)
+        if audit:
+            auditor = InvariantAuditor(strict=True).attach(bus)
+            teardowns.append(auditor.detach)
+        if sketches:
+            recorder = SketchRecorder().attach(bus)
+            teardowns.append(recorder.detach)
+        wants_records = wide is not None or hub is not None or sketches
+        if spans or wants_records:
+            sinks = []
+            if wants_records:
+                wide_records = []
+                sinks.append(wide_records.append)
+            if recorder is not None:
+                sinks.append(recorder.feed_wide)
+            if wide is not None:
+                if isinstance(wide, WideEventWriter):
+                    writer = wide  # the caller's, and theirs to close
+                else:
+                    writer = WideEventWriter(wide)
+                    if writer.path is not None:  # opened here, not borrowed
+                        teardowns.append(writer.close)
+                sinks.append(writer.write)
+            if hub is not None:
+                sinks.append(lambda record: hub.publish("wide", record))
+            fold = WideEventBuilder(run_id=run_id, sinks=sinks).attach(bus)
+            teardowns.append(fold.detach)
+        if hub is not None:
+            teardowns.append(GaugeFeed(hub).attach(bus).detach)
+            hub.publish("run", {**run_marker, "state": "started"})
         content = scenario.publish_default_content()
         if system == "softstage":
             client = scenario.make_softstage_client(
@@ -275,29 +276,27 @@ def run_download(
                 client.download(content, deadline=deadline)
             )
         download: DownloadResult = scenario.sim.run(until=process)
+        if fold is not None:
+            # Emit the run-summary wide record (post-run, like the live
+            # trace's last events) before anything reads the output.
+            fold.finish()
+    except BaseException as exc:
+        # A finished run hands its collector back still subscribed (the
+        # benchmark's traced pass counts on it); a failed one returns
+        # nothing, so nothing may stay behind.
+        if collector is not None:
+            collector.detach()
+        if hub is not None:
+            hub.publish("run", {
+                **run_marker, "state": "failed", "error": type(exc).__name__,
+            })
+        raise
     finally:
-        if exporter is not None:
-            exporter.close()
-        if profiler is not None:
-            profiler.uninstall()
-        if auditor is not None:
-            auditor.detach()
-        if gauge_feed is not None:
-            gauge_feed.detach()
-        if wide_builder is not None:
-            wide_builder.detach()
-        if recorder is not None:
-            recorder.detach()
-    if wide_builder is not None:
-        # Emit the run-summary wide record (post-run, like the live
-        # trace's last events) before anything reads the output.
-        wide_builder.finish()
-        if wide_writer is not None and owns_wide_writer:
-            wide_writer.close()
+        for teardown in reversed(teardowns):
+            teardown()
     if hub is not None:
         hub.publish("run", {
-            "run": run_id, "state": "finished",
-            "system": system, "policy": pname, "seed": seed,
+            **run_marker, "state": "finished",
             "download_time": download.duration,
             "throughput_bps": download.throughput_bps,
             "chunks_completed": download.chunks_completed,
@@ -314,7 +313,7 @@ def run_download(
         policy=pname,
         metrics=collector,
         trace_path=exporter.path if exporter is not None else None,
-        spans=builder.finish() if builder is not None else None,
+        spans=fold.spans if spans else None,
         profile=profiler,
         sampler=sampler,
         auditor=auditor,

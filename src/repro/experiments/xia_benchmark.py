@@ -93,14 +93,8 @@ def run_protocol(
     file_size: int = 10 * MB,
     chunk_size: int = 2 * MB,
     seed: int = 1,
-    spans: bool = False,
 ) -> BenchmarkPoint:
-    """One bar of Fig. 5.
-
-    ``spans=True`` attaches a live :class:`~repro.obs.spans.SpanBuilder`
-    to the run's bus — used by the instrumentation-overhead bench to
-    measure the cost of span derivation on the transport hot path.
-    """
+    """One bar of Fig. 5."""
     configs = {
         "linux-tcp": KERNEL_TCP,
         "xstream": XIA_STREAM,
@@ -108,10 +102,6 @@ def run_protocol(
     }
     config = configs[protocol]
     sim, publisher, endpoint = _build_segment(segment, config, seed)
-    if spans:
-        from repro.obs.spans import SpanBuilder
-
-        SpanBuilder(run_id=f"fig5-{segment}-{protocol}").attach(sim.probe.bus)
     if protocol == "xchunkp":
         content = publisher.publish_synthetic("bench", file_size, chunk_size)
         client = XChunkPClient(sim, endpoint, config)
@@ -129,10 +119,10 @@ def run_protocol(
     )
 
 
-def run_all(seed: int = 1, spans: bool = False) -> list[BenchmarkPoint]:
+def run_all(seed: int = 1) -> list[BenchmarkPoint]:
     """All six bars of Fig. 5."""
     return [
-        run_protocol(segment, protocol, seed=seed, spans=spans)
+        run_protocol(segment, protocol, seed=seed)
         for segment in ("wired", "wireless")
         for protocol in ("linux-tcp", "xstream", "xchunkp")
     ]

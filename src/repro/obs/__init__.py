@@ -16,9 +16,10 @@ Consumers subscribe by event type:
   into the event stream and audits it against conservation invariants;
 - the run registry (:mod:`repro.obs.registry`) persists per-run
   summaries and gauge timelines for cross-run diffing;
-- the wide-event layer (:mod:`repro.obs.wide`) folds events, spans
-  and gauges into one context-complete record per chunk lifecycle,
-  identically live and offline;
+- the lifecycle fold (:mod:`repro.obs.wide`) folds events and gauges
+  once into causal spans (:mod:`repro.obs.spans`) and, as each span
+  closes, one context-complete wide record per chunk, encounter, gap
+  and handoff — identically live and offline;
 - the telemetry hub (:mod:`repro.obs.stream`) fans gauge samples and
   wide events out to bounded, never-blocking subscriber queues;
 - the HTTP service (:mod:`repro.obs.server`) exposes the registry,
@@ -43,13 +44,14 @@ from repro.obs.flight import (
     install_flight_recorder,
 )
 from repro.obs.registry import RunRecord, RunRegistry, diff_records
-from repro.obs.spans import Span, SpanBuilder, build_spans, render_summary, summarize_spans
+from repro.obs.spans import Span, render_summary, summarize_spans
 from repro.obs.stream import GaugeFeed, TelemetryHub, TelemetrySubscription
 from repro.obs.wide import (
     WIDE_SCHEMA_VERSION,
     WideEventBuilder,
     WideEventStream,
     WideEventWriter,
+    build_spans,
     derive_wide,
     read_wide,
     wide_json,
@@ -68,7 +70,6 @@ __all__ = [
     "RunRecord",
     "RunRegistry",
     "Span",
-    "SpanBuilder",
     "Stamped",
     "TelemetryHub",
     "TelemetrySubscription",

@@ -3,8 +3,8 @@
 Everything here is *offline*: it consumes a JSONL trace (possibly
 holding several runs, told apart by their ``run`` ids) or pre-built
 span lists, and produces plain data objects the CLI renders.  The
-heavy lifting — folding events into spans — lives in
-:mod:`repro.obs.spans`; this module answers the questions the paper's
+heavy lifting — folding events into spans — is the lifecycle fold in
+:mod:`repro.obs.wide`; this module answers the questions the paper's
 evaluation asks of those spans:
 
 - *stage wait*: how long a chunk sat between being signalled and the
@@ -27,8 +27,17 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Union
 
-from repro.obs.spans import CHUNK, ENCOUNTER, GAP, HANDOFF, Span, build_spans
+from repro.obs.spans import (
+    CHUNK,
+    ENCOUNTER,
+    GAP,
+    HANDOFF,
+    Span,
+    overlap,
+    summarize_spans,
+)
 from repro.obs.trace import read_trace
+from repro.obs.wide import build_spans
 
 
 # -- loading -----------------------------------------------------------------
@@ -106,12 +115,6 @@ class ChunkBreakdown:
     total: float
 
 
-def _overlap(start: float, end: float, intervals: list[tuple[float, float]]) -> float:
-    return sum(
-        max(0.0, min(end, hi) - max(start, lo)) for lo, hi in intervals
-    )
-
-
 def latency_breakdown(spans: Iterable[Span]) -> list[ChunkBreakdown]:
     """Per-delivered-chunk phase decomposition, in delivery order."""
     spans = list(spans)
@@ -126,7 +129,7 @@ def latency_breakdown(spans: Iterable[Span]) -> list[ChunkBreakdown]:
         stage_wait = staged - signalled if signalled is not None and staged is not None else None
         ready_wait = fetch_start - staged if staged is not None else None
         masked = (
-            _overlap(signalled, staged, gaps)
+            overlap(signalled, staged, gaps)
             if signalled is not None and staged is not None
             else 0.0
         )
@@ -325,8 +328,6 @@ class KindDelta:
 
 def diff_spans(spans_a: Iterable[Span], spans_b: Iterable[Span]) -> list[KindDelta]:
     """Per-span-kind latency deltas between two runs (B relative to A)."""
-    from repro.obs.spans import summarize_spans
-
     a = {s.kind: s for s in summarize_spans(spans_a)}
     b = {s.kind: s for s in summarize_spans(spans_b)}
     out = []

@@ -1,12 +1,15 @@
-"""Causal spans: folding the flat event stream into lifecycles.
+"""Causal spans: the interval view of the lifecycle fold.
 
 A JSONL trace (or a live bus subscription) is a flat, time-ordered
-stream of typed events.  This module derives *spans* from it — typed
-intervals with a begin, an end, a lifecycle phase timeline and parent
-links — so per-chunk questions ("how long did this chunk wait between
-being signalled and being staged?  was it fetched from the edge or
-did it fall back to the origin?") become first-class queries instead
-of ad-hoc stream scans.
+stream of typed events.  The lifecycle fold
+(:class:`repro.obs.wide.WideEventBuilder`) turns it into *spans* —
+typed intervals with a begin, an end, a lifecycle phase timeline and
+parent links — so per-chunk questions ("how long did this chunk wait
+between being signalled and being staged?  was it fetched from the
+edge or did it fall back to the origin?") become first-class queries
+instead of ad-hoc stream scans.  This module holds the span model and
+its summaries; the fold that fills it (and projects each closing span
+into a wide record) lives in :mod:`repro.obs.wide`.
 
 Span kinds:
 
@@ -19,7 +22,7 @@ Span kinds:
     cached → fetched`` (plus ``re-signalled``, ``stage_failed`` and
     ``stale_response`` marks).  ``status`` ends as ``edge``,
     ``origin`` or ``fallback``; spans still open at stream end keep
-    ``status="open"``.
+    ``status="staging"`` and ``end=None``.
 ``encounter``
     One attachment period, derived retroactively from
     :class:`~repro.obs.events.EncounterEnded` (interval
@@ -33,25 +36,17 @@ Span kinds:
     "completed"``), or an instantaneous ``status="deferred"`` span
     for :class:`~repro.obs.events.HandoffDeferred`.
 
-Parent links: after the stream ends (:meth:`SpanBuilder.finish`) each
+Parent links: after the stream ends (the fold's ``finish()``) each
 closed chunk span is nested under the ``encounter`` span whose
 interval contains its fetch-completion time — "the encounter the
 chunk was delivered in".  Chunks fetched during the final (never-
 ended) encounter keep ``parent_id=None``.
-
-The builder is a pure, deterministic function of the stamped event
-sequence: attaching it live to a bus and feeding it a recorded trace
-of the same run produce byte-identical summaries (the parity tests
-assert exactly this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
-
-from repro.obs import events as ev
-from repro.obs.bus import EventBus, Stamped
 
 #: Span kinds (also the Chrome-trace lanes, see ``repro.obs.analyze``).
 CHUNK = "chunk"
@@ -112,253 +107,11 @@ class Span:
         return f"<Span #{self.span_id} {self.kind}:{self.key} {dur} {self.status}>"
 
 
-class SpanBuilder:
-    """Folds a stamped event stream into :class:`Span` objects.
-
-    Works identically live (``builder.attach(sim.probe.bus)``) and
-    offline (``for s in read_trace(path): builder.feed(s)``).  Call
-    :meth:`finish` once the stream ends to close bookkeeping and
-    resolve parent links; it returns the full span list, ordered by
-    creation (= first-event) order.
-    """
-
-    def __init__(self, run_id: Optional[str] = None) -> None:
-        #: Only events stamped with this run id are folded; ``None``
-        #: adopts the first run id seen (events from other runs are
-        #: counted in :attr:`skipped_other_runs`, never mixed in).
-        self.run_id = run_id
-        self.spans: list[Span] = []
-        self.events_seen = 0
-        self.skipped_other_runs = 0
-        #: Events naming a chunk with no open span to annotate.
-        self.orphan_events = 0
-        self._open_chunks: dict[str, Span] = {}
-        self._open_handoffs: dict[str, Span] = {}
-        self._encounters = 0
-        self._gaps = 0
-        self._buses: list[EventBus] = []
-        self._finished = False
-
-    # -- wiring ------------------------------------------------------------
-
-    def attach(self, bus: EventBus) -> "SpanBuilder":
-        """Subscribe to every event published on ``bus``."""
-        bus.subscribe_all(self.feed)
-        self._buses.append(bus)
-        return self
-
-    def detach(self, bus: Optional[EventBus] = None) -> None:
-        buses = [bus] if bus is not None else list(self._buses)
-        for b in buses:
-            b.unsubscribe_all(self.feed)
-            if b in self._buses:
-                self._buses.remove(b)
-
-    # -- the fold ----------------------------------------------------------
-
-    def feed(self, stamped: Stamped) -> None:
-        """Fold one stamped event into the span state machine."""
-        if self.run_id is None:
-            self.run_id = stamped.run_id
-        elif stamped.run_id != self.run_id:
-            self.skipped_other_runs += 1
-            return
-        self.events_seen += 1
-        handler = _HANDLERS.get(type(stamped.event))
-        if handler is not None:
-            handler(self, stamped.time, stamped.event)
-
-    def finish(self) -> list[Span]:
-        """Close bookkeeping, resolve parents, return every span."""
-        if not self._finished:
-            self._finished = True
-            self.detach()
-            self._assign_parents()
-        return self.spans
-
-    # -- span plumbing -----------------------------------------------------
-
-    def _new_span(self, kind: str, key: str, start: float) -> Span:
-        span = Span(
-            span_id=len(self.spans) + 1,
-            kind=kind,
-            key=key,
-            run_id=self.run_id or "",
-            start=start,
-        )
-        self.spans.append(span)
-        return span
-
-    def _chunk_span(self, cid: str, time: float) -> Span:
-        span = self._open_chunks.get(cid)
-        if span is None:
-            span = self._new_span(CHUNK, cid, time)
-            self._open_chunks[cid] = span
-        return span
-
-    def _annotate_chunk(self, cid: str) -> Optional[Span]:
-        """The open span for ``cid``, or None (orphan) — never opens."""
-        span = self._open_chunks.get(cid)
-        if span is None:
-            self.orphan_events += 1
-        return span
-
-    def _assign_parents(self) -> None:
-        encounters = [s for s in self.spans if s.kind == ENCOUNTER]
-        if not encounters:
-            return
-        for span in self.spans:
-            if span.kind != CHUNK or span.end is None:
-                continue
-            for enc in encounters:
-                if enc.start <= span.end <= enc.end:
-                    span.parent_id = enc.span_id
-                    break
-
-
-# -- per-event fold functions ------------------------------------------------
-
-
-def _split_cids(cids: str) -> list[str]:
-    return [c for c in cids.split(",") if c] if cids else []
-
-
-def _on_staging_signalled(b: SpanBuilder, t: float, e: ev.StagingSignalled) -> None:
-    for cid in _split_cids(e.cids):
-        span = b._open_chunks.get(cid)
-        if span is None:
-            span = b._chunk_span(cid, t)
-            span.status = "staging"
-            span.attrs["signal_label"] = e.label
-            span.mark("signalled", t)
-        else:
-            span.mark("re-signalled", t)
-            span.attrs["re_signals"] = int(span.attrs.get("re_signals", 0)) + 1
-
-
-def _on_stage_request(b: SpanBuilder, t: float, e: ev.StageRequestReceived) -> None:
-    for cid in _split_cids(e.cids):
-        span = b._annotate_chunk(cid)
-        if span is not None and span.phase_time("stage_request") is None:
-            span.mark("stage_request", t)
-            span.attrs["vnf"] = e.vnf
-
-
-def _on_vnf_staged(b: SpanBuilder, t: float, e: ev.VnfStageCompleted) -> None:
-    span = b._annotate_chunk(e.cid)
-    if span is not None:
-        span.mark("staged", t)
-        span.attrs["stage_latency"] = e.latency
-        span.attrs["vnf"] = e.vnf
-
-
-def _on_vnf_failed(b: SpanBuilder, t: float, e: ev.VnfStageFailed) -> None:
-    span = b._annotate_chunk(e.cid)
-    if span is not None:
-        span.mark("stage_failed", t)
-        span.attrs["stage_failures"] = int(span.attrs.get("stage_failures", 0)) + 1
-
-
-def _on_chunk_staged(b: SpanBuilder, t: float, e: ev.ChunkStaged) -> None:
-    span = b._annotate_chunk(e.cid)
-    if span is not None:
-        span.mark("ready", t)
-        if e.staging_latency is not None:
-            span.attrs["staging_latency"] = e.staging_latency
-        if e.control_rtt is not None:
-            span.attrs["control_rtt"] = e.control_rtt
-
-
-def _on_stale_response(b: SpanBuilder, t: float, e: ev.StaleStagingResponse) -> None:
-    span = b._open_chunks.get(e.cid)
-    if span is not None:
-        span.mark("stale_response", t)
-        span.attrs["stale_responses"] = int(span.attrs.get("stale_responses", 0)) + 1
-
-
-def _on_cache_stored(b: SpanBuilder, t: float, e: ev.CacheStored) -> None:
-    # Only annotates an open chunk span (edge staging); origin-side
-    # publishes at t=0 must not open lifecycle spans.
-    span = b._open_chunks.get(e.cid)
-    if span is not None:
-        span.mark("cached", t)
-        span.attrs["cache_store"] = e.store
-
-
-def _on_chunk_fetched(b: SpanBuilder, t: float, e: ev.ChunkFetched) -> None:
-    span = b._open_chunks.pop(e.cid, None)
-    if span is None:
-        # Never signalled (e.g. direct fetch, no VNF): the span is the
-        # fetch itself, opened retroactively at fetch start.
-        span = b._new_span(CHUNK, e.cid, t - e.latency)
-    span.end = t
-    span.mark("fetched", t)
-    span.attrs["fetch_latency"] = e.latency
-    span.attrs["fetch_start"] = t - e.latency
-    span.status = "edge" if e.from_edge else ("fallback" if e.fallback else "origin")
-
-
-def _on_handoff_started(b: SpanBuilder, t: float, e: ev.HandoffStarted) -> None:
-    span = b._new_span(HANDOFF, e.target, t)
-    span.status = "joining"
-    span.mark("started", t)
-    b._open_handoffs[e.target] = span
-
-
-def _on_handoff_completed(b: SpanBuilder, t: float, e: ev.HandoffCompleted) -> None:
-    span = b._open_handoffs.pop(e.target, None)
-    if span is None:
-        span = b._new_span(HANDOFF, e.target, t - e.duration)
-    span.end = t
-    span.status = "completed"
-    span.mark("completed", t)
-    span.attrs["join_duration"] = e.duration
-
-
-def _on_handoff_deferred(b: SpanBuilder, t: float, e: ev.HandoffDeferred) -> None:
-    span = b._new_span(HANDOFF, e.target, t)
-    span.end = t
-    span.status = "deferred"
-    span.mark("deferred", t)
-
-
-def _on_encounter_ended(b: SpanBuilder, t: float, e: ev.EncounterEnded) -> None:
-    b._encounters += 1
-    span = b._new_span(ENCOUNTER, f"enc{b._encounters}", t - e.duration)
-    span.end = t
-    span.status = "ended"
-
-
-def _on_coverage_gap(b: SpanBuilder, t: float, e: ev.CoverageGap) -> None:
-    b._gaps += 1
-    span = b._new_span(GAP, f"gap{b._gaps}", t - e.duration)
-    span.end = t
-    span.status = "offline"
-
-
-_HANDLERS = {
-    ev.StagingSignalled: _on_staging_signalled,
-    ev.StageRequestReceived: _on_stage_request,
-    ev.VnfStageCompleted: _on_vnf_staged,
-    ev.VnfStageFailed: _on_vnf_failed,
-    ev.ChunkStaged: _on_chunk_staged,
-    ev.StaleStagingResponse: _on_stale_response,
-    ev.CacheStored: _on_cache_stored,
-    ev.ChunkFetched: _on_chunk_fetched,
-    ev.HandoffStarted: _on_handoff_started,
-    ev.HandoffCompleted: _on_handoff_completed,
-    ev.HandoffDeferred: _on_handoff_deferred,
-    ev.EncounterEnded: _on_encounter_ended,
-    ev.CoverageGap: _on_coverage_gap,
-}
-
-
-def build_spans(stampeds: Iterable[Stamped], run_id: Optional[str] = None) -> list[Span]:
-    """Derive spans offline from any stamped-event iterable."""
-    builder = SpanBuilder(run_id=run_id)
-    for stamped in stampeds:
-        builder.feed(stamped)
-    return builder.finish()
+def overlap(start: float, end: float, intervals: list[tuple[float, float]]) -> float:
+    """Total overlap of ``[start, end]`` with a list of intervals."""
+    return sum(
+        max(0.0, min(end, hi) - max(start, lo)) for lo, hi in intervals
+    )
 
 
 # -- summaries ---------------------------------------------------------------

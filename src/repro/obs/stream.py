@@ -24,8 +24,9 @@ JSON-serialisable dict.  The conventional topics:
     One wide-event record (see :mod:`repro.obs.wide`), forwarded by
     the builder's hub sink.
 ``run``
-    Run lifecycle: ``{"run", "state": "started"|"finished", ...}``
-    published by the experiment runner and the parallel sweep driver.
+    Run lifecycle: ``{"run", "state": "started"|"finished"|"failed",
+    ...}`` published by the experiment runner (``failed`` carries the
+    exception type as ``error``) and the parallel sweep driver.
 
 Attach/detach is safe mid-run: subscription changes take a lock, but
 ``publish`` reads a snapshot, so a subscriber appearing or vanishing

@@ -1,4 +1,4 @@
-"""Wide events: one context-complete record per unit of work.
+"""The lifecycle fold and its wide events: one record per unit of work.
 
 The event stream (DESIGN.md §7) is narrow — many small happenings per
 chunk, scattered across layers.  Debugging a staging decision ("why did
@@ -11,12 +11,25 @@ the current network, the staging lead at delivery and the per-phase
 timings in the same record), plus one record per encounter, coverage
 gap and handoff, and a per-run summary.
 
+One fold, two views
+-------------------
+
+A chunk's lifecycle (signalled → stage request → VNF staged → ready →
+cached → fetched, across disconnections and handoffs) is one state
+machine, so it is folded once: :class:`WideEventBuilder` keeps the
+:class:`~repro.obs.spans.Span` list (phase marks + attrs) plus the
+context a record needs beyond its own span (latest gauges, known gap
+intervals, the current network, run totals).  The *span view* is that
+list (:attr:`WideEventBuilder.spans`, :func:`build_spans`); the *wide
+view* is a projection of each span at the moment it closes, handed to
+the sinks at that stream position.  DESIGN.md §8 tabulates which event
+sets which span mark and which record field.
+
 The builder is a pure, deterministic fold over the stamped event
-sequence — exactly like :class:`~repro.obs.spans.SpanBuilder` — so
-deriving wide events *offline* from a recorded JSONL trace
-(``python -m repro trace wide``) produces **byte-identical** records to
-the ones a live run emitted (asserted by the parity tests and the CI
-telemetry smoke gate).
+sequence, so deriving either view *offline* from a recorded JSONL trace
+(``python -m repro trace wide`` / ``trace spans``) produces
+**byte-identical** output to what a live run emitted (asserted by the
+parity tests and the CI telemetry smoke gate).
 
 Schema and forward compatibility
 --------------------------------
@@ -35,10 +48,12 @@ paths share, which is what makes byte-parity achievable.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 from repro.obs import events as ev
 from repro.obs.bus import EventBus, Stamped
+from repro.obs.spans import CHUNK, ENCOUNTER, GAP, HANDOFF, Span, overlap
 
 #: Bump when record fields change shape (adding keys is *not* a bump:
 #: unknown keys are ignored-and-preserved by every reader).
@@ -46,6 +61,11 @@ WIDE_SCHEMA_VERSION = 1
 
 #: A wide-event consumer: called once per finished record.
 WideSink = Callable[[dict], None]
+
+#: The flight-recorder gauges whose latest sample records carry.
+_LEAD = "staging.lead_bytes"
+_PROGRESS = "client.progress_bytes"
+_CONNECTED = "client.connected"
 
 
 def wide_json(record: dict) -> str:
@@ -65,13 +85,6 @@ def policy_from_run_id(run_id: str) -> str:
     if len(parts) >= 3 and parts[-1].startswith("seed"):
         return "-".join(parts[1:-1])
     return ""
-
-
-def _overlap(start: float, end: float, intervals: list) -> float:
-    """Total overlap of ``[start, end]`` with a list of intervals."""
-    return sum(
-        max(0.0, min(end, hi) - max(start, lo)) for lo, hi in intervals
-    )
 
 
 class WideEventWriter:
@@ -131,21 +144,23 @@ def read_wide(path_or_file: Union[str, IO[str]]) -> Iterator[dict]:
 
 
 class WideEventBuilder:
-    """Folds one run's stamped events into wide-event records.
+    """Folds one run's stamped events into spans and wide-event records.
 
     Works identically live (``builder.attach(sim.probe.bus)``) and
     offline (``for s in read_trace(path): builder.feed(s)``); call
-    :meth:`finish` when the run's stream ends to emit the run-summary
-    record and detach.  Records go to every sink in ``sinks``, in
-    emission order; ``seq`` numbers them per run.
+    :meth:`finish` when the run's stream ends to resolve span parent
+    links, emit the run-summary record and detach.  :attr:`spans`
+    holds every span in creation (= first-event) order; records go to
+    every sink in ``sinks``, in emission order, and ``seq`` numbers
+    them per run.
 
-    The fold keeps its own books (it does not depend on
-    :class:`~repro.obs.spans.SpanBuilder`): per-chunk phase timestamps,
-    the latest value of every sampled gauge (so ``lead_bytes`` /
-    ``progress_bytes`` at delivery come straight from the flight
-    recorder when it ran, and are ``None`` when it didn't), known
-    coverage-gap intervals (for the ``masked_s`` gain attribution),
-    and the current network (last completed handoff target).
+    Beyond the spans the fold keeps only what a record needs from
+    outside its own span: the latest value of every sampled gauge (so
+    ``lead_bytes`` / ``progress_bytes`` at delivery come straight from
+    the flight recorder when it ran, and are ``None`` when it didn't),
+    known coverage-gap intervals (for the ``masked_s`` gain
+    attribution), the current network (last completed handoff target)
+    and the run totals that are not a count over spans.
     """
 
     def __init__(
@@ -154,28 +169,24 @@ class WideEventBuilder:
         sinks: Optional[list[WideSink]] = None,
     ) -> None:
         #: Only events stamped with this run id are folded; ``None``
-        #: adopts the first run id seen.
+        #: adopts the first run id seen (events from other runs are
+        #: counted in :attr:`skipped_other_runs`, never mixed in).
         self.run_id = run_id
         self.sinks: list[WideSink] = list(sinks or [])
+        self.spans: list[Span] = []
         self.events_seen = 0
         self.skipped_other_runs = 0
         self.records_emitted = 0
-        self._chunks: dict[str, dict] = {}
-        self._handoffs: dict[str, float] = {}
+        self._open_chunks: dict[str, Span] = {}
+        self._open_handoffs: dict[str, Span] = {}
         self._gauge_latest: dict[str, float] = {}
         self._gaps: list[tuple[float, float]] = []
         self._network = ""
         self._encounters = 0
-        self._gap_count = 0
-        self._handoff_count = 0
+        self._handoffs_closed = 0
         self._chunks_this_encounter = 0
         self._last_time = 0.0
-        self._totals = {
-            "chunks": 0, "edge": 0, "origin": 0, "fallback": 0,
-            "re_signals": 0, "stage_failures": 0, "stale_responses": 0,
-            "handoffs_completed": 0, "handoffs_deferred": 0,
-            "dropped_packets": 0,
-        }
+        self._dropped_packets = 0
         self._masked_total = 0.0
         self._gap_time = 0.0
         self._encounter_time = 0.0
@@ -185,6 +196,7 @@ class WideEventBuilder:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, bus: EventBus) -> "WideEventBuilder":
+        """Subscribe to every event published on ``bus``."""
         bus.subscribe_all(self.feed)
         self._buses.append(bus)
         return self
@@ -194,21 +206,10 @@ class WideEventBuilder:
             bus.unsubscribe_all(self.feed)
         self._buses.clear()
 
-    # -- emission ----------------------------------------------------------
-
-    def _emit(self, record: dict) -> None:
-        record["schema"] = WIDE_SCHEMA_VERSION
-        record["run"] = self.run_id or ""
-        record["policy"] = policy_from_run_id(self.run_id or "")
-        record["seq"] = self.records_emitted
-        self.records_emitted += 1
-        for sink in self.sinks:
-            sink(record)
-
     # -- the fold ----------------------------------------------------------
 
     def feed(self, stamped: Stamped) -> None:
-        """Fold one stamped event into the wide-event state machine."""
+        """Fold one stamped event into the lifecycle state machine."""
         if self.run_id is None:
             self.run_id = stamped.run_id
         elif stamped.run_id != self.run_id:
@@ -221,46 +222,89 @@ class WideEventBuilder:
             handler(self, stamped.time, stamped.event)
 
     def finish(self) -> int:
-        """Detach, emit the run-summary record, return records emitted."""
+        """Detach, resolve span parents, emit the run-summary record.
+
+        Idempotent; returns the number of records emitted.
+        """
         if not self._finished:
             self._finished = True
             self.detach()
-            totals = self._totals
+            self._assign_parents()
+            chunks = [s for s in self.spans if s.kind == CHUNK]
+            statuses = Counter((s.kind, s.status) for s in self.spans)
+
+            def chunk_total(attr: str) -> int:
+                return sum(s.attrs.get(attr, 0) for s in chunks)
+
             self._emit({
                 "kind": "run",
                 "t_end": self._last_time,
                 "events": self.events_seen,
                 "network": self._network,
-                "chunks": totals["chunks"],
-                "chunks_edge": totals["edge"],
-                "chunks_origin": totals["origin"],
-                "chunks_fallback": totals["fallback"],
-                "chunks_open": len(self._chunks),
-                "re_signals": totals["re_signals"],
-                "stage_failures": totals["stage_failures"],
-                "stale_responses": totals["stale_responses"],
+                "chunks": len(chunks) - len(self._open_chunks),
+                "chunks_edge": statuses[CHUNK, "edge"],
+                "chunks_origin": statuses[CHUNK, "origin"],
+                "chunks_fallback": statuses[CHUNK, "fallback"],
+                "chunks_open": len(self._open_chunks),
+                "re_signals": chunk_total("re_signals"),
+                "stage_failures": chunk_total("stage_failures"),
+                "stale_responses": chunk_total("stale_responses"),
                 "encounters": self._encounters,
-                "gaps": self._gap_count,
+                "gaps": len(self._gaps),
                 "gap_time_s": self._gap_time,
                 "encounter_time_s": self._encounter_time,
-                "handoffs_completed": totals["handoffs_completed"],
-                "handoffs_deferred": totals["handoffs_deferred"],
-                "dropped_packets": totals["dropped_packets"],
+                "handoffs_completed": statuses[HANDOFF, "completed"],
+                "handoffs_deferred": statuses[HANDOFF, "deferred"],
+                "dropped_packets": self._dropped_packets,
                 "masked_total_s": self._masked_total,
-                "lead_bytes": self._gauge_latest.get("staging.lead_bytes"),
-                "progress_bytes": self._gauge_latest.get(
-                    "client.progress_bytes"
-                ),
+                **self._gauges(_LEAD, _PROGRESS),
             })
         return self.records_emitted
 
-    # -- chunk lifecycle ---------------------------------------------------
+    # -- span plumbing -----------------------------------------------------
 
-    def _chunk(self, cid: str) -> dict:
-        state = self._chunks.get(cid)
-        if state is None:
-            state = self._chunks[cid] = {}
-        return state
+    def _new_span(self, kind: str, key: str, start: float) -> Span:
+        span = Span(
+            span_id=len(self.spans) + 1,
+            kind=kind,
+            key=key,
+            run_id=self.run_id or "",
+            start=start,
+        )
+        self.spans.append(span)
+        return span
+
+    def _assign_parents(self) -> None:
+        encounters = [s for s in self.spans if s.kind == ENCOUNTER]
+        if not encounters:
+            return
+        for span in self.spans:
+            if span.kind != CHUNK or span.end is None:
+                continue
+            for enc in encounters:
+                if enc.start <= span.end <= enc.end:
+                    span.parent_id = enc.span_id
+                    break
+
+    # -- record plumbing ---------------------------------------------------
+
+    def _gauges(self, *gauges: str) -> dict:
+        """Record fields for the latest sample of each named gauge.
+
+        The field is the gauge's last name component; its value is
+        ``None`` until the flight recorder has sampled that gauge.
+        """
+        latest = self._gauge_latest
+        return {g.rpartition(".")[2]: latest.get(g) for g in gauges}
+
+    def _emit(self, record: dict) -> None:
+        record["schema"] = WIDE_SCHEMA_VERSION
+        record["run"] = self.run_id or ""
+        record["policy"] = policy_from_run_id(self.run_id or "")
+        record["seq"] = self.records_emitted
+        self.records_emitted += 1
+        for sink in self.sinks:
+            sink(record)
 
 
 class WideEventStream:
@@ -327,109 +371,139 @@ def derive_wide(
     return records
 
 
+def build_spans(stampeds: Iterable[Stamped], run_id: Optional[str] = None) -> list[Span]:
+    """Derive one run's spans offline: the same fold, with no sinks."""
+    builder = WideEventBuilder(run_id=run_id)
+    for stamped in stampeds:
+        builder.feed(stamped)
+    builder.finish()
+    return builder.spans
+
+
 # -- per-event fold functions ------------------------------------------------
+#
+# Each handler updates the span being built; the three that close a
+# span also project it into its wide record.  Chunk annotations only
+# touch a span that is already open: origin-side publishes
+# (``CacheStored`` at t=0) and responses for delivered chunks must not
+# open lifecycles.
 
 
 def _split_cids(cids: str) -> list[str]:
     return [c for c in cids.split(",") if c] if cids else []
 
 
+def _bump(span: Span, attr: str) -> None:
+    span.attrs[attr] = int(span.attrs.get(attr, 0)) + 1
+
+
 def _on_gauge(b: WideEventBuilder, t: float, e: ev.GaugeSample) -> None:
     b._gauge_latest[e.gauge] = e.value
 
 
-def _on_signalled(b: WideEventBuilder, t: float, e: ev.StagingSignalled) -> None:
+def _on_packet_dropped(b: WideEventBuilder, t: float, e: ev.PacketDropped) -> None:
+    b._dropped_packets += e.count
+
+
+def _on_staging_signalled(b: WideEventBuilder, t: float, e: ev.StagingSignalled) -> None:
     for cid in _split_cids(e.cids):
-        state = b._chunks.get(cid)
-        if state is None:
-            state = b._chunk(cid)
-            state["t_signalled"] = t
-            state["signal_label"] = e.label
+        span = b._open_chunks.get(cid)
+        if span is None:
+            span = b._open_chunks[cid] = b._new_span(CHUNK, cid, t)
+            span.status = "staging"
+            span.attrs["signal_label"] = e.label
+            span.mark("signalled", t)
         else:
-            state["re_signals"] = state.get("re_signals", 0) + 1
-            b._totals["re_signals"] += 1
+            span.mark("re-signalled", t)
+            _bump(span, "re_signals")
 
 
-def _on_stage_request(
-    b: WideEventBuilder, t: float, e: ev.StageRequestReceived
-) -> None:
+def _on_stage_request(b: WideEventBuilder, t: float, e: ev.StageRequestReceived) -> None:
     for cid in _split_cids(e.cids):
-        state = b._chunks.get(cid)
-        if state is not None and "t_stage_request" not in state:
-            state["t_stage_request"] = t
-            state["vnf"] = e.vnf
+        span = b._open_chunks.get(cid)
+        if span is not None and span.phase_time("stage_request") is None:
+            span.mark("stage_request", t)
+            span.attrs["vnf"] = e.vnf
 
 
 def _on_vnf_staged(b: WideEventBuilder, t: float, e: ev.VnfStageCompleted) -> None:
-    state = b._chunks.get(e.cid)
-    if state is not None:
-        state["t_staged"] = t
-        state["stage_latency"] = e.latency
-        state["vnf"] = e.vnf
+    span = b._open_chunks.get(e.cid)
+    if span is not None:
+        span.mark("staged", t)
+        span.attrs["stage_latency"] = e.latency
+        span.attrs["vnf"] = e.vnf
 
 
 def _on_vnf_failed(b: WideEventBuilder, t: float, e: ev.VnfStageFailed) -> None:
-    state = b._chunks.get(e.cid)
-    if state is not None:
-        state["stage_failures"] = state.get("stage_failures", 0) + 1
-        b._totals["stage_failures"] += 1
+    span = b._open_chunks.get(e.cid)
+    if span is not None:
+        span.mark("stage_failed", t)
+        _bump(span, "stage_failures")
 
 
 def _on_chunk_staged(b: WideEventBuilder, t: float, e: ev.ChunkStaged) -> None:
-    state = b._chunks.get(e.cid)
-    if state is not None:
-        state["t_ready"] = t
+    span = b._open_chunks.get(e.cid)
+    if span is not None:
+        span.mark("ready", t)
         if e.staging_latency is not None:
-            state["staging_latency"] = e.staging_latency
+            span.attrs["staging_latency"] = e.staging_latency
         if e.control_rtt is not None:
-            state["control_rtt"] = e.control_rtt
+            span.attrs["control_rtt"] = e.control_rtt
 
 
-def _on_stale(b: WideEventBuilder, t: float, e: ev.StaleStagingResponse) -> None:
-    state = b._chunks.get(e.cid)
-    if state is not None:
-        state["stale_responses"] = state.get("stale_responses", 0) + 1
-        b._totals["stale_responses"] += 1
+def _on_stale_response(b: WideEventBuilder, t: float, e: ev.StaleStagingResponse) -> None:
+    span = b._open_chunks.get(e.cid)
+    if span is not None:
+        span.mark("stale_response", t)
+        _bump(span, "stale_responses")
 
 
 def _on_cache_stored(b: WideEventBuilder, t: float, e: ev.CacheStored) -> None:
-    # Origin-side publishes at t=0 never opened a lifecycle, so (like
-    # the span builder) only annotate chunks already in flight.
-    state = b._chunks.get(e.cid)
-    if state is not None:
-        state["t_cached"] = t
-        state["cache_store"] = e.store
+    span = b._open_chunks.get(e.cid)
+    if span is not None:
+        span.mark("cached", t)
+        span.attrs["cache_store"] = e.store
 
 
 def _on_chunk_fetched(b: WideEventBuilder, t: float, e: ev.ChunkFetched) -> None:
-    state = b._chunks.pop(e.cid, {})
     fetch_start = t - e.latency
-    t_signalled = state.get("t_signalled")
-    t_staged = state.get("t_staged")
-    t_ready = state.get("t_ready")
-    lifecycle_start = t_signalled if t_signalled is not None else fetch_start
-    masked = _overlap(lifecycle_start, t, b._gaps)
-    source = "edge" if e.from_edge else ("fallback" if e.fallback else "origin")
-    b._totals["chunks"] += 1
-    b._totals[source] += 1
+    span = b._open_chunks.pop(e.cid, None)
+    if span is None:
+        # Never signalled (e.g. direct fetch, no VNF): the span is the
+        # fetch itself, opened retroactively at fetch start.
+        span = b._new_span(CHUNK, e.cid, fetch_start)
+    span.end = t
+    span.mark("fetched", t)
+    span.attrs["fetch_latency"] = e.latency
+    span.attrs["fetch_start"] = fetch_start
+    span.status = "edge" if e.from_edge else ("fallback" if e.fallback else "origin")
     b._chunks_this_encounter += 1
+    # The record reads the *last* mark of a repeated phase (a restaged
+    # chunk's final ``staged``/``ready``/``cached``), where the span
+    # view's ``phase_time`` reads the first: ``dict`` keeps the last.
+    last = dict(span.phases)
+    attrs = span.attrs
+    t_signalled = last.get("signalled")
+    t_staged = last.get("staged")
+    t_ready = last.get("ready")
+    masked = overlap(span.start, t, b._gaps)
     b._masked_total += masked
     b._emit({
         "kind": "chunk",
         "cid": e.cid,
-        "source": source,
+        "source": span.status,
         "network": b._network,
         "t_signalled": t_signalled,
-        "t_stage_request": state.get("t_stage_request"),
+        "t_stage_request": last.get("stage_request"),
         "t_staged": t_staged,
         "t_ready": t_ready,
-        "t_cached": state.get("t_cached"),
+        "t_cached": last.get("cached"),
         "t_fetch_start": fetch_start,
         "t_fetched": t,
         "fetch_latency": e.latency,
-        "stage_latency": state.get("stage_latency"),
-        "staging_latency": state.get("staging_latency"),
-        "control_rtt": state.get("control_rtt"),
+        "stage_latency": attrs.get("stage_latency"),
+        "staging_latency": attrs.get("staging_latency"),
+        "control_rtt": attrs.get("control_rtt"),
         "stage_wait_s": (
             t_staged - t_signalled
             if t_staged is not None and t_signalled is not None else None
@@ -438,113 +512,105 @@ def _on_chunk_fetched(b: WideEventBuilder, t: float, e: ev.ChunkFetched) -> None
             fetch_start - t_ready if t_ready is not None else None
         ),
         "masked_s": masked,
-        "re_signals": state.get("re_signals", 0),
-        "stage_failures": state.get("stage_failures", 0),
-        "stale_responses": state.get("stale_responses", 0),
-        "signal_label": state.get("signal_label"),
-        "vnf": state.get("vnf"),
-        "cache_store": state.get("cache_store"),
-        "lead_bytes": b._gauge_latest.get("staging.lead_bytes"),
-        "progress_bytes": b._gauge_latest.get("client.progress_bytes"),
-        "connected": b._gauge_latest.get("client.connected"),
+        "re_signals": attrs.get("re_signals", 0),
+        "stage_failures": attrs.get("stage_failures", 0),
+        "stale_responses": attrs.get("stale_responses", 0),
+        "signal_label": attrs.get("signal_label"),
+        "vnf": attrs.get("vnf"),
+        "cache_store": attrs.get("cache_store"),
+        **b._gauges(_LEAD, _PROGRESS, _CONNECTED),
     })
 
 
 def _on_handoff_started(b: WideEventBuilder, t: float, e: ev.HandoffStarted) -> None:
-    b._handoffs[e.target] = t
+    # A repeated start for one target supersedes the first, which stays
+    # open (``joining``) in the span view.
+    span = b._open_handoffs[e.target] = b._new_span(HANDOFF, e.target, t)
+    span.status = "joining"
+    span.mark("started", t)
 
 
-def _on_handoff_completed(
-    b: WideEventBuilder, t: float, e: ev.HandoffCompleted
+def _close_handoff(
+    b: WideEventBuilder, span: Span, t: float, status: str, duration: float
 ) -> None:
-    start = b._handoffs.pop(e.target, None)
-    if start is None:
-        start = t - e.duration
-    from_network = b._network
-    b._network = e.target
-    b._handoff_count += 1
-    b._totals["handoffs_completed"] += 1
+    """Records number handoffs (``ho{n}``) in the order they close."""
+    span.end = t
+    span.status = status
+    span.mark(status, t)
+    b._handoffs_closed += 1
     b._emit({
         "kind": "handoff",
-        "key": f"ho{b._handoff_count}",
-        "target": e.target,
-        "from_network": from_network,
-        "status": "completed",
-        "t_start": start,
-        "t_end": t,
-        "duration_s": e.duration,
-        "connected": b._gauge_latest.get("client.connected"),
-        "lead_bytes": b._gauge_latest.get("staging.lead_bytes"),
-    })
-
-
-def _on_handoff_deferred(
-    b: WideEventBuilder, t: float, e: ev.HandoffDeferred
-) -> None:
-    b._handoff_count += 1
-    b._totals["handoffs_deferred"] += 1
-    b._emit({
-        "kind": "handoff",
-        "key": f"ho{b._handoff_count}",
-        "target": e.target,
+        "key": f"ho{b._handoffs_closed}",
+        "target": span.key,
         "from_network": b._network,
-        "status": "deferred",
-        "t_start": t,
+        "status": status,
+        "t_start": span.start,
         "t_end": t,
-        "duration_s": 0.0,
-        "connected": b._gauge_latest.get("client.connected"),
-        "lead_bytes": b._gauge_latest.get("staging.lead_bytes"),
+        "duration_s": duration,
+        **b._gauges(_CONNECTED, _LEAD),
     })
 
 
-def _on_encounter_ended(
-    b: WideEventBuilder, t: float, e: ev.EncounterEnded
+def _on_handoff_completed(b: WideEventBuilder, t: float, e: ev.HandoffCompleted) -> None:
+    span = b._open_handoffs.pop(e.target, None)
+    if span is None:
+        span = b._new_span(HANDOFF, e.target, t - e.duration)
+    span.attrs["join_duration"] = e.duration
+    _close_handoff(b, span, t, "completed", e.duration)
+    b._network = e.target
+
+
+def _on_handoff_deferred(b: WideEventBuilder, t: float, e: ev.HandoffDeferred) -> None:
+    _close_handoff(b, b._new_span(HANDOFF, e.target, t), t, "deferred", 0.0)
+
+
+def _interval(
+    b: WideEventBuilder, kind: str, key: str, t: float, duration: float,
+    status: str, **extra: object,
 ) -> None:
+    """An encounter/gap reported at its end: one closed span, one record."""
+    span = b._new_span(kind, key, t - duration)
+    span.end = t
+    span.status = status
+    b._emit({
+        "kind": kind,
+        "key": key,
+        "network": b._network,
+        "t_start": span.start,
+        "t_end": t,
+        "duration_s": duration,
+        **extra,
+        **b._gauges(_LEAD, _PROGRESS),
+    })
+
+
+def _on_encounter_ended(b: WideEventBuilder, t: float, e: ev.EncounterEnded) -> None:
     b._encounters += 1
     b._encounter_time += e.duration
     chunks = b._chunks_this_encounter
     b._chunks_this_encounter = 0
-    b._emit({
-        "kind": "encounter",
-        "key": f"enc{b._encounters}",
-        "network": b._network,
-        "t_start": t - e.duration,
-        "t_end": t,
-        "duration_s": e.duration,
-        "chunks_delivered": chunks,
-        "progress_bytes": b._gauge_latest.get("client.progress_bytes"),
-        "lead_bytes": b._gauge_latest.get("staging.lead_bytes"),
-    })
+    _interval(
+        b, ENCOUNTER, f"enc{b._encounters}", t, e.duration, "ended",
+        chunks_delivered=chunks,
+    )
 
 
 def _on_coverage_gap(b: WideEventBuilder, t: float, e: ev.CoverageGap) -> None:
-    b._gap_count += 1
     b._gap_time += e.duration
     b._gaps.append((t - e.duration, t))
-    b._emit({
-        "kind": "gap",
-        "key": f"gap{b._gap_count}",
-        "network": b._network,
-        "t_start": t - e.duration,
-        "t_end": t,
-        "duration_s": e.duration,
-        "lead_bytes": b._gauge_latest.get("staging.lead_bytes"),
-        "progress_bytes": b._gauge_latest.get("client.progress_bytes"),
-    })
+    _interval(b, GAP, f"gap{len(b._gaps)}", t, e.duration, "offline")
 
 
-def _on_packet_dropped(b: WideEventBuilder, t: float, e: ev.PacketDropped) -> None:
-    b._totals["dropped_packets"] += e.count
-
-
+#: The one lifecycle table: event type -> fold step.
 _HANDLERS = {
     ev.GaugeSample: _on_gauge,
-    ev.StagingSignalled: _on_signalled,
+    ev.PacketDropped: _on_packet_dropped,
+    ev.StagingSignalled: _on_staging_signalled,
     ev.StageRequestReceived: _on_stage_request,
     ev.VnfStageCompleted: _on_vnf_staged,
     ev.VnfStageFailed: _on_vnf_failed,
     ev.ChunkStaged: _on_chunk_staged,
-    ev.StaleStagingResponse: _on_stale,
+    ev.StaleStagingResponse: _on_stale_response,
     ev.CacheStored: _on_cache_stored,
     ev.ChunkFetched: _on_chunk_fetched,
     ev.HandoffStarted: _on_handoff_started,
@@ -552,5 +618,4 @@ _HANDLERS = {
     ev.HandoffDeferred: _on_handoff_deferred,
     ev.EncounterEnded: _on_encounter_ended,
     ev.CoverageGap: _on_coverage_gap,
-    ev.PacketDropped: _on_packet_dropped,
 }

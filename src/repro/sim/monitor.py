@@ -9,30 +9,13 @@ from typing import Iterable, Optional
 class TimeSeries:
     """An append-only series of ``(time, value)`` samples.
 
-    ``max_samples`` (>= 2) bounds memory for long fleet runs: once the
-    series exceeds the cap, the two *oldest* samples are folded into
-    one carrying their time-weighted mean.  Folding is exact for the
-    step-function integral — :meth:`time_average` over any window
-    reaching past the folded region returns the same value as the
-    uncapped series — because the folded sample's value times its span
-    equals the two originals' contributions.  What folding gives up is
-    *point* resolution: :meth:`value_at` inside the folded prefix
-    returns the blended value instead of the original step, and the
-    fold positions are quantized to surviving sample times.  Recent
-    samples (the usual query target) are always exact.
+    Unbounded: every sample is kept verbatim.  For bounded-memory
+    aggregation over long runs use the mergeable sketches in
+    :mod:`repro.obs.sketch`.
     """
 
-    def __init__(self, name: str = "",
-                 max_samples: Optional[int] = None) -> None:
-        if max_samples is not None and max_samples < 2:
-            raise ValueError(
-                f"max_samples must be >= 2 (folding needs a survivor), "
-                f"got {max_samples}"
-            )
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.max_samples = max_samples
-        #: Oldest-pair folds performed (0 = the series is verbatim).
-        self.folded = 0
         self.times: list[float] = []
         self.values: list[float] = []
 
@@ -43,30 +26,6 @@ class TimeSeries:
             )
         self.times.append(time)
         self.values.append(value)
-        if self.max_samples is not None:
-            while len(self.times) > self.max_samples and len(self.times) >= 3:
-                self._fold_oldest_pair()
-
-    def _fold_oldest_pair(self) -> None:
-        """Merge samples 0 and 1, preserving the step integral.
-
-        The pair ``(t0, v0), (t1, v1)`` covers ``[t0, t2)`` (``t2`` =
-        the third sample's time).  Replacing it with one sample at
-        ``t0`` whose value is the pair's time-weighted mean keeps
-        ``integral([t0, t2))`` — and therefore every
-        :meth:`time_average` window extending past ``t2`` — exact.
-        """
-        t0, t1, t2 = self.times[0], self.times[1], self.times[2]
-        width = t2 - t0
-        if width <= 0:
-            merged = self.values[1]  # zero-width: keep the later value
-        else:
-            merged = (
-                self.values[0] * (t1 - t0) + self.values[1] * (t2 - t1)
-            ) / width
-        self.times[0:2] = [t0]
-        self.values[0:2] = [merged]
-        self.folded += 1
 
     def __len__(self) -> int:
         return len(self.values)

@@ -104,3 +104,76 @@ def test_run_id_derives_from_system_and_seed_and_round_trips(tmp_path):
     # An explicit run_id overrides the derived one.
     override = run_download("xftp", params=params, seed=7, run_id="custom")
     assert override.run_id == "custom"
+
+
+# -- attachments: one lifecycle fold, torn down whatever happens -----------------
+
+
+@pytest.fixture
+def built_scenarios(monkeypatch):
+    """The scenarios ``run_download`` builds (it does not return them)."""
+    from repro.experiments.scenario import TestbedScenario
+
+    built = []
+    original = TestbedScenario.__init__
+
+    def capturing_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(TestbedScenario, "__init__", capturing_init)
+    return built
+
+
+def test_spans_and_wide_share_one_lifecycle_subscriber(
+    built_scenarios, monkeypatch, tmp_path
+):
+    from repro.experiments.scenario import TestbedScenario
+    from repro.obs.stream import TelemetryHub
+
+    during = []
+    publish = TestbedScenario.publish_default_content
+
+    def spying_publish(self):
+        # Called once every attachment is made, before the run starts.
+        bus = self.sim.probe.bus
+        during.append((
+            [type(h.__self__).__name__ for h in bus._wildcard],
+            bus.subscriber_count,
+        ))
+        return publish(self)
+
+    monkeypatch.setattr(
+        TestbedScenario, "publish_default_content", spying_publish
+    )
+    result = run_download(
+        "softstage", params=MicrobenchParams(file_size=4 * MB), seed=0,
+        spans=True, wide=str(tmp_path / "wide.jsonl"), sketches=True,
+        hub=TelemetryHub(),
+    )
+    # The fold, plus the recorder's and the hub feed's gauge subscriptions.
+    assert during == [(["WideEventBuilder"], 3)]
+    (scenario,) = built_scenarios
+    assert scenario.sim.probe.bus.subscriber_count == 0
+    # Two views of one fold: spans close in the order records are emitted.
+    closed = sorted(
+        (s for s in result.spans if s.kind == "chunk" and s.end is not None),
+        key=lambda s: s.end,
+    )
+    cids = [r["cid"] for r in result.wide_records if r["kind"] == "chunk"]
+    assert cids and [s.key for s in closed] == cids
+
+
+def test_a_raising_run_detaches_everything_and_tells_the_hub(built_scenarios):
+    from repro.obs.stream import TelemetryHub
+
+    hub = TelemetryHub()
+    sub = hub.subscribe(topics={"run"})
+    with pytest.raises(ConfigurationError):
+        run_download("nope", spans=True, instrument=True, hub=hub)
+    (scenario,) = built_scenarios
+    assert scenario.sim.probe.bus.subscriber_count == 0
+    markers = [payload for _topic, payload in sub.drain()]
+    assert [m["state"] for m in markers] == ["started", "failed"]
+    assert markers[-1]["run"] == "nope-seed0"
+    assert markers[-1]["error"] == "ConfigurationError"

@@ -19,7 +19,7 @@ from repro.obs.events import (
     StagingSignalled,
     VnfStageCompleted,
 )
-from repro.obs.spans import build_spans
+from repro.obs.wide import build_spans
 from repro.obs.trace import EventBus, TraceExporter
 
 

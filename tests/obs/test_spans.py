@@ -1,4 +1,4 @@
-"""Span derivation: lifecycle folding, variants, parents, parity."""
+"""The span view of the lifecycle fold: variants, parents, parity."""
 
 import pytest
 
@@ -20,7 +20,8 @@ from repro.obs.events import (
     VnfStageCompleted,
     VnfStageFailed,
 )
-from repro.obs.spans import SpanBuilder, build_spans, render_summary
+from repro.obs.spans import render_summary
+from repro.obs.wide import WideEventBuilder, build_spans
 from repro.util import MB
 
 
@@ -140,19 +141,22 @@ def test_chunk_nests_under_delivering_encounter():
 
 
 def test_builder_adopts_first_run_and_skips_others():
-    builder = SpanBuilder()
+    builder = WideEventBuilder()
     builder.feed(stamp(1.0, HandoffDeferred(target="a"), run="runA"))
     builder.feed(stamp(2.0, HandoffDeferred(target="b"), run="runB"))
-    spans = builder.finish()
+    builder.finish()
     assert builder.run_id == "runA"
     assert builder.skipped_other_runs == 1
-    assert [s.key for s in spans] == ["a"]
+    assert [s.key for s in builder.spans] == ["a"]
 
 
 def test_finish_is_idempotent():
-    builder = SpanBuilder()
+    builder = WideEventBuilder()
     builder.feed(stamp(1.0, HandoffDeferred(target="a")))
-    assert builder.finish() == builder.finish()
+    builder.finish()
+    first = [s.to_dict() for s in builder.spans]
+    builder.finish()
+    assert [s.to_dict() for s in builder.spans] == first
 
 
 def test_span_to_dict_is_json_friendly():

@@ -1,4 +1,4 @@
-"""Wide events: the per-chunk fold, live/offline byte parity, schema."""
+"""Wide events: the record view of the lifecycle fold, byte parity, schema."""
 
 import io
 import json
@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.runner import run_download
 from repro.obs import events as ev
+from repro.obs.analyze import latency_breakdown
 from repro.obs.bus import Stamped
 from repro.obs.trace import read_trace
 from repro.obs.wide import (
@@ -196,6 +197,127 @@ def test_handoff_updates_the_current_network():
     assert handoff["from_network"] == ""
     assert handoff["status"] == "completed"
     assert chunk["network"] == "edge-B"
+
+
+# ---------------------------------------------------------------------------
+# One fold, two views: where the span view and the record deliberately differ
+# ---------------------------------------------------------------------------
+
+
+def _fold(events, run_id="r"):
+    """Feed ``(time, event)`` pairs; the builder and its records."""
+    records = []
+    builder = WideEventBuilder(run_id=run_id, sinks=[records.append])
+    for t, event in events:
+        builder.feed(Stamped(t, run_id, event))
+    builder.finish()
+    return builder, records
+
+
+def test_restaged_chunk_span_reads_first_staged_record_reads_last():
+    cid = "cid-1"
+    builder, records = _fold([
+        (1.0, ev.StagingSignalled(count=1, label="eq1", cids=cid)),
+        (2.0, ev.VnfStageCompleted(vnf="vnf-A", cid=cid, latency=1.0)),
+        (3.0, ev.StagingSignalled(count=1, label="re-signal", cids=cid)),
+        (4.5, ev.VnfStageCompleted(vnf="vnf-B", cid=cid, latency=1.5)),
+        (6.0, ev.ChunkFetched(cid=cid, latency=0.5, from_edge=True,
+                              fallback=False)),
+    ])
+    (span,) = builder.spans
+    (chunk, _run) = records
+    assert [t for name, t in span.phases if name == "staged"] == [2.0, 4.5]
+    assert span.phase_time("staged") == 2.0
+    assert chunk["t_staged"] == 4.5
+    assert chunk["stage_wait_s"] == pytest.approx(3.5)
+    (row,) = latency_breakdown(builder.spans)
+    assert row.stage_wait == pytest.approx(1.0)
+    # Attributes are last-writer-wins in both views.
+    assert span.attrs["vnf"] == chunk["vnf"] == "vnf-B"
+    assert span.attrs["stage_latency"] == chunk["stage_latency"] == 1.5
+
+
+def test_restaged_chunk_cached_twice_keeps_both_marks_and_the_last_time():
+    cid = "cid-1"
+    builder, records = _fold([
+        (1.0, ev.StagingSignalled(count=1, label="eq1", cids=cid)),
+        (2.0, ev.CacheStored(store="edge-A", cid=cid, size_bytes=4, pinned=True)),
+        (5.0, ev.CacheStored(store="edge-B", cid=cid, size_bytes=4, pinned=True)),
+        (6.0, ev.ChunkFetched(cid=cid, latency=0.5, from_edge=True,
+                              fallback=False)),
+        # Delivered: a later store for the same cid opens nothing.
+        (7.0, ev.CacheStored(store="edge-C", cid=cid, size_bytes=4, pinned=True)),
+    ])
+    (span,) = builder.spans
+    assert [t for name, t in span.phases if name == "cached"] == [2.0, 5.0]
+    assert span.phase_time("cached") == 2.0
+    assert records[0]["t_cached"] == 5.0
+    assert span.attrs["cache_store"] == records[0]["cache_store"] == "edge-B"
+
+
+def test_repeated_handoff_start_leaves_the_first_span_joining():
+    builder, records = _fold([
+        (1.0, ev.HandoffStarted(target="net2")),
+        (2.0, ev.HandoffStarted(target="net2")),
+        (2.5, ev.HandoffCompleted(target="net2", duration=0.5)),
+    ])
+    first, second = builder.spans
+    assert (first.status, first.end) == ("joining", None)
+    assert (second.status, second.start, second.end) == ("completed", 2.0, 2.5)
+    (handoff, run) = records
+    assert (handoff["t_start"], handoff["t_end"]) == (2.0, 2.5)
+    assert run["handoffs_completed"] == 1
+
+
+def test_handoff_records_number_by_close_order_spans_by_open_order():
+    builder, records = _fold([
+        (1.0, ev.HandoffStarted(target="net2")),
+        (1.2, ev.HandoffDeferred(target="net3")),
+        (1.5, ev.HandoffCompleted(target="net2", duration=0.5)),
+    ])
+    assert [(s.span_id, s.key, s.status) for s in builder.spans] == [
+        (1, "net2", "completed"), (2, "net3", "deferred"),
+    ]
+    assert [(r["key"], r["target"], r["from_network"])
+            for r in records if r["kind"] == "handoff"] == [
+        ("ho1", "net3", ""), ("ho2", "net2", ""),
+    ]
+    assert records[-1]["network"] == "net2"
+    assert records[-1]["handoffs_deferred"] == 1
+
+
+def test_masked_time_is_two_numbers_over_two_intervals():
+    # Gap [2, 5]; signalled 1, staged 3, fetched 8.  The record masks
+    # the whole lifecycle [1, 8]; the breakdown only [signalled, staged].
+    cid = "cid-1"
+    builder, records = _fold([
+        (1.0, ev.StagingSignalled(count=1, label="eq1", cids=cid)),
+        (3.0, ev.VnfStageCompleted(vnf="vnf-A", cid=cid, latency=2.0)),
+        (5.0, ev.CoverageGap(duration=3.0)),
+        (8.0, ev.ChunkFetched(cid=cid, latency=0.5, from_edge=True,
+                              fallback=False)),
+    ])
+    chunk = next(r for r in records if r["kind"] == "chunk")
+    assert chunk["masked_s"] == pytest.approx(3.0)
+    (row,) = latency_breakdown(builder.spans)
+    assert row.masked == pytest.approx(1.0)
+
+
+def test_run_totals_count_open_chunks_too():
+    builder, records = _fold([
+        (1.0, ev.StagingSignalled(count=2, label="eq1", cids="c1,c2")),
+        (2.0, ev.StagingSignalled(count=1, label="re-signal", cids="c2")),
+        (2.5, ev.VnfStageFailed(vnf="vnf-A", cid="c2")),
+        (3.0, ev.ChunkFetched(cid="c1", latency=0.5, from_edge=False,
+                              fallback=True)),
+        (4.0, ev.ChunkFetched(cid="c9", latency=0.5, from_edge=False,
+                              fallback=False)),
+    ])
+    run = records[-1]
+    assert (run["chunks"], run["chunks_open"]) == (2, 1)
+    assert (run["chunks_fallback"], run["chunks_origin"]) == (1, 1)
+    assert (run["re_signals"], run["stage_failures"]) == (1, 1)
+    assert [s.key for s in builder.spans if s.end is None] == ["c2"]
 
 
 # ---------------------------------------------------------------------------

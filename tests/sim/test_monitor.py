@@ -77,55 +77,6 @@ def test_time_average_defaults_to_last_sample_time():
 
 
 # ---------------------------------------------------------------------------
-# TimeSeries: bounded memory via oldest-pair folding
-# ---------------------------------------------------------------------------
-
-
-def test_max_samples_bounds_length_and_counts_folds():
-    series = TimeSeries("s", max_samples=4)
-    for t in range(100):
-        series.record(float(t), float(t % 7))
-    assert len(series) == 4
-    assert series.folded == 96
-    # The newest samples are verbatim.
-    assert series.last() == float(99 % 7)
-    assert series.value_at(99.0) == float(99 % 7)
-
-
-def test_folding_preserves_time_average_exactly():
-    exact = TimeSeries("exact")
-    capped = TimeSeries("capped", max_samples=3)
-    samples = [(0.0, 5.0), (1.0, 1.0), (2.5, 8.0), (4.0, 2.0),
-               (7.0, 6.0), (7.5, 0.0), (11.0, 3.0)]
-    for t, v in samples:
-        exact.record(t, v)
-        capped.record(t, v)
-    # The fold keeps the step integral: any window that extends past
-    # the folded prefix (which always ends at a surviving sample time)
-    # averages identically.
-    assert capped.time_average() == pytest.approx(exact.time_average())
-    assert capped.time_average(until=20.0) == pytest.approx(
-        exact.time_average(until=20.0)
-    )
-
-
-def test_folding_handles_equal_times_and_rejects_tiny_caps():
-    series = TimeSeries("s", max_samples=2)
-    series.record(1.0, 10.0)
-    series.record(1.0, 20.0)
-    series.record(1.0, 30.0)  # zero-width pair folds to the later value
-    assert len(series) == 2
-    assert series.values[0] == 20.0
-    with pytest.raises(ValueError, match="max_samples"):
-        TimeSeries("s", max_samples=1)
-
-
-def test_uncapped_series_never_folds():
-    series = _series()
-    assert series.max_samples is None and series.folded == 0
-
-
-# ---------------------------------------------------------------------------
 # Monitor: record/len/iter/last and streaming statistics
 # ---------------------------------------------------------------------------
 
