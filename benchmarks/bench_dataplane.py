@@ -25,7 +25,9 @@ Runs two ways:
   with ``--check`` fails on a regression against the recorded
   baseline (packets/sec: same-machine entries only, 30% tolerance;
   steps/packet: machine-independent, 5% tolerance and an absolute
-  ceiling of ``STEPS_PER_PACKET_CEILING``).
+  ceiling of ``STEPS_PER_PACKET_CEILING``; the download's kernel steps
+  per payload MB: machine-independent, an absolute ceiling per
+  download size in ``DOWNLOAD_STEPS_PER_MB_CEILING``).
 """
 
 from __future__ import annotations
@@ -51,6 +53,15 @@ DEFAULT_PACKETS = 10_000  # per direction
 #: link hand-overs became on-demand (it was 8.00 with a tx-done event
 #: per hop); 5.5 leaves room for nothing but a new per-hop event.
 STEPS_PER_PACKET_CEILING = 5.5
+
+#: ``--check`` fails above this many kernel steps per payload MB of the
+#: profiled SoftStage download (seed 0, so the count is exact), keyed
+#: by ``--download-mb`` because a run's fixed costs (scanner, ticks)
+#: weigh more on a small file.  Since the sender became a callback
+#: pump the download costs 23 049 (2 MB, the CI size) and 18 849
+#: (4 MB); with a Timeout per segment and a wake-up event per window
+#: stall it was 24 777 and 20 551.  The ceilings have room for neither.
+DOWNLOAD_STEPS_PER_MB_CEILING = {2.0: 23_900.0, 4.0: 19_700.0}
 
 
 class _Sink(Host):
@@ -159,9 +170,11 @@ def staging_download(file_mb: float = 4.0) -> dict:
     result = run_download("softstage", params=params, seed=0, profile=True)
     wall = perf_counter() - started
     report = result.profile.report()
+    payload_mb = result.download.bytes_received / MB
     return {
         "download_wall_s": wall,
         "download_time_s": result.download_time,
+        "steps_per_mb": report["steps"] / payload_mb if payload_mb else 0.0,
         "fwd_cache_hit_rate": float(report.get("fwd_cache_hit_rate", 0.0)),
         "packet_pool_reuse_rate": float(
             report.get("packet_pool_reuse_rate", 0.0)
@@ -186,6 +199,7 @@ def measure(packets: int = DEFAULT_PACKETS, rounds: int = 3,
         "pump.steps_per_packet": med("steps_per_packet"),
         "pump.fwd_cache_hit_rate": med("fwd_cache_hit_rate"),
         "download_wall_s": download["download_wall_s"],
+        "download.steps_per_mb": download["steps_per_mb"],
         "download.fwd_cache_hit_rate": download["fwd_cache_hit_rate"],
         "download.packet_pool_reuse_rate": download["packet_pool_reuse_rate"],
     }
@@ -248,6 +262,18 @@ def main(argv=None) -> int:
             failures.append(
                 f"pump.steps_per_packet: {metrics['pump.steps_per_packet']:.3f}"
                 f" is above the {STEPS_PER_PACKET_CEILING} ceiling"
+            )
+        ceiling = DOWNLOAD_STEPS_PER_MB_CEILING.get(args.download_mb)
+        if ceiling is None:
+            failures.append(
+                f"download.steps_per_mb: no ceiling for --download-mb "
+                f"{args.download_mb:g} (have "
+                f"{sorted(DOWNLOAD_STEPS_PER_MB_CEILING)})"
+            )
+        elif metrics["download.steps_per_mb"] > ceiling:
+            failures.append(
+                f"download.steps_per_mb: {metrics['download.steps_per_mb']:,.0f}"
+                f" is above the {ceiling:,.0f} ceiling"
             )
         # Wall-clock metric: same-machine entries only, 30% tolerance.
         ok, base = perf.check_regression(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -61,14 +62,37 @@ class Coverage:
 
     def __init__(self, windows: Iterable[CoverageWindow]) -> None:
         self.windows = sorted(windows, key=lambda w: (w.start, w.ap))
+        #: Built on the first :meth:`visible_at`: the change times and,
+        #: per segment between two consecutive ones, the windows that
+        #: cover it (in ``windows`` order).
+        self._times: list[float] = []
+        self._segments: Optional[list[tuple[CoverageWindow, ...]]] = None
+
+    def _index(self) -> list[tuple[CoverageWindow, ...]]:
+        times = self._times = self.change_times()
+        covering: list[list[CoverageWindow]] = [[] for _ in times[1:]]
+        for window in self.windows:
+            first = bisect_left(times, window.start)
+            last = bisect_left(times, window.end)
+            for segment in covering[first:last]:
+                segment.append(window)
+        self._segments = [tuple(segment) for segment in covering]
+        return self._segments
 
     def visible_at(self, time: float) -> dict[str, float]:
-        """Map of AP name -> RSS for APs audible at ``time``."""
-        return {
-            window.ap: window.rss_at(time)
-            for window in self.windows
-            if window.contains(time)
-        }
+        """Map of AP name -> RSS for APs audible at ``time``.
+
+        No change time lies strictly inside a segment, so a window
+        contains ``time`` exactly when it covers ``time``'s segment:
+        one bisect instead of a scan over every window.
+        """
+        segments = self._segments
+        if segments is None:
+            segments = self._index()
+        index = bisect_right(self._times, time) - 1
+        if not 0 <= index < len(segments):
+            return {}
+        return {window.ap: window.rss_at(time) for window in segments[index]}
 
     def change_times(self) -> list[float]:
         """Sorted unique times at which the visible set changes."""

@@ -124,9 +124,7 @@ class Medium:
         """Schedule the ``tx-done`` event at ``busy_until``; it carries
         the link epoch of a frame lost on air, else ``None``."""
         self.handover = True
-        done = sim.pooled_event("tx-done")
-        done.callbacks.append(self._tx_done)
-        done.succeed_at(lost_epoch, self.busy_until)
+        sim.call_at(self.busy_until, self._tx_done, lost_epoch, "tx-done")
 
     def _tx_done(self, event: Event) -> None:
         """``busy_until`` reached: book a frame lost on air, then serve
@@ -134,8 +132,9 @@ class Medium:
         already waiting, so saturated directions alternate."""
         self.handover = False
         owner = self.owner
-        if event.value is not None:
-            owner._lost_on_air(event.value)
+        lost_epoch = event._value
+        if lost_epoch is not None:
+            owner._lost_on_air(lost_epoch)
         waiting = self.waiting
         if owner._queue:
             waiting.append(owner)
@@ -151,9 +150,8 @@ class LinkDirection:
 
     This is the per-packet hot path: every simulated packet passes
     through ``enqueue`` → ``_start`` → ``_arrive``.  The path is
-    deliberately closure-free — each stage is a bound method attached
-    to a pooled kernel event (see
-    :meth:`repro.sim.core.Simulator.pooled_event`), with the in-flight
+    deliberately closure-free — each stage is a bound method handed
+    to :meth:`repro.sim.core.Simulator.call_at`, with the in-flight
     packet and the link epoch it started in carried on the ``arrival``
     event's value (arrivals pipeline, so they cannot live on the
     direction).
@@ -221,7 +219,7 @@ class LinkDirection:
         self._queued_bytes += packet.size_bytes
         medium = self._medium
         if not medium.handover:
-            if self.sim.now >= medium.busy_until:
+            if self.sim._now >= medium.busy_until:
                 self._start()  # free medium
                 return
             # Busy and nobody waited so far: now someone does.
@@ -245,12 +243,14 @@ class LinkDirection:
         self._queue.clear()
         self._queued_bytes = 0
         if self._probe.active:
-            flush = self.sim.pooled_event("link-down-flush")
-            flush.callbacks.append(self._emit_down_drops)
-            flush.succeed(value=dropped, priority=URGENT)
+            sim = self.sim
+            sim.call_at(
+                sim._now, self._emit_down_drops, dropped, "link-down-flush",
+                URGENT,
+            )
 
     def _emit_down_drops(self, event: Event) -> None:
-        self._drop(event.value, "down")
+        self._drop(event._value, "down")
 
     @property
     def queue_depth(self) -> int:
@@ -275,7 +275,7 @@ class LinkDirection:
         sim = self.sim
         medium = self._medium
         medium.owner = self
-        tx_end = medium.busy_until = sim.now + airtime
+        tx_end = medium.busy_until = sim._now + airtime
         epoch = self._link._epoch
         if self._air_lost:
             self._air_lost = False
@@ -283,9 +283,7 @@ class LinkDirection:
             return
         if self._queue or medium.waiting:
             medium._expect_tx_done(sim, None)
-        arrival = sim.pooled_event("arrival")
-        arrival.callbacks.append(self._arrive)
-        arrival.succeed_at((packet, epoch), tx_end + self.delay)
+        sim.call_at(tx_end + self.delay, self._arrive, (packet, epoch), "arrival")
 
     def _lost_on_air(self, epoch: int) -> None:
         """A frame the link layer gave up on reached its tx end."""
@@ -297,7 +295,7 @@ class LinkDirection:
             self._drop(1, "loss")
 
     def _arrive(self, event: Event) -> None:
-        packet, epoch = event.value
+        packet, epoch = event._value
         stats = self.stats
         if epoch != self._link._epoch:
             stats.dropped_down += 1
@@ -323,7 +321,7 @@ class LinkDirection:
         Sampled on arrival — both directions share one delay, so draws
         from a loss RNG they share stay ordered by tx-end time.
         """
-        return self.loss.dropped(self.sim.now)
+        return self.loss.dropped(self.sim._now)
 
 
 class Link:

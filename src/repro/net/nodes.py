@@ -59,14 +59,15 @@ class Device:
         self.received_packets += 1
         delay = self.processing.admit()
         if delay > 0:
-            ready = self.sim.pooled_event("cpu")
-            ready.callbacks.append(self._packet_ready)
-            ready.succeed(value=(packet, port), delay=delay)
+            sim = self.sim
+            sim.call_at(
+                sim._now + delay, self._packet_ready, (packet, port), "cpu"
+            )
         else:
             self.handle_packet(packet, port)
 
     def _packet_ready(self, event) -> None:
-        packet, port = event.value
+        packet, port = event._value
         self.handle_packet(packet, port)
 
     def handle_packet(self, packet: "Packet", port: Port) -> None:
@@ -146,11 +147,13 @@ class Host(Device):
         intent with our HID as fallback is how chunk requests reach the
         origin server)."""
         dst = packet.dst
-        if dst.intent == self.hid:
+        hid = self.hid
+        intent = dst.intent
+        if intent is hid or intent == hid:
             return True
         for route in dst.routes:
             for waypoint in route:
-                if waypoint == self.hid:
+                if waypoint == hid:
                     return True
         return False
 

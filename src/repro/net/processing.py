@@ -42,7 +42,7 @@ class ProcessingModel:
         self.packets_processed += 1
         if self.per_packet_seconds == 0:
             return 0.0
-        now = self.sim.now
+        now = self.sim._now
         start = max(now, self._busy_until)
         self._busy_until = start + self.per_packet_seconds
         return self._busy_until - now

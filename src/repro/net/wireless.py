@@ -56,7 +56,7 @@ class WirelessDirection(LinkDirection):
         holds the medium for its airtime and is booked at its tx end.
         """
         attempts = 1
-        now = self.sim.now
+        now = self.sim._now
         while self.loss.dropped(now) and attempts <= self.max_retries:
             attempts += 1
         self._air_lost = attempts > self.max_retries

@@ -59,9 +59,9 @@ class Event:
         self._ok: Optional[bool] = None
         self._scheduled = False
         self._processed = False
-        #: True for events from :meth:`Simulator.pooled_event`: the
-        #: kernel recycles them onto the free list after their
-        #: callbacks run.
+        #: True for events from :meth:`Simulator.call_at` /
+        #: :meth:`Simulator.pooled_event`: the kernel recycles them
+        #: onto the free list after their callbacks run.
         self._pooled = False
         self.name = name
 
@@ -107,7 +107,7 @@ class Event:
         self._value = value
         # Inlined Simulator.schedule: the extra call frame costs ~5% of
         # kernel events/s on the packet path (bench_kernel_hotpath).
-        # succeed_at holds a third copy — keep the three in sync.
+        # succeed_at and Simulator.call_at hold copies — keep them in sync.
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         if self._scheduled:
@@ -123,9 +123,10 @@ class Event:
     ) -> "Event":
         """Schedule the event to fire successfully at absolute time ``when``.
 
-        For callers that computed the timestamp themselves (a link's
-        ``tx_end + delay``, a retransmission deadline): the event fires
-        at exactly that float, not at ``now + (when - now)``.
+        For callers that computed the timestamp themselves and hold
+        the event: it fires at exactly that float, not at
+        ``now + (when - now)``.  :meth:`Simulator.call_at` is the
+        fire-and-forget form the packet path uses.
         """
         if self._value is not PENDING:
             raise SimulationError(f"event {self!r} already triggered")
@@ -193,6 +194,8 @@ class Simulator:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
+        #: Places taken with :meth:`reserve_place` and not (yet) pushed.
+        self._places_unpushed = 0
         self._active_process = None  # set by Process while running
         #: Instrumentation handle (see :mod:`repro.obs`): every layer
         #: holding a simulator reference publishes through this.
@@ -202,7 +205,7 @@ class Simulator:
         #: the kernel wall-clocks every step's callback batch.  Costs
         #: one ``is None`` check per step when off.
         self._profiler = None
-        #: Free list for fire-and-forget events (see :meth:`pooled_event`).
+        #: Free list for fire-and-forget events (see :meth:`call_at`).
         self._event_pool: list[Event] = []
         #: Pool telemetry: acquisitions served from the free list vs.
         #: fresh allocations (read by the profiler and the benches).
@@ -235,7 +238,7 @@ class Simulator:
             raise ValueError(f"negative delay {delay!r}")
         if event._scheduled:
             raise SimulationError(f"event {event!r} already scheduled")
-        # Inlined in Event.succeed / succeed_at too — keep in sync.
+        # Inlined in Event.succeed / succeed_at and call_at too — keep in sync.
         event._scheduled = True
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
@@ -260,7 +263,7 @@ class Simulator:
     @property
     def heap_pushes(self) -> int:
         """Total events ever pushed onto the queue (heap-op counter)."""
-        return self._seq
+        return self._seq - self._places_unpushed
 
     def step(self) -> None:
         """Process exactly one event.
@@ -378,19 +381,77 @@ class Simulator:
         """Create a fresh untriggered event."""
         return Event(self, name=name)
 
-    def pooled_event(self, name: str = "") -> Event:
-        """An :class:`Event` drawn from the kernel free list.
+    def call_at(
+        self,
+        when: float,
+        callback: Callable[[Event], None],
+        value: Any = None,
+        name: str = "",
+        priority: int = NORMAL,
+        place: Optional[int] = None,
+    ) -> None:
+        """Run ``callback(event)`` at absolute time ``when``: fire and forget.
 
-        Pooled events are for **fire-and-forget** dispatch: trigger
-        one with callbacks attached and let it go.  The kernel resets
-        and reuses the object right after its callbacks run, so
+        The one scheduling primitive of the per-packet path (a link's
+        ``arrival`` and on-demand ``tx-done``, a device's ``cpu``, a
+        sender's ``rto`` and ``sender-wakeup``, process bootstrap): a
+        pooled event is drawn, armed with ``callback`` and ``value``
+        and pushed at exactly the float ``when`` — not at
+        ``now + (when - now)`` — in one call.  It orders like any other
+        event: by ``(when, priority, push order)``, or, with a ``place``
+        from :meth:`reserve_place`, as if it had been pushed when the
+        place was taken.  The callback reads ``event._value``; the
+        kernel resets and reuses the event right after it returns, so
+        nobody may keep a reference — which is why none is handed out.
+        Steady-state simulation is therefore allocation-free per event.
+        """
+        if when < self._now:
+            raise ValueError(f"time {when!r} is in the past (now={self._now!r})")
+        pool = self._event_pool
+        if pool:
+            event = pool.pop()
+            event.name = name
+            self.pool_reuses += 1
+        else:
+            event = Event(self, name=name)
+            event._pooled = True
+            self.pool_allocs += 1
+        event.callbacks.append(callback)
+        event._ok = True
+        event._value = value
+        # Inlined Simulator.schedule — see Event.succeed().
+        event._scheduled = True
+        if place is None:
+            self._seq += 1
+            place = self._seq
+        else:
+            self._places_unpushed -= 1
+        heapq.heappush(self._queue, (when, priority, place, event))
+
+    def reserve_place(self) -> int:
+        """Take the next place in push order without pushing anything.
+
+        Events at one timestamp and priority fire in push order.  A
+        caller that may need an event *later* but wants it to fire as
+        if pushed *now* (a sender that learns only from a later ACK
+        that it has something to send when its CPU frees up) takes its
+        place here and hands it to :meth:`call_at` — at most once — if
+        the need arises.  An unused place costs nothing.
+        """
+        self._seq += 1
+        self._places_unpushed += 1
+        return self._seq
+
+    def pooled_event(self, name: str = "") -> Event:
+        """An untriggered :class:`Event` drawn from the kernel free list.
+
+        For the rare fire-and-forget caller that needs the handle
+        before triggering — :meth:`Process.interrupt` arms one with
+        ``fail``; everything else uses :meth:`call_at`.  The kernel
+        resets and reuses the object right after its callbacks run, so
         holding a reference past processing — yielding it from a
         process, storing it, chaining it into AnyOf/AllOf — is
-        undefined behaviour.  The hot packet path (a link's per-packet
-        ``arrival`` and its on-demand ``tx-done`` hand-over, a router's
-        ``cpu``, a sender's ``rto`` timer, process bootstrap) runs
-        entirely on pooled events, making a steady-state simulation
-        allocation-free per event.
+        undefined behaviour.
         """
         pool = self._event_pool
         if pool:

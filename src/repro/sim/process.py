@@ -39,9 +39,7 @@ class Process(Event):
         self._target: Optional[Event] = None
         # Kick the process off via an immediate initialization event —
         # pooled and fire-and-forget, nobody else ever sees it.
-        init = sim.pooled_event("process-init")
-        init.callbacks.append(self._resume)
-        init.succeed(priority=URGENT)
+        sim.call_at(sim._now, self._resume, None, "process-init", URGENT)
 
     @property
     def is_alive(self) -> bool:

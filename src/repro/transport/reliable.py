@@ -24,6 +24,7 @@ from repro.obs.events import (
     SessionMigrated,
 )
 from repro.sim import Event, Simulator
+from repro.sim.core import NORMAL, URGENT
 from repro.transport.config import TransportConfig
 from repro.xia.dag import DagAddress
 from repro.xia.packet import Packet, PacketType
@@ -157,7 +158,16 @@ class SenderSession:
 
         #: Fires with this session when the final segment is acked.
         self.done: Event = self.sim.event(name=f"send-done-{session_id}")
-        self._wakeup: Optional[Event] = None
+        #: Until when the sender CPU is busy with the last segment it
+        #: emitted (``per_packet_cost`` each) — occupancy as a float,
+        #: like ``Medium.busy_until``, not an event per segment.
+        self._send_free_at = float("-inf")
+        #: The kernel place (push order) taken when that segment left,
+        #: for the pace event at ``_send_free_at`` — should one be needed.
+        self._pace_place: Optional[int] = None
+        #: True while a ``sender-wakeup`` event that will run
+        #: :meth:`_pump` is on the kernel queue (at most one).
+        self._pump_pending = False
         self._paused = False
         # One shared payload dict for all full-size segments (receivers
         # never mutate payloads); only the final, short segment differs.
@@ -171,7 +181,9 @@ class SenderSession:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        self.sim.process(self._sender_loop())
+        # URGENT: the first segment leaves before anything else queued
+        # at this instant, as a process bootstrap would.
+        self._pump_at(self.sim._now, URGENT)
         self._arm_timer()
 
     @property
@@ -188,30 +200,83 @@ class SenderSession:
             return remainder if remainder > 0 else self.config.mss_bytes
         return self.config.mss_bytes
 
-    def _sender_loop(self):
-        config = self.config
-        while not self.completed:
-            can_send = (
-                not self._paused
-                and self.next_seq < self.total_segments
-                and self.inflight < int(self.cwnd)
-            )
-            if can_send:
-                self._emit(self.next_seq)
-                self.next_seq += 1
-                if config.per_packet_cost > 0:
-                    yield self.sim.timeout(config.per_packet_cost)
-            else:
-                self._wakeup = self.sim.event(name="sender-wakeup")
-                yield self._wakeup
-        if not self.done.triggered:
-            self.done.succeed(self)
-        self.endpoint.close_session(self.session_id)
+    # -- the sender pump (DESIGN.md §15) ---------------------------------------
 
-    def _wake(self) -> None:
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
-            self._wakeup = None
+    def _can_send(self) -> bool:
+        return (
+            not self._paused
+            and self.next_seq < self.total_segments
+            and self.next_seq - self.head < int(self.cwnd)
+        )
+
+    def _pump(self, _event: Optional[Event] = None) -> None:
+        """Emit while the window and the sender CPU allow; close when done.
+
+        Runs inline from :meth:`_wake` or as the callback of the one
+        pending ``sender-wakeup`` event.  Each segment occupies the CPU
+        until ``_send_free_at``; the next one is paced by an event
+        there only if the window is still open.
+        """
+        self._pump_pending = False
+        if self.head >= self.total_segments:
+            if not self.done.triggered:
+                self.done.succeed(self)
+            self.endpoint.close_session(self.session_id)
+            return
+        cost = self.config.per_packet_cost
+        while self._can_send():
+            self._emit(self.next_seq)
+            self.next_seq += 1
+            if cost > 0:
+                sim = self.sim
+                self._send_free_at = sim._now + cost
+                self._pace_place = sim.reserve_place()
+                self._pace()
+                return
+
+    def _pump_at(
+        self, when: float, priority: int = NORMAL, place: Optional[int] = None
+    ) -> None:
+        self._pump_pending = True
+        self.sim.call_at(
+            when, self._pump, None, "sender-wakeup", priority, place
+        )
+
+    def _pace(self) -> None:
+        """The CPU is busy: have the pump run when it frees up, if it
+        would then have something to do (send or close).
+
+        Whenever that turns out — now, or on an ACK halfway through the
+        CPU time — the event takes the place reserved when the segment
+        left: sessions whose CPUs free up at the same float timestamp
+        (bulk senders started together stay in lock-step) send in the
+        order they last sent.
+        """
+        if not self._pump_pending and (
+            self.head >= self.total_segments or self._can_send()
+        ):
+            self._pump_at(self._send_free_at, NORMAL, self._pace_place)
+
+    def _wake(self, inline: bool = False) -> None:
+        """Sending may be possible again (or the transfer is complete).
+
+        ``inline`` (the ACK path only) lets the pump run inside the
+        caller when nothing else is queued at this instant — then a
+        wake-up event would be the very next step anyway.  With a tie
+        queued, or from any other caller, the pump takes its turn
+        behind the tie as an event at ``now``: two sessions on one host
+        woken at the same float timestamp must keep their order.
+        """
+        if self._pump_pending:
+            return
+        sim = self.sim
+        now = sim._now
+        if now < self._send_free_at:
+            self._pace()
+        elif inline and not (sim._queue and sim._queue[0][0] <= now):
+            self._pump()
+        else:
+            self._pump_at(now)
 
     def _emit(self, seq: int, retransmit: bool = False) -> None:
         config = self.config
@@ -228,7 +293,7 @@ class SenderSession:
             size_bytes=payload_bytes + config.header_bytes,
             session_id=self.session_id,
             seq=seq,
-            created_at=self.sim.now,
+            created_at=self.sim._now,
         )
         if retransmit:
             self.retransmissions += 1
@@ -239,7 +304,7 @@ class SenderSession:
                     SegmentRetransmitted(session=self.session_id, seq=seq)
                 )
         else:
-            self._send_times[seq] = self.sim.now
+            self._send_times[seq] = self.sim._now
         self.endpoint.host.send(packet)
 
     # -- incoming packets -----------------------------------------------------
@@ -271,12 +336,9 @@ class SenderSession:
             if self.next_seq < self.head:
                 self.next_seq = self.head
             self._arm_timer()
-            if self.completed:
-                self._wake()
-                if not self.done.triggered:
-                    self.done.succeed(self)
-            else:
-                self._wake()
+            self._wake(inline=True)
+            if self.completed and not self.done.triggered:
+                self.done.succeed(self)
         elif ack == self.head and self.inflight > 0:
             self.dup_acks += 1
             if self.dup_acks == 3 and not self.in_recovery:
@@ -286,7 +348,7 @@ class SenderSession:
         sent_at = self._send_times.pop(seq, None)
         if sent_at is None:
             return
-        sample = self.sim.now - sent_at
+        sample = self.sim._now - sent_at
         if self.srtt is None:
             self.srtt = sample
             self.rttvar = sample / 2
@@ -311,6 +373,8 @@ class SenderSession:
         self.in_recovery = True
         self._emit(self.head, retransmit=True)
         self._arm_timer()
+        if self.sim._now < self._send_free_at:
+            self._pace()  # the inflated window may admit a new segment
 
     # -- timers ---------------------------------------------------------------
 
@@ -318,24 +382,22 @@ class SenderSession:
         """(Re)start the retransmission timer at ``now + rto``."""
         if self.completed or self._paused:
             return
-        deadline = self._rto_deadline = self.sim.now + self.rto
+        deadline = self._rto_deadline = self.sim._now + self.rto
         pending = self._rto_event_at
         if pending is None or deadline < pending:
             self._push_rto_event(deadline)
 
     def _push_rto_event(self, when: float) -> None:
         self._rto_event_at = when
-        timer = self.sim.pooled_event("rto")
-        timer.callbacks.append(self._rto_fired)
-        timer.succeed_at(when, when)
+        self.sim.call_at(when, self._rto_fired, when, "rto")
 
     def _rto_fired(self, event: Event) -> None:
-        if event.value != self._rto_event_at:
+        if event._value != self._rto_event_at:
             return  # superseded: a later push took an earlier deadline
         self._rto_event_at = None
         if self.completed or self._paused:
             return
-        if self.sim.now < self._rto_deadline:
+        if self.sim._now < self._rto_deadline:
             # Fired early (ACKs moved the deadline): wait out the rest.
             self._push_rto_event(self._rto_deadline)
         else:
@@ -445,6 +507,10 @@ class ReceiverSession:
         self.duplicate_segments = 0
         self._since_ack = 0
         self.peer_dag: Optional[DagAddress] = None
+        #: Our own address as last put on an ACK, and the NID it was
+        #: built for (it changes only when the host re-attaches).
+        self._local: Optional[DagAddress] = None
+        self._local_nid = None
         self.first_data_meta: Optional[dict[str, Any]] = None
         #: Fires on the first DATA packet (stops request retries).
         self.started: Event = self.sim.event(name=f"recv-start-{session_id}")
@@ -520,14 +586,17 @@ class ReceiverSession:
             payload={"ack": self.highest_inorder},
             size_bytes=self.config.ack_bytes,
             session_id=self.session_id,
-            created_at=self.sim.now,
+            created_at=self.sim._now,
         )
         self.endpoint.host.send(ack)
 
     def _local_dag(self) -> DagAddress:
         host = self.endpoint.host
         nid = getattr(host, "current_nid", None) or getattr(host, "nid", None)
-        return DagAddress.host(host.hid, nid)
+        if self._local is None or nid is not self._local_nid:
+            self._local_nid = nid
+            self._local = DagAddress.host(host.hid, nid)
+        return self._local
 
     # -- migration -------------------------------------------------------------
 

@@ -133,6 +133,14 @@ class DagPlan:
         )
 
 
+#: Distinct ``(hid, nid)`` host addresses kept interned before the
+#: table is cleared wholesale.  A scenario has a handful of hosts in a
+#: handful of networks; the cap only guards against address churn.
+HOST_TABLE_LIMIT = 4096
+
+_interned_hosts: dict[tuple[XID, Optional[XID]], "DagAddress"] = {}
+
+
 class DagAddress:
     """An XIA DAG address: an intent plus prioritized fallback routes."""
 
@@ -174,12 +182,28 @@ class DagAddress:
 
     @classmethod
     def host(cls, hid: XID, nid: Optional[XID] = None) -> "DagAddress":
-        """Host-based addressing, ``NID : HID`` (the IP equivalent)."""
-        cls._expect(hid, PrincipalType.HID)
-        if nid is None:
-            return cls(hid)
-        cls._expect(nid, PrincipalType.NID)
-        return cls(hid, routes=((nid,),))
+        """Host-based addressing, ``NID : HID`` (the IP equivalent).
+
+        Interned: equal arguments return the *same* immutable instance
+        (until :data:`HOST_TABLE_LIMIT` distinct pairs clear the
+        table), so the source and destination of every packet of every
+        session between two hosts are one object and a router's
+        ``(dst, mask)`` decision lookup matches by identity instead of
+        walking ``__eq__``.  Equality stays by value either way.
+        """
+        key = (hid, nid)
+        address = _interned_hosts.get(key)
+        if address is None:
+            cls._expect(hid, PrincipalType.HID)
+            if nid is None:
+                address = cls(hid)
+            else:
+                cls._expect(nid, PrincipalType.NID)
+                address = cls(hid, routes=((nid,),))
+            if len(_interned_hosts) >= HOST_TABLE_LIMIT:
+                _interned_hosts.clear()
+            _interned_hosts[key] = address
+        return address
 
     @classmethod
     def service(cls, sid: XID, nid: XID, hid: XID) -> "DagAddress":

@@ -117,6 +117,9 @@ _LOCAL = 1     # arg: own-HID visited bit
 _SID = 2       # arg: the SID whose handler takes the packet
 _DROP = 3      # arg: None
 
+#: Third key element of a ``send`` (egress-only) decision.
+_EGRESS = "egress"
+
 #: Decisions per router before the cache is cleared wholesale.  A
 #: router sees a handful of flows × a handful of masks each; the cap
 #: only guards against adversarial DAG churn.
@@ -153,7 +156,9 @@ class XIARouter(Host):
         ] = None
         #: Locally registered services (SID -> handler), e.g. Staging VNF.
         self.services: dict[XID, Callable[["Packet", Port], None]] = {}
-        #: (dst DAG, visited mask) -> compiled terminal decision.
+        #: (dst DAG, visited mask) -> compiled terminal decision, and
+        #: (dst DAG, visited mask, _EGRESS) -> (pre-mask, egress port)
+        #: for locally-originated packets.
         self._decisions: dict[tuple, tuple] = {}
         self.forwarded_packets = 0
         self.dropped_unroutable = 0
@@ -213,22 +218,41 @@ class XIARouter(Host):
         out.send(packet)
 
     def _route(self, packet: "Packet") -> Optional[Port]:
-        plan = packet.dst.plan
+        """Egress port for a locally-originated packet, from the
+        decision cache (keyed apart from ``handle_packet``'s entries,
+        cleared with them; not counted in ``fwd_cache_*``)."""
+        dst = packet.dst
         mask = packet.visited_mask
-        candidates = plan.candidates(mask)
-        if self.nid in candidates:
-            mask |= plan.bit_of[self.nid]
-            packet.visited_mask = mask
-            candidates = plan.candidates(mask)
-        for candidate in candidates:
+        key = (dst, mask, _EGRESS)
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = self._compile_egress(dst, mask)
+            if len(self._decisions) >= DECISION_CACHE_LIMIT:
+                self._decisions.clear()
+            self._decisions[key] = decision
+        pre_mask, out = decision
+        if pre_mask:
+            packet.visited_mask = mask | pre_mask
+        return out
+
+    def _compile_egress(self, dst, mask: int) -> tuple:
+        """Walk the candidates once for :meth:`_route`: mark our NID
+        visited when it is a live candidate, then take the first HID or
+        NID candidate other than ourselves that has a port."""
+        plan = dst.plan
+        pre_mask = 0
+        if self.nid in plan.candidates(mask):
+            pre_mask = plan.bit_of[self.nid]
+            mask |= pre_mask
+        for candidate in plan.candidates(mask):
             principal = candidate.principal_type
             if principal in (PrincipalType.HID, PrincipalType.NID):
                 if candidate == self.hid:
                     continue
                 out = self.engine.port_for(candidate)
                 if out is not None:
-                    return out
-        return None
+                    return (pre_mask, out)
+        return (pre_mask, None)
 
     # -- forwarding ------------------------------------------------------------
 

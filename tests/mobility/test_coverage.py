@@ -1,6 +1,7 @@
 """Tests for coverage timelines and builders."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.mobility import Coverage, CoverageWindow, alternating_coverage, overlapping_coverage
@@ -88,3 +89,60 @@ def test_windows_for_filters_by_ap():
     )
     assert all(w.ap == "A" for w in coverage.windows_for("A"))
     assert len(coverage.windows_for("A")) == 2
+
+
+# -- visible_at: the segment index against the linear scan ---------------------
+
+
+def scan_visible_at(coverage, time):
+    """The historical ``visible_at``: every window, in sorted order."""
+    return {
+        window.ap: window.rss_at(time)
+        for window in coverage.windows
+        if window.contains(time)
+    }
+
+
+@st.composite
+def coverages_with_probes(draw):
+    """Overlapping, nested, abutting and duplicate-AP windows on a
+    coarse grid (so boundaries collide), plus probe times on and
+    between the boundaries and outside the covered span."""
+    tick = st.integers(min_value=0, max_value=40)
+    windows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        start = draw(tick) / 4
+        length = draw(st.integers(min_value=1, max_value=16)) / 4
+        windows.append(CoverageWindow(
+            draw(st.sampled_from(["a", "b", "c"])), start, start + length,
+            rss_start=draw(st.sampled_from([-80.0, -55.0])),
+            rss_end=draw(st.sampled_from([-70.0, -55.0])),
+        ))
+    probes = draw(st.lists(
+        st.one_of(
+            tick.map(lambda n: n / 4),
+            st.floats(min_value=-1.0, max_value=16.0, allow_nan=False),
+        ),
+        min_size=1, max_size=12,
+    ))
+    return Coverage(windows), probes
+
+
+@given(coverages_with_probes())
+def test_visible_at_index_matches_the_linear_scan(case):
+    coverage, probes = case
+    boundaries = [t for w in coverage.windows for t in (w.start, w.end)]
+    for time in probes + boundaries:
+        expected = scan_visible_at(coverage, time)
+        got = coverage.visible_at(time)
+        assert got == expected
+        assert list(got) == list(expected)  # key order too
+
+
+def test_visible_at_on_empty_coverage_and_outside_any_window():
+    assert Coverage([]).visible_at(1.0) == {}
+    coverage = Coverage([CoverageWindow("a", 1.0, 2.0),
+                         CoverageWindow("b", 3.0, 4.0)])
+    for time in (-1.0, 0.999, 2.0, 2.5, 4.0, float("inf")):
+        assert coverage.visible_at(time) == {}
+    assert list(coverage.visible_at(3.5)) == ["b"]

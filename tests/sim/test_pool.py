@@ -123,3 +123,84 @@ def test_succeed_at_rejects_the_past_and_double_triggers():
     event.succeed_at(None, 5.0)  # "now" is allowed
     with pytest.raises(SimulationError):
         event.succeed_at(None, 6.0)
+
+
+# -- call_at: the one-call fire-and-forget primitive ---------------------------
+
+
+def test_call_at_fires_at_the_exact_absolute_time_with_its_value():
+    sim = Simulator(initial_time=0.1)
+    when = 0.1 + 0.2 + 0.7  # not representable as 0.1 + (when - 0.1)
+    fired = []
+    sim.call_at(when, lambda ev: fired.append((sim.now, ev.name, ev.value)),
+                "v", "abs")
+    sim.run()
+    assert fired == [(when, "abs", "v")]
+
+
+def test_call_at_rejects_the_past_and_takes_nothing_from_the_pool():
+    sim = Simulator(initial_time=5.0)
+    with pytest.raises(ValueError):
+        sim.call_at(4.0, lambda ev: None)
+    assert (sim.pool_allocs, sim.pool_reuses, sim.heap_pushes) == (0, 0, 0)
+    sim.call_at(5.0, lambda ev: None)  # "now" is allowed
+    sim.run()
+    assert sim.steps_processed == 1
+
+
+def test_call_at_is_fifo_with_succeed_scheduled_events_at_equal_time():
+    sim = Simulator()
+    order = []
+    note = lambda ev: order.append(ev.name)  # noqa: E731
+    first = sim.event("succeed-1")
+    first.callbacks.append(note)
+    first.succeed(delay=1.0)
+    sim.call_at(1.0, note, name="call_at-2")
+    third = sim.event("succeed_at-3")
+    third.callbacks.append(note)
+    third.succeed_at(None, 1.0)
+    sim.call_at(1.0, note, name="call_at-4")
+    sim.run()
+    assert order == ["succeed-1", "call_at-2", "succeed_at-3", "call_at-4"]
+
+
+def test_call_at_urgent_runs_before_normal_at_equal_time():
+    sim = Simulator()
+    order = []
+    sim.call_at(1.0, lambda ev: order.append("normal"))
+    sim.call_at(1.0, lambda ev: order.append("urgent"), priority=URGENT)
+    sim.run()
+    assert order == ["urgent", "normal"]
+
+
+def test_call_at_recycles_its_event_and_counts_pool_traffic():
+    sim = Simulator()
+    seen = []
+    for index in range(3):
+        sim.call_at(float(index), seen.append, index)
+        sim.run()
+    # One object served all three calls, reset in between.
+    assert len({id(event) for event in seen}) == 1
+    assert seen[0] is sim._event_pool[-1] and not seen[0].triggered
+    assert (sim.pool_allocs, sim.pool_reuses) == (1, 2)
+    assert sim.heap_pushes == sim.steps_processed == 3
+    # The same free list serves pooled_event.
+    assert sim.pooled_event("handle") is seen[0]
+    assert (sim.pool_allocs, sim.pool_reuses) == (1, 3)
+
+
+def test_reserved_place_orders_a_later_push_as_if_pushed_then():
+    sim = Simulator()
+    order = []
+    note = lambda ev: order.append(ev.name)  # noqa: E731
+    sim.call_at(1.0, note, name="before")
+    place = sim.reserve_place()
+    unused = sim.reserve_place()
+    sim.call_at(1.0, note, name="after")
+    assert sim.heap_pushes == 2  # places taken are not pushes...
+    sim.call_at(1.0, note, name="reserved", place=place)
+    assert sim.heap_pushes == 3  # ...until used
+    sim.call_at(0.5, note, name="earlier", place=None)
+    sim.run()
+    assert order == ["earlier", "before", "reserved", "after"]
+    assert unused > place and sim.heap_pushes == sim.steps_processed == 4

@@ -124,3 +124,36 @@ def test_nodes_lists_intent_last():
     nodes = address.nodes()
     assert nodes[-1].xid == CHUNK
     assert [node.xid for node in nodes[:-1]] == [SERVER_NID, SERVER_HID]
+
+
+def test_host_addresses_are_interned():
+    hid, nid = HID("host-x"), NID("net-x")
+    assert DagAddress.host(hid, nid) is DagAddress.host(hid, nid)
+    assert DagAddress.host(hid) is DagAddress.host(hid)
+    assert DagAddress.host(hid) is not DagAddress.host(hid, nid)
+    # Equal XIDs built separately name the same host: same instance.
+    assert DagAddress.host(HID("host-x"), NID("net-x")) is DagAddress.host(hid, nid)
+    # Interning is an identity shortcut only; value semantics hold.
+    assert DagAddress.host(hid, nid) == DagAddress(hid, routes=((nid,),))
+    with pytest.raises(AddressError):
+        DagAddress.host(nid)
+    with pytest.raises(AddressError):
+        DagAddress.host(hid, hid)
+
+
+def test_host_interning_survives_the_table_bound(monkeypatch):
+    from repro.xia import dag
+
+    monkeypatch.setattr(dag, "HOST_TABLE_LIMIT", 4)
+    monkeypatch.setattr(dag, "_interned_hosts", {})
+    nid = NID("net")
+    kept = DagAddress.host(HID("h0"), nid)
+    for index in range(1, 10):
+        address = DagAddress.host(HID(f"h{index}"), nid)
+        assert address is DagAddress.host(HID(f"h{index}"), nid)
+        assert len(dag._interned_hosts) <= 4
+    # The table was cleared on the way: a fresh but equal instance,
+    # interned again from here on.
+    again = DagAddress.host(HID("h0"), nid)
+    assert again == kept and again is not kept
+    assert again is DagAddress.host(HID("h0"), nid)

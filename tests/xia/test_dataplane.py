@@ -358,3 +358,92 @@ def test_forwarding_engine_single_table_views():
     )
     with pytest.raises(ConfigurationError):
         r1.engine.set_nid_route(host_a.hid, r1.port(0))  # wrong principal
+
+
+# ---------------------------------------------------------------------------
+# Egress cache: XIARouter.send for locally-originated packets
+# ---------------------------------------------------------------------------
+
+
+def reference_route(router, packet):
+    """The historical per-packet ``XIARouter._route`` walk."""
+    plan = packet.dst.plan
+    mask = packet.visited_mask
+    candidates = plan.candidates(mask)
+    if router.nid in candidates:
+        mask |= plan.bit_of[router.nid]
+        packet.visited_mask = mask
+        candidates = plan.candidates(mask)
+    for candidate in candidates:
+        if candidate.principal_type in (PrincipalType.HID, PrincipalType.NID):
+            if candidate == router.hid:
+                continue
+            out = router.engine.port_for(candidate)
+            if out is not None:
+                return out
+    return None
+
+
+def egress_destinations(host_a, r1, r2, host_b):
+    """Host, content and service DAGs as seen from r1: remote and
+    local networks, a local and an unknown host, our own addresses."""
+    cid, sid = CID(b"chunk"), SID(b"staging-vnf")
+    return [
+        DagAddress.host(host_b.hid, r2.nid),     # toward another network
+        DagAddress.host(host_a.hid, r1.nid),     # our NID, attached host
+        DagAddress.host(host_a.hid),             # bare attached HID
+        DagAddress.host(HID("nobody"), r1.nid),  # our NID, unknown host
+        DagAddress.host(HID("nobody")),          # unroutable
+        DagAddress.host(r1.hid, r1.nid),         # ourselves
+        DagAddress.content(cid, r2.nid, host_b.hid),
+        DagAddress.content(cid, r1.nid, host_a.hid),
+        DagAddress.content(cid, r1.nid, r1.hid),
+        DagAddress.service(sid, r2.nid, r2.hid),
+        DagAddress.service(sid, r1.nid, r1.hid),
+    ]
+
+
+def test_cached_egress_equals_the_uncached_walk():
+    sim, net, host_a, r1, r2, host_b = line_network()
+    r1.register_service(SID(b"staging-vnf"), lambda p, port: None)
+    for dst in egress_destinations(host_a, r1, r2, host_b):
+        for mask in range(dst.plan.full_mask + 1):
+            expected = Packet(PacketType.DATA, dst=dst, src=dst)
+            expected.visited_mask = mask
+            out = reference_route(r1, expected)
+            for _attempt in ("compiled", "replayed"):
+                packet = Packet(PacketType.DATA, dst=dst, src=dst)
+                packet.visited_mask = mask
+                assert r1._route(packet) is out
+                assert packet.visited_mask == expected.visited_mask
+
+
+def test_egress_cache_serves_repeat_sends_without_touching_fwd_counters():
+    sim, net, host_a, r1, r2, host_b = line_network()
+    got = []
+    host_b.register_handler(PacketType.CONTROL, lambda p, port: got.append(p))
+    dst = DagAddress.host(host_b.hid, r2.nid)
+    for _ in range(4):
+        r1.send(Packet(PacketType.CONTROL, dst=dst,
+                       src=DagAddress.host(r1.hid, r1.nid), payload={}))
+    sim.run()
+    assert len(got) == 4
+    assert [key for key in r1._decisions if len(key) == 3] == [(dst, 0, "egress")]
+    # Only r2's handle_packet lookups count: one compile, three replays.
+    assert (sim.fwd_cache_misses, sim.fwd_cache_hits) == (1, 3)
+
+
+def test_egress_cache_is_invalidated_with_the_route_table():
+    sim, net, host_a, r1, r2, host_b = line_network()
+    dst = DagAddress.host(host_a.hid, r1.nid)
+    packet = Packet(PacketType.CONTROL, dst=dst, src=dst, payload={})
+    port_to_a = r1._route(packet)
+    assert port_to_a is r1.engine.port_for(host_a.hid) and r1._decisions
+    r1.engine.remove_hid_route(host_a.hid)
+    assert r1._decisions == {}
+    packet = Packet(PacketType.CONTROL, dst=dst, src=dst, payload={})
+    r1.send(packet)  # the stale port must not be replayed
+    assert r1.dropped_unroutable == 1
+    r1.engine.set_hid_route(host_a.hid, port_to_a)
+    packet = Packet(PacketType.CONTROL, dst=dst, src=dst, payload={})
+    assert r1._route(packet) is port_to_a
