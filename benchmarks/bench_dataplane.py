@@ -13,7 +13,10 @@ next packet is already queued behind it).
 
 A second measurement runs one small full-stack SoftStage download with
 the kernel profiler installed and reports its wall-clock plus the
-forwarding-decision-cache hit rate (0 on pre-fast-path builds).
+forwarding-decision-cache hit rate (0 on pre-fast-path builds), then
+repeats it under ``sys.setprofile`` to count the Python-level calls it
+makes per payload MB — the packet path's *frame budget*, which unlike
+wall-clock is the same number on every machine.
 
 Runs two ways:
 
@@ -26,8 +29,9 @@ Runs two ways:
   baseline (packets/sec: same-machine entries only, 30% tolerance;
   steps/packet: machine-independent, 5% tolerance and an absolute
   ceiling of ``STEPS_PER_PACKET_CEILING``; the download's kernel steps
-  per payload MB: machine-independent, an absolute ceiling per
-  download size in ``DOWNLOAD_STEPS_PER_MB_CEILING``).
+  and Python calls per payload MB: machine-independent, an absolute
+  ceiling per download size in ``DOWNLOAD_STEPS_PER_MB_CEILING`` and
+  ``DOWNLOAD_PY_CALLS_PER_MB_CEILING``).
 """
 
 from __future__ import annotations
@@ -62,6 +66,17 @@ STEPS_PER_PACKET_CEILING = 5.5
 #: (4 MB); with a Timeout per segment and a wake-up event per window
 #: stall it was 24 777 and 20 551.  The ceilings have room for neither.
 DOWNLOAD_STEPS_PER_MB_CEILING = {2.0: 23_900.0, 4.0: 19_700.0}
+
+#: ``--check`` fails above this many Python-level calls (frames
+#: entered; C calls not counted) per payload MB of the same download.
+#: The count repeats exactly (seed 0; any ``PYTHONHASHSEED``).  With
+#: Event-free ``call_at`` steps and the flattened hop the download
+#: costs 195 327 (2 MB, the CI size) and 166 557 (4 MB); through
+#: ``Port.send``/``deliver``, ``sample_loss``, ``_packet_ready`` and
+#: ``admit`` on every hop it was 267 346 and 226 716.  The ceilings sit
+#: 3 % above: room for a helper on a per-chunk path, not for one more
+#: frame per packet-hop.
+DOWNLOAD_PY_CALLS_PER_MB_CEILING = {2.0: 201_000.0, 4.0: 171_500.0}
 
 
 class _Sink(Host):
@@ -159,8 +174,28 @@ def pump(packets: int = DEFAULT_PACKETS) -> dict:
     }
 
 
+def count_python_calls(fn) -> int:
+    """Python-level calls ``fn()`` makes: ``sys.setprofile`` ``call``
+    events only, so C functions and the hook itself do not count."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def staging_download(file_mb: float = 4.0) -> dict:
-    """One profiled full-stack SoftStage download (multi-hop staging)."""
+    """One profiled full-stack SoftStage download (multi-hop staging),
+    then the same download again (imports warm, so the count is the
+    run's own) under the call counter."""
     from repro.experiments.params import MicrobenchParams
     from repro.experiments.runner import run_download
     from repro.util import MB
@@ -171,10 +206,14 @@ def staging_download(file_mb: float = 4.0) -> dict:
     wall = perf_counter() - started
     report = result.profile.report()
     payload_mb = result.download.bytes_received / MB
+    py_calls = count_python_calls(
+        lambda: run_download("softstage", params=params, seed=0)
+    )
     return {
         "download_wall_s": wall,
         "download_time_s": result.download_time,
         "steps_per_mb": report["steps"] / payload_mb if payload_mb else 0.0,
+        "py_calls_per_mb": py_calls / payload_mb if payload_mb else 0.0,
         "fwd_cache_hit_rate": float(report.get("fwd_cache_hit_rate", 0.0)),
         "packet_pool_reuse_rate": float(
             report.get("packet_pool_reuse_rate", 0.0)
@@ -200,6 +239,7 @@ def measure(packets: int = DEFAULT_PACKETS, rounds: int = 3,
         "pump.fwd_cache_hit_rate": med("fwd_cache_hit_rate"),
         "download_wall_s": download["download_wall_s"],
         "download.steps_per_mb": download["steps_per_mb"],
+        "download.py_calls_per_mb": download["py_calls_per_mb"],
         "download.fwd_cache_hit_rate": download["fwd_cache_hit_rate"],
         "download.packet_pool_reuse_rate": download["packet_pool_reuse_rate"],
     }
@@ -263,18 +303,21 @@ def main(argv=None) -> int:
                 f"pump.steps_per_packet: {metrics['pump.steps_per_packet']:.3f}"
                 f" is above the {STEPS_PER_PACKET_CEILING} ceiling"
             )
-        ceiling = DOWNLOAD_STEPS_PER_MB_CEILING.get(args.download_mb)
-        if ceiling is None:
-            failures.append(
-                f"download.steps_per_mb: no ceiling for --download-mb "
-                f"{args.download_mb:g} (have "
-                f"{sorted(DOWNLOAD_STEPS_PER_MB_CEILING)})"
-            )
-        elif metrics["download.steps_per_mb"] > ceiling:
-            failures.append(
-                f"download.steps_per_mb: {metrics['download.steps_per_mb']:,.0f}"
-                f" is above the {ceiling:,.0f} ceiling"
-            )
+        for key, ceilings in (
+            ("download.steps_per_mb", DOWNLOAD_STEPS_PER_MB_CEILING),
+            ("download.py_calls_per_mb", DOWNLOAD_PY_CALLS_PER_MB_CEILING),
+        ):
+            ceiling = ceilings.get(args.download_mb)
+            if ceiling is None:
+                failures.append(
+                    f"{key}: no ceiling for --download-mb "
+                    f"{args.download_mb:g} (have {sorted(ceilings)})"
+                )
+            elif metrics[key] > ceiling:
+                failures.append(
+                    f"{key}: {metrics[key]:,.0f} is above the "
+                    f"{ceiling:,.0f} ceiling"
+                )
         # Wall-clock metric: same-machine entries only, 30% tolerance.
         ok, base = perf.check_regression(
             "dataplane", "pump.packets_per_sec",

@@ -99,8 +99,6 @@ def pump(link_kind: str, packets: int = DEFAULT_PACKETS) -> dict:
         "heap_pushes": sim.heap_pushes,
         "events_per_sec": steps / wall if wall > 0 else 0.0,
         "pushes_per_packet": sim.heap_pushes / delivered if delivered else 0.0,
-        "pool_reuses": getattr(sim, "pool_reuses", 0),
-        "pool_allocs": getattr(sim, "pool_allocs", 0),
     }
 
 
@@ -133,7 +131,6 @@ def measure(packets: int = DEFAULT_PACKETS, rounds: int = 3,
         "wired.pushes_per_packet": med(wired, "pushes_per_packet"),
         "wireless.events_per_sec": med(wireless, "events_per_sec"),
         "wireless.pushes_per_packet": med(wireless, "pushes_per_packet"),
-        "wireless.pool_reuses": med(wireless, "pool_reuses"),
         "download_wall_s": fig5_download_wall(download_mb),
     }
 

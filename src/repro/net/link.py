@@ -33,7 +33,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.obs.events import LinkStateChanged, PacketDropped
 from repro.sim import Simulator
-from repro.sim.core import Event, URGENT
+from repro.sim.core import URGENT
 from repro.net.loss import LossModel, NoLoss
 from repro.util.validation import check_non_negative, check_positive
 
@@ -124,15 +124,14 @@ class Medium:
         """Schedule the ``tx-done`` event at ``busy_until``; it carries
         the link epoch of a frame lost on air, else ``None``."""
         self.handover = True
-        sim.call_at(self.busy_until, self._tx_done, lost_epoch, "tx-done")
+        sim.call_at(self.busy_until, self._tx_done, (lost_epoch,), "tx-done")
 
-    def _tx_done(self, event: Event) -> None:
+    def _tx_done(self, lost_epoch: Optional[int]) -> None:
         """``busy_until`` reached: book a frame lost on air, then serve
         the FIFO.  The finishing direction re-queues *behind* peers
         already waiting, so saturated directions alternate."""
         self.handover = False
         owner = self.owner
-        lost_epoch = event._value
         if lost_epoch is not None:
             owner._lost_on_air(lost_epoch)
         waiting = self.waiting
@@ -140,8 +139,11 @@ class Medium:
             waiting.append(owner)
         while waiting:
             direction = waiting.popleft()
-            if direction._queue:  # else: emptied by a link-down meanwhile
-                direction._start()
+            queue = direction._queue
+            if queue:  # else: emptied by a link-down meanwhile
+                packet = queue.popleft()
+                direction._queued_bytes -= packet.size_bytes
+                direction._start(packet)
                 return
 
 
@@ -152,9 +154,15 @@ class LinkDirection:
     through ``enqueue`` → ``_start`` → ``_arrive``.  The path is
     deliberately closure-free — each stage is a bound method handed
     to :meth:`repro.sim.core.Simulator.call_at`, with the in-flight
-    packet and the link epoch it started in carried on the ``arrival``
-    event's value (arrivals pipeline, so they cannot live on the
+    packet and the link epoch it started in as the ``arrival`` step's
+    arguments (arrivals pipeline, so they cannot live on the
     direction).
+
+    **Deque-skip invariant.**  ``_queue`` holds only packets that
+    actually wait: a packet offered to a free medium is serialized
+    directly.  That is exact because a non-empty queue implies the
+    medium has a ``tx-done`` scheduled (``medium.handover``), so a
+    medium found free with none pending has nothing queued in front.
     """
 
     def __init__(
@@ -215,15 +223,15 @@ class LinkDirection:
             self.stats.dropped_queue += 1
             self._drop(1, "queue")
             return
-        self._queue.append(packet)
-        self._queued_bytes += packet.size_bytes
         medium = self._medium
         if not medium.handover:
             if self.sim._now >= medium.busy_until:
-                self._start()  # free medium
+                self._start(packet)  # free medium: the packet never waits
                 return
             # Busy and nobody waited so far: now someone does.
             medium._expect_tx_done(self.sim, None)
+        self._queue.append(packet)
+        self._queued_bytes += packet.size_bytes
         if medium.owner is not self and self not in medium.waiting:
             medium.waiting.append(self)
 
@@ -231,8 +239,8 @@ class LinkDirection:
         """Drop everything queued (link went down).
 
         Counters update synchronously; the batched
-        :class:`PacketDropped` publishes on an URGENT pooled event so
-        it lands after the caller finishes mutating link state (e.g.
+        :class:`PacketDropped` publishes on an URGENT step of its own
+        so it lands after the caller finishes mutating link state (e.g.
         ``Link.set_up`` clears both directions, then flips ``_up`` —
         subscribers observe the link consistently down).
         """
@@ -245,12 +253,9 @@ class LinkDirection:
         if self._probe.active:
             sim = self.sim
             sim.call_at(
-                sim._now, self._emit_down_drops, dropped, "link-down-flush",
+                sim._now, self._drop, (dropped, "down"), "link-down-flush",
                 URGENT,
             )
-
-    def _emit_down_drops(self, event: Event) -> None:
-        self._drop(event._value, "down")
 
     @property
     def queue_depth(self) -> int:
@@ -263,10 +268,8 @@ class LinkDirection:
 
     # -- transmission ---------------------------------------------------------
 
-    def _start(self) -> None:
-        """Take the (free) medium and serialize the head-of-line packet."""
-        packet = self._queue.popleft()
-        self._queued_bytes -= packet.size_bytes
+    def _start(self, packet: "Packet") -> None:
+        """Take the (free) medium and serialize ``packet``."""
         airtime = self.airtime(packet)
         stats = self.stats
         stats.sent_packets += 1
@@ -294,34 +297,38 @@ class LinkDirection:
             self.stats.dropped_loss += 1
             self._drop(1, "loss")
 
-    def _arrive(self, event: Event) -> None:
-        packet, epoch = event._value
+    def _arrive(self, packet: "Packet", epoch: int) -> None:
         stats = self.stats
         if epoch != self._link._epoch:
             stats.dropped_down += 1
             self._drop(1, "down")
-        elif self.sample_loss(packet):
+            return
+        # Sampled on arrival — both directions share one delay, so draws
+        # from a loss RNG they share stay ordered by tx-end time.
+        loss = self.loss
+        if (self.loss_on_arrival and loss.__class__ is not NoLoss
+                and loss.dropped(self.sim._now)):
             stats.dropped_loss += 1
             self._drop(1, "loss")
-        else:
-            stats.delivered_packets += 1
-            stats.delivered_bytes += packet.size_bytes
-            self.sink.deliver(packet)
+            return
+        stats.delivered_packets += 1
+        stats.delivered_bytes += packet.size_bytes
+        sink = self.sink
+        device = sink.device  # Port.deliver, inlined
+        if device is not None:
+            device.receive(packet, sink)
 
     # -- hooks for subclasses ----------------------------------------------------
+
+    #: Whether the channel can still lose a packet that left the
+    #: transmitter (False: the subclass settles every frame's fate in
+    #: ``airtime``).
+    loss_on_arrival = True
 
     def airtime(self, packet: "Packet") -> float:
         """Time the medium is occupied sending ``packet`` (called once,
         at transmit start; may set ``_air_lost``)."""
         return packet.size_bytes * 8 / self.bandwidth_bps
-
-    def sample_loss(self, packet: "Packet") -> bool:
-        """Whether the channel loses a packet that left the transmitter.
-
-        Sampled on arrival — both directions share one delay, so draws
-        from a loss RNG they share stay ordered by tx-end time.
-        """
-        return self.loss.dropped(self.sim._now)
 
 
 class Link:
@@ -375,6 +382,10 @@ class Link:
         self.port_b.link = self
         self.port_b._out = self.backward
         self.port_b.peer = self.port_a
+        # A connected port's send *is* its direction's enqueue: one
+        # frame per packet less than going through ``Port.send``.
+        self.port_a.send = self.forward.enqueue
+        self.port_b.send = self.backward.enqueue
 
     @property
     def is_up(self) -> bool:

@@ -57,17 +57,17 @@ class Device:
     def receive(self, packet: "Packet", port: Port) -> None:
         """Entry point from the link layer; applies processing cost."""
         self.received_packets += 1
-        delay = self.processing.admit()
-        if delay > 0:
-            sim = self.sim
-            sim.call_at(
-                sim._now + delay, self._packet_ready, (packet, port), "cpu"
-            )
-        else:
-            self.handle_packet(packet, port)
-
-    def _packet_ready(self, event) -> None:
-        packet, port = event._value
+        processing = self.processing
+        if processing.per_packet_seconds:
+            delay = processing.admit()
+            if delay > 0:
+                sim = self.sim
+                sim.call_at(
+                    sim._now + delay, self.handle_packet, (packet, port), "cpu"
+                )
+                return
+        else:  # a zero-cost device (host, AP): admit() minus the arithmetic
+            processing.packets_processed += 1
         self.handle_packet(packet, port)
 
     def handle_packet(self, packet: "Packet", port: Port) -> None:
@@ -117,14 +117,21 @@ class Host(Device):
     @property
     def current_nid(self) -> Optional["XID"]:
         """NID the data interface is attached to (None when offline)."""
-        port = self.active_port
-        if not port.is_up:
+        # Per ACK: index and read the link flag directly, falling back
+        # to the property (and its error) only when there is no port.
+        port = self.ports[self._active_port_index] if self.ports \
+            else self.active_port
+        link = port.link
+        if link is None or not link._up:
             return None
         return self.port_nids.get(port)
 
     def send(self, packet: "Packet", port: Optional[Port] = None) -> None:
         """Transmit on ``port`` (default: the data interface)."""
-        (port or self.active_port).send(packet)
+        if port is None:
+            port = self.ports[self._active_port_index] if self.ports \
+                else self.active_port
+        port.send(packet)
 
     # -- demultiplexing ---------------------------------------------------------
 

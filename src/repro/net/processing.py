@@ -43,8 +43,8 @@ class ProcessingModel:
         if self.per_packet_seconds == 0:
             return 0.0
         now = self.sim._now
-        start = max(now, self._busy_until)
-        self._busy_until = start + self.per_packet_seconds
+        busy = self._busy_until
+        self._busy_until = (busy if busy > now else now) + self.per_packet_seconds
         return self._busy_until - now
 
     def __repr__(self) -> str:

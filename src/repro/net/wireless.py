@@ -34,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class WirelessDirection(LinkDirection):
     """A link direction with per-packet ARQ."""
 
+    loss_on_arrival = False  # ARQ settles the frame's fate on air
+
     def __init__(
         self,
         *args,
@@ -70,9 +72,6 @@ class WirelessDirection(LinkDirection):
                     LinkRetransmission(link=self.source.name, retries=retries)
                 )
         return attempts * single + retries * self.retry_backoff
-
-    def sample_loss(self, packet: "Packet") -> bool:
-        return False  # ARQ settled the frame's fate on air
 
     @property
     def residual_drops(self) -> int:

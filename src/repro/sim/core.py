@@ -59,9 +59,9 @@ class Event:
         self._ok: Optional[bool] = None
         self._scheduled = False
         self._processed = False
-        #: True for events from :meth:`Simulator.call_at` /
-        #: :meth:`Simulator.pooled_event`: the kernel recycles them
-        #: onto the free list after their callbacks run.
+        #: True for events from :meth:`Simulator.pooled_event`: the
+        #: kernel recycles them onto the free list after their
+        #: callbacks run.
         self._pooled = False
         self.name = name
 
@@ -106,8 +106,8 @@ class Event:
         self._ok = True
         self._value = value
         # Inlined Simulator.schedule: the extra call frame costs ~5% of
-        # kernel events/s on the packet path (bench_kernel_hotpath).
-        # succeed_at and Simulator.call_at hold copies — keep them in sync.
+        # kernel events/s (bench_kernel_hotpath).  succeed_at holds a
+        # copy — keep them in sync.
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         if self._scheduled:
@@ -134,7 +134,7 @@ class Event:
         self._value = value
         # Inlined Simulator.schedule — see succeed().
         sim = self.sim
-        if when < sim._now:
+        if not when >= sim._now:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"time {when!r} is in the past (now={sim._now!r})")
         if self._scheduled:
             raise SimulationError(f"event {self!r} already scheduled")
@@ -192,7 +192,10 @@ class Simulator:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: Heap of ``(when, priority, seq, event)`` and, from :meth:`call_at`,
+        #: ``(when, priority, seq, None, callback, args, name)`` entries;
+        #: ``seq`` is unique, so comparison stops before the fourth field.
+        self._queue: list[tuple] = []
         self._seq = 0
         #: Places taken with :meth:`reserve_place` and not (yet) pushed.
         self._places_unpushed = 0
@@ -205,7 +208,13 @@ class Simulator:
         #: the kernel wall-clocks every step's callback batch.  Costs
         #: one ``is None`` check per step when off.
         self._profiler = None
-        #: Free list for fire-and-forget events (see :meth:`call_at`).
+        #: The processed event observers are shown for every
+        #: :meth:`call_at` step, renamed per step: like a pooled event
+        #: it is theirs only until the step ends.
+        self._observed = observed = Event(self)
+        observed._ok, observed.callbacks = True, None
+        observed._scheduled = observed._processed = True
+        #: Free list for :meth:`pooled_event`.
         self._event_pool: list[Event] = []
         #: Pool telemetry: acquisitions served from the free list vs.
         #: fresh allocations (read by the profiler and the benches).
@@ -238,7 +247,7 @@ class Simulator:
             raise ValueError(f"negative delay {delay!r}")
         if event._scheduled:
             raise SimulationError(f"event {event!r} already scheduled")
-        # Inlined in Event.succeed / succeed_at and call_at too — keep in sync.
+        # Inlined in Event.succeed / succeed_at too — keep in sync.
         event._scheduled = True
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
@@ -274,8 +283,13 @@ class Simulator:
         """
         if not self._queue:
             raise SimulationError("no scheduled events")
-        when, _priority, _seq, event = heapq.heappop(self._queue)
-        self._now = when
+        entry = heapq.heappop(self._queue)
+        self._now = when = entry[0]
+        event = entry[3]
+        if event is None:  # a call_at entry: a plain call, no Event
+            self._call_observed(entry)
+            self.steps_processed += 1
+            return
         if self._step_hooks:
             for hook in self._step_hooks:
                 hook(when, event)
@@ -296,6 +310,28 @@ class Simulator:
         self.steps_processed += 1
         if event._pooled:
             self._recycle(event)
+
+    def _call_observed(self, entry: tuple) -> None:
+        """A :meth:`call_at` step in full (:meth:`run` inlines the bare
+        and the profiler-only case): step hooks and the profiler are
+        shown :attr:`_observed` under the entry's name (value: its
+        args), so ``event:arrival``/``event:cpu`` profile keys read as
+        they would for a real event."""
+        when, _priority, _seq, _none, callback, args, name = entry
+        event = self._observed
+        event.name = name
+        event._value = args
+        for hook in self._step_hooks:
+            hook(when, event)
+        profiler = self._profiler
+        if profiler is None:
+            callback(*args)
+        else:
+            started = perf_counter()
+            callback(*args)
+            profiler.record_step(
+                event, perf_counter() - started, len(self._queue)
+            )
 
     def _recycle(self, event: Event) -> None:
         """Reset a processed pooled event and return it to the free list."""
@@ -336,8 +372,26 @@ class Simulator:
         steps = 0
         try:
             while queue and queue[0][0] <= stop_at:
-                when, _priority, _seq, event = heappop(queue)
-                self._now = when
+                entry = heappop(queue)
+                self._now = when = entry[0]
+                event = entry[3]
+                if event is None:  # a call_at entry: a plain call
+                    profiler = self._profiler
+                    if self._step_hooks:
+                        self._call_observed(entry)
+                    elif profiler is None:
+                        entry[4](*entry[5])
+                    else:
+                        event = self._observed
+                        event.name = entry[6]
+                        event._value = args = entry[5]
+                        started = perf_counter()
+                        entry[4](*args)
+                        profiler.record_step(
+                            event, perf_counter() - started, len(queue)
+                        )
+                    steps += 1
+                    continue
                 if self._step_hooks:
                     for hook in self._step_hooks:
                         hook(when, event)
@@ -384,49 +438,44 @@ class Simulator:
     def call_at(
         self,
         when: float,
-        callback: Callable[[Event], None],
-        value: Any = None,
+        callback: Callable[..., None],
+        args: tuple = (),
         name: str = "",
         priority: int = NORMAL,
         place: Optional[int] = None,
     ) -> None:
-        """Run ``callback(event)`` at absolute time ``when``: fire and forget.
+        """Run ``callback(*args)`` at absolute time ``when``: fire and forget.
 
         The one scheduling primitive of the per-packet path (a link's
         ``arrival`` and on-demand ``tx-done``, a device's ``cpu``, a
-        sender's ``rto`` and ``sender-wakeup``, process bootstrap): a
-        pooled event is drawn, armed with ``callback`` and ``value``
-        and pushed at exactly the float ``when`` — not at
-        ``now + (when - now)`` — in one call.  It orders like any other
-        event: by ``(when, priority, push order)``, or, with a ``place``
-        from :meth:`reserve_place`, as if it had been pushed when the
-        place was taken.  The callback reads ``event._value``; the
-        kernel resets and reuses the event right after it returns, so
-        nobody may keep a reference — which is why none is handed out.
-        Steady-state simulation is therefore allocation-free per event.
+        sender's ``rto`` and ``sender-wakeup``, process bootstrap).  No
+        :class:`Event` is involved: the heap entry carries the callable
+        and its arguments, pushed at exactly the float ``when`` — not
+        at ``now + (when - now)`` — and the kernel step is the plain
+        call.  It orders like any other event: by ``(when, priority,
+        push order)``, or, with a ``place`` from :meth:`reserve_place`,
+        as if it had been pushed when the place was taken.  ``name``
+        labels the step for :meth:`pending`, step hooks and the
+        profiler (see :meth:`_call_observed`).
         """
-        if when < self._now:
+        if not when >= self._now:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"time {when!r} is in the past (now={self._now!r})")
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.name = name
-            self.pool_reuses += 1
-        else:
-            event = Event(self, name=name)
-            event._pooled = True
-            self.pool_allocs += 1
-        event.callbacks.append(callback)
-        event._ok = True
-        event._value = value
-        # Inlined Simulator.schedule — see Event.succeed().
-        event._scheduled = True
         if place is None:
             self._seq += 1
             place = self._seq
         else:
             self._places_unpushed -= 1
-        heapq.heappush(self._queue, (when, priority, place, event))
+        heapq.heappush(
+            self._queue, (when, priority, place, None, callback, args, name)
+        )
+
+    def pending(self, name: str) -> list[float]:
+        """Fire times of the queued steps named ``name``, ascending
+        (a debug/test accessor: linear in the queue length)."""
+        return sorted(
+            entry[0] for entry in self._queue
+            if (entry[6] if entry[3] is None else entry[3].name) == name
+        )
 
     def reserve_place(self) -> int:
         """Take the next place in push order without pushing anything.
@@ -445,9 +494,9 @@ class Simulator:
     def pooled_event(self, name: str = "") -> Event:
         """An untriggered :class:`Event` drawn from the kernel free list.
 
-        For the rare fire-and-forget caller that needs the handle
-        before triggering — :meth:`Process.interrupt` arms one with
-        ``fail``; everything else uses :meth:`call_at`.  The kernel
+        For the rare fire-and-forget caller that needs an event —
+        :meth:`Process.interrupt` arms one with ``fail``; everything
+        else uses :meth:`call_at`, which needs none.  The kernel
         resets and reuses the object right after its callbacks run, so
         holding a reference past processing — yielding it from a
         process, storing it, chaining it into AnyOf/AllOf — is

@@ -9,10 +9,15 @@ returns, carrying the generator's return value.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Generator, Optional
 
 from repro.obs.events import ProcessFailed
 from repro.sim.core import Event, PENDING, SimulationError, Simulator, URGENT
+
+
+#: What a new process first resumes on: success, carrying ``None``.
+_BOOTSTRAP = SimpleNamespace(_ok=True, _value=None)
 
 
 class Interrupt(Exception):
@@ -37,9 +42,8 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(generator, "__name__", ""))
         self._generator = generator
         self._target: Optional[Event] = None
-        # Kick the process off via an immediate initialization event —
-        # pooled and fire-and-forget, nobody else ever sees it.
-        sim.call_at(sim._now, self._resume, None, "process-init", URGENT)
+        # Kick the process off via an immediate, fire-and-forget step.
+        sim.call_at(sim._now, self._resume, (_BOOTSTRAP,), "process-init", URGENT)
 
     @property
     def is_alive(self) -> bool:

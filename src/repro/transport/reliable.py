@@ -209,7 +209,7 @@ class SenderSession:
             and self.next_seq - self.head < int(self.cwnd)
         )
 
-    def _pump(self, _event: Optional[Event] = None) -> None:
+    def _pump(self) -> None:
         """Emit while the window and the sender CPU allow; close when done.
 
         Runs inline from :meth:`_wake` or as the callback of the one
@@ -239,7 +239,7 @@ class SenderSession:
     ) -> None:
         self._pump_pending = True
         self.sim.call_at(
-            when, self._pump, None, "sender-wakeup", priority, place
+            when, self._pump, (), "sender-wakeup", priority, place
         )
 
     def _pace(self) -> None:
@@ -389,10 +389,10 @@ class SenderSession:
 
     def _push_rto_event(self, when: float) -> None:
         self._rto_event_at = when
-        self.sim.call_at(when, self._rto_fired, when, "rto")
+        self.sim.call_at(when, self._rto_fired, (when,), "rto")
 
-    def _rto_fired(self, event: Event) -> None:
-        if event._value != self._rto_event_at:
+    def _rto_fired(self, when: float) -> None:
+        if when != self._rto_event_at:
             return  # superseded: a later push took an earlier deadline
         self._rto_event_at = None
         if self.completed or self._paused:

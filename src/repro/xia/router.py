@@ -376,7 +376,8 @@ class AccessPoint(Host):
             trace.append(self.name)
         for other in self.ports:
             if other is not port:
-                if other.is_up:
+                link = other.link
+                if link is not None and link._up:  # other.is_up
                     self.bridged_packets += 1
                     other.send(packet)
                 return

@@ -8,18 +8,27 @@ turn — restated under the epoch link-down contract of
 ``LinkDirection`` / ``WirelessLink`` must match packet for packet:
 delivery times, drops per reason, ``busy_time`` and the order of loss
 draws.
+
+The real link is single-stepped, and after every kernel step the
+deque-skip invariant its free-medium fast path stands on is checked
+(see ``check_deque_skip``).
 """
 
+import inspect
 import random
 from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import Host, Link, Network, WirelessLink
+from repro.net.link import LinkDirection, Port
+from repro.net.nodes import Device
 from repro.net.loss import BernoulliLoss, NoLoss
 from repro.sim import Simulator
 from repro.xia import DagAddress, HID
 from repro.xia.packet import Packet, PacketType
+from repro.xia.router import AccessPoint, XIARouter
 
 BANDWIDTH_BPS = 8e6
 QUEUE_BYTES = 6000
@@ -155,6 +164,22 @@ def after(sim, delay, action, *args):
     event.succeed(delay=delay)
 
 
+def check_deque_skip(link):
+    """``enqueue`` serializes a packet offered to a free medium without
+    queueing it, which is FIFO-exact only if nothing can be queued on a
+    medium that is free with no ``tx-done`` pending: a direction's deque
+    holds packets only while a hand-over is scheduled to serve them
+    (and its byte count is theirs)."""
+    for direction in (link.forward, link.backward):
+        medium = direction._medium
+        assert not direction._queue or medium.handover
+        assert direction._queued_bytes == sum(
+            packet.size_bytes for packet in direction._queue)
+        assert direction._queued_bytes <= QUEUE_BYTES
+    for medium in {link.forward._medium, link.backward._medium}:
+        assert medium.handover or not medium.waiting
+
+
 def losses(rate, seed, log):
     """Both directions draw from ONE rng, like the Internet shaper."""
     if not rate:
@@ -163,9 +188,13 @@ def losses(rate, seed, log):
     return [RecordingLoss(rate, rng, log, tag) for tag in (0, 1)]
 
 
-def run_both(wireless, delay, loss_rate, seed, script):
+def run_both(wireless, delay, loss_rate, seed, script, late=()):
     """Drive the real link and the reference with one script; return
-    ``(real, reference)`` observations in a comparable shape."""
+    ``(real, reference)`` observations in a comparable shape.
+
+    ``late`` steps are pushed from an event at time 0 that runs after
+    the script's own time-0 steps, so they order behind whatever those
+    pushed (the reference's ``tx-done``) at an equal timestamp."""
     # -- the real link
     sim, real_draws = Simulator(), []
     up, down = losses(loss_rate, seed, real_draws)
@@ -193,14 +222,24 @@ def run_both(wireless, delay, loss_rate, seed, script):
             payload={},
         ))
 
-    for ident, (when, kind, direction, size) in enumerate(script):
-        if kind == "send":
-            after(sim, when, send, direction, ident, size)
-            after(ref_sim, when, ref.directions[direction].enqueue, ident, size)
-        else:
-            after(sim, when, link.set_up, kind == "up")
-            after(ref_sim, when, ref.set_up, kind == "up")
-    sim.run()
+    def schedule(clock, enqueue, set_up, steps, first_ident):
+        for ident, (when, kind, direction, size) in enumerate(
+                steps, first_ident):
+            if kind == "send":
+                after(clock, when, enqueue, direction, ident, size)
+            else:
+                after(clock, when, set_up, kind == "up")
+
+    def ref_enqueue(direction, ident, size):
+        ref.directions[direction].enqueue(ident, size)
+
+    for side in ((sim, send, link.set_up), (ref_sim, ref_enqueue, ref.set_up)):
+        schedule(*side, script, 0)
+        if late:
+            after(side[0], 0.0, schedule, *side, late, len(script))
+    while sim.peek() != float("inf"):
+        sim.step()
+        check_deque_skip(link)
     ref_sim.run()
 
     real = []
@@ -259,3 +298,70 @@ def test_link_flaps_match_reference(script, delay, wireless, seed):
     loss_rate = 0.45 if wireless else 0.0
     real, reference = run_both(wireless, delay, loss_rate, seed, script)
     assert real == reference
+
+
+def lossless_airtime(size, wireless):
+    """The link's own float expression, one ARQ attempt on wireless."""
+    if wireless:
+        return 1 * (size * 8 / BANDWIDTH_BPS + FRAME_OVERHEAD) + 0 * RETRY_BACKOFF
+    return size * 8 / BANDWIDTH_BPS
+
+
+@pytest.mark.parametrize("wireless", [False, True], ids=["wired", "wireless"])
+def test_packets_offered_exactly_at_busy_until_match_reference(wireless):
+    """The boundary of the fast path: at ``now == busy_until`` with no
+    hand-over pending the medium counts as free, so the first packet
+    offered then starts at once — and the ones offered behind it at the
+    same instant (same direction, and the peer) queue and overflow."""
+    def airtime(size):
+        return lossless_airtime(size, wireless)
+
+    free_at = 0.0 + airtime(1000)
+    script = [(0.0, "send", 0, 1000)]
+    late = [(free_at, "send", direction, size) for direction, size in (
+        (0, 1200), (1, 500), (0, 1500), (0, 1500), (0, 1500), (0, 1500),
+        (0, 1500), (1, 64),
+    )]
+    delay = 0.4e-3
+    (real, _), (reference, _) = run_both(
+        wireless, delay, 0.0, 0, script, late)
+    assert real == reference
+    forward, backward = real
+    # Packet 1 was serialized from free_at on, not behind a tx-done turn.
+    assert forward[0][1] == (1, free_at + airtime(1200) + delay)
+    assert forward[1]["queue"] == 1 and len(forward[0]) == 6
+    assert [ident for ident, _ in backward[0]] == [2, 8]
+
+
+def test_tracer_boundaries_are_defined_on_their_own_class_and_bound_late(
+        monkeypatch):
+    """The frozen ``benchmarks/e2e/tracer.py`` swaps these methods for
+    timing shims through their class ``__dict__``, before the scenario
+    is built; the bindings made at construction (a connected port's
+    ``send`` is its direction's ``enqueue``) must pick the shims up."""
+    for owner, attr in (
+        (Port, "send"), (Port, "deliver"), (LinkDirection, "enqueue"),
+        (Device, "receive"), (XIARouter, "handle_packet"),
+        (XIARouter, "send"), (AccessPoint, "handle_packet"),
+    ):
+        assert inspect.isfunction(owner.__dict__[attr]), (owner, attr)
+    seen = []
+    enqueue = LinkDirection.enqueue
+
+    def shim(direction, packet):
+        seen.append(packet.seq)
+        enqueue(direction, packet)
+
+    monkeypatch.setattr(LinkDirection, "enqueue", shim)
+    sim = Simulator()
+    link = Link(sim, "l", BANDWIDTH_BPS, 0.0)
+    monkeypatch.undo()  # like Tracer.uninstall: built links keep the shim
+    net = Network(sim)
+    ends = [net.add_device(Sink(sim, name)) for name in "ab"]
+    net.connect(ends[0], ends[1], link)
+    ends[0].send(Packet(
+        PacketType.DATA, dst=DagAddress.host(ends[1].hid),
+        src=DagAddress.host(ends[0].hid), size_bytes=100, seq=7, payload={},
+    ))
+    sim.run()
+    assert seen == [7] and [seq for seq, _ in ends[1].received] == [7]

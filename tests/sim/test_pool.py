@@ -132,20 +132,40 @@ def test_call_at_fires_at_the_exact_absolute_time_with_its_value():
     sim = Simulator(initial_time=0.1)
     when = 0.1 + 0.2 + 0.7  # not representable as 0.1 + (when - 0.1)
     fired = []
-    sim.call_at(when, lambda ev: fired.append((sim.now, ev.name, ev.value)),
-                "v", "abs")
+    sim.call_at(when, lambda *args: fired.append((sim.now, args)),
+                ("v", 2), "abs")
+    assert sim.pending("abs") == [when]
     sim.run()
-    assert fired == [(when, "abs", "v")]
+    assert fired == [(when, ("v", 2))]
+    assert sim.pending("abs") == []
 
 
 def test_call_at_rejects_the_past_and_takes_nothing_from_the_pool():
     sim = Simulator(initial_time=5.0)
     with pytest.raises(ValueError):
-        sim.call_at(4.0, lambda ev: None)
+        sim.call_at(4.0, lambda: None)
     assert (sim.pool_allocs, sim.pool_reuses, sim.heap_pushes) == (0, 0, 0)
-    sim.call_at(5.0, lambda ev: None)  # "now" is allowed
+    sim.call_at(5.0, lambda: None)  # "now" is allowed
     sim.run()
     assert sim.steps_processed == 1
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda sim: sim.call_at(float("nan"), lambda: None),
+    lambda sim: sim.event().succeed_at(None, float("nan")),
+], ids=["call_at", "succeed_at"])
+def test_a_nan_time_is_rejected_before_it_can_corrupt_the_heap(schedule):
+    """``nan < now`` is False, so a ``when < now`` guard lets NaN in —
+    and a NaN key compares False both ways, breaking heap order."""
+    sim = Simulator()
+    fired = []
+    sim.call_at(2.0, fired.append, (2.0,))
+    with pytest.raises(ValueError):
+        schedule(sim)
+    sim.call_at(1.0, fired.append, (1.0,))
+    assert sim.heap_pushes == 2  # the rejected call left no trace
+    sim.run()
+    assert fired == [1.0, 2.0]
 
 
 def test_call_at_is_fifo_with_succeed_scheduled_events_at_equal_time():
@@ -155,11 +175,11 @@ def test_call_at_is_fifo_with_succeed_scheduled_events_at_equal_time():
     first = sim.event("succeed-1")
     first.callbacks.append(note)
     first.succeed(delay=1.0)
-    sim.call_at(1.0, note, name="call_at-2")
+    sim.call_at(1.0, order.append, ("call_at-2",))
     third = sim.event("succeed_at-3")
     third.callbacks.append(note)
     third.succeed_at(None, 1.0)
-    sim.call_at(1.0, note, name="call_at-4")
+    sim.call_at(1.0, order.append, ("call_at-4",))
     sim.run()
     assert order == ["succeed-1", "call_at-2", "succeed_at-3", "call_at-4"]
 
@@ -167,40 +187,74 @@ def test_call_at_is_fifo_with_succeed_scheduled_events_at_equal_time():
 def test_call_at_urgent_runs_before_normal_at_equal_time():
     sim = Simulator()
     order = []
-    sim.call_at(1.0, lambda ev: order.append("normal"))
-    sim.call_at(1.0, lambda ev: order.append("urgent"), priority=URGENT)
+    sim.call_at(1.0, order.append, ("normal",))
+    sim.call_at(1.0, order.append, ("urgent",), priority=URGENT)
     sim.run()
     assert order == ["urgent", "normal"]
 
 
-def test_call_at_recycles_its_event_and_counts_pool_traffic():
+def test_call_at_takes_nothing_from_the_pool():
     sim = Simulator()
     seen = []
     for index in range(3):
-        sim.call_at(float(index), seen.append, index)
+        sim.call_at(float(index), seen.append, (index,))
         sim.run()
-    # One object served all three calls, reset in between.
-    assert len({id(event) for event in seen}) == 1
-    assert seen[0] is sim._event_pool[-1] and not seen[0].triggered
-    assert (sim.pool_allocs, sim.pool_reuses) == (1, 2)
+    # The callback got its argument, not an event: there is none.
+    assert seen == [0, 1, 2]
+    assert (sim.pool_allocs, sim.pool_reuses) == (0, 0)
+    assert sim._event_pool == []
     assert sim.heap_pushes == sim.steps_processed == 3
-    # The same free list serves pooled_event.
-    assert sim.pooled_event("handle") is seen[0]
-    assert (sim.pool_allocs, sim.pool_reuses) == (1, 3)
+    # The free list serves pooled_event alone.
+    handle = sim.pooled_event("handle")
+    assert (sim.pool_allocs, sim.pool_reuses) == (1, 0)
+    handle.succeed()
+    sim.call_at(3.0, seen.append, (3,))
+    sim.run()
+    assert sim.pooled_event("again") is handle
+    assert (sim.pool_allocs, sim.pool_reuses) == (1, 1)
 
 
 def test_reserved_place_orders_a_later_push_as_if_pushed_then():
     sim = Simulator()
     order = []
-    note = lambda ev: order.append(ev.name)  # noqa: E731
-    sim.call_at(1.0, note, name="before")
+    note = order.append
+    sim.call_at(1.0, note, ("before",))
     place = sim.reserve_place()
     unused = sim.reserve_place()
-    sim.call_at(1.0, note, name="after")
+    sim.call_at(1.0, note, ("after",))
     assert sim.heap_pushes == 2  # places taken are not pushes...
-    sim.call_at(1.0, note, name="reserved", place=place)
+    sim.call_at(1.0, note, ("reserved",), place=place)
     assert sim.heap_pushes == 3  # ...until used
-    sim.call_at(0.5, note, name="earlier", place=None)
+    sim.call_at(0.5, note, ("earlier",), place=None)
     sim.run()
     assert order == ["earlier", "before", "reserved", "after"]
     assert unused > place and sim.heap_pushes == sim.steps_processed == 4
+
+
+def test_observers_are_shown_a_named_event_for_call_at_steps():
+    """Step hooks and the profiler are handed an Event; for a ``call_at``
+    step the kernel shows them one under the step's name, so profile
+    keys read as before — through ``step()`` and through ``run()``."""
+    from repro.sim.profiler import SimProfiler
+
+    sim = Simulator()
+    hooked, got = [], []
+    sim.add_step_hook(lambda when, event: hooked.append(
+        (when, event.name, event.processed, event.value)))
+    sim.call_at(1.0, lambda *args: got.append(args), ("p", 1), "arrival")
+    sim.run()
+    assert hooked == [(1.0, "arrival", True, ("p", 1))]
+    assert got == [("p", 1)]
+    with SimProfiler(sim) as profiler:  # the hook is still installed too
+        sim.call_at(2.0, got.append, ("q",), "cpu")
+        sim.step()
+    assert profiler.report()["wall.event:cpu.calls"] == 1
+    assert hooked[-1] == (2.0, "cpu", True, ("q",))
+    hook_free = Simulator()
+    with SimProfiler(hook_free) as profiler:  # run()'s inlined profiler path
+        hook_free.call_at(1.0, got.append, ("r",), "tx-done")
+        hook_free.call_at(1.0, got.append, ("s",), "tx-done")
+        hook_free.run()
+    assert profiler.report()["wall.event:tx-done.calls"] == 2
+    assert got[-3:] == ["q", "r", "s"] and sim.steps_processed == 2
+    assert (sim.pool_allocs, sim.pool_reuses) == (0, 0)

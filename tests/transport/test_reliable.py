@@ -182,8 +182,8 @@ def test_redirect_restarts_toward_new_destination():
 
 
 def rto_events(sim):
-    """The ``rto`` kernel events currently on the heap."""
-    return [entry for entry in sim._queue if entry[3].name == "rto"]
+    """Fire times of the ``rto`` steps currently on the heap."""
+    return sim.pending("rto")
 
 
 def open_transfer(pair, total_bytes=2_000_000):
@@ -206,7 +206,7 @@ def test_rto_rearm_keeps_one_event_and_only_moves_the_deadline():
                                                  abs=5e-3)
     # Nothing on the heap per ACK: the live event plus, at most, the one
     # it superseded when the first RTT sample shrank the initial RTO.
-    live = [e for e in rto_events(pair.sim) if e[0] == sender._rto_event_at]
+    live = [t for t in rto_events(pair.sim) if t == sender._rto_event_at]
     assert len(live) == 1 and len(rto_events(pair.sim)) <= 2
     pair.sim.run(until=sender.done)
     pair.sim.run()  # leftovers fire as no-ops
