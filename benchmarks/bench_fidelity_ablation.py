@@ -3,8 +3,7 @@
 The :class:`~repro.transport.flowmodel.FlowModel` predicts transfer
 durations in closed form; this bench checks it against the
 packet-level transport on clean paths (where the Mathis assumptions
-hold), and checks the segment-scaling knob's invariance on a loss-free
-path.
+hold).
 """
 
 from benchmarks.conftest import run_once
@@ -53,30 +52,3 @@ def test_flow_model_agrees_with_packet_level(benchmark):
         assert abs(measured - predicted) / measured < 0.25, (
             size, measured, predicted,
         )
-
-
-def test_segment_scaling_invariance(benchmark):
-    """Coarse segments preserve loss-free transfer times (~within 10%)."""
-
-    def harness():
-        results = []
-        for scale in (1, 2, 4):
-            config = XIA_STREAM.scaled(scale)
-            sim, publisher, endpoint = _build_segment("wired", config, seed=1)
-            content = publisher.publish_synthetic("blob", 8 * MB, 8 * MB)
-            client = XstreamClient(sim, endpoint, config)
-            process = sim.process(client.download(content.addresses[0]))
-            result = sim.run(until=process)
-            results.append((scale, result.duration))
-        return results
-
-    rows = run_once(benchmark, harness)
-    print()
-    print(render_table(
-        "Segment-scale invariance (8 MB wired, loss-free)",
-        ("scale", "duration (s)"),
-        rows,
-    ))
-    baseline = rows[0][1]
-    for scale, duration in rows[1:]:
-        assert abs(duration - baseline) / baseline < 0.10, (scale, duration)

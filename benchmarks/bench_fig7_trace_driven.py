@@ -5,22 +5,20 @@ paper's Fig. 7(b): SoftStage completes ~2x the content objects of Xftp
 within the same drive.
 """
 
-import os
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, strict_shapes
 from repro.experiments.report import render_table
 from repro.experiments.tracedriven import PAPER_OBJECT_RATIO, run_all
 
 
-def test_fig7_trace_driven(benchmark):
-    quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
-    duration = 150.0 if quick else 300.0
-    seeds = (0,) if quick else (0, 1)
-    scale = 2  # trace runs move a lot of data; coarse segments
+def test_fig7_trace_driven(benchmark, profile):
+    # The quick smoke profile drives half the trace.
+    duration = 300.0 if strict_shapes(profile) else 150.0
 
     results = run_once(
         benchmark,
-        lambda: run_all(seeds=seeds, duration=duration, segment_scale=scale),
+        lambda: run_all(
+            seeds=profile.seeds, duration=duration, jobs=profile.jobs
+        ),
     )
     print()
     print(render_table(

@@ -4,21 +4,20 @@ Paper: content-aware handoff cuts download time by 21.7% in the
 overlapping-coverage scenario (12 s encounters, 3 s overlap).
 """
 
-from benchmarks.conftest import bench_profile, run_once
+from benchmarks.conftest import run_once
 from repro.experiments.handoff import PAPER_SAVING, run_comparison
 from repro.experiments.report import render_table
 from repro.util import MB
 
 
-def test_handoff_policy(benchmark):
-    profile = bench_profile()
+def test_handoff_policy(benchmark, profile):
     comparison = run_once(
         benchmark,
         lambda: run_comparison(
             # Needs enough chunks that several handoffs occur.
             file_size=max(profile.file_size, 48 * MB),
             seeds=profile.seeds,
-            segment_scale=profile.segment_scale,
+            jobs=profile.jobs,
         ),
     )
     print()

@@ -37,13 +37,11 @@ PANELS = {
 }
 
 
-def _mini_profile(file_mb: float = 4.0, seeds: int = 2,
-                  scale: int = 4) -> BenchProfile:
+def _mini_profile(file_mb: float = 4.0, seeds: int = 2) -> BenchProfile:
     """A small-but-real profile: enough work for parallelism to show."""
     return BenchProfile(
         file_size=int(file_mb * MB),
         seeds=tuple(range(seeds)),
-        segment_scale=scale,
     )
 
 
@@ -82,7 +80,7 @@ def test_parallel_sweep_speedup(benchmark):
     from benchmarks.conftest import run_once
 
     jobs = max(int(os.environ.get("REPRO_BENCH_JOBS", "2")), 2)
-    profile = _mini_profile(file_mb=2.0, seeds=2, scale=8)
+    profile = _mini_profile(file_mb=2.0, seeds=2)
     result = run_once(benchmark, lambda: measure("f", jobs, profile))
     assert result["byte_identical"], "parallel sweep diverged from sequential"
     print()
@@ -101,7 +99,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--file-mb", type=float, default=4.0)
     parser.add_argument("--seeds", type=int, default=2)
-    parser.add_argument("--scale", type=int, default=4)
     parser.add_argument("--label", default="")
     parser.add_argument("--no-record", action="store_true",
                         help="measure and print only")
@@ -111,7 +108,7 @@ def main(argv=None) -> int:
 
     metrics = measure(
         args.panel, args.jobs,
-        _mini_profile(args.file_mb, args.seeds, args.scale),
+        _mini_profile(args.file_mb, args.seeds),
     )
     for key in sorted(metrics):
         value = metrics[key]

@@ -77,7 +77,7 @@ def panel_points(panel: str) -> list[tuple[str, MicrobenchParams]]:
 
 
 def measure(panels: str = "bc", file_mb: float = 8.0, seeds: int = 1,
-            scale: int = 1, jobs: int = 1) -> dict:
+            jobs: int = 1) -> dict:
     """Run the tournament; one result dict per competitor.
 
     Returns ``{"competitors": {name: {...}}, "ranking": [names],
@@ -95,14 +95,14 @@ def measure(panels: str = "bc", file_mb: float = 8.0, seeds: int = 1,
             point = f"{panel}/{label.replace(' ', '')}"
             point_params = params.with_(file_size=file_size)
             for seed in seed_list:
-                tasks.append(SweepTask("xftp", point_params, seed, scale))
+                tasks.append(SweepTask("xftp", point_params, seed))
                 keys.append((point, "xftp"))
                 for system in BASELINE_SYSTEMS:
-                    tasks.append(SweepTask(system, point_params, seed, scale))
+                    tasks.append(SweepTask(system, point_params, seed))
                     keys.append((point, system))
                 for policy in POLICY_NAMES:
                     tasks.append(SweepTask("softstage", point_params, seed,
-                                           scale, policy=policy))
+                                           policy=policy))
                     keys.append((point, policy))
 
     summaries = run_tasks(tasks, jobs=jobs)
@@ -136,7 +136,6 @@ def measure(panels: str = "bc", file_mb: float = 8.0, seeds: int = 1,
         "panels": panels,
         "file_mb": file_mb,
         "seeds": seeds,
-        "scale": scale,
     }
 
 
@@ -168,7 +167,7 @@ def test_policy_tournament(benchmark):
 
     outcome = run_once(
         benchmark,
-        lambda: measure(panels="b", file_mb=8.0, seeds=1, scale=1,
+        lambda: measure(panels="b", file_mb=8.0, seeds=1,
                         jobs=max(int(os.environ.get("REPRO_BENCH_JOBS", "2")),
                                  2)),
     )
@@ -195,9 +194,6 @@ def main(argv=None) -> int:
                         help="Fig. 6 panels to sweep (string of a..f)")
     parser.add_argument("--file-mb", type=float, default=8.0)
     parser.add_argument("--seeds", type=int, default=1)
-    parser.add_argument("--scale", type=int, default=1,
-                        help="transport segment scale (coarser than 1 "
-                             "distorts staging timing; keep 1 for ranking)")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--label", default="")
     parser.add_argument("--no-record", action="store_true",
@@ -215,8 +211,7 @@ def main(argv=None) -> int:
 
     for panel in args.panels:
         panel_points(panel)  # validate before running anything
-    outcome = measure(args.panels, args.file_mb, args.seeds, args.scale,
-                      args.jobs)
+    outcome = measure(args.panels, args.file_mb, args.seeds, args.jobs)
     print(render(outcome))
 
     if not args.no_record:
@@ -232,7 +227,7 @@ def main(argv=None) -> int:
 
         registry = RunRegistry(args.registry_dir)
         meta = {"panels": args.panels, "file_mb": args.file_mb,
-                "seeds": args.seeds, "scale": args.scale}
+                "seeds": args.seeds}
         for name, entry in outcome["competitors"].items():
             metrics = {"gain": entry["mean_gain"],
                        "mean_time": entry["mean_time"]}

@@ -15,7 +15,7 @@ only require reactive to stay within a modest factor of a predictor at
 every accuracy, with zero prediction machinery.
 """
 
-from benchmarks.conftest import bench_profile, run_once
+from benchmarks.conftest import run_once
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.report import render_table
 from repro.experiments.scenario import TestbedScenario
@@ -39,8 +39,7 @@ def run_reactive(params, seed: int, num_edges: int = 3):
     return scenario.sim.run(until=process)
 
 
-def test_reactive_vs_predictive(benchmark):
-    profile = bench_profile()
+def test_reactive_vs_predictive(benchmark, profile):
     params = MicrobenchParams(file_size=min(profile.file_size, 32 * MB))
     seed = 0
 

@@ -88,8 +88,7 @@ def test_sketch_recording_overhead_within_budget(benchmark):
 
     def run(sketches):
         return run_download(
-            "softstage", params=params, seed=0, segment_scale=8,
-            sketches=sketches,
+            "softstage", params=params, seed=0, sketches=sketches,
         )
 
     run(False)  # warm imports/caches outside the timed region

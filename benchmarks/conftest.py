@@ -1,13 +1,10 @@
 """Shared bench configuration.
 
-Profiles (select via environment):
-
-- default          — 32 MB downloads, seeds (0, 1), exact segments.
-                     The paper uses 64 MB; halving keeps the full
-                     suite under an hour without changing any trend
-                     (gains are time ratios).
-- REPRO_BENCH_QUICK=1 — 16 MB, one seed, coarse segments (~minutes).
-- REPRO_BENCH_PAPER=1 — the paper's full 64 MB, three seeds.
+The profile comes from the environment, decoded in one place —
+:meth:`repro.experiments.microbench.BenchProfile.from_env`: the default
+(32 MB, seeds (0, 1)), ``REPRO_BENCH_QUICK=1`` (16 MB, one seed,
+~minutes), ``REPRO_BENCH_PAPER=1`` (the paper's full 64 MB, three
+seeds), with ``REPRO_BENCH_SEEDS``/``REPRO_BENCH_JOBS`` on top.
 
 Every bench prints the regenerated table with the paper's value
 alongside, and asserts the *shape* (who wins, trend direction), never
@@ -24,25 +21,9 @@ from repro.experiments.microbench import BenchProfile
 from repro.util import MB
 
 
-def bench_profile() -> BenchProfile:
-    # REPRO_BENCH_JOBS=n fans sweep runs over n worker processes;
-    # results are byte-identical to sequential (see
-    # repro.experiments.parallel), so it composes with any profile.
-    jobs = max(int(os.environ.get("REPRO_BENCH_JOBS", "1")), 1)
-    if os.environ.get("REPRO_BENCH_QUICK"):
-        return BenchProfile(
-            file_size=16 * MB, seeds=(0,), segment_scale=2, jobs=jobs
-        )
-    if os.environ.get("REPRO_BENCH_PAPER"):
-        return BenchProfile(
-            file_size=64 * MB, seeds=(0, 1, 2), segment_scale=1, jobs=jobs
-        )
-    return BenchProfile(file_size=32 * MB, seeds=(0, 1), segment_scale=1, jobs=jobs)
-
-
 @pytest.fixture(scope="session")
 def profile() -> BenchProfile:
-    return bench_profile()
+    return BenchProfile.from_env()
 
 
 def run_once(benchmark, fn, rounds=None, warmup_rounds=None):
@@ -73,9 +54,9 @@ def run_once(benchmark, fn, rounds=None, warmup_rounds=None):
 def strict_shapes(profile: BenchProfile) -> bool:
     """Whether trend-direction assertions should be enforced.
 
-    The quick smoke profile (small file, coarse segments, one seed)
-    verifies that everything *runs* and SoftStage wins; the full
-    profiles additionally assert the paper's trend directions, which
-    need the real download length and exact segments to show.
+    The quick smoke profile (small file, one seed) verifies that
+    everything *runs* and SoftStage wins; the full profiles
+    additionally assert the paper's trend directions, which need the
+    real download length to show.
     """
-    return profile.segment_scale == 1 and profile.file_size >= 32 * MB
+    return profile.file_size >= 32 * MB

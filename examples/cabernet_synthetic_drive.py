@@ -25,8 +25,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--duration", type=float, default=600.0)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--scale", type=int, default=2,
-                        help="transport segment scale (1 = exact)")
     args = parser.parse_args()
 
     # Clamp the gap tail: the full Cabernet distribution includes long
@@ -46,12 +44,10 @@ def main() -> None:
     params = MicrobenchParams(file_size=512 * MB, internet_latency=ms(50))
     coverage = trace.to_coverage(["ap-A", "ap-B"])
     xftp = run_download("xftp", params=params, seed=args.seed,
-                        coverage=coverage, deadline=trace.duration,
-                        segment_scale=args.scale)
+                        coverage=coverage, deadline=trace.duration)
     coverage = trace.to_coverage(["ap-A", "ap-B"])
     softstage = run_download("softstage", params=params, seed=args.seed,
-                             coverage=coverage, deadline=trace.duration,
-                             segment_scale=args.scale)
+                             coverage=coverage, deadline=trace.duration)
 
     xc = xftp.download.chunks_completed
     sc = softstage.download.chunks_completed

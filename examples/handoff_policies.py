@@ -22,8 +22,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--file-mb", type=float, default=32.0)
     parser.add_argument("--seeds", type=int, default=1)
-    parser.add_argument("--scale", type=int, default=2,
-                        help="transport segment scale (1 = exact)")
     args = parser.parse_args()
 
     print(f"Downloading {args.file_mb:g} MB across overlapping networks "
@@ -31,7 +29,6 @@ def main() -> None:
     comparison = run_comparison(
         file_size=int(args.file_mb * MB),
         seeds=tuple(range(args.seeds)),
-        segment_scale=args.scale,
     )
     print(f"  default (RSS-greedy) : {comparison.default_time:6.1f} s "
           f"({comparison.default_handoffs:.0f} handoffs)")

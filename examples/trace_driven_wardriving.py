@@ -23,8 +23,6 @@ def main() -> None:
     parser.add_argument("--duration", type=float, default=180.0,
                         help="trace length in seconds")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--scale", type=int, default=2,
-                        help="transport segment scale (1 = exact)")
     args = parser.parse_args()
 
     traces = synthesize_traces(seed=args.seed, duration=args.duration)
@@ -40,9 +38,7 @@ def main() -> None:
               f"(mean {sum(encounters) / len(encounters):.1f}s) "
               f"-> saved to {path}")
 
-        result = run_trace(
-            name, reloaded, seeds=(args.seed,), segment_scale=args.scale
-        )
+        result = run_trace(name, reloaded, seeds=(args.seed,))
         print(f"  Xftp      : {result.xftp_chunks:5.0f} chunks "
               f"({result.xftp_bytes / 1e6:6.1f} MB)")
         print(f"  SoftStage : {result.softstage_chunks:5.0f} chunks "

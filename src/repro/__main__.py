@@ -248,7 +248,6 @@ def cmd_sweep(args) -> None:
         profile = BenchProfile(
             file_size=int(args.file_mb * MB),
             seeds=tuple(range(args.seeds)),
-            segment_scale=args.scale,
             trace_sink=trace_fh,
             jobs=args.jobs,
             policy=policy or "",
@@ -275,7 +274,7 @@ def cmd_sweep(args) -> None:
         record = registry.append(
             sweep_id, "sweep", metrics,
             meta={"panel": args.panel, "file_mb": args.file_mb,
-                  "seeds": args.seeds, "scale": args.scale},
+                  "seeds": args.seeds},
             policy=policy or "",
         )
         print(f"registry: {record.rec_id} appended to {registry.path}")
@@ -298,7 +297,6 @@ def cmd_handoff(args) -> None:
     comparison = run_comparison(
         file_size=int(args.file_mb * MB),
         seeds=tuple(range(args.seeds)),
-        segment_scale=args.scale,
     )
     print(f"default: {comparison.default_time:.1f}s   "
           f"content-aware: {comparison.content_aware_time:.1f}s   "
@@ -475,11 +473,28 @@ def _handle_sigterm() -> None:
         pass
 
 
+def _stop_on_signals():
+    """A :class:`threading.Event` that SIGINT and SIGTERM set.
+
+    ``repro serve`` waits on it rather than catch KeyboardInterrupt: an
+    exception raised by a signal handler lands wherever the main thread
+    is, and inside socketserver's accept loop that closes the socket of
+    the request being dispatched — a /live stream lost its SSE ``end``.
+    """
+    import signal
+    import threading
+
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda signum, frame: stop.set())
+    return stop
+
+
 def cmd_serve(args) -> None:
     from repro.obs.registry import RunRegistry
     from repro.obs.server import make_server
 
-    _handle_sigterm()
+    stop = _stop_on_signals()
     hub = None
     if args.demo:
         from repro.obs.stream import TelemetryHub
@@ -519,21 +534,19 @@ def cmd_serve(args) -> None:
         print(f"live demo started ({args.file_mb:g} MB, seed {args.seed}) "
               f"— stream it from {server.url}/live "
               f"({len(DEFAULT_SLOS)} live SLOs attached)")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        # Close the hub first so every /live subscriber gets the SSE
-        # terminal frame before the listening socket goes away, and
-        # wait for them to detach — handler threads are daemons, so
-        # exiting now would kill them mid-frame.
-        if hub is not None:
-            hub.close()
-            hub.wait_closed(timeout=3.0)
-        if evaluator is not None:
-            evaluator.join(timeout=2.0)
-        server.server_close()
+    server.serve_background()
+    stop.wait()
+    # Close the hub first so every /live subscriber gets the SSE
+    # terminal frame before the listening socket goes away, and wait
+    # for them to detach — handler threads are daemons, so exiting now
+    # would kill them mid-frame.
+    if hub is not None:
+        hub.close()
+        hub.wait_closed(timeout=3.0)
+    if evaluator is not None:
+        evaluator.join(timeout=2.0)
+    server.shutdown()
+    server.server_close()
     print("\nshut down cleanly")
 
 
@@ -812,7 +825,6 @@ def cmd_traces(args) -> None:
     results = run_traces(
         seeds=tuple(range(args.seeds)),
         duration=args.duration,
-        segment_scale=args.scale,
     )
     print(render_table(
         "Fig. 7(b): objects downloaded within the trace",
@@ -865,7 +877,6 @@ def main(argv=None) -> int:
     sweep.add_argument("--panel", choices=list("abcdef"), required=True)
     sweep.add_argument("--file-mb", type=float, default=32.0)
     sweep.add_argument("--seeds", type=int, default=1)
-    sweep.add_argument("--scale", type=int, default=1)
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes (results stay byte-identical "
                             "to --jobs 1)")
@@ -1046,13 +1057,11 @@ def main(argv=None) -> int:
     handoff = sub.add_parser("handoff", help="handoff-policy comparison")
     handoff.add_argument("--file-mb", type=float, default=48.0)
     handoff.add_argument("--seeds", type=int, default=1)
-    handoff.add_argument("--scale", type=int, default=2)
     handoff.set_defaults(fn=cmd_handoff)
 
     traces = sub.add_parser("traces", help="trace-driven experiment")
     traces.add_argument("--duration", type=float, default=300.0)
     traces.add_argument("--seeds", type=int, default=1)
-    traces.add_argument("--scale", type=int, default=2)
     traces.set_defaults(fn=cmd_traces)
 
     args = parser.parse_args(argv)

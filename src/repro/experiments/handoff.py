@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.handoff import ChunkAwarePolicy, RssGreedyPolicy
+from repro.experiments.parallel import SweepTask, run_tasks
 from repro.experiments.params import MicrobenchParams
-from repro.experiments.runner import run_download
 from repro.mobility.coverage import overlapping_coverage
 from repro.util import MB
 
@@ -42,42 +42,37 @@ def run_comparison(
     encounter_time: float = 12.0,
     overlap_time: float = 3.0,
     seeds: Sequence[int] = (0, 1, 2),
-    segment_scale: int = 1,
+    jobs: int = 1,
 ) -> HandoffComparison:
-    """Run both policies on the same overlapping-coverage pattern."""
+    """Run both policies on the same overlapping-coverage pattern.
+
+    ``jobs`` fans the seed × policy runs over worker processes
+    (:func:`~repro.experiments.parallel.run_tasks`; same result).
+    """
     params = MicrobenchParams(
         file_size=file_size, encounter_time=encounter_time
     )
-    default_times, aware_times = [], []
-    default_handoffs, aware_handoffs = [], []
-    for seed in seeds:
-        coverage = overlapping_coverage(
-            ["ap-A", "ap-B"],
-            encounter_time=encounter_time,
-            overlap_time=overlap_time,
-            total_time=24 * 3600.0,
-        )
-        default = run_download(
-            "softstage", params=params, seed=seed, coverage=coverage,
-            handoff_policy=RssGreedyPolicy(), segment_scale=segment_scale,
-        )
-        coverage = overlapping_coverage(
-            ["ap-A", "ap-B"],
-            encounter_time=encounter_time,
-            overlap_time=overlap_time,
-            total_time=24 * 3600.0,
-        )
-        aware = run_download(
-            "softstage", params=params, seed=seed, coverage=coverage,
-            handoff_policy=ChunkAwarePolicy(), segment_scale=segment_scale,
-        )
-        default_times.append(default.download_time)
-        aware_times.append(aware.download_time)
-        default_handoffs.append(default.download.handoffs)
-        aware_handoffs.append(aware.download.handoffs)
+    coverage = overlapping_coverage(
+        ["ap-A", "ap-B"],
+        encounter_time=encounter_time,
+        overlap_time=overlap_time,
+        total_time=24 * 3600.0,
+    )
+    summaries = run_tasks(
+        [
+            SweepTask(
+                "softstage", params, seed,
+                coverage=coverage, handoff_policy=policy,
+            )
+            for seed in seeds
+            for policy in (RssGreedyPolicy(), ChunkAwarePolicy())
+        ],
+        jobs=jobs,
+    )
+    default, aware = summaries[0::2], summaries[1::2]
     return HandoffComparison(
-        default_time=statistics.mean(default_times),
-        content_aware_time=statistics.mean(aware_times),
-        default_handoffs=statistics.mean(default_handoffs),
-        content_aware_handoffs=statistics.mean(aware_handoffs),
+        default_time=statistics.mean(s.download_time for s in default),
+        content_aware_time=statistics.mean(s.download_time for s in aware),
+        default_handoffs=statistics.mean(s.handoffs for s in default),
+        content_aware_handoffs=statistics.mean(s.handoffs for s in aware),
     )

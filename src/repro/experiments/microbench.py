@@ -11,26 +11,22 @@ from __future__ import annotations
 import os
 import statistics
 from dataclasses import dataclass, replace
-from typing import IO, Callable, Optional, Sequence
+from typing import IO, Optional, Sequence
 
+from repro.experiments.parallel import SweepTask, run_tasks
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.report import GainSeries
-from repro.experiments.runner import run_download
+from repro.obs.wide import run_id_for
 from repro.util import MB, mbps, ms
 
 
 @dataclass(frozen=True)
 class BenchProfile:
-    """How heavy a bench run should be.
-
-    The paper downloads 64 MB per run; the default profile keeps that.
-    ``REPRO_BENCH_QUICK=1`` switches to a light profile for smoke runs,
-    and ``REPRO_BENCH_SEEDS=n`` overrides the seed count.
-    """
+    """How heavy a bench run should be (defaults: the paper's 64 MB,
+    three seeds; :meth:`from_env` picks what the bench suite runs)."""
 
     file_size: int = 64 * MB
     seeds: tuple[int, ...] = (0, 1, 2)
-    segment_scale: int = 1
     #: Open file object every run's JSONL trace is appended to (one
     #: multi-run trace; run ids ``"{point}/{system}-seed{n}"`` keep
     #: the runs apart).  ``None`` leaves runs uninstrumented.
@@ -45,51 +41,30 @@ class BenchProfile:
 
     @classmethod
     def from_env(cls) -> "BenchProfile":
+        """The profile the ``REPRO_BENCH_*`` environment selects.
+
+        Default: 32 MB, seeds (0, 1) — half the paper's size keeps the
+        suite under an hour without changing a trend (gains are time
+        ratios).  ``REPRO_BENCH_QUICK=1``: 16 MB, one seed (~minutes);
+        ``REPRO_BENCH_PAPER=1``: the paper's 64 MB, three seeds.
+        ``REPRO_BENCH_SEEDS=n`` / ``REPRO_BENCH_JOBS=n`` then override
+        the seed count / worker processes.
+        """
         if os.environ.get("REPRO_BENCH_QUICK"):
-            profile = cls(file_size=16 * MB, seeds=(0,), segment_scale=2)
-        else:
+            profile = cls(file_size=16 * MB, seeds=(0,))
+        elif os.environ.get("REPRO_BENCH_PAPER"):
             profile = cls()
+        else:
+            profile = cls(file_size=32 * MB, seeds=(0, 1))
         seeds_override = os.environ.get("REPRO_BENCH_SEEDS")
         if seeds_override:
-            profile = cls(
-                file_size=profile.file_size,
-                seeds=tuple(range(int(seeds_override))),
-                segment_scale=profile.segment_scale,
+            profile = replace(
+                profile, seeds=tuple(range(int(seeds_override)))
             )
         jobs_override = os.environ.get("REPRO_BENCH_JOBS")
         if jobs_override:
             profile = replace(profile, jobs=max(int(jobs_override), 1))
         return profile
-
-
-def measure_point(
-    params: MicrobenchParams,
-    profile: BenchProfile,
-    handoff_policy_factory: Optional[Callable] = None,
-    run_prefix: str = "",
-) -> tuple[float, float]:
-    """(mean Xftp time, mean SoftStage time) at one parameter point."""
-    params = params.with_(file_size=profile.file_size)
-    trace = profile.trace_sink
-    staging = profile.policy
-    softstage_id = f"softstage-{staging}" if staging else "softstage"
-    xftp_times, softstage_times = [], []
-    for seed in profile.seeds:
-        xftp = run_download(
-            "xftp", params=params, seed=seed,
-            segment_scale=profile.segment_scale,
-            trace_path=trace, run_id=f"{run_prefix}xftp-seed{seed}",
-        )
-        policy = handoff_policy_factory() if handoff_policy_factory else None
-        softstage = run_download(
-            "softstage", params=params, seed=seed,
-            segment_scale=profile.segment_scale, handoff_policy=policy,
-            trace_path=trace, run_id=f"{run_prefix}{softstage_id}-seed{seed}",
-            policy=staging or None,
-        )
-        xftp_times.append(xftp.download_time)
-        softstage_times.append(softstage.download_time)
-    return statistics.mean(xftp_times), statistics.mean(softstage_times)
 
 
 def _sweep(
@@ -98,64 +73,39 @@ def _sweep(
     points: Sequence[tuple[str, MicrobenchParams, Optional[float]]],
     profile: Optional[BenchProfile] = None,
 ) -> GainSeries:
-    profile = profile or BenchProfile.from_env()
-    if profile.jobs > 1 and profile.trace_sink is None:
-        return _sweep_parallel(title, parameter, points, profile)
-    series = GainSeries(title=title, parameter=parameter)
-    for label, params, paper_gain in points:
-        prefix = f"{label.replace(' ', '')}/" if profile.trace_sink else ""
-        xftp_time, softstage_time = measure_point(
-            params, profile, run_prefix=prefix
-        )
-        series.add(label, xftp_time, softstage_time, paper_gain)
-    return series
+    """Run every point × seed × system through the task runner.
 
-
-def _sweep_parallel(
-    title: str,
-    parameter: str,
-    points: Sequence[tuple[str, MicrobenchParams, Optional[float]]],
-    profile: BenchProfile,
-) -> GainSeries:
-    """The same sweep, fanned over a worker pool.
-
-    Builds the whole point×seed×system run list in the exact order the
-    sequential loop would execute it, runs it through
-    :func:`repro.experiments.parallel.run_tasks` (which preserves
-    order), and aggregates per point — so the resulting series is
-    byte-identical to the sequential one.
+    :func:`~repro.experiments.parallel.run_tasks` returns summaries in
+    task order whatever ``profile.jobs`` is, so the series is
+    byte-identical sequential or fanned out.
     """
-    from repro.experiments.parallel import SweepTask, run_tasks
-
-    tasks = []
-    for _label, params, _paper_gain in points:
-        point_params = params.with_(file_size=profile.file_size)
-        for seed in profile.seeds:
-            for system in ("xftp", "softstage"):
-                tasks.append(
-                    SweepTask(
-                        system=system,
-                        params=point_params,
-                        seed=seed,
-                        segment_scale=profile.segment_scale,
-                        policy=(
-                            profile.policy or None
-                            if system == "softstage"
-                            else None
-                        ),
-                    )
-                )
-    summaries = iter(run_tasks(tasks, jobs=profile.jobs))
+    profile = profile or BenchProfile.from_env()
+    systems = (("xftp", None), ("softstage", profile.policy or None))
+    tasks = [
+        SweepTask(
+            system=system,
+            params=params.with_(file_size=profile.file_size),
+            seed=seed,
+            policy=policy,
+            run_id=(
+                f"{label.replace(' ', '')}/"
+                f"{run_id_for(system, seed, policy)}"
+            ),
+        )
+        for label, params, _paper_gain in points
+        for seed in profile.seeds
+        for system, policy in systems
+    ]
+    summaries = iter(
+        run_tasks(tasks, jobs=profile.jobs, trace_sink=profile.trace_sink)
+    )
     series = GainSeries(title=title, parameter=parameter)
     for label, _params, paper_gain in points:
-        xftp_times, softstage_times = [], []
-        for _seed in profile.seeds:
-            xftp_times.append(next(summaries).download_time)
-            softstage_times.append(next(summaries).download_time)
+        pairs = [(next(summaries), next(summaries)) for _ in profile.seeds]
         series.add(
             label,
-            statistics.mean(xftp_times),
-            statistics.mean(softstage_times),
+            statistics.mean(xftp.download_time for xftp, _ in pairs),
+            statistics.mean(soft.download_time for _, soft in pairs),
             paper_gain,
         )
     return series

@@ -9,8 +9,8 @@ Determinism is the contract: a parallel sweep must be **byte-identical**
 to the sequential one.  Three properties deliver that:
 
 - every run is fully described by a picklable, frozen
-  :class:`SweepTask` (parameters + seed + system), and workers build
-  their simulators from scratch — no shared state;
+  :class:`SweepTask` (the ``run_download`` inputs the drivers vary),
+  and workers build their simulators from scratch — no shared state;
 - :meth:`~concurrent.futures.Executor.map` yields results in task
   order regardless of completion order, so downstream aggregation
   sees the same sequence as a sequential loop;
@@ -28,13 +28,15 @@ in either mode.
 
 from __future__ import annotations
 
-import statistics
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
+from repro.core.handoff import HandoffPolicy
 from repro.experiments.params import MicrobenchParams
+from repro.mobility.coverage import Coverage
+from repro.obs.wide import run_id_for
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class SweepTask:
     system: str
     params: MicrobenchParams
     seed: int
-    segment_scale: int = 1
     #: Staging-policy registry name ("" / None = system default).
     #: A name rather than a policy object keeps the task picklable.
     policy: Optional[str] = None
@@ -52,11 +53,15 @@ class SweepTask:
     #: (:mod:`repro.obs.sketch`); they come back serialized on the
     #: summary and merge across the whole sweep.
     sketches: bool = False
-
-    def label(self) -> str:
-        if self.policy:
-            return f"{self.system}-{self.policy}-seed{self.seed}"
-        return f"{self.system}-seed{self.seed}"
+    #: Connectivity timeline (``None`` = Fig. 6's alternating pattern).
+    #: Only read during a run, so a driver's tasks may share one.
+    coverage: Optional[Coverage] = None
+    #: Stop the download at this simulated time (Fig. 7 drives).
+    deadline: Optional[float] = None
+    #: SoftStage client's handoff policy (``None`` = RSS-greedy).
+    handoff_policy: Optional[HandoffPolicy] = None
+    #: Trace-event identity (``None`` = the runner's default).
+    run_id: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -90,17 +95,11 @@ class RunSummary:
     def as_record(self) -> tuple[str, dict]:
         """``(run_id, metrics)`` in run-registry shape.
 
-        The same identity scheme as :func:`repro.experiments.runner.
-        run_download` (``{system}-seed{seed}``, with the policy name
-        infixed when one was set), so sweep records and instrumented
-        single runs diff against each other.
+        The runner's default identity
+        (:func:`~repro.obs.wide.run_id_for`), so sweep records and
+        instrumented single runs diff against each other.
         """
-        run_id = (
-            f"{self.system}-{self.policy}-seed{self.seed}"
-            if self.policy
-            else f"{self.system}-seed{self.seed}"
-        )
-        return run_id, {
+        return run_id_for(self.system, self.seed, self.policy), {
             "download_time": self.download_time,
             "bytes_received": self.bytes_received,
             "chunks_completed": self.chunks_completed,
@@ -112,8 +111,13 @@ class RunSummary:
         }
 
 
-def execute_task(task: SweepTask) -> RunSummary:
-    """Run one task to completion (module-level: pool workers import it)."""
+def execute_task(
+    task: SweepTask, trace_sink: Optional[IO[str]] = None
+) -> RunSummary:
+    """Run one task to completion (module-level: pool workers import it).
+
+    ``trace_sink``: open file the run appends its JSONL trace to.
+    """
     from repro.experiments.runner import run_download
 
     started = time.perf_counter()
@@ -121,7 +125,11 @@ def execute_task(task: SweepTask) -> RunSummary:
         task.system,
         params=task.params,
         seed=task.seed,
-        segment_scale=task.segment_scale,
+        coverage=task.coverage,
+        deadline=task.deadline,
+        handoff_policy=task.handoff_policy,
+        trace_path=trace_sink,
+        run_id=task.run_id,
         policy=task.policy or None,
         sketches=task.sketches,
     )
@@ -169,13 +177,15 @@ def publish_summary(hub, summary: RunSummary) -> None:
 def run_tasks(
     tasks: Sequence[SweepTask],
     jobs: int = 1,
-    chunksize: int = 1,
     hub=None,
+    trace_sink: Optional[IO[str]] = None,
 ) -> list[RunSummary]:
     """Execute ``tasks``, in order, on up to ``jobs`` processes.
 
-    Results always come back in task order.  ``jobs <= 1`` (or a
-    single task) runs sequentially in-process.  A pool that cannot be
+    Results always come back in task order.  ``jobs <= 1``, a single
+    task, or a ``trace_sink`` (one open JSONL file for every run's
+    trace; workers cannot share it) runs sequentially in-process.  A
+    pool that cannot be
     brought up or dies from infrastructure failure (``OSError``,
     :class:`~concurrent.futures.BrokenExecutor`) falls back to the
     sequential path; exceptions raised *by a task* propagate in both
@@ -195,13 +205,16 @@ def run_tasks(
             summaries.append(summary)
         return summaries
 
-    if jobs <= 1 or len(tasks) < 2:
-        return _collect(execute_task(task) for task in tasks)
+    if jobs <= 1 or len(tasks) < 2 or trace_sink is not None:
+        return _collect(execute_task(task, trace_sink) for task in tasks)
     workers = min(jobs, len(tasks))
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _collect(pool.map(execute_task, tasks, chunksize=chunksize))
-    except (OSError, BrokenExecutor):
+        # Looked up here, not imported above: ``concurrent.futures``
+        # loads the process-pool machinery (multiprocessing, ~1 MB) on
+        # first use, and every driver imports this module.
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return _collect(pool.map(execute_task, tasks))
+    except (OSError, futures.BrokenExecutor):
         # Pool infrastructure failed (fork limits, dead worker...):
         # same results, one process.  Don't double-publish tasks that
         # already streamed back before the pool died.
@@ -229,15 +242,3 @@ def merge_summary_sketches(summaries: Iterable[RunSummary]) -> dict:
         if summary.sketches:
             merge_sketch_sets(merged, load_sketches(summary.sketches))
     return serialize_sketches(merged)
-
-
-def mean_times(
-    summaries: Iterable[RunSummary],
-) -> tuple[Optional[float], Optional[float]]:
-    """(mean xftp, mean softstage) download time over ``summaries``."""
-    xftp = [s.download_time for s in summaries if s.system == "xftp"]
-    soft = [s.download_time for s in summaries if s.system == "softstage"]
-    return (
-        statistics.mean(xftp) if xftp else None,
-        statistics.mean(soft) if soft else None,
-    )

@@ -55,19 +55,6 @@ class GainSeries:
         return "\n".join(lines)
 
 
-def render_metrics(
-    report: dict[str, object],
-    title: str = "Instrumentation metrics",
-) -> str:
-    """Render a :meth:`MetricsCollector.report` snapshot as a table.
-
-    Rows are sorted by metric name so the rendering is deterministic
-    across live and replayed collectors.
-    """
-    rows = [(name, float(report[name])) for name in sorted(report)]
-    return render_table(title, ("metric", "value"), rows)
-
-
 def render_spans(spans, title: str = "Span summary") -> str:
     """Render a span list as the canonical per-kind summary table.
 

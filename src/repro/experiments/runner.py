@@ -32,7 +32,7 @@ from repro.obs.sketch import SketchRecorder
 from repro.obs.spans import Span
 from repro.obs.stream import GaugeFeed, TelemetryHub
 from repro.obs.trace import TraceExporter
-from repro.obs.wide import WideEventBuilder, WideEventWriter
+from repro.obs.wide import WideEventBuilder, WideEventWriter, run_id_for
 from repro.sim.profiler import SimProfiler
 
 
@@ -93,7 +93,6 @@ def run_download(
     handoff_policy: Optional[HandoffPolicy] = None,
     with_vnf: bool = True,
     num_edges: int = 2,
-    segment_scale: int = 1,
     instrument: bool = False,
     trace_path: Optional[Union[str, IO[str]]] = None,
     spans: bool = False,
@@ -111,9 +110,7 @@ def run_download(
 
     ``system`` is ``"softstage"``, ``"xftp"`` or ``"endtoend"`` (the
     host-based single-stream baseline, which forces single-chunk
-    publishing).  ``segment_scale`` > 1 runs the transport in
-    coarse-grained segment mode (see
-    :meth:`repro.transport.config.TransportConfig.scaled`).
+    publishing).
 
     ``policy`` (softstage only) selects the staging policy: a registry
     name (``"reactive"``, ``"rich"``, ``"mobility"``, ``"predictive"``)
@@ -167,8 +164,6 @@ def run_download(
     in the same file (or from different invocations) can be told
     apart and diffed.
     """
-    from repro.transport.config import XIA_CHUNK
-
     if policy is not None and system != "softstage":
         raise ConfigurationError(
             f"staging policies only apply to the softstage system, not {system!r}"
@@ -184,7 +179,6 @@ def run_download(
         num_edges=num_edges,
         coverage=coverage,
         with_vnf=with_vnf,
-        transport_config=XIA_CHUNK.scaled(segment_scale),
     )
     staging_policy: Optional[StagingPolicy] = None
     if isinstance(policy, str):
@@ -195,9 +189,7 @@ def run_download(
         staging_policy = policy
     pname = policy_name(staging_policy)
     if run_id is None:
-        run_id = (
-            f"{system}-{pname}-seed{seed}" if pname else f"{system}-seed{seed}"
-        )
+        run_id = run_id_for(system, seed, pname)
     scenario.sim.probe.run_id = run_id
     bus = scenario.sim.probe.bus
     #: How to undo each attachment made below; run in reverse in

@@ -14,12 +14,12 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.experiments.parallel import SweepTask, run_tasks
 from repro.experiments.params import MicrobenchParams
-from repro.experiments.runner import run_download
 from repro.mobility.traces import ConnectivityTrace
 from repro.mobility.wardriving import WardrivingSynthesizer
 from repro.sim import RandomStreams
-from repro.util import MB
+from repro.util import MB, ms
 
 #: Paper's Fig. 7(b): SoftStage downloads ~2x the objects.
 PAPER_OBJECT_RATIO = 2.0
@@ -56,7 +56,7 @@ def run_trace(
     trace: ConnectivityTrace,
     seeds: Sequence[int] = (0, 1, 2),
     chunk_size: int = 2 * MB,
-    segment_scale: int = 1,
+    jobs: int = 1,
 ) -> TraceResult:
     """Run both systems against one connectivity trace.
 
@@ -67,38 +67,36 @@ def run_trace(
     real content servers across a metropolitan operator network, so the
     Internet RTT here is a realistic 50 ms rather than the testbed's
     idealized 20 ms default.
-    """
-    from repro.util import ms
 
+    ``jobs`` fans the seed × system runs over worker processes
+    (:func:`~repro.experiments.parallel.run_tasks`; same result).
+    """
     file_size = 512 * MB  # effectively unbounded within the trace
     params = MicrobenchParams(
         file_size=file_size, chunk_size=chunk_size, internet_latency=ms(50)
     )
-    deadline = trace.duration
-    xftp_chunks, softstage_chunks = [], []
-    xftp_bytes, softstage_bytes = [], []
-    for seed in seeds:
-        coverage = trace.to_coverage(["ap-A", "ap-B"])
-        xftp = run_download(
-            "xftp", params=params, seed=seed, coverage=coverage,
-            deadline=deadline, segment_scale=segment_scale,
-        )
-        coverage = trace.to_coverage(["ap-A", "ap-B"])
-        softstage = run_download(
-            "softstage", params=params, seed=seed, coverage=coverage,
-            deadline=deadline, segment_scale=segment_scale,
-        )
-        xftp_chunks.append(xftp.download.chunks_completed)
-        softstage_chunks.append(softstage.download.chunks_completed)
-        xftp_bytes.append(xftp.download.bytes_received)
-        softstage_bytes.append(softstage.download.bytes_received)
+    coverage = trace.to_coverage(["ap-A", "ap-B"])
+    summaries = run_tasks(
+        [
+            SweepTask(
+                system, params, seed,
+                coverage=coverage, deadline=trace.duration,
+            )
+            for seed in seeds
+            for system in ("xftp", "softstage")
+        ],
+        jobs=jobs,
+    )
+    xftp, softstage = summaries[0::2], summaries[1::2]
     return TraceResult(
         trace_name=trace_name,
         coverage_fraction=trace.coverage_fraction,
-        xftp_chunks=statistics.mean(xftp_chunks),
-        softstage_chunks=statistics.mean(softstage_chunks),
-        xftp_bytes=statistics.mean(xftp_bytes),
-        softstage_bytes=statistics.mean(softstage_bytes),
+        xftp_chunks=statistics.mean(s.chunks_completed for s in xftp),
+        softstage_chunks=statistics.mean(
+            s.chunks_completed for s in softstage
+        ),
+        xftp_bytes=statistics.mean(s.bytes_received for s in xftp),
+        softstage_bytes=statistics.mean(s.bytes_received for s in softstage),
     )
 
 
@@ -106,9 +104,9 @@ def run_all(
     seeds: Sequence[int] = (0, 1, 2),
     trace_seed: int = 7,
     duration: float = 300.0,
-    segment_scale: int = 1,
+    jobs: int = 1,
 ) -> list[TraceResult]:
     return [
-        run_trace(name, trace, seeds=seeds, segment_scale=segment_scale)
+        run_trace(name, trace, seeds=seeds, jobs=jobs)
         for name, trace in synthesize_traces(trace_seed, duration).items()
     ]

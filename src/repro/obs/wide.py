@@ -73,6 +73,18 @@ def wide_json(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"), sort_keys=True)
 
 
+def run_id_for(system: str, seed: int, policy: Optional[str] = None) -> str:
+    """The run identity ``{system}[-{policy}]-seed{N}``.
+
+    The one place the scheme is written down: the runner's default id,
+    a sweep summary's registry key and a traced sweep's per-point ids
+    all come from here, and :func:`policy_from_run_id` inverts it.
+    """
+    if policy:
+        return f"{system}-{policy}-seed{seed}"
+    return f"{system}-seed{seed}"
+
+
 def policy_from_run_id(run_id: str) -> str:
     """The policy name embedded in a ``{system}[-{policy}]-seed{N}`` id.
 

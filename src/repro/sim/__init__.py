@@ -28,7 +28,6 @@ from repro.sim.core import (
 )
 from repro.sim.process import Interrupt, Process
 from repro.sim.primitives import AllOf, AnyOf, Condition, Timeout
-from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RandomStreams
 from repro.sim.monitor import Monitor, TimeSeries
 from repro.sim.profiler import SimProfiler
@@ -37,18 +36,15 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
     "Event",
     "Interrupt",
     "Monitor",
     "Process",
     "RandomStreams",
-    "Resource",
     "SimProfiler",
     "Simulator",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "TimeSeries",
     "Timeout",
 ]

@@ -81,28 +81,6 @@ class TransportConfig:
         """A modified copy (keyword arguments as for ``dataclasses.replace``)."""
         return replace(self, **changes)
 
-    def scaled(self, factor: int) -> "TransportConfig":
-        """A coarse-grained copy: segments ``factor`` times bigger.
-
-        Scales every per-segment quantity (payload, headers, endpoint
-        cost) together, so link efficiency, the CPU throughput cap and
-        airtime per byte are preserved while the simulation pushes
-        ``factor`` times fewer packets.  Used by the big benchmark
-        sweeps; the Fig. 5 calibration bench always runs at scale 1,
-        and an ablation bench checks scale invariance.
-        """
-        if factor < 1 or int(factor) != factor:
-            raise ConfigurationError(f"scale factor must be a positive int, got {factor}")
-        if factor == 1:
-            return self
-        return self.with_(
-            name=f"{self.name}-x{factor}",
-            mss_bytes=self.mss_bytes * factor,
-            header_bytes=self.header_bytes * factor,
-            ack_bytes=self.ack_bytes * factor,
-            per_packet_cost=self.per_packet_cost * factor,
-        )
-
 
 #: Native Linux TCP over Ethernet: 1460B payload in 1514B frames,
 #: delayed ACKs, kernel-level per-packet cost.

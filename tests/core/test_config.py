@@ -45,27 +45,6 @@ def test_transport_with_copies():
     assert varied.header_bytes == XIA_STREAM.header_bytes
 
 
-def test_transport_scaled_preserves_ratios():
-    scaled = XIA_CHUNK.scaled(4)
-    assert scaled.mss_bytes == XIA_CHUNK.mss_bytes * 4
-    assert scaled.segment_bytes == XIA_CHUNK.segment_bytes * 4
-    # Efficiency and CPU throughput cap preserved.
-    assert scaled.mss_bytes / scaled.segment_bytes == pytest.approx(
-        XIA_CHUNK.mss_bytes / XIA_CHUNK.segment_bytes
-    )
-    assert scaled.mss_bytes / scaled.per_packet_cost == pytest.approx(
-        XIA_CHUNK.mss_bytes / XIA_CHUNK.per_packet_cost
-    )
-
-
-def test_transport_scaled_validation_and_identity():
-    assert XIA_CHUNK.scaled(1) is XIA_CHUNK
-    with pytest.raises(ConfigurationError):
-        XIA_CHUNK.scaled(0)
-    with pytest.raises(ConfigurationError):
-        XIA_CHUNK.scaled(1.5)
-
-
 def test_presets_are_distinct():
     assert XIA_CHUNK.verify_rate != float("inf")
     assert XIA_STREAM.verify_rate == float("inf")

@@ -5,6 +5,15 @@ import pytest
 from repro.__main__ import main
 
 
+def _child_env():
+    """The environment for a ``python -m repro`` child process."""
+    import os
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def test_cli_requires_command(capsys):
     with pytest.raises(SystemExit):
         main([])
@@ -41,6 +50,63 @@ def test_cli_demo_trace_and_spans(tmp_path, capsys):
 
     run_ids = {s.run_id for s in read_trace(str(trace))}
     assert run_ids == {"xftp-seed0", "softstage-seed0"}
+
+
+#: sha1 of ``repro sweep --panel b --file-mb 2 --seeds 2``'s printed
+#: series and of its ``--trace`` JSONL, captured at 7d9c532 (the commit
+#: before the sweep's sequential loop and worker-pool path became one).
+SWEEP_SERIES_SHA1 = "1e4a11b8ad9a8aba4047260f26051ec54cb98eb4"
+SWEEP_TRACE_SHA1 = "384d7e9c2c3f437f87ec6c95b413f559e3ce28f2"
+
+
+def test_cli_sweep_trace_and_series_are_pinned_for_any_jobs(tmp_path):
+    import hashlib
+    import subprocess
+    import sys
+
+    from repro.obs import read_trace
+
+    def sweep(*extra):
+        # A fresh interpreter per sweep: trace events carry transport
+        # session ids drawn from a process-wide counter.
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--panel", "b",
+             "--file-mb", "2", "--seeds", "2", *extra],
+            check=True, capture_output=True, text=True, env=_child_env(),
+        ).stdout
+
+    trace = tmp_path / "sweep.jsonl"
+    traced = sweep("--trace", str(trace))
+    fanned = sweep("--jobs", "2")
+    assert hashlib.sha1(fanned.encode()).hexdigest() == SWEEP_SERIES_SHA1
+    assert traced == f"{fanned}\ntrace written to {trace}\n"
+    assert hashlib.sha1(trace.read_bytes()).hexdigest() == SWEEP_TRACE_SHA1
+    run_ids = {s.run_id for s in read_trace(str(trace))}
+    assert run_ids == {
+        f"{point}/{system}-seed{seed}"
+        for point in ("3s", "4s", "12s")
+        for system in ("xftp", "softstage")
+        for seed in (0, 1)
+    }
+
+
+def test_cli_traces_runs_the_simulator_the_goldens_pin(capsys):
+    """``repro traces`` and ``test_golden_figures`` are one simulator.
+
+    Chunk counts captured at 7d9c532 with ``--scale 1``; the trace-2
+    row is ``GOLDEN_DRIVE``'s seed-0 drive (synthesis seed 7) run to
+    the end of the trace instead of its first 30 s.
+    """
+    assert main(["traces", "--seeds", "1", "--duration", "100"]) == 0
+    rows = {
+        cells[0]: (int(cells[2]), int(cells[3]))
+        for cells in (
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("trace-")
+        )
+    }
+    assert rows == {"trace-1": (10, 28), "trace-2": (7, 20)}
 
 
 def test_cli_trace_subcommands_end_to_end(tmp_path, capsys):
@@ -273,18 +339,20 @@ def test_cli_runs_why_errors_cleanly_without_wide_events(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _spawn_serve(tmp_path, *extra):
-    import os
+def _spawn_serve(tmp_path, *extra, prelude=""):
+    """``repro serve`` in a child; ``prelude`` is code it runs first."""
     import subprocess
     import sys
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    launch = ["-m", "repro"] if not prelude else [
+        "-c", prelude + "\nimport sys\nfrom repro.__main__ import main\n"
+                        "sys.exit(main(sys.argv[1:]))",
+    ]
     return subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+        [sys.executable, "-u", *launch, "serve", "--port", "0",
          "--registry-dir", str(tmp_path), *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, env=env,
+        text=True, env=_child_env(),
     )
 
 
@@ -326,13 +394,43 @@ def test_cli_serve_shuts_down_cleanly_on_signal(tmp_path, signame):
     assert "Traceback" not in err
 
 
+#: Keeps socketserver's accept loop inside ``process_request`` after the
+#: handler thread is already streaming.  An interrupt raised in there
+#: makes socketserver shut that request's socket; under CPU load the
+#: window is wide enough on its own (the old ~1/8 flake).
+_SLOW_DISPATCH = """
+import socketserver, time
+_dispatch = socketserver.ThreadingMixIn.process_request
+def _slow(self, request, client_address):
+    _dispatch(self, request, client_address)
+    time.sleep(0.5)
+socketserver.ThreadingMixIn.process_request = _slow
+"""
+
+
 def test_cli_serve_demo_signal_closes_the_live_stream(tmp_path):
     """SIGTERM mid-demo: /live subscribers get the SSE end frame."""
+    _assert_signal_ends_the_live_stream(tmp_path)
+
+
+def test_cli_serve_signal_during_request_dispatch_spares_the_stream(tmp_path):
+    """The signal never lands in the accept loop, so it cannot close a
+    /live request that loop is still dispatching."""
+    # A demo long enough to still be running once the held-up accept
+    # loop gets to the /live request.
+    _assert_signal_ends_the_live_stream(
+        tmp_path, file_mb="32", prelude=_SLOW_DISPATCH
+    )
+
+
+def _assert_signal_ends_the_live_stream(tmp_path, file_mb="2", prelude=""):
     import signal
     import threading
     import urllib.request
 
-    proc = _spawn_serve(tmp_path, "--demo", "--file-mb", "2")
+    proc = _spawn_serve(
+        tmp_path, "--demo", "--file-mb", file_mb, prelude=prelude
+    )
     try:
         url = _wait_until_serving(proc)
         connected = threading.Event()

@@ -16,7 +16,7 @@ from repro.experiments.params import MicrobenchParams
 from repro.util import MB
 
 #: Small enough to run in seconds, real enough to exercise the stack.
-QUICK = BenchProfile(file_size=MB, seeds=(0, 1), segment_scale=8)
+QUICK = BenchProfile(file_size=MB, seeds=(0, 1))
 
 
 def quick_task(system="softstage", seed=0):
@@ -24,7 +24,6 @@ def quick_task(system="softstage", seed=0):
         system=system,
         params=MicrobenchParams(file_size=QUICK.file_size),
         seed=seed,
-        segment_scale=QUICK.segment_scale,
     )
 
 
@@ -63,12 +62,25 @@ def test_sweep_jobs_produces_byte_identical_series():
         BenchProfile(
             file_size=QUICK.file_size,
             seeds=QUICK.seeds,
-            segment_scale=QUICK.segment_scale,
             jobs=4,
         )
     )
     assert fanned == sequential
     assert fanned.render() == sequential.render()
+
+
+def test_trace_and_handoff_drivers_are_identical_for_any_jobs():
+    """Fig. 7 and §IV-D ride the same task runner as the sweeps."""
+    from repro.experiments.handoff import run_comparison
+    from repro.experiments.tracedriven import run_all
+
+    drive = dict(seeds=(0,), duration=30.0)
+    assert run_all(**drive, jobs=2) == run_all(**drive, jobs=1)
+    # 8 MB is the smallest download on which the two policies part.
+    handoff = dict(file_size=8 * MB, seeds=(0,))
+    fanned = run_comparison(**handoff, jobs=2)
+    assert fanned == run_comparison(**handoff, jobs=1)
+    assert fanned.content_aware_time < fanned.default_time
 
 
 def test_broken_pool_falls_back_to_sequential(monkeypatch):
@@ -78,7 +90,7 @@ def test_broken_pool_falls_back_to_sequential(monkeypatch):
         def __init__(self, *args, **kwargs):
             raise OSError("no processes for you")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", ExplodingPool)
+    monkeypatch.setattr(parallel.futures, "ProcessPoolExecutor", ExplodingPool)
     tasks = [quick_task(seed=0), quick_task(seed=1)]
     assert run_tasks(tasks, jobs=4) == [execute_task(t) for t in tasks]
 
@@ -97,7 +109,7 @@ def test_broken_executor_mid_flight_falls_back(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             raise concurrent.futures.BrokenExecutor("worker died")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", DyingPool)
+    monkeypatch.setattr(parallel.futures, "ProcessPoolExecutor", DyingPool)
     tasks = [quick_task(seed=0), quick_task(seed=1)]
     assert run_tasks(tasks, jobs=2) == [execute_task(t) for t in tasks]
 
@@ -107,7 +119,6 @@ def test_task_errors_propagate_not_swallowed():
         system="no-such-system",
         params=MicrobenchParams(file_size=MB),
         seed=0,
-        segment_scale=8,
     )
     with pytest.raises(Exception, match="no-such-system"):
         run_tasks([bad, bad], jobs=1)
@@ -117,7 +128,7 @@ def test_single_task_and_jobs_one_skip_the_pool(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("pool must not be constructed")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(parallel.futures, "ProcessPoolExecutor", forbidden)
     assert run_tasks([quick_task()], jobs=8)[0].bytes_received == MB
     two = [quick_task(seed=0), quick_task(seed=1)]
     assert len(run_tasks(two, jobs=1)) == 2
@@ -168,7 +179,6 @@ def test_mid_stream_task_error_forwards_prefix_then_propagates():
         system="no-such-system",
         params=MicrobenchParams(file_size=MB),
         seed=0,
-        segment_scale=8,
     )
     try:
         with pytest.raises(Exception, match="no-such-system"):
@@ -201,7 +211,7 @@ def test_pool_death_mid_stream_does_not_double_publish(monkeypatch):
             yield fn(tasks[0])
             raise concurrent.futures.BrokenExecutor("worker died")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", HalfDeadPool)
+    monkeypatch.setattr(parallel.futures, "ProcessPoolExecutor", HalfDeadPool)
     hub = TelemetryHub()
     sub = hub.subscribe(maxsize=64)
     try:
@@ -230,7 +240,6 @@ def test_sketches_ride_the_summary_and_merge_across_tasks():
             system="softstage",
             params=MicrobenchParams(file_size=QUICK.file_size),
             seed=seed,
-            segment_scale=QUICK.segment_scale,
             sketches=True,
         )
         for seed in (0, 1)

@@ -19,6 +19,7 @@ from repro.obs.wide import (
     derive_wide,
     policy_from_run_id,
     read_wide,
+    run_id_for,
     wide_json,
 )
 from repro.util import MB
@@ -103,6 +104,19 @@ def test_policy_from_run_id():
     )
     assert policy_from_run_id("whatever") == ""
     assert policy_from_run_id("") == ""
+
+
+def test_run_id_round_trips_for_every_registered_policy():
+    from repro.core.policy import available_policies
+
+    assert run_id_for("xftp", 3) == "xftp-seed3"
+    assert run_id_for("softstage", 0, "rich") == "softstage-rich-seed0"
+    for policy in ("", *available_policies()):
+        for seed in (0, 12):
+            run_id = run_id_for("softstage", seed, policy)
+            assert policy_from_run_id(run_id) == policy
+            # A traced sweep's per-point prefix does not hide it either.
+            assert policy_from_run_id(f"12s/{run_id}") == policy
 
 
 def test_policy_stamped_on_every_record():
