@@ -1,0 +1,287 @@
+"""Observability write-path ledger: what each bus attachment costs per event.
+
+Records the stamped event stream of one fixed-seed Xftp + SoftStage
+pair with the flight recorder on (the event mix ``obs_live`` publishes:
+mostly ``LinkRetransmission`` and ``GaugeSample``), then replays exactly
+that stream, run by run, through fresh attachments wired the way
+``run_download`` wires them: a no-op wildcard (the bus's own cost),
+each attachment alone, and all six together — the hub with one
+draining thread, as ``benchmarks/e2e/workloads.lattice`` runs it.
+
+Per row it reports
+
+- ``events`` — events the row's handlers received (wildcard rows see
+  the whole stream, ``sketches`` and ``hub`` only the gauge samples);
+- ``us_per_event`` — host µs per *published* event (median of
+  ``--rounds`` replays), so rows are comparable and roughly additive;
+- ``py_calls_per_event`` — Python frames entered per published event
+  (``sys.setprofile`` ``call`` events on the publishing thread; exact on
+  any machine, which is what ``--check`` gates).
+
+Every row includes ``EventBus.publish`` itself; subtract ``noop`` for a
+handler's own share.
+
+``PYTHONPATH=src python -m benchmarks.bench_obs_writepath`` prints the
+table; ``--label`` appends it to ``BENCH_obs.json`` via
+:mod:`repro.perf`; ``--check`` fails when ``all.py_calls_per_event`` is
+above ``ALL_PY_CALLS_PER_EVENT_CEILING`` or when the exporter's bytes
+for the stream differ from the reference ``asdict`` + ``json.dumps``
+encoding the trace format is defined by.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import sys
+import tempfile
+import threading
+from collections import Counter
+from dataclasses import asdict
+from time import perf_counter
+
+from benchmarks.bench_dataplane import count_python_calls
+from repro.experiments.params import MicrobenchParams
+from repro.experiments.runner import run_download
+from repro.metrics.collector import MetricsCollector
+from repro.obs.bus import EventBus, Stamped
+from repro.obs.flight import InvariantAuditor
+from repro.obs.sketch import SketchRecorder
+from repro.obs.stream import GaugeFeed, TelemetryHub
+from repro.obs.trace import TraceExporter, read_trace
+from repro.obs.wide import WideEventBuilder, WideEventWriter
+from repro.util import MB
+
+#: The recorded pair: ``obs_live``'s inputs (Table III defaults, 32 MB).
+FILE_MB = 32
+SEED = 0
+
+#: Row → the consumers attached for it (``noop`` is a bare wildcard).
+ROWS = {
+    "noop": (),
+    "collector": ("collector",),
+    "trace": ("trace",),
+    "audit": ("audit",),
+    "fold": ("fold",),
+    "sketches": ("sketches",),
+    "hub": ("hub",),
+    "all": ("collector", "trace", "audit", "sketches", "fold", "hub"),
+}
+
+#: Rows whose only subscription is the ``GaugeSample`` topic.
+GAUGE_ONLY_ROWS = ("sketches", "hub")
+
+#: ``--check`` fails above this many Python calls per published event
+#: with the whole lattice attached.  The recorded seed-0 stream costs
+#: 10.85 since the exporter and the auditor stopped reflecting over
+#: every event and the hub's queue became a ``SimpleQueue`` (36.97
+#: before: 22.15 of them in the exporter alone); the ceiling sits ~10 %
+#: above — room for a helper on a per-chunk path, not for one more
+#: frame per event.
+ALL_PY_CALLS_PER_EVENT_CEILING = 11.9
+
+
+def reference_line(stamped: Stamped) -> str:
+    """The JSONL trace format's definition: what the exporter must write."""
+    record = {
+        "t": stamped.time,
+        "run": stamped.run_id,
+        "type": type(stamped.event).__name__,
+    }
+    record.update(asdict(stamped.event))
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def record_stream() -> list[list[Stamped]]:
+    """The pair's stamped events, one list per run, in publication order."""
+    params = MicrobenchParams(file_size=FILE_MB * MB)
+    runs = []
+    for system in ("xftp", "softstage"):
+        buffer = io.StringIO()
+        run_download(system, params=params, seed=SEED,
+                     trace_path=buffer, gauges=True)
+        buffer.seek(0)
+        runs.append(list(read_trace(buffer, strict=True)))
+    return runs
+
+
+def _noop(stamped: Stamped) -> None:
+    pass
+
+
+def _attach(consumers, bus: EventBus, run_id: str, trace_fh, wide_fh, hub):
+    """Subscribe ``consumers`` in ``run_download``'s order."""
+    if not consumers:
+        bus.subscribe_all(_noop)
+    if "collector" in consumers:
+        MetricsCollector().attach(bus)
+    if "trace" in consumers:
+        TraceExporter(trace_fh).attach(bus)
+    if "audit" in consumers:
+        InvariantAuditor(strict=True).attach(bus)
+    recorder = None
+    if "sketches" in consumers:
+        recorder = SketchRecorder().attach(bus)
+    if "fold" in consumers:
+        sinks = [[].append, WideEventWriter(wide_fh).write]
+        if recorder is not None:
+            sinks.append(recorder.feed_wide)
+        if "hub" in consumers:
+            sinks.append(lambda record: hub.publish("wide", record))
+        WideEventBuilder(run_id=run_id, sinks=sinks).attach(bus)
+    if "hub" in consumers:
+        GaugeFeed(hub).attach(bus)
+
+
+def replay(runs: list[list[Stamped]], consumers,
+           profile_calls: bool = False) -> float:
+    """Publish every run through fresh attachments; seconds spent
+    publishing (or, with ``profile_calls``, Python calls made)."""
+    hub = TelemetryHub()
+    # A tight replay outruns the drain thread's share of the GIL (a live
+    # run spreads the same samples over seconds), so the queue is sized
+    # to hold the stream: a dropped item would skip the work measured.
+    subscription = hub.subscribe(
+        maxsize=2 * sum(len(stream) for stream in runs)
+    )
+
+    def drain() -> None:
+        for _item in subscription:
+            pass
+
+    consumer = threading.Thread(target=drain, name="bench-hub-drain")
+    consumer.start()
+    total = 0.0
+    try:
+        with tempfile.TemporaryFile("w", encoding="utf-8") as trace_fh, \
+                tempfile.TemporaryFile("w", encoding="utf-8") as wide_fh:
+            for stream in runs:
+                bus = EventBus()
+                _attach(consumers, bus, stream[0].run_id, trace_fh, wide_fh,
+                        hub)
+                publish = bus.publish
+
+                def pump() -> None:
+                    for stamped in stream:
+                        publish(stamped)
+
+                if profile_calls:
+                    total += count_python_calls(pump) - 1  # pump's own frame
+                else:
+                    started = perf_counter()
+                    pump()
+                    total += perf_counter() - started
+                bus.clear()
+        dropped = hub.stats()["dropped"]
+    finally:
+        hub.close()
+        consumer.join()
+        subscription.close()
+    if dropped:
+        raise RuntimeError(f"hub subscriber dropped {dropped} items")
+    return total
+
+
+def exporter_matches_reference(runs: list[list[Stamped]]) -> bool:
+    """Whether ``TraceExporter`` writes the reference encoding, byte for byte."""
+    buffer = io.StringIO()
+    for stream in runs:
+        bus = EventBus()
+        exporter = TraceExporter(buffer).attach(bus)
+        for stamped in stream:
+            bus.publish(stamped)
+        exporter.close()
+    reference = "".join(reference_line(s) for stream in runs for s in stream)
+    return buffer.getvalue() == reference
+
+
+def measure(runs: list[list[Stamped]], rounds: int = 5) -> dict:
+    """The ledger for one recorded stream, as a flat metrics dict."""
+    events = sum(len(stream) for stream in runs)
+    mix = Counter(type(s.event).__name__ for stream in runs for s in stream)
+    metrics: dict = {"events": events, "rounds": rounds}
+    for name, count in mix.most_common():
+        metrics[f"mix.{name}"] = count
+    # Rounds outside, rows inside: the host's speed drifts over seconds,
+    # and this way a slow spell lands on every row alike.
+    seconds: dict[str, list[float]] = {row: [] for row in ROWS}
+    for _round in range(rounds + 1):  # the first one warms up
+        for row, consumers in ROWS.items():
+            seconds[row].append(replay(runs, consumers))
+    for row, consumers in ROWS.items():
+        calls = replay(runs, consumers, profile_calls=True)
+        metrics[f"{row}.events"] = (
+            mix["GaugeSample"] if row in GAUGE_ONLY_ROWS else events
+        )
+        metrics[f"{row}.us_per_event"] = (
+            statistics.median(seconds[row][1:]) / events * 1e6
+        )
+        metrics[f"{row}.py_calls_per_event"] = calls / events
+    return metrics
+
+
+def render(metrics: dict) -> str:
+    events = metrics["events"]
+    lines = [f"{events} events: " + ", ".join(
+        f"{key[4:]} {value} ({value / events:.0%})"
+        for key, value in metrics.items() if key.startswith("mix.")
+    )]
+    lines.append(f"{'row':>10} {'events':>8} {'us/event':>9} {'ms':>8} "
+                 f"{'py calls/event':>15}")
+    for row in ROWS:
+        us = metrics[f"{row}.us_per_event"]
+        lines.append(
+            f"{row:>10} {metrics[f'{row}.events']:>8} {us:>9.3f} "
+            f"{us * events / 1e3:>8.1f} "
+            f"{metrics[f'{row}.py_calls_per_event']:>15.2f}"
+        )
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    from repro import perf
+
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--label", default="",
+                        help="append the ledger to BENCH_obs.json under "
+                             "this label")
+    parser.add_argument("--check", action="store_true",
+                        help="fail on a frame-budget or trace-identity "
+                             "regression")
+    args = parser.parse_args(argv)
+
+    runs = record_stream()
+    metrics = measure(runs, rounds=args.rounds)
+    print(render(metrics))
+
+    failures = []
+    if args.check:
+        calls = metrics["all.py_calls_per_event"]
+        if calls > ALL_PY_CALLS_PER_EVENT_CEILING:
+            failures.append(
+                f"all.py_calls_per_event: {calls:.2f} is above the "
+                f"{ALL_PY_CALLS_PER_EVENT_CEILING} ceiling"
+            )
+        if not exporter_matches_reference(runs):
+            failures.append(
+                "TraceExporter's output differs from the reference "
+                "asdict + json.dumps encoding"
+            )
+
+    if args.label:
+        perf.record("obs", metrics, label=args.label)
+        print(f"\nrecorded to {perf.bench_path('obs')}")
+
+    if failures:
+        print("\nPERF REGRESSION:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,7 +32,7 @@ core       :class:`CoordinatorTick`, :class:`StagingSignalled`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 
@@ -346,3 +346,38 @@ EVENT_TYPES: dict[str, type[ObsEvent]] = {
         ProfilerSample,
     )
 }
+
+
+#: The envelope every JSONL trace line opens with, ahead of the event's
+#: own fields; an event field may not reuse one of these keys.
+ENVELOPE_KEYS = ("t", "run", "type")
+
+#: Event class -> ``(wire name, field names in wire order)``: the JSONL
+#: schema of one event, which the trace exporter compiles its line
+#: layout from and the trace reader and the auditor's evidence renderer
+#: read instead of reflecting per event.
+_SCHEMAS: dict[type, tuple[str, tuple[str, ...]]] = {}
+
+
+def event_schema(cls: type) -> tuple[str, tuple[str, ...]]:
+    """``(wire name, field names)`` of event class ``cls``.
+
+    Filled for every class in :data:`EVENT_TYPES` at import and on first
+    sight for any other event dataclass (a test-defined one, say).
+    """
+    schema = _SCHEMAS.get(cls)
+    if schema is None:
+        names = tuple(f.name for f in fields(cls))
+        clash = sorted(set(names).intersection(ENVELOPE_KEYS))
+        if clash:
+            raise TypeError(
+                f"{cls.__name__} field(s) {clash} collide with the trace "
+                f"envelope keys {ENVELOPE_KEYS}"
+            )
+        schema = _SCHEMAS[cls] = (cls.__name__, names)
+    return schema
+
+
+for _cls in EVENT_TYPES.values():
+    event_schema(_cls)
+del _cls

@@ -45,7 +45,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.obs import events as ev
 from repro.obs.bus import EventBus, Stamped
-from repro.obs.events import GaugeSample
+from repro.obs.events import GaugeSample, event_schema
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import StagingManager
@@ -189,7 +189,9 @@ class InvariantAuditor:
         self.violations: list[InvariantViolation] = []
         self.events_audited = 0
         self._bus: Optional[EventBus] = None
-        self._timeline: deque[str] = deque(maxlen=TIMELINE_SLICE)
+        #: The trailing events, kept as published (they are frozen) and
+        #: rendered by :meth:`_evidence` only when a violation needs them.
+        self._timeline: deque[Stamped] = deque(maxlen=TIMELINE_SLICE)
         #: Independent per-event-type counts (double-entry books).
         self.event_counts: Counter[str] = Counter()
         # cache-conservation books.
@@ -223,13 +225,25 @@ class InvariantAuditor:
 
     # -- violation plumbing -------------------------------------------------
 
+    def _evidence(self) -> tuple[str, ...]:
+        """The trailing events, one formatted line each (newest last)."""
+        lines = []
+        for stamped in self._timeline:
+            event = stamped.event
+            kind, names = event_schema(type(event))
+            lines.append(
+                f"t={stamped.time:.6f} {kind} "
+                + " ".join(f"{name}={getattr(event, name)!r}" for name in names)
+            )
+        return tuple(lines)
+
     def _violate(self, stamped: Stamped, invariant: str, detail: str) -> None:
         violation = InvariantViolation(
             invariant=invariant,
             time=stamped.time,
             run_id=stamped.run_id,
             detail=detail,
-            timeline=tuple(self._timeline),
+            timeline=self._evidence(),
         )
         self.violations.append(violation)
         if self.strict:
@@ -238,17 +252,10 @@ class InvariantAuditor:
     # -- the audit ----------------------------------------------------------
 
     def _on_event(self, stamped: Stamped) -> None:
-        event = stamped.event
-        kind = type(event).__name__
+        cls = type(stamped.event)
         self.events_audited += 1
-        self.event_counts[kind] += 1
-        self._timeline.append(
-            f"t={stamped.time:.6f} {kind} "
-            + " ".join(
-                f"{name}={getattr(event, name)!r}"
-                for name in getattr(event, "__dataclass_fields__", ())
-            )
-        )
+        self.event_counts[cls.__name__] += 1
+        self._timeline.append(stamped)
 
         # monotonic-time: per run id, time never goes backwards.
         last = self._last_time.get(stamped.run_id)
@@ -259,52 +266,69 @@ class InvariantAuditor:
             )
         self._last_time[stamped.run_id] = max(stamped.time, last or stamped.time)
 
-        if type(event) is ev.CacheStored:
-            balance = self._store_balance.get(event.store, 0) + event.size_bytes
-            self._store_balance[event.store] = balance
-            self._stored_cids.add(event.cid)
-        elif type(event) is ev.CacheEvicted:
-            balance = self._store_balance.get(event.store, 0) - event.size_bytes
-            self._store_balance[event.store] = balance
-            if balance < 0:
-                self._violate(
-                    stamped, "cache-conservation",
-                    f"store {event.store!r} evicted more bytes than it ever "
-                    f"stored (balance {balance})",
-                )
-        elif type(event) is ev.CacheHit:
-            self._stored_cids.add(event.cid)
-        elif type(event) is ev.StagingSignalled:
-            for cid in filter(None, event.cids.split(",")):
-                self._pending_cids.add(cid)
-        elif type(event) is ev.ChunkStaged:
-            if event.cid in self._ready_cids:
-                self._violate(
-                    stamped, "staging-state",
-                    f"chunk {event.cid} confirmed READY twice (duplicate "
-                    f"confirmations must be StaleStagingResponse)",
-                )
-            elif event.cid not in self._pending_cids:
-                self._violate(
-                    stamped, "staging-state",
-                    f"chunk {event.cid} confirmed READY without a prior "
-                    f"staging signal (never PENDING)",
-                )
-            self._pending_cids.discard(event.cid)
-            self._ready_cids.add(event.cid)
-        elif type(event) is ev.VnfStageCompleted:
-            if event.cid not in self._stored_cids:
-                self._violate(
-                    stamped, "cache-conservation",
-                    f"VNF {event.vnf!r} announced chunk {event.cid} staged "
-                    f"but no store ever held it",
-                )
-        elif type(event) is ev.PacketDropped:
-            self.dropped_packets += event.count
-        elif type(event) is GaugeSample:
-            self._audit_gauge(stamped, event)
+        book = self._BOOKS.get(cls)
+        if book is not None:
+            book(self, stamped, stamped.event)
 
-    def _audit_gauge(self, stamped: Stamped, event: GaugeSample) -> None:
+    # One method per event type the auditor keeps books on; every other
+    # type costs its count, the monotonic-time check and a timeline slot.
+
+    def _book_cache_stored(self, stamped: Stamped, event: ev.CacheStored) -> None:
+        balance = self._store_balance.get(event.store, 0) + event.size_bytes
+        self._store_balance[event.store] = balance
+        self._stored_cids.add(event.cid)
+
+    def _book_cache_evicted(self, stamped: Stamped, event: ev.CacheEvicted) -> None:
+        balance = self._store_balance.get(event.store, 0) - event.size_bytes
+        self._store_balance[event.store] = balance
+        if balance < 0:
+            self._violate(
+                stamped, "cache-conservation",
+                f"store {event.store!r} evicted more bytes than it ever "
+                f"stored (balance {balance})",
+            )
+
+    def _book_cache_hit(self, stamped: Stamped, event: ev.CacheHit) -> None:
+        self._stored_cids.add(event.cid)
+
+    def _book_staging_signalled(
+        self, stamped: Stamped, event: ev.StagingSignalled
+    ) -> None:
+        for cid in filter(None, event.cids.split(",")):
+            self._pending_cids.add(cid)
+
+    def _book_chunk_staged(self, stamped: Stamped, event: ev.ChunkStaged) -> None:
+        if event.cid in self._ready_cids:
+            self._violate(
+                stamped, "staging-state",
+                f"chunk {event.cid} confirmed READY twice (duplicate "
+                f"confirmations must be StaleStagingResponse)",
+            )
+        elif event.cid not in self._pending_cids:
+            self._violate(
+                stamped, "staging-state",
+                f"chunk {event.cid} confirmed READY without a prior "
+                f"staging signal (never PENDING)",
+            )
+        self._pending_cids.discard(event.cid)
+        self._ready_cids.add(event.cid)
+
+    def _book_vnf_staged(
+        self, stamped: Stamped, event: ev.VnfStageCompleted
+    ) -> None:
+        if event.cid not in self._stored_cids:
+            self._violate(
+                stamped, "cache-conservation",
+                f"VNF {event.vnf!r} announced chunk {event.cid} staged "
+                f"but no store ever held it",
+            )
+
+    def _book_packet_dropped(
+        self, stamped: Stamped, event: ev.PacketDropped
+    ) -> None:
+        self.dropped_packets += event.count
+
+    def _book_gauge(self, stamped: Stamped, event: GaugeSample) -> None:
         if event.value < 0:
             self._violate(
                 stamped, "gauge-sane",
@@ -336,6 +360,18 @@ class InvariantAuditor:
                     f"packet free list holds {event.value:g} packets but "
                     f"only {releases:g} were ever released",
                 )
+
+    #: Event type -> the book it is entered in.
+    _BOOKS = {
+        ev.CacheStored: _book_cache_stored,
+        ev.CacheEvicted: _book_cache_evicted,
+        ev.CacheHit: _book_cache_hit,
+        ev.StagingSignalled: _book_staging_signalled,
+        ev.ChunkStaged: _book_chunk_staged,
+        ev.VnfStageCompleted: _book_vnf_staged,
+        ev.PacketDropped: _book_packet_dropped,
+        GaugeSample: _book_gauge,
+    }
 
     # -- end-of-run checks ---------------------------------------------------
 
@@ -370,7 +406,7 @@ class InvariantAuditor:
                             f"collector reports {name}={got} but the event "
                             f"stream carried {want}"
                         ),
-                        timeline=tuple(self._timeline),
+                        timeline=self._evidence(),
                     )
                 )
         drops = sum(
@@ -387,7 +423,7 @@ class InvariantAuditor:
                         f"collector reports {drops} dropped packets but the "
                         f"event stream carried {self.dropped_packets}"
                     ),
-                    timeline=tuple(self._timeline),
+                    timeline=self._evidence(),
                 )
             )
         self.violations.extend(found)

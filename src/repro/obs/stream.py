@@ -62,7 +62,12 @@ class TelemetrySubscription:
         topics: Optional[set[str]] = None,
     ) -> None:
         self._hub = hub
-        self._queue: queue.Queue = queue.Queue(maxsize=maxsize)
+        # ``SimpleQueue``'s put/get/qsize are single C calls (a
+        # ``queue.Queue`` put is eight Python frames of lock and
+        # condition handling, on the simulation's thread, per item); it
+        # has no bound of its own, so ``_offer`` checks ``maxsize``.
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._maxsize = maxsize
         #: Restrict delivery to these topics (``None`` = everything).
         self.topics = set(topics) if topics is not None else None
         #: Items delivered into the queue.
@@ -79,13 +84,14 @@ class TelemetrySubscription:
     # -- producer side (hub only) ------------------------------------------
 
     def _offer(self, item) -> None:
-        try:
-            self._queue.put_nowait(item)
-        except queue.Full:
+        # Producers racing past the check can overshoot the bound by an
+        # item each: it caps a stuck consumer's backlog, nothing more.
+        if 0 < self._maxsize <= self._queue.qsize():
             self.dropped += 1
-        else:
-            if item is not _CLOSE:
-                self.received += 1
+            return
+        self._queue.put(item)
+        if item is not _CLOSE:
+            self.received += 1
 
     # -- consumer side ------------------------------------------------------
 

@@ -10,17 +10,63 @@ round-trips floats exactly, replaying a trace through a fresh
 :class:`~repro.metrics.collector.MetricsCollector` reproduces the live
 collector's ``report()`` bit-for-bit (events are replayed in recorded
 order, so streaming statistics accumulate identically).
+
+The line format is defined as what the standard ``json`` encoder with
+``(",", ":")`` separators writes for the dict of ``t``, ``run``,
+``type`` and then the event's fields.  The exporter produces those
+bytes from a line layout compiled once per event class
+(:func:`_line_spec`) rather than by reflecting over every event;
+``tests/obs/test_trace_identity.py`` holds it to the definition.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, fields
+from json.encoder import JSONEncoder, encode_basestring_ascii
+from operator import attrgetter
 from typing import IO, Iterator, Optional, Union
 
 from repro.obs.bus import EventBus, Stamped
-from repro.obs.events import EVENT_TYPES
+from repro.obs.events import EVENT_TYPES, event_schema
+
+#: ``unknown_counts`` key under which :func:`read_trace` counts a torn
+#: final line (no event type can be named this).
+TORN_LINE = "<torn line>"
+
+_INF = float("inf")
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+#: Encodes whatever the exact-type arms of ``TraceExporter._on_event``
+#: leave: ``bool``, ``None``, non-finite floats, ``str``/``int``/``float``
+#: subclasses.
+_encode_other = JSONEncoder(separators=(",", ":")).encode
+
+#: Event class -> its compiled :func:`_line_spec`, filled on first sight.
+_LINE_SPECS: dict[type, tuple] = {}
+
+
+def _line_spec(cls: type) -> tuple:
+    """The JSONL line layout ``(getter, template)`` of event class ``cls``.
+
+    ``getter(stamped)`` returns the line's values — time, run id, then
+    the event's fields in schema order — and ``template`` is the line
+    with every key pre-encoded and one ``%s`` per value.
+    """
+    name, field_names = event_schema(cls)
+
+    def key(text: str) -> str:
+        return encode_basestring_ascii(text).replace("%", "%%")
+
+    template = (
+        f'{{"t":%s,"run":%s,"type":{key(name)}'
+        + "".join(f",{key(field)}:%s" for field in field_names)
+        + "}\n"
+    )
+    getter = attrgetter(
+        "time", "run_id", *(f"event.{field}" for field in field_names)
+    )
+    return getter, template
 
 
 class TraceExporter:
@@ -44,13 +90,26 @@ class TraceExporter:
         return self
 
     def _on_event(self, stamped: Stamped) -> None:
-        record = {
-            "t": stamped.time,
-            "run": stamped.run_id,
-            "type": type(stamped.event).__name__,
-        }
-        record.update(asdict(stamped.event))
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        cls = type(stamped.event)
+        spec = _LINE_SPECS.get(cls)
+        if spec is None:
+            spec = _LINE_SPECS[cls] = _line_spec(cls)
+        getter, template = spec
+        texts = []
+        # Exact types only, each arm being what ``json``'s own encoder
+        # does for that type; everything else goes through it.
+        for value in getter(stamped):
+            kind = type(value)
+            if kind is str:
+                text = encode_basestring_ascii(value)
+            elif kind is float and -_INF < value < _INF:
+                text = _float_repr(value)
+            elif kind is int:
+                text = _int_repr(value)
+            else:
+                text = _encode_other(value)
+            texts.append(text)
+        self._fh.write(template % tuple(texts))
         self.events_written += 1
 
     def close(self) -> None:
@@ -85,6 +144,12 @@ def read_trace(
     replay the rest of the trace; pass ``strict=True`` to raise
     instead.  ``unknown_counts``, if given, is a dict the reader
     fills with ``{type_name: skipped_record_count}``.
+
+    A process killed mid-run leaves a torn last line (the exporter
+    writes through a buffer).  A *final* line that is not a JSON object
+    with a ``"type"`` is therefore skipped with a warning and counted
+    under :data:`TORN_LINE`; the same line with anything after it is
+    corruption and raises, as does ``strict=True``.
     """
     if hasattr(path_or_file, "read"):
         lines = path_or_file
@@ -94,12 +159,27 @@ def read_trace(
         close = True
     warned: set[str] = set()
     try:
-        for line in lines:
+        lines_left = iter(lines)
+        for line in lines_left:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            type_name = record.pop("type")
+            try:
+                record = json.loads(line)
+                type_name = record.pop("type")
+            except (ValueError, KeyError, TypeError, AttributeError):
+                if strict or any(rest.strip() for rest in lines_left):
+                    raise
+                if unknown_counts is not None:
+                    unknown_counts[TORN_LINE] = (
+                        unknown_counts.get(TORN_LINE, 0) + 1
+                    )
+                warnings.warn(
+                    f"skipping torn final trace line {line[:40]!r} "
+                    f"(trace of a run that died?)",
+                    stacklevel=2,
+                )
+                break
             cls = EVENT_TYPES.get(type_name)
             if cls is None:
                 if strict:
@@ -121,8 +201,8 @@ def read_trace(
             except TypeError:
                 if strict:
                     raise
-                known = {f.name for f in fields(cls)}
-                extra = sorted(set(record) - known)
+                known = event_schema(cls)[1]
+                extra = sorted(set(record).difference(known))
                 key = f"{type_name}.{','.join(extra)}"
                 if key not in warned:
                     warned.add(key)

@@ -1,6 +1,7 @@
 """Flight recorder: gauge sampling, replay parity, invariant auditing."""
 
 import io
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,16 @@ from repro.experiments.params import MicrobenchParams
 from repro.experiments.runner import run_download
 from repro.metrics.collector import MetricsCollector
 from repro.obs.bus import EventBus, Stamped
-from repro.obs.events import CacheEvicted, CacheStored, ChunkStaged, GaugeSample
+from repro.obs.events import (
+    CacheEvicted,
+    CacheStored,
+    ChunkStaged,
+    CoordinatorTick,
+    GaugeSample,
+    LinkRetransmission,
+    PacketDropped,
+    StagingSignalled,
+)
 from repro.obs.flight import (
     GaugeSampler,
     InvariantAuditor,
@@ -280,6 +290,76 @@ def test_detach_stops_auditing():
     bus.publish(_stamp(GaugeSample(gauge="g", value=-1.0)))
     assert auditor.events_audited == bus_active_events
     assert auditor.ok
+
+
+# -- evidence is rendered on demand, from the events as they were published --
+
+
+def _eager_entry(stamped):
+    """The renderer the auditor ran per event until evidence became lazy."""
+    event = stamped.event
+    return f"t={stamped.time:.6f} {type(event).__name__} " + " ".join(
+        f"{name}={getattr(event, name)!r}" for name in event.__dataclass_fields__
+    )
+
+
+def _mixed_events(n=40):
+    """A healthy stream cycling booked and un-booked event types."""
+    makers = [
+        lambda i: LinkRetransmission(link="wifi-A.fwd", retries=i % 3 + 1),
+        lambda i: GaugeSample(gauge="link.utilization.wifi-A.fwd", value=i / 64),
+        lambda i: PacketDropped(link="internet.fwd", reason="loss", count=i % 2 + 1),
+        lambda i: CacheStored(store="s", cid=f"c{i}", size_bytes=10, pinned=i % 2 == 0),
+        lambda i: CoordinatorTick(signalled=i, decision=True, offline=False),
+        lambda i: StagingSignalled(count=1, label='vnf "A"', cids=f"c{i}"),
+    ]
+    return [
+        _stamp(makers[i % len(makers)](i), time=0.125 * i, run_id="r")
+        for i in range(n)
+    ]
+
+
+def test_violation_timeline_is_the_eager_rendering_of_the_last_16():
+    bus, auditor = _audited_bus()
+    published = _mixed_events()
+    for stamped in published:
+        bus.publish(stamped)
+    offender = _stamp(
+        ChunkStaged(cid="never-signalled", staging_latency=None, control_rtt=0.25),
+        time=9.0,
+    )
+    published.append(offender)
+    with pytest.raises(InvariantViolationError) as info:
+        bus.publish(offender)
+    (violation,) = info.value.violations
+    assert violation.invariant == "staging-state"
+    assert violation.timeline == tuple(
+        _eager_entry(stamped) for stamped in published[-16:]
+    )
+    assert violation.timeline[-1].startswith("t=9.000000 ChunkStaged cid='never-")
+    # The books read what they always read.
+    assert auditor.events_audited == 41
+    assert auditor.event_counts == Counter(
+        type(stamped.event).__name__ for stamped in published
+    )
+    assert auditor.dropped_packets == sum(
+        s.event.count for s in published if type(s.event) is PacketDropped
+    )
+
+
+def test_report_parity_timeline_is_the_same_rendering():
+    bus, auditor = _audited_bus(strict=False)
+    published = _mixed_events()
+    for stamped in published:
+        bus.publish(stamped)
+    found = auditor.check_report_parity({"chunks.fetched": 3, "net.drops.loss": 1})
+    assert {v.detail.split("=")[0] for v in found} >= {
+        "collector reports chunks.fetched"
+    }
+    assert len(found) >= 2  # a counter drift and the drop double entry
+    expected = tuple(_eager_entry(stamped) for stamped in published[-16:])
+    assert all(violation.timeline == expected for violation in found)
+    assert auditor.events_audited == 40
 
 
 # ---------------------------------------------------------------------------

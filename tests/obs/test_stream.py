@@ -193,3 +193,51 @@ def test_wait_closed_returns_once_subscribers_detach():
     assert hub.wait_closed(timeout=0.05) is False  # still attached
     threading.Timer(0.05, sub.close).start()
     assert hub.wait_closed(timeout=5.0) is True
+
+
+def test_a_draining_thread_loses_and_reorders_nothing_under_contention():
+    """One producer, one blocking consumer, more runnable threads than
+    cores and a 10 µs switch interval: every offered item is either
+    delivered in order or counted as dropped, and the backlog never
+    exceeds the bound."""
+    import sys
+    import threading
+
+    hub = TelemetryHub()
+    sub = hub.subscribe(maxsize=64)
+    consumed: list[int] = []
+    deepest = 0
+    stop = threading.Event()
+
+    def drain() -> None:
+        for _topic, payload in sub:
+            consumed.append(payload["i"])
+
+    def spin() -> None:
+        while not stop.is_set():
+            pass
+
+    threads = [threading.Thread(target=drain)]
+    threads += [threading.Thread(target=spin) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for i in range(20_000):
+            hub.publish("gauge", {"i": i})
+            deepest = max(deepest, sub._queue.qsize())
+        dropped = sub.dropped  # close()'s own sentinel may be dropped too
+        hub.close()
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sub.closed
+    assert len(consumed) == sub.received
+    assert sub.received + dropped == 20_000
+    assert consumed == sorted(consumed)
+    assert deepest <= 64

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.obs import EventBus, Stamped, TraceExporter, read_trace, replay_trace
 from repro.obs.events import (
     CacheStored,
@@ -10,6 +12,7 @@ from repro.obs.events import (
     CoordinatorTick,
     SegmentTimeout,
 )
+from repro.obs.trace import TORN_LINE
 
 SAMPLE = [
     Stamped(0.5, "r0", CoordinatorTick(signalled=2, decision=True, offline=False)),
@@ -181,3 +184,39 @@ def test_batched_packet_dropped_replays_full_count():
     line = '{"t":1.0,"run":"r","type":"PacketDropped","link":"l","reason":"down","count":7}\n'
     collector = replay_trace(io.StringIO(line))
     assert collector.counters["net.drops.down"] == 7
+
+
+# -- the trace of a run that died ---------------------------------------------
+
+GOOD_LINE = '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"}\n'
+
+
+@pytest.mark.parametrize("torn, error", [
+    (GOOD_LINE[:30], json.JSONDecodeError),  # cut mid-line by a kill
+    ('{"t":2.0,"run":"r0"}', KeyError),      # an object without "type"
+    ("[1,2]", TypeError),                    # JSON, but not an object
+], ids=["truncated", "no-type", "array"])
+def test_read_trace_skips_a_torn_final_line_only(torn, error):
+    for tail in ("", "\n", "\n\n  \n"):
+        counts = {}
+        with pytest.warns(UserWarning, match="torn final trace line"):
+            restored = list(read_trace(
+                io.StringIO(GOOD_LINE * 2 + torn + tail), unknown_counts=counts
+            ))
+        assert [s.event.cid for s in restored] == ["c", "c"]
+        assert counts == {TORN_LINE: 1}
+    # The same line with events after it is corruption, not a torn tail ...
+    with pytest.raises(error):
+        list(read_trace(io.StringIO(GOOD_LINE + torn + "\n" + GOOD_LINE)))
+    # ... and strict mode accepts neither.
+    with pytest.raises(error):
+        list(read_trace(io.StringIO(GOOD_LINE + torn), strict=True))
+
+
+def test_offline_views_survive_a_torn_trace(tmp_path):
+    path = tmp_path / "killed.jsonl"
+    text = export_to_string(SAMPLE)
+    path.write_text(text + text.splitlines()[0][:25], encoding="utf-8")
+    with pytest.warns(UserWarning, match="torn"):
+        collector = replay_trace(str(path))
+    assert collector.report()["chunks.fetched"] == 1
