@@ -27,6 +27,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.xcache.publisher import PublishedContent
 
 
+#: The outcome counts every summary of a download carries (sweep
+#: summaries, run-registry metrics), in their recorded order.
+COUNTER_FIELDS = (
+    "bytes_received", "chunks_completed", "chunks_from_edge",
+    "chunks_from_origin", "fallbacks", "handoffs", "staging_signals",
+)
+
+
 @dataclass
 class DownloadResult:
     """What a completed (or deadline-bounded) download reports."""
@@ -42,6 +50,10 @@ class DownloadResult:
     handoffs: int
     staging_signals: int
     outcomes: list[FetchOutcome] = field(default_factory=list)
+
+    def counters(self) -> dict[str, int]:
+        """``{name: count}`` over :data:`COUNTER_FIELDS`."""
+        return {name: getattr(self, name) for name in COUNTER_FIELDS}
 
     @property
     def throughput_bps(self) -> float:

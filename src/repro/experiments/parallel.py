@@ -33,6 +33,7 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
 
+from repro.core.client import COUNTER_FIELDS
 from repro.core.handoff import HandoffPolicy
 from repro.experiments.params import MicrobenchParams
 from repro.mobility.coverage import Coverage
@@ -101,13 +102,7 @@ class RunSummary:
         """
         return run_id_for(self.system, self.seed, self.policy), {
             "download_time": self.download_time,
-            "bytes_received": self.bytes_received,
-            "chunks_completed": self.chunks_completed,
-            "chunks_from_edge": self.chunks_from_edge,
-            "chunks_from_origin": self.chunks_from_origin,
-            "fallbacks": self.fallbacks,
-            "handoffs": self.handoffs,
-            "staging_signals": self.staging_signals,
+            **{name: getattr(self, name) for name in COUNTER_FIELDS},
         }
 
 
@@ -133,18 +128,11 @@ def execute_task(
         policy=task.policy or None,
         sketches=task.sketches,
     )
-    download = result.download
     return RunSummary(
         system=task.system,
         seed=task.seed,
         download_time=result.download_time,
-        bytes_received=download.bytes_received,
-        chunks_completed=download.chunks_completed,
-        chunks_from_edge=download.chunks_from_edge,
-        chunks_from_origin=download.chunks_from_origin,
-        fallbacks=download.fallbacks,
-        handoffs=download.handoffs,
-        staging_signals=download.staging_signals,
+        **result.download.counters(),
         policy=result.policy,
         wall_seconds=time.perf_counter() - started,
         sketches=(

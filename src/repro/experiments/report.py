@@ -8,7 +8,10 @@ paper's value for side-by-side comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
+
+from repro.obs.spans import render_summary
+from repro.util import render_table
 
 
 @dataclass
@@ -55,16 +58,9 @@ class GainSeries:
         return "\n".join(lines)
 
 
-def render_spans(spans, title: str = "Span summary") -> str:
-    """Render a span list as the canonical per-kind summary table.
-
-    Thin wrapper over :func:`repro.obs.spans.render_summary` so
-    experiment reports and the CLI share one canonical format (the
-    one the live/offline parity tests compare byte-for-byte).
-    """
-    from repro.obs.spans import render_summary
-
-    return render_summary(spans, title=title)
+#: The canonical per-kind span table (the one the live/offline parity
+#: tests compare byte-for-byte), under its report-side name.
+render_spans = render_summary
 
 
 def render_breakdown(summary, title: str = "Latency breakdown") -> str:
@@ -80,29 +76,3 @@ def render_breakdown(summary, title: str = "Latency breakdown") -> str:
         ("staging masked by disconnection (s)", summary.masked_total),
     ]
     return render_table(title, ("measure", "value"), rows)
-
-
-def render_table(
-    title: str,
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-) -> str:
-    """A generic fixed-width table."""
-    columns = len(headers)
-    widths = [len(str(h)) for h in headers]
-    formatted_rows = []
-    for row in rows:
-        if len(row) != columns:
-            raise ValueError(f"row {row!r} does not match headers {headers!r}")
-        cells = [
-            f"{cell:.2f}" if isinstance(cell, float) else str(cell) for cell in row
-        ]
-        widths = [max(w, len(c)) for w, c in zip(widths, cells)]
-        formatted_rows.append(cells)
-    header_line = " | ".join(str(h).rjust(w) for h, w in zip(headers, widths))
-    rule = "-" * len(header_line)
-    lines = [title, rule, header_line, rule]
-    for cells in formatted_rows:
-        lines.append(" | ".join(c.rjust(w) for c, w in zip(cells, widths)))
-    lines.append(rule)
-    return "\n".join(lines)

@@ -23,7 +23,6 @@ from repro.experiments.scenario import TestbedScenario
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.coverage import Coverage
 from repro.obs.flight import (
-    DEFAULT_PERIOD,
     GaugeSampler,
     InvariantAuditor,
     install_flight_recorder,
@@ -99,7 +98,6 @@ def run_download(
     profile: bool = False,
     gauges: bool = False,
     audit: bool = False,
-    gauge_period: float = DEFAULT_PERIOD,
     run_id: Optional[str] = None,
     policy: Optional[Union[str, StagingPolicy]] = None,
     hub: Optional[TelemetryHub] = None,
@@ -130,8 +128,8 @@ def run_download(
     :class:`~repro.sim.profiler.SimProfiler` on the kernel.
 
     ``gauges=True`` installs the flight recorder (standard testbed
-    gauge set, sampled every ``gauge_period`` sim-seconds; implies
-    ``instrument=True`` so the timelines land in the collector).
+    gauge set; implies ``instrument=True`` so the timelines land in
+    the collector).
     ``audit=True`` attaches a strict :class:`InvariantAuditor` to the
     bus and runs the end-of-run report-parity check (also implies
     ``instrument=True``); the audited run raises
@@ -254,7 +252,6 @@ def run_download(
             sampler = install_flight_recorder(
                 scenario,
                 manager=getattr(client, "manager", None),
-                period=gauge_period,
             )
         if system == "endtoend":
             if deadline is not None:

@@ -8,9 +8,9 @@ currently attached to, and therefore where its HID is routable.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Optional
 
 from repro.errors import ConfigurationError, RoutingError
 from repro.net.link import Link, Port
@@ -77,39 +77,48 @@ class Network:
                 return link
         raise RoutingError(f"no link between {device_a.name} and {device_b.name}")
 
-    def neighbors(self, device: Device, include_wireless: bool = True) -> list[Device]:
-        result = []
-        for dev_a, dev_b, link in self._adjacency:
-            if not include_wireless and isinstance(link, WirelessLink):
-                continue
-            if dev_a is device:
-                result.append(dev_b)
-            elif dev_b is device:
-                result.append(dev_a)
-        return result
-
     # -- routing ----------------------------------------------------------------
 
-    def _wired_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        for device in self.devices.values():
-            graph.add_node(device.name)
+    def _wired_paths(self, source: str) -> dict[str, list[str]]:
+        """Least-delay wired paths from device ``source``: ``{name:
+        [source, ..., name]}`` for every device it reaches.
+
+        Dijkstra with ties settled by construction order (strictly
+        shorter replaces, equal distances pop first-pushed first,
+        neighbours in link-connection order): next hops never move.
+        """
+        neighbours: dict[str, dict[str, float]] = {
+            name: {} for name in self.devices
+        }
         for dev_a, dev_b, link in self._adjacency:
-            if isinstance(link, WirelessLink):
-                continue
-            graph.add_edge(dev_a.name, dev_b.name, delay=link.propagation_delay)
-        return graph
+            if not isinstance(link, WirelessLink):
+                neighbours[dev_a.name][dev_b.name] = link.propagation_delay
+                neighbours[dev_b.name][dev_a.name] = link.propagation_delay
+        if source not in neighbours:
+            return {}
+        paths = {source: [source]}
+        best = {source: 0.0}
+        pushes = count()
+        fringe = [(0.0, next(pushes), source)]
+        while fringe:
+            distance, _, name = heappop(fringe)
+            if distance > best[name]:
+                continue  # superseded by a shorter path pushed later
+            for peer, delay in neighbours[name].items():
+                reach = distance + delay
+                if peer not in best or reach < best[peer]:
+                    best[peer] = reach
+                    paths[peer] = paths[name] + [peer]
+                    heappush(fringe, (reach, next(pushes), peer))
+        return paths
 
     def build_static_routes(self) -> None:
         """Install NID and wired-host HID routes on every router."""
         from repro.xia.router import XIARouter
 
-        graph = self._wired_graph()
         routers = [d for d in self.devices.values() if isinstance(d, XIARouter)]
-        paths = dict(nx.all_pairs_dijkstra_path(graph, weight="delay"))
-
         for router in routers:
-            table = paths.get(router.name, {})
+            table = self._wired_paths(router.name)
             for nid, gateway in self.gateways.items():
                 if gateway is router:
                     continue
@@ -134,13 +143,11 @@ class Network:
 
     def wired_path(self, source: Device, target: Device) -> list[Link]:
         """Links along the shortest wired path (for flow-level models)."""
-        graph = self._wired_graph()
-        try:
-            names = nx.dijkstra_path(graph, source.name, target.name, weight="delay")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+        names = self._wired_paths(source.name).get(target.name)
+        if names is None:
             raise RoutingError(
                 f"no wired path {source.name} -> {target.name}"
-            ) from exc
+            )
         return [
             self.link_between(self.devices[a], self.devices[b])
             for a, b in zip(names, names[1:])

@@ -34,6 +34,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.obs.wide import read_wide
+from repro.util import render_table
+
 #: Phase keys in report order (ranking reorders by |delta|).
 PHASES = (
     "fetch.edge",
@@ -243,8 +246,6 @@ def why_payload(explanation: Explanation) -> dict:
 
 def render_why(explanation: Explanation) -> str:
     """The deterministic plain-text "why" report."""
-    from repro.experiments.report import render_table
-
     lines = [f"why: {explanation.run_a} -> {explanation.run_b}", ""]
     gain_a = explanation.metrics_a.get("gain")
     gain_b = explanation.metrics_b.get("gain")
@@ -298,8 +299,6 @@ def load_wide_for_run(wide_dir: str, run_id: str) -> list[dict]:
     Files are visited in sorted order so the result is stable across
     filesystems; record order within a file is the emission order.
     """
-    from repro.obs.wide import read_wide
-
     records = []
     for path in sorted(glob.glob(os.path.join(wide_dir, "*.jsonl"))):
         for record in read_wide(path):
@@ -308,25 +307,36 @@ def load_wide_for_run(wide_dir: str, run_id: str) -> list[dict]:
     return records
 
 
+class NoWideEvents(ValueError):
+    """A run has no wide records to profile; carries the run and the
+    directory searched so each front door words it its own way."""
+
+    def __init__(self, run_id: str, directory: str) -> None:
+        super().__init__(
+            f"no wide events for {run_id!r} under {directory} "
+            f"(re-run with --emit-wide or derive them with "
+            f"'repro trace wide')"
+        )
+        self.run_id = run_id
+        self.directory = directory
+
+
 def explain_registry_pair(registry, key_a: str, key_b: str,
                           wide_dir: Optional[str] = None) -> Explanation:
-    """Resolve two registry keys and attribute B's movement from A.
+    """Resolve two registry keys and attribute B's movement from A:
+    the one answer behind ``repro runs why`` and ``GET .../explain``.
 
-    Raises :class:`KeyError` for an unknown key and
-    :class:`ValueError` when a run has no wide records to profile.
+    Raises :class:`KeyError` for an unknown key and :class:`NoWideEvents`
+    (a :class:`ValueError`) when a run has no wide records to profile.
     """
     record_a = registry.find(key_a)
     record_b = registry.find(key_b)
-    directory = wide_dir or os.path.join(registry.directory, "wide")
+    directory = wide_dir or registry.wide_dir
     records_a = load_wide_for_run(directory, record_a.run_id)
     records_b = load_wide_for_run(directory, record_b.run_id)
     for rec, records in ((record_a, records_a), (record_b, records_b)):
         if not records:
-            raise ValueError(
-                f"no wide events for {rec.run_id!r} under {directory} "
-                f"(re-run with --emit-wide or derive them with "
-                f"'repro trace wide')"
-            )
+            raise NoWideEvents(rec.run_id, directory)
     return explain(
         records_a, records_b,
         metrics_a=record_a.metrics, metrics_b=record_b.metrics,

@@ -24,22 +24,15 @@ defaults, so old registries keep loading as the schema grows.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-try:  # advisory append locking (POSIX; no-op where unavailable)
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
-
 from repro import perf
+from repro.obs import jsonl
 
-#: Default registry directory (override with ``REPRO_RUNS_DIR``).
-DEFAULT_DIR = ".repro_runs"
 REGISTRY_FILE = "registry.jsonl"
 
 #: Relative drop in a ``gain``-family metric that counts as a
@@ -70,6 +63,16 @@ def git_sha() -> str:
     return _git_sha_cache
 
 
+#: A registry line's keys in written order: the text ones with the
+#: default a line lacking them loads with, then the dict ones.
+_TEXT_KEYS = {
+    "rec_id": "", "run_id": "", "kind": "run", "recorded_at": "",
+    "git_sha": "unknown", "machine": "", "policy": "",
+}
+_DICT_KEYS = ("metrics", "gauges", "sketches", "meta")
+_LINE_KEYS = (*_TEXT_KEYS, *_DICT_KEYS)
+
+
 @dataclass
 class RunRecord:
     """One registry line, parsed."""
@@ -95,48 +98,28 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, payload: dict) -> "RunRecord":
-        known = {
-            "rec_id", "run_id", "kind", "recorded_at", "git_sha",
-            "machine", "policy", "metrics", "gauges", "sketches", "meta",
-        }
         return cls(
-            rec_id=str(payload.get("rec_id", "")),
-            run_id=str(payload.get("run_id", "")),
-            kind=str(payload.get("kind", "run")),
-            recorded_at=str(payload.get("recorded_at", "")),
-            git_sha=str(payload.get("git_sha", "unknown")),
-            machine=str(payload.get("machine", "")),
-            policy=str(payload.get("policy", "")),
-            metrics=dict(payload.get("metrics", {})),
-            gauges=dict(payload.get("gauges", {})),
-            sketches=dict(payload.get("sketches", {})),
-            meta=dict(payload.get("meta", {})),
-            extra={k: v for k, v in payload.items() if k not in known},
+            **{key: str(payload.get(key, default))
+               for key, default in _TEXT_KEYS.items()},
+            **{key: dict(payload.get(key, {})) for key in _DICT_KEYS},
+            extra={key: value for key, value in payload.items()
+                   if key not in _LINE_KEYS},
         )
 
     def to_json(self) -> dict:
-        payload = dict(self.extra)
-        payload.update(
-            rec_id=self.rec_id,
-            run_id=self.run_id,
-            kind=self.kind,
-            recorded_at=self.recorded_at,
-            git_sha=self.git_sha,
-            machine=self.machine,
-            policy=self.policy,
-            metrics=self.metrics,
-            gauges=self.gauges,
-            sketches=self.sketches,
-            meta=self.meta,
-        )
-        return payload
+        return {
+            **self.extra, **{key: getattr(self, key) for key in _LINE_KEYS},
+        }
 
-    def gauge_series(self, metric: str) -> dict[str, list]:
-        """Gauge timelines whose name contains ``metric`` (substring).
+    def gauge_series(self, metric: Optional[str]) -> dict[str, list]:
+        """Gauge timelines whose name contains ``metric`` (substring;
+        none = every timeline).
 
         ``.`` and ``_`` are interchangeable in the filter, so
         ``cache_occupancy`` matches ``cache.occupancy_bytes.*``.
         """
+        if not metric:
+            return self.gauges
         wanted = _fold(metric)
         return {
             name: series
@@ -145,16 +128,31 @@ class RunRecord:
         }
 
 
+class RecordNotFound(KeyError):
+    """No registry record matches a key; carries what a front door
+    needs to word that its own way."""
+
+    def __init__(self, key: str, records: int, path: str) -> None:
+        super().__init__(
+            f"no registry record matches {key!r} "
+            f"({records} records in {path})"
+        )
+        self.key = key
+        self.records = records
+        self.path = path
+
+
 class RunRegistry:
     """Append/load/diff interface over one registry JSONL file."""
 
     def __init__(self, directory: Optional[str] = None) -> None:
-        self.directory = (
-            directory
-            or os.environ.get("REPRO_RUNS_DIR")
-            or DEFAULT_DIR
-        )
+        self.directory = jsonl.runs_dir(directory)
         self.path = os.path.join(self.directory, REGISTRY_FILE)
+
+    @property
+    def wide_dir(self) -> str:
+        """Where this registry's runs keep their wide-event files."""
+        return os.path.join(self.directory, "wide")
 
     # -- writing -------------------------------------------------------------
 
@@ -168,71 +166,35 @@ class RunRegistry:
         policy: str = "",
         sketches: Optional[dict] = None,
     ) -> RunRecord:
-        """Append one record; assigns a unique ``rec_id`` and returns it.
-
-        Appends are serialized across concurrent writers (parallel
-        sweep workers, a live HTTP service, several CLIs sharing one
-        registry) with an advisory ``fcntl`` lock held across the
-        sequence-number read *and* the write, so records never tear
-        into unparseable lines and ``rec_id`` sequence numbers stay
-        unique.  On platforms without ``fcntl`` the append degrades to
-        the historical unlocked single-writer behaviour.
-        """
-        os.makedirs(self.directory, exist_ok=True)
-        with open(self.path, "a+", encoding="utf-8") as fh:
-            if fcntl is not None:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                fh.seek(0)
-                seq = sum(1 for line in fh if line.strip()) + 1
-                record = RunRecord(
-                    rec_id=f"{seq:04d}/{run_id}",
-                    run_id=run_id,
-                    kind=kind,
-                    recorded_at=time.strftime(
-                        "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-                    ),
-                    git_sha=git_sha(),
-                    machine=perf.fingerprint(),
-                    policy=policy,
-                    metrics=dict(metrics),
-                    gauges=dict(gauges or {}),
-                    sketches=dict(sketches or {}),
-                    meta=dict(meta or {}),
-                )
-                # Mode "a" writes always land at EOF, even after the
-                # seek above; one write call keeps the line whole.
-                fh.write(
-                    json.dumps(record.to_json(), separators=(",", ":"))
-                    + "\n"
-                )
-                fh.flush()
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-        return record
+        """Append one record; assigns a unique ``rec_id`` (its sequence
+        number is read and the line written under one lock, see
+        :func:`repro.obs.jsonl.append`) and returns it."""
+        return jsonl.append(self.path, lambda count: RunRecord(
+            rec_id=f"{count + 1:04d}/{run_id}",
+            run_id=run_id,
+            kind=kind,
+            recorded_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            git_sha=git_sha(),
+            machine=perf.fingerprint(),
+            policy=policy,
+            metrics=dict(metrics),
+            gauges=dict(gauges or {}),
+            sketches=dict(sketches or {}),
+            meta=dict(meta or {}),
+        ))
 
     # -- reading -------------------------------------------------------------
 
-    def _lines(self):
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        yield line
-        except FileNotFoundError:
-            return
-
     def records(self) -> list[RunRecord]:
-        return [RunRecord.from_json(json.loads(line)) for line in self._lines()]
+        return jsonl.read_log(self.path, RunRecord.from_json)
 
     def find(self, key: str) -> RunRecord:
         """Resolve ``key`` to one record.
 
         Exact ``rec_id`` match wins; otherwise the *latest* record
         whose ``run_id`` (or rec_id) contains ``key``.  Raises
-        :class:`KeyError` when nothing matches.
+        :class:`RecordNotFound` (a :class:`KeyError`) when nothing
+        matches.
         """
         records = self.records()
         for record in records:
@@ -243,10 +205,7 @@ class RunRegistry:
             if key in record.run_id or key in record.rec_id
         ]
         if not matches:
-            raise KeyError(
-                f"no registry record matches {key!r} "
-                f"({len(records)} records in {self.path})"
-            )
+            raise RecordNotFound(key, len(records), self.path)
         return matches[-1]
 
 
@@ -320,17 +279,9 @@ def record_summary(record: RunRecord) -> dict:
     service's ``GET /runs``, so CI scripts never scrape table text.
     """
     return {
-        "rec_id": record.rec_id,
-        "run_id": record.run_id,
-        "kind": record.kind,
-        "recorded_at": record.recorded_at,
-        "git_sha": record.git_sha,
-        "machine": record.machine,
-        "policy": record.policy,
-        "metrics": record.metrics,
+        **{key: getattr(record, key) for key in _LINE_KEYS},
         "gauges": sorted(record.gauges),
         "sketches": sorted(record.sketches),
-        "meta": record.meta,
     }
 
 
@@ -342,18 +293,12 @@ def list_payload(registry: "RunRegistry") -> dict:
     }
 
 
-def diff_payload(
-    a: RunRecord,
-    b: RunRecord,
-    deltas: Optional[list[MetricDelta]] = None,
-) -> dict:
+def diff_payload(a: RunRecord, b: RunRecord, deltas: list[MetricDelta]) -> dict:
     """The diff in JSON shape, regressions called out separately.
 
     Shared by ``repro runs diff --json`` and ``GET /diff`` so the CI
     regression gate and the CLI agree byte-for-byte on what regressed.
     """
-    if deltas is None:
-        deltas = diff_records(a, b)
     return {
         "a": a.rec_id,
         "b": b.rec_id,
@@ -385,25 +330,19 @@ def record_from_result(result, kind: str = "download") -> tuple[str, dict, dict]
     Serialized sketches (when the run was built with ``sketches=True``)
     are fetched separately via :func:`sketches_from_result`.
     """
-    download = result.download
     metrics = {
         "download_time": result.download_time,
         "throughput_bps": result.throughput_bps,
-        "bytes_received": download.bytes_received,
-        "chunks_completed": download.chunks_completed,
-        "chunks_from_edge": download.chunks_from_edge,
-        "chunks_from_origin": download.chunks_from_origin,
-        "fallbacks": download.fallbacks,
-        "handoffs": download.handoffs,
-        "staging_signals": download.staging_signals,
+        **result.download.counters(),
     }
     gauges: dict[str, dict] = {}
     if result.metrics is not None:
         prefix = f"gauge.{result.run_id}."
-        for name, points in result.metrics.timelines(prefix).items():
-            times = [t for t, _v in points]
-            values = [v for _t, v in points]
-            gauges[name[len(prefix):]] = {"t": times, "v": values}
+        for name in result.metrics.series_names(prefix):
+            series = result.metrics.series(name)
+            gauges[name[len(prefix):]] = {
+                "t": list(series.times), "v": list(series.values),
+            }
     return result.run_id, metrics, gauges
 
 

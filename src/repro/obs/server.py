@@ -62,19 +62,20 @@ request gets a thread, so a slow ``/live`` consumer never blocks
 from __future__ import annotations
 
 import json
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.explain import (
-    explain,
+    NoWideEvents,
+    explain_registry_pair,
     load_wide_for_run,
     why_payload,
 )
 from repro.obs.registry import (
     GAIN_REGRESSION_THRESHOLD,
+    RecordNotFound,
     RunRegistry,
     diff_payload,
     diff_records,
@@ -83,9 +84,8 @@ from repro.obs.registry import (
 from repro.obs.slo import (
     DEFAULT_SLOS,
     check_payload,
-    evaluate_record,
+    check_registry,
     parse_slos,
-    violations,
 )
 from repro.obs.stream import TelemetryHub
 
@@ -117,7 +117,7 @@ class TelemetryServer(ThreadingHTTPServer):
         self.registry = registry
         self.hub = hub
         #: Where ``/runs/<key>/wide`` looks for wide-event JSONL files.
-        self.wide_dir = wide_dir or os.path.join(registry.directory, "wide")
+        self.wide_dir = wide_dir or registry.wide_dir
 
     @property
     def url(self) -> str:
@@ -156,12 +156,6 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str) -> None:
         self._send_json({"error": message}, status=status)
 
-    def _find(self, key: str):
-        try:
-            return self.server.registry.find(key)
-        except KeyError:
-            return None
-
     # -- routing -------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -178,7 +172,7 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             elif parts == ["runs"]:
                 self._send_json(list_payload(self.server.registry))
             elif parts[0] == "runs" and len(parts) == 2:
-                self._run(parts[1])
+                self._send_json(self.server.registry.find(parts[1]).to_json())
             elif parts[0] == "runs" and len(parts) == 3:
                 self._run_sub(parts[1], parts[2], query)
             elif parts == ["diff"]:
@@ -192,8 +186,17 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             pass
         except Exception as exc:  # noqa: BLE001 - JSON, not a traceback page
+            # The query layer raises the first two with the facts; this
+            # door words them as 404 bodies (`main` as exit messages).
+            if isinstance(exc, RecordNotFound):
+                answer = 404, f"no registry record matches {exc.key!r}"
+            elif isinstance(exc, NoWideEvents):
+                answer = 404, (f"no wide events for {exc.run_id!r} under "
+                               f"{exc.directory}")
+            else:
+                answer = 500, f"{type(exc).__name__}: {exc}"
             try:
-                self._error(500, f"{type(exc).__name__}: {exc}")
+                self._error(*answer)
             except (BrokenPipeError, ConnectionResetError):
                 pass
 
@@ -211,26 +214,14 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             "live": self.server.hub is not None,
         })
 
-    def _run(self, key: str) -> None:
-        record = self._find(key)
-        if record is None:
-            self._error(404, f"no registry record matches {key!r}")
-            return
-        self._send_json(record.to_json())
-
     def _run_sub(self, key: str, sub: str, query: dict) -> None:
-        record = self._find(key)
-        if record is None:
-            self._error(404, f"no registry record matches {key!r}")
-            return
+        record = self.server.registry.find(key)
         if sub == "gauges":
             metric = query.get("metric", [None])[0]
             if metric is not None and not metric.strip():
                 self._error(400, "metric filter must be non-empty")
                 return
-            series = (
-                record.gauge_series(metric) if metric else record.gauges
-            )
+            series = record.gauge_series(metric)
             if metric and not series:
                 have = ", ".join(sorted(record.gauges)) or "none"
                 self._error(
@@ -240,44 +231,26 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
                 return
             self._send_json({"rec_id": record.rec_id, "gauges": series})
         elif sub == "wide":
-            records = self._wide_records(record.run_id)
             self._send_json({
                 "run": record.run_id,
                 "wide_dir": self.server.wide_dir,
-                "records": records,
+                "records": load_wide_for_run(
+                    self.server.wide_dir, record.run_id
+                ),
             })
         elif sub == "explain":
-            self._explain(record, query)
-        else:
-            self._error(404, f"no route for /runs/<key>/{sub}")
-
-    def _wide_records(self, run_id: str) -> list[dict]:
-        return load_wide_for_run(self.server.wide_dir, run_id)
-
-    def _explain(self, record, query: dict) -> None:
-        base_key = query.get("base", [None])[0]
-        if not base_key:
-            self._error(400, "explain needs ?base=<key> (the baseline run)")
-            return
-        base = self._find(base_key)
-        if base is None:
-            self._error(404, f"no registry record matches {base_key!r}")
-            return
-        records_base = self._wide_records(base.run_id)
-        records_b = self._wide_records(record.run_id)
-        for rec, wide in ((base, records_base), (record, records_b)):
-            if not wide:
+            base_key = query.get("base", [None])[0]
+            if not base_key:
                 self._error(
-                    404,
-                    f"no wide events for {rec.run_id!r} under "
-                    f"{self.server.wide_dir}",
+                    400, "explain needs ?base=<key> (the baseline run)"
                 )
                 return
-        self._send_json(why_payload(explain(
-            records_base, records_b,
-            metrics_a=base.metrics, metrics_b=record.metrics,
-            label_a=base.rec_id, label_b=record.rec_id,
-        )))
+            self._send_json(why_payload(explain_registry_pair(
+                self.server.registry, base_key, key,
+                wide_dir=self.server.wide_dir,
+            )))
+        else:
+            self._error(404, f"no route for /runs/<key>/{sub}")
 
     def _diff(self, query: dict) -> None:
         key_a = query.get("a", [None])[0]
@@ -285,12 +258,8 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         if not key_a or not key_b:
             self._error(400, "diff needs ?a=<key>&b=<key>")
             return
-        record_a = self._find(key_a)
-        record_b = self._find(key_b)
-        if record_a is None or record_b is None:
-            missing = key_a if record_a is None else key_b
-            self._error(404, f"no registry record matches {missing!r}")
-            return
+        record_a = self.server.registry.find(key_a)
+        record_b = self.server.registry.find(key_b)
         try:
             threshold = float(
                 query.get("threshold", [GAIN_REGRESSION_THRESHOLD])[0]
@@ -298,8 +267,9 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
         except ValueError:
             self._error(400, "threshold must be a number")
             return
-        deltas = diff_records(record_a, record_b, gain_threshold=threshold)
-        payload = diff_payload(record_a, record_b, deltas)
+        payload = diff_payload(record_a, record_b, diff_records(
+            record_a, record_b, gain_threshold=threshold
+        ))
         # Non-2xx on paper-shape regression: `curl -f $URL/diff?...`
         # is the whole CI gate.
         status = 409 if payload["regressions"] else 200
@@ -313,28 +283,14 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             self._error(400, str(exc))
             return
         keys = [k for k in query.get("run", []) if k.strip()]
-        if keys:
-            records = []
-            for key in keys:
-                record = self._find(key)
-                if record is None:
-                    self._error(404, f"no registry record matches {key!r}")
-                    return
-                records.append(record)
-        else:
-            records = self.server.registry.records()
-        per_record = []
-        failing = False
-        for record in records:
-            wide = self._wide_records(record.run_id) or None
-            results = evaluate_record(slos, record, wide_records=wide)
-            per_record.append((record.rec_id, results))
-            failing = failing or bool(violations(results))
-        payload = check_payload(per_record)
+        payload = check_payload(check_registry(
+            self.server.registry, slos, keys, self.server.wide_dir
+        ))
         payload["slos"] = [slo.spec() for slo in slos]
         # Mirror `repro slo check`'s exit code: `curl -f $URL/slo` is
         # the CI gate.
-        self._send_json(payload, status=409 if failing else 200)
+        status = 409 if payload["violations"] else 200
+        self._send_json(payload, status=status)
 
     def _live(self) -> None:
         hub = self.server.hub

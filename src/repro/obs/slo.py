@@ -45,20 +45,18 @@ evaluation ignores it (the whole run is the window).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
+import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Optional, Sequence
 
-try:  # advisory append locking, as in repro.obs.registry
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
-
-from repro.obs.sketch import QuantileSketch, sketches_from_wide
+from repro.obs import jsonl
+from repro.obs.explain import load_wide_for_run
+from repro.obs.sketch import QuantileSketch, load_sketches, sketches_from_wide
+from repro.util import render_table
 
 #: Default live sliding window, in simulated seconds.
 DEFAULT_WINDOW_S = 30.0
@@ -294,8 +292,6 @@ def evaluate_record(
     wide_records: Optional[Iterable[dict]] = None,
 ) -> list[SLOResult]:
     """Judge ``slos`` against one :class:`~repro.obs.registry.RunRecord`."""
-    from repro.obs.sketch import load_sketches
-
     return evaluate_slos(
         slos,
         metrics=record.metrics,
@@ -306,6 +302,32 @@ def evaluate_record(
 
 def violations(results: Iterable[SLOResult]) -> list[SLOResult]:
     return [r for r in results if r.ok is False]
+
+
+def check_registry(
+    registry,
+    slos: Sequence[SLO],
+    keys: Sequence[str] = (),
+    wide_dir: Optional[str] = None,
+) -> list[tuple[str, list[SLOResult]]]:
+    """The one answer behind ``repro slo check`` and ``GET /slo``:
+    ``[(rec_id, results)]`` in registry order.
+
+    Judges the records ``keys`` resolve to (``registry.find`` raises
+    for an unknown one; none = every record), each with its wide events
+    from ``wide_dir`` (default ``<registry>/wide``) if it has any.
+    """
+    records = (
+        [registry.find(key) for key in keys] if keys else registry.records()
+    )
+    directory = wide_dir or registry.wide_dir
+    per_record = []
+    for record in records:
+        wide = load_wide_for_run(directory, record.run_id) or None
+        per_record.append(
+            (record.rec_id, evaluate_record(slos, record, wide_records=wide))
+        )
+    return per_record
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +353,13 @@ class AlertRecord:
     source: str = "offline"
 
     def to_json(self) -> dict:
-        return {
-            "slo": self.slo, "run": self.run, "value": self.value,
-            "threshold": self.threshold, "t": self.t, "kind": self.kind,
-            "burn_rate": self.burn_rate, "window_s": self.window_s,
-            "source": self.source,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "AlertRecord":
-        known = {f: payload[f] for f in (
-            "slo", "run", "value", "threshold", "t", "kind",
-            "burn_rate", "window_s", "source",
-        ) if f in payload}
-        return cls(**known)
+        return cls(**{
+            f.name: payload[f.name] for f in fields(cls) if f.name in payload
+        })
 
     def describe(self) -> str:
         head = f"[{self.kind}] {self.run}: {self.slo}"
@@ -359,35 +374,14 @@ class AlertLog:
     """Append-only ``alerts.jsonl`` beside the run registry."""
 
     def __init__(self, directory: Optional[str] = None) -> None:
-        from repro.obs.registry import DEFAULT_DIR
-
-        self.directory = (
-            directory or os.environ.get("REPRO_RUNS_DIR") or DEFAULT_DIR
-        )
+        self.directory = jsonl.runs_dir(directory)
         self.path = os.path.join(self.directory, ALERTS_FILE)
 
     def append(self, alert: AlertRecord) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        line = json.dumps(alert.to_json(), separators=(",", ":")) + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if fcntl is not None:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                fh.write(line)
-                fh.flush()
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+        jsonl.append(self.path, lambda _count: alert)
 
     def read(self) -> list[AlertRecord]:
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                return [
-                    AlertRecord.from_json(json.loads(line))
-                    for line in fh if line.strip()
-                ]
-        except FileNotFoundError:
-            return []
+        return jsonl.read_log(self.path, AlertRecord.from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +518,6 @@ class LiveSLOEvaluator:
         evaluator's own subscription filters it out, so it never
         consumes its own alerts).  Returns ``self``.
         """
-        import threading
-
         if alert_log is not None:
             self.sinks.append(alert_log.append)
         self.sinks.append(
@@ -604,8 +596,6 @@ def check_payload(per_record: list[tuple[str, list[SLOResult]]]) -> dict:
 
 def render_check(per_record: list[tuple[str, list[SLOResult]]]) -> str:
     """Deterministic plain-text report for ``repro slo check``."""
-    from repro.experiments.report import render_table
-
     rows = []
     for rec_id, results in per_record:
         for result in results:

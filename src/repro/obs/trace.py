@@ -29,6 +29,7 @@ from typing import IO, Iterator, Optional, Union
 
 from repro.obs.bus import EventBus, Stamped
 from repro.obs.events import EVENT_TYPES, event_schema
+from repro.obs.jsonl import JsonlSink, opened
 
 #: ``unknown_counts`` key under which :func:`read_trace` counts a torn
 #: final line (no event type can be named this).
@@ -69,18 +70,11 @@ def _line_spec(cls: type) -> tuple:
     return getter, template
 
 
-class TraceExporter:
+class TraceExporter(JsonlSink):
     """Writes every bus event to a JSONL file (or file-like object)."""
 
     def __init__(self, path_or_file: Union[str, IO[str]]) -> None:
-        if hasattr(path_or_file, "write"):
-            self._fh: IO[str] = path_or_file
-            self._owns_fh = False
-            self.path: Optional[str] = None
-        else:
-            self._fh = open(path_or_file, "w", encoding="utf-8")
-            self._owns_fh = True
-            self.path = str(path_or_file)
+        super().__init__(path_or_file)
         self._bus: Optional[EventBus] = None
         self.events_written = 0
 
@@ -117,17 +111,7 @@ class TraceExporter:
         if self._bus is not None:
             self._bus.unsubscribe_all(self._on_event)
             self._bus = None
-        if getattr(self._fh, "closed", False):
-            return
-        self._fh.flush()
-        if self._owns_fh:
-            self._fh.close()
-
-    def __enter__(self) -> "TraceExporter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        super().close()
 
 
 def read_trace(
@@ -151,14 +135,8 @@ def read_trace(
     under :data:`TORN_LINE`; the same line with anything after it is
     corruption and raises, as does ``strict=True``.
     """
-    if hasattr(path_or_file, "read"):
-        lines = path_or_file
-        close = False
-    else:
-        lines = open(path_or_file, encoding="utf-8")
-        close = True
     warned: set[str] = set()
-    try:
+    with opened(path_or_file) as lines:
         lines_left = iter(lines)
         for line in lines_left:
             line = line.strip()
@@ -221,9 +199,6 @@ def read_trace(
                         )
                     continue
             yield Stamped(time, run_id, event)
-    finally:
-        if close:
-            lines.close()
 
 
 def replay_trace(path_or_file: Union[str, IO[str]], collector=None):

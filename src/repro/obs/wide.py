@@ -49,10 +49,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import IO, Callable, Iterable, Iterator, Optional, Union
+from typing import IO, Callable, Iterable, Optional, Union
 
 from repro.obs import events as ev
 from repro.obs.bus import EventBus, Stamped
+from repro.obs.jsonl import JsonlSink, read_records
 from repro.obs.spans import CHUNK, ENCOUNTER, GAP, HANDOFF, Span, overlap
 
 #: Bump when record fields change shape (adding keys is *not* a bump:
@@ -99,18 +100,11 @@ def policy_from_run_id(run_id: str) -> str:
     return ""
 
 
-class WideEventWriter:
+class WideEventWriter(JsonlSink):
     """JSONL sink for wide events (one canonical record per line)."""
 
     def __init__(self, path_or_file: Union[str, IO[str]]) -> None:
-        if hasattr(path_or_file, "write"):
-            self._fh: IO[str] = path_or_file
-            self._owns_fh = False
-            self.path: Optional[str] = None
-        else:
-            self._fh = open(path_or_file, "w", encoding="utf-8")
-            self._owns_fh = True
-            self.path = str(path_or_file)
+        super().__init__(path_or_file)
         self.records_written = 0
 
     def write(self, record: dict) -> None:
@@ -118,41 +112,11 @@ class WideEventWriter:
         self._fh.write("\n")
         self.records_written += 1
 
-    def close(self) -> None:
-        if getattr(self._fh, "closed", False):
-            return
-        self._fh.flush()
-        if self._owns_fh:
-            self._fh.close()
 
-    def __enter__(self) -> "WideEventWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def read_wide(path_or_file: Union[str, IO[str]]) -> Iterator[dict]:
-    """Yield wide-event records from a JSONL file, in file order.
-
-    Records are plain dicts: keys written by a newer version are
-    preserved verbatim (the forward-compat rule), so filter-and-rewrite
-    pipelines never lose fields they don't understand.
-    """
-    if hasattr(path_or_file, "read"):
-        lines = path_or_file
-        close = False
-    else:
-        lines = open(path_or_file, encoding="utf-8")
-        close = True
-    try:
-        for line in lines:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-    finally:
-        if close:
-            lines.close()
+#: Yields a wide-event file's records in file order, as plain dicts (so
+#: keys a newer version wrote survive a filter-and-rewrite); torn lines
+#: are skipped under the codec's rule.
+read_wide = read_records
 
 
 class WideEventBuilder:

@@ -1,5 +1,6 @@
-"""Small shared utilities: units, validation, logging."""
+"""Small shared utilities: units, validation, text tables."""
 
+from repro.util.table import render_table
 from repro.util.units import (
     GB,
     KB,
@@ -34,6 +35,7 @@ __all__ = [
     "mbit_to_bytes",
     "mbps",
     "ms",
+    "render_table",
     "seconds_to_ms",
     "us",
 ]

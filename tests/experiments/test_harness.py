@@ -177,3 +177,11 @@ def test_a_raising_run_detaches_everything_and_tells_the_hub(built_scenarios):
     assert [m["state"] for m in markers] == ["started", "failed"]
     assert markers[-1]["run"] == "nope-seed0"
     assert markers[-1]["error"] == "ConfigurationError"
+
+
+def test_run_download_keeps_shedding_knobs_nobody_turns():
+    import inspect
+
+    parameters = inspect.signature(run_download).parameters
+    assert "gauge_period" not in parameters  # never passed; DEFAULT_PERIOD
+    assert len(parameters) == 19

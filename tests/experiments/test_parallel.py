@@ -269,3 +269,32 @@ def test_sketches_are_excluded_from_summary_equality():
     b = RunSummary("softstage", 0, 9.5, 1 * MB, 4, 3, 1, 0, 2, 2,
                    sketches={"x": {"kind": "stat"}})
     assert a == b
+
+
+def test_summary_and_registry_record_are_one_projection_of_a_download():
+    """Registry lines are written unsorted, so key order is bytes."""
+    from repro.experiments.runner import run_download
+    from repro.obs.registry import record_from_result
+
+    task = quick_task()
+    result = run_download(
+        task.system, params=task.params, seed=task.seed, gauges=True
+    )
+    counters = result.download.counters()
+    assert list(counters) == [
+        "bytes_received", "chunks_completed", "chunks_from_edge",
+        "chunks_from_origin", "fallbacks", "handoffs", "staging_signals",
+    ]
+    assert counters["bytes_received"] == task.params.file_size
+    run_id, metrics = execute_task(task).as_record()
+    assert run_id == result.run_id
+    assert list(metrics) == ["download_time", *counters]
+    assert metrics == {"download_time": result.download_time, **counters}
+    _run_id, recorded, gauges = record_from_result(result)
+    assert list(recorded) == ["download_time", "throughput_bps", *counters]
+    assert recorded == {**metrics, "throughput_bps": result.throughput_bps}
+    # The gauge columns are the collector's timelines, unzipped.
+    assert gauges and gauges == {
+        name: {"t": [t for t, _v in points], "v": [v for _t, v in points]}
+        for name, points in result.gauge_timelines().items()
+    }

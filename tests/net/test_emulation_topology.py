@@ -116,6 +116,18 @@ def test_wired_path_walks_links():
     assert [link.name for link in links] == ["a-r1", "r1-r2", "r2-b"]
 
 
+def test_wired_path_to_an_unknown_or_unreachable_device_is_a_routing_error():
+    sim, net, host_a, *_ = line_network()
+    stranger = Host(sim, "stranger", HID("stranger"))
+    with pytest.raises(RoutingError):
+        net.wired_path(stranger, host_a)
+    with pytest.raises(RoutingError):
+        net.wired_path(host_a, stranger)
+    island = net.add_device(Host(sim, "island", HID("island")))
+    with pytest.raises(RoutingError, match="hostA -> island"):
+        net.wired_path(host_a, island)
+
+
 def test_duplicate_device_name_rejected():
     sim = Simulator()
     net = Network(sim)

@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs.registry import RunRegistry, list_payload
+from repro.obs.registry import RunRegistry
 from repro.obs.server import make_server, sse_format
 from repro.obs.stream import TelemetryHub
 from repro.obs.wide import WideEventWriter
@@ -49,6 +49,12 @@ def _get(server, path):
         return error.code, json.loads(error.read())
 
 
+def _quote(spec):
+    import urllib.parse
+
+    return urllib.parse.quote(spec)
+
+
 def test_index_and_healthz(service):
     server, _registry, _hub = service
     status, index = _get(server, "/")
@@ -59,11 +65,69 @@ def test_index_and_healthz(service):
     assert _get(server, "/healthz") == (200, {"ok": True})
 
 
-def test_runs_listing_shares_the_cli_json_serialization(service):
+_GAIN_SLO = "gain >= 1.2"
+
+#: One registry question per row, asked through both doors: (family,
+#: argv after ``--registry-dir DIR``, endpoint, exit code, HTTP status).
+#: ``demo-collapsed`` is the injected ``gain: 0.5`` record.
+_TWO_DOORS = {
+    "runs-list": ("runs", ["list", "--json"], "/runs", 0, 200),
+    "diff-healthy": (
+        "runs", ["diff", "softstage-seed0", "xftp-seed0", "--json",
+                 "--fail-on-regression"],
+        "/diff?a=softstage-seed0&b=xftp-seed0", 0, 200,
+    ),
+    "diff-collapsed": (
+        "runs", ["diff", "softstage-seed0", "demo-collapsed", "--json",
+                 "--fail-on-regression"],
+        "/diff?a=softstage-seed0&b=demo-collapsed", 1, 409,
+    ),
+    "why-healthy": (
+        "runs", ["why", "softstage-seed0", "xftp-seed0", "--json"],
+        "/runs/xftp-seed0/explain?base=softstage-seed0", 0, 200,
+    ),
+    "why-collapsed": (
+        "runs", ["why", "softstage-seed0", "demo-collapsed", "--json"],
+        "/runs/demo-collapsed/explain?base=softstage-seed0", 0, 200,
+    ),
+    "slo-healthy": (
+        "slo", ["check", "--json", "--no-alerts", "--slo", _GAIN_SLO,
+                "softstage-seed0", "xftp-seed0"],
+        "/slo?run=softstage-seed0&run=xftp-seed0&slo=" + _quote(_GAIN_SLO),
+        0, 200,
+    ),
+    "slo-collapsed": (
+        "slo", ["check", "--json", "--no-alerts", "--slo", _GAIN_SLO,
+                "demo-collapsed"],
+        "/slo?run=demo-collapsed&slo=" + _quote(_GAIN_SLO), 1, 409,
+    ),
+}
+
+
+@pytest.mark.parametrize("question", sorted(_TWO_DOORS))
+def test_runs_listing_shares_the_cli_json_serialization(
+    service, question, capsys
+):
+    """CLI ≡ HTTP: the body is the ``--json`` output, and the status
+    (200/409) is the exit code (0/1)."""
+    from repro.__main__ import main
+
     server, registry, _hub = service
-    status, payload = _get(server, "/runs")
-    assert status == 200
-    assert payload == json.loads(json.dumps(list_payload(registry)))
+    registry.append("demo-collapsed", "demo", {"gain": 0.5})
+    with WideEventWriter(server.wide_dir + "/collapsed.jsonl") as writer:
+        writer.write({"kind": "run", "run": "demo-collapsed", "seq": 0})
+    family, argv, path, exit_code, http_status = _TWO_DOORS[question]
+    try:
+        code = main([family, "--registry-dir", registry.directory, *argv])
+    except SystemExit as exit_:
+        code = exit_.code
+    printed = json.loads(capsys.readouterr().out)
+    status, payload = _get(server, path)
+    if family == "slo":
+        # The endpoint also echoes the SLO set it judged against.
+        assert payload.pop("slos") == [_GAIN_SLO]
+    assert payload == printed
+    assert (code, status) == (exit_code, http_status)
 
 
 def test_single_run_resolution_and_404(service):
@@ -226,12 +290,6 @@ def test_unexpected_handler_failure_is_json_500(service):
 # ---------------------------------------------------------------------------
 # /slo: the SLO gate endpoint
 # ---------------------------------------------------------------------------
-
-
-def _quote(spec):
-    import urllib.parse
-
-    return urllib.parse.quote(spec)
 
 
 def test_slo_passes_a_healthy_subset(service):
