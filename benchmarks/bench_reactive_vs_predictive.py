@@ -16,25 +16,45 @@ every accuracy, with zero prediction machinery.
 """
 
 from benchmarks.conftest import run_once
+from repro.baselines.predictive import PredictiveStagingPolicy
+from repro.core.handoff import RssGreedyPolicy
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.report import render_table
 from repro.experiments.scenario import TestbedScenario
+from repro.obs.wide import WideEventBuilder
 from repro.util import MB
 
 
 def run_predictive(accuracy: float, params, seed: int, num_edges: int = 3):
+    """One SoftStage download under the predictive policy at
+    ``accuracy``; returns ``(result, wrong-network edge fetches)``."""
     scenario = TestbedScenario(params=params, seed=seed, num_edges=num_edges)
     content = scenario.publish_default_content()
-    client = scenario.make_predictive_client(accuracy=accuracy)
+    client = scenario.make_client(
+        "softstage",
+        handoff_policy=RssGreedyPolicy(),
+        staging_policy=PredictiveStagingPolicy.for_scenario(scenario, accuracy),
+    )
+    records: list[dict] = []
+    WideEventBuilder(sinks=[records.append]).attach(scenario.sim.probe.bus)
     process = scenario.sim.process(client.download(content))
     result = scenario.sim.run(until=process)
-    return result, client
+    # A mis-staged chunk: served by an edge cache, but not the one of
+    # the network the client was in when it arrived.
+    vnf_of = {edge.name: edge.router.name for edge in scenario.edges}
+    wrong_network = sum(
+        record["kind"] == "chunk"
+        and record["source"] == "edge"
+        and record["vnf"] != vnf_of.get(record["network"])
+        for record in records
+    )
+    return result, wrong_network
 
 
 def run_reactive(params, seed: int, num_edges: int = 3):
     scenario = TestbedScenario(params=params, seed=seed, num_edges=num_edges)
     content = scenario.publish_default_content()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     process = scenario.sim.process(client.download(content))
     return scenario.sim.run(until=process)
 
@@ -49,10 +69,10 @@ def test_reactive_vs_predictive(benchmark, profile):
         rows.append(("reactive (SoftStage)", reactive.duration,
                      reactive.chunks_from_edge, "-"))
         for accuracy in (1.0, 0.7, 0.4):
-            result, client = run_predictive(accuracy, params, seed)
+            result, wrong_network = run_predictive(accuracy, params, seed)
             rows.append((
                 f"predictive acc={accuracy:.0%}", result.duration,
-                result.chunks_from_edge, client.wrong_network_fetches,
+                result.chunks_from_edge, wrong_network,
             ))
         return rows
 

@@ -72,7 +72,7 @@ def run_with_policy(policy, file_mb: float, chunk_mb: float, seed: int):
                               chunk_size=int(chunk_mb * MB))
     scenario = TestbedScenario(params=params, seed=seed)
     content = scenario.publish_default_content()
-    client = scenario.make_softstage_client(staging_policy=policy)
+    client = scenario.make_client("softstage", staging_policy=policy)
     manager = client.manager
     process = scenario.sim.process(client.download(content))
     result = scenario.sim.run(until=process)

@@ -24,7 +24,7 @@ def play_with_softstage(duration: float, seed: int):
     renditions = publish_video(
         scenario.server.publisher, "roadmovie", duration, ladder
     )
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     for rung in range(ladder.rungs):
         client.manager.register_content(renditions[rung])
     client.manager.start()
@@ -42,7 +42,7 @@ def play_with_origin_fetch(duration: float, seed: int):
     renditions = publish_video(
         scenario.server.publisher, "roadmovie", duration, ladder
     )
-    client = scenario.make_xftp_client()
+    client = scenario.make_client("xftp")
 
     address_of = {}
     for rendition in renditions.values():

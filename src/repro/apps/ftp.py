@@ -11,82 +11,13 @@ comparison baseline used across the paper's Fig. 6 and Fig. 7.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
-
-from repro.core.client import DownloadResult
-from repro.core.config import SoftStageConfig
-from repro.core.handoff import HandoffManager, RssGreedyPolicy
-from repro.mobility.association import Association, AssociationController
-from repro.mobility.scanner import Scanner
-from repro.sim import Simulator
-from repro.transport.chunkfetch import ChunkFetcher, FetchOutcome
-from repro.transport.reliable import TransportEndpoint
+from repro.core.client import MobileClient
 from repro.xia.dag import DagAddress
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.nodes import Host
-    from repro.xcache.publisher import PublishedContent
+from repro.xia.ids import XID
 
 
-class XftpClient:
+class XftpClient(MobileClient):
     """Baseline chunked downloader over vanilla XIA."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        host: "Host",
-        endpoint: TransportEndpoint,
-        controller: AssociationController,
-        scanner: Scanner,
-        config: Optional[SoftStageConfig] = None,
-    ) -> None:
-        self.sim = sim
-        self.host = host
-        self.endpoint = endpoint
-        self.controller = controller
-        self.config = config or SoftStageConfig()
-        self.handoff_manager = HandoffManager(
-            sim, controller, scanner, policy=RssGreedyPolicy(), config=self.config
-        )
-        self.fetcher = ChunkFetcher(
-            sim, endpoint, wait_for_connectivity=controller.wait_attached
-        )
-        controller.on_attach(self._on_attach)
-
-    def _on_attach(self, association: Association) -> None:
-        new_dag = DagAddress.host(self.host.hid, association.ap.nid)
-        self.endpoint.migrate_receivers(new_dag)
-
-    def download(self, content: "PublishedContent", deadline: Optional[float] = None):
-        """Process: fetch every chunk from the origin, in order."""
-        started = self.sim.now
-        outcomes: list[FetchOutcome] = []
-        bytes_received = 0
-        for address in content.addresses:
-            if deadline is not None and self.sim.now >= deadline:
-                break
-            fetch = self.sim.process(self.fetcher.fetch(address))
-            if deadline is None:
-                outcome = yield fetch
-            else:
-                result = yield self.sim.any_of(
-                    [fetch, self.sim.timeout(max(deadline - self.sim.now, 0.0))]
-                )
-                if fetch not in result:
-                    break
-                outcome = result[fetch]
-            outcomes.append(outcome)
-            bytes_received += outcome.bytes_received
-        return DownloadResult(
-            content_name=content.name,
-            bytes_received=bytes_received,
-            duration=self.sim.now - started,
-            chunks_completed=len(outcomes),
-            chunks_total=len(content.chunks),
-            chunks_from_edge=0,
-            chunks_from_origin=len(outcomes),
-            fallbacks=0,
-            handoffs=self.handoff_manager.handoffs,
-            staging_signals=0,
-            outcomes=outcomes,
-        )
+    def fetch_chunk(self, cid: XID, address: DagAddress):
+        return self.fetcher.fetch(address)

@@ -8,76 +8,14 @@ and gives the ablation benches a floor to compare against.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
-
-from repro.core.client import DownloadResult
-from repro.core.config import SoftStageConfig
-from repro.core.handoff import HandoffManager, RssGreedyPolicy
-from repro.mobility.association import Association, AssociationController
-from repro.mobility.scanner import Scanner
-from repro.sim import Simulator
-from repro.transport.chunkfetch import ChunkFetcher
-from repro.transport.reliable import TransportEndpoint
-from repro.xia.dag import DagAddress
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.nodes import Host
-    from repro.xcache.publisher import PublishedContent
+from repro.apps.ftp import XftpClient
 
 
-class EndToEndClient:
-    """Single byte-stream download from the origin."""
+class EndToEndClient(XftpClient):
+    """Single byte-stream download from the origin.
 
-    def __init__(
-        self,
-        sim: Simulator,
-        host: "Host",
-        endpoint: TransportEndpoint,
-        controller: AssociationController,
-        scanner: Scanner,
-        config: Optional[SoftStageConfig] = None,
-    ) -> None:
-        self.sim = sim
-        self.host = host
-        self.endpoint = endpoint
-        self.controller = controller
-        self.config = config or SoftStageConfig()
-        self.handoff_manager = HandoffManager(
-            sim, controller, scanner, policy=RssGreedyPolicy(), config=self.config
-        )
-        stream_config = endpoint.config.with_(
-            verify_rate=float("inf"), per_chunk_overhead=0.0
-        )
-        self.fetcher = ChunkFetcher(
-            sim, endpoint, config=stream_config,
-            wait_for_connectivity=controller.wait_attached,
-        )
-        controller.on_attach(self._on_attach)
+    The Xftp fetch rule over a stream transport; the content must be
+    published as a single chunk (``chunk_size == total_bytes``).
+    """
 
-    def _on_attach(self, association: Association) -> None:
-        new_dag = DagAddress.host(self.host.hid, association.ap.nid)
-        self.endpoint.migrate_receivers(new_dag)
-
-    def download(self, content: "PublishedContent"):
-        """Process: stream the whole object as one session.
-
-        Requires the content to be published as a single chunk
-        (``chunk_size == total_bytes``).
-        """
-        started = self.sim.now
-        outcome = yield self.sim.process(
-            self.fetcher.fetch(content.addresses[0])
-        )
-        return DownloadResult(
-            content_name=content.name,
-            bytes_received=outcome.bytes_received,
-            duration=self.sim.now - started,
-            chunks_completed=1,
-            chunks_total=1,
-            chunks_from_edge=0,
-            chunks_from_origin=1,
-            fallbacks=0,
-            handoffs=self.handoff_manager.handoffs,
-            staging_signals=0,
-            outcomes=[outcome],
-        )
+    stream = True

@@ -12,46 +12,23 @@ spectrum for the ablation bench.
 The policy is a pure :class:`~repro.core.policy.StagingPolicy`: it
 never polls (``decide`` returns nothing) and acts only on the attach
 lifecycle hook, which is exactly the event prediction-driven schemes
-key on.  :class:`PredictiveStagingClient` mounts it on a (non-polling)
-StagingCoordinator and keeps its own sequential download loop.
+key on.  It runs on the ordinary SoftStage client like every other
+policy (``staging_policy=``, or ``--policy predictive``), so a
+mis-staged chunk still has the origin fallback.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Optional, Sequence
 
-from repro.core.client import DownloadResult
-from repro.core.config import SoftStageConfig
-from repro.core.coordinator import StagingCoordinator
-from repro.core.handoff import HandoffManager, RssGreedyPolicy
-from repro.core.network_sensor import NetworkSensor
 from repro.core.policy import StagingAction, StagingObservation, StagingPolicy
-from repro.core.profile import ChunkProfile
-from repro.core.states import StagingState
-from repro.core.tracker import StagingTracker
-from repro.mobility.association import AccessPointInfo, Association, AssociationController
-from repro.mobility.scanner import Scanner
-from repro.sim import Simulator
-from repro.transport.chunkfetch import ChunkFetcher, FetchOutcome
-from repro.transport.reliable import TransportEndpoint
-from repro.xia.dag import DagAddress
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.nodes import Host
-    from repro.xcache.publisher import PublishedContent
+from repro.mobility.association import AccessPointInfo
 
 
 #: Default prediction accuracy for registry-built policies — the
 #: "pretty good but not perfect" regime the ablation bench centres on.
 DEFAULT_PREDICTOR_ACCURACY = 0.7
-
-#: Predictive signals sent toward networks we never reached go stale
-#: slower than reactive ones: the scheme *expects* confirmations to
-#: arrive only after the client moves (the pre-framework baseline's
-#: hardcoded 5.0 s timeout).
-PREDICTIVE_SIGNAL_TIMEOUT = 5.0
 
 
 class MobilityPredictor:
@@ -109,6 +86,19 @@ class PredictiveStagingPolicy(StagingPolicy):
         self.predictor = predictor
         self.stage_window = stage_window
 
+    @classmethod
+    def for_scenario(
+        cls, scenario, accuracy: float = DEFAULT_PREDICTOR_ACCURACY
+    ) -> "PredictiveStagingPolicy":
+        """The policy over ``scenario``'s AP list, its predictor drawing
+        from the scenario's ``mobility-predictor`` RNG stream."""
+        predictor = MobilityPredictor(
+            list(scenario.access_points.values()),
+            accuracy=accuracy,
+            rng=scenario.streams.stream("mobility-predictor"),
+        )
+        return cls(predictor)
+
     def decide(self, obs: StagingObservation) -> list[StagingAction]:
         return []
 
@@ -132,117 +122,3 @@ class PredictiveStagingPolicy(StagingPolicy):
 
     def prestage_count(self, obs: StagingObservation) -> int:
         return self.stage_window
-
-
-class PredictiveStagingClient:
-    """Downloads with prediction-driven (rather than reactive) staging."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        host: "Host",
-        endpoint: TransportEndpoint,
-        controller: AssociationController,
-        scanner: Scanner,
-        predictor: MobilityPredictor,
-        config: Optional[SoftStageConfig] = None,
-        stage_window: int = 8,
-    ) -> None:
-        self.sim = sim
-        self.host = host
-        self.endpoint = endpoint
-        self.controller = controller
-        self.config = dataclasses.replace(
-            config or SoftStageConfig(),
-            staging_signal_timeout=PREDICTIVE_SIGNAL_TIMEOUT,
-        )
-        self.predictor = predictor
-        self.stage_window = stage_window
-        self.profile = ChunkProfile(ewma_alpha=self.config.ewma_alpha)
-        self.tracker = StagingTracker(sim, host, self.profile)
-        self.handoff_manager = HandoffManager(
-            sim, controller, scanner, policy=RssGreedyPolicy(), config=self.config
-        )
-        self.fetcher = ChunkFetcher(
-            sim, endpoint, wait_for_connectivity=controller.wait_attached
-        )
-        # Transport migration runs before the policy's attach hook (the
-        # coordinator registers its relay below), matching the old
-        # migrate-then-predict order.
-        controller.on_attach(self._on_attach)
-        self.policy = PredictiveStagingPolicy(predictor, stage_window)
-        self.sensor = NetworkSensor(sim, scanner, controller)
-        # Never started: the policy is entirely event-driven, so the
-        # coordinator serves purely as its observation builder and
-        # action executor.
-        self.coordinator = StagingCoordinator(
-            sim, self.profile, self.tracker, self.sensor, self.config,
-            policy=self.policy,
-        )
-        self.wrong_network_fetches = 0
-        self.chunks_from_edge = 0
-        self.chunks_from_origin = 0
-
-    # -- mobility plumbing -------------------------------------------------------
-
-    def _on_attach(self, association: Association) -> None:
-        new_dag = DagAddress.host(self.host.hid, association.ap.nid)
-        self.endpoint.migrate_receivers(new_dag)
-
-    # -- download ----------------------------------------------------------------
-
-    def download(self, content: "PublishedContent", deadline: Optional[float] = None):
-        """Process: sequential chunk download with predictive staging."""
-        self.profile.register_content(content)
-        started = self.sim.now
-        outcomes: list[FetchOutcome] = []
-        bytes_received = 0
-        for chunk in content.chunks:
-            if deadline is not None and self.sim.now >= deadline:
-                break
-            record = self.profile.get(chunk.cid)
-            fetch = self.sim.process(self.fetcher.fetch(record.best_dag))
-            if deadline is None:
-                outcome = yield fetch
-            else:
-                result = yield self.sim.any_of(
-                    [fetch, self.sim.timeout(max(deadline - self.sim.now, 0.0))]
-                )
-                if fetch not in result:
-                    break
-                outcome = result[fetch]
-            latency = self.sim.now - started
-            origin_hid = record.raw_dag.fallback_hid
-            from_edge = (
-                outcome.served_by_hid is not None
-                and outcome.served_by_hid != origin_hid
-            )
-            self.profile.observe_fetch(record, latency, from_edge=from_edge)
-            if from_edge:
-                self.chunks_from_edge += 1
-                current = self.controller.current
-                if (
-                    current is not None
-                    and outcome.served_by_nid is not None
-                    and outcome.served_by_nid != current.ap.nid
-                ):
-                    self.wrong_network_fetches += 1
-            else:
-                self.chunks_from_origin += 1
-                if record.staging_state is StagingState.BLANK:
-                    record.staging_state = StagingState.DONE
-            outcomes.append(outcome)
-            bytes_received += outcome.bytes_received
-        return DownloadResult(
-            content_name=content.name,
-            bytes_received=bytes_received,
-            duration=self.sim.now - started,
-            chunks_completed=len(outcomes),
-            chunks_total=len(content.chunks),
-            chunks_from_edge=self.chunks_from_edge,
-            chunks_from_origin=self.chunks_from_origin,
-            fallbacks=0,
-            handoffs=self.handoff_manager.handoffs,
-            staging_signals=self.tracker.signals_sent,
-            outcomes=outcomes,
-        )

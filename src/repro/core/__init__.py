@@ -18,7 +18,8 @@ decomposed, exactly as in the paper's Fig. 3, into
 — while the data plane's **Staging VNF**
 (:class:`~repro.core.vnf.StagingVNF`) is a stateless service embedded
 in the edge network's XCache.  :class:`~repro.core.client.SoftStageClient`
-assembles the whole thing behind a one-call download API.
+assembles the whole thing behind a one-call download API, on the
+:class:`~repro.core.client.MobileClient` chassis the baselines share.
 """
 
 from repro.core.config import SoftStageConfig
@@ -42,7 +43,7 @@ from repro.core.handoff import ChunkAwarePolicy, HandoffManager, RssGreedyPolicy
 from repro.core.chunk_manager import ChunkManager
 from repro.core.manager import StagingManager
 from repro.core.vnf import StagingVNF, vnf_address
-from repro.core.client import SoftStageClient
+from repro.core.client import MobileClient, SoftStageClient
 
 __all__ = [
     "ActionKind",
@@ -52,6 +53,7 @@ __all__ = [
     "ChunkRecord",
     "FetchState",
     "HandoffManager",
+    "MobileClient",
     "MobilityAwarePolicy",
     "NetworkSensor",
     "ReactiveEq1Policy",

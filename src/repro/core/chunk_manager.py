@@ -7,29 +7,24 @@ when one is READY, the origin otherwise), honours any deferred
 chunk-aware handoff before starting the next transfer, falls back to
 the origin DAG when the edge copy cannot be reached, and feeds every
 observation (fetch latency, serving location) back into the profile.
-It also keeps transport sessions alive across moves by announcing
-migrations whenever the client re-attaches.
+It fetches through the client's own connectivity-gated
+:class:`~repro.transport.chunkfetch.ChunkFetcher`; keeping the
+transport sessions alive across moves is the client chassis's job.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Optional
 
 from repro.core.config import SoftStageConfig
 from repro.core.handoff import HandoffManager
 from repro.core.profile import ChunkProfile
 from repro.core.states import StagingState
 from repro.errors import TransportError
-from repro.mobility.association import Association, AssociationController
 from repro.obs.events import ChunkFetched
 from repro.sim import Simulator
 from repro.transport.chunkfetch import ChunkFetcher, FetchOutcome
-from repro.transport.reliable import TransportEndpoint
-from repro.xia.dag import DagAddress
 from repro.xia.ids import XID
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.nodes import Host
 
 
 class ChunkManager:
@@ -38,37 +33,22 @@ class ChunkManager:
     def __init__(
         self,
         sim: Simulator,
-        host: "Host",
-        endpoint: TransportEndpoint,
+        fetcher: ChunkFetcher,
         profile: ChunkProfile,
-        controller: AssociationController,
         config: Optional[SoftStageConfig] = None,
         handoff_manager: Optional[HandoffManager] = None,
         chunk_delivered: Optional[Callable[[XID], None]] = None,
     ) -> None:
         self.sim = sim
-        self.host = host
-        self.endpoint = endpoint
+        self.fetcher = fetcher
         self.profile = profile
-        self.controller = controller
         self.config = config or SoftStageConfig()
         self.handoff_manager = handoff_manager
         #: Notified after every delivered chunk (policy lifecycle hook).
         self.chunk_delivered = chunk_delivered
-        self.fetcher = ChunkFetcher(
-            sim, endpoint, wait_for_connectivity=controller.wait_attached
-        )
-        controller.on_attach(self._on_attach)
         self.chunks_from_edge = 0
         self.chunks_from_origin = 0
         self.fallbacks = 0
-
-    # -- mobility plumbing ---------------------------------------------------
-
-    def _on_attach(self, association: Association) -> None:
-        """Re-announce every live transport session from the new network."""
-        new_dag = DagAddress.host(self.host.hid, association.ap.nid)
-        self.endpoint.migrate_receivers(new_dag)
 
     # -- the delegation API -----------------------------------------------------
 

@@ -1,10 +1,16 @@
-"""SoftStageClient: the application-facing download API.
+"""The mobile client: one chassis, one fetch rule per system.
 
-An FTP-style client application that retrieves a stream of content
-objects through SoftStage.  The staging machinery is entirely hidden
-behind :meth:`download` — exactly the paper's application-transparency
-goal: the app calls the delegation API per chunk and everything else
-(staging, handoff, migration, fallback) happens underneath.
+Every system the evaluation compares is the same FTP-style application
+on the same mobile host: it joins the networks its handoff policy
+picks, re-announces its transport sessions after every move, and
+downloads a content object chunk by chunk.  :class:`MobileClient` is
+that chassis; a *system* adds only how one chunk is fetched.
+:class:`SoftStageClient` fetches through the delegation API
+(``XfetchChunk*``) with the staging machinery entirely hidden behind
+:meth:`~MobileClient.download` — exactly the paper's
+application-transparency goal: the app swaps one call per chunk and
+everything else (staging, handoff, migration, fallback) happens
+underneath.
 """
 
 from __future__ import annotations
@@ -13,18 +19,21 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.config import SoftStageConfig
-from repro.core.handoff import HandoffPolicy
+from repro.core.handoff import HandoffManager, HandoffPolicy, RssGreedyPolicy
 from repro.core.manager import StagingManager
 from repro.core.policy import StagingPolicy
-from repro.mobility.association import AssociationController
+from repro.errors import ConfigurationError
+from repro.mobility.association import Association, AssociationController
 from repro.mobility.scanner import Scanner
 from repro.sim import Simulator
-from repro.transport.chunkfetch import FetchOutcome
+from repro.transport.chunkfetch import ChunkFetcher, FetchOutcome
 from repro.transport.reliable import TransportEndpoint
+from repro.xia.dag import DagAddress
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.nodes import Host
     from repro.xcache.publisher import PublishedContent
+    from repro.xia.ids import XID
 
 
 #: The outcome counts every summary of a download carries (sweep
@@ -70,8 +79,19 @@ class DownloadResult:
         return self.chunks_from_edge / self.chunks_completed
 
 
-class SoftStageClient:
-    """FTP-style client application running over SoftStage."""
+class MobileClient:
+    """The chassis: mobility wiring plus the in-order download loop.
+
+    Owns the connectivity-gated :class:`ChunkFetcher`, the
+    migrate-on-attach hook and :meth:`download`.  Subclasses say how
+    one chunk is fetched (:meth:`fetch_chunk`) and may wire more of a
+    control plane in (:meth:`_wire`, :meth:`begin`/:meth:`end`,
+    :meth:`tallies`).
+    """
+
+    #: Fetch chunks as one byte stream: no per-chunk context setup and
+    #: no CID verification (what a host-based download pays neither of).
+    stream = False
 
     def __init__(
         self,
@@ -85,16 +105,77 @@ class SoftStageClient:
         staging_policy: Optional[StagingPolicy] = None,
     ) -> None:
         self.sim = sim
-        self.manager = StagingManager(
-            sim,
-            host,
-            endpoint,
-            controller,
-            scanner,
-            config=config,
-            handoff_policy=handoff_policy,
-            staging_policy=staging_policy,
+        self.host = host
+        self.endpoint = endpoint
+        self.config = config or SoftStageConfig()
+        transport = None
+        if self.stream:
+            transport = endpoint.config.with_(
+                verify_rate=float("inf"), per_chunk_overhead=0.0
+            )
+        self.fetcher = ChunkFetcher(
+            sim, endpoint, config=transport,
+            wait_for_connectivity=controller.wait_attached,
         )
+        # Subscription order is behaviour: whatever a system wires in
+        # hears each scan and attach *before* the migration hook, so a
+        # policy's attach-time staging signal reaches the wireless queue
+        # ahead of the session-migration packets.
+        self.handoff_manager = self._wire(
+            controller, scanner, handoff_policy, staging_policy
+        )
+        controller.on_attach(self._on_attach)
+
+    def _wire(
+        self,
+        controller: AssociationController,
+        scanner: Scanner,
+        handoff_policy: Optional[HandoffPolicy],
+        staging_policy: Optional[StagingPolicy],
+    ) -> HandoffManager:
+        """Build the system's control plane; returns its Handoff Manager.
+
+        A stock client associates with the strongest audible network
+        and simply waits out coverage gaps.
+        """
+        if staging_policy is not None:
+            raise ConfigurationError(
+                f"{type(self).__name__} stages nothing: staging policies "
+                "only apply to the softstage system"
+            )
+        return HandoffManager(
+            self.sim, controller, scanner,
+            policy=handoff_policy or RssGreedyPolicy(), config=self.config,
+        )
+
+    def _on_attach(self, association: Association) -> None:
+        """Re-announce every live transport session from the new network."""
+        new_dag = DagAddress.host(self.host.hid, association.ap.nid)
+        self.endpoint.migrate_receivers(new_dag)
+
+    # -- what a system supplies --------------------------------------------
+
+    def fetch_chunk(self, cid: "XID", address: DagAddress):
+        """The process body that retrieves one chunk (a generator)."""
+        raise NotImplementedError
+
+    def begin(self, content: "PublishedContent") -> None:
+        """Called before the first chunk of ``content`` is requested."""
+
+    def end(self) -> None:
+        """Called when the download returns, completes or not."""
+
+    def tallies(self, outcomes: list[FetchOutcome]) -> dict[str, int]:
+        """Where the chunks came from; a system that stages nothing
+        fetched every one from the origin."""
+        return {
+            "chunks_from_edge": 0,
+            "chunks_from_origin": len(outcomes),
+            "fallbacks": 0,
+            "staging_signals": 0,
+        }
+
+    # -- the download loop ---------------------------------------------------
 
     def download(self, content: "PublishedContent", deadline: Optional[float] = None):
         """Process: download every chunk of ``content`` in order.
@@ -103,19 +184,15 @@ class SoftStageClient:
         used by the trace-driven experiment, which measures how much
         content fits inside a fixed drive.
         """
-        manager = self.manager
-        manager.register_content(content)
-        manager.start()
+        self.begin(content)
         started = self.sim.now
         outcomes: list[FetchOutcome] = []
         bytes_received = 0
         try:
-            for chunk in content.chunks:
+            for chunk, address in zip(content.chunks, content.addresses):
                 if deadline is not None and self.sim.now >= deadline:
                     break
-                fetch = self.sim.process(
-                    manager.chunk_manager.xfetch_chunk_star(chunk.cid)
-                )
+                fetch = self.sim.process(self.fetch_chunk(chunk.cid, address))
                 if deadline is None:
                     outcome = yield fetch
                 else:
@@ -128,17 +205,56 @@ class SoftStageClient:
                 outcomes.append(outcome)
                 bytes_received += outcome.bytes_received
         finally:
-            manager.stop()
+            self.end()
         return DownloadResult(
             content_name=content.name,
             bytes_received=bytes_received,
             duration=self.sim.now - started,
             chunks_completed=len(outcomes),
             chunks_total=len(content.chunks),
-            chunks_from_edge=manager.chunk_manager.chunks_from_edge,
-            chunks_from_origin=manager.chunk_manager.chunks_from_origin,
-            fallbacks=manager.chunk_manager.fallbacks,
-            handoffs=manager.handoff_manager.handoffs,
-            staging_signals=manager.tracker.signals_sent,
+            handoffs=self.handoff_manager.handoffs,
             outcomes=outcomes,
+            **self.tallies(outcomes),
         )
+
+
+class SoftStageClient(MobileClient):
+    """The FTP-style client running over SoftStage (``XfetchChunk*``)."""
+
+    def _wire(
+        self,
+        controller: AssociationController,
+        scanner: Scanner,
+        handoff_policy: Optional[HandoffPolicy],
+        staging_policy: Optional[StagingPolicy],
+    ) -> HandoffManager:
+        self.manager = StagingManager(
+            self.sim,
+            self.host,
+            self.fetcher,
+            controller,
+            scanner,
+            config=self.config,
+            handoff_policy=handoff_policy,
+            staging_policy=staging_policy,
+        )
+        return self.manager.handoff_manager
+
+    def fetch_chunk(self, cid: "XID", address: DagAddress):
+        return self.manager.chunk_manager.xfetch_chunk_star(cid)
+
+    def begin(self, content: "PublishedContent") -> None:
+        self.manager.register_content(content)
+        self.manager.start()
+
+    def end(self) -> None:
+        self.manager.stop()
+
+    def tallies(self, outcomes: list[FetchOutcome]) -> dict[str, int]:
+        chunk_manager = self.manager.chunk_manager
+        return {
+            "chunks_from_edge": chunk_manager.chunks_from_edge,
+            "chunks_from_origin": chunk_manager.chunks_from_origin,
+            "fallbacks": chunk_manager.fallbacks,
+            "staging_signals": self.manager.tracker.signals_sent,
+        }

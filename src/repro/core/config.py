@@ -47,10 +47,6 @@ class SoftStageConfig:
     #: paper's Fig. 6(a): "the control plane messages introduce more
     #: overhead with smaller chunks".
     xfetch_control_overhead: float = 0.06
-    #: Do not re-stage a chunk into the *current* network if it is
-    #: already READY somewhere else unless the estimated fetch saving
-    #: exceeds this factor (cross-network fetch is usually fine).
-    restage_saving_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.coordinator_poll_interval <= 0:

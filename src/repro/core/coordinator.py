@@ -13,10 +13,10 @@ the mechanical half of every staging strategy:
   relay attach / detach / chunk-delivered events to the policy's
   lifecycle hooks;
 - execute the returned :class:`~repro.core.policy.StagingAction`
-  requests against the Staging Tracker (stage / re-signal / cancel /
-  migrate / pin), resolving network names to staging-VNF DAGs and
-  dropping actions aimed at networks without one — the same
-  fault-tolerance path a policy-free client has.
+  requests against the Staging Tracker (stage / re-signal / cancel),
+  resolving network names to staging-VNF DAGs and dropping actions
+  aimed at networks without one — the same fault-tolerance path a
+  policy-free client has.
 
 With the default policy the decision sequence, signal labels and
 packet timeline are bit-identical to the pre-framework coordinator:
@@ -66,13 +66,6 @@ class StagingCoordinator:
         self.sensor = sensor
         self.config = config or SoftStageConfig()
         self.policy = policy or ReactiveEq1Policy(self.config)
-        #: Reference Eq. 1 arithmetic, kept available whatever policy
-        #: runs (the legacy query methods below delegate to it).
-        self._eq1 = (
-            self.policy
-            if isinstance(self.policy, ReactiveEq1Policy)
-            else ReactiveEq1Policy(self.config)
-        )
         self.ticks = 0
         self.decisions = 0
         self._running = False
@@ -180,23 +173,6 @@ class StagingCoordinator:
         estimator = getattr(self.sensor, "encounter_duration", None)
         return estimator.value if estimator is not None else None
 
-    # -- legacy staging-algorithm queries --------------------------------------
-    # The Eq. 1 arithmetic, exposed where callers and tests historically
-    # found it.  Always the *reference* reactive math (same config), even
-    # when a different policy is driving decisions.
-
-    def eq1_threshold(self) -> float:
-        """The paper's Eq. 1 right-hand side from current estimates."""
-        return self._eq1.eq1_threshold(self.observe())
-
-    def gap_allowance(self) -> int:
-        """Extra chunks signalled so staging survives a coverage gap."""
-        return self._eq1.gap_allowance(self.observe())
-
-    def target_signalled(self) -> int:
-        """How many unfetched chunks should be READY or PENDING."""
-        return self._eq1.target_signalled(self.observe())
-
     def prestage_count(self) -> int:
         """How many chunks the *active* policy pre-stages on handoff."""
         return self.policy.prestage_count(self.observe())
@@ -303,57 +279,14 @@ class StagingCoordinator:
                 for record in self._pending_records(action.cids):
                     record.staging_state = StagingState.BLANK
                     record.staging_requested_at = None
-            elif action.kind is ActionKind.MIGRATE:
-                vnf = self._resolve_target(action.target)
-                if vnf is None:
-                    continue
-                records = [
-                    record
-                    for record in self._records_for(action.cids)
-                    if record.staging_state is StagingState.READY
-                ]
-                if records:
-                    decided = True
-                    signalled += self.tracker.signal(
-                        records,
-                        vnf,
-                        label=action.label or "migrate",
-                        restage=True,
-                    )
-            elif action.kind is ActionKind.PIN:
-                signalled += self._pin(action)
         return signalled, decided
 
-    def _pin(self, action: StagingAction) -> int:
-        """Re-signal READY chunks to the VNF holding them, so the edge
-        cache refreshes (and keeps) their pinned entries."""
-        controller = getattr(self.sensor, "controller", None)
-        if controller is None:
-            return 0
-        by_nid = {
-            info.nid: info for info in controller.access_points.values()
-        }
-        signalled = 0
-        for record in self._records_for(action.cids):
-            if record.staging_state is not StagingState.READY:
-                continue
-            if record.location is None:
-                continue
-            vnf = vnf_address(by_nid.get(record.location[0]))
-            if vnf is None:
-                continue
-            signalled += self.tracker.signal(
-                [record], vnf, label=action.label or "pin", restage=True
-            )
-        return signalled
-
-    def _records_for(self, cids) -> list:
-        return [self.profile.get(cid) for cid in cids if cid in self.profile]
-
     def _pending_records(self, cids) -> list:
+        records = (
+            self.profile.get(cid) for cid in cids if cid in self.profile
+        )
         return [
-            record
-            for record in self._records_for(cids)
+            record for record in records
             if record.staging_state is StagingState.PENDING
         ]
 

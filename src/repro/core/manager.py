@@ -3,7 +3,8 @@
 Wires the six Fig. 3 modules together around one client host:
 Chunk Profile <- {Chunk Manager, Staging Tracker} <- Staging
 Coordinator <- Network Sensor, plus the Handoff Manager, and exposes
-the small surface the application (SoftStageClient) drives.
+the small surface the application (SoftStageClient) drives.  Chunks
+travel through the client's own fetcher, which it hands in.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.mobility.association import AssociationController
 from repro.mobility.scanner import Scanner, VisibleNetwork
 from repro.obs.events import PrestageSignalled
 from repro.sim import Simulator
-from repro.transport.reliable import TransportEndpoint
+from repro.transport.chunkfetch import ChunkFetcher
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.nodes import Host
@@ -36,7 +37,7 @@ class StagingManager:
         self,
         sim: Simulator,
         host: "Host",
-        endpoint: TransportEndpoint,
+        fetcher: ChunkFetcher,
         controller: AssociationController,
         scanner: Scanner,
         config: Optional[SoftStageConfig] = None,
@@ -63,10 +64,8 @@ class StagingManager:
         )
         self.chunk_manager = ChunkManager(
             sim,
-            host,
-            endpoint,
+            fetcher,
             self.profile,
-            controller,
             config=self.config,
             handoff_manager=self.handoff_manager,
             chunk_delivered=self.coordinator.notify_chunk_delivered,

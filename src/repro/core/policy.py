@@ -11,9 +11,9 @@ forking the staging stack:
   staging lead bytes, client progress, link queues, connectivity and
   the Table I latency estimators);
 - a policy's :meth:`StagingPolicy.decide` maps an observation to a list
-  of :class:`StagingAction` requests (stage / re-signal / cancel /
-  migrate / pin), which the coordinator executes against the Staging
-  Tracker and the edge VNFs;
+  of :class:`StagingAction` requests (stage / re-signal / cancel),
+  which the coordinator executes against the Staging Tracker and the
+  edge VNFs;
 - lifecycle hooks (:meth:`StagingPolicy.on_attach` /
   :meth:`~StagingPolicy.on_detach` /
   :meth:`~StagingPolicy.on_chunk_delivered`) let event-driven policies
@@ -166,11 +166,6 @@ class ActionKind(enum.Enum):
     RESIGNAL = "resignal"
     #: Forget PENDING requests (state back to BLANK, no packets sent).
     CANCEL = "cancel"
-    #: Re-stage READY chunks into the target network's VNF while the
-    #: old staged copy stays addressable until the new one confirms.
-    MIGRATE = "migrate"
-    #: Ask the VNF currently holding READY chunks to keep them pinned.
-    PIN = "pin"
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,7 @@ class StagingAction:
     count: int = 0
     #: Network name the action applies to (None = current network).
     target: Optional[str] = None
-    #: Chunk CIDs for RESIGNAL / CANCEL / MIGRATE / PIN.
+    #: Chunk CIDs for RESIGNAL / CANCEL.
     cids: tuple = ()
     #: Label stamped on the staging signal (shows up in traces).
     label: str = ""
@@ -213,18 +208,6 @@ class StagingAction:
     @classmethod
     def cancel(cls, cids: Iterable) -> "StagingAction":
         return cls(ActionKind.CANCEL, cids=tuple(cids))
-
-    @classmethod
-    def migrate(
-        cls, cids: Iterable, target: str, label: str = "migrate"
-    ) -> "StagingAction":
-        return cls(
-            ActionKind.MIGRATE, target=target, cids=tuple(cids), label=label
-        )
-
-    @classmethod
-    def pin(cls, cids: Iterable, label: str = "pin") -> "StagingAction":
-        return cls(ActionKind.PIN, cids=tuple(cids), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +500,7 @@ def _make_mobility(config, scenario):
 
 
 def _make_predictive(config, scenario):
-    from repro.baselines.predictive import (
-        DEFAULT_PREDICTOR_ACCURACY,
-        MobilityPredictor,
-        PredictiveStagingPolicy,
-    )
+    from repro.baselines.predictive import PredictiveStagingPolicy
 
     if scenario is None:
         raise ConfigurationError(
@@ -529,12 +508,7 @@ def _make_predictive(config, scenario):
             "predictor is built from the scenario's AP list and RNG); "
             "construct PredictiveStagingPolicy directly instead"
         )
-    predictor = MobilityPredictor(
-        list(scenario.access_points.values()),
-        accuracy=DEFAULT_PREDICTOR_ACCURACY,
-        rng=scenario.streams.stream("mobility-predictor"),
-    )
-    return PredictiveStagingPolicy(predictor)
+    return PredictiveStagingPolicy.for_scenario(scenario)
 
 
 #: name -> factory(config, scenario).  Factories may ignore either

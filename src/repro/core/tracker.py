@@ -36,11 +36,6 @@ class StagingTracker:
         self.responses_received = 0
         self.stale_responses = 0
         self._request_sent_at: dict[XID, float] = {}
-        #: READY chunks being re-staged elsewhere (MIGRATE/PIN actions):
-        #: their next confirmation is a location update, not a stale
-        #: duplicate, and the old staged copy stays addressable
-        #: until the new one confirms.
-        self._migrating: set[XID] = set()
         host.register_handler(PacketType.STAGE_RESPONSE, self.on_response)
 
     # -- outgoing signals -------------------------------------------------
@@ -50,14 +45,11 @@ class StagingTracker:
         records: list[ChunkRecord],
         vnf_address: DagAddress,
         label: str = "",
-        restage: bool = False,
     ) -> int:
         """Ask the VNF at ``vnf_address`` to stage ``records``.
 
         Returns the number of chunks signalled.  Safe to call for
         already-PENDING records (re-signal after a lost response).
-        With ``restage=True``, READY records keep their state and
-        current address while the new staging request is in flight.
         """
         if not records:
             return 0
@@ -67,10 +59,7 @@ class StagingTracker:
             chunk_entries.append(
                 {"cid": record.cid, "raw_dag": record.raw_dag, "size": record.size_bytes}
             )
-            if restage and record.staging_state is StagingState.READY:
-                self._migrating.add(record.cid)
-            else:
-                record.staging_state = StagingState.PENDING
+            record.staging_state = StagingState.PENDING
             record.staging_requested_at = now
             record.staged_via = label
             self._request_sent_at.setdefault(record.cid, now)
@@ -112,16 +101,11 @@ class StagingTracker:
             return
         record = self.profile.get(cid)
         if record.staging_state is StagingState.READY:
-            if cid in self._migrating:
-                # Expected confirmation of a MIGRATE/PIN re-stage:
-                # accept it as a location update.
-                self._migrating.discard(cid)
-            else:
-                # Duplicate announcement (re-signalled chunk): ignore.
-                self.stale_responses += 1
-                if probe.active:
-                    probe.emit(StaleStagingResponse(cid=cid.short))
-                return
+            # Duplicate announcement (re-signalled chunk): ignore.
+            self.stale_responses += 1
+            if probe.active:
+                probe.emit(StaleStagingResponse(cid=cid.short))
+            return
         self.responses_received += 1
         nid, hid = payload["nid"], payload["hid"]
         staging_latency: Optional[float] = payload.get("staging_latency")

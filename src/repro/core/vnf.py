@@ -101,7 +101,7 @@ class StagingVNF:
         if self.store.has(cid):
             # Already staged (possibly for another client, or a re-sent
             # signal after the first answer was lost): answer at once,
-            # refreshing the pin so eviction spares it (PIN actions).
+            # refreshing the pin so eviction spares it.
             self.store.pin(cid)
             self._announce(cid, reply_to, self._staged_latency.get(cid, 0.0))
             return

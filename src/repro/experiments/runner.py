@@ -19,7 +19,7 @@ from repro.core.handoff import HandoffPolicy
 from repro.core.policy import StagingPolicy, make_policy, policy_name
 from repro.errors import ConfigurationError
 from repro.experiments.params import MicrobenchParams
-from repro.experiments.scenario import TestbedScenario
+from repro.experiments.scenario import TestbedScenario, system_class
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.coverage import Coverage
 from repro.obs.flight import (
@@ -162,11 +162,17 @@ def run_download(
     in the same file (or from different invocations) can be told
     apart and diffed.
     """
+    system_class(system)  # reject an unknown name before building anything
     if policy is not None and system != "softstage":
         raise ConfigurationError(
             f"staging policies only apply to the softstage system, not {system!r}"
         )
     if system == "endtoend":
+        if deadline is not None:
+            raise ConfigurationError(
+                "the endtoend baseline streams one session; deadlines "
+                "are not supported"
+            )
         # The end-to-end baseline is a single uninterrupted stream:
         # publish the whole object as one chunk.
         params = params or MicrobenchParams()
@@ -235,17 +241,11 @@ def run_download(
             teardowns.append(GaugeFeed(hub).attach(bus).detach)
             hub.publish("run", {**run_marker, "state": "started"})
         content = scenario.publish_default_content()
-        if system == "softstage":
-            client = scenario.make_softstage_client(
-                handoff_policy=handoff_policy,
-                staging_policy=staging_policy,
-            )
-        elif system == "xftp":
-            client = scenario.make_xftp_client()
-        elif system == "endtoend":
-            client = scenario.make_endtoend_client()
-        else:
-            raise ConfigurationError(f"unknown system {system!r}")
+        client = scenario.make_client(
+            system,
+            handoff_policy=handoff_policy,
+            staging_policy=staging_policy,
+        )
         if gauges:
             # The staging-pipeline gauges need the manager, which only
             # exists for a SoftStage client.
@@ -253,17 +253,9 @@ def run_download(
                 scenario,
                 manager=getattr(client, "manager", None),
             )
-        if system == "endtoend":
-            if deadline is not None:
-                raise ConfigurationError(
-                    "the endtoend baseline streams one session; deadlines "
-                    "are not supported"
-                )
-            process = scenario.sim.process(client.download(content))
-        else:
-            process = scenario.sim.process(
-                client.download(content, deadline=deadline)
-            )
+        process = scenario.sim.process(
+            client.download(content, deadline=deadline)
+        )
         download: DownloadResult = scenario.sim.run(until=process)
         if fold is not None:
             # Emit the run-summary wide record (post-run, like the live

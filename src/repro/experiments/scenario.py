@@ -25,7 +25,8 @@ from typing import Optional
 
 from repro.apps.ftp import XftpClient
 from repro.apps.server import ContentServer
-from repro.core.client import SoftStageClient
+from repro.baselines.endtoend import EndToEndClient
+from repro.core.client import MobileClient, SoftStageClient
 from repro.core.config import SoftStageConfig
 from repro.core.handoff import HandoffPolicy
 from repro.core.policy import StagingPolicy
@@ -51,6 +52,23 @@ from repro.xcache.store import ContentStore
 from repro.xia.ids import HID, NID, SID
 from repro.xia.netjoin import AdvertisementDirectory, NetworkAdvertisement
 from repro.xia.router import AccessPoint, XIARouter
+
+
+#: The compared systems: name -> client class.  ``endtoend`` expects
+#: single-chunk content (``run_download`` publishes it that way).
+SYSTEMS: dict[str, type[MobileClient]] = {
+    "softstage": SoftStageClient,
+    "xftp": XftpClient,
+    "endtoend": EndToEndClient,
+}
+
+
+def system_class(system: str) -> type[MobileClient]:
+    """The client class of a system name, or a ConfigurationError."""
+    try:
+        return SYSTEMS[system]
+    except KeyError:
+        raise ConfigurationError(f"unknown system {system!r}") from None
 
 
 class EdgeNetwork:
@@ -267,23 +285,24 @@ class TestbedScenario:
             sim, self.client_host, self.transport_config
         )
 
-    # -- client factories -------------------------------------------------------
+    # -- the client factory -----------------------------------------------------
 
-    def _claim_client(self) -> None:
+    def make_client(
+        self,
+        system: str,
+        handoff_policy: Optional[HandoffPolicy] = None,
+        staging_policy: Optional[StagingPolicy] = None,
+    ) -> MobileClient:
+        """Build the scenario's one client application: ``system`` names
+        a :data:`SYSTEMS` entry; ``None`` policies are its defaults."""
+        client_class = system_class(system)
         if self._client_made:
             raise ConfigurationError(
                 "one scenario supports a single client application; "
                 "build a fresh TestbedScenario per run"
             )
         self._client_made = True
-
-    def make_softstage_client(
-        self,
-        handoff_policy: Optional[HandoffPolicy] = None,
-        staging_policy: Optional[StagingPolicy] = None,
-    ) -> SoftStageClient:
-        self._claim_client()
-        client = SoftStageClient(
+        client = client_class(
             self.sim,
             self.client_host,
             self.client_endpoint,
@@ -292,61 +311,6 @@ class TestbedScenario:
             config=self.softstage_config,
             handoff_policy=handoff_policy,
             staging_policy=staging_policy,
-        )
-        self.scanner.start()
-        return client
-
-    def make_xftp_client(self) -> XftpClient:
-        self._claim_client()
-        client = XftpClient(
-            self.sim,
-            self.client_host,
-            self.client_endpoint,
-            self.controller,
-            self.scanner,
-            config=self.softstage_config,
-        )
-        self.scanner.start()
-        return client
-
-    def make_predictive_client(self, accuracy: float, stage_window: int = 8):
-        """EdgeBuffer-style predictive-staging baseline client."""
-        from repro.baselines.predictive import (
-            MobilityPredictor,
-            PredictiveStagingClient,
-        )
-
-        self._claim_client()
-        predictor = MobilityPredictor(
-            list(self.access_points.values()),
-            accuracy=accuracy,
-            rng=self.streams.stream("mobility-predictor"),
-        )
-        client = PredictiveStagingClient(
-            self.sim,
-            self.client_host,
-            self.client_endpoint,
-            self.controller,
-            self.scanner,
-            predictor,
-            config=self.softstage_config,
-            stage_window=stage_window,
-        )
-        self.scanner.start()
-        return client
-
-    def make_endtoend_client(self):
-        """Host-based single-stream baseline client."""
-        from repro.baselines.endtoend import EndToEndClient
-
-        self._claim_client()
-        client = EndToEndClient(
-            self.sim,
-            self.client_host,
-            self.client_endpoint,
-            self.controller,
-            self.scanner,
-            config=self.softstage_config,
         )
         self.scanner.start()
         return client

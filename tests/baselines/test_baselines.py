@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from repro.baselines.predictive import MobilityPredictor
+from repro.baselines.predictive import MobilityPredictor, PredictiveStagingPolicy
+from repro.core.handoff import RssGreedyPolicy
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.scenario import TestbedScenario
 from repro.mobility.association import AccessPointInfo
+from repro.obs.wide import WideEventBuilder
 from repro.util import MB
 from repro.xia import HID, NID, SID
 
@@ -62,11 +64,23 @@ def test_predictor_with_unknown_current():
 # ---------------------------------------------------------------------------
 
 
+def make_predictive_client(scenario, accuracy):
+    """The SoftStage client under the predictive policy at ``accuracy``
+    (RSS-greedy handoffs: prediction-driven schemes defer nothing)."""
+    return scenario.make_client(
+        "softstage",
+        handoff_policy=RssGreedyPolicy(),
+        staging_policy=PredictiveStagingPolicy.for_scenario(scenario, accuracy),
+    )
+
+
 def test_predictive_client_downloads_with_good_predictions():
     params = MicrobenchParams(file_size=8 * MB, chunk_size=1 * MB)
     scenario = TestbedScenario(params=params, seed=1)
     content = scenario.publish_default_content()
-    client = scenario.make_predictive_client(accuracy=1.0)
+    client = make_predictive_client(scenario, accuracy=1.0)
+    records = []
+    WideEventBuilder(sinks=[records.append]).attach(scenario.sim.probe.bus)
     result = scenario.sim.run(
         until=scenario.sim.process(client.download(content))
     )
@@ -74,6 +88,12 @@ def test_predictive_client_downloads_with_good_predictions():
     assert result.staging_signals >= 1
     # With perfect prediction, later chunks come from edges.
     assert result.chunks_from_edge > 0
+    # On the shared client a predictive run is as observable as any
+    # other: one chunk wide record per delivered chunk.
+    chunk_records = [r for r in records if r["kind"] == "chunk"]
+    assert [r["cid"] for r in chunk_records] == [
+        chunk.cid.short for chunk in content.chunks
+    ]
 
 
 def test_predictive_worse_with_bad_predictions():
@@ -82,7 +102,7 @@ def test_predictive_worse_with_bad_predictions():
     for accuracy in (1.0, 0.0):
         scenario = TestbedScenario(params=params, seed=2, num_edges=3)
         content = scenario.publish_default_content()
-        client = scenario.make_predictive_client(accuracy=accuracy)
+        client = make_predictive_client(scenario, accuracy=accuracy)
         result = scenario.sim.run(
             until=scenario.sim.process(client.download(content))
         )
@@ -94,7 +114,7 @@ def test_endtoend_client_single_stream():
     params = MicrobenchParams(file_size=6 * MB, chunk_size=6 * MB)
     scenario = TestbedScenario(params=params, seed=1)
     content = scenario.publish_default_content()
-    client = scenario.make_endtoend_client()
+    client = scenario.make_client("endtoend")
     result = scenario.sim.run(
         until=scenario.sim.process(client.download(content))
     )
@@ -107,6 +127,6 @@ def test_one_client_per_scenario_enforced():
     from repro.errors import ConfigurationError
 
     scenario = TestbedScenario(params=MicrobenchParams(file_size=2 * MB), seed=0)
-    scenario.make_xftp_client()
+    scenario.make_client("xftp")
     with pytest.raises(ConfigurationError):
-        scenario.make_softstage_client()
+        scenario.make_client("softstage")

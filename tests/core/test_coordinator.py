@@ -65,7 +65,7 @@ def test_eq1_threshold_from_estimates():
     profile.staging_latency.observe(1.0)
     profile.edge_fetch_latency.observe(0.5)
     # (0.02 + 1.0) / 0.5
-    assert coordinator.eq1_threshold() == pytest.approx(2.04)
+    assert coordinator.policy.eq1_threshold(coordinator.observe()) == pytest.approx(2.04)
 
 
 def test_eq1_threshold_uses_defaults_when_empty():
@@ -73,7 +73,7 @@ def test_eq1_threshold_uses_defaults_when_empty():
         default_rtt=0.05, default_staging_latency=2.0, default_fetch_latency=1.0
     )
     _, _, _, coordinator = build(config=config)
-    assert coordinator.eq1_threshold() == pytest.approx(2.05)
+    assert coordinator.policy.eq1_threshold(coordinator.observe()) == pytest.approx(2.05)
 
 
 def test_slow_internet_raises_threshold():
@@ -82,27 +82,27 @@ def test_slow_internet_raises_threshold():
     profile.rtt_to_edge.observe(0.02)
     profile.edge_fetch_latency.observe(0.5)
     profile.staging_latency.observe(0.5)
-    fast = coordinator.eq1_threshold()
+    fast = coordinator.policy.eq1_threshold(coordinator.observe())
     profile.staging_latency._value = 4.0  # Internet got 8x slower
-    slow = coordinator.eq1_threshold()
+    slow = coordinator.policy.eq1_threshold(coordinator.observe())
     assert slow > 4 * fast
 
 
 def test_gap_allowance_scales_with_observed_gap():
     _, profile, _, c_small = build(sensor=FakeSensor(gap=8.0))
     profile.staging_latency.observe(1.0)
-    assert c_small.gap_allowance() == 8
+    assert c_small.policy.gap_allowance(c_small.observe()) == 8
 
     _, profile2, _, c_large = build(sensor=FakeSensor(gap=100.0))
     profile2.staging_latency.observe(1.0)
-    assert c_large.gap_allowance() == 100
+    assert c_large.policy.gap_allowance(c_large.observe()) == 100
 
 
 def test_target_capped_by_max_stage_ahead():
     config = SoftStageConfig(max_stage_ahead=10)
     _, profile, _, coordinator = build(config=config, sensor=FakeSensor(gap=500.0))
     profile.staging_latency.observe(1.0)
-    assert coordinator.target_signalled() == 10
+    assert coordinator.policy.target_signalled(coordinator.observe()) == 10
 
 
 def test_tick_signals_deficit():

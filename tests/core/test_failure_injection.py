@@ -33,7 +33,7 @@ def test_stale_staged_copy_falls_back_to_origin():
     out against the edge and XfetchChunk* falls back to the raw DAG."""
     scenario = always_on_scenario()
     content = scenario.publish_default_content()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     manager = client.manager
     manager.register_content(content)
     scenario.sim.run(until=1.0)
@@ -64,7 +64,7 @@ def test_vnf_stage_failure_counted_and_survivable():
     content."""
     scenario = always_on_scenario()
     content = scenario.publish_default_content()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     manager = client.manager
     manager.register_content(content)
     scenario.sim.run(until=1.0)
@@ -91,7 +91,7 @@ def test_lost_confirmations_are_resignalled():
     stale PENDING entries and the VNF answers from its store."""
     scenario = always_on_scenario()
     content = scenario.publish_default_content()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     manager = client.manager
     manager.register_content(content)
     scenario.sim.run(until=1.0)
@@ -116,7 +116,7 @@ def test_edge_cache_pressure_never_evicts_pinned_staged_chunks():
     them (the continuity guarantee staging relies on)."""
     scenario = always_on_scenario()
     content = scenario.publish_default_content()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     manager = client.manager
     manager.register_content(content)
     scenario.sim.run(until=1.0)

@@ -51,16 +51,15 @@ class FakeTracker:
     def __init__(self):
         self.calls = []
 
-    def signal(self, records, vnf, label="", restage=False):
-        self.calls.append((list(records), vnf, label, restage))
+    def signal(self, records, vnf, label=""):
+        self.calls.append((list(records), vnf, label))
         for record in records:
-            if not restage:
-                record.staging_state = StagingState.PENDING
+            record.staging_state = StagingState.PENDING
             record.staging_requested_at = 0.0
         return len(records)
 
     def signalled_cids(self):
-        return [r.cid for records, _, _, _ in self.calls for r in records]
+        return [r.cid for records, _, _ in self.calls for r in records]
 
 
 class FakeSensor:
@@ -227,26 +226,6 @@ def test_cancel_returns_pending_chunks_to_blank():
         assert record.staging_requested_at is None
     # Cancelling sends no packets.
     assert len(tracker.calls) == 1
-
-
-def test_migrate_resignals_ready_chunks_with_restage():
-    _, profile, tracker, coordinator = build(4, ScriptedPolicy([]))
-    records = list(profile.records())
-    ready, blank = records[0], records[1]
-    ready.staging_state = StagingState.READY
-    ready.location = (NID("edge-a"), HID("cache-a"))
-    coordinator.policy.script = [
-        [StagingAction.migrate([ready.cid, blank.cid], target=None)]
-    ]
-    coordinator.tick()
-    # Only the READY chunk migrates; BLANK ones are not migratable.
-    assert len(tracker.calls) == 1
-    records, _vnf, label, restage = tracker.calls[0]
-    assert [r.cid for r in records] == [ready.cid]
-    assert label == "migrate"
-    assert restage is True
-    # The staged copy stays addressable while the move is in flight.
-    assert ready.staging_state is StagingState.READY
 
 
 def test_stage_toward_unknown_network_is_dropped():

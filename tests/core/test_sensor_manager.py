@@ -18,7 +18,7 @@ def make_scenario(with_vnf=True, coverage=None):
 
 def test_sensor_tracks_current_vnf():
     scenario = make_scenario()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     sensor = client.manager.sensor
     assert sensor.current_vnf_address() is None  # offline
     scenario.sim.run(until=1.0)
@@ -29,7 +29,7 @@ def test_sensor_tracks_current_vnf():
 
 def test_sensor_reports_no_vnf_when_absent():
     scenario = make_scenario(with_vnf=False)
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     scenario.sim.run(until=1.0)
     assert scenario.controller.is_associated
     assert client.manager.sensor.current_vnf_address() is None
@@ -41,7 +41,7 @@ def test_sensor_observes_gaps_and_encounters():
         total_time=60.0,
     )
     scenario = make_scenario(coverage=coverage)
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     sensor = client.manager.sensor
     scenario.sim.run(until=20.0)
     # Two full cycles: gap and encounter EWMAs have samples near truth.
@@ -53,13 +53,13 @@ def test_sensor_observes_gaps_and_encounters():
 
 def test_sensor_expected_gap_default_before_observations():
     scenario = make_scenario()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     assert client.manager.sensor.expected_gap(default=16.0) == 16.0
 
 
 def test_manager_wires_modules_onto_shared_profile():
     scenario = make_scenario()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     manager = client.manager
     assert manager.tracker.profile is manager.profile
     assert manager.coordinator.profile is manager.profile
@@ -71,14 +71,14 @@ def test_manager_wires_modules_onto_shared_profile():
 def test_manager_register_content_populates_profile():
     scenario = make_scenario()
     content = scenario.publish_default_content()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     client.manager.register_content(content)
     assert len(client.manager.profile) == len(content.chunks)
 
 
 def test_visible_networks_and_strongest():
     scenario = make_scenario()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     scenario.sim.run(until=1.0)
     sensor = client.manager.sensor
     visible = sensor.visible_networks()

@@ -23,7 +23,7 @@ def small_params(**overrides):
 
 def run_softstage(scenario, deadline=None, policy=None):
     content = scenario.publish_default_content()
-    client = scenario.make_softstage_client(handoff_policy=policy)
+    client = scenario.make_client("softstage", handoff_policy=policy)
     process = scenario.sim.process(client.download(content, deadline=deadline))
     result = scenario.sim.run(until=process)
     return result, client
@@ -138,7 +138,7 @@ def test_edge_faster_than_origin_overall():
     params = MicrobenchParams(file_size=16 * MB)
     xftp_scenario = TestbedScenario(params=params, seed=0)
     content = xftp_scenario.publish_default_content()
-    xftp = xftp_scenario.make_xftp_client()
+    xftp = xftp_scenario.make_client("xftp")
     xftp_result = xftp_scenario.sim.run(
         until=xftp_scenario.sim.process(xftp.download(content))
     )

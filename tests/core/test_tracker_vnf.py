@@ -21,7 +21,7 @@ def always_on_scenario(**param_overrides):
 
 def attach_and_register(scenario):
     content = scenario.publish_default_content()
-    client = scenario.make_softstage_client()
+    client = scenario.make_client("softstage")
     manager = client.manager
     manager.register_content(content)
     scenario.sim.run(until=1.0)  # let the scanner attach the client

@@ -164,19 +164,49 @@ def test_spans_and_wide_share_one_lifecycle_subscriber(
     assert cids and [s.key for s in closed] == cids
 
 
-def test_a_raising_run_detaches_everything_and_tells_the_hub(built_scenarios):
+def test_a_raising_run_detaches_everything_and_tells_the_hub(
+    built_scenarios, monkeypatch
+):
+    from repro.experiments.scenario import TestbedScenario
     from repro.obs.stream import TelemetryHub
 
+    def failing_publish(self):
+        # Any failure after the attachments are made will do (a bad
+        # argument is not one: it is rejected before anything is built).
+        raise ConfigurationError("origin store cannot hold the content")
+
+    monkeypatch.setattr(
+        TestbedScenario, "publish_default_content", failing_publish
+    )
     hub = TelemetryHub()
     sub = hub.subscribe(topics={"run"})
     with pytest.raises(ConfigurationError):
-        run_download("nope", spans=True, instrument=True, hub=hub)
+        run_download("xftp", spans=True, instrument=True, hub=hub)
     (scenario,) = built_scenarios
     assert scenario.sim.probe.bus.subscriber_count == 0
     markers = [payload for _topic, payload in sub.drain()]
     assert [m["state"] for m in markers] == ["started", "failed"]
-    assert markers[-1]["run"] == "nope-seed0"
+    assert markers[-1]["run"] == "xftp-seed0"
     assert markers[-1]["error"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    ("nope", {}),
+    ("endtoend", {"deadline": 30.0}),
+], ids=["unknown-system", "endtoend-deadline"])
+def test_run_download_validates_before_it_builds(
+    built_scenarios, tmp_path, system, kwargs
+):
+    from repro.obs.stream import TelemetryHub
+
+    hub = TelemetryHub()
+    sub = hub.subscribe(topics={"run"})
+    trace = tmp_path / "trace.jsonl"
+    with pytest.raises(ConfigurationError):
+        run_download(system, trace_path=str(trace), hub=hub, **kwargs)
+    assert built_scenarios == []
+    assert not trace.exists()
+    assert sub.drain() == []
 
 
 def test_run_download_keeps_shedding_knobs_nobody_turns():
