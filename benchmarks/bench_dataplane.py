@@ -262,6 +262,56 @@ def test_dataplane_pump(benchmark):
 # -- standalone driver (CI perf smoke) ---------------------------------------
 
 
+def _gates(args, metrics):
+    if not args.check:
+        return
+    from repro import perf
+
+    steps = metrics["pump.steps_per_packet"]
+    # Deterministic metric: any machine's entries count.
+    ok, base = perf.check_regression(
+        "dataplane", "pump.steps_per_packet", steps, allowed_drop=0.05,
+        same_machine=False, higher_is_better=False,
+    )
+    if not ok:
+        yield f"pump.steps_per_packet: {steps:.3f} vs baseline {base:.3f}"
+    if steps > STEPS_PER_PACKET_CEILING:
+        yield (f"pump.steps_per_packet: {steps:.3f}"
+               f" is above the {STEPS_PER_PACKET_CEILING} ceiling")
+    for key, ceilings in (
+        ("download.steps_per_mb", DOWNLOAD_STEPS_PER_MB_CEILING),
+        ("download.py_calls_per_mb", DOWNLOAD_PY_CALLS_PER_MB_CEILING),
+    ):
+        ceiling = ceilings.get(args.download_mb)
+        if ceiling is None:
+            yield (f"{key}: no ceiling for --download-mb "
+                   f"{args.download_mb:g} (have {sorted(ceilings)})")
+        elif metrics[key] > ceiling:
+            yield (f"{key}: {metrics[key]:,.0f} is above the "
+                   f"{ceiling:,.0f} ceiling")
+    # Wall-clock metric: same-machine entries only, 30% tolerance.
+    rate = metrics["pump.packets_per_sec"]
+    ok, base = perf.check_regression(
+        "dataplane", "pump.packets_per_sec", rate, allowed_drop=0.30,
+        same_machine=True, higher_is_better=True,
+    )
+    if not ok:
+        yield (f"pump.packets_per_sec: {rate:,.0f}"
+               f" is >30% below baseline {base:,.0f}")
+
+
+def _deposit(args, metrics):
+    if not args.registry:
+        return
+    from repro.obs.registry import RunRegistry
+
+    record = RunRegistry().append(
+        "bench-dataplane", "bench", metrics,
+        meta={"label": args.label} if args.label else None,
+    )
+    print(f"registry: {record.rec_id} appended to {RunRegistry().path}")
+
+
 def main(argv=None) -> int:
     from repro import perf
 
@@ -269,86 +319,14 @@ def main(argv=None) -> int:
     parser.add_argument("--packets", type=int, default=DEFAULT_PACKETS)
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--download-mb", type=float, default=4.0)
-    parser.add_argument("--label", default="")
-    parser.add_argument("--no-record", action="store_true",
-                        help="measure and print only")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on regression vs the recorded baseline")
     parser.add_argument("--registry", action="store_true",
                         help="also append the medians to the run registry "
                              "(.repro_runs, or REPRO_RUNS_DIR)")
-    args = parser.parse_args(argv)
-
-    metrics = measure(args.packets, args.rounds, args.download_mb)
-    for key in sorted(metrics):
-        value = metrics[key]
-        print(f"{key:>32} = {value:,.2f}" if isinstance(value, float)
-              else f"{key:>32} = {value}")
-
-    failures = []
-    if args.check:
-        # Deterministic metric: any machine's entries count.
-        ok, base = perf.check_regression(
-            "dataplane", "pump.steps_per_packet",
-            metrics["pump.steps_per_packet"], allowed_drop=0.05,
-            same_machine=False, higher_is_better=False,
-        )
-        if not ok:
-            failures.append(
-                f"pump.steps_per_packet: {metrics['pump.steps_per_packet']:.3f}"
-                f" vs baseline {base:.3f}"
-            )
-        if metrics["pump.steps_per_packet"] > STEPS_PER_PACKET_CEILING:
-            failures.append(
-                f"pump.steps_per_packet: {metrics['pump.steps_per_packet']:.3f}"
-                f" is above the {STEPS_PER_PACKET_CEILING} ceiling"
-            )
-        for key, ceilings in (
-            ("download.steps_per_mb", DOWNLOAD_STEPS_PER_MB_CEILING),
-            ("download.py_calls_per_mb", DOWNLOAD_PY_CALLS_PER_MB_CEILING),
-        ):
-            ceiling = ceilings.get(args.download_mb)
-            if ceiling is None:
-                failures.append(
-                    f"{key}: no ceiling for --download-mb "
-                    f"{args.download_mb:g} (have {sorted(ceilings)})"
-                )
-            elif metrics[key] > ceiling:
-                failures.append(
-                    f"{key}: {metrics[key]:,.0f} is above the "
-                    f"{ceiling:,.0f} ceiling"
-                )
-        # Wall-clock metric: same-machine entries only, 30% tolerance.
-        ok, base = perf.check_regression(
-            "dataplane", "pump.packets_per_sec",
-            metrics["pump.packets_per_sec"], allowed_drop=0.30,
-            same_machine=True, higher_is_better=True,
-        )
-        if not ok:
-            failures.append(
-                f"pump.packets_per_sec: {metrics['pump.packets_per_sec']:,.0f}"
-                f" is >30% below baseline {base:,.0f}"
-            )
-
-    if not args.no_record:
-        perf.record("dataplane", metrics, label=args.label)
-        print(f"\nrecorded to {perf.bench_path('dataplane')}")
-
-    if args.registry:
-        from repro.obs.registry import RunRegistry
-
-        record = RunRegistry().append(
-            "bench-dataplane", "bench", metrics,
-            meta={"label": args.label} if args.label else None,
-        )
-        print(f"registry: {record.rec_id} appended to {RunRegistry().path}")
-
-    if failures:
-        print("\nPERF REGRESSION:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return perf.ledger_main(
+        "dataplane", parser,
+        lambda args: measure(args.packets, args.rounds, args.download_mb),
+        gates=[_gates], then=_deposit, argv=argv,
+    )
 
 
 if __name__ == "__main__":

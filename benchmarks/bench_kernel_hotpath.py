@@ -163,6 +163,29 @@ def test_kernel_hotpath_wireless(benchmark):
 # -- standalone driver (CI perf smoke) ---------------------------------------
 
 
+def _gates(args, metrics):
+    if not args.check:
+        return
+    from repro import perf
+
+    # Deterministic metric: any machine's entries count.
+    for key in ("wired.pushes_per_packet", "wireless.pushes_per_packet"):
+        ok, base = perf.check_regression(
+            "kernel", key, metrics[key], allowed_drop=0.05,
+            same_machine=False, higher_is_better=False,
+        )
+        if not ok:
+            yield f"{key}: {metrics[key]:.3f} vs baseline {base:.3f}"
+    # Wall-clock metric: same-machine entries only, 30% tolerance.
+    for key in ("wired.events_per_sec", "wireless.events_per_sec"):
+        ok, base = perf.check_regression(
+            "kernel", key, metrics[key], allowed_drop=0.30,
+            same_machine=True, higher_is_better=True,
+        )
+        if not ok:
+            yield f"{key}: {metrics[key]:,.0f} is >30% below baseline {base:,.0f}"
+
+
 def main(argv=None) -> int:
     from repro import perf
 
@@ -170,50 +193,11 @@ def main(argv=None) -> int:
     parser.add_argument("--packets", type=int, default=DEFAULT_PACKETS)
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--download-mb", type=float, default=4.0)
-    parser.add_argument("--label", default="")
-    parser.add_argument("--no-record", action="store_true",
-                        help="measure and print only")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on regression vs the recorded baseline")
-    args = parser.parse_args(argv)
-
-    metrics = measure(args.packets, args.rounds, args.download_mb)
-    for key in sorted(metrics):
-        value = metrics[key]
-        print(f"{key:>28} = {value:,.2f}" if isinstance(value, float)
-              else f"{key:>28} = {value}")
-
-    failures = []
-    if args.check:
-        # Deterministic metric: any machine's entries count.
-        for key in ("wired.pushes_per_packet", "wireless.pushes_per_packet"):
-            ok, base = perf.check_regression(
-                "kernel", key, metrics[key], allowed_drop=0.05,
-                same_machine=False, higher_is_better=False,
-            )
-            if not ok:
-                failures.append(f"{key}: {metrics[key]:.3f} vs baseline {base:.3f}")
-        # Wall-clock metric: same-machine entries only, 30% tolerance.
-        for key in ("wired.events_per_sec", "wireless.events_per_sec"):
-            ok, base = perf.check_regression(
-                "kernel", key, metrics[key], allowed_drop=0.30,
-                same_machine=True, higher_is_better=True,
-            )
-            if not ok:
-                failures.append(
-                    f"{key}: {metrics[key]:,.0f} is >30% below baseline {base:,.0f}"
-                )
-
-    if not args.no_record:
-        perf.record("kernel", metrics, label=args.label)
-        print(f"\nrecorded to {perf.bench_path('kernel')}")
-
-    if failures:
-        print("\nPERF REGRESSION:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return perf.ledger_main(
+        "kernel", parser,
+        lambda args: measure(args.packets, args.rounds, args.download_mb),
+        gates=[_gates], argv=argv,
+    )
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ Every row includes ``EventBus.publish`` itself; subtract ``noop`` for a
 handler's own share.
 
 ``PYTHONPATH=src python -m benchmarks.bench_obs_writepath`` prints the
-table; ``--label`` appends it to ``BENCH_obs.json`` via
+table and, unless ``--no-record``, appends it to ``BENCH_obs.json`` via
 :mod:`repro.perf`; ``--check`` fails when ``all.py_calls_per_event`` is
 above ``ALL_PY_CALLS_PER_EVENT_CEILING`` or when the exporter's bytes
 for the stream differ from the reference ``asdict`` + ``json.dumps``
@@ -245,42 +245,26 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--label", default="",
-                        help="append the ledger to BENCH_obs.json under "
-                             "this label")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on a frame-budget or trace-identity "
-                             "regression")
-    args = parser.parse_args(argv)
+    runs: list[list[Stamped]] = []  # recorded once, shared with the gate
 
-    runs = record_stream()
-    metrics = measure(runs, rounds=args.rounds)
-    print(render(metrics))
+    def run(args) -> dict:
+        runs.extend(record_stream())
+        return measure(runs, rounds=args.rounds)
 
-    failures = []
-    if args.check:
+    def budget_gate(args, metrics):
+        if not args.check:
+            return
         calls = metrics["all.py_calls_per_event"]
         if calls > ALL_PY_CALLS_PER_EVENT_CEILING:
-            failures.append(
-                f"all.py_calls_per_event: {calls:.2f} is above the "
-                f"{ALL_PY_CALLS_PER_EVENT_CEILING} ceiling"
-            )
+            yield (f"all.py_calls_per_event: {calls:.2f} is above the "
+                   f"{ALL_PY_CALLS_PER_EVENT_CEILING} ceiling")
         if not exporter_matches_reference(runs):
-            failures.append(
-                "TraceExporter's output differs from the reference "
-                "asdict + json.dumps encoding"
-            )
+            yield ("TraceExporter's output differs from the reference "
+                   "asdict + json.dumps encoding")
 
-    if args.label:
-        perf.record("obs", metrics, label=args.label)
-        print(f"\nrecorded to {perf.bench_path('obs')}")
-
-    if failures:
-        print("\nPERF REGRESSION:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return perf.ledger_main(
+        "obs", parser, run, gates=[budget_gate], render=render, argv=argv,
+    )
 
 
 if __name__ == "__main__":

@@ -18,23 +18,13 @@ Runs two ways:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from time import perf_counter
 
-from repro.experiments import microbench
-from repro.experiments.microbench import BenchProfile
+from repro.experiments.microbench import BenchProfile, sweep
+from repro.experiments.params import PANELS
 from repro.util import MB
-
-PANELS = {
-    "a": microbench.sweep_chunk_size,
-    "b": microbench.sweep_encounter_time,
-    "c": microbench.sweep_disconnection_time,
-    "d": microbench.sweep_packet_loss,
-    "e": microbench.sweep_internet_bandwidth,
-    "f": microbench.sweep_internet_latency,
-}
 
 
 def _mini_profile(file_mb: float = 4.0, seeds: int = 2) -> BenchProfile:
@@ -48,15 +38,14 @@ def _mini_profile(file_mb: float = 4.0, seeds: int = 2) -> BenchProfile:
 def measure(panel: str = "f", jobs: int = 4,
             profile: BenchProfile | None = None) -> dict:
     """Run ``panel`` sequentially then with ``jobs`` workers."""
-    sweep = PANELS[panel]
     profile = profile or _mini_profile()
 
     started = perf_counter()
-    sequential = sweep(replace(profile, jobs=1))
+    sequential = sweep(panel, replace(profile, jobs=1))
     wall_sequential = perf_counter() - started
 
     started = perf_counter()
-    parallel = sweep(replace(profile, jobs=jobs))
+    parallel = sweep(panel, replace(profile, jobs=jobs))
     wall_parallel = perf_counter() - started
 
     identical = (sequential == parallel
@@ -79,7 +68,7 @@ def measure(panel: str = "f", jobs: int = 4,
 def test_parallel_sweep_speedup(benchmark):
     from benchmarks.conftest import run_once
 
-    jobs = max(int(os.environ.get("REPRO_BENCH_JOBS", "2")), 2)
+    jobs = max(BenchProfile.from_env().jobs, 2)
     profile = _mini_profile(file_mb=2.0, seeds=2)
     result = run_once(benchmark, lambda: measure("f", jobs, profile))
     assert result["byte_identical"], "parallel sweep diverged from sequential"
@@ -91,6 +80,21 @@ def test_parallel_sweep_speedup(benchmark):
 # -- standalone driver (CI perf smoke) ---------------------------------------
 
 
+def _gates(args, metrics):
+    if not metrics["byte_identical"]:
+        yield "parallel sweep results diverged from sequential"
+    if args.check:
+        from repro import perf
+
+        ok, base = perf.check_regression(
+            "sweep", "speedup", metrics["speedup"], allowed_drop=0.30,
+            same_machine=True, higher_is_better=True,
+        )
+        if not ok:
+            yield (f"speedup {metrics['speedup']:.2f}x is >30% below "
+                   f"baseline {base:.2f}x")
+
+
 def main(argv=None) -> int:
     from repro import perf
 
@@ -99,48 +103,13 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--file-mb", type=float, default=4.0)
     parser.add_argument("--seeds", type=int, default=2)
-    parser.add_argument("--label", default="")
-    parser.add_argument("--no-record", action="store_true",
-                        help="measure and print only")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on lost parity or a speedup regression")
-    args = parser.parse_args(argv)
-
-    metrics = measure(
-        args.panel, args.jobs,
-        _mini_profile(args.file_mb, args.seeds),
+    return perf.ledger_main(
+        "sweep", parser,
+        lambda args: measure(
+            args.panel, args.jobs, _mini_profile(args.file_mb, args.seeds)
+        ),
+        gates=[_gates], argv=argv,
     )
-    for key in sorted(metrics):
-        value = metrics[key]
-        print(f"{key:>20} = {value:,.2f}" if isinstance(value, float)
-              else f"{key:>20} = {value}")
-
-    failures = []
-    if not metrics["byte_identical"]:
-        failures.append("parallel sweep results diverged from sequential")
-    if args.check:
-        ok, base = perf.check_regression(
-            "sweep", "speedup", metrics["speedup"], allowed_drop=0.30,
-            same_machine=True, higher_is_better=True,
-        )
-        if not ok:
-            failures.append(
-                f"speedup {metrics['speedup']:.2f}x is >30% below "
-                f"baseline {base:.2f}x"
-            )
-
-    if not args.no_record:
-        metrics = dict(metrics)
-        metrics["byte_identical"] = bool(metrics["byte_identical"])
-        perf.record("sweep", metrics, label=args.label)
-        print(f"\nrecorded to {perf.bench_path('sweep')}")
-
-    if failures:
-        print("\nPERF REGRESSION:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

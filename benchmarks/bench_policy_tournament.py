@@ -31,14 +31,19 @@ policies without a full bench run; the full grids stay with
 from __future__ import annotations
 
 import argparse
-import os
 import statistics
 import sys
 
-from repro.experiments.params import MicrobenchParams
-from repro.experiments.parallel import SweepTask, run_tasks
+from repro.experiments.microbench import BenchProfile
+from repro.experiments.params import PANELS, MicrobenchParams
+from repro.experiments.parallel import (
+    Competitor,
+    GridPoint,
+    cell_mean,
+    run_grid,
+)
 from repro.experiments.report import render_table
-from repro.util import MB, mbps, ms
+from repro.util import MB
 
 #: The staging policies competing (registry names, see repro.core.policy).
 POLICY_NAMES = ("reactive", "predictive", "rich", "mobility")
@@ -47,81 +52,45 @@ POLICY_NAMES = ("reactive", "predictive", "rich", "mobility")
 BASELINE_SYSTEMS = ("endtoend",)
 
 
-def panel_points(panel: str) -> list[tuple[str, MicrobenchParams]]:
-    """Three (label, params) points for one Fig. 6 panel.
-
-    Panels b..f pin 1 MB chunks (instead of the Table III 2 MB
-    default) so a small tournament file still holds enough chunks for
-    staging depth to matter; panel a sweeps the chunk size itself.
-    """
-    base = MicrobenchParams().with_(chunk_size=MB)
-    if panel == "a":
-        return [(f"{s} MB", base.with_(chunk_size=int(s * MB)))
-                for s in (0.25, 1.25, 10)]
-    if panel == "b":
-        return [(f"{s:g} s", base.with_(encounter_time=float(s)))
-                for s in (3, 4, 12)]
-    if panel == "c":
-        return [(f"{s:g} s", base.with_(disconnection_time=float(s)))
-                for s in (8, 32, 100)]
-    if panel == "d":
-        return [(f"{int(loss * 100)}%", base.with_(packet_loss=loss))
-                for loss in (0.22, 0.27, 0.37)]
-    if panel == "e":
-        return [(f"{bw} Mbps", base.with_(internet_bandwidth=mbps(bw)))
-                for bw in (60, 30, 15)]
-    if panel == "f":
-        return [(f"{latency} ms", base.with_(internet_latency=ms(latency)))
-                for latency in (5, 20, 100)]
-    raise ValueError(f"unknown panel {panel!r}")
-
-
 def measure(panels: str = "bc", file_mb: float = 8.0, seeds: int = 1,
             jobs: int = 1) -> dict:
     """Run the tournament; one result dict per competitor.
+
+    Each panel contributes the endpoints and the midpoint of its
+    Table III row's grid.  Panels b..f pin 1 MB chunks (instead of the
+    Table III 2 MB default) so a small tournament file still holds
+    enough chunks for staging depth to matter; panel a sweeps the
+    chunk size itself.
 
     Returns ``{"competitors": {name: {...}}, "ranking": [names],
     "runs": N, ...}`` where each competitor carries its per-point mean
     times and gains plus the overall mean gain used for ranking.
     """
-    file_size = int(file_mb * MB)
-    seed_list = tuple(range(seeds))
+    base = MicrobenchParams(chunk_size=MB, file_size=int(file_mb * MB))
     competitors = list(BASELINE_SYSTEMS) + list(POLICY_NAMES)
-
-    tasks: list[SweepTask] = []
-    keys: list[tuple[str, str]] = []  # (point key, competitor) per task
-    for panel in panels:
-        for label, params in panel_points(panel):
-            point = f"{panel}/{label.replace(' ', '')}"
-            point_params = params.with_(file_size=file_size)
-            for seed in seed_list:
-                tasks.append(SweepTask("xftp", point_params, seed))
-                keys.append((point, "xftp"))
-                for system in BASELINE_SYSTEMS:
-                    tasks.append(SweepTask(system, point_params, seed))
-                    keys.append((point, system))
-                for policy in POLICY_NAMES:
-                    tasks.append(SweepTask("softstage", point_params, seed,
-                                           policy=policy))
-                    keys.append((point, policy))
-
-    summaries = run_tasks(tasks, jobs=jobs)
-
-    # point -> competitor -> [times over seeds]
-    times: dict[str, dict[str, list[float]]] = {}
-    for (point, competitor), summary in zip(keys, summaries):
-        times.setdefault(point, {}).setdefault(competitor, []).append(
-            summary.download_time
-        )
+    points = [
+        GridPoint(f"{panel}/{label.replace(' ', '')}", params)
+        for panel in panels
+        for label, params, _gain in PANELS[panel].points(base, ends_only=True)
+    ]
+    cells = run_grid(
+        points,
+        [Competitor("xftp", "xftp")]
+        + [Competitor(system, system) for system in BASELINE_SYSTEMS]
+        + [Competitor(policy, "softstage", policy) for policy in POLICY_NAMES],
+        tuple(range(seeds)),
+        jobs=jobs,
+    )
 
     results: dict[str, dict] = {}
     for competitor in competitors:
         point_gains, point_times = {}, {}
-        for point, by_competitor in times.items():
-            xftp_time = statistics.mean(by_competitor["xftp"])
-            comp_time = statistics.mean(by_competitor[competitor])
-            point_times[point] = comp_time
-            point_gains[point] = xftp_time / comp_time
+        for point in points:
+            comp_time = cell_mean(cells[point.label, competitor])
+            point_times[point.label] = comp_time
+            point_gains[point.label] = (
+                cell_mean(cells[point.label, "xftp"]) / comp_time
+            )
         results[competitor] = {
             "mean_gain": statistics.mean(point_gains.values()),
             "mean_time": statistics.mean(point_times.values()),
@@ -132,7 +101,7 @@ def measure(panels: str = "bc", file_mb: float = 8.0, seeds: int = 1,
     return {
         "competitors": results,
         "ranking": ranking,
-        "runs": len(tasks),
+        "runs": sum(len(cell) for cell in cells.values()),
         "panels": panels,
         "file_mb": file_mb,
         "seeds": seeds,
@@ -168,8 +137,7 @@ def test_policy_tournament(benchmark):
     outcome = run_once(
         benchmark,
         lambda: measure(panels="b", file_mb=8.0, seeds=1,
-                        jobs=max(int(os.environ.get("REPRO_BENCH_JOBS", "2")),
-                                 2)),
+                        jobs=max(BenchProfile.from_env().jobs, 2)),
     )
     print()
     print(render(outcome))
@@ -195,34 +163,36 @@ def main(argv=None) -> int:
     parser.add_argument("--file-mb", type=float, default=8.0)
     parser.add_argument("--seeds", type=int, default=1)
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--label", default="")
-    parser.add_argument("--no-record", action="store_true",
-                        help="measure and print only")
     parser.add_argument("--registry", action="store_true",
                         help="append one run-registry record per competitor "
                              "(tournament-<name>)")
     parser.add_argument("--registry-dir", metavar="DIR",
                         help="registry directory (default .repro_runs, or "
                              "REPRO_RUNS_DIR)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail when reactive Eq. 1 loses to the "
-                             "end-to-end baseline")
-    args = parser.parse_args(argv)
+    outcome: dict = {}  # the ledger keeps the flat means; the rest is here
 
-    for panel in args.panels:
-        panel_points(panel)  # validate before running anything
-    outcome = measure(args.panels, args.file_mb, args.seeds, args.jobs)
-    print(render(outcome))
-
-    if not args.no_record:
+    def run(args) -> dict:
+        if not set(args.panels) <= set(PANELS):
+            parser.error(f"--panels must be letters from {''.join(PANELS)}")
+        outcome.update(
+            measure(args.panels, args.file_mb, args.seeds, args.jobs)
+        )
         metrics = {"runs": outcome["runs"]}
         for name, entry in outcome["competitors"].items():
             metrics[f"gain_{name}"] = entry["mean_gain"]
             metrics[f"time_{name}"] = entry["mean_time"]
-        perf.record("policy_tournament", metrics, label=args.label)
-        print(f"\nrecorded to {perf.bench_path('policy_tournament')}")
+        return metrics
 
-    if args.registry:
+    def shape_gate(args, metrics):
+        # The paper's claim: reactive Eq. 1 beats the end-to-end baseline.
+        if args.check and metrics["gain_reactive"] < metrics["gain_endtoend"]:
+            yield (f"reactive Eq. 1 ({metrics['gain_reactive']:.2f}x) lost to "
+                   f"the end-to-end baseline "
+                   f"({metrics['gain_endtoend']:.2f}x)")
+
+    def deposit(args, _metrics):
+        if not args.registry:
+            return
         from repro.obs.registry import RunRegistry
 
         registry = RunRegistry(args.registry_dir)
@@ -239,17 +209,10 @@ def main(argv=None) -> int:
             )
             print(f"registry: {record.rec_id}")
 
-    if args.check:
-        results = outcome["competitors"]
-        if (results["reactive"]["mean_gain"]
-                < results["endtoend"]["mean_gain"]):
-            print("\nTOURNAMENT REGRESSION: reactive Eq. 1 "
-                  f"({results['reactive']['mean_gain']:.2f}x) lost to the "
-                  f"end-to-end baseline "
-                  f"({results['endtoend']['mean_gain']:.2f}x)",
-                  file=sys.stderr)
-            return 1
-    return 0
+    return perf.ledger_main(
+        "policy_tournament", parser, run, gates=[shape_gate],
+        render=lambda _metrics: render(outcome), then=deposit, argv=argv,
+    )
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from repro.experiments.tracedriven import run_trace, synthesize_traces
+from repro.experiments.tracedriven import run_traces, synthesize_traces
 from repro.mobility.traces import ConnectivityTrace
 
 
@@ -38,7 +38,7 @@ def main() -> None:
               f"(mean {sum(encounters) / len(encounters):.1f}s) "
               f"-> saved to {path}")
 
-        result = run_trace(name, reloaded, seeds=(args.seed,))
+        (result,) = run_traces({name: reloaded}, seeds=(args.seed,))
         print(f"  Xftp      : {result.xftp_chunks:5.0f} chunks "
               f"({result.xftp_bytes / 1e6:6.1f} MB)")
         print(f"  SoftStage : {result.softstage_chunks:5.0f} chunks "

@@ -38,6 +38,7 @@ import argparse
 import sys
 
 from repro.cli import demo, experiments, runs, serve, slo, trace
+from repro.errors import ConfigurationError
 from repro.obs.explain import NoWideEvents
 from repro.obs.registry import RecordNotFound
 
@@ -55,8 +56,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except (RecordNotFound, NoWideEvents) as exc:
-        # The query layer raises these with the facts; this door words
+    except (RecordNotFound, NoWideEvents, ConfigurationError) as exc:
+        # The layers below raise these with the facts; this door words
         # them as the exit message (`repro serve` answers 404).
         raise SystemExit(str(exc)) from None
     return 0

@@ -9,22 +9,12 @@ from repro.cli import command, policy_arg, policy_flag, registry_dir_flag, trace
 from repro.experiments import microbench
 from repro.experiments.handoff import PAPER_SAVING, run_comparison
 from repro.experiments.microbench import BenchProfile
-from repro.experiments.params import MicrobenchParams
+from repro.experiments.params import PANELS, MicrobenchParams
 from repro.experiments.runner import run_download
 from repro.experiments.tracedriven import run_all as run_traces
 from repro.experiments.xia_benchmark import run_all as run_fig5
 from repro.obs.registry import RunRegistry
 from repro.util import MB, render_table
-
-#: ``sweep --panel`` letter -> the Fig. 6 sweep it runs.
-SWEEPS = {
-    "a": microbench.sweep_chunk_size,
-    "b": microbench.sweep_encounter_time,
-    "c": microbench.sweep_disconnection_time,
-    "d": microbench.sweep_packet_loss,
-    "e": microbench.sweep_internet_bandwidth,
-    "f": microbench.sweep_internet_latency,
-}
 
 
 def cmd_fig5(args) -> None:
@@ -50,7 +40,7 @@ def cmd_sweep(args) -> None:
             jobs=args.jobs,
             policy=policy or "",
         )
-        series = SWEEPS[args.panel](profile)
+        series = microbench.sweep(args.panel, profile)
     print(series.render())
     if args.trace:
         print(f"\ntrace written to {args.trace}")
@@ -115,7 +105,7 @@ def register(subparsers) -> None:
     fig5.add_argument("--seed", type=int, default=1)
 
     sweep = command(subparsers, "sweep", cmd_sweep, help="one Fig. 6 panel")
-    sweep.add_argument("--panel", choices=list(SWEEPS), required=True)
+    sweep.add_argument("--panel", choices=list(PANELS), required=True)
     sweep.add_argument("--file-mb", type=float, default=32.0)
     sweep.add_argument("--seeds", type=int, default=1)
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",

@@ -71,10 +71,8 @@ class StagingCoordinator:
         self._running = False
         # Relay association events to the policy's lifecycle hooks.
         # Policies whose hooks return nothing cost the run nothing.
-        controller = getattr(self.sensor, "controller", None)
-        if controller is not None:
-            controller.on_attach(self._on_attach)
-            controller.on_detach(self._on_detach)
+        sensor.controller.on_attach(self._on_attach)
+        sensor.controller.on_detach(self._on_detach)
 
     # -- observation building -------------------------------------------------
 
@@ -88,37 +86,21 @@ class StagingCoordinator:
         profile = self.profile
         now = self.sim.now
 
-        controller = getattr(self.sensor, "controller", None)
-        current = controller.current if controller is not None else None
+        controller = self.sensor.controller
+        current = controller.current
         if current is not None:
-            connected = True
             current_network = current.ap.name
             time_in_network = now - current.since
         else:
-            # Test doubles without a controller: infer connectivity
-            # from VNF reachability, which is all Eq. 1 needs.
-            connected = (
-                controller is None
-                and self.sensor.current_vnf_address() is not None
-            )
             current_network = None
             time_in_network = 0.0
 
-        if controller is not None:
-            infos = controller.access_points
-            known = tuple(infos)
-            with_vnf = frozenset(
-                name for name, info in infos.items()
-                if vnf_address(info) is not None
-            )
-        else:
-            known = ()
-            with_vnf = frozenset()
-
-        visible = tuple(
-            (v.name, v.rss)
-            for v in getattr(self.sensor, "last_scan", ())
+        infos = controller.access_points
+        with_vnf = frozenset(
+            name for name, info in infos.items()
+            if vnf_address(info) is not None
         )
+        visible = tuple((v.name, v.rss) for v in self.sensor.last_scan)
 
         total = len(profile)
         fetched = 0
@@ -134,9 +116,8 @@ class StagingCoordinator:
 
         stale = profile.stale_pending(now, self.config.staging_signal_timeout)
 
-        host = getattr(self.tracker, "host", None)
         queue_bytes = 0
-        for port in getattr(host, "ports", ()):
+        for port in self.tracker.host.ports:
             link = port.link
             if link is not None:
                 queue_bytes += link.forward.queued_bytes
@@ -144,11 +125,11 @@ class StagingCoordinator:
 
         return StagingObservation(
             now=now,
-            connected=connected,
+            connected=current is not None,
             current_network=current_network,
             time_in_network=time_in_network,
             vnf_available=self.sensor.current_vnf_address() is not None,
-            known_networks=known,
+            known_networks=tuple(infos),
             networks_with_vnf=with_vnf,
             visible_networks=visible,
             total_chunks=total,
@@ -164,14 +145,10 @@ class StagingCoordinator:
             edge_fetch_latency=profile.edge_fetch_latency.value,
             staging_latency_samples=profile.staging_latency.samples,
             observed_gap=self.sensor.expected_gap(None),
-            observed_encounter=self._observed_encounter(),
+            observed_encounter=self.sensor.encounter_duration.value,
             stale_cids=tuple(record.cid for record in stale),
             in_flight_cids=frozenset(in_flight),
         )
-
-    def _observed_encounter(self) -> Optional[float]:
-        estimator = getattr(self.sensor, "encounter_duration", None)
-        return estimator.value if estimator is not None else None
 
     def prestage_count(self) -> int:
         """How many chunks the *active* policy pre-stages on handoff."""
@@ -246,10 +223,7 @@ class StagingCoordinator:
         """Staging-VNF DAG for a network name (None = current network)."""
         if target is None:
             return self.sensor.current_vnf_address()
-        controller = getattr(self.sensor, "controller", None)
-        if controller is None:
-            return None
-        return vnf_address(controller.access_points.get(target))
+        return vnf_address(self.sensor.controller.access_points.get(target))
 
     def _execute(self, actions: list[StagingAction]) -> tuple[int, bool]:
         """Run a policy's action list; returns (signalled, decided)."""

@@ -67,10 +67,6 @@ class NetworkSensor:
 
     # -- queries ---------------------------------------------------------------
 
-    @property
-    def is_connected(self) -> bool:
-        return self.controller.is_associated
-
     def vnf_address_of(self, visible_or_info) -> Optional[DagAddress]:
         """Service DAG of an edge network's staging VNF, if advertised."""
         return vnf_address(visible_or_info)

@@ -21,10 +21,6 @@ class TransportError(ReproError):
     """A transport-level failure (reset, too many retries, migration)."""
 
 
-class ConnectionLost(TransportError):
-    """The underlying connectivity vanished mid-transfer."""
-
-
 class CacheMiss(ReproError):
     """A requested chunk is not present in a content store."""
 
@@ -35,10 +31,6 @@ class ChunkIntegrityError(ReproError):
 
 class StagingError(ReproError):
     """The staging control plane failed (no VNF, bad request, overload)."""
-
-
-class VnfUnavailable(StagingError):
-    """No Staging VNF is deployed or reachable in the edge network."""
 
 
 class TraceFormatError(ReproError):

@@ -2,7 +2,10 @@
 
 - :mod:`repro.experiments.calibration` — every constant standing in
   for physical hardware, with its calibration story;
-- :mod:`repro.experiments.params` — Table III parameter registry;
+- :mod:`repro.experiments.params` — Table III, which is also the
+  one declaration of the Fig. 6 grid (``PANELS``);
+- :mod:`repro.experiments.parallel` — ``run_grid``: build, fan out and
+  regroup a comparison's point × seed × competitor run list;
 - :mod:`repro.experiments.scenario` — the Fig. 4 testbed builder;
 - :mod:`repro.experiments.runner` — run one (system, scenario) pair
   and collect metrics;

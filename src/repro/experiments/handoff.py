@@ -8,12 +8,16 @@ versus SoftStage with the content-aware policy.  The paper measures a
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.handoff import ChunkAwarePolicy, RssGreedyPolicy
-from repro.experiments.parallel import SweepTask, run_tasks
+from repro.experiments.parallel import (
+    Competitor,
+    GridPoint,
+    cell_mean,
+    run_grid,
+)
 from repro.experiments.params import MicrobenchParams
 from repro.mobility.coverage import overlapping_coverage
 from repro.util import MB
@@ -46,8 +50,9 @@ def run_comparison(
 ) -> HandoffComparison:
     """Run both policies on the same overlapping-coverage pattern.
 
-    ``jobs`` fans the seed × policy runs over worker processes
-    (:func:`~repro.experiments.parallel.run_tasks`; same result).
+    One point × two competitors
+    (:func:`~repro.experiments.parallel.run_grid`); ``jobs`` fans the
+    seed × policy runs over worker processes (same result).
     """
     params = MicrobenchParams(
         file_size=file_size, encounter_time=encounter_time
@@ -58,21 +63,22 @@ def run_comparison(
         overlap_time=overlap_time,
         total_time=24 * 3600.0,
     )
-    summaries = run_tasks(
-        [
-            SweepTask(
-                "softstage", params, seed,
-                coverage=coverage, handoff_policy=policy,
-            )
-            for seed in seeds
-            for policy in (RssGreedyPolicy(), ChunkAwarePolicy())
-        ],
+    cells = run_grid(
+        [GridPoint("overlap", params, coverage=coverage)],
+        (
+            Competitor("default", "softstage",
+                       handoff_policy=RssGreedyPolicy()),
+            Competitor("content-aware", "softstage",
+                       handoff_policy=ChunkAwarePolicy()),
+        ),
+        seeds,
         jobs=jobs,
     )
-    default, aware = summaries[0::2], summaries[1::2]
+    default = cells["overlap", "default"]
+    aware = cells["overlap", "content-aware"]
     return HandoffComparison(
-        default_time=statistics.mean(s.download_time for s in default),
-        content_aware_time=statistics.mean(s.download_time for s in aware),
-        default_handoffs=statistics.mean(s.handoffs for s in default),
-        content_aware_handoffs=statistics.mean(s.handoffs for s in aware),
+        default_time=cell_mean(default),
+        content_aware_time=cell_mean(aware),
+        default_handoffs=cell_mean(default, "handoffs"),
+        content_aware_handoffs=cell_mean(aware, "handoffs"),
     )

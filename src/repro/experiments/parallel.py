@@ -1,8 +1,11 @@
-"""Parallel sweep execution: fan seed×system×point runs across cores.
+"""Comparison grids: build, fan out and regroup point×seed×competitor runs.
 
-A Fig. 6 sweep is embarrassingly parallel — every ``run_download`` is
-an isolated simulator with its own seed — so the sweep drivers hand
-their run list to :func:`run_tasks`, which fans it over a
+Every comparison the paper makes (Fig. 6, Fig. 7, §IV-D, the policy
+tournament) is the same design: some points, some competitors, the
+same seeds for all.  :func:`run_grid` is the one place that run list
+is built and its results regrouped.  It is embarrassingly parallel —
+every ``run_download`` is an isolated simulator with its own seed — so
+:func:`run_tasks` fans it over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Determinism is the contract: a parallel sweep must be **byte-identical**
@@ -28,6 +31,7 @@ in either mode.
 
 from __future__ import annotations
 
+import statistics
 import time
 from concurrent import futures
 from dataclasses import dataclass, field
@@ -35,6 +39,7 @@ from typing import IO, Iterable, Optional, Sequence
 
 from repro.core.client import COUNTER_FIELDS
 from repro.core.handoff import HandoffPolicy
+from repro.errors import ConfigurationError
 from repro.experiments.params import MicrobenchParams
 from repro.mobility.coverage import Coverage
 from repro.obs.wide import run_id_for
@@ -142,30 +147,9 @@ def execute_task(
     )
 
 
-def publish_summary(hub, summary: RunSummary) -> None:
-    """Forward one finished run to a telemetry hub as a ``run`` item.
-
-    Workers are separate processes and cannot share a hub; the parent
-    is the single writer, forwarding each :class:`RunSummary` as
-    ``pool.map`` yields it (task order), so live consumers see the
-    same deterministic sequence a sequential sweep produces.
-    """
-    run_id, metrics = summary.as_record()
-    hub.publish("run", {
-        "run": run_id,
-        "state": "finished",
-        "system": summary.system,
-        "policy": summary.policy,
-        "seed": summary.seed,
-        "wall_seconds": summary.wall_seconds,
-        **metrics,
-    })
-
-
 def run_tasks(
     tasks: Sequence[SweepTask],
     jobs: int = 1,
-    hub=None,
     trace_sink: Optional[IO[str]] = None,
 ) -> list[RunSummary]:
     """Execute ``tasks``, in order, on up to ``jobs`` processes.
@@ -178,36 +162,99 @@ def run_tasks(
     :class:`~concurrent.futures.BrokenExecutor`) falls back to the
     sequential path; exceptions raised *by a task* propagate in both
     modes.
-
-    ``hub`` (a :class:`~repro.obs.stream.TelemetryHub`) receives one
-    ``run`` item per completed task via :func:`publish_summary` — the
-    parent forwards as results stream back, in task order, in both
-    the pooled and sequential modes.
     """
-    summaries: list[RunSummary] = []
-
-    def _collect(stream) -> list[RunSummary]:
-        for summary in stream:
-            if hub is not None:
-                publish_summary(hub, summary)
-            summaries.append(summary)
-        return summaries
-
     if jobs <= 1 or len(tasks) < 2 or trace_sink is not None:
-        return _collect(execute_task(task, trace_sink) for task in tasks)
+        return [execute_task(task, trace_sink) for task in tasks]
     workers = min(jobs, len(tasks))
+    summaries: list[RunSummary] = []
     try:
         # Looked up here, not imported above: ``concurrent.futures``
         # loads the process-pool machinery (multiprocessing, ~1 MB) on
         # first use, and every driver imports this module.
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return _collect(pool.map(execute_task, tasks))
+            for summary in pool.map(execute_task, tasks):
+                summaries.append(summary)
     except (OSError, futures.BrokenExecutor):
         # Pool infrastructure failed (fork limits, dead worker...):
-        # same results, one process.  Don't double-publish tasks that
-        # already streamed back before the pool died.
-        already = len(summaries)
-        return _collect(execute_task(task) for task in tasks[already:])
+        # same results, one process, resuming after what already
+        # streamed back.
+        summaries.extend(
+            execute_task(task) for task in tasks[len(summaries):]
+        )
+    return summaries
+
+
+@dataclass(frozen=True)
+class GridPoint:
+    """One x-axis point of a comparison: where every competitor runs."""
+
+    label: str
+    params: MicrobenchParams
+    #: Connectivity timeline and stop time (see :class:`SweepTask`).
+    coverage: Optional[Coverage] = None
+    deadline: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class Competitor:
+    """One compared system: a ``SYSTEMS`` name plus what varies it."""
+
+    name: str
+    system: str
+    policy: Optional[str] = None
+    handoff_policy: Optional[HandoffPolicy] = None
+
+
+def run_grid(
+    points: Sequence[GridPoint],
+    competitors: Sequence[Competitor],
+    seeds: Sequence[int],
+    jobs: int = 1,
+    trace_sink: Optional[IO[str]] = None,
+) -> dict[tuple[str, str], list[RunSummary]]:
+    """Run every point × seed × competitor; group the summaries.
+
+    Returns ``{(point label, competitor name): [summary per seed]}``.
+    The run list is enumerated point → seed → competitor: that order
+    is behaviour (it is the order runs land in a shared trace and the
+    order a pool is fed), so it lives here and nowhere else.  Each run
+    is traced as ``"{label}/{system}[-{policy}]-seed{n}"``.
+    """
+    if not seeds:
+        raise ConfigurationError("a comparison needs at least one seed")
+    runs = [
+        (point, seed, competitor)
+        for point in points
+        for seed in seeds
+        for competitor in competitors
+    ]
+    tasks = [
+        SweepTask(
+            system=competitor.system,
+            params=point.params,
+            seed=seed,
+            policy=competitor.policy,
+            coverage=point.coverage,
+            deadline=point.deadline,
+            handoff_policy=competitor.handoff_policy,
+            run_id=(
+                f"{point.label.replace(' ', '')}/"
+                f"{run_id_for(competitor.system, seed, competitor.policy)}"
+            ),
+        )
+        for point, seed, competitor in runs
+    ]
+    cells: dict[tuple[str, str], list[RunSummary]] = {}
+    for (point, _seed, competitor), summary in zip(
+        runs, run_tasks(tasks, jobs=jobs, trace_sink=trace_sink)
+    ):
+        cells.setdefault((point.label, competitor.name), []).append(summary)
+    return cells
+
+
+def cell_mean(cell: Sequence[RunSummary], metric: str = "download_time") -> float:
+    """One grid cell's figure: the mean of ``metric`` over its seeds."""
+    return statistics.mean(getattr(summary, metric) for summary in cell)
 
 
 def merge_summary_sketches(summaries: Iterable[RunSummary]) -> dict:

@@ -2,12 +2,16 @@
 
 Defaults and candidate values exactly as the paper lists them; the
 micro-benchmarks vary one parameter at a time while keeping the rest
-at their defaults.
+at their defaults.  Each :class:`ParameterRow` is the single
+declaration of one Fig. 6 axis: every driver that sweeps the paper's
+parameter space (``repro sweep``, the bench suite, the policy
+tournament) enumerates :meth:`ParameterRow.points`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional
 
 from repro.util import MB, mbps, ms
 
@@ -37,64 +41,105 @@ class MicrobenchParams:
 
 @dataclass(frozen=True)
 class ParameterRow:
-    """One row of Table III."""
+    """One row of Table III, which is also one panel of Fig. 6."""
 
     name: str
-    default: object
     note: str
-    candidates: tuple
+    #: Fig. 6 panel letter, figure title and x-axis caption.
+    panel: str
+    title: str
+    caption: str
+    #: The :class:`MicrobenchParams` field this row varies.
+    field: str
+    #: The plotted values, in the order and the unit the paper prints
+    #: them (the Table III default included).
+    grid: tuple
+    #: Printed value -> ``field`` value, and the unit a label appends.
+    convert: Callable
+    unit: str
+    #: Gains the paper reports (Fig. 6 text), by point label.
+    paper_gains: dict
+
+    @property
+    def default(self):
+        """Table III's default *is* the :class:`MicrobenchParams` one."""
+        return getattr(MicrobenchParams(), self.field)
+
+    @property
+    def values(self) -> tuple:
+        """The grid as ``field`` values."""
+        return tuple(self.convert(printed) for printed in self.grid)
+
+    @property
+    def candidates(self) -> tuple:
+        """Table III's non-default values."""
+        return tuple(v for v in self.values if v != self.default)
+
+    def points(
+        self, base: MicrobenchParams, ends_only: bool = False
+    ) -> Iterator[tuple[str, MicrobenchParams, Optional[float]]]:
+        """``(label, params, paper gain)`` per plotted value: ``base``
+        with this row's field varied.  ``ends_only`` trims the grid to
+        its endpoints plus the midpoint."""
+        grid = self.grid
+        if ends_only:
+            grid = (grid[0], grid[(len(grid) - 1) // 2], grid[-1])
+        for printed in grid:
+            label = f"{printed}{self.unit}"
+            params = base.with_(**{self.field: self.convert(printed)})
+            yield label, params, self.paper_gains.get(label)
 
 
 PARAMETER_TABLE: tuple[ParameterRow, ...] = (
     ParameterRow(
-        "Chunk Size",
-        2 * MB,
-        "2 secs' 720p Youtube video clip",
-        (0.25 * MB, 0.625 * MB, 1.25 * MB, 4 * MB, 10 * MB),
+        "Chunk Size", "2 secs' 720p Youtube video clip",
+        panel="a", title="chunk size", caption="chunk size",
+        field="chunk_size", grid=(0.25, 0.625, 1.25, 2, 4, 10),
+        convert=lambda mb: int(mb * MB), unit=" MB",
+        paper_gains={"0.25 MB": 1.59, "10 MB": 1.96},
     ),
     ParameterRow(
         "Encounter Time",
-        12.0,
         "Theoretical maximum duration associated with the same SSID",
-        (3.0, 4.0),
+        panel="b", title="encounter time", caption="encounter",
+        field="encounter_time", grid=(3, 4, 12), convert=float, unit=" s",
+        paper_gains={"3 s": 1.55, "12 s": 1.77},
     ),
     ParameterRow(
-        "Disconnection Time",
-        8.0,
-        "Time between two consecutive encounters",
-        (32.0, 100.0),
+        "Disconnection Time", "Time between two consecutive encounters",
+        panel="c", title="disconnection time", caption="disconnection",
+        field="disconnection_time", grid=(8, 32, 100), convert=float,
+        unit=" s", paper_gains={"8 s": 1.7, "32 s": 1.7, "100 s": 1.7},
     ),
     ParameterRow(
         "Packet Loss Rate",
-        0.27,
         "Wardriving measurements in vehicular content delivery",
-        (0.22, 0.37),
+        panel="d", title="packet loss rate", caption="loss rate",
+        field="packet_loss", grid=(22, 27, 37),
+        convert=lambda percent: percent / 100, unit="%",
+        paper_gains={"22%": 1.37, "37%": 1.77},
     ),
     ParameterRow(
         "Internet Bandwidth",
-        mbps(60),
         "Typical bottleneck bandwidth in WAN with moderate congestion",
-        (mbps(15), mbps(30)),
+        panel="e", title="Internet bottleneck bandwidth", caption="bandwidth",
+        field="internet_bandwidth", grid=(60, 30, 15), convert=mbps,
+        unit=" Mbps", paper_gains={"60 Mbps": 1.77, "15 Mbps": 9.94},
     ),
     ParameterRow(
         "Internet Latency",
-        ms(20),
         "Typical RTT to CDN (e.g., web portals, streaming media, etc.)",
-        (ms(5), ms(10), ms(50), ms(100)),
+        panel="f", title="Internet latency", caption="latency",
+        field="internet_latency", grid=(5, 10, 20, 50, 100), convert=ms,
+        unit=" ms", paper_gains={"5 ms": 1.38, "100 ms": 2.3},
     ),
 )
 
+#: Fig. 6 panel letter -> the Table III row it sweeps.
+PANELS: dict[str, ParameterRow] = {row.panel: row for row in PARAMETER_TABLE}
+
 #: Chunk sizes of Fig. 6(a) with their QoE meaning (YouTube SDR
 #: recommended bit rates: a 2-second clip at each resolution).
-CHUNK_SIZE_LADDER: dict[str, int] = {
-    "360p": int(0.25 * MB),
-    "480p": int(0.625 * MB),
-    "720p": int(1.25 * MB),
-    "1080p": 2 * MB,
-    "1440p": 4 * MB,
-    "2160p": 10 * MB,
-}
-
-
-def default_params() -> MicrobenchParams:
-    return MicrobenchParams()
+CHUNK_SIZE_LADDER: dict[str, int] = dict(zip(
+    ("360p", "480p", "720p", "1080p", "1440p", "2160p"), PANELS["a"].values,
+))

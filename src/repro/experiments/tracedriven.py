@@ -10,11 +10,15 @@ same networking environment" (Fig. 7(b)).
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from repro.experiments.parallel import SweepTask, run_tasks
+from repro.experiments.parallel import (
+    Competitor,
+    GridPoint,
+    cell_mean,
+    run_grid,
+)
 from repro.experiments.params import MicrobenchParams
 from repro.mobility.traces import ConnectivityTrace
 from repro.mobility.wardriving import WardrivingSynthesizer
@@ -51,14 +55,13 @@ def synthesize_traces(seed: int = 7, duration: float = 300.0):
     }
 
 
-def run_trace(
-    trace_name: str,
-    trace: ConnectivityTrace,
+def run_traces(
+    traces: Mapping[str, ConnectivityTrace],
     seeds: Sequence[int] = (0, 1, 2),
     chunk_size: int = 2 * MB,
     jobs: int = 1,
-) -> TraceResult:
-    """Run both systems against one connectivity trace.
+) -> list[TraceResult]:
+    """Run both systems against each connectivity trace.
 
     The download target is sized so that neither system can finish
     within the trace — we measure completed objects at the deadline.
@@ -68,36 +71,42 @@ def run_trace(
     Internet RTT here is a realistic 50 ms rather than the testbed's
     idealized 20 ms default.
 
-    ``jobs`` fans the seed × system runs over worker processes
-    (:func:`~repro.experiments.parallel.run_tasks`; same result).
+    The traces are the points of one grid
+    (:func:`~repro.experiments.parallel.run_grid`), so ``jobs`` fans
+    every trace × seed × system run over one worker pool (same result).
     """
     file_size = 512 * MB  # effectively unbounded within the trace
     params = MicrobenchParams(
         file_size=file_size, chunk_size=chunk_size, internet_latency=ms(50)
     )
-    coverage = trace.to_coverage(["ap-A", "ap-B"])
-    summaries = run_tasks(
+    cells = run_grid(
         [
-            SweepTask(
-                system, params, seed,
-                coverage=coverage, deadline=trace.duration,
+            GridPoint(
+                name, params,
+                coverage=trace.to_coverage(["ap-A", "ap-B"]),
+                deadline=trace.duration,
             )
-            for seed in seeds
-            for system in ("xftp", "softstage")
+            for name, trace in traces.items()
         ],
+        (Competitor("xftp", "xftp"), Competitor("softstage", "softstage")),
+        seeds,
         jobs=jobs,
     )
-    xftp, softstage = summaries[0::2], summaries[1::2]
-    return TraceResult(
-        trace_name=trace_name,
-        coverage_fraction=trace.coverage_fraction,
-        xftp_chunks=statistics.mean(s.chunks_completed for s in xftp),
-        softstage_chunks=statistics.mean(
-            s.chunks_completed for s in softstage
-        ),
-        xftp_bytes=statistics.mean(s.bytes_received for s in xftp),
-        softstage_bytes=statistics.mean(s.bytes_received for s in softstage),
-    )
+    return [
+        TraceResult(
+            trace_name=name,
+            coverage_fraction=trace.coverage_fraction,
+            xftp_chunks=cell_mean(cells[name, "xftp"], "chunks_completed"),
+            softstage_chunks=cell_mean(
+                cells[name, "softstage"], "chunks_completed"
+            ),
+            xftp_bytes=cell_mean(cells[name, "xftp"], "bytes_received"),
+            softstage_bytes=cell_mean(
+                cells[name, "softstage"], "bytes_received"
+            ),
+        )
+        for name, trace in traces.items()
+    ]
 
 
 def run_all(
@@ -106,7 +115,6 @@ def run_all(
     duration: float = 300.0,
     jobs: int = 1,
 ) -> list[TraceResult]:
-    return [
-        run_trace(name, trace, seeds=seeds, jobs=jobs)
-        for name, trace in synthesize_traces(trace_seed, duration).items()
-    ]
+    return run_traces(
+        synthesize_traces(trace_seed, duration), seeds=seeds, jobs=jobs
+    )

@@ -91,11 +91,6 @@ class AssociationController:
     def is_associated(self) -> bool:
         return self.current is not None
 
-    @property
-    def is_joining(self) -> bool:
-        """True while an associate() is in flight."""
-        return self._joining
-
     def wait_attached(self):
         """None when associated; otherwise an event firing on attach.
 

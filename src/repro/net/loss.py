@@ -128,10 +128,6 @@ class GilbertElliottLoss(LossModel):
         return self._rng.random() < rate
 
     @property
-    def in_fade(self) -> bool:
-        return self._state_bad
-
-    @property
     def average_rate(self) -> float:
         return self._average
 

@@ -111,9 +111,6 @@ class Host(Device):
             raise ConfigurationError(f"{self.name}: no port {index}")
         self._active_port_index = index
 
-    def nid_of(self, port: Port) -> Optional["XID"]:
-        return self.port_nids.get(port)
-
     @property
     def current_nid(self) -> Optional["XID"]:
         """NID the data interface is attached to (None when offline)."""

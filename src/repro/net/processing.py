@@ -49,9 +49,3 @@ class ProcessingModel:
 
     def __repr__(self) -> str:
         return f"ProcessingModel(per_packet={self.per_packet_seconds * 1e6:.1f}us)"
-
-
-#: Convenience presets (seconds per packet), calibrated in
-#: :mod:`repro.experiments.calibration` against the paper's Fig. 5.
-KERNEL_STACK_COST = 1.5e-6       # native Linux TCP path
-USER_DAEMON_COST = 175e-6        # XIA Click user-level daemon data path

@@ -78,13 +78,6 @@ class WirelessDirection(LinkDirection):
         """Frames lost after all retries (every loss here is residual)."""
         return self.stats.dropped_loss
 
-    @property
-    def residual_loss_estimate(self) -> float:
-        """Observed fraction of packets dropped after all retries."""
-        if self.stats.sent_packets == 0:
-            return 0.0
-        return self.residual_drops / self.stats.sent_packets
-
 
 class WirelessLink(Link):
     """A full-duplex wireless link (client <-> access point)."""

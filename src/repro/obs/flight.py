@@ -83,10 +83,6 @@ class GaugeSampler:
         self._gauges.append((name, fn))
         return self
 
-    @property
-    def gauge_names(self) -> list[str]:
-        return [name for name, _fn in self._gauges]
-
     def sample_now(self) -> None:
         """Read every gauge once and emit the batch at ``sim.now``."""
         probe = self.sim.probe

@@ -30,7 +30,14 @@ import os
 import platform
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+
+from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    # Every run imports this module (the registry stamps records with
+    # the machine fingerprint); only the bench drivers build parsers.
+    import argparse
 
 #: Entries kept per BENCH file (oldest dropped first).
 HISTORY_LIMIT = 50
@@ -155,3 +162,58 @@ def check_regression(
     if higher_is_better:
         return current >= base * (1.0 - allowed_drop), base
     return current <= base * (1.0 + allowed_drop), base
+
+
+def ledger_main(
+    kind: str,
+    parser: argparse.ArgumentParser,
+    measure: Callable[[argparse.Namespace], dict],
+    gates: Sequence[Callable[[argparse.Namespace, dict], Iterable[str]]] = (),
+    render: Optional[Callable[[dict], str]] = None,
+    then: Optional[Callable[[argparse.Namespace, dict], None]] = None,
+    argv: Optional[Sequence[str]] = None,
+) -> int:
+    """The standalone driver every ``BENCH_{kind}.json`` ledger shares.
+
+    ``parser`` arrives with the bench's own flags and gains ``--label``,
+    ``--no-record`` and ``--check``.  ``measure(args)`` returns the flat
+    metrics dict, which is printed (``render(metrics)``, by default one
+    aligned ``key = value`` line per metric) and, unless
+    ``--no-record``, appended to the ledger.  Each gate is
+    ``gate(args, metrics)`` yielding one string per failure — a gate
+    that only applies under ``--check`` reads ``args.check`` itself;
+    ``then(args, metrics)`` runs after the record (``--registry``
+    deposits).  Returns the process exit code: 1, with the failures on
+    stderr, when any gate failed.
+    """
+    parser.add_argument("--label", default="")
+    parser.add_argument("--no-record", action="store_true",
+                        help="measure and print only")
+    parser.add_argument("--check", action="store_true",
+                        help="fail (exit 1) when a gate of this ledger "
+                             "reports a regression")
+    args = parser.parse_args(argv)
+    try:
+        metrics = measure(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))  # bad flags, worded by the layer that read them
+    if render is not None:
+        print(render(metrics))
+    else:
+        width = max(map(len, metrics))
+        for key in sorted(metrics):
+            value = metrics[key]
+            print(f"{key:>{width}} = {value:,.2f}" if isinstance(value, float)
+                  else f"{key:>{width}} = {value}")
+    failures = [failure for gate in gates for failure in gate(args, metrics)]
+    if not args.no_record:
+        record(kind, metrics, label=args.label)
+        print(f"\nrecorded to {bench_path(kind)}")
+    if then is not None:
+        then(args, metrics)
+    if failures:
+        print("\nPERF REGRESSION:", file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return 1
+    return 0

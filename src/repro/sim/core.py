@@ -106,8 +106,7 @@ class Event:
         self._ok = True
         self._value = value
         # Inlined Simulator.schedule: the extra call frame costs ~5% of
-        # kernel events/s (bench_kernel_hotpath).  succeed_at holds a
-        # copy — keep them in sync.
+        # kernel events/s (bench_kernel_hotpath).  Keep them in sync.
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         if self._scheduled:
@@ -116,31 +115,6 @@ class Event:
         sim = self.sim
         sim._seq += 1
         heapq.heappush(sim._queue, (sim._now + delay, priority, sim._seq, self))
-        return self
-
-    def succeed_at(
-        self, value: Any, when: float, priority: int = NORMAL
-    ) -> "Event":
-        """Schedule the event to fire successfully at absolute time ``when``.
-
-        For callers that computed the timestamp themselves and hold
-        the event: it fires at exactly that float, not at
-        ``now + (when - now)``.  :meth:`Simulator.call_at` is the
-        fire-and-forget form the packet path uses.
-        """
-        if self._value is not PENDING:
-            raise SimulationError(f"event {self!r} already triggered")
-        self._ok = True
-        self._value = value
-        # Inlined Simulator.schedule — see succeed().
-        sim = self.sim
-        if not when >= sim._now:  # also rejects NaN, which would corrupt the heap
-            raise ValueError(f"time {when!r} is in the past (now={sim._now!r})")
-        if self._scheduled:
-            raise SimulationError(f"event {self!r} already scheduled")
-        self._scheduled = True
-        sim._seq += 1
-        heapq.heappush(sim._queue, (when, priority, sim._seq, self))
         return self
 
     def fail(
@@ -158,17 +132,6 @@ class Event:
         self._value = exception
         self.sim.schedule(self, delay, priority)  # failures are off the hot path
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome (used for chaining)."""
-        if event._value is PENDING:
-            raise SimulationError(
-                f"cannot mirror {event!r}: the source event has not been triggered"
-            )
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
 
     def __repr__(self) -> str:
         label = self.name or self.__class__.__name__
@@ -203,7 +166,6 @@ class Simulator:
         #: Instrumentation handle (see :mod:`repro.obs`): every layer
         #: holding a simulator reference publishes through this.
         self.probe = Probe(self)
-        self._step_hooks: list[Callable[[float, Event], None]] = []
         #: Optional :class:`repro.sim.profiler.SimProfiler`; when set,
         #: the kernel wall-clocks every step's callback batch.  Costs
         #: one ``is None`` check per step when off.
@@ -247,7 +209,7 @@ class Simulator:
             raise ValueError(f"negative delay {delay!r}")
         if event._scheduled:
             raise SimulationError(f"event {event!r} already scheduled")
-        # Inlined in Event.succeed / succeed_at too — keep in sync.
+        # Inlined in Event.succeed too — keep in sync.
         event._scheduled = True
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
@@ -255,19 +217,6 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
-
-    # -- kernel hooks ---------------------------------------------------
-
-    def add_step_hook(self, hook: Callable[[float, Event], None]) -> None:
-        """Call ``hook(time, event)`` for every event the kernel pops.
-
-        Intended for profilers and debuggers; the per-step cost with no
-        hooks installed is a single truthiness check.
-        """
-        self._step_hooks.append(hook)
-
-    def remove_step_hook(self, hook: Callable[[float, Event], None]) -> None:
-        self._step_hooks.remove(hook)
 
     @property
     def heap_pushes(self) -> int:
@@ -284,15 +233,12 @@ class Simulator:
         if not self._queue:
             raise SimulationError("no scheduled events")
         entry = heapq.heappop(self._queue)
-        self._now = when = entry[0]
+        self._now = entry[0]
         event = entry[3]
         if event is None:  # a call_at entry: a plain call, no Event
             self._call_observed(entry)
             self.steps_processed += 1
             return
-        if self._step_hooks:
-            for hook in self._step_hooks:
-                hook(when, event)
         callbacks = event.callbacks
         event.callbacks = None  # marks the event as being processed
         event._processed = True
@@ -312,26 +258,22 @@ class Simulator:
             self._recycle(event)
 
     def _call_observed(self, entry: tuple) -> None:
-        """A :meth:`call_at` step in full (:meth:`run` inlines the bare
-        and the profiler-only case): step hooks and the profiler are
-        shown :attr:`_observed` under the entry's name (value: its
-        args), so ``event:arrival``/``event:cpu`` profile keys read as
-        they would for a real event."""
-        when, _priority, _seq, _none, callback, args, name = entry
-        event = self._observed
-        event.name = name
-        event._value = args
-        for hook in self._step_hooks:
-            hook(when, event)
+        """A :meth:`call_at` step as :meth:`step` runs it (:meth:`run`
+        holds an inlined copy): the profiler is shown :attr:`_observed`
+        under the entry's name (value: its args), so
+        ``event:arrival``/``event:cpu`` profile keys read as they
+        would for a real event."""
+        _when, _priority, _seq, _none, callback, args, name = entry
         profiler = self._profiler
         if profiler is None:
             callback(*args)
-        else:
-            started = perf_counter()
-            callback(*args)
-            profiler.record_step(
-                event, perf_counter() - started, len(self._queue)
-            )
+            return
+        event = self._observed
+        event.name = name
+        event._value = args
+        started = perf_counter()
+        callback(*args)
+        profiler.record_step(event, perf_counter() - started, len(self._queue))
 
     def _recycle(self, event: Event) -> None:
         """Reset a processed pooled event and return it to the free list."""
@@ -373,13 +315,11 @@ class Simulator:
         try:
             while queue and queue[0][0] <= stop_at:
                 entry = heappop(queue)
-                self._now = when = entry[0]
+                self._now = entry[0]
                 event = entry[3]
                 if event is None:  # a call_at entry: a plain call
                     profiler = self._profiler
-                    if self._step_hooks:
-                        self._call_observed(entry)
-                    elif profiler is None:
+                    if profiler is None:
                         entry[4](*entry[5])
                     else:
                         event = self._observed
@@ -392,9 +332,6 @@ class Simulator:
                         )
                     steps += 1
                     continue
-                if self._step_hooks:
-                    for hook in self._step_hooks:
-                        hook(when, event)
                 callbacks = event.callbacks
                 event.callbacks = None  # marks the event as being processed
                 event._processed = True
@@ -455,8 +392,8 @@ class Simulator:
         call.  It orders like any other event: by ``(when, priority,
         push order)``, or, with a ``place`` from :meth:`reserve_place`,
         as if it had been pushed when the place was taken.  ``name``
-        labels the step for :meth:`pending`, step hooks and the
-        profiler (see :meth:`_call_observed`).
+        labels the step for :meth:`pending` and the profiler (see
+        :meth:`_call_observed`).
         """
         if not when >= self._now:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"time {when!r} is in the past (now={self._now!r})")

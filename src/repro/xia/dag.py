@@ -338,8 +338,3 @@ class DagAddress:
 
     def __repr__(self) -> str:
         return f"<DagAddress {self.to_string()}>"
-
-
-def visited_union(visited: Iterable[XID], *extra: XID) -> frozenset:
-    """Convenience: extend a visited-set immutably."""
-    return frozenset(visited) | set(extra)

@@ -46,12 +46,6 @@ _packet_ids = itertools.count(1)
 TRACE_PACKETS = False
 
 
-def set_trace_packets(enabled: bool) -> None:
-    """Toggle per-packet traversal tracing for packets created next."""
-    global TRACE_PACKETS
-    TRACE_PACKETS = bool(enabled)
-
-
 class PacketType(enum.Enum):
     """Packet kinds used by the transports and the control plane."""
 
@@ -321,10 +315,6 @@ class Packet:
         bit = self.dst.plan.bit_of.get(xid)
         if bit:
             self.visited_mask |= bit
-
-    def reply_template(self) -> tuple[DagAddress, DagAddress]:
-        """(dst, src) for a reply to this packet."""
-        return self.src, self.dst
 
     def __repr__(self) -> str:
         if self._released:

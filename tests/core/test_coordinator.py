@@ -6,10 +6,12 @@ isolation.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import ChunkProfile, SoftStageConfig, StagingCoordinator
+from repro.core.profile import EwmaEstimator
 from repro.core.states import StagingState
 from repro.sim import Simulator
 from repro.xcache import Chunk
@@ -21,6 +23,8 @@ VNF_DAG = DagAddress.service(SID("vnf"), NID("edge-a"), HID("cache-a"))
 
 
 class FakeTracker:
+    host = SimpleNamespace(ports=())  # no links: nothing queued
+
     def __init__(self):
         self.calls = []
 
@@ -32,10 +36,30 @@ class FakeTracker:
         return len(records)
 
 
+class FakeController:
+    """Joined to one AP nobody advertises (or, offline, to none)."""
+
+    access_points = {}
+
+    def __init__(self, connected):
+        self.current = SimpleNamespace(
+            ap=SimpleNamespace(name="edge-a"), since=0.0
+        ) if connected else None
+
+    def on_attach(self, callback):
+        pass
+
+    on_detach = on_attach
+
+
 class FakeSensor:
+    last_scan = ()
+
     def __init__(self, vnf=VNF_DAG, gap=None):
         self.vnf = vnf
         self.gap = gap
+        self.controller = FakeController(connected=vnf is not None)
+        self.encounter_duration = EwmaEstimator()
 
     def current_vnf_address(self):
         return self.vnf

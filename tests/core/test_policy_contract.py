@@ -34,44 +34,22 @@ from repro.experiments.scenario import TestbedScenario
 from repro.sim import Simulator
 from repro.util import MB
 from repro.xcache import Chunk
-from repro.xia import DagAddress, HID, NID, SID
+from repro.xia import DagAddress, HID, NID
+from tests.core.test_coordinator import FakeSensor, FakeTracker as _FakeTracker
 
 ALL_POLICIES = ("reactive", "predictive", "rich", "mobility")
 
 NID_S, HID_S = NID("origin"), HID("server")
-VNF_DAG = DagAddress.service(SID("vnf"), NID("edge-a"), HID("cache-a"))
 
 
 # -- harness -----------------------------------------------------------------
 
 
-class FakeTracker:
+class FakeTracker(_FakeTracker):
     """Records every signal; tracks per-cid signal counts."""
-
-    def __init__(self):
-        self.calls = []
-
-    def signal(self, records, vnf, label=""):
-        self.calls.append((list(records), vnf, label))
-        for record in records:
-            record.staging_state = StagingState.PENDING
-            record.staging_requested_at = 0.0
-        return len(records)
 
     def signalled_cids(self):
         return [r.cid for records, _, _ in self.calls for r in records]
-
-
-class FakeSensor:
-    def __init__(self, vnf=VNF_DAG, gap=None):
-        self.vnf = vnf
-        self.gap = gap
-
-    def current_vnf_address(self):
-        return self.vnf
-
-    def expected_gap(self, default):
-        return self.gap if self.gap is not None else default
 
 
 def named_policy(name):

@@ -24,6 +24,20 @@ def test_cli_rejects_unknown_panel():
         main(["sweep", "--panel", "z"])
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--panel", "b", "--file-mb", "1"],
+    ["handoff", "--file-mb", "1"],
+    ["traces", "--duration", "5"],
+])
+def test_cli_seeds_zero_is_an_exit_message_not_a_traceback(command):
+    """``--seeds 0`` used to die in ``statistics.mean`` of nothing, each
+    driver in its own place; ``run_grid`` refuses it once and ``main``
+    words the ``ConfigurationError`` as the exit message."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--seeds", "0"])
+    assert exit_info.value.code == "a comparison needs at least one seed"
+
+
 def test_cli_demo_runs_small(capsys):
     assert main(["demo", "--file-mb", "2"]) == 0
     out = capsys.readouterr().out

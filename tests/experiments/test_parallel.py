@@ -4,6 +4,7 @@ import concurrent.futures
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import microbench, parallel
 from repro.experiments.microbench import BenchProfile
 from repro.experiments.parallel import (
@@ -57,8 +58,9 @@ def test_parallel_matches_sequential_in_order():
 
 def test_sweep_jobs_produces_byte_identical_series():
     """Satellite acceptance: --jobs 4 == sequential, bytes and all."""
-    sequential = microbench.sweep_encounter_time(QUICK)
-    fanned = microbench.sweep_encounter_time(
+    sequential = microbench.sweep("b", QUICK)
+    fanned = microbench.sweep(
+        "b",
         BenchProfile(
             file_size=QUICK.file_size,
             seeds=QUICK.seeds,
@@ -141,59 +143,47 @@ def test_profile_from_env_reads_jobs(monkeypatch):
     assert BenchProfile.from_env().jobs == 1
 
 
-# ---------------------------------------------------------------------------
-# Hub forwarding under worker exceptions (no stall, no double-publish)
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("off", ["0", "false", "No", ""])
+def test_profile_from_env_flags_spelled_off_are_off(monkeypatch, off):
+    monkeypatch.setenv("REPRO_BENCH_QUICK", off)
+    monkeypatch.setenv("REPRO_BENCH_PAPER", off)
+    assert BenchProfile.from_env() == BenchProfile(32 * MB, seeds=(0, 1))
+    monkeypatch.setenv("REPRO_BENCH_PAPER", "1")
+    assert BenchProfile.from_env() == BenchProfile()
+    monkeypatch.setenv("REPRO_BENCH_QUICK", "yes")
+    assert BenchProfile.from_env() == BenchProfile(16 * MB, seeds=(0,))
 
 
-def _drain_runs(sub):
-    """The ``run`` payloads a subscription has received, in order."""
-    return [payload for topic, payload in sub.drain() if topic == "run"]
+@pytest.mark.parametrize("name, value", [
+    ("REPRO_BENCH_SEEDS", "three"),
+    ("REPRO_BENCH_SEEDS", "0"),
+    ("REPRO_BENCH_SEEDS", "-1"),
+    ("REPRO_BENCH_JOBS", "2.5"),
+])
+def test_profile_from_env_names_the_variable_it_rejects(
+    monkeypatch, name, value
+):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ConfigurationError, match=name):
+        BenchProfile.from_env()
 
 
-def test_hub_receives_one_summary_per_task_in_order():
-    from repro.obs.stream import TelemetryHub
-
-    hub = TelemetryHub()
-    sub = hub.subscribe(maxsize=64)
-    try:
-        tasks = [quick_task("xftp", 0), quick_task("softstage", 0)]
-        summaries = run_tasks(tasks, jobs=1, hub=hub)
-        runs = _drain_runs(sub)
-        assert [r["run"] for r in runs] == [
-            "xftp-seed0", "softstage-seed0",
-        ]
-        assert runs[1]["download_time"] == summaries[1].download_time
-        assert all(r["state"] == "finished" for r in runs)
-    finally:
-        hub.close()
-
-
-def test_mid_stream_task_error_forwards_prefix_then_propagates():
-    """A raise mid-sweep must not stall the hub or drop the prefix."""
-    from repro.obs.stream import TelemetryHub
-
-    hub = TelemetryHub()
-    sub = hub.subscribe(maxsize=64)
-    bad = SweepTask(
-        system="no-such-system",
-        params=MicrobenchParams(file_size=MB),
-        seed=0,
+def test_profile_from_env_fewer_than_one_job_means_one(monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_JOBS", "0")
+    monkeypatch.setenv("REPRO_BENCH_SEEDS", "3")
+    assert BenchProfile.from_env() == BenchProfile(
+        32 * MB, seeds=(0, 1, 2), jobs=1
     )
-    try:
-        with pytest.raises(Exception, match="no-such-system"):
-            run_tasks([quick_task(seed=0), bad, quick_task(seed=1)],
-                      jobs=1, hub=hub)
-        runs = _drain_runs(sub)
-        # Exactly the pre-failure prefix, exactly once.
-        assert [r["run"] for r in runs] == ["softstage-seed0"]
-    finally:
-        hub.close()
 
 
 def test_pool_death_mid_stream_does_not_double_publish(monkeypatch):
-    """Summaries streamed before a pool death are not re-published."""
-    from repro.obs.stream import TelemetryHub
+    """Tasks that streamed back before a pool death are not re-run."""
+
+    executed = []
+
+    def counting(task, trace_sink=None):
+        executed.append(task)
+        return execute_task(task, trace_sink)
 
     class HalfDeadPool:
         """Yields the first result, then dies from infrastructure."""
@@ -212,18 +202,11 @@ def test_pool_death_mid_stream_does_not_double_publish(monkeypatch):
             raise concurrent.futures.BrokenExecutor("worker died")
 
     monkeypatch.setattr(parallel.futures, "ProcessPoolExecutor", HalfDeadPool)
-    hub = TelemetryHub()
-    sub = hub.subscribe(maxsize=64)
-    try:
-        tasks = [quick_task(seed=0), quick_task(seed=1)]
-        summaries = run_tasks(tasks, jobs=2, hub=hub)
-        assert summaries == [execute_task(t) for t in tasks]
-        runs = _drain_runs(sub)
-        assert [r["run"] for r in runs] == [
-            "softstage-seed0", "softstage-seed1",
-        ]
-    finally:
-        hub.close()
+    monkeypatch.setattr(parallel, "execute_task", counting)
+    tasks = [quick_task(seed=0), quick_task(seed=1)]
+    summaries = run_tasks(tasks, jobs=2)
+    assert summaries == [execute_task(t) for t in tasks]
+    assert executed == tasks  # each exactly once: the first was kept
 
 
 # ---------------------------------------------------------------------------

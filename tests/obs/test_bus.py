@@ -106,30 +106,6 @@ def test_probe_stamps_time_and_run_id():
     assert seen[0].event == CoverageGap(duration=1.0)
 
 
-def test_kernel_step_hooks_observe_every_dispatch():
-    sim = Simulator()
-    steps = []
-
-    def hook(when, event):
-        steps.append(when)
-
-    sim.add_step_hook(hook)
-
-    def worker(sim):
-        yield sim.timeout(1.0)
-        yield sim.timeout(2.0)
-
-    sim.process(worker(sim))
-    sim.run()
-    assert steps  # init + timeouts + process completion
-    assert steps == sorted(steps)
-    sim.remove_step_hook(hook)
-    before = len(steps)
-    sim.process(worker(sim))
-    sim.run()
-    assert len(steps) == before
-
-
 def test_process_failure_is_published():
     from repro.obs.events import ProcessFailed
 

@@ -184,21 +184,3 @@ def test_repr_mentions_state():
     assert "scheduled" in repr(event) or "triggered" in repr(event)
     sim.run()
     assert "processed" in repr(event)
-
-
-def test_trigger_copies_outcome_from_processed_event():
-    sim = Simulator()
-    source = sim.event("source")
-    mirror = sim.event("mirror")
-    source.succeed(13)
-    mirror.trigger(source)
-    sim.run()
-    assert mirror.value == 13
-
-
-def test_trigger_from_untriggered_event_raises():
-    sim = Simulator()
-    source = sim.event("source")
-    mirror = sim.event("mirror")
-    with pytest.raises(SimulationError):
-        mirror.trigger(source)

@@ -87,44 +87,6 @@ def test_triggered_pooled_event_rejects_double_trigger():
         event.succeed()
 
 
-def test_succeed_at_fires_at_the_exact_absolute_time():
-    """No ``now + (when - now)`` round trip: the float arrives intact."""
-    sim = Simulator(initial_time=0.1)
-    when = 0.1 + 0.2 + 0.7  # not representable as 0.1 + (when - 0.1)
-    fired = []
-    event = sim.pooled_event("abs")
-    event.callbacks.append(lambda ev: fired.append((sim.now, ev.value)))
-    event.succeed_at("v", when)
-    sim.run()
-    assert fired == [(when, "v")]
-    assert sim.pool_reuses == 0 and len(sim._event_pool) == 1  # recycled
-
-
-def test_succeed_at_orders_with_relative_triggers_and_priorities():
-    sim = Simulator()
-    order = []
-    for name, trigger in (
-        ("relative", lambda ev: ev.succeed(delay=1.0)),
-        ("absolute", lambda ev: ev.succeed_at(None, 1.0)),
-        ("urgent", lambda ev: ev.succeed_at(None, 1.0, priority=URGENT)),
-    ):
-        event = sim.event(name)
-        event.callbacks.append(lambda ev: order.append(ev.name))
-        trigger(event)
-    sim.run()
-    assert order == ["urgent", "relative", "absolute"]
-
-
-def test_succeed_at_rejects_the_past_and_double_triggers():
-    sim = Simulator(initial_time=5.0)
-    with pytest.raises(ValueError):
-        sim.event().succeed_at(None, 4.0)
-    event = sim.event()
-    event.succeed_at(None, 5.0)  # "now" is allowed
-    with pytest.raises(SimulationError):
-        event.succeed_at(None, 6.0)
-
-
 # -- call_at: the one-call fire-and-forget primitive ---------------------------
 
 
@@ -152,8 +114,7 @@ def test_call_at_rejects_the_past_and_takes_nothing_from_the_pool():
 
 @pytest.mark.parametrize("schedule", [
     lambda sim: sim.call_at(float("nan"), lambda: None),
-    lambda sim: sim.event().succeed_at(None, float("nan")),
-], ids=["call_at", "succeed_at"])
+], ids=["call_at"])
 def test_a_nan_time_is_rejected_before_it_can_corrupt_the_heap(schedule):
     """``nan < now`` is False, so a ``when < now`` guard lets NaN in —
     and a NaN key compares False both ways, breaking heap order."""
@@ -176,12 +137,12 @@ def test_call_at_is_fifo_with_succeed_scheduled_events_at_equal_time():
     first.callbacks.append(note)
     first.succeed(delay=1.0)
     sim.call_at(1.0, order.append, ("call_at-2",))
-    third = sim.event("succeed_at-3")
+    third = sim.event("succeed-3")
     third.callbacks.append(note)
-    third.succeed_at(None, 1.0)
+    third.succeed(delay=1.0)
     sim.call_at(1.0, order.append, ("call_at-4",))
     sim.run()
-    assert order == ["succeed-1", "call_at-2", "succeed_at-3", "call_at-4"]
+    assert order == ["succeed-1", "call_at-2", "succeed-3", "call_at-4"]
 
 
 def test_call_at_urgent_runs_before_normal_at_equal_time():
@@ -232,29 +193,25 @@ def test_reserved_place_orders_a_later_push_as_if_pushed_then():
 
 
 def test_observers_are_shown_a_named_event_for_call_at_steps():
-    """Step hooks and the profiler are handed an Event; for a ``call_at``
-    step the kernel shows them one under the step's name, so profile
-    keys read as before — through ``step()`` and through ``run()``."""
+    """The profiler is handed an Event; for a ``call_at`` step the
+    kernel shows it one under the step's name, so profile keys read as
+    before — through ``step()`` and through ``run()``."""
     from repro.sim.profiler import SimProfiler
 
     sim = Simulator()
-    hooked, got = [], []
-    sim.add_step_hook(lambda when, event: hooked.append(
-        (when, event.name, event.processed, event.value)))
+    got = []
     sim.call_at(1.0, lambda *args: got.append(args), ("p", 1), "arrival")
     sim.run()
-    assert hooked == [(1.0, "arrival", True, ("p", 1))]
     assert got == [("p", 1)]
-    with SimProfiler(sim) as profiler:  # the hook is still installed too
+    with SimProfiler(sim) as profiler:
         sim.call_at(2.0, got.append, ("q",), "cpu")
         sim.step()
     assert profiler.report()["wall.event:cpu.calls"] == 1
-    assert hooked[-1] == (2.0, "cpu", True, ("q",))
-    hook_free = Simulator()
-    with SimProfiler(hook_free) as profiler:  # run()'s inlined profiler path
-        hook_free.call_at(1.0, got.append, ("r",), "tx-done")
-        hook_free.call_at(1.0, got.append, ("s",), "tx-done")
-        hook_free.run()
+    other = Simulator()
+    with SimProfiler(other) as profiler:  # run()'s inlined profiler path
+        other.call_at(1.0, got.append, ("r",), "tx-done")
+        other.call_at(1.0, got.append, ("s",), "tx-done")
+        other.run()
     assert profiler.report()["wall.event:tx-done.calls"] == 2
     assert got[-3:] == ["q", "r", "s"] and sim.steps_processed == 2
     assert (sim.pool_allocs, sim.pool_reuses) == (0, 0)
