@@ -1,4 +1,5 @@
-"""Observability write-path ledger: what each bus attachment costs per event.
+"""Observability ledger: what each bus attachment costs per event on the
+way in, and each offline view per event on the way back out.
 
 Records the stamped event stream of one fixed-seed Xftp + SoftStage
 pair with the flight recorder on (the event mix ``obs_live`` publishes:
@@ -21,12 +22,20 @@ Per row it reports
 Every row includes ``EventBus.publish`` itself; subtract ``noop`` for a
 handler's own share.
 
+The read side gets the same two columns over the same stream, written
+once to a temporary JSONL trace (both runs, one file) and read back by
+the four views that re-read a trace — ``read`` (``read_trace`` alone,
+counted by a generator expression as the referee's ``obs_offline``
+counts it), ``replay`` (``replay_trace``), ``runs`` (``load_runs``) and
+``wide`` (``derive_wide``).  Each includes the ``read`` row's work.
+
 ``PYTHONPATH=src python -m benchmarks.bench_obs_writepath`` prints the
 table and, unless ``--no-record``, appends it to ``BENCH_obs.json`` via
 :mod:`repro.perf`; ``--check`` fails when ``all.py_calls_per_event`` is
-above ``ALL_PY_CALLS_PER_EVENT_CEILING`` or when the exporter's bytes
-for the stream differ from the reference ``asdict`` + ``json.dumps``
-encoding the trace format is defined by.
+above ``ALL_PY_CALLS_PER_EVENT_CEILING``, when
+``read.py_calls_per_event`` is above ``READ_PY_CALLS_PER_EVENT_CEILING``
+or when the exporter's bytes for the stream differ from the reference
+``asdict`` + ``json.dumps`` encoding the trace format is defined by.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -46,12 +56,13 @@ from benchmarks.bench_dataplane import count_python_calls
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.runner import run_download
 from repro.metrics.collector import MetricsCollector
+from repro.obs.analyze import load_runs
 from repro.obs.bus import EventBus, Stamped
 from repro.obs.flight import InvariantAuditor
 from repro.obs.sketch import SketchRecorder
 from repro.obs.stream import GaugeFeed, TelemetryHub
-from repro.obs.trace import TraceExporter, read_trace
-from repro.obs.wide import WideEventBuilder, WideEventWriter
+from repro.obs.trace import TraceExporter, read_trace, replay_trace
+from repro.obs.wide import WideEventBuilder, WideEventWriter, derive_wide
 from repro.util import MB
 
 #: The recorded pair: ``obs_live``'s inputs (Table III defaults, 32 MB).
@@ -73,6 +84,14 @@ ROWS = {
 #: Rows whose only subscription is the ``GaugeSample`` topic.
 GAUGE_ONLY_ROWS = ("sketches", "hub")
 
+#: Read-side row → the offline view it runs over the trace at ``path``.
+READ_ROWS = {
+    "read": lambda path: sum(1 for _ in read_trace(path)),
+    "replay": replay_trace,
+    "runs": load_runs,
+    "wide": lambda path: derive_wide(read_trace(path)),
+}
+
 #: ``--check`` fails above this many Python calls per published event
 #: with the whole lattice attached.  The recorded seed-0 stream costs
 #: 10.85 since the exporter and the auditor stopped reflecting over
@@ -81,6 +100,14 @@ GAUGE_ONLY_ROWS = ("sketches", "hub")
 #: above — room for a helper on a per-chunk path, not for one more
 #: frame per event.
 ALL_PY_CALLS_PER_EVENT_CEILING = 11.9
+
+#: ``--check`` fails above this many Python calls per event of a bare
+#: ``read_trace`` pass.  It costs 3.01 — the event's constructor, the
+#: reader's resume and the counting consumer's — since the reader calls
+#: the ``json`` C scanner itself and builds ``Stamped`` as the tuple it
+#: is (7.01 before: three frames of ``json.loads`` and one of
+#: ``Stamped.__init__`` more); one more frame per event is +33 %.
+READ_PY_CALLS_PER_EVENT_CEILING = 3.5
 
 
 def reference_line(stamped: Stamped) -> str:
@@ -94,17 +121,18 @@ def reference_line(stamped: Stamped) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
-def record_stream() -> list[list[Stamped]]:
-    """The pair's stamped events, one list per run, in publication order."""
+def record_stream() -> tuple[list[list[Stamped]], str]:
+    """The pair's stamped events, one list per run in publication order,
+    and the JSONL trace (both runs' lines) they were read back from."""
     params = MicrobenchParams(file_size=FILE_MB * MB)
-    runs = []
+    texts = []
     for system in ("xftp", "softstage"):
         buffer = io.StringIO()
         run_download(system, params=params, seed=SEED,
                      trace_path=buffer, gauges=True)
-        buffer.seek(0)
-        runs.append(list(read_trace(buffer, strict=True)))
-    return runs
+        texts.append(buffer.getvalue())
+    runs = [list(read_trace(io.StringIO(text), strict=True)) for text in texts]
+    return runs, "".join(texts)
 
 
 def _noop(stamped: Stamped) -> None:
@@ -197,28 +225,41 @@ def exporter_matches_reference(runs: list[list[Stamped]]) -> bool:
     return buffer.getvalue() == reference
 
 
-def measure(runs: list[list[Stamped]], rounds: int = 5) -> dict:
-    """The ledger for one recorded stream, as a flat metrics dict."""
+def measure(runs: list[list[Stamped]], trace: str, rounds: int = 5) -> dict:
+    """The ledger for one recorded stream and the JSONL ``trace`` of it,
+    as a flat metrics dict."""
     events = sum(len(stream) for stream in runs)
     mix = Counter(type(s.event).__name__ for stream in runs for s in stream)
     metrics: dict = {"events": events, "rounds": rounds}
     for name, count in mix.most_common():
         metrics[f"mix.{name}"] = count
-    # Rounds outside, rows inside: the host's speed drifts over seconds,
-    # and this way a slow spell lands on every row alike.
-    seconds: dict[str, list[float]] = {row: [] for row in ROWS}
-    for _round in range(rounds + 1):  # the first one warms up
+    calls: dict[str, int] = {}
+    seconds: dict[str, list[float]] = {row: [] for row in (*ROWS, *READ_ROWS)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(trace)
+        # Rounds outside, rows inside: the host's speed drifts over
+        # seconds, and this way a slow spell lands on every row alike.
+        for _round in range(rounds + 1):  # the first one warms up
+            for row, consumers in ROWS.items():
+                seconds[row].append(replay(runs, consumers))
+            for row, view in READ_ROWS.items():
+                started = perf_counter()
+                view(path)
+                seconds[row].append(perf_counter() - started)
         for row, consumers in ROWS.items():
-            seconds[row].append(replay(runs, consumers))
-    for row, consumers in ROWS.items():
-        calls = replay(runs, consumers, profile_calls=True)
+            calls[row] = replay(runs, consumers, profile_calls=True)
+        for row, view in READ_ROWS.items():
+            calls[row] = count_python_calls(lambda: view(path))
+    for row in seconds:
         metrics[f"{row}.events"] = (
             mix["GaugeSample"] if row in GAUGE_ONLY_ROWS else events
         )
         metrics[f"{row}.us_per_event"] = (
             statistics.median(seconds[row][1:]) / events * 1e6
         )
-        metrics[f"{row}.py_calls_per_event"] = calls / events
+        metrics[f"{row}.py_calls_per_event"] = calls[row] / events
     return metrics
 
 
@@ -230,7 +271,7 @@ def render(metrics: dict) -> str:
     )]
     lines.append(f"{'row':>10} {'events':>8} {'us/event':>9} {'ms':>8} "
                  f"{'py calls/event':>15}")
-    for row in ROWS:
+    for row in (*ROWS, *READ_ROWS):
         us = metrics[f"{row}.us_per_event"]
         lines.append(
             f"{row:>10} {metrics[f'{row}.events']:>8} {us:>9.3f} "
@@ -248,8 +289,9 @@ def main(argv=None) -> int:
     runs: list[list[Stamped]] = []  # recorded once, shared with the gate
 
     def run(args) -> dict:
-        runs.extend(record_stream())
-        return measure(runs, rounds=args.rounds)
+        recorded, trace = record_stream()
+        runs.extend(recorded)
+        return measure(runs, trace, rounds=args.rounds)
 
     def budget_gate(args, metrics):
         if not args.check:
@@ -258,6 +300,10 @@ def main(argv=None) -> int:
         if calls > ALL_PY_CALLS_PER_EVENT_CEILING:
             yield (f"all.py_calls_per_event: {calls:.2f} is above the "
                    f"{ALL_PY_CALLS_PER_EVENT_CEILING} ceiling")
+        calls = metrics["read.py_calls_per_event"]
+        if calls > READ_PY_CALLS_PER_EVENT_CEILING:
+            yield (f"read.py_calls_per_event: {calls:.2f} is above the "
+                   f"{READ_PY_CALLS_PER_EVENT_CEILING} ceiling")
         if not exporter_matches_reference(runs):
             yield ("TraceExporter's output differs from the reference "
                    "asdict + json.dumps encoding")

@@ -38,7 +38,8 @@ import argparse
 import sys
 
 from repro.cli import demo, experiments, runs, serve, slo, trace
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceCorrupt
+from repro.obs.analyze import RunNotInTrace
 from repro.obs.explain import NoWideEvents
 from repro.obs.registry import RecordNotFound
 
@@ -56,7 +57,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except (RecordNotFound, NoWideEvents, ConfigurationError) as exc:
+    except (RecordNotFound, NoWideEvents, ConfigurationError, TraceCorrupt,
+            RunNotInTrace) as exc:
         # The layers below raise these with the facts; this door words
         # them as the exit message (`repro serve` answers 404).
         raise SystemExit(str(exc)) from None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 from repro.cli import command
@@ -20,6 +21,21 @@ from repro.obs.wide import WideEventWriter, derive_wide, wide_json
 from repro.util import render_table
 
 
+def _front_door(handler):
+    """A trace command whose unusable path — missing, a directory, not
+    writable — is the one-line exit message, not a traceback (``main``
+    words a corrupt trace and an unknown run id the same way)."""
+
+    @functools.wraps(handler)
+    def worded(args) -> None:
+        try:
+            handler(args)
+        except OSError as exc:
+            raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
+
+    return worded
+
+
 def _load_runs(path: str):
     runs = load_runs(path)
     if not runs:
@@ -33,6 +49,7 @@ def _select_runs(runs, run_id):
     return list(runs.values())
 
 
+@_front_door
 def cmd_trace_summary(args) -> None:
     runs = _load_runs(args.file)
     for run in _select_runs(runs, args.run):
@@ -53,6 +70,7 @@ def cmd_trace_summary(args) -> None:
         print()
 
 
+@_front_door
 def cmd_trace_spans(args) -> None:
     runs = _load_runs(args.file)
     for run in _select_runs(runs, args.run):
@@ -91,6 +109,7 @@ def cmd_trace_spans(args) -> None:
         print()
 
 
+@_front_door
 def cmd_trace_chrome(args) -> None:
     runs = _load_runs(args.file)
     if args.run is not None:
@@ -104,6 +123,7 @@ def cmd_trace_chrome(args) -> None:
           f"(open in Perfetto or chrome://tracing)")
 
 
+@_front_door
 def cmd_trace_diff(args) -> None:
     runs_a = _load_runs(args.file_a)
     if args.file_b:
@@ -137,17 +157,19 @@ def cmd_trace_diff(args) -> None:
     ))
 
 
+@_front_door
 def cmd_trace_wide(args) -> None:
+    records = derive_wide(read_trace(args.file), run_id=args.run)
+    if args.run is not None and not records[-1]["events"]:
+        # Nothing folded: the one record is the summary of an empty run.
+        raise SystemExit(f"run {args.run!r} not in trace")
     if args.output:
         with WideEventWriter(args.output) as writer:
-            records = derive_wide(
-                read_trace(args.file), sinks=[writer.write],
-                run_id=args.run,
-            )
+            for record in records:
+                writer.write(record)
         print(f"wrote {len(records)} wide events to {args.output} "
               f"(byte-identical to a live --emit-wide run)")
     else:
-        records = derive_wide(read_trace(args.file), run_id=args.run)
         for record in records:
             print(wide_json(record))
 

@@ -37,5 +37,21 @@ class TraceFormatError(ReproError):
     """A connectivity/mobility trace file is malformed."""
 
 
+class TraceCorrupt(ReproError, ValueError):
+    """A JSONL event trace holds an unreadable line that is not its last.
+
+    ``path`` is the trace's file name (``None`` for an unnamed stream)
+    and ``lineno`` the 1-based number of the offending line (``None``
+    when the stream cannot be rewound to count it); the decoding error
+    is the ``__cause__``.
+    """
+
+    def __init__(self, path, lineno, problem: str) -> None:
+        where = f"{path or '<trace>'}:{lineno if lineno is not None else '?'}"
+        super().__init__(f"{where}: {problem}")
+        self.path = path
+        self.lineno = lineno
+
+
 class PacketLifecycleError(ReproError):
     """A recycled packet was touched after release (see xia.packet)."""

@@ -81,6 +81,18 @@ def load_runs(
     return runs
 
 
+class RunNotInTrace(ValueError):
+    """A trace holds no run of the id asked for; carries the id and the
+    ids it does hold so a front door can word that its own way."""
+
+    def __init__(self, run_id: str, run_ids: Iterable[str]) -> None:
+        self.run_id = run_id
+        self.run_ids = tuple(run_ids)
+        super().__init__(
+            f"run {run_id!r} not in trace (has: {', '.join(self.run_ids)})"
+        )
+
+
 def pick_run(runs: dict[str, TraceRun], run_id: Optional[str] = None) -> TraceRun:
     """Select one run: by id, or the only/first one."""
     if not runs:
@@ -90,9 +102,7 @@ def pick_run(runs: dict[str, TraceRun], run_id: Optional[str] = None) -> TraceRu
     try:
         return runs[run_id]
     except KeyError:
-        raise ValueError(
-            f"run {run_id!r} not in trace (has: {', '.join(runs)})"
-        ) from None
+        raise RunNotInTrace(run_id, runs) from None
 
 
 # -- latency breakdown -------------------------------------------------------

@@ -14,15 +14,18 @@ then wildcard handlers (in subscription order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.obs.events import ObsEvent
 
 
-@dataclass(frozen=True, slots=True)
-class Stamped:
-    """An event as it travels the bus: payload + time + run identity."""
+class Stamped(NamedTuple):
+    """An event as it travels the bus: payload + time + run identity.
+
+    Immutable, like the events it carries (the auditor renders evidence
+    from retained ones long after delivery); a tuple because one is
+    built per published event and per replayed trace line.
+    """
 
     time: float
     run_id: str

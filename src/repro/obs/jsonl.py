@@ -3,7 +3,8 @@
 Traces, wide events, the run registry and the alert log are all
 JSON-lines files.  What they share lives here and nowhere else: the
 :class:`JsonlSink` over a path (opened and closed here) or an open file
-(borrowed, only flushed); the reader (:func:`read_records` over
+(borrowed, only flushed); the line decoder (:func:`decode_line` over
+:data:`scan_line`); the reader (:func:`read_records` over
 :func:`opened`); and :func:`append`, one whole line under an advisory
 ``flock``, in the directory :func:`runs_dir` resolves.
 
@@ -32,6 +33,33 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 DEFAULT_DIR = ".repro_runs"
 
 _Record = TypeVar("_Record")
+
+#: The C scanner every reader here decodes a line with:
+#: ``value, end = scan_line(line, 0)``.  It is the stock decoder's — the
+#: settings ``json.loads`` runs with — and, like ``json._default_decoder``,
+#: built once per process.
+scan_line = json.JSONDecoder().scan_once
+
+
+def decode_line(line: str):
+    """``json.loads(line)``, minus its wrapping when the line is one
+    whole JSON value with no whitespace around it (a stripped line of
+    a file written here).
+
+    ``json.loads`` spends three Python frames and two whitespace regex
+    matches around one call of the scanner.  When the scanner, started
+    at offset 0, consumes the line to its end, that call *is* the
+    answer: it started where ``json.loads`` would have (offset 0 is
+    not whitespace, or the scan had failed) and left no "extra data".
+    Anything else — nothing scanned, text left over — is handed to
+    ``json.loads`` itself, so what is accepted, what is returned and
+    what is raised are its by construction.
+    """
+    try:
+        value, end = scan_line(line, 0)
+    except StopIteration:  # no JSON value starts at offset 0
+        return json.loads(line)
+    return value if end == len(line) else json.loads(line)
 
 
 def runs_dir(directory: Optional[str] = None) -> str:
@@ -90,7 +118,7 @@ def read_records(path_or_file: Union[str, IO[str]]) -> Iterator[dict]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = decode_line(line)
             except ValueError:
                 skipped += 1
                 continue

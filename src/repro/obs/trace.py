@@ -15,21 +15,25 @@ The line format is defined as what the standard ``json`` encoder with
 ``(",", ":")`` separators writes for the dict of ``t``, ``run``,
 ``type`` and then the event's fields.  The exporter produces those
 bytes from a line layout compiled once per event class
-(:func:`_line_spec`) rather than by reflecting over every event;
-``tests/obs/test_trace_identity.py`` holds it to the definition.
+(:func:`_line_spec`) rather than by reflecting over every event, and
+the reader takes a line apart the same way: one call of the ``json`` C
+scanner (:func:`repro.obs.jsonl.decode_line` is the definition) and a
+per-class :func:`_read_spec` instead of ``json.loads`` and keyword
+matching per line.  ``tests/obs/test_trace_identity.py`` holds both to
+their definitions.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from json.encoder import JSONEncoder, encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import IO, Iterator, Optional, Union
 
+from repro.errors import TraceCorrupt
 from repro.obs.bus import EventBus, Stamped
-from repro.obs.events import EVENT_TYPES, event_schema
-from repro.obs.jsonl import JsonlSink, opened
+from repro.obs.events import ENVELOPE_KEYS, EVENT_TYPES, event_schema
+from repro.obs.jsonl import JsonlSink, decode_line, opened, scan_line
 
 #: ``unknown_counts`` key under which :func:`read_trace` counts a torn
 #: final line (no event type can be named this).
@@ -45,6 +49,10 @@ _encode_other = JSONEncoder(separators=(",", ":")).encode
 
 #: Event class -> its compiled :func:`_line_spec`, filled on first sight.
 _LINE_SPECS: dict[type, tuple] = {}
+
+#: ``Stamped(time, run_id, event)`` is a Python-level ``__new__`` around
+#: this call; the reader makes it directly, once per line.
+_tuple_new = tuple.__new__
 
 
 def _line_spec(cls: type) -> tuple:
@@ -114,6 +122,37 @@ class TraceExporter(JsonlSink):
         super().close()
 
 
+def _read_spec(cls: type) -> tuple:
+    """How :func:`read_trace` decodes a whole line of event class
+    ``cls``: ``(cls, values_of, width)``.  ``values_of(record)`` is the
+    line's time, run id and the event's fields in constructor order,
+    fetched in one C call; ``width`` is the number of keys a line of
+    this class holds when it holds exactly the schema's."""
+    field_names = event_schema(cls)[1]
+    return (cls, itemgetter("t", "run", *field_names),
+            len(ENVELOPE_KEYS) + len(field_names))
+
+
+#: Wire name -> its :func:`_read_spec`.
+_READ_SPECS = {name: _read_spec(cls) for name, cls in EVENT_TYPES.items()}
+
+
+def _corrupt(lines: IO[str], line: str, behind: int) -> TraceCorrupt:
+    """The error for an unreadable ``line`` with ``behind`` lines after
+    it.  Its number is counted here, on the way out — the exhausted file
+    is rewound and its lines counted — so the reader keeps no counter
+    per event; a stream that cannot rewind goes without."""
+    try:
+        lines.seek(0)
+        lineno = sum(1 for _ in lines) - behind
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        lineno = None
+    return TraceCorrupt(
+        getattr(lines, "name", None), lineno,
+        f"unreadable trace line {line[:40]!r} that is not a torn last line",
+    )
+
+
 def read_trace(
     path_or_file: Union[str, IO[str]],
     strict: bool = False,
@@ -131,9 +170,11 @@ def read_trace(
 
     A process killed mid-run leaves a torn last line (the exporter
     writes through a buffer).  A *final* line that is not a JSON object
-    with a ``"type"`` is therefore skipped with a warning and counted
-    under :data:`TORN_LINE`; the same line with anything after it is
-    corruption and raises, as does ``strict=True``.
+    with the envelope's ``"t"``, ``"run"`` and ``"type"`` is therefore
+    skipped with a warning and counted under :data:`TORN_LINE`; the
+    same line with anything after it is corruption and raises
+    :class:`~repro.errors.TraceCorrupt`, which names the file and the
+    line, as does ``strict=True``.
     """
     warned: set[str] = set()
     with opened(path_or_file) as lines:
@@ -143,11 +184,39 @@ def read_trace(
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                # ``jsonl.decode_line``'s fast path, unrolled, for a
+                # whole line of a known event holding exactly its
+                # schema's keys: no frame per event but the event's own
+                # constructor.
+                record, end = scan_line(line, 0)
+                cls, values_of, width = _READ_SPECS[record["type"]]
+                if end != len(line) or len(record) != width:
+                    raise ValueError
+                values = values_of(record)
+            except (StopIteration, ValueError, LookupError, TypeError):
+                pass  # any other line: from scratch, by the rules above
+            else:
+                yield _tuple_new(
+                    Stamped, (values[0], values[1], cls(*values[2:]))
+                )
+                continue
+            try:
+                record = decode_line(line)
                 type_name = record.pop("type")
-            except (ValueError, KeyError, TypeError, AttributeError):
-                if strict or any(rest.strip() for rest in lines_left):
-                    raise
+                time = record.pop("t")
+                run_id = record.pop("run")
+                cls = EVENT_TYPES.get(type_name)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                # Torn if nothing but blank lines follow, else corrupt.
+                behind, final = 0, True
+                for rest in lines_left:
+                    behind += 1
+                    if rest.strip():
+                        final = False
+                        break
+                if strict or not final:
+                    behind += sum(1 for _ in lines_left)
+                    raise _corrupt(lines, line, behind) from exc
                 if unknown_counts is not None:
                     unknown_counts[TORN_LINE] = (
                         unknown_counts.get(TORN_LINE, 0) + 1
@@ -158,7 +227,6 @@ def read_trace(
                     stacklevel=2,
                 )
                 break
-            cls = EVENT_TYPES.get(type_name)
             if cls is None:
                 if strict:
                     raise KeyError(f"unknown event type {type_name!r} in trace")
@@ -172,8 +240,6 @@ def read_trace(
                         stacklevel=2,
                     )
                 continue
-            time = record.pop("t")
-            run_id = record.pop("run")
             try:
                 event = cls(**record)
             except TypeError:

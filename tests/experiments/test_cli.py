@@ -157,6 +157,67 @@ def test_cli_trace_subcommands_end_to_end(tmp_path, capsys):
                  "--run-a", "xftp-seed0", "--run-b", "softstage-seed0"]) == 0
 
 
+#: Two whole events of one run: a trace no simulation has to write.
+_TRACE_LINES = (
+    '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"}\n'
+    '{"t":2.0,"run":"r0","type":"CacheMiss","store":"s","cid":"d"}\n'
+)
+
+_TRACE_COMMANDS = {
+    "summary": lambda path: ["trace", "summary", path],
+    "spans": lambda path: ["trace", "spans", path],
+    "chrome": lambda path: ["trace", "chrome", path, "-o", path + ".chrome"],
+    "diff": lambda path: ["trace", "diff", path],
+    "wide": lambda path: ["trace", "wide", path],
+}
+
+
+@pytest.mark.parametrize("command", _TRACE_COMMANDS.values(),
+                         ids=list(_TRACE_COMMANDS))
+def test_cli_trace_bad_input_is_an_exit_message_not_a_traceback(
+    command, tmp_path
+):
+    """A missing file, a directory, a run id the trace does not hold and
+    a corrupt trace each used to end in a traceback (``FileNotFoundError``,
+    ``IsADirectoryError``, ``pick_run``'s ``ValueError``,
+    ``JSONDecodeError``; ``trace wide --run`` printed the summary of an
+    empty run and exited 0)."""
+    def exit_message(argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert isinstance(exit_info.value.code, str)  # printed; status 1
+        return exit_info.value.code
+
+    missing = str(tmp_path / "nope.jsonl")
+    assert exit_message(command(missing)) == (
+        f"{missing}: No such file or directory"
+    )
+    assert exit_message(command(str(tmp_path))) == (
+        f"{tmp_path}: Is a directory"
+    )
+
+    good = tmp_path / "good.jsonl"
+    good.write_text(_TRACE_LINES, encoding="utf-8")
+    flag = "--run-b" if command is _TRACE_COMMANDS["diff"] else "--run"
+    message = exit_message([*command(str(good)), flag, "r9"])
+    assert message.startswith("run 'r9' not in trace")
+
+    corrupt = tmp_path / "corrupt.jsonl"
+    corrupt.write_text(_TRACE_LINES + '{"t":3.0,"ru\n' + _TRACE_LINES,
+                       encoding="utf-8")
+    assert exit_message(command(str(corrupt))).startswith(
+        f"{corrupt}:3: unreadable trace line "
+    )
+    # A torn *last* line is the trace of a run that died: still readable.
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text(_TRACE_LINES * 2 + '{"t":3.0,"ru', encoding="utf-8")
+    argv = command(str(torn))
+    if command is _TRACE_COMMANDS["diff"]:  # needs two runs to compare
+        argv += ["--run-a", "r0", "--run-b", "r0"]
+    with pytest.warns(UserWarning, match="torn final trace line"):
+        assert main(argv) == 0
+
+
 def test_cli_emit_wide_matches_offline_trace_wide_byte_for_byte(
     tmp_path, capsys
 ):
@@ -218,13 +279,14 @@ def test_cli_demo_live_renders_the_dashboard(tmp_path, capsys):
 
 
 def test_cli_trace_summary_missing_run_errors(tmp_path, capsys):
-    import pytest
-
     trace = tmp_path / "demo.jsonl"
     main(["demo", "--file-mb", "2", "--trace", str(trace)])
     capsys.readouterr()
-    with pytest.raises(ValueError, match="no-such-run"):
+    with pytest.raises(SystemExit) as exit_info:
         main(["trace", "summary", str(trace), "--run", "no-such-run"])
+    assert exit_info.value.code == (
+        "run 'no-such-run' not in trace (has: xftp-seed0, softstage-seed0)"
+    )
 
 
 def test_cli_profile_prints_hot_handlers(capsys):

@@ -1,5 +1,7 @@
 """Event bus semantics: subscription, ordering, the unsubscribed fast path."""
 
+import pickle
+
 import pytest
 
 from repro.obs import EventBus, Stamped
@@ -13,6 +15,46 @@ def fetched(cid="c1"):
 
 def stamp(event, time=0.0, run="test"):
     return Stamped(time, run, event)
+
+
+# -- the Stamped contract ------------------------------------------------------
+
+
+def test_stamped_is_immutable():
+    """The auditor renders evidence from retained ``Stamped``s long
+    after delivery; nothing may change under it."""
+    stamped = stamp(fetched(), time=1.5)
+    for name in ("time", "run_id", "event", "anything_else"):
+        with pytest.raises(AttributeError):
+            setattr(stamped, name, 0)
+    with pytest.raises(TypeError):
+        stamped[0] = 0.0
+    assert not hasattr(stamped, "__dict__")
+    assert stamped == stamp(fetched(), time=1.5)
+    assert hash(stamped) == hash(stamp(fetched(), time=1.5))
+
+
+def test_stamped_repr_names_its_fields():
+    # What the frozen dataclass it replaced printed, field for field.
+    assert repr(stamp(CacheHit(store="s", cid="c"), time=0.5, run="r0")) == (
+        "Stamped(time=0.5, run_id='r0', event=CacheHit(store='s', cid='c'))"
+    )
+
+
+def test_stamped_pickles_round_trip():
+    # Sweep workers forward their streams to the parent's hub pickled.
+    stamped = stamp(fetched("c9"), time=2.25, run="seed3")
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(stamped, protocol))
+        assert type(restored) is Stamped and restored == stamped
+
+
+def test_stamped_unpacks_and_builds_by_keyword():
+    time, run_id, event = stamp(fetched(), time=3.0, run="r")
+    assert (time, run_id, event) == (3.0, "r", fetched())
+    assert Stamped(time=3.0, run_id="r", event=fetched()) == stamp(
+        fetched(), time=3.0, run="r"
+    )
 
 
 def test_topic_subscription_filters_by_type():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.errors import ReproError, TraceCorrupt
 from repro.obs import EventBus, Stamped, TraceExporter, read_trace, replay_trace
 from repro.obs.events import (
     CacheStored,
@@ -191,12 +192,13 @@ def test_batched_packet_dropped_replays_full_count():
 GOOD_LINE = '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"}\n'
 
 
-@pytest.mark.parametrize("torn, error", [
+@pytest.mark.parametrize("torn, cause", [
     (GOOD_LINE[:30], json.JSONDecodeError),  # cut mid-line by a kill
     ('{"t":2.0,"run":"r0"}', KeyError),      # an object without "type"
+    ('{"type":"CacheHit","store":"s","cid":"c"}', KeyError),  # ... or "t"
     ("[1,2]", TypeError),                    # JSON, but not an object
-], ids=["truncated", "no-type", "array"])
-def test_read_trace_skips_a_torn_final_line_only(torn, error):
+], ids=["truncated", "no-type", "no-time", "array"])
+def test_read_trace_skips_a_torn_final_line_only(torn, cause):
     for tail in ("", "\n", "\n\n  \n"):
         counts = {}
         with pytest.warns(UserWarning, match="torn final trace line"):
@@ -205,12 +207,40 @@ def test_read_trace_skips_a_torn_final_line_only(torn, error):
             ))
         assert [s.event.cid for s in restored] == ["c", "c"]
         assert counts == {TORN_LINE: 1}
-    # The same line with events after it is corruption, not a torn tail ...
-    with pytest.raises(error):
-        list(read_trace(io.StringIO(GOOD_LINE + torn + "\n" + GOOD_LINE)))
+    # The same line with events after it is corruption, not a torn tail,
+    # and the error says where ...
+    with pytest.raises(TraceCorrupt, match=r"<trace>:3: ") as caught:
+        list(read_trace(io.StringIO(
+            GOOD_LINE + "\n" + torn + "\n  \n" + GOOD_LINE * 2
+        )))
+    assert caught.value.lineno == 3 and caught.value.path is None
+    assert isinstance(caught.value.__cause__, cause)
     # ... and strict mode accepts neither.
-    with pytest.raises(error):
+    with pytest.raises(TraceCorrupt, match=r":2: ") as caught:
         list(read_trace(io.StringIO(GOOD_LINE + torn), strict=True))
+    assert isinstance(caught.value.__cause__, cause)
+
+
+def test_trace_corruption_names_the_file_and_is_a_value_error(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(GOOD_LINE * 4 + "{oops}\n" + GOOD_LINE, encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        list(read_trace(str(path)))
+    error = caught.value
+    assert isinstance(error, TraceCorrupt) and isinstance(error, ReproError)
+    assert (error.path, error.lineno) == (str(path), 5)
+    assert str(error).startswith(f"{path}:5: unreadable trace line '{{oops}}'")
+    assert isinstance(error.__cause__, json.JSONDecodeError)
+
+
+def test_trace_corruption_in_a_stream_that_cannot_rewind_has_no_line_number():
+    class Pipe(io.StringIO):
+        def seek(self, *args):
+            raise io.UnsupportedOperation("underlying stream is not seekable")
+
+    with pytest.raises(TraceCorrupt, match=r"<trace>:\?: ") as caught:
+        list(read_trace(Pipe(GOOD_LINE + "{oops}\n" + GOOD_LINE)))
+    assert caught.value.lineno is None
 
 
 def test_offline_views_survive_a_torn_trace(tmp_path):

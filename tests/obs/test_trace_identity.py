@@ -1,7 +1,8 @@
 """The exporter's compiled line layout writes the trace format's
 definition — ``json.dumps`` of ``{"t", "run", "type", **asdict(event)}``
 with compact separators — byte for byte, for every event class and
-every value a field can hold."""
+every value a field can hold; and the reader's direct scanner call
+accepts, rejects and returns what ``json.loads`` does, line by line."""
 
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TraceCorrupt
 from repro.obs import EventBus, Stamped, TraceExporter, read_trace
 from repro.obs.events import (
     EVENT_TYPES,
@@ -24,6 +26,8 @@ from repro.obs.events import (
     PacketDropped,
     event_schema,
 )
+from repro.obs.jsonl import decode_line
+from repro.obs.trace import TORN_LINE
 
 
 def reference_line(stamped: Stamped) -> str:
@@ -167,3 +171,192 @@ class _Ratio(float):
         "none-nan-inf", "negative-zero"])
 def test_values_outside_the_exact_type_arms_match_the_reference(stamped):
     assert exported(stamped) == reference_line(stamped)
+
+
+# -- the reader's half: one C scanner call per line ------------------------------
+#
+# ``jsonl.decode_line`` is defined as ``json.loads`` and ``read_trace``
+# unrolls its fast path, so both are held to the slow spelling here.
+
+#: What ``scan_once(line, 0)`` alone gets wrong or reports differently:
+#: nothing scanned (``StopIteration``, which must never leave a
+#: generator), text left over, whole values that are not objects, and
+#: the number and string forms ``json`` is lenient or exact about.
+_PITFALLS = [
+    "", " ", "abc", "-", "nul", "{", '{"a":1', '{"a":1}{"b":2}', '{"a":1} x',
+    '{"a":1} ', ' {"a":1}', '\t[1,2]\r', "[1,2]", '"s"', "null", "true", "7",
+    "NaN", "Infinity", "-Infinity", "-0.0", "1e22", "1E400", "-1e-400",
+    str(2**64 + 1), "-" + "9" * 40, "01", "1.", ".5", "+1",
+    "\ud800", '"\\ud800"', '"\ud800"', "﻿{}", '{"a":1}\x1f', "\x0b1",
+    '{"a":1,"a":2}', '{"type":"CacheHit","store":"s","cid":"c"}',
+    # A whole event with text left over: only the end test can tell.
+    '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"} x',
+    '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"}' * 2,
+]
+
+
+def _outcome(decode, text):
+    try:
+        return ("value", repr(decode(text)))
+    except ValueError as exc:  # JSONDecodeError is one
+        return ("error", type(exc).__name__, str(exc))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _INTS | _FLOATS | _TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+_PADDING = st.text(" \t\r\n\x0b\x1f\xa0x,}", max_size=2)
+
+
+@pytest.mark.parametrize("text", _PITFALLS, ids=ascii)
+def test_decode_line_is_json_loads_on_the_scanner_pitfalls(text):
+    assert _outcome(decode_line, text) == _outcome(json.loads, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXT)
+def test_decode_line_is_json_loads_on_any_text(text):
+    assert _outcome(decode_line, text) == _outcome(json.loads, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES, cut=st.integers(0, 5), before=_PADDING,
+       after=_PADDING)
+def test_decode_line_is_json_loads_on_whole_cut_and_padded_documents(
+    value, cut, before, after
+):
+    document = json.dumps(value, separators=(",", ":"))
+    for text in (document, document[:len(document) - cut],
+                 before + document + after):
+        assert _outcome(decode_line, text) == _outcome(json.loads, text)
+
+
+def _slow_read_last_line(line: str):
+    """``read_trace``'s rules for a final line, spelled with
+    ``json.loads``, three pops and keyword construction — what the
+    reader ran on every line until it called the scanner directly:
+    ``(events, unknown_counts)``."""
+    text = line.strip()
+    if not text:
+        return [], {}
+    try:
+        record = json.loads(text)
+        type_name = record.pop("type")
+        time, run_id = record.pop("t"), record.pop("run")
+        cls = EVENT_TYPES.get(type_name)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return [], {TORN_LINE: 1}
+    if cls is None:
+        return [], {type_name: 1}
+    known = event_schema(cls)[1]
+    try:
+        event = cls(**{k: v for k, v in record.items() if k in known})
+    except TypeError:  # a required field is missing
+        return [], {type_name: 1}
+    return [Stamped(time, run_id, event)], {}
+
+
+def _read_quietly(text: str):
+    counts: dict = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        events = list(read_trace(io.StringIO(text), unknown_counts=counts))
+    return events, counts
+
+
+_GOOD = Stamped(1.0, "r0", CacheHit(store="s", cid="c"))
+_GOOD_LINE = '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"}\n'
+
+
+@pytest.mark.parametrize("text", _PITFALLS, ids=ascii)
+def test_read_trace_on_the_scanner_pitfalls(text):
+    # Last: torn (or blank), never an event, never an exception ...
+    events, counts = _read_quietly(_GOOD_LINE + text)
+    assert (events, counts) == ([_GOOD], _slow_read_last_line(text)[1])
+    assert counts in ({}, {TORN_LINE: 1})
+    # ... and with an event behind it, corruption with the place named
+    # (``RuntimeError: generator raised StopIteration`` is what a
+    # scanner call loose in a generator would give instead).
+    if counts:
+        with pytest.raises(TraceCorrupt, match="<trace>:2: "):
+            _read_quietly(_GOOD_LINE + text + "\n" + _GOOD_LINE)
+        with pytest.raises(TraceCorrupt, match="<trace>:2: "):
+            list(read_trace(io.StringIO(_GOOD_LINE + text), strict=True))
+
+
+#: Lines around the reader's fast path: a whole event, then keys
+#: dropped, added, reordered and retyped one draw at a time.
+_EVENT_LIKE_LINES = st.builds(
+    lambda items, dropped, added, suffix: json.dumps(
+        {**{k: v for k, v in items if k not in dropped}, **added},
+        separators=(",", ":"),
+    ) + suffix,
+    suffix=st.sampled_from(["", "", "", " ", "x", "{}", "]"]),
+    items=st.sampled_from([
+        {"t": 2.5, "run": "r1", "type": "CacheHit", "store": "s", "cid": "c"},
+        {"t": 3, "run": "r1", "type": "PacketDropped", "link": "l",
+         "reason": "loss", "count": 2},
+        {"t": 4.0, "run": "r1", "type": "CoverageGap", "duration": 1.5},
+    ]).flatmap(lambda line: st.permutations(list(line.items()))),
+    dropped=st.sets(st.sampled_from(
+        ["t", "run", "type", "cid", "count", "duration"]), max_size=2),
+    added=st.dictionaries(
+        st.sampled_from(["t", "type", "cid", "count", "tier", "hops"]),
+        st.sampled_from([0, 1.5, "x", "CacheMiss", "Future", None, [1]]),
+        max_size=2,
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=_EVENT_LIKE_LINES | _TEXT.map(lambda t: t.replace("\n", " ")))
+def test_read_trace_last_line_follows_the_slow_spelling(line):
+    events, counts = _read_quietly(_GOOD_LINE + line)
+    expected_events, expected_counts = _slow_read_last_line(line)
+    assert repr(events) == repr([_GOOD] + expected_events)
+    assert counts == expected_counts
+
+
+@pytest.fixture(scope="module")
+def two_run_trace() -> str:
+    """A real trace: an Xftp then a SoftStage download, gauges on."""
+    from repro.experiments.params import MicrobenchParams
+    from repro.experiments.runner import run_download
+    from repro.util import MB
+
+    buffer = io.StringIO()
+    params = MicrobenchParams(file_size=2 * MB, chunk_size=1 * MB)
+    for system in ("xftp", "softstage"):
+        run_download(system, params=params, seed=1, trace_path=buffer,
+                     gauges=True)
+    return buffer.getvalue()
+
+
+def test_a_trace_cut_at_every_byte_of_its_last_line_loses_at_most_that_line(
+    two_run_trace
+):
+    head, last = two_run_trace[:-1].rsplit("\n", 1)
+    head += "\n"
+    whole = list(read_trace(io.StringIO(two_run_trace), strict=True))
+    assert len({s.run_id for s in whole}) == 2 and len(whole) > 500
+    # Exported lines are ASCII: a byte offset is a character offset.
+    assert last.isascii() and last.startswith("{") and last.endswith("}")
+    line = last + "\n"
+    for cut in range(len(line) + 1):
+        counts: dict = {}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            events = list(read_trace(
+                io.StringIO(head + line[:cut]), unknown_counts=counts
+            ))
+        if cut >= len(last):  # whole, with or without its newline
+            assert (events, counts, caught) == (whole, {}, [])
+        elif cut == 0:  # the writer died between two lines
+            assert (events, counts, caught) == (whole[:-1], {}, [])
+        else:
+            assert (events, counts) == (whole[:-1], {TORN_LINE: 1}), cut
+            (warning,) = caught
+            assert "torn final trace line" in str(warning.message)
