@@ -20,6 +20,6 @@ The most convenient entry points:
 - :mod:`repro.experiments` contains one driver per paper table/figure.
 """
 
-from repro.version import __version__
+__version__ = "1.0.0"
 
 __all__ = ["__version__"]

@@ -11,7 +11,9 @@ Commands:
 - ``trace``     — JSONL trace analysis (``summary`` / ``spans`` /
   ``chrome`` / ``diff`` / ``wide``);
 - ``runs``      — the persistent run registry (``list`` / ``show`` /
-  ``diff`` / ``gauges``, with ``--json`` on list/diff);
+  ``diff`` / ``gauges`` / ``why``, with ``--json`` on list/diff/why);
+- ``slo``       — service-level objectives over registry records
+  (``check`` exits 1 on a violation / ``alerts``);
 - ``serve``     — the telemetry HTTP service over the registry
   (``/runs``, ``/diff``, ``/live`` SSE);
 - ``watch``     — the live terminal dashboard against a ``serve``
@@ -60,8 +62,9 @@ def main(argv=None) -> int:
     except (RecordNotFound, NoWideEvents, ConfigurationError, TraceCorrupt,
             RunNotInTrace) as exc:
         # The layers below raise these with the facts; this door words
-        # them as the exit message (`repro serve` answers 404).
-        raise SystemExit(str(exc)) from None
+        # them as the exit message (`repro serve` answers 404); args[0]
+        # because ``str`` of a KeyError is the repr of its message.
+        raise SystemExit(exc.args[0]) from None
     return 0
 
 

@@ -4,24 +4,13 @@
   serve);
 - :mod:`repro.apps.ftp` — the Xftp baseline: an FTP-style chunked
   downloader with standard RSS-greedy mobility handling but *no*
-  staging (what SoftStage is compared against throughout §IV);
-- :mod:`repro.apps.video` — a VoD player with buffer-based rate
-  adaptation (the §V extension);
-- :mod:`repro.apps.web` — a mixed-size web-object workload (§V).
+  staging (what SoftStage is compared against throughout §IV).
 """
 
 from repro.apps.ftp import XftpClient
 from repro.apps.server import ContentServer
-from repro.apps.video import BufferBasedPlayer, VideoLadder, publish_video
-from repro.apps.web import PageSpec, WebClient, publish_page
 
 __all__ = [
-    "BufferBasedPlayer",
     "ContentServer",
-    "PageSpec",
-    "VideoLadder",
-    "WebClient",
     "XftpClient",
-    "publish_page",
-    "publish_video",
 ]

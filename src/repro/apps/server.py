@@ -44,9 +44,5 @@ class ContentServer:
         """Split ``total_bytes`` of content into chunks and publish."""
         return self.publisher.publish_synthetic(name, total_bytes, chunk_size)
 
-    def manifest(self, name: str) -> Optional[PublishedContent]:
-        """The DAG information a client fetches before downloading."""
-        return self.publisher.manifest(name)
-
     def __repr__(self) -> str:
         return f"<ContentServer {self.host.name} {len(self.publisher.published)} objects>"

@@ -6,6 +6,7 @@ from __future__ import annotations
 import signal
 import sys
 import threading
+import urllib.error
 import urllib.request
 
 from repro.cli import command, policy_arg, policy_flag, registry_dir_flag
@@ -45,12 +46,16 @@ def _stop_on_signals():
 
 
 def cmd_serve(args) -> None:
-    stop = _stop_on_signals()
     hub = TelemetryHub() if args.demo else None
     registry = RunRegistry(args.registry_dir)
-    server = make_server(
-        args.host, args.port, registry, hub=hub, wide_dir=args.wide_dir,
-    )
+    try:
+        server = make_server(
+            args.host, args.port, registry, hub=hub, wide_dir=args.wide_dir,
+        )
+    except OSError as exc:  # the port is taken, the host unknown
+        raise SystemExit(
+            f"cannot serve on {args.host}:{args.port}: {exc}") from None
+    stop = _stop_on_signals()
     print(f"serving registry {registry.path} on {server.url}")
     print("endpoints: /runs /runs/<key> /runs/<key>/gauges "
           "/runs/<key>/wide /runs/<key>/explain?base= /diff?a=&b= "
@@ -98,7 +103,10 @@ def cmd_watch(args) -> None:
     url = args.url.rstrip("/")
     if not url.endswith("/live"):
         url += "/live"
-    response = urllib.request.urlopen(url)
+    try:
+        response = urllib.request.urlopen(url)
+    except urllib.error.URLError as exc:  # nothing listening, 404, 503
+        raise SystemExit(f"cannot watch {url}: {exc}") from None
     try:
         dash = run_from_sse(
             response,

@@ -21,7 +21,10 @@ from repro.obs.slo import (
 
 def cmd_slo_check(args) -> None:
     registry = RunRegistry(args.registry_dir)
-    slos = parse_slos(args.slo) if args.slo else DEFAULT_SLOS
+    try:
+        slos = parse_slos(args.slo) if args.slo else DEFAULT_SLOS
+    except ValueError as exc:  # `GET /slo` answers 400 with the same text
+        raise SystemExit(str(exc)) from None
     per_record = check_registry(registry, slos, args.run)
     if not per_record:
         raise SystemExit(f"no records to check in {registry.path}")

@@ -79,12 +79,6 @@ class NetworkSensor:
             return None
         return self.vnf_address_of(current.ap)
 
-    def visible_networks(self) -> list[VisibleNetwork]:
-        return list(self.last_scan)
-
-    def strongest_visible(self) -> Optional[VisibleNetwork]:
-        return self.last_scan[0] if self.last_scan else None
-
     def expected_gap(self, default: float) -> float:
         """EWMA of observed disconnection durations (reactive)."""
         return self.gap_duration.value_or(default)

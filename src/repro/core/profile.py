@@ -142,16 +142,7 @@ class ChunkProfile:
     def records(self) -> Iterable[ChunkRecord]:
         return (self._records[cid] for cid in self._order)
 
-    def record_at(self, index: int) -> ChunkRecord:
-        return self._records[self._order[index]]
-
     # -- queries used by the staging algorithm --------------------------------
-
-    def first_unfetched_index(self) -> Optional[int]:
-        for position, cid in enumerate(self._order):
-            if self._records[cid].fetch_state is not FetchState.DONE:
-                return position
-        return None
 
     def staged_ahead(self) -> int:
         """N in Eq. 1: chunks staged (READY) but not yet fetched."""

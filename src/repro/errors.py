@@ -29,10 +29,6 @@ class ChunkIntegrityError(ReproError):
     """A chunk's payload does not hash to its CID."""
 
 
-class StagingError(ReproError):
-    """The staging control plane failed (no VNF, bad request, overload)."""
-
-
 class TraceFormatError(ReproError):
     """A connectivity/mobility trace file is malformed."""
 

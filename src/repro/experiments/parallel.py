@@ -37,7 +37,6 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
 
-from repro.core.client import COUNTER_FIELDS
 from repro.core.handoff import HandoffPolicy
 from repro.errors import ConfigurationError
 from repro.experiments.params import MicrobenchParams
@@ -97,18 +96,6 @@ class RunSummary:
     #: ``wall_seconds``: the sketches are *derived* telemetry, and the
     #: determinism contract is over simulation outcomes.
     sketches: Optional[dict] = field(compare=False, default=None)
-
-    def as_record(self) -> tuple[str, dict]:
-        """``(run_id, metrics)`` in run-registry shape.
-
-        The runner's default identity
-        (:func:`~repro.obs.wide.run_id_for`), so sweep records and
-        instrumented single runs diff against each other.
-        """
-        return run_id_for(self.system, self.seed, self.policy), {
-            "download_time": self.download_time,
-            **{name: getattr(self, name) for name in COUNTER_FIELDS},
-        }
 
 
 def execute_task(

@@ -72,16 +72,6 @@ class ExperimentResult:
     def throughput_bps(self) -> float:
         return self.download.throughput_bps
 
-    def gauge_timelines(self) -> dict[str, list[tuple[float, float]]]:
-        """This run's gauge timelines, stripped of the series prefix."""
-        if self.metrics is None:
-            return {}
-        prefix = f"gauge.{self.run_id}."
-        return {
-            name[len(prefix):]: points
-            for name, points in self.metrics.timelines(prefix).items()
-        }
-
 
 def run_download(
     system: str,
@@ -301,10 +291,3 @@ def run_download(
         wide_records=wide_records,
         sketches=recorder,
     )
-
-
-def gain(xftp_time: float, softstage_time: float) -> float:
-    """The paper's headline metric: Xftp time / SoftStage time."""
-    if softstage_time <= 0:
-        raise ConfigurationError("softstage_time must be positive")
-    return xftp_time / softstage_time

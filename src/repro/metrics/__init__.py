@@ -1,17 +1,7 @@
-"""Measurement helpers: collectors and summary statistics."""
+"""Measurement helpers: the bus-fed metrics collector."""
 
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.stats import (
-    confidence_interval_95,
-    mean,
-    percentile,
-    summarize,
-)
 
 __all__ = [
     "MetricsCollector",
-    "confidence_interval_95",
-    "mean",
-    "percentile",
-    "summarize",
 ]

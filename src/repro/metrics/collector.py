@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Optional
 
-from repro.metrics.stats import Summary, summarize
 from repro.obs import events as ev
 from repro.obs.bus import EventBus, Stamped
 from repro.sim import Monitor, Simulator, TimeSeries
@@ -46,15 +45,6 @@ class MetricsCollector:
 
     def samples(self, name: str) -> list[float]:
         return list(self._samples.get(name, []))
-
-    def monitor(self, name: str) -> Monitor:
-        try:
-            return self._monitors[name]
-        except KeyError:
-            raise KeyError(f"no observations named {name!r}") from None
-
-    def summary(self, name: str) -> Summary:
-        return summarize(self.samples(name))
 
     # -- time series ------------------------------------------------------------
 

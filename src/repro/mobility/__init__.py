@@ -10,12 +10,6 @@ to which access point and how well*.  This package provides:
   association state machine over the packet-level network;
 - :mod:`repro.mobility.scanner` — the scanning loop feeding handoff
   policies (the SoftStage Network Sensor subscribes to it);
-- :mod:`repro.mobility.rss` — log-distance path-loss RSS model;
-- :mod:`repro.mobility.road` — a 1-D road with placed APs generating
-  coverage from geometry;
-- :mod:`repro.mobility.cabernet` — Cabernet-measurement distributions
-  (encounter/disconnection/loss percentiles from the paper) and a
-  synthetic V2I connectivity generator;
 - :mod:`repro.mobility.wardriving` — synthesized Beijing wardriving
   traces matching Fig. 7(a)'s connectivity patterns;
 - :mod:`repro.mobility.traces` — on-disk trace I/O.
@@ -29,7 +23,6 @@ from repro.mobility.coverage import (
 )
 from repro.mobility.association import AccessPointInfo, Association, AssociationController
 from repro.mobility.scanner import Scanner, VisibleNetwork
-from repro.mobility.cabernet import CabernetDistributions, CabernetTraceGenerator
 from repro.mobility.traces import ConnectivityTrace
 from repro.mobility.wardriving import WardrivingSynthesizer
 
@@ -37,8 +30,6 @@ __all__ = [
     "AccessPointInfo",
     "Association",
     "AssociationController",
-    "CabernetDistributions",
-    "CabernetTraceGenerator",
     "ConnectivityTrace",
     "Coverage",
     "CoverageWindow",

@@ -103,29 +103,6 @@ class Coverage:
     def end_time(self) -> float:
         return max((window.end for window in self.windows), default=0.0)
 
-    def windows_for(self, ap: str) -> list[CoverageWindow]:
-        return [window for window in self.windows if window.ap == ap]
-
-    def connected_fraction(self, until: Optional[float] = None) -> float:
-        """Fraction of [0, until) during which *any* AP is audible."""
-        horizon = until if until is not None else self.end_time()
-        if horizon <= 0:
-            return 0.0
-        events: list[tuple[float, int]] = []
-        for window in self.windows:
-            events.append((min(window.start, horizon), +1))
-            events.append((min(window.end, horizon), -1))
-        events.sort()
-        covered = 0.0
-        active = 0
-        last = 0.0
-        for time, delta in events:
-            if active > 0:
-                covered += time - last
-            active += delta
-            last = time
-        return covered / horizon
-
     def __len__(self) -> int:
         return len(self.windows)
 

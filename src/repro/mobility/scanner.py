@@ -17,7 +17,6 @@ from typing import Callable, Optional
 from repro.mobility.association import AccessPointInfo, AssociationController
 from repro.mobility.coverage import Coverage
 from repro.sim import Simulator
-from repro.xia.ids import XID
 
 
 @dataclass(frozen=True)
@@ -30,14 +29,6 @@ class VisibleNetwork:
     @property
     def name(self) -> str:
         return self.ap.name
-
-    @property
-    def nid(self) -> XID:
-        return self.ap.nid
-
-    @property
-    def has_vnf(self) -> bool:
-        return self.ap.vnf_sid is not None
 
 
 ScanListener = Callable[[list[VisibleNetwork]], None]

@@ -59,20 +59,6 @@ class ConnectivityTrace:
     def encounter_durations(self) -> list[float]:
         return [end - start for start, end in self.intervals]
 
-    def gap_durations(self) -> list[float]:
-        gaps = []
-        cursor = 0.0
-        for start, end in self.intervals:
-            if start > cursor:
-                gaps.append(start - cursor)
-            cursor = end
-        if cursor < self.duration:
-            gaps.append(self.duration - cursor)
-        return gaps
-
-    def connected_at(self, time: float) -> bool:
-        return any(start <= time < end for start, end in self.intervals)
-
     # -- conversion -----------------------------------------------------------
 
     def to_coverage(

@@ -66,9 +66,6 @@ class LinkStats:
         self.dropped_down = 0
         self.busy_time = 0.0
 
-    def utilization(self, elapsed: float) -> float:
-        return self.busy_time / elapsed if elapsed > 0 else 0.0
-
 
 class Port:
     """A device's attachment point to one end of a link."""
@@ -80,10 +77,6 @@ class Port:
         self.link: Optional["Link"] = None
         self._out: Optional["LinkDirection"] = None
         self.peer: Optional["Port"] = None
-
-    @property
-    def is_up(self) -> bool:
-        return self.link is not None and self.link.is_up
 
     def send(self, packet: "Packet") -> None:
         """Queue ``packet`` for transmission toward the peer."""
@@ -195,10 +188,9 @@ class LinkDirection:
         #: one attribute load + one bool check, not a chain.
         self._probe = sim.probe
         #: The owning Link, set by ``Link.__init__`` — lets the hot
-        #: path read ``_link._up`` / ``_link._epoch`` directly instead
-        #: of walking the ``source.is_up`` property chain.  ``None``
-        #: for a direction constructed standalone, which therefore
-        #: counts as down (matching ``Port.is_up`` with no link).
+        #: path read ``_link._up`` / ``_link._epoch`` directly.
+        #: ``None`` for a direction constructed standalone, which
+        #: therefore counts as down.
         self._link: Optional["Link"] = None
 
     def _drop(self, count: int, reason: str) -> None:
@@ -256,10 +248,6 @@ class LinkDirection:
                 sim._now, self._drop, (dropped, "down"), "link-down-flush",
                 URGENT,
             )
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
 
     @property
     def queued_bytes(self) -> int:
@@ -387,10 +375,6 @@ class Link:
         self.port_a.send = self.forward.enqueue
         self.port_b.send = self.backward.enqueue
 
-    @property
-    def is_up(self) -> bool:
-        return self._up
-
     def set_up(self, up: bool) -> None:
         """Bring the link up or down; going down drops queued and
         in-flight packets (a new epoch)."""
@@ -414,10 +398,7 @@ class Link:
     def propagation_delay(self) -> float:
         return self.forward.delay
 
-    @property
-    def bandwidth_bps(self) -> float:
-        return self.forward.bandwidth_bps
-
     def __repr__(self) -> str:
         state = "up" if self._up else "down"
-        return f"<Link {self.name} {self.bandwidth_bps / 1e6:.1f}Mbps {state}>"
+        rate = self.forward.bandwidth_bps / 1e6
+        return f"<Link {self.name} {rate:.1f}Mbps {state}>"

@@ -25,21 +25,11 @@ class LossModel(abc.ABC):
     def dropped(self, now: float) -> bool:
         """Return True if a packet sent at time ``now`` is lost."""
 
-    @property
-    @abc.abstractmethod
-    def average_rate(self) -> float:
-        """Long-run average loss probability."""
-
-
 class NoLoss(LossModel):
     """A perfect channel."""
 
     def dropped(self, now: float) -> bool:
         return False
-
-    @property
-    def average_rate(self) -> float:
-        return 0.0
 
     def __repr__(self) -> str:
         return "NoLoss()"
@@ -54,10 +44,6 @@ class BernoulliLoss(LossModel):
 
     def dropped(self, now: float) -> bool:
         return self._rng.random() < self.rate
-
-    @property
-    def average_rate(self) -> float:
-        return self.rate
 
     def __repr__(self) -> str:
         return f"BernoulliLoss(rate={self.rate})"
@@ -126,10 +112,6 @@ class GilbertElliottLoss(LossModel):
         self._advance(now)
         rate = self._bad_loss if self._state_bad else self._good_loss
         return self._rng.random() < rate
-
-    @property
-    def average_rate(self) -> float:
-        return self._average
 
     def __repr__(self) -> str:
         return (

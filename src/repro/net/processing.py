@@ -26,13 +26,6 @@ class ProcessingModel:
         self._busy_until = 0.0
         self.packets_processed = 0
 
-    @property
-    def max_packet_rate(self) -> float:
-        """Packets/second ceiling implied by the per-packet cost."""
-        if self.per_packet_seconds == 0:
-            return float("inf")
-        return 1.0 / self.per_packet_seconds
-
     def admit(self) -> float:
         """Account for one packet; return the total delay it incurs.
 

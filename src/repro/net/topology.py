@@ -71,12 +71,6 @@ class Network:
                 return link.port_b
         raise RoutingError(f"no link between {device.name} and {neighbor.name}")
 
-    def link_between(self, device_a: Device, device_b: Device) -> Link:
-        for dev_a, dev_b, link in self._adjacency:
-            if {dev_a, dev_b} == {device_a, device_b}:
-                return link
-        raise RoutingError(f"no link between {device_a.name} and {device_b.name}")
-
     # -- routing ----------------------------------------------------------------
 
     def _wired_paths(self, source: str) -> dict[str, list[str]]:
@@ -140,18 +134,6 @@ class Network:
                             host.hid, self.port_toward(peer, host)
                         )
                         host.port_nids[self.port_toward(host, peer)] = peer.nid
-
-    def wired_path(self, source: Device, target: Device) -> list[Link]:
-        """Links along the shortest wired path (for flow-level models)."""
-        names = self._wired_paths(source.name).get(target.name)
-        if names is None:
-            raise RoutingError(
-                f"no wired path {source.name} -> {target.name}"
-            )
-        return [
-            self.link_between(self.devices[a], self.devices[b])
-            for a, b in zip(names, names[1:])
-        ]
 
     # -- client attachment (called by the mobility layer) ----------------------------
 

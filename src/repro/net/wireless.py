@@ -73,11 +73,6 @@ class WirelessDirection(LinkDirection):
                 )
         return attempts * single + retries * self.retry_backoff
 
-    @property
-    def residual_drops(self) -> int:
-        """Frames lost after all retries (every loss here is residual)."""
-        return self.stats.dropped_loss
-
 
 class WirelessLink(Link):
     """A full-duplex wireless link (client <-> access point)."""

@@ -427,11 +427,6 @@ class InvariantAuditor:
             raise InvariantViolationError(found)
         return found
 
-    def raise_if_violated(self) -> None:
-        """Raise :class:`InvariantViolationError` if any check failed."""
-        if self.violations:
-            raise InvariantViolationError(self.violations)
-
     def render(self) -> str:
         if self.ok:
             return (

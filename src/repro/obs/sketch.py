@@ -17,7 +17,7 @@ fixed-size summaries that
 - serialize into compact JSON for :class:`~repro.obs.registry.RunRecord`
   storage (``to_json`` / the module-level :func:`load_sketch`).
 
-Three sketch kinds cover the SLO engine's needs:
+Two sketch kinds cover the SLO engine's needs:
 
 :class:`StatSketch`
     count / sum / min / max (and mean) — exact, O(1).
@@ -32,10 +32,6 @@ Three sketch kinds cover the SLO engine's needs:
     pure function of the sorted centroid list, so identical input
     streams produce identical sketches (the determinism the registry
     and the ``runs why`` report depend on).
-:class:`ExpHistogram`
-    exponential (geometric) buckets over a fixed range — O(buckets)
-    memory, bucket-wise mergeable, good for latency heat maps where
-    relative error per decade matters more than exact quantiles.
 
 :class:`SketchRecorder` is the pipeline glue: attach it to a run's
 event bus and it folds every flight-recorder gauge sample into
@@ -91,10 +87,6 @@ class StatSketch:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-
-    def add_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
 
     @property
     def mean(self) -> Optional[float]:
@@ -185,10 +177,6 @@ class QuantileSketch:
         self._buffer.append(value)
         if len(self._buffer) >= self.compression:
             self._compress()
-
-    def add_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold ``other`` into this sketch (associative up to rank error)."""
@@ -296,96 +284,6 @@ class QuantileSketch:
         )
 
 
-class ExpHistogram:
-    """Exponential-bucket histogram: fixed buckets, bucket-wise merge.
-
-    Bucket ``i`` (1-based) covers ``[lo · growth^(i-1), lo · growth^i)``;
-    bucket 0 catches everything ``< lo`` (including zero and negative
-    values) and the last bucket everything at or beyond the top bound.
-    Two histograms merge iff their shape (``lo``, ``growth``,
-    ``buckets``) matches.
-    """
-
-    kind = "hist"
-
-    __slots__ = ("lo", "growth", "buckets", "counts", "count")
-
-    def __init__(
-        self, lo: float = 1e-3, growth: float = 2.0, buckets: int = 32
-    ) -> None:
-        if lo <= 0 or growth <= 1.0 or buckets < 2:
-            raise ValueError(
-                f"bad histogram shape lo={lo} growth={growth} buckets={buckets}"
-            )
-        self.lo = float(lo)
-        self.growth = float(growth)
-        self.buckets = int(buckets)
-        self.counts = [0] * (self.buckets + 2)  # + under/overflow
-        self.count = 0
-
-    def _index(self, value: float) -> int:
-        if value < self.lo:
-            return 0
-        i = int(math.log(value / self.lo) / math.log(self.growth)) + 1
-        return min(i, self.buckets + 1)
-
-    def add(self, value: float) -> None:
-        self.counts[self._index(value)] += 1
-        self.count += 1
-
-    def add_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    def bounds(self, index: int) -> tuple[float, float]:
-        """``[low, high)`` bounds of bucket ``index``."""
-        if index == 0:
-            return (-math.inf, self.lo)
-        if index > self.buckets:
-            return (self.lo * self.growth ** self.buckets, math.inf)
-        return (
-            self.lo * self.growth ** (index - 1),
-            self.lo * self.growth ** index,
-        )
-
-    def merge(self, other: "ExpHistogram") -> "ExpHistogram":
-        if (other.lo, other.growth, other.buckets) != (
-            self.lo, self.growth, self.buckets
-        ):
-            raise ValueError(
-                "cannot merge histograms with different bucket shapes"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        return self
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lo": self.lo,
-            "growth": self.growth,
-            "buckets": self.buckets,
-            "counts": list(self.counts),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ExpHistogram":
-        hist = cls(
-            lo=float(payload.get("lo", 1e-3)),
-            growth=float(payload.get("growth", 2.0)),
-            buckets=int(payload.get("buckets", 32)),
-        )
-        counts = [int(c) for c in payload.get("counts", [])]
-        if len(counts) == len(hist.counts):
-            hist.counts = counts
-            hist.count = sum(counts)
-        return hist
-
-    def __repr__(self) -> str:
-        return f"<ExpHistogram n={self.count} buckets={self.buckets}>"
-
-
 # ---------------------------------------------------------------------------
 # Sketch sets: serialize / load / merge by name
 # ---------------------------------------------------------------------------
@@ -393,7 +291,6 @@ class ExpHistogram:
 _KINDS = {
     StatSketch.kind: StatSketch,
     QuantileSketch.kind: QuantileSketch,
-    ExpHistogram.kind: ExpHistogram,
 }
 
 
@@ -459,8 +356,7 @@ class SketchRecorder:
       stat + quantile sketches;
     - :meth:`feed_wide` (hand it to a wide-event builder's ``sinks``)
       folds every chunk record's phase latencies into
-      ``wide.<field>`` quantile sketches, the fetch latency into a
-      ``wide.fetch_latency.hist`` exponential histogram, and the
+      ``wide.<field>`` quantile sketches and the
       staged-before-fetch indicator into ``wide.ready_before_fetch``
       (whose mean is the SLO engine's ``ready_before_fetch_ratio``).
 
@@ -518,14 +414,6 @@ class SketchRecorder:
             value = record.get(field)
             if isinstance(value, (int, float)):
                 self._quantile(f"wide.{field}").add(float(value))
-        fetch = record.get("fetch_latency")
-        if isinstance(fetch, (int, float)):
-            hist = self.sketches.get("wide.fetch_latency.hist")
-            if hist is None:
-                hist = self.sketches["wide.fetch_latency.hist"] = (
-                    ExpHistogram()
-                )
-            hist.add(float(fetch))
         ready_wait = record.get("ready_wait_s")
         staged_ahead = (
             isinstance(ready_wait, (int, float)) and ready_wait >= 0.0

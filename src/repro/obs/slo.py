@@ -212,15 +212,22 @@ def _agg_sketch(sketch, agg: str) -> Optional[float]:
     return None
 
 
-def _sketch_lookup(sketches: dict, metric: str):
-    """Resolve a metric name to a sketch, trying the recorder's
-    namespaces: bare, ``wide.<metric>``, ``gauge.<metric>`` and the
-    gauge quantile twin ``gauge.<metric>.q``."""
+def _sketch_lookup(sketches: dict, metric: str, agg: str) -> Optional[float]:
+    """Resolve a metric name to a value: the first sketch that can
+    answer ``agg`` among the recorder's namespaces — bare,
+    ``wide.<metric>``, ``gauge.<metric>`` (a gauge's stat twin: mean /
+    max / min) and ``gauge.<metric>.q`` (its quantile twin: p50 … p99).
+    A bare metric (``value``) reads a quantile sketch's p50 and a stat
+    sketch's mean — so a bare gauge judges its stat twin's mean."""
     for name in (metric, f"wide.{metric}", f"gauge.{metric}",
                  f"gauge.{metric}.q"):
         sketch = sketches.get(name)
-        if sketch is not None:
-            return sketch
+        if sketch is None:
+            continue
+        bare_quantile = agg == "value" and isinstance(sketch, QuantileSketch)
+        value = _agg_sketch(sketch, "p50" if bare_quantile else agg)
+        if value is not None:
+            return value
     return None
 
 
@@ -246,16 +253,9 @@ def resolve_value(
         value = metrics.get(slo.metric)
         if isinstance(value, (int, float)):
             return float(value), "metrics"
-    sketch = _sketch_lookup(sketches, slo.metric)
-    if sketch is not None:
-        # A bare gauge/phase metric without an aggregation judges the
-        # quantile sketch's p50 when the metric isn't a plain number.
-        agg = "p50" if (
-            slo.agg == "value" and isinstance(sketch, QuantileSketch)
-        ) else slo.agg
-        value = _agg_sketch(sketch, agg)
-        if value is not None:
-            return value, "sketch"
+    value = _sketch_lookup(sketches, slo.metric, slo.agg)
+    if value is not None:
+        return value, "sketch"
     return None, ""
 
 
@@ -545,11 +545,6 @@ class LiveSLOEvaluator:
         """Wait for the pump thread to drain a closed hub."""
         if self._thread is not None:
             self._thread.join(timeout)
-
-    def stop(self) -> None:
-        """Detach from the hub (idempotent)."""
-        if self._subscription is not None:
-            self._subscription.close()
 
 
 def _window_agg(values: list, agg: str) -> Optional[float]:

@@ -27,13 +27,12 @@ from repro.sim.core import (
     StopSimulation,
 )
 from repro.sim.process import Interrupt, Process
-from repro.sim.primitives import AllOf, AnyOf, Condition, Timeout
+from repro.sim.primitives import AnyOf, Condition, Timeout
 from repro.sim.rng import RandomStreams
 from repro.sim.monitor import Monitor, TimeSeries
 from repro.sim.profiler import SimProfiler
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Condition",
     "Event",

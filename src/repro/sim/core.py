@@ -214,10 +214,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     @property
     def heap_pushes(self) -> int:
         """Total events ever pushed onto the queue (heap-op counter)."""
@@ -436,7 +432,7 @@ class Simulator:
         else uses :meth:`call_at`, which needs none.  The kernel
         resets and reuses the object right after its callbacks run, so
         holding a reference past processing — yielding it from a
-        process, storing it, chaining it into AnyOf/AllOf — is
+        process, storing it, chaining it into AnyOf — is
         undefined behaviour.
         """
         pool = self._event_pool
@@ -467,11 +463,6 @@ class Simulator:
         from repro.sim.primitives import AnyOf
 
         return AnyOf(self, list(events))
-
-    def all_of(self, events: Iterable[Event]) -> "Event":
-        from repro.sim.primitives import AllOf
-
-        return AllOf(self, list(events))
 
     def __repr__(self) -> str:
         return f"<Simulator now={self._now:.6f} pending={len(self._queue)}>"

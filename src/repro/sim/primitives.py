@@ -1,4 +1,4 @@
-"""Composite and timed events: timeouts, AnyOf/AllOf, conditions."""
+"""Composite and timed events: timeouts, AnyOf, conditions."""
 
 from __future__ import annotations
 
@@ -73,21 +73,8 @@ class Condition(Event):
             self.succeed(self._collect_values())
 
     @staticmethod
-    def all_events(events: Sequence[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
     def any_event(events: Sequence[Event], count: int) -> bool:
         return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Fires when every constituent event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: Simulator, events: Sequence[Event]) -> None:
-        super().__init__(sim, Condition.all_events, events)
 
 
 class AnyOf(Condition):

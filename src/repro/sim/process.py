@@ -13,7 +13,7 @@ from types import SimpleNamespace
 from typing import Any, Generator, Optional
 
 from repro.obs.events import ProcessFailed
-from repro.sim.core import Event, PENDING, SimulationError, Simulator, URGENT
+from repro.sim.core import Event, SimulationError, Simulator, URGENT
 
 
 #: What a new process first resumes on: success, carrying ``None``.
@@ -44,16 +44,6 @@ class Process(Event):
         self._target: Optional[Event] = None
         # Kick the process off via an immediate, fire-and-forget step.
         sim.call_at(sim._now, self._resume, (_BOOTSTRAP,), "process-init", URGENT)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the wrapped generator has not finished."""
-        return self._value is PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process as soon as possible."""

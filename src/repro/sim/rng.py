@@ -36,12 +36,5 @@ class RandomStreams:
             self._streams[name] = stream
         return stream
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive a child factory with an independent seed space."""
-        digest = hashlib.sha256(
-            f"{self.root_seed}/child:{name}".encode("utf-8")
-        ).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
     def __repr__(self) -> str:
         return f"<RandomStreams seed={self.root_seed} streams={len(self._streams)}>"

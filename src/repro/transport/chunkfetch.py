@@ -46,12 +46,6 @@ class FetchOutcome:
     #: carried one.
     chunk: Optional[object] = None
 
-    @property
-    def throughput_bps(self) -> float:
-        if self.duration <= 0:
-            return float("inf")
-        return self.bytes_received * 8 / self.duration
-
 
 class ChunkFetcher:
     """Client-side fetch engine: request, receive, verify."""

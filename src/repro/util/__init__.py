@@ -1,20 +1,7 @@
 """Small shared utilities: units, validation, text tables."""
 
 from repro.util.table import render_table
-from repro.util.units import (
-    GB,
-    KB,
-    MB,
-    bits,
-    bytes_to_mbit,
-    gbps,
-    kbps,
-    mbit_to_bytes,
-    mbps,
-    ms,
-    seconds_to_ms,
-    us,
-)
+from repro.util.units import MB, mbps, ms
 from repro.util.validation import (
     check_fraction,
     check_non_negative,
@@ -22,20 +9,11 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "GB",
-    "KB",
     "MB",
-    "bits",
-    "bytes_to_mbit",
     "check_fraction",
     "check_non_negative",
     "check_positive",
-    "gbps",
-    "kbps",
-    "mbit_to_bytes",
     "mbps",
     "ms",
     "render_table",
-    "seconds_to_ms",
-    "us",
 ]

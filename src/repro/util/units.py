@@ -12,16 +12,9 @@ These helpers make call sites read like the paper: ``mbps(60)``,
 
 from __future__ import annotations
 
-#: Data size multipliers (SI decimal, matching how the paper and
+#: Data size multiplier (SI decimal, matching how the paper and
 #: networking literature quote file/chunk sizes such as "64 MB").
-KB = 1_000
 MB = 1_000_000
-GB = 1_000_000_000
-
-
-def kbps(value: float) -> float:
-    """Kilobits per second -> bits per second."""
-    return value * 1e3
 
 
 def mbps(value: float) -> float:
@@ -29,36 +22,6 @@ def mbps(value: float) -> float:
     return value * 1e6
 
 
-def gbps(value: float) -> float:
-    """Gigabits per second -> bits per second."""
-    return value * 1e9
-
-
 def ms(value: float) -> float:
     """Milliseconds -> seconds."""
     return value * 1e-3
-
-
-def us(value: float) -> float:
-    """Microseconds -> seconds."""
-    return value * 1e-6
-
-
-def bits(num_bytes: float) -> float:
-    """Bytes -> bits."""
-    return num_bytes * 8
-
-
-def bytes_to_mbit(num_bytes: float) -> float:
-    """Bytes -> megabits."""
-    return num_bytes * 8 / 1e6
-
-
-def mbit_to_bytes(num_mbit: float) -> float:
-    """Megabits -> bytes."""
-    return num_mbit * 1e6 / 8
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Seconds -> milliseconds."""
-    return seconds * 1e3

@@ -5,8 +5,7 @@ verify integrity without trusting the path it came over.  Simulated
 chunks do not materialize multi-megabyte payloads: each chunk carries a
 small *payload seed* (the bytes that uniquely determine the content)
 and a declared ``size_bytes``; the CID is the hash of the seed plus the
-size.  ``Chunk.from_bytes`` builds a chunk from real bytes when tests
-want end-to-end hashing over actual data.
+size.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from repro.errors import ChunkIntegrityError
 from repro.util.validation import check_positive
 from repro.xia.ids import PrincipalType, XID
 
@@ -47,13 +45,6 @@ class Chunk:
             seed + size_bytes.to_bytes(8, "big")
         ).digest()
         return XID(PrincipalType.CID, digest)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes, content_name: str = "", index: int = 0) -> "Chunk":
-        """A chunk whose seed *is* the full payload (small test data)."""
-        if not payload:
-            raise ChunkIntegrityError("chunk payload must be non-empty")
-        return cls(payload, len(payload), content_name=content_name, index=index)
 
     @classmethod
     def synthetic(

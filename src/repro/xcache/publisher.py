@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.util.validation import check_positive
@@ -37,18 +36,6 @@ class PublishedContent:
 
     def __len__(self) -> int:
         return len(self.chunks)
-
-    def address_of(self, cid: XID) -> DagAddress:
-        for chunk, address in zip(self.chunks, self.addresses):
-            if chunk.cid == cid:
-                return address
-        raise KeyError(f"cid {cid.short} not part of {self.name!r}")
-
-    def chunk_of(self, cid: XID) -> Chunk:
-        for chunk in self.chunks:
-            if chunk.cid == cid:
-                return chunk
-        raise KeyError(f"cid {cid.short} not part of {self.name!r}")
 
 
 class ContentPublisher:
@@ -82,21 +69,6 @@ class ContentPublisher:
             chunks.append(Chunk.synthetic(name, index, size))
         return self._publish(name, total_bytes, chunk_size, chunks)
 
-    def publish_bytes(
-        self, name: str, payload: bytes, chunk_size: int
-    ) -> PublishedContent:
-        """Publish real bytes (used by tests and small examples)."""
-        check_positive("chunk_size", chunk_size)
-        if not payload:
-            raise ConfigurationError("payload must be non-empty")
-        if name in self.published:
-            raise ConfigurationError(f"content {name!r} already published")
-        chunks = [
-            Chunk.from_bytes(payload[start : start + chunk_size], name, index)
-            for index, start in enumerate(range(0, len(payload), chunk_size))
-        ]
-        return self._publish(name, len(payload), chunk_size, chunks)
-
     def _publish(
         self, name: str, total_bytes: int, chunk_size: int, chunks: list[Chunk]
     ) -> PublishedContent:
@@ -117,6 +89,3 @@ class ContentPublisher:
         )
         self.published[name] = content
         return content
-
-    def manifest(self, name: str) -> Optional[PublishedContent]:
-        return self.published.get(name)

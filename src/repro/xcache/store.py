@@ -142,9 +142,6 @@ class ContentStore:
     def unpin(self, cid: XID) -> None:
         self._pinned.discard(cid)
 
-    def is_pinned(self, cid: XID) -> bool:
-        return cid in self._pinned
-
     @property
     def pinned_count(self) -> int:
         """Chunks currently pinned (flight-recorder gauge)."""

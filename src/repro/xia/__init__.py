@@ -18,13 +18,12 @@ see :meth:`repro.transport.reliable.ReceiverSession.migrate` and
 """
 
 from repro.xia.ids import CID, HID, NID, SID, XID, PrincipalType
-from repro.xia.dag import DagAddress, DagNode
+from repro.xia.dag import DagAddress
 from repro.xia.packet import Packet, PacketType
 
 __all__ = [
     "CID",
     "DagAddress",
-    "DagNode",
     "HID",
     "NID",
     "Packet",

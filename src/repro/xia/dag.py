@@ -25,24 +25,6 @@ from repro.errors import AddressError
 from repro.xia.ids import PrincipalType, XID
 
 
-class DagNode:
-    """A node of the address DAG: an XID plus its outgoing priority.
-
-    Exposed mainly for introspection/pretty-printing; forwarding logic
-    works on :class:`DagAddress` directly.
-    """
-
-    __slots__ = ("xid", "route_index", "position")
-
-    def __init__(self, xid: XID, route_index: int, position: int) -> None:
-        self.xid = xid
-        self.route_index = route_index
-        self.position = position
-
-    def __repr__(self) -> str:
-        return f"<DagNode {self.xid!r} route={self.route_index} pos={self.position}>"
-
-
 class DagPlan:
     """A :class:`DagAddress` compiled for the forwarding fast path.
 
@@ -221,15 +203,6 @@ class DagAddress:
     # -- accessors ----------------------------------------------------------
 
     @property
-    def fallback_nid(self) -> Optional[XID]:
-        """The NID of the last-resort route, if any."""
-        for route in reversed(self.routes):
-            for waypoint in route:
-                if waypoint.principal_type is PrincipalType.NID:
-                    return waypoint
-        return None
-
-    @property
     def fallback_hid(self) -> Optional[XID]:
         """The HID of the last-resort route, if any."""
         for route in reversed(self.routes):
@@ -237,16 +210,6 @@ class DagAddress:
                 if waypoint.principal_type is PrincipalType.HID:
                     return waypoint
         return None
-
-    def nodes(self) -> list[DagNode]:
-        """All DAG nodes (intent last), for introspection."""
-        result = [
-            DagNode(waypoint, route_index, position)
-            for route_index, route in enumerate(self.routes)
-            for position, waypoint in enumerate(route)
-        ]
-        result.append(DagNode(self.intent, -1, -1))
-        return result
 
     def replace_fallback(self, nid: XID, hid: XID) -> "DagAddress":
         """Return a new address whose fallback path is ``NID -> HID``.
@@ -289,7 +252,7 @@ class DagAddress:
         mask = plan.mask_of(visited) if visited else 0
         return list(plan.candidates(mask))
 
-    # -- text codec -------------------------------------------------------------
+    # -- text form -------------------------------------------------------------
 
     def to_string(self) -> str:
         parts = []
@@ -300,29 +263,6 @@ class DagAddress:
                 steps = " -> ".join(repr(waypoint) for waypoint in route)
                 parts.append(f"{steps} -> {self.intent!r}")
         return " | ".join(parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "DagAddress":
-        """Inverse of :meth:`to_string`."""
-        alternatives = [part.strip() for part in text.split("|")]
-        if not alternatives or not alternatives[0]:
-            raise AddressError(f"empty DAG address: {text!r}")
-        intent: Optional[XID] = None
-        routes: list[tuple[XID, ...]] = []
-        for alternative in alternatives:
-            steps = [XID.parse(step.strip()) for step in alternative.split("->")]
-            if not steps:
-                raise AddressError(f"empty alternative in {text!r}")
-            this_intent = steps[-1]
-            if intent is None:
-                intent = this_intent
-            elif this_intent != intent:
-                raise AddressError(
-                    f"alternatives disagree on the intent in {text!r}"
-                )
-            routes.append(tuple(steps[:-1]))
-        assert intent is not None
-        return cls(intent, routes=tuple(routes))
 
     # -- value semantics -----------------------------------------------------------
 

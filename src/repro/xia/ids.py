@@ -85,19 +85,6 @@ class XID:
     def __repr__(self) -> str:
         return f"{self.principal_type.value}:{self.hex}"
 
-    # -- parsing ---------------------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str) -> "XID":
-        """Parse the ``TYPE:hex`` representation produced by ``repr``."""
-        try:
-            type_name, _, hex_part = text.partition(":")
-            principal_type = PrincipalType(type_name)
-            id_bytes = bytes.fromhex(hex_part)
-        except (ValueError, KeyError) as exc:
-            raise AddressError(f"cannot parse XID from {text!r}") from exc
-        return cls(principal_type, id_bytes)
-
 
 def _sha1(data: bytes) -> bytes:
     return hashlib.sha1(data).digest()

@@ -63,9 +63,3 @@ class AdvertisementDirectory:
 
     def lookup(self, ap_name: str) -> Optional[NetworkAdvertisement]:
         return self._by_ap.get(ap_name)
-
-    def __len__(self) -> int:
-        return len(self._by_ap)
-
-    def __contains__(self, ap_name: str) -> bool:
-        return ap_name in self._by_ap

@@ -41,16 +41,14 @@ class ForwardingEngine:
     """The route table for one router.
 
     One dict keyed by XID serves every routable principal type (the
-    XID value embeds its type, so NIDs and HIDs cannot collide); the
-    old per-principal ``nid_routes``/``hid_routes`` attributes remain
-    as read-only filtered views.  Every mutation fires :attr:`on_change`
-    so the owning router can invalidate its forwarding-decision cache.
+    XID value embeds its type, so NIDs and HIDs cannot collide).
+    Every mutation fires :attr:`on_change` so the owning router can
+    invalidate its forwarding-decision cache.
     """
 
     def __init__(self) -> None:
         self.routes: dict[XID, Port] = {}
-        self._default_port: Optional[Port] = None
-        #: Called after any mutation (route add/remove, default port).
+        #: Called after any mutation (route add/remove).
         self.on_change: Optional[Callable[[], None]] = None
 
     def _changed(self) -> None:
@@ -72,38 +70,8 @@ class ForwardingEngine:
         if self.routes.pop(hid, None) is not None:
             self._changed()
 
-    @property
-    def default_port(self) -> Optional[Port]:
-        return self._default_port
-
-    @default_port.setter
-    def default_port(self, port: Optional[Port]) -> None:
-        self._default_port = port
-        self._changed()
-
     def port_for(self, xid: XID) -> Optional[Port]:
-        port = self.routes.get(xid)
-        if port is None and xid.principal_type is PrincipalType.NID:
-            return self._default_port
-        return port
-
-    # -- compatibility views -------------------------------------------------
-
-    @property
-    def nid_routes(self) -> dict[XID, Port]:
-        """Snapshot of the NID entries (read-only compatibility view)."""
-        return {
-            xid: port for xid, port in self.routes.items()
-            if xid.principal_type is PrincipalType.NID
-        }
-
-    @property
-    def hid_routes(self) -> dict[XID, Port]:
-        """Snapshot of the HID entries (read-only compatibility view)."""
-        return {
-            xid: port for xid, port in self.routes.items()
-            if xid.principal_type is PrincipalType.HID
-        }
+        return self.routes.get(xid)
 
     @staticmethod
     def _expect(xid: XID, principal_type: PrincipalType) -> None:
@@ -337,7 +305,7 @@ class XIARouter(Host):
                     return (_FORWARD, pre_mask, out, steps)
             elif principal is PrincipalType.NID:
                 # Our own NID was folded into pre_mask above; anything
-                # else routes toward that network (or the default).
+                # else routes toward that network.
                 out = self.engine.port_for(candidate)
                 if out is not None:
                     return (_FORWARD, pre_mask, out, steps)
@@ -377,7 +345,7 @@ class AccessPoint(Host):
         for other in self.ports:
             if other is not port:
                 link = other.link
-                if link is not None and link._up:  # other.is_up
+                if link is not None and link._up:
                     self.bridged_packets += 1
                     other.send(packet)
                 return

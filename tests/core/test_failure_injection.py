@@ -125,8 +125,8 @@ def test_edge_cache_pressure_never_evicts_pinned_staged_chunks():
     records = manager.profile.next_to_stage(2)
     manager.tracker.signal(records, manager.sensor.current_vnf_address())
     scenario.sim.run(until=scenario.sim.now + 8.0)
-    for record in records:
-        assert edge.store.is_pinned(record.cid)
+    assert all(edge.store.has(record.cid) for record in records)
+    assert edge.store.pinned_count == len(records)
 
     # Churn the cache hard.
     from repro.xcache import Chunk

@@ -90,7 +90,7 @@ def test_best_dag_prefers_ready_staged_copy():
         NID_A, HID_A, staging_latency=0.4, fetch_rtt=0.01,
     )
     assert record.staging_state is StagingState.READY
-    assert record.best_dag.fallback_nid == NID_A
+    assert record.best_dag.routes[-1] == (NID_A, HID_A)
     assert record.location == (NID_A, HID_A)
 
 
@@ -135,10 +135,9 @@ def test_next_to_stage_respects_count_and_exhaustion():
 
 def test_first_unfetched_index_and_all_fetched():
     profile, chunks = make_profile(3)
-    assert profile.first_unfetched_index() == 0
+    assert not profile.all_fetched()
     for chunk in chunks:
         profile.observe_fetch(profile.get(chunk.cid), 1.0, from_edge=False)
-    assert profile.first_unfetched_index() is None
     assert profile.all_fetched()
 
 
@@ -177,4 +176,4 @@ def test_register_content_manifest():
     profile = ChunkProfile()
     records = profile.register_content(content)
     assert len(records) == 5
-    assert profile.record_at(2).index == 2
+    assert [record.index for record in profile.records()] == [0, 1, 2, 3, 4]

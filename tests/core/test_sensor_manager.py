@@ -81,6 +81,4 @@ def test_visible_networks_and_strongest():
     client = scenario.make_client("softstage")
     scenario.sim.run(until=1.0)
     sensor = client.manager.sensor
-    visible = sensor.visible_networks()
-    assert len(visible) == 1
-    assert sensor.strongest_visible().name == "ap-A"
+    assert [visible.name for visible in sensor.last_scan] == ["ap-A"]

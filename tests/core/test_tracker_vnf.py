@@ -47,7 +47,8 @@ def test_signal_marks_pending_and_response_marks_ready():
     for record in records:
         assert edge.store.has(record.cid)
         assert record.location == (edge.router.nid, edge.router.hid)
-        assert record.new_dag.fallback_nid == edge.router.nid
+        assert record.new_dag.routes[-1] == (
+            edge.router.nid, edge.router.hid)
 
 
 def test_staging_latency_and_rtt_reported():

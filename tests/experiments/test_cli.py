@@ -172,6 +172,15 @@ _TRACE_COMMANDS = {
 }
 
 
+def _exit_message(argv):
+    """What a failing command prints: ``SystemExit`` with a string is
+    that string on stderr and status 1."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert isinstance(exit_info.value.code, str)
+    return exit_info.value.code
+
+
 @pytest.mark.parametrize("command", _TRACE_COMMANDS.values(),
                          ids=list(_TRACE_COMMANDS))
 def test_cli_trace_bad_input_is_an_exit_message_not_a_traceback(
@@ -182,30 +191,24 @@ def test_cli_trace_bad_input_is_an_exit_message_not_a_traceback(
     ``IsADirectoryError``, ``pick_run``'s ``ValueError``,
     ``JSONDecodeError``; ``trace wide --run`` printed the summary of an
     empty run and exited 0)."""
-    def exit_message(argv):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert isinstance(exit_info.value.code, str)  # printed; status 1
-        return exit_info.value.code
-
     missing = str(tmp_path / "nope.jsonl")
-    assert exit_message(command(missing)) == (
+    assert _exit_message(command(missing)) == (
         f"{missing}: No such file or directory"
     )
-    assert exit_message(command(str(tmp_path))) == (
+    assert _exit_message(command(str(tmp_path))) == (
         f"{tmp_path}: Is a directory"
     )
 
     good = tmp_path / "good.jsonl"
     good.write_text(_TRACE_LINES, encoding="utf-8")
     flag = "--run-b" if command is _TRACE_COMMANDS["diff"] else "--run"
-    message = exit_message([*command(str(good)), flag, "r9"])
+    message = _exit_message([*command(str(good)), flag, "r9"])
     assert message.startswith("run 'r9' not in trace")
 
     corrupt = tmp_path / "corrupt.jsonl"
     corrupt.write_text(_TRACE_LINES + '{"t":3.0,"ru\n' + _TRACE_LINES,
                        encoding="utf-8")
-    assert exit_message(command(str(corrupt))).startswith(
+    assert _exit_message(command(str(corrupt))).startswith(
         f"{corrupt}:3: unreadable trace line "
     )
     # A torn *last* line is the trace of a run that died: still readable.
@@ -216,6 +219,77 @@ def test_cli_trace_bad_input_is_an_exit_message_not_a_traceback(
         argv += ["--run-a", "r0", "--run-b", "r0"]
     with pytest.warns(UserWarning, match="torn final trace line"):
         assert main(argv) == 0
+
+
+def test_cli_slo_bad_spec_is_an_exit_message_not_a_traceback(tmp_path):
+    """``GET /slo?slo=gain >> 3`` answers 400 with this text; the CLI
+    used to die in ``parse_slo``'s ``ValueError``."""
+    assert _exit_message([
+        "slo", "--registry-dir", str(tmp_path), "check", "--slo", "gain >> 3",
+    ]) == (
+        "unparseable SLO spec 'gain >> 3' (expected e.g. 'gain >= 1.2' "
+        "or 'p95(stage_latency) <= 2.0 [@ 30]')"
+    )
+
+
+def test_cli_runs_show_unknown_key_prints_the_message_unquoted(tmp_path):
+    """``RecordNotFound`` is a ``KeyError``: ``str`` of it is the repr of
+    its message, which printed the line wrapped in double quotes."""
+    assert _exit_message(
+        ["runs", "--registry-dir", str(tmp_path), "show", "nosuch"]
+    ) == (
+        f"no registry record matches 'nosuch' "
+        f"(0 records in {tmp_path / 'registry.jsonl'})"
+    )
+
+
+def test_cli_watch_unreachable_stream_is_an_exit_message_not_a_traceback(
+    tmp_path
+):
+    """Nothing listening (``URLError``), a server without a hub (503) and
+    an unknown path (404, both ``HTTPError``) each name the URL."""
+    import socket
+
+    from repro.obs.registry import RunRegistry
+    from repro.obs.server import make_server
+
+    with socket.socket() as unused:  # a port nobody listens on
+        unused.bind(("127.0.0.1", 0))
+        dead = f"http://127.0.0.1:{unused.getsockname()[1]}"
+    message = _exit_message(["watch", dead])
+    assert message.startswith(f"cannot watch {dead}/live: ")
+    assert "Connection refused" in message and "\n" not in message
+
+    server = make_server(registry=RunRegistry(str(tmp_path)))  # no hub
+    server.serve_background()
+    try:
+        assert _exit_message(["watch", server.url]) == (
+            f"cannot watch {server.url}/live: "
+            "HTTP Error 503: Service Unavailable"
+        )
+        assert _exit_message(["watch", server.url + "/nosuch"]) == (
+            f"cannot watch {server.url}/nosuch/live: "
+            "HTTP Error 404: Not Found"
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_cli_serve_on_a_taken_port_is_an_exit_message_not_a_traceback(
+    tmp_path
+):
+    import socket
+
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        message = _exit_message([
+            "serve", "--registry-dir", str(tmp_path), "--port", str(port),
+        ])
+    assert message.startswith(f"cannot serve on 127.0.0.1:{port}: ")
+    assert "Address already in use" in message
 
 
 def test_cli_emit_wide_matches_offline_trace_wide_byte_for_byte(

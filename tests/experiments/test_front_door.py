@@ -476,6 +476,20 @@ def test_every_parser_is_the_one_captured_before_the_split(monkeypatch):
         assert table[path] == PARSERS[path], path
 
 
+def test_help_names_every_command_family_and_runs_subcommand(monkeypatch):
+    """``python -m repro --help`` prints the module docstring; it listed
+    neither the ``slo`` family nor ``runs why``."""
+    top = _top_parser(monkeypatch)
+    (families,) = (a for a in top._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    for family, parser in families.choices.items():
+        assert f"- ``{family}``" in top.description, family
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for leaf in action.choices:
+                    assert f"``{leaf}``" in top.description, (family, leaf)
+
+
 def test_every_leaf_command_dispatches_to_a_handler(monkeypatch):
     def leaves(parser):
         subs = [a for a in parser._actions

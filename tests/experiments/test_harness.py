@@ -9,7 +9,7 @@ from repro.experiments.params import (
     PARAMETER_TABLE,
 )
 from repro.experiments.report import GainSeries, render_table
-from repro.experiments.runner import gain, run_download
+from repro.experiments.runner import run_download
 from repro.experiments.xia_benchmark import PAPER_FIG5, run_protocol
 from repro.util import MB, mbps, ms
 
@@ -57,12 +57,6 @@ def test_render_table_validates_row_width():
         render_table("t", ("a", "b"), [(1,)])
     text = render_table("t", ("a", "b"), [(1, 2.5)])
     assert "2.50" in text
-
-
-def test_gain_helper():
-    assert gain(10.0, 5.0) == 2.0
-    with pytest.raises(ConfigurationError):
-        gain(10.0, 0.0)
 
 
 def test_run_download_rejects_unknown_system():

@@ -258,6 +258,7 @@ def test_summary_and_registry_record_are_one_projection_of_a_download():
     """Registry lines are written unsorted, so key order is bytes."""
     from repro.experiments.runner import run_download
     from repro.obs.registry import record_from_result
+    from repro.obs.wide import run_id_for
 
     task = quick_task()
     result = run_download(
@@ -269,15 +270,18 @@ def test_summary_and_registry_record_are_one_projection_of_a_download():
         "chunks_from_origin", "fallbacks", "handoffs", "staging_signals",
     ]
     assert counters["bytes_received"] == task.params.file_size
-    run_id, metrics = execute_task(task).as_record()
-    assert run_id == result.run_id
-    assert list(metrics) == ["download_time", *counters]
+    summary = execute_task(task)
+    metrics = {"download_time": summary.download_time,
+               **{name: getattr(summary, name) for name in counters}}
     assert metrics == {"download_time": result.download_time, **counters}
-    _run_id, recorded, gauges = record_from_result(result)
+    run_id, recorded, gauges = record_from_result(result)
+    assert run_id == run_id_for(summary.system, summary.seed, summary.policy)
     assert list(recorded) == ["download_time", "throughput_bps", *counters]
     assert recorded == {**metrics, "throughput_bps": result.throughput_bps}
     # The gauge columns are the collector's timelines, unzipped.
+    prefix = f"gauge.{run_id}."
     assert gauges and gauges == {
-        name: {"t": [t for t, _v in points], "v": [v for _t, v in points]}
-        for name, points in result.gauge_timelines().items()
+        name[len(prefix):]: {"t": [t for t, _v in points],
+                             "v": [v for _t, v in points]}
+        for name, points in result.metrics.timelines(prefix).items()
     }

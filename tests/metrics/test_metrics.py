@@ -1,67 +1,9 @@
-"""Tests for metrics: stats helpers and the collector."""
+"""Tests for the metrics collector."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.metrics import (
-    MetricsCollector,
-    confidence_interval_95,
-    mean,
-    percentile,
-    summarize,
-)
+from repro.metrics import MetricsCollector
 from repro.sim import Simulator
-
-
-def test_mean_and_empty():
-    assert mean([1.0, 2.0, 3.0]) == 2.0
-    with pytest.raises(ValueError):
-        mean([])
-
-
-def test_percentile_interpolation():
-    values = [1.0, 2.0, 3.0, 4.0]
-    assert percentile(values, 0) == 1.0
-    assert percentile(values, 100) == 4.0
-    assert percentile(values, 50) == pytest.approx(2.5)
-    assert percentile(values, 25) == pytest.approx(1.75)
-
-
-def test_percentile_single_value_and_validation():
-    assert percentile([7.0], 50) == 7.0
-    with pytest.raises(ValueError):
-        percentile([1.0], 150)
-    with pytest.raises(ValueError):
-        percentile([], 50)
-
-
-def test_percentile_matches_cabernet_usage():
-    """25/50/75th of a known sequence (how Table III was derived)."""
-    values = list(range(1, 101))
-    assert percentile(values, 25) == pytest.approx(25.75)
-    assert percentile(values, 50) == pytest.approx(50.5)
-    assert percentile(values, 75) == pytest.approx(75.25)
-
-
-def test_confidence_interval():
-    assert confidence_interval_95([5.0]) == 0.0
-    ci = confidence_interval_95([10.0, 12.0, 11.0, 9.0])
-    assert ci > 0
-
-
-def test_summarize():
-    summary = summarize([3.0, 1.0, 2.0])
-    assert summary.count == 3
-    assert summary.mean == 2.0
-    assert summary.p50 == 2.0
-    assert summary.minimum == 1.0
-    assert summary.maximum == 3.0
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
-def test_percentile_bounded_by_extremes(values):
-    for q in (0, 25, 50, 75, 100):
-        assert min(values) <= percentile(values, q) <= max(values)
 
 
 def test_collector_counters_and_samples():
@@ -71,9 +13,8 @@ def test_collector_counters_and_samples():
     collector.observe("latency", 0.5)
     collector.observe("latency", 1.5)
     assert collector.counters["fetches"] == 3
-    assert collector.monitor("latency").mean == 1.0
+    assert collector.report()["latency.mean"] == 1.0
     assert collector.samples("latency") == [0.5, 1.5]
-    assert collector.summary("latency").count == 2
 
 
 def test_collector_series_with_sim_clock():
@@ -96,13 +37,11 @@ def test_collector_series_needs_clock_or_time():
     with pytest.raises(ValueError):
         collector.record("x", 1.0)
     collector.record("x", 1.0, time=3.0)
-    assert collector.series("x").last() == 1.0
+    assert list(collector.series("x")) == [(3.0, 1.0)]
 
 
 def test_collector_unknown_names_raise():
     collector = MetricsCollector()
-    with pytest.raises(KeyError):
-        collector.monitor("nope")
     with pytest.raises(KeyError):
         collector.series("nope")
 
@@ -114,11 +53,3 @@ def test_collector_report_flattens():
     report = collector.report()
     assert report["a"] == 1.0
     assert report["b.mean"] == 2.0
-
-
-def test_percentile_subnormal_values_do_not_underflow():
-    # Interpolating between two equal subnormals must not round to 0.0
-    # (regression: 5e-324 * 0.5 + 5e-324 * 0.5 underflows).
-    tiny = 5e-324
-    assert percentile([tiny, tiny], 50) == tiny
-    assert percentile([tiny, tiny, tiny], 75) == tiny

@@ -22,8 +22,8 @@ def test_scanner_sees_coverage_and_advertisements():
     scenario.sim.run(until=1.0)
     visible = scenario.scanner.visible_now()
     assert [v.name for v in visible] == ["ap-A"]
-    assert visible[0].has_vnf
-    assert visible[0].nid == scenario.edges[0].router.nid
+    assert visible[0].ap.vnf_sid is not None
+    assert visible[0].ap.nid == scenario.edges[0].router.nid
 
 
 def test_association_brings_link_up_and_routes_hid():
@@ -35,7 +35,7 @@ def test_association_brings_link_up_and_routes_hid():
     assert controller.is_associated
     assert scenario.client_host.current_nid == scenario.edges[0].router.nid
     gateway = scenario.edges[0].router
-    assert scenario.client_host.hid in gateway.engine.hid_routes
+    assert scenario.client_host.hid in gateway.engine.routes
 
 
 def test_disassociate_withdraws_route_and_downs_link():
@@ -46,7 +46,7 @@ def test_disassociate_withdraws_route_and_downs_link():
     controller.disassociate()
     assert not controller.is_associated
     gateway = scenario.edges[0].router
-    assert scenario.client_host.hid not in gateway.engine.hid_routes
+    assert scenario.client_host.hid not in gateway.engine.routes
     assert scenario.client_host.current_nid is None
 
 
@@ -93,8 +93,8 @@ def test_switching_aps_reroutes_and_changes_active_port():
     assert scenario.client_host.active_port is not port_a
     gateway_a = scenario.edges[0].router
     gateway_b = scenario.edges[1].router
-    assert scenario.client_host.hid not in gateway_a.engine.hid_routes
-    assert scenario.client_host.hid in gateway_b.engine.hid_routes
+    assert scenario.client_host.hid not in gateway_a.engine.routes
+    assert scenario.client_host.hid in gateway_b.engine.routes
     assert controller.associations == 2
     assert controller.disassociations == 1
 

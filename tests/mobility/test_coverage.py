@@ -54,14 +54,17 @@ def test_alternating_connected_fraction():
     coverage = alternating_coverage(
         ["A", "B"], encounter_time=12.0, disconnection_time=8.0, total_time=200.0
     )
-    assert coverage.connected_fraction(until=200.0) == pytest.approx(0.6, abs=0.05)
+    connected = sum(window.duration for window in coverage.windows)
+    assert connected / 200.0 == pytest.approx(0.6, abs=0.05)
 
 
 def test_alternating_zero_disconnection_continuous():
     coverage = alternating_coverage(
         ["A", "B"], encounter_time=10.0, disconnection_time=0.0, total_time=50.0
     )
-    assert coverage.connected_fraction(until=50.0) == pytest.approx(1.0)
+    windows = coverage.windows
+    assert windows[0].start == 0.0 and windows[-1].end == 50.0
+    assert all(a.end == b.start for a, b in zip(windows, windows[1:]))
 
 
 def test_overlapping_coverage_has_overlap():
@@ -81,14 +84,6 @@ def test_overlapping_coverage_validates():
         overlapping_coverage(["A", "B"], encounter_time=3.0, overlap_time=3.0, total_time=10)
     with pytest.raises(ConfigurationError):
         overlapping_coverage(["A"], encounter_time=12.0, overlap_time=3.0, total_time=10)
-
-
-def test_windows_for_filters_by_ap():
-    coverage = alternating_coverage(
-        ["A", "B"], encounter_time=5.0, disconnection_time=5.0, total_time=40.0
-    )
-    assert all(w.ap == "A" for w in coverage.windows_for("A"))
-    assert len(coverage.windows_for("A")) == 2
 
 
 # -- visible_at: the segment index against the linear scan ---------------------

@@ -1,17 +1,11 @@
-"""Tests for connectivity traces, Cabernet and wardriving generators."""
+"""Tests for connectivity traces and the wardriving generator."""
 
 import random
 
 import pytest
 
 from repro.errors import TraceFormatError
-from repro.mobility import (
-    CabernetDistributions,
-    CabernetTraceGenerator,
-    ConnectivityTrace,
-    WardrivingSynthesizer,
-)
-from repro.mobility.cabernet import lognormal_params
+from repro.mobility import ConnectivityTrace, WardrivingSynthesizer
 
 
 def test_trace_stats():
@@ -19,9 +13,6 @@ def test_trace_stats():
     assert trace.connected_time == 15.0
     assert trace.coverage_fraction == pytest.approx(0.3)
     assert trace.encounter_durations() == [10.0, 5.0]
-    assert trace.gap_durations() == [10.0, 25.0]
-    assert trace.connected_at(5.0)
-    assert not trace.connected_at(15.0)
 
 
 def test_trace_rejects_overlap_and_bad_intervals():
@@ -53,47 +44,6 @@ def test_trace_to_coverage_round_robins_aps():
     trace = ConnectivityTrace([(0.0, 5.0), (10.0, 15.0), (20.0, 25.0)], duration=30.0)
     coverage = trace.to_coverage(["A", "B"])
     assert [w.ap for w in coverage.windows] == ["A", "B", "A"]
-
-
-def test_lognormal_params_match_moments():
-    mu, sigma = lognormal_params(median=4.0, mean=10.0)
-    import math
-
-    assert math.exp(mu) == pytest.approx(4.0)
-    assert math.exp(mu + sigma**2 / 2) == pytest.approx(10.0)
-
-
-def test_lognormal_params_validation():
-    with pytest.raises(ValueError):
-        lognormal_params(median=10.0, mean=4.0)
-
-
-def test_cabernet_generator_statistics():
-    generator = CabernetTraceGenerator(random.Random(42))
-    encounters = [generator.sample_encounter() for _ in range(4000)]
-    # Median should be near the Cabernet median of 4 s (clamping shifts
-    # the small tail slightly upward).
-    encounters.sort()
-    median = encounters[len(encounters) // 2]
-    assert 2.5 <= median <= 6.5
-    gaps = [generator.sample_gap() for _ in range(4000)]
-    gaps.sort()
-    assert 20.0 <= gaps[len(gaps) // 2] <= 48.0
-
-
-def test_cabernet_generate_trace_valid():
-    generator = CabernetTraceGenerator(random.Random(7))
-    trace = generator.generate(duration=3600.0)
-    assert trace.duration == 3600.0
-    assert 0.0 < trace.coverage_fraction < 1.0
-    assert len(trace.intervals) > 5
-
-
-def test_cabernet_distributions_table3_values():
-    dist = CabernetDistributions()
-    assert dist.ENCOUNTER_PERCENTILES == (3.0, 4.0, 12.0)
-    assert dist.DISCONNECTION_PERCENTILES == (8.0, 32.0, 100.0)
-    assert dist.LOSS_PERCENTILES == (0.22, 0.27, 0.37)
 
 
 def test_wardriving_trace_one_high_coverage():

@@ -237,7 +237,7 @@ def run_both(wireless, delay, loss_rate, seed, script, late=()):
         schedule(*side, script, 0)
         if late:
             after(side[0], 0.0, schedule, *side, late, len(script))
-    while sim.peek() != float("inf"):
+    while sim._queue:
         sim.step()
         check_deque_skip(link)
     ref_sim.run()

@@ -10,7 +10,6 @@ from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
 def test_noloss_never_drops():
     model = NoLoss()
     assert not any(model.dropped(t * 0.01) for t in range(1000))
-    assert model.average_rate == 0.0
 
 
 def test_bernoulli_rate_zero_and_one():

@@ -127,9 +127,14 @@ def test_gauge_timelines_replay_identically():
     assert replayed.report() == live.metrics.report()
 
 
+def _gauge_names(result):
+    prefix = f"gauge.{result.run_id}."
+    return {name[len(prefix):] for name in result.metrics.series_names(prefix)}
+
+
 def test_standard_gauge_set_covers_the_issue_surface():
     result = run_download("softstage", params=PARAMS, seed=0, gauges=True)
-    names = set(result.gauge_timelines())
+    names = _gauge_names(result)
     for expected in (
         "staging.lead_bytes",
         "staging.pending_chunks",
@@ -149,7 +154,7 @@ def test_standard_gauge_set_covers_the_issue_surface():
 
 def test_xftp_run_records_gauges_without_staging_pipeline():
     result = run_download("xftp", params=PARAMS, seed=0, gauges=True)
-    names = set(result.gauge_timelines())
+    names = _gauge_names(result)
     assert "client.connected" in names
     assert "staging.lead_bytes" not in names  # no manager on Xftp
 
@@ -256,8 +261,7 @@ def test_non_strict_auditor_accumulates_instead_of_raising():
     bus.publish(_stamp(GaugeSample(gauge="g", value=-1.0)))
     bus.publish(_stamp(GaugeSample(gauge="h", value=-2.0)))
     assert len(auditor.violations) == 2
-    with pytest.raises(InvariantViolationError):
-        auditor.raise_if_violated()
+    assert not auditor.ok
     assert "2 violation(s)" in auditor.render()
 
 

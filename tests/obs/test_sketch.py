@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.sketch import (
-    ExpHistogram,
     QuantileSketch,
     SketchRecorder,
     StatSketch,
-    load_sketch,
     load_sketches,
     merge_sketch_sets,
     serialize_sketches,
     sketches_from_wide,
 )
+
+
+def fill(sketch, values):
+    for value in values:
+        sketch.add(value)
 
 
 def exact_rank(data, value):
@@ -30,7 +33,7 @@ def exact_rank(data, value):
 
 def test_stat_sketch_tracks_exact_moments():
     sketch = StatSketch()
-    sketch.add_many([3.0, -1.0, 4.0, 1.5])
+    fill(sketch, [3.0, -1.0, 4.0, 1.5])
     assert sketch.count == 4
     assert sketch.total == pytest.approx(7.5)
     assert sketch.minimum == -1.0
@@ -40,9 +43,9 @@ def test_stat_sketch_tracks_exact_moments():
 
 def test_stat_sketch_merge_equals_single_stream():
     a, b, whole = StatSketch(), StatSketch(), StatSketch()
-    a.add_many([1.0, 2.0])
-    b.add_many([10.0, -5.0, 3.0])
-    whole.add_many([1.0, 2.0, 10.0, -5.0, 3.0])
+    fill(a, [1.0, 2.0])
+    fill(b, [10.0, -5.0, 3.0])
+    fill(whole, [1.0, 2.0, 10.0, -5.0, 3.0])
     a.merge(b)
     assert a.to_json() == whole.to_json()
 
@@ -57,7 +60,7 @@ def test_stat_sketch_empty_round_trip():
 
 def test_quantile_sketch_small_streams_are_exact_at_extremes():
     sketch = QuantileSketch(compression=16)
-    sketch.add_many(float(i) for i in range(100))
+    fill(sketch, (float(i) for i in range(100)))
     assert sketch.quantile(0.0) == 0.0
     assert sketch.quantile(1.0) == 99.0
     assert abs(sketch.quantile(0.5) - 49.5) < 5.0
@@ -65,7 +68,7 @@ def test_quantile_sketch_small_streams_are_exact_at_extremes():
 
 def test_quantile_sketch_memory_is_bounded():
     sketch = QuantileSketch(compression=64)
-    sketch.add_many(float(i % 977) for i in range(50_000))
+    fill(sketch, (float(i % 977) for i in range(50_000)))
     assert len(sketch.centroids) <= 2 * 64
     assert sketch.count == 50_000
 
@@ -73,7 +76,7 @@ def test_quantile_sketch_memory_is_bounded():
 def test_quantile_sketch_is_deterministic():
     def build():
         s = QuantileSketch(compression=32)
-        s.add_many(math.sin(i * 0.7) * 100 for i in range(5_000))
+        fill(s, (math.sin(i * 0.7) * 100 for i in range(5_000)))
         return json.dumps(s.to_json(), sort_keys=True)
 
     assert build() == build()
@@ -82,7 +85,7 @@ def test_quantile_sketch_is_deterministic():
 def test_quantile_sketch_empty_and_round_trip():
     assert QuantileSketch().quantile(0.5) is None
     sketch = QuantileSketch(compression=32)
-    sketch.add_many([5.0, 1.0, 3.0])
+    fill(sketch, [5.0, 1.0, 3.0])
     clone = QuantileSketch.from_json(sketch.to_json())
     for q in (0.0, 0.25, 0.5, 0.9, 1.0):
         assert clone.quantile(q) == sketch.quantile(q)
@@ -117,7 +120,7 @@ def test_merged_sketch_quantiles_within_one_percent_rank_error(data, parts):
     sketches = []
     for shard in shards:
         sketch = QuantileSketch()
-        sketch.add_many(shard)
+        fill(sketch, shard)
         sketches.append(sketch)
     merged = sketches[0]
     for other in sketches[1:]:
@@ -148,7 +151,7 @@ def test_merge_is_associative_within_rank_error(data):
 
     def sketch_of(part):
         s = QuantileSketch()
-        s.add_many(part)
+        fill(s, part)
         return s
 
     left = sketch_of(a).merge(sketch_of(b)).merge(sketch_of(c))
@@ -164,48 +167,14 @@ def test_merge_is_associative_within_rank_error(data):
             assert strictly_below - 0.015 <= q <= at_or_below + 0.015
 
 
-# -- ExpHistogram -------------------------------------------------------------
-
-
-def test_exp_histogram_buckets_and_overflow():
-    hist = ExpHistogram(lo=1.0, growth=2.0, buckets=4)
-    hist.add_many([0.5, 1.0, 1.5, 2.0, 3.9, 100.0, -2.0])
-    assert hist.count == 7
-    assert hist.counts[0] == 2          # 0.5 and -2.0 underflow
-    assert hist.counts[1] == 2          # [1, 2): 1.0, 1.5
-    assert hist.counts[2] == 2          # [2, 4): 2.0, 3.9
-    assert hist.counts[5] == 1          # >= 16 overflow
-    assert hist.bounds(0) == (-math.inf, 1.0)
-    assert hist.bounds(2) == (2.0, 4.0)
-    assert hist.bounds(5) == (16.0, math.inf)
-
-
-def test_exp_histogram_merge_requires_matching_shape():
-    a = ExpHistogram(lo=1.0, growth=2.0, buckets=4)
-    b = ExpHistogram(lo=1.0, growth=2.0, buckets=4)
-    a.add_many([1.0, 2.0])
-    b.add_many([2.5, 50.0])
-    a.merge(b)
-    assert a.count == 4
-    with pytest.raises(ValueError):
-        a.merge(ExpHistogram(lo=0.5, growth=2.0, buckets=4))
-
-
-def test_exp_histogram_round_trip():
-    hist = ExpHistogram(lo=0.01, growth=4.0, buckets=8)
-    hist.add_many([0.02, 1.0, 300.0])
-    clone = load_sketch(hist.to_json())
-    assert clone.counts == hist.counts and clone.count == 3
-
-
 # -- sketch sets --------------------------------------------------------------
 
 
 def test_serialize_and_load_sketch_sets_round_trip():
     stat = StatSketch()
-    stat.add_many([1.0, 2.0])
+    fill(stat, [1.0, 2.0])
     quant = QuantileSketch(compression=32)
-    quant.add_many([0.1, 0.2, 0.9])
+    fill(quant, [0.1, 0.2, 0.9])
     payload = serialize_sketches({"a.stat": stat, "b.q": quant})
     loaded = load_sketches(json.loads(json.dumps(payload)))
     assert loaded["a.stat"].mean == pytest.approx(1.5)
@@ -216,6 +185,12 @@ def test_load_sketches_skips_unknown_kinds():
     loaded = load_sketches({
         "ok": StatSketch().to_json(),
         "future": {"kind": "hyperloglog", "data": [1, 2]},
+        # What registry lines written before the histogram was deleted
+        # hold: they must keep loading.
+        "wide.fetch_latency.hist": {
+            "kind": "hist", "lo": 0.001, "growth": 2.0, "buckets": 32,
+            "counts": [0] * 34,
+        },
     })
     assert set(loaded) == {"ok"}
 
@@ -262,7 +237,7 @@ def test_recorder_folds_wide_chunk_phases():
     assert sketches["wide.ready_before_fetch"].mean == pytest.approx(0.5)
     assert sketches["wide.source.edge"].count == 1
     assert sketches["wide.source.origin"].count == 1
-    assert sketches["wide.fetch_latency.hist"].count == 2
+    assert "wide.fetch_latency.hist" not in sketches
     assert recorder.wide_records == 3
 
 

@@ -69,7 +69,8 @@ def test_ok_direction():
 
 def _sketches_with(name, values, kind=QuantileSketch):
     sketch = kind() if kind is StatSketch else kind(compression=256)
-    sketch.add_many(values)
+    for value in values:
+        sketch.add(value)
     return {name: sketch}
 
 
@@ -96,7 +97,8 @@ def test_evaluate_percentile_slo_from_sketch():
 
 def test_evaluate_ready_before_fetch_ratio():
     indicator = StatSketch()
-    indicator.add_many([1.0, 1.0, 1.0, 0.0])
+    for value in [1.0, 1.0, 1.0, 0.0]:
+        indicator.add(value)
     results = evaluate_slos(
         [parse_slo("ready_before_fetch_ratio >= 0.6")],
         sketches={"wide.ready_before_fetch": indicator},
@@ -139,6 +141,68 @@ def test_evaluate_record_reads_serialized_sketches():
         record,
     )
     assert [r.ok for r in results] == [True, True]
+
+
+def _recorded_gauge_sketches(gauge="staging.lead_bytes", count=100):
+    """The serialized sketch set of a run that sampled ``gauge`` at
+    0, 1, …, count - 1 (the recorder stores a stat and a quantile twin)."""
+    from repro.obs.bus import EventBus, Stamped
+    from repro.obs.events import GaugeSample
+    from repro.obs.sketch import SketchRecorder
+
+    bus = EventBus()
+    recorder = SketchRecorder().attach(bus)
+    for i in range(count):
+        bus.publish(Stamped(
+            time=float(i), run_id="r",
+            event=GaugeSample(gauge=gauge, value=float(i)),
+        ))
+    recorder.detach()
+    return recorder.to_json()
+
+
+#: spec -> (status, value) over the 0…99 gauge above: each aggregation
+#: is answered by the twin that can answer it.
+GAUGE_VERDICTS = {
+    "p95(staging.lead_bytes) <= 50": ("FAIL", 94.0),
+    "p50(staging.lead_bytes) <= 50": ("pass", 49.0),
+    "mean(staging.lead_bytes) <= 50": ("pass", 49.5),
+    "max(staging.lead_bytes) <= 50": ("FAIL", 99.0),
+    "min(staging.lead_bytes) >= 1": ("FAIL", 0.0),
+    # A bare gauge reads the stat twin (it comes first): its mean.
+    "staging.lead_bytes <= 50": ("pass", 49.5),
+    # Naming the quantile twin itself keeps working.
+    "p95(staging.lead_bytes.q) <= 50": ("FAIL", 94.0),
+}
+
+
+def test_every_aggregation_over_a_recorded_gauge_is_judged_offline():
+    record = RunRecord(
+        rec_id="r1", run_id="softstage-seed0", kind="demo",
+        recorded_at="", git_sha="", machine="", metrics={},
+        sketches=json.loads(json.dumps(_recorded_gauge_sketches())),
+    )
+    results = evaluate_record(
+        [parse_slo(spec) for spec in GAUGE_VERDICTS], record)
+    assert {
+        r.slo.spec(): (r.status, pytest.approx(r.value)) for r in results
+    } == GAUGE_VERDICTS
+    assert all(r.source == "sketch" for r in results)
+
+
+def test_check_registry_judges_gauge_percentiles(tmp_path):
+    from repro.obs.registry import RunRegistry
+    from repro.obs.slo import check_registry
+
+    registry = RunRegistry(str(tmp_path))
+    record = registry.append(
+        "softstage-seed0", "demo", {}, sketches=_recorded_gauge_sketches())
+    ((rec_id, results),) = check_registry(
+        registry, [parse_slo(spec) for spec in GAUGE_VERDICTS])
+    assert rec_id == record.rec_id
+    assert [r.status for r in results] == [
+        status for status, _value in GAUGE_VERDICTS.values()]
+    assert len(violations(results)) == 4
 
 
 def test_default_slos_are_the_paper_shape_set():

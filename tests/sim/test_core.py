@@ -136,14 +136,6 @@ def test_step_on_empty_queue_raises():
         Simulator().step()
 
 
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(4.0)
-    sim.timeout(2.0)
-    assert sim.peek() == 2.0
-
-
 def test_clock_never_goes_backwards():
     sim = Simulator()
     times = []

@@ -1,8 +1,8 @@
-"""Tests for Timeout / AnyOf / AllOf / Condition."""
+"""Tests for Timeout / AnyOf / Condition."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import AnyOf, Simulator
 
 
 def test_timeout_fires_at_delay_with_value():
@@ -30,34 +30,11 @@ def test_any_of_fires_on_first_event():
     assert sim.run(until=proc) == (1.0, ["early"])
 
 
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-
-    def waiter(sim):
-        events = [sim.timeout(d, d) for d in (3.0, 1.0, 2.0)]
-        fired = yield sim.all_of(events)
-        return (sim.now, sorted(fired.values()))
-
-    proc = sim.process(waiter(sim))
-    assert sim.run(until=proc) == (3.0, [1.0, 2.0, 3.0])
-
-
 def test_any_of_empty_list_fires_immediately():
     sim = Simulator()
 
     def waiter(sim):
         fired = yield sim.any_of([])
-        return fired
-
-    proc = sim.process(waiter(sim))
-    assert sim.run(until=proc) == {}
-
-
-def test_all_of_empty_list_fires_immediately():
-    sim = Simulator()
-
-    def waiter(sim):
-        fired = yield sim.all_of([])
         return fired
 
     proc = sim.process(waiter(sim))
@@ -70,7 +47,8 @@ def test_condition_value_maps_events_to_values():
     def waiter(sim):
         a = sim.timeout(1.0, "va")
         b = sim.timeout(2.0, "vb")
-        fired = yield sim.all_of([a, b])
+        yield sim.timeout(3.0)
+        fired = yield sim.any_of([a, b])
         return fired[a], fired[b]
 
     proc = sim.process(waiter(sim))
@@ -83,7 +61,7 @@ def test_condition_with_already_processed_events():
     def waiter(sim):
         done = sim.timeout(1.0, "done")
         yield sim.timeout(5.0)
-        fired = yield sim.all_of([done])
+        fired = yield sim.any_of([done])
         return (sim.now, fired[done])
 
     proc = sim.process(waiter(sim))
@@ -97,7 +75,7 @@ def test_condition_fails_when_constituent_fails():
         bad = sim.event()
         bad.fail(RuntimeError("constituent failed"), delay=1.0)
         good = sim.timeout(5.0)
-        yield sim.all_of([good, bad])
+        yield sim.any_of([good, bad])
 
     proc = sim.process(waiter(sim))
     with pytest.raises(RuntimeError, match="constituent failed"):
@@ -122,15 +100,3 @@ def test_any_of_result_excludes_unfired_events():
 
     proc = sim.process(waiter(sim))
     assert sim.run(until=proc) == "fast"
-
-
-def test_all_of_same_timestamp():
-    sim = Simulator()
-
-    def waiter(sim):
-        events = [sim.timeout(2.0, i) for i in range(4)]
-        fired = yield AllOf(sim, events)
-        return sorted(fired.values())
-
-    proc = sim.process(waiter(sim))
-    assert sim.run(until=proc) == [0, 1, 2, 3]

@@ -23,18 +23,6 @@ def test_process_requires_a_generator():
         sim.process(lambda: None)
 
 
-def test_process_is_alive_until_done():
-    sim = Simulator()
-
-    def worker(sim):
-        yield sim.timeout(1.0)
-
-    proc = sim.process(worker(sim))
-    assert proc.is_alive
-    sim.run()
-    assert not proc.is_alive
-
-
 def test_processes_interleave_by_time():
     sim = Simulator()
     log = []

@@ -1,55 +1,28 @@
 """Tests for unit helpers and validation."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.util import (
-    GB,
-    KB,
     MB,
-    bits,
-    bytes_to_mbit,
     check_fraction,
     check_non_negative,
     check_positive,
-    gbps,
-    kbps,
-    mbit_to_bytes,
     mbps,
     ms,
-    seconds_to_ms,
-    us,
 )
 
 
 def test_size_constants():
-    assert KB == 1_000
     assert MB == 1_000_000
-    assert GB == 1_000_000_000
 
 
 def test_rate_helpers():
-    assert kbps(5) == 5_000
     assert mbps(60) == 60_000_000
-    assert gbps(1) == 1_000_000_000
 
 
 def test_time_helpers():
     assert ms(20) == pytest.approx(0.02)
-    assert us(150) == pytest.approx(150e-6)
-    assert seconds_to_ms(1.5) == 1500
-
-
-def test_bit_byte_conversions():
-    assert bits(10) == 80
-    assert bytes_to_mbit(2 * MB) == pytest.approx(16.0)
-    assert mbit_to_bytes(16.0) == pytest.approx(2 * MB)
-
-
-@given(st.floats(min_value=0.001, max_value=1e9))
-def test_mbit_roundtrip(value):
-    assert mbit_to_bytes(bytes_to_mbit(value)) == pytest.approx(value)
 
 
 def test_check_positive():

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ChunkIntegrityError
 from repro.xcache import Chunk
 from repro.xia.ids import PrincipalType
 
@@ -27,17 +26,6 @@ def test_chunk_cid_depends_on_size():
 
 def test_chunk_cid_principal_type():
     assert Chunk.synthetic("m", 0, 10).cid.principal_type is PrincipalType.CID
-
-
-def test_from_bytes_roundtrip_verification():
-    chunk = Chunk.from_bytes(b"real payload bytes", "file", 0)
-    assert chunk.size_bytes == len(b"real payload bytes")
-    assert chunk.verify()
-
-
-def test_from_bytes_rejects_empty():
-    with pytest.raises(ChunkIntegrityError):
-        Chunk.from_bytes(b"")
 
 
 def test_verify_against_wrong_cid_fails():

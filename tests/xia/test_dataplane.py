@@ -334,28 +334,11 @@ def test_data_packets_never_served_from_store():
     assert not served and len(delivered) == 1
 
 
-def test_default_port_setter_invalidates():
-    sim, net, host_a, r1, r2, host_b = line_network()
-    host_b.register_handler(PacketType.CONTROL, lambda p, port: None)
-    host_a.send(_control_packet(host_a, r1, r2, host_b))
-    sim.run()
-    assert r1._decisions
-    r1.engine.default_port = r1.engine.port_for(r2.nid)
-    assert r1._decisions == {}
-
-
 def test_forwarding_engine_single_table_views():
     sim, net, host_a, r1, r2, host_b = line_network()
-    # One dict underneath, typed views on top.
-    assert set(r1.engine.routes) == set(r1.engine.nid_routes) | set(
-        r1.engine.hid_routes
-    )
-    assert all(
-        x.principal_type is PrincipalType.NID for x in r1.engine.nid_routes
-    )
-    assert all(
-        x.principal_type is PrincipalType.HID for x in r1.engine.hid_routes
-    )
+    # One dict for every principal type, each setter typed.
+    assert {x.principal_type for x in r1.engine.routes} == {
+        PrincipalType.NID, PrincipalType.HID}
     with pytest.raises(ConfigurationError):
         r1.engine.set_nid_route(host_a.hid, r1.port(0))  # wrong principal
 

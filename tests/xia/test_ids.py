@@ -51,18 +51,6 @@ def test_xid_bad_type_rejected():
         XID("CID", b"\x00" * 20)
 
 
-def test_repr_parse_roundtrip():
-    original = NID("edge-a")
-    assert XID.parse(repr(original)) == original
-
-
-def test_parse_garbage_raises():
-    with pytest.raises(AddressError):
-        XID.parse("not an xid")
-    with pytest.raises(AddressError):
-        XID.parse("CID:zzzz")
-
-
 def test_short_is_prefix_of_hex():
     xid = HID("abc")
     assert xid.hex.startswith(xid.short)
