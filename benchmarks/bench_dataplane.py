@@ -69,14 +69,17 @@ DOWNLOAD_STEPS_PER_MB_CEILING = {2.0: 23_900.0, 4.0: 19_700.0}
 
 #: ``--check`` fails above this many Python-level calls (frames
 #: entered; C calls not counted) per payload MB of the same download.
-#: The count repeats exactly (seed 0; any ``PYTHONHASHSEED``).  With
-#: Event-free ``call_at`` steps and the flattened hop the download
-#: costs 195 327 (2 MB, the CI size) and 166 557 (4 MB); through
-#: ``Port.send``/``deliver``, ``sample_loss``, ``_packet_ready`` and
-#: ``admit`` on every hop it was 267 346 and 226 716.  The ceilings sit
-#: 3 % above: room for a helper on a per-chunk path, not for one more
-#: frame per packet-hop.
-DOWNLOAD_PY_CALLS_PER_MB_CEILING = {2.0: 201_000.0, 4.0: 171_500.0}
+#: The count repeats exactly (seed 0; any ``PYTHONHASHSEED``).  History
+#: (2 MB, the CI size / 4 MB): 267 346 / 226 716 through
+#: ``Port.send``/``deliver``, ``sample_loss`` and ``_packet_ready`` on
+#: every hop; 195 327 / 166 557 with Event-free ``call_at`` steps and
+#: the flattened hop (PR 15; 195 235 / 166 507.5 by PR 22);
+#: 142 587.5 / 122 335.5 since PR 23 took ``admit``,
+#: ``DagAddress.__hash__``, ``_start`` and the wired ``airtime`` off
+#: the hop and the property reads out of the transport.  The ceilings
+#: sit 3 % above: room for a helper on a per-chunk path, not for one
+#: more frame per packet-hop (+8 %).
+DOWNLOAD_PY_CALLS_PER_MB_CEILING = {2.0: 146_900.0, 4.0: 126_000.0}
 
 
 class _Sink(Host):

@@ -144,12 +144,12 @@ class LinkDirection:
     """A one-way pipe: FIFO queue + serialization + delay + loss.
 
     This is the per-packet hot path: every simulated packet passes
-    through ``enqueue`` → ``_start`` → ``_arrive``.  The path is
-    deliberately closure-free — each stage is a bound method handed
-    to :meth:`repro.sim.core.Simulator.call_at`, with the in-flight
-    packet and the link epoch it started in as the ``arrival`` step's
-    arguments (arrivals pipeline, so they cannot live on the
-    direction).
+    through ``enqueue`` (→ ``_start`` if it had to wait) → ``_arrive``.
+    The path is deliberately closure-free — ``_arrive`` is bound once
+    and handed to :meth:`repro.sim.core.Simulator.call_at`, with the
+    in-flight packet and the link epoch it started in as the
+    ``arrival`` step's arguments (arrivals pipeline, so they cannot
+    live on the direction).
 
     **Deque-skip invariant.**  ``_queue`` holds only packets that
     actually wait: a packet offered to a free medium is serialized
@@ -192,6 +192,12 @@ class LinkDirection:
         #: ``None`` for a direction constructed standalone, which
         #: therefore counts as down.
         self._link: Optional["Link"] = None
+        #: Whether :meth:`airtime` is the plain serialization time
+        #: (no subclass overrides it): ``_start`` then does the division
+        #: itself.  Decided here, from the class.
+        self._wired_airtime = self.__class__.airtime is LinkDirection.airtime
+        #: ``_arrive`` bound once: the ``arrival`` step's callback.
+        self._arrival = self._arrive
 
     def _drop(self, count: int, reason: str) -> None:
         """Publish one batched drop event (counters update in the caller)."""
@@ -217,11 +223,34 @@ class LinkDirection:
             return
         medium = self._medium
         if not medium.handover:
-            if self.sim._now >= medium.busy_until:
-                self._start(packet)  # free medium: the packet never waits
+            sim = self.sim
+            if sim._now >= medium.busy_until:
+                # Free medium: the packet never waits.  What follows is
+                # ``_start``'s body, fused to save its frame on the
+                # common entry — keep the two in sync.
+                if self._wired_airtime:
+                    airtime = packet.size_bytes * 8 / self.bandwidth_bps
+                else:
+                    airtime = self.airtime(packet)
+                stats = self.stats
+                stats.sent_packets += 1
+                stats.sent_bytes += packet.size_bytes
+                stats.busy_time += airtime
+                medium.owner = self
+                tx_end = medium.busy_until = sim._now + airtime
+                epoch = link._epoch
+                if self._air_lost:
+                    self._air_lost = False
+                    medium._expect_tx_done(sim, epoch)
+                    return
+                if self._queue or medium.waiting:
+                    medium._expect_tx_done(sim, None)
+                sim.call_at(
+                    tx_end + self.delay, self._arrival, (packet, epoch), "arrival"
+                )
                 return
             # Busy and nobody waited so far: now someone does.
-            medium._expect_tx_done(self.sim, None)
+            medium._expect_tx_done(sim, None)
         self._queue.append(packet)
         self._queued_bytes += packet.size_bytes
         if medium.owner is not self and self not in medium.waiting:
@@ -257,8 +286,13 @@ class LinkDirection:
     # -- transmission ---------------------------------------------------------
 
     def _start(self, packet: "Packet") -> None:
-        """Take the (free) medium and serialize ``packet``."""
-        airtime = self.airtime(packet)
+        """Take the (free) medium and serialize ``packet``: the entry
+        for a packet that waited (``enqueue`` holds a fused copy of
+        this body for one that did not — keep the two in sync)."""
+        if self._wired_airtime:
+            airtime = packet.size_bytes * 8 / self.bandwidth_bps
+        else:
+            airtime = self.airtime(packet)
         stats = self.stats
         stats.sent_packets += 1
         stats.sent_bytes += packet.size_bytes
@@ -274,7 +308,7 @@ class LinkDirection:
             return
         if self._queue or medium.waiting:
             medium._expect_tx_done(sim, None)
-        sim.call_at(tx_end + self.delay, self._arrive, (packet, epoch), "arrival")
+        sim.call_at(tx_end + self.delay, self._arrival, (packet, epoch), "arrival")
 
     def _lost_on_air(self, epoch: int) -> None:
         """A frame the link layer gave up on reached its tx end."""

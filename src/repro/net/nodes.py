@@ -38,6 +38,8 @@ class Device:
         self.ports: list[Port] = []
         self.processing = processing or ProcessingModel(sim)
         self.received_packets = 0
+        #: ``handle_packet`` bound once: the ``cpu`` step's callback.
+        self._handle_packet = self.handle_packet
 
     def add_port(self, port: Port) -> Port:
         port.device = self
@@ -55,19 +57,25 @@ class Device:
     # -- receive path ------------------------------------------------------
 
     def receive(self, packet: "Packet", port: Port) -> None:
-        """Entry point from the link layer; applies processing cost."""
+        """Entry point from the link layer; applies processing cost.
+
+        The node's CPU is a single FIFO server: the delay is the wait
+        for earlier packets to drain plus this packet's own service
+        time (DESIGN.md §15 pins the float expressions).
+        """
         self.received_packets += 1
         processing = self.processing
-        if processing.per_packet_seconds:
-            delay = processing.admit()
+        processing.packets_processed += 1
+        cost = processing.per_packet_seconds
+        if cost:
+            sim = self.sim
+            now = sim._now
+            busy = processing._busy_until
+            busy = processing._busy_until = (busy if busy > now else now) + cost
+            delay = busy - now
             if delay > 0:
-                sim = self.sim
-                sim.call_at(
-                    sim._now + delay, self.handle_packet, (packet, port), "cpu"
-                )
+                sim.call_at(now + delay, self._handle_packet, (packet, port), "cpu")
                 return
-        else:  # a zero-cost device (host, AP): admit() minus the arithmetic
-            processing.packets_processed += 1
         self.handle_packet(packet, port)
 
     def handle_packet(self, packet: "Packet", port: Port) -> None:
@@ -166,7 +174,7 @@ class Host(Device):
         trace = packet.trace
         if trace is not None:
             trace.append(self.name)
-        if not self._addressed_to_me(packet):
+        if packet.dst.intent is not self.hid and not self._addressed_to_me(packet):
             self.dropped_misaddressed += 1
             return
         if packet.session_id is not None:

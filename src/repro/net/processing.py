@@ -16,7 +16,12 @@ from repro.util.validation import check_non_negative
 
 
 class ProcessingModel:
-    """A single-server CPU for a node's packet path."""
+    """A single-server CPU for a node's packet path: its state.
+
+    :meth:`repro.net.nodes.Device.receive` does the per-packet
+    arithmetic (queueing behind ``_busy_until`` plus the packet's own
+    ``per_packet_seconds``) where the delay is used.
+    """
 
     def __init__(self, sim: Simulator, per_packet_seconds: float = 0.0) -> None:
         self.sim = sim
@@ -25,20 +30,6 @@ class ProcessingModel:
         )
         self._busy_until = 0.0
         self.packets_processed = 0
-
-    def admit(self) -> float:
-        """Account for one packet; return the total delay it incurs.
-
-        The delay is queueing (waiting for the CPU to drain earlier
-        packets) plus the packet's own service time.
-        """
-        self.packets_processed += 1
-        if self.per_packet_seconds == 0:
-            return 0.0
-        now = self.sim._now
-        busy = self._busy_until
-        self._busy_until = (busy if busy > now else now) + self.per_packet_seconds
-        return self._busy_until - now
 
     def __repr__(self) -> str:
         return f"ProcessingModel(per_packet={self.per_packet_seconds * 1e6:.1f}us)"

@@ -103,14 +103,16 @@ class Event:
         """
         if self._value is not PENDING:
             raise SimulationError(f"event {self!r} already triggered")
-        self._ok = True
-        self._value = value
         # Inlined Simulator.schedule: the extra call frame costs ~5% of
         # kernel events/s (bench_kernel_hotpath).  Keep them in sync.
-        if delay < 0:
+        # Validate first, mutate after: a rejected call leaves the
+        # event untriggered.
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"negative delay {delay!r}")
         if self._scheduled:
             raise SimulationError(f"event {self!r} already scheduled")
+        self._ok = True
+        self._value = value
         self._scheduled = True
         sim = self.sim
         sim._seq += 1
@@ -128,9 +130,9 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
-        self._ok = False
-        self._value = exception
         self.sim.schedule(self, delay, priority)  # failures are off the hot path
+        self._ok = False  # only once scheduled: a rejected call changes nothing
+        self._value = exception
         return self
 
     def __repr__(self) -> str:
@@ -205,7 +207,7 @@ class Simulator:
 
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Place a triggered event on the queue ``delay`` seconds ahead."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"negative delay {delay!r}")
         if event._scheduled:
             raise SimulationError(f"event {event!r} already scheduled")

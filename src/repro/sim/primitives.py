@@ -13,7 +13,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"negative timeout delay {delay!r}")
         super().__init__(sim, name=f"timeout({delay})")
         self.delay = delay

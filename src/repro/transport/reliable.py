@@ -24,7 +24,7 @@ from repro.obs.events import (
     SessionMigrated,
 )
 from repro.sim import Event, Simulator
-from repro.sim.core import NORMAL, URGENT
+from repro.sim.core import NORMAL, PENDING, URGENT
 from repro.transport.config import TransportConfig
 from repro.xia.dag import DagAddress
 from repro.xia.packet import Packet, PacketType
@@ -218,13 +218,15 @@ class SenderSession:
         there only if the window is still open.
         """
         self._pump_pending = False
-        if self.head >= self.total_segments:
-            if not self.done.triggered:
+        total = self.total_segments
+        if self.head >= total:
+            if self.done._value is PENDING:
                 self.done.succeed(self)
             self.endpoint.close_session(self.session_id)
             return
         cost = self.config.per_packet_cost
-        while self._can_send():
+        while (not self._paused and self.next_seq < total
+               and self.next_seq - self.head < int(self.cwnd)):  # _can_send()
             self._emit(self.next_seq)
             self.next_seq += 1
             if cost > 0:
@@ -280,11 +282,12 @@ class SenderSession:
 
     def _emit(self, seq: int, retransmit: bool = False) -> None:
         config = self.config
-        payload_bytes = self._segment_payload_bytes(seq)
-        if payload_bytes == config.mss_bytes:
-            payload = self._full_payload
-        else:
-            payload = dict(self._full_payload, payload_bytes=payload_bytes)
+        payload_bytes = config.mss_bytes
+        payload = self._full_payload
+        if seq == self.total_segments - 1:  # only the final one may be short
+            payload_bytes = self._segment_payload_bytes(seq)
+            if payload_bytes != config.mss_bytes:
+                payload = dict(payload, payload_bytes=payload_bytes)
         packet = Packet.acquire(
             PacketType.DATA,
             dst=self.dst,
@@ -320,7 +323,7 @@ class SenderSession:
             packet.release()
 
     def _on_ack(self, packet: Packet) -> None:
-        if self.done.triggered:
+        if self.done._value is not PENDING:
             return
         ack = int(packet.payload["ack"])
         if ack > self.head:
@@ -337,9 +340,9 @@ class SenderSession:
                 self.next_seq = self.head
             self._arm_timer()
             self._wake(inline=True)
-            if self.completed and not self.done.triggered:
+            if self.head >= self.total_segments and self.done._value is PENDING:
                 self.done.succeed(self)
-        elif ack == self.head and self.inflight > 0:
+        elif ack == self.head and self.next_seq - self.head > 0:
             self.dup_acks += 1
             if self.dup_acks == 3 and not self.in_recovery:
                 self._fast_retransmit()
@@ -380,7 +383,7 @@ class SenderSession:
 
     def _arm_timer(self) -> None:
         """(Re)start the retransmission timer at ``now + rto``."""
-        if self.completed or self._paused:
+        if self.head >= self.total_segments or self._paused:
             return
         deadline = self._rto_deadline = self.sim._now + self.rto
         pending = self._rto_event_at
@@ -542,14 +545,14 @@ class ReceiverSession:
     _migrate_acked: Optional[Event] = None
 
     def _on_data(self, packet: Packet) -> None:
-        if self.done.triggered:
+        if self.done._value is not PENDING:
             self._send_ack(force=True)  # stale retransmission: re-ack
             return
         if self.total_segments is None:
             self.total_segments = int(packet.payload["total_segments"])
             self.first_data_meta = dict(packet.payload)
         self.peer_dag = packet.src
-        if not self.started.triggered:
+        if self.started._value is PENDING:
             self.started.succeed(self)
 
         seq = packet.seq
@@ -565,7 +568,7 @@ class ReceiverSession:
                 self._out_of_order.discard(self.highest_inorder)
                 self.highest_inorder += 1
             self._since_ack += 1
-            if self.completed:
+            if self.highest_inorder >= self.total_segments:
                 self._send_ack(force=True)
                 self.done.succeed(self)
                 self.endpoint.close_session(self.session_id)

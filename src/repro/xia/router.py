@@ -124,9 +124,11 @@ class XIARouter(Host):
         ] = None
         #: Locally registered services (SID -> handler), e.g. Staging VNF.
         self.services: dict[XID, Callable[["Packet", Port], None]] = {}
-        #: (dst DAG, visited mask) -> compiled terminal decision, and
-        #: (dst DAG, visited mask, _EGRESS) -> (pre-mask, egress port)
-        #: for locally-originated packets.
+        #: (hash of dst DAG, visited mask) -> compiled terminal decision
+        #: + that dst, and (hash, mask, _EGRESS) -> (pre-mask, egress
+        #: port, dst) for locally-originated packets.  The key is ints
+        #: and a constant, hashed in C; an entry is a hit only for its
+        #: own dst, so a hash collision is a miss (DESIGN.md §10).
         self._decisions: dict[tuple, tuple] = {}
         self.forwarded_packets = 0
         self.dropped_unroutable = 0
@@ -191,14 +193,14 @@ class XIARouter(Host):
         cleared with them; not counted in ``fwd_cache_*``)."""
         dst = packet.dst
         mask = packet.visited_mask
-        key = (dst, mask, _EGRESS)
+        key = (dst._hash, mask, _EGRESS)
         decision = self._decisions.get(key)
-        if decision is None:
-            decision = self._compile_egress(dst, mask)
+        if decision is None or not (decision[2] is dst or decision[2] == dst):
+            decision = self._compile_egress(dst, mask) + (dst,)
             if len(self._decisions) >= DECISION_CACHE_LIMIT:
                 self._decisions.clear()
             self._decisions[key] = decision
-        pre_mask, out = decision
+        pre_mask, out, _dst = decision
         if pre_mask:
             packet.visited_mask = mask | pre_mask
         return out
@@ -232,18 +234,18 @@ class XIARouter(Host):
 
         dst = packet.dst
         mask = packet.visited_mask
-        key = (dst, mask)
+        key = (dst._hash, mask)
         decision = self._decisions.get(key)
-        if decision is None:
+        if decision is None or not (decision[4] is dst or decision[4] == dst):
             self.sim.fwd_cache_misses += 1
-            decision = self._compile_decision(dst, mask)
+            decision = self._compile_decision(dst, mask) + (dst,)
             if len(self._decisions) >= DECISION_CACHE_LIMIT:
                 self._decisions.clear()
             self._decisions[key] = decision
         else:
             self.sim.fwd_cache_hits += 1
 
-        kind, pre_mask, arg, cid_steps = decision
+        kind, pre_mask, arg, cid_steps, _dst = decision
         if pre_mask:
             packet.visited_mask = mask | pre_mask
         if cid_steps is not None and packet.ptype is PacketType.CHUNK_REQUEST:

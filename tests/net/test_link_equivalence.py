@@ -188,16 +188,10 @@ def losses(rate, seed, log):
     return [RecordingLoss(rate, rng, log, tag) for tag in (0, 1)]
 
 
-def run_both(wireless, delay, loss_rate, seed, script, late=()):
-    """Drive the real link and the reference with one script; return
-    ``(real, reference)`` observations in a comparable shape.
-
-    ``late`` steps are pushed from an event at time 0 that runs after
-    the script's own time-0 steps, so they order behind whatever those
-    pushed (the reference's ``tx-done``) at an equal timestamp."""
-    # -- the real link
-    sim, real_draws = Simulator(), []
-    up, down = losses(loss_rate, seed, real_draws)
+def real_link(wireless, delay, loss_models):
+    """The link under test between two sinks: ``(sim, link, ends)``."""
+    sim = Simulator()
+    up, down = loss_models
     if wireless:
         link = WirelessLink(
             sim, "l", BANDWIDTH_BPS, delay=delay, loss_up=up, loss_down=down,
@@ -210,6 +204,20 @@ def run_both(wireless, delay, loss_rate, seed, script, late=()):
     net = Network(sim)
     ends = [net.add_device(Sink(sim, name)) for name in "ab"]
     net.connect(ends[0], ends[1], link)
+    return sim, link, ends
+
+
+def run_both(wireless, delay, loss_rate, seed, script, late=()):
+    """Drive the real link and the reference with one script; return
+    ``(real, reference)`` observations in a comparable shape.
+
+    ``late`` steps are pushed from an event at time 0 that runs after
+    the script's own time-0 steps, so they order behind whatever those
+    pushed (the reference's ``tx-done``) at an equal timestamp."""
+    # -- the real link
+    real_draws = []
+    sim, link, ends = real_link(
+        wireless, delay, losses(loss_rate, seed, real_draws))
     # -- the reference
     ref_sim, ref_draws = Simulator(), []
     ref = RefLink(ref_sim, wireless, delay, losses(loss_rate, seed, ref_draws))
@@ -331,6 +339,45 @@ def test_packets_offered_exactly_at_busy_until_match_reference(wireless):
     assert forward[0][1] == (1, free_at + airtime(1200) + delay)
     assert forward[1]["queue"] == 1 and len(forward[0]) == 6
     assert [ident for ident, _ in backward[0]] == [2, 8]
+
+
+@pytest.mark.parametrize("wireless, loss_rate", [
+    (False, 0.0), (True, 0.0), (True, 0.6), (True, 1.0),
+], ids=["wired", "wireless", "wireless-arq", "wireless-lost-on-air"])
+def test_fused_free_medium_entry_books_exactly_what_start_does(
+        wireless, loss_rate):
+    """``enqueue`` carries a copy of ``_start``'s body for a packet that
+    finds the medium free.  Twin links, the same packets: one offered
+    through ``enqueue``, one handed to ``_start`` — single-stepped, the
+    two must book the same airtime, draws, events and outcome."""
+    def twin():
+        draws = []
+        return *real_link(wireless, 0.4e-3, losses(loss_rate, 7, draws)), draws
+
+    def observe(sim, link, ends, draws):
+        direction, medium = link.forward, link.forward._medium
+        stats = direction.stats
+        return (
+            {name: getattr(stats, name) for name in stats.__slots__},
+            (medium.busy_until, medium.owner is direction, medium.handover),
+            sim.pending("arrival"), sim.pending("tx-done"), sim.heap_pushes,
+            direction._air_lost, list(draws), ends[1].received,
+        )
+
+    fused, plain = twin(), twin()
+    for seq in range(6):
+        for side, entry in ((fused, "enqueue"), (plain, "_start")):
+            sim, link, ends, _draws = side
+            assert sim.now >= link.forward._medium.busy_until  # free
+            getattr(link.forward, entry)(Packet(
+                PacketType.DATA, dst=DagAddress.host(ends[1].hid),
+                src=DagAddress.host(ends[0].hid), size_bytes=700 + 100 * seq,
+                seq=seq, payload={}))
+        assert observe(*fused) == observe(*plain)
+        while fused[0]._queue:
+            fused[0].step()
+            plain[0].step()
+            assert observe(*fused) == observe(*plain)
 
 
 def test_tracer_boundaries_are_defined_on_their_own_class_and_bound_late(

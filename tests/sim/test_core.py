@@ -77,6 +77,35 @@ def test_negative_delay_rejected():
         sim.timeout(-1.0)
 
 
+BAD_DELAYS = [-1.0, float("nan")]
+
+
+@pytest.mark.parametrize("delay", BAD_DELAYS, ids=["negative", "nan"])
+@pytest.mark.parametrize("trigger", [
+    lambda sim, event, delay: sim.timeout(delay),
+    lambda sim, event, delay: event.succeed(1, delay=delay),
+    lambda sim, event, delay: event.fail(RuntimeError("x"), delay=delay),
+    lambda sim, event, delay: sim.schedule(event, delay),
+], ids=["timeout", "succeed", "fail", "schedule"])
+def test_a_bad_delay_is_rejected_and_leaves_no_trace(trigger, delay):
+    """``nan < 0`` is False, so a ``delay < 0`` guard lets NaN onto the
+    heap, where a key that compares False both ways breaks the order;
+    and a call that is going to raise must not trigger the event first
+    (a waiter would hang and a retry raise "already triggered")."""
+    sim = Simulator()
+    fired = []
+    sim.call_at(2.0, fired.append, (2.0,))
+    event = sim.event()
+    event.callbacks.append(lambda ev: fired.append(ev.value))
+    with pytest.raises(ValueError):
+        trigger(sim, event, delay)
+    assert sim.heap_pushes == 1 and not event.triggered
+    sim.call_at(1.0, fired.append, (1.0,))
+    event.succeed("retry", delay=1.5)  # the event is still usable
+    sim.run()
+    assert fired == [1.0, "retry", 2.0]
+
+
 def test_event_double_trigger_rejected():
     sim = Simulator()
     event = sim.event()

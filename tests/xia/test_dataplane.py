@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.experiments.params import MicrobenchParams
+from repro.experiments.runner import run_download
 from repro.net import Host, Link, Network
 from repro.sim import Simulator
-from repro.util import mbps, ms
+from repro.util import MB, mbps, ms
 from repro.xia import CID, DagAddress, HID, NID
 from repro.xia.ids import PrincipalType, SID, XID
 from repro.xia.packet import Packet, PacketType
@@ -209,6 +211,50 @@ def test_decision_cache_counts_hits_and_misses():
     assert sim.fwd_cache_misses == 2
     assert sim.fwd_cache_hits == 8
     assert r1._decisions and r2._decisions
+
+
+def test_colliding_dag_hashes_get_their_own_decisions():
+    """The cache key is ``(hash of the DAG, mask)``: an entry answers
+    only for the DAG it was compiled from, so two destinations forced
+    onto one hash are a miss each — never each other's decision."""
+    sim, net, host_a, r1, r2, host_b = line_network()
+    to_b = DagAddress.host(host_b.hid, r2.nid)
+    to_a = DagAddress(host_a.hid, routes=((r1.nid,),))  # not interned
+    object.__setattr__(to_a, "_hash", hash(to_b))
+    assert to_a != to_b and hash(to_a) == hash(to_b)
+    got = {"hostA": [], "hostB": []}
+    for host in (host_a, host_b):
+        host.register_handler(
+            PacketType.CONTROL, lambda p, port, name=host.name: got[name].append(p))
+    src = DagAddress.host(r1.hid, r1.nid)
+    for dst in (to_b, to_a):
+        r1.handle_packet(
+            Packet(PacketType.CONTROL, dst=dst, src=src, payload={}), None)
+    assert (sim.fwd_cache_misses, sim.fwd_cache_hits) == (2, 0)
+    assert len(r1._decisions) == 1  # one slot: the later DAG took it over
+    r1.handle_packet(
+        Packet(PacketType.CONTROL, dst=to_a, src=src, payload={}), None)
+    assert (sim.fwd_cache_misses, sim.fwd_cache_hits) == (2, 1)
+    # The egress cache of locally-originated packets follows the rule.
+    for dst in (to_b, to_a):
+        r1.send(Packet(PacketType.CONTROL, dst=dst, src=src, payload={}))
+    sim.run()
+    assert (len(got["hostA"]), len(got["hostB"])) == (3, 2)
+    assert r1.dropped_unroutable == 0
+
+
+@pytest.mark.parametrize("system, hits, misses", [
+    ("xftp", 18774, 12), ("softstage", 26500, 16),
+])
+def test_golden_pair_forwarding_cache_counts_are_the_pre_rekey_literals(
+        system, hits, misses):
+    """Captured on the commit before the key became C-hashed ints (PR
+    23): re-keying must not turn one hit into a miss or back."""
+    result = run_download(
+        system, params=MicrobenchParams(file_size=4 * MB), seed=0, profile=True)
+    report = result.profile.report()
+    assert (report["fwd_cache_hits"], report["fwd_cache_misses"]) == (
+        hits, misses)
 
 
 def test_remove_hid_route_invalidates_and_drops():
@@ -411,7 +457,7 @@ def test_egress_cache_serves_repeat_sends_without_touching_fwd_counters():
                        src=DagAddress.host(r1.hid, r1.nid), payload={}))
     sim.run()
     assert len(got) == 4
-    assert [key for key in r1._decisions if len(key) == 3] == [(dst, 0, "egress")]
+    assert [key for key in r1._decisions if len(key) == 3] == [(hash(dst), 0, "egress")]
     # Only r2's handle_packet lookups count: one compile, three replays.
     assert (sim.fwd_cache_misses, sim.fwd_cache_hits) == (1, 3)
 
