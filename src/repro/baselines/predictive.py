@@ -79,12 +79,11 @@ class PredictiveStagingPolicy(StagingPolicy):
     """
 
     name = "predictive"
+    #: Chunks staged into the predicted network on every attach.
+    stage_window = 8
 
-    def __init__(
-        self, predictor: MobilityPredictor, stage_window: int = 8
-    ) -> None:
+    def __init__(self, predictor: MobilityPredictor) -> None:
         self.predictor = predictor
-        self.stage_window = stage_window
 
     @classmethod
     def for_scenario(

@@ -68,6 +68,10 @@ def cmd_trace_summary(args) -> None:
                 title=f"Latency breakdown [{run.run_id}]",
             ))
         print()
+    if runs.skipped:
+        names = ", ".join(f"{name}×{n}" for name, n in runs.skipped.items())
+        print(f"skipped {sum(runs.skipped.values())} unreadable record(s): "
+              f"{names}")
 
 
 @_front_door

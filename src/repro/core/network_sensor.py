@@ -30,14 +30,15 @@ class NetworkSensor:
         sim: Simulator,
         scanner: Scanner,
         controller: AssociationController,
-        gap_ewma_alpha: float = 0.3,
     ) -> None:
         self.sim = sim
         self.scanner = scanner
         self.controller = controller
         self.last_scan: list[VisibleNetwork] = []
-        self.gap_duration = EwmaEstimator(gap_ewma_alpha)
-        self.encounter_duration = EwmaEstimator(gap_ewma_alpha)
+        # Mobility statistics move slowly: weight 0.3 on the newest
+        # gap / encounter.
+        self.gap_duration = EwmaEstimator(0.3)
+        self.encounter_duration = EwmaEstimator(0.3)
         self._detached_at: Optional[float] = None
         scanner.subscribe(self._on_scan)
         controller.on_attach(self._on_attach)

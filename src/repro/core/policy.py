@@ -197,13 +197,8 @@ class StagingAction:
         return cls(ActionKind.STAGE, count=count, target=target, label=label)
 
     @classmethod
-    def resignal(
-        cls, cids: Iterable, target: Optional[str] = None,
-        label: str = "re-signal",
-    ) -> "StagingAction":
-        return cls(
-            ActionKind.RESIGNAL, target=target, cids=tuple(cids), label=label
-        )
+    def resignal(cls, cids: Iterable) -> "StagingAction":
+        return cls(ActionKind.RESIGNAL, cids=tuple(cids), label="re-signal")
 
     @classmethod
     def cancel(cls, cids: Iterable) -> "StagingAction":
@@ -369,11 +364,8 @@ class RichPrefetchPolicy(StagingPolicy):
     """
 
     name = "rich"
-
-    def __init__(self, window: int = 8) -> None:
-        if window < 1:
-            raise ConfigurationError("rich prefetch window must be >= 1")
-        self.window = window
+    #: Chunks the serving edge holds ahead of the client.
+    window = 8
 
     def _refill(self, obs: StagingObservation) -> list[StagingAction]:
         actions: list[StagingAction] = []

@@ -23,10 +23,10 @@ from repro.xia.ids import XID
 class EwmaEstimator:
     """Exponentially weighted moving average with a defined empty state."""
 
-    def __init__(self, alpha: float = 0.25, initial: Optional[float] = None) -> None:
+    def __init__(self, alpha: float = 0.25) -> None:
         check_fraction("alpha", alpha)
         self.alpha = alpha
-        self._value = initial
+        self._value: Optional[float] = None
         self.samples = 0
 
     def observe(self, sample: float) -> None:
@@ -70,7 +70,6 @@ class ChunkRecord:
     staging_latency: Optional[float] = None
     #: Bookkeeping for re-signalling lost staging requests.
     staging_requested_at: Optional[float] = None
-    staged_via: Optional[str] = None
 
     @property
     def best_dag(self) -> DagAddress:

@@ -61,7 +61,6 @@ class StagingTracker:
             )
             record.staging_state = StagingState.PENDING
             record.staging_requested_at = now
-            record.staged_via = label
             self._request_sent_at.setdefault(record.cid, now)
         request = Packet(
             PacketType.STAGE_REQUEST,
@@ -69,7 +68,6 @@ class StagingTracker:
             src=self._local_dag(),
             payload={"chunks": chunk_entries},
             size_bytes=120 + 64 * len(chunk_entries),
-            created_at=now,
         )
         self.host.send(request)
         self.signals_sent += 1

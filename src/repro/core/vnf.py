@@ -153,7 +153,6 @@ class StagingVNF:
                 "staging_latency": latency,
             },
             size_bytes=160,
-            created_at=self.sim.now,
         )
         self.router.send(response)
 

@@ -24,6 +24,9 @@ from repro.util import MB
 
 #: The paper's reported saving.
 PAPER_SAVING = 0.217
+#: The §IV-D pattern: encounters, and how long consecutive ones overlap.
+ENCOUNTER_TIME = 12.0
+OVERLAP_TIME = 3.0
 
 
 @dataclass
@@ -43,8 +46,6 @@ class HandoffComparison:
 
 def run_comparison(
     file_size: int = 64 * MB,
-    encounter_time: float = 12.0,
-    overlap_time: float = 3.0,
     seeds: Sequence[int] = (0, 1, 2),
     jobs: int = 1,
 ) -> HandoffComparison:
@@ -55,12 +56,12 @@ def run_comparison(
     seed × policy runs over worker processes (same result).
     """
     params = MicrobenchParams(
-        file_size=file_size, encounter_time=encounter_time
+        file_size=file_size, encounter_time=ENCOUNTER_TIME
     )
     coverage = overlapping_coverage(
         ["ap-A", "ap-B"],
-        encounter_time=encounter_time,
-        overlap_time=overlap_time,
+        encounter_time=ENCOUNTER_TIME,
+        overlap_time=OVERLAP_TIME,
         total_time=24 * 3600.0,
     )
     cells = run_grid(

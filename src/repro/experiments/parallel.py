@@ -18,7 +18,7 @@ to the sequential one.  Three properties deliver that:
   order regardless of completion order, so downstream aggregation
   sees the same sequence as a sequential loop;
 - the returned :class:`RunSummary` compares by simulation outcome
-  only — ``wall_seconds`` is measured but excluded from equality, so
+  only — its derived ``sketches`` are excluded from equality, so
   summary comparison is exactly "did the simulation do the same
   thing".
 
@@ -32,7 +32,6 @@ in either mode.
 from __future__ import annotations
 
 import statistics
-import time
 from concurrent import futures
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence
@@ -73,10 +72,8 @@ class SweepTask:
 class RunSummary:
     """The picklable outcome of one run.
 
-    Carries the simulation-determined figures the sweep tables need.
-    ``wall_seconds`` is host-dependent telemetry and deliberately
-    excluded from equality — two summaries are equal iff the
-    *simulations* agreed.
+    Carries the simulation-determined figures the sweep tables need;
+    two summaries are equal iff the *simulations* agreed.
     """
 
     system: str
@@ -90,11 +87,10 @@ class RunSummary:
     handoffs: int
     staging_signals: int
     policy: str = ""
-    wall_seconds: float = field(compare=False, default=0.0)
     #: Serialized sketch set (``SweepTask.sketches=True``), JSON-shaped
-    #: so the summary stays picklable.  Excluded from equality like
-    #: ``wall_seconds``: the sketches are *derived* telemetry, and the
-    #: determinism contract is over simulation outcomes.
+    #: so the summary stays picklable.  Excluded from equality: the
+    #: sketches are *derived* telemetry, and the determinism contract
+    #: is over simulation outcomes.
     sketches: Optional[dict] = field(compare=False, default=None)
 
 
@@ -107,7 +103,6 @@ def execute_task(
     """
     from repro.experiments.runner import run_download
 
-    started = time.perf_counter()
     result = run_download(
         task.system,
         params=task.params,
@@ -126,7 +121,6 @@ def execute_task(
         download_time=result.download_time,
         **result.download.counters(),
         policy=result.policy,
-        wall_seconds=time.perf_counter() - started,
         sketches=(
             result.sketches.to_json() if result.sketches is not None
             else None

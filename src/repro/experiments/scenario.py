@@ -94,10 +94,8 @@ class TestbedScenario:
         seed: int = 0,
         num_edges: int = 2,
         coverage: Optional[Coverage] = None,
-        total_time: Optional[float] = None,
         with_vnf: bool = True,
         transport_config: Optional[TransportConfig] = None,
-        softstage_config: Optional[SoftStageConfig] = None,
     ) -> None:
         self.params = params or MicrobenchParams()
         self.seed = seed
@@ -109,16 +107,15 @@ class TestbedScenario:
         self.transport_config = (transport_config or XIA_CHUNK).with_(
             migration_delay=calibration.MIGRATION_DELAY_S
         )
-        self.softstage_config = softstage_config or SoftStageConfig()
+        self.softstage_config = SoftStageConfig()
         self._client_made = False
 
         self._build_core(num_edges)
-        horizon = total_time if total_time is not None else 24 * 3600.0
         self.coverage = coverage if coverage is not None else alternating_coverage(
             [edge.ap.name for edge in self.edges],
             encounter_time=self.params.encounter_time,
             disconnection_time=self.params.disconnection_time,
-            total_time=horizon,
+            total_time=24 * 3600.0,
         )
         self._build_client()
 
@@ -154,18 +151,14 @@ class TestbedScenario:
         )
 
         # The Internet segment: latency + loss-shaped bandwidth.  Per
-        # the paper's methodology the drop rate is solved at the *raw
-        # wired* RTT (the bandwidth targets were measured "without
-        # introducing any extra latency"), so the configured Internet
-        # latency then punishes long-RTT flows on top.
+        # the paper's methodology the drop rate is the one measured at
+        # the *raw wired* RTT (the bandwidth targets were measured
+        # "without introducing any extra latency"), so the configured
+        # Internet latency then punishes long-RTT flows on top.
         shaper_rng = self.streams.stream("internet-shaper")
-        reference_rtt = 4 * calibration.WIRED_HOP_DELAY_S + 1.5e-3
         def make_shaper():
             return BandwidthShaper(
-                target_bps=params.internet_bandwidth,
-                reference_rtt=reference_rtt,
-                mss_bytes=self.transport_config.mss_bytes,
-                rng=shaper_rng,
+                target_bps=params.internet_bandwidth, rng=shaper_rng
             )
         self.internet_link = Link(
             sim,
@@ -231,7 +224,6 @@ class TestbedScenario:
             self.netjoin.announce(
                 edge.name,
                 NetworkAdvertisement(
-                    network_name=edge.name,
                     nid=edge.router.nid,
                     gateway_hid=edge.router.hid,
                     vnf_sid=edge.vnf.sid if edge.vnf is not None else None,
@@ -317,9 +309,9 @@ class TestbedScenario:
 
     # -- content -------------------------------------------------------------------
 
-    def publish_default_content(self, name: str = "payload") -> PublishedContent:
+    def publish_default_content(self) -> PublishedContent:
         return self.server.publish(
-            name, self.params.file_size, self.params.chunk_size
+            "payload", self.params.file_size, self.params.chunk_size
         )
 
     def __repr__(self) -> str:

@@ -58,7 +58,6 @@ def synthesize_traces(seed: int = 7, duration: float = 300.0):
 def run_traces(
     traces: Mapping[str, ConnectivityTrace],
     seeds: Sequence[int] = (0, 1, 2),
-    chunk_size: int = 2 * MB,
     jobs: int = 1,
 ) -> list[TraceResult]:
     """Run both systems against each connectivity trace.
@@ -76,9 +75,7 @@ def run_traces(
     every trace × seed × system run over one worker pool (same result).
     """
     file_size = 512 * MB  # effectively unbounded within the trace
-    params = MicrobenchParams(
-        file_size=file_size, chunk_size=chunk_size, internet_latency=ms(50)
-    )
+    params = MicrobenchParams(file_size=file_size, internet_latency=ms(50))
     cells = run_grid(
         [
             GridPoint(
@@ -111,10 +108,9 @@ def run_traces(
 
 def run_all(
     seeds: Sequence[int] = (0, 1, 2),
-    trace_seed: int = 7,
     duration: float = 300.0,
     jobs: int = 1,
 ) -> list[TraceResult]:
     return run_traces(
-        synthesize_traces(trace_seed, duration), seeds=seeds, jobs=jobs
+        synthesize_traces(duration=duration), seeds=seeds, jobs=jobs
     )

@@ -87,14 +87,9 @@ def _build_segment(segment: str, config: TransportConfig, seed: int):
     return sim, publisher, client_endpoint
 
 
-def run_protocol(
-    segment: str,
-    protocol: str,
-    file_size: int = 10 * MB,
-    chunk_size: int = 2 * MB,
-    seed: int = 1,
-) -> BenchmarkPoint:
-    """One bar of Fig. 5."""
+def run_protocol(segment: str, protocol: str, seed: int = 1) -> BenchmarkPoint:
+    """One bar of Fig. 5: a 10 MB transfer (XChunkP in 2 MB chunks)."""
+    file_size, chunk_size = 10 * MB, 2 * MB
     configs = {
         "linux-tcp": KERNEL_TCP,
         "xstream": XIA_STREAM,

@@ -100,19 +100,16 @@ class MetricsCollector:
         self._buses.append(bus)
         return self
 
-    def detach(self, bus: Optional[EventBus] = None) -> None:
-        """Stop listening (to ``bus``, or to every attached bus).
+    def detach(self) -> None:
+        """Stop listening to every attached bus.
 
-        Idempotent by contract: calling it twice, or for a bus this
-        collector never attached to (including with no prior
-        ``attach`` at all), is a no-op — teardown paths need no
+        Idempotent by contract: calling it twice, or with no prior
+        ``attach`` at all, is a no-op — teardown paths need no
         attach/detach bookkeeping of their own.
         """
-        buses = [bus] if bus is not None else list(self._buses)
-        for b in buses:
-            b.unsubscribe_all(self._on_event)
-            if b in self._buses:
-                self._buses.remove(b)
+        for bus in self._buses:
+            bus.unsubscribe_all(self._on_event)
+        self._buses.clear()
 
     def _on_event(self, stamped: Stamped) -> None:
         event = stamped.event
@@ -142,11 +139,6 @@ class MetricsCollector:
 
 def _on_process_failed(c: MetricsCollector, e: ev.ProcessFailed) -> None:
     c.count("sim.process_failures")
-
-
-def _on_profiler_sample(c: MetricsCollector, e: ev.ProfilerSample) -> None:
-    c.count("sim.profiler_samples")
-    c.observe("sim.queue_depth", e.depth)
 
 
 def _on_packet_dropped(c: MetricsCollector, e: ev.PacketDropped) -> None:
@@ -269,7 +261,6 @@ def _on_encounter_ended(c: MetricsCollector, e: ev.EncounterEnded) -> None:
 
 _EVENT_METRICS = {
     ev.ProcessFailed: _on_process_failed,
-    ev.ProfilerSample: _on_profiler_sample,
     ev.PacketDropped: _on_packet_dropped,
     ev.LinkStateChanged: _on_link_state,
     ev.LinkRetransmission: _on_link_rexmit,

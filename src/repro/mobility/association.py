@@ -5,7 +5,7 @@ The client owns one wireless "data" radio.  Physically we pre-create a
 *associated* to an AP means that link is up, the client's HID is
 routed in that edge network, and the client's data interface is that
 port.  The Table III note applies: layer-2 (re)association overhead is
-assumed optimized to near-zero, so ``join_overhead`` defaults to 0 —
+assumed optimized to near-zero, so joining takes no simulated time —
 the cost of moving is paid by *transport session migration*, which the
 applications trigger on the attach notification.
 """
@@ -55,7 +55,6 @@ class AssociationController:
         network: Network,
         client: Host,
         access_points: dict[str, AccessPointInfo],
-        join_overhead: float = 0.0,
     ) -> None:
         if not access_points:
             raise ConfigurationError("no access points registered")
@@ -63,7 +62,6 @@ class AssociationController:
         self.network = network
         self.client = client
         self.access_points = access_points
-        self.join_overhead = join_overhead
         self.current: Optional[Association] = None
         self.associations = 0
         self.disassociations = 0
@@ -125,10 +123,7 @@ class AssociationController:
             self._detach()
         self._joining = True
         try:
-            if self.join_overhead > 0:
-                yield self.sim.timeout(self.join_overhead)
-            else:
-                yield self.sim.timeout(0.0)
+            yield self.sim.timeout(0.0)
             self.network.attach_client(
                 self.client, self.client_port(info), info.device, info.nid
             )

@@ -25,6 +25,8 @@ from repro.util.validation import check_non_negative, check_positive
 #: A comfortable indoor/roadside RSS in dBm, used when the scenario
 #: does not care about signal dynamics.
 DEFAULT_RSS_DBM = -55.0
+#: RSS at the rim of a cell, where an overlapping window starts and ends.
+EDGE_RSS_DBM = -80.0
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,6 @@ def alternating_coverage(
     encounter_time: float,
     disconnection_time: float,
     total_time: float,
-    rss: float = DEFAULT_RSS_DBM,
 ) -> Coverage:
     """The Fig. 6 pattern: E seconds on AP_i, D seconds dark, repeat."""
     check_positive("encounter_time", encounter_time)
@@ -128,9 +129,7 @@ def alternating_coverage(
     start = 0.0
     while start < total_time:
         ap = next(ap_cycle)
-        windows.append(
-            CoverageWindow(ap, start, start + encounter_time, rss, rss)
-        )
+        windows.append(CoverageWindow(ap, start, start + encounter_time))
         start += encounter_time + disconnection_time
     return Coverage(windows)
 
@@ -140,17 +139,16 @@ def overlapping_coverage(
     encounter_time: float,
     overlap_time: float,
     total_time: float,
-    rss_peak: float = DEFAULT_RSS_DBM,
-    rss_edge: float = -80.0,
 ) -> Coverage:
     """The §IV-D handoff pattern: consecutive networks overlap.
 
     Each AP's window lasts ``encounter_time``; the next AP's window
     begins ``overlap_time`` before the current one ends.  RSS ramps up
-    from ``rss_edge`` to ``rss_peak`` over the first overlap and back
-    down over the last, so an RSS-greedy policy naturally switches
-    inside the overlap.
+    from :data:`EDGE_RSS_DBM` to :data:`DEFAULT_RSS_DBM` over the first
+    overlap and back down over the last, so an RSS-greedy policy
+    naturally switches inside the overlap.
     """
+    rss_peak, rss_edge = DEFAULT_RSS_DBM, EDGE_RSS_DBM
     check_positive("encounter_time", encounter_time)
     check_positive("overlap_time", overlap_time)
     if overlap_time >= encounter_time:

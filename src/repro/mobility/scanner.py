@@ -12,7 +12,7 @@ Network Sensor, or the baseline's greedy policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.mobility.association import AccessPointInfo, AssociationController
 from repro.mobility.coverage import Coverage
@@ -35,21 +35,21 @@ ScanListener = Callable[[list[VisibleNetwork]], None]
 
 
 class Scanner:
-    """Drives scans off a coverage timeline."""
+    """Drives scans off a coverage timeline, until it ends."""
+
+    #: Seconds between periodic scans.
+    scan_interval = 0.5
 
     def __init__(
         self,
         sim: Simulator,
         coverage: Coverage,
         controller: AssociationController,
-        scan_interval: float = 0.5,
-        horizon: Optional[float] = None,
     ) -> None:
         self.sim = sim
         self.coverage = coverage
         self.controller = controller
-        self.scan_interval = scan_interval
-        self.horizon = horizon if horizon is not None else coverage.end_time()
+        self.horizon = coverage.end_time()
         self._listeners: list[ScanListener] = []
         self.scans = 0
         self._started = False

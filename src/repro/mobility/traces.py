@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.errors import TraceFormatError
-from repro.mobility.coverage import Coverage, CoverageWindow, DEFAULT_RSS_DBM
+from repro.mobility.coverage import Coverage, CoverageWindow
 
 _MAGIC = "# softstage-trace v1"
 
@@ -61,15 +61,13 @@ class ConnectivityTrace:
 
     # -- conversion -----------------------------------------------------------
 
-    def to_coverage(
-        self, aps: Sequence[str], rss: float = DEFAULT_RSS_DBM
-    ) -> Coverage:
+    def to_coverage(self, aps: Sequence[str]) -> Coverage:
         """Map intervals onto APs round-robin (successive encounters on
         a drive are different APs, so staged content stays behind)."""
         if not aps:
             raise TraceFormatError("need at least one AP name")
         windows = [
-            CoverageWindow(aps[i % len(aps)], start, end, rss, rss)
+            CoverageWindow(aps[i % len(aps)], start, end)
             for i, (start, end) in enumerate(self.intervals)
         ]
         return Coverage(windows)

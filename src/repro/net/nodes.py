@@ -131,11 +131,10 @@ class Host(Device):
             return None
         return self.port_nids.get(port)
 
-    def send(self, packet: "Packet", port: Optional[Port] = None) -> None:
-        """Transmit on ``port`` (default: the data interface)."""
-        if port is None:
-            port = self.ports[self._active_port_index] if self.ports \
-                else self.active_port
+    def send(self, packet: "Packet") -> None:
+        """Transmit on the data interface."""
+        port = self.ports[self._active_port_index] if self.ports \
+            else self.active_port
         port.send(packet)
 
     # -- demultiplexing ---------------------------------------------------------

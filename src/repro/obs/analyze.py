@@ -58,18 +58,26 @@ class TraceRun:
         return sum(self.event_counts.values())
 
 
-def load_runs(
-    path_or_file: Union[str, IO[str]], strict: bool = False
-) -> dict[str, TraceRun]:
+class TraceRuns(dict):
+    """``{run id: TraceRun}`` in first-appearance order.  ``skipped``
+    counts the records the reader could not use, by event type name
+    (a torn final line under :data:`repro.obs.trace.TORN_LINE`)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.skipped: dict[str, int] = {}
+
+
+def load_runs(path_or_file: Union[str, IO[str]]) -> TraceRuns:
     """Split a (possibly multi-run) trace into per-run analyses.
 
-    Returns run ids in first-appearance order.  Unknown event types
-    are skipped per :func:`repro.obs.trace.read_trace` semantics.
+    Unknown event types and a torn final line are skipped per
+    :func:`repro.obs.trace.read_trace` semantics, and counted.
     """
+    runs = TraceRuns()
     stampeds_by_run: dict[str, list] = {}
-    for stamped in read_trace(path_or_file, strict=strict):
+    for stamped in read_trace(path_or_file, unknown_counts=runs.skipped):
         stampeds_by_run.setdefault(stamped.run_id, []).append(stamped)
-    runs: dict[str, TraceRun] = {}
     for run_id, stampeds in stampeds_by_run.items():
         runs[run_id] = TraceRun(
             run_id=run_id,
@@ -116,8 +124,6 @@ class ChunkBreakdown:
     source: str  # "edge" | "origin" | "fallback"
     #: signalled → VNF prefetch done (None when never signalled/staged).
     stage_wait: Optional[float]
-    #: VNF prefetch done → client fetch started.
-    ready_wait: Optional[float]
     #: client fetch start → fetch complete.
     fetch_time: float
     #: part of the staging interval overlapping coverage gaps.
@@ -135,9 +141,7 @@ def latency_breakdown(spans: Iterable[Span]) -> list[ChunkBreakdown]:
             continue
         signalled = span.phase_time("signalled")
         staged = span.phase_time("staged")
-        fetch_start = float(span.attrs.get("fetch_start", span.start))
         stage_wait = staged - signalled if signalled is not None and staged is not None else None
-        ready_wait = fetch_start - staged if staged is not None else None
         masked = (
             overlap(signalled, staged, gaps)
             if signalled is not None and staged is not None
@@ -148,7 +152,6 @@ def latency_breakdown(spans: Iterable[Span]) -> list[ChunkBreakdown]:
                 cid=span.key,
                 source=span.status,
                 stage_wait=stage_wait,
-                ready_wait=ready_wait,
                 fetch_time=float(span.attrs.get("fetch_latency", 0.0)),
                 masked=masked,
                 total=span.end - span.start,

@@ -106,14 +106,16 @@ def _describe_wide(record: dict) -> str:
 class Dashboard:
     """Folds hub items into a renderable terminal frame."""
 
-    def __init__(self, window: int = 48, tail: int = 10,
-                 alert_tail: int = 5) -> None:
-        #: Samples kept per gauge sparkline.
-        self.window = int(window)
+    #: Samples kept per gauge sparkline; wide events and alerts shown.
+    window = 48
+    tail = 10
+    alert_tail = 5
+
+    def __init__(self) -> None:
         self._series: dict[str, deque] = {}
         self._gauge_last_t: dict[str, float] = {}
-        self._tail: deque = deque(maxlen=int(tail))
-        self._alerts: deque = deque(maxlen=int(alert_tail))
+        self._tail: deque = deque(maxlen=self.tail)
+        self._alerts: deque = deque(maxlen=self.alert_tail)
         self._runs: dict[str, dict] = {}
         self.items_seen = 0
         self.wide_seen = 0
@@ -155,7 +157,8 @@ class Dashboard:
 
     # -- rendering ---------------------------------------------------------
 
-    def render(self, title: str = "repro live telemetry") -> str:
+    def render(self) -> str:
+        title = "repro live telemetry"
         lines = [title, "=" * len(title)]
         if self._runs:
             for run in sorted(self._runs):
@@ -246,7 +249,8 @@ REFRESH = 0.25
 _CLEAR = "\x1b[2J\x1b[H"
 
 
-def _paint(dash: Dashboard, out: IO[str], clear: bool) -> None:
+def _paint(dash: Dashboard, clear: bool) -> None:
+    out = sys.stdout
     if clear:
         out.write(_CLEAR)
     out.write(dash.render())
@@ -255,52 +259,36 @@ def _paint(dash: Dashboard, out: IO[str], clear: bool) -> None:
 
 
 def run_from_subscription(
-    sub: TelemetrySubscription,
-    dash: Optional[Dashboard] = None,
-    out: Optional[IO[str]] = None,
-    refresh: float = REFRESH,
-    clear: bool = True,
-    stop=None,
+    sub: TelemetrySubscription, clear: bool = True
 ) -> Dashboard:
-    """Repaint from an in-process hub subscription until the hub closes.
-
-    ``stop`` is an optional zero-argument callable polled each frame;
-    returning True ends the loop early (used by ``demo --live`` once
-    the background run finishes and the hub is drained).
-    """
-    dash = dash or Dashboard()
-    out = out or sys.stdout
+    """Repaint from an in-process hub subscription until the hub closes."""
+    dash = Dashboard()
     while True:
         drained = dash.feed_many(sub.drain())
-        _paint(dash, out, clear)
+        _paint(dash, clear)
         if sub.closed and not drained:
             return dash
-        if stop is not None and stop() and not drained:
-            return dash
-        time.sleep(refresh)
+        time.sleep(REFRESH)
 
 
 def run_from_sse(
     stream,
-    dash: Optional[Dashboard] = None,
-    out: Optional[IO[str]] = None,
     clear: bool = True,
     max_events: Optional[int] = None,
 ) -> Dashboard:
     """Repaint from an SSE byte stream until it ends (``repro watch``)."""
-    dash = dash or Dashboard()
-    out = out or sys.stdout
+    dash = Dashboard()
     painted = 0
     for topic, payload in iter_sse(stream):
         if topic == "hello":
             continue
         dash.feed(topic, payload)
         painted += 1
-        _paint(dash, out, clear)
+        _paint(dash, clear)
         if topic == "end":
             break
         if max_events is not None and painted >= max_events:
             break
     if painted == 0:
-        _paint(dash, out, clear)
+        _paint(dash, clear)
     return dash

@@ -12,7 +12,7 @@ The taxonomy, by emitting layer:
 ========== ==========================================================
 Layer      Events
 ========== ==========================================================
-sim        :class:`ProcessFailed`, :class:`ProfilerSample`
+sim        :class:`ProcessFailed`
 obs        :class:`GaugeSample` (the flight recorder's sampled gauges)
 net        :class:`PacketDropped`, :class:`LinkStateChanged`,
            :class:`LinkRetransmission`
@@ -297,22 +297,6 @@ class GaugeSample(ObsEvent):
     value: float
 
 
-# -- profiler ---------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ProfilerSample(ObsEvent):
-    """Periodic simulator health sample (every N kernel steps).
-
-    Emitted by :class:`repro.sim.profiler.SimProfiler` when sampling
-    is enabled.  Fields are deterministic (no wall-clock values) so a
-    profiled run's trace stays replay-exact.
-    """
-
-    depth: int
-    steps: int
-
-
 #: Name -> class registry used by the JSONL trace replayer.
 EVENT_TYPES: dict[str, type[ObsEvent]] = {
     cls.__name__: cls
@@ -343,7 +327,6 @@ EVENT_TYPES: dict[str, type[ObsEvent]] = {
         CoverageGap,
         EncounterEnded,
         GaugeSample,
-        ProfilerSample,
     )
 }
 

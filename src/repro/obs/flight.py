@@ -53,11 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
 
 
-#: Default sim-time sampling period (seconds).  Coarse enough that a
-#: 60-second download costs ~120 samples per gauge, fine enough to
-#: resolve the paper's multi-second encounter/gap structure.
-DEFAULT_PERIOD = 0.5
-
 #: How many trailing bus events a violation report carries.
 TIMELINE_SLICE = 16
 
@@ -65,11 +60,13 @@ TIMELINE_SLICE = 16
 class GaugeSampler:
     """Periodically samples registered gauges into the event stream."""
 
-    def __init__(self, sim: "Simulator", period: float = DEFAULT_PERIOD) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period!r}")
+    #: Simulated seconds between sample batches.  Coarse enough that a
+    #: 60-second download costs ~120 samples per gauge, fine enough to
+    #: resolve the paper's multi-second encounter/gap structure.
+    period = 0.5
+
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.period = float(period)
         self._gauges: list[tuple[str, Callable[[], float]]] = []
         self._names: set[str] = set()
         self._process = None
@@ -470,7 +467,6 @@ def _utilization_gauge(direction, sim) -> Callable[[], float]:
 def install_flight_recorder(
     scenario: "TestbedScenario",
     manager: Optional["StagingManager"] = None,
-    period: float = DEFAULT_PERIOD,
 ) -> GaugeSampler:
     """Register the standard gauge set for one testbed and start sampling.
 
@@ -499,7 +495,7 @@ def install_flight_recorder(
     from repro.xia.packet import packet_pool_stats
 
     sim = scenario.sim
-    sampler = GaugeSampler(sim, period=period)
+    sampler = GaugeSampler(sim)
 
     for edge in scenario.edges:
         store = edge.store

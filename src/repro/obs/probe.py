@@ -17,8 +17,6 @@ is never even constructed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs.bus import EventBus, Stamped
 from repro.obs.events import ObsEvent
 
@@ -28,15 +26,10 @@ class Probe:
 
     __slots__ = ("sim", "bus", "run_id")
 
-    def __init__(
-        self,
-        sim,
-        bus: Optional[EventBus] = None,
-        run_id: str = "run",
-    ) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.bus = bus if bus is not None else EventBus()
-        self.run_id = run_id
+        self.bus = EventBus()
+        self.run_id = "run"
 
     @property
     def active(self) -> bool:

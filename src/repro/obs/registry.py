@@ -321,7 +321,7 @@ def diff_payload(a: RunRecord, b: RunRecord, deltas: list[MetricDelta]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def record_from_result(result, kind: str = "download") -> tuple[str, dict, dict]:
+def record_from_result(result) -> tuple[str, dict, dict]:
     """(run_id, metrics, gauges) for one ExperimentResult.
 
     Gauge timelines come out of the result's collector under the

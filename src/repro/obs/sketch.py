@@ -365,8 +365,7 @@ class SketchRecorder:
     streams, so fixed-seed runs serialize identically.
     """
 
-    def __init__(self, compression: int = DEFAULT_COMPRESSION) -> None:
-        self.compression = compression
+    def __init__(self) -> None:
         self.sketches: dict = {}
         self.gauge_samples = 0
         self.wide_records = 0
@@ -395,7 +394,7 @@ class SketchRecorder:
     def _quantile(self, name: str) -> QuantileSketch:
         sketch = self.sketches.get(name)
         if sketch is None:
-            sketch = self.sketches[name] = QuantileSketch(self.compression)
+            sketch = self.sketches[name] = QuantileSketch()
         return sketch
 
     def _on_gauge(self, stamped: Stamped) -> None:
@@ -430,15 +429,14 @@ class SketchRecorder:
         return serialize_sketches(self.sketches)
 
 
-def sketches_from_wide(records: Iterable[dict],
-                       compression: int = DEFAULT_COMPRESSION) -> dict:
+def sketches_from_wide(records: Iterable[dict]) -> dict:
     """Offline fold: wide-event records → live sketch set.
 
     The same fold as a live :class:`SketchRecorder` wide sink, so
     sketches computed from a replayed wide file equal the live run's
     (the ``runs why`` determinism contract).
     """
-    recorder = SketchRecorder(compression)
+    recorder = SketchRecorder()
     for record in records:
         recorder.feed_wide(record)
     return recorder.sketches

@@ -122,7 +122,7 @@ class SLO:
             else value <= self.threshold
 
 
-def parse_slo(spec: str, window_s: Optional[float] = None) -> SLO:
+def parse_slo(spec: str) -> SLO:
     """Parse one spec line (see the module docstring for the grammar)."""
     match = _SPEC_RE.match(spec)
     if match is None:
@@ -138,11 +138,7 @@ def parse_slo(spec: str, window_s: Optional[float] = None) -> SLO:
         agg=agg,
         op=match.group("op"),
         threshold=float(match.group("threshold")),
-        window_s=(
-            float(window) if window is not None
-            else window_s if window_s is not None
-            else DEFAULT_WINDOW_S
-        ),
+        window_s=float(window) if window is not None else DEFAULT_WINDOW_S,
     )
 
 
@@ -396,7 +392,7 @@ class LiveSLOEvaluator:
     ``(topic, payload)`` hub item, updates the matching SLOs' sliding
     windows (keyed by *simulated* time, so replayed traffic judges
     identically), and fires an :class:`AlertRecord` on every
-    ok→violating transition.  Alerts go to ``sinks`` — typically the
+    ok→violating transition.  Alerts go to ``sinks`` — the
     :class:`AlertLog` and a hub ``alert`` publish, wired up by
     :meth:`start`.
 
@@ -416,13 +412,9 @@ class LiveSLOEvaluator:
     run (asserted under the strict invariant auditor).
     """
 
-    def __init__(
-        self,
-        slos: Sequence[SLO] = DEFAULT_SLOS,
-        sinks: Optional[list[Callable[[AlertRecord], None]]] = None,
-    ) -> None:
+    def __init__(self, slos: Sequence[SLO] = DEFAULT_SLOS) -> None:
         self.slos = tuple(slos)
-        self.sinks = list(sinks or [])
+        self.sinks: list[Callable[[AlertRecord], None]] = []
         self.alerts: list[AlertRecord] = []
         self.items_seen = 0
         self._windows: dict[str, deque] = {

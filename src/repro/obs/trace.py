@@ -267,16 +267,15 @@ def read_trace(
             yield Stamped(time, run_id, event)
 
 
-def replay_trace(path_or_file: Union[str, IO[str]], collector=None):
-    """Replay a JSONL trace into a :class:`MetricsCollector`.
+def replay_trace(path_or_file: Union[str, IO[str]]):
+    """Replay a JSONL trace into a fresh :class:`MetricsCollector`.
 
     Returns the collector; its ``report()`` equals the one a live
     collector attached during the traced run would have produced.
     """
-    if collector is None:
-        from repro.metrics.collector import MetricsCollector
+    from repro.metrics.collector import MetricsCollector
 
-        collector = MetricsCollector()
+    collector = MetricsCollector()
     bus = EventBus()
     collector.attach(bus)
     for stamped in read_trace(path_or_file):

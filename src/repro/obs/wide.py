@@ -321,26 +321,22 @@ class WideEventStream:
 
 
 def derive_wide(
-    stampeds: Iterable[Stamped],
-    sinks: Optional[list[WideSink]] = None,
-    run_id: Optional[str] = None,
+    stampeds: Iterable[Stamped], run_id: Optional[str] = None
 ) -> list[dict]:
     """Offline derivation: stamped events → wide-event records.
 
     ``run_id`` restricts to one run; the default processes every run
     in stream order (sequential-run traces, see
-    :class:`WideEventStream`).  Returns the records (they also go to
-    ``sinks``, in the same order).
+    :class:`WideEventStream`).
     """
     records: list[dict] = []
-    all_sinks = [records.append] + list(sinks or [])
     if run_id is not None:
-        builder = WideEventBuilder(run_id=run_id, sinks=all_sinks)
+        builder = WideEventBuilder(run_id=run_id, sinks=[records.append])
         for stamped in stampeds:
             builder.feed(stamped)
         builder.finish()
     else:
-        stream = WideEventStream(sinks=all_sinks)
+        stream = WideEventStream(sinks=[records.append])
         for stamped in stampeds:
             stream.feed(stamped)
         stream.finish()

@@ -52,15 +52,15 @@ def fingerprint() -> str:
     )
 
 
-def bench_path(kind: str, directory: Optional[str] = None) -> str:
+def bench_path(kind: str) -> str:
     """Where ``BENCH_{kind}.json`` lives (``REPRO_BENCH_DIR`` or cwd)."""
-    directory = directory or os.environ.get("REPRO_BENCH_DIR") or "."
+    directory = os.environ.get("REPRO_BENCH_DIR") or "."
     return os.path.join(directory, f"BENCH_{kind}.json")
 
 
-def load(kind: str, directory: Optional[str] = None) -> dict:
+def load(kind: str) -> dict:
     """The recorded trajectory (``{"kind": ..., "entries": [...]}``)."""
-    path = bench_path(kind, directory)
+    path = bench_path(kind)
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -70,18 +70,13 @@ def load(kind: str, directory: Optional[str] = None) -> dict:
     return payload
 
 
-def record(
-    kind: str,
-    metrics: dict,
-    label: str = "",
-    directory: Optional[str] = None,
-) -> dict:
+def record(kind: str, metrics: dict, label: str = "") -> dict:
     """Append one measurement entry and rewrite ``BENCH_{kind}.json``.
 
     ``metrics`` must be JSON-serialisable (numbers, strings).  Returns
     the full payload after the append.
     """
-    payload = load(kind, directory)
+    payload = load(kind)
     payload["kind"] = kind
     payload["entries"].append(
         {
@@ -92,7 +87,7 @@ def record(
         }
     )
     payload["entries"] = payload["entries"][-HISTORY_LIMIT:]
-    path = bench_path(kind, directory)
+    path = bench_path(kind)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -102,7 +97,6 @@ def record(
 def baseline(
     kind: str,
     metric: str,
-    directory: Optional[str] = None,
     same_machine: bool = True,
     mode: str = "max",
 ) -> Optional[float]:
@@ -118,7 +112,7 @@ def baseline(
     pushes per packet.  Returns ``None`` when no eligible entry holds
     the metric — i.e. no baseline exists yet.
     """
-    entries = load(kind, directory)["entries"]
+    entries = load(kind)["entries"]
     me = fingerprint()
     values = [
         entry["metrics"][metric]
@@ -140,7 +134,6 @@ def check_regression(
     metric: str,
     current: float,
     allowed_drop: float = 0.30,
-    directory: Optional[str] = None,
     same_machine: bool = True,
     higher_is_better: bool = True,
 ) -> tuple[bool, Optional[float]]:
@@ -153,7 +146,6 @@ def check_regression(
     base = baseline(
         kind,
         metric,
-        directory,
         same_machine=same_machine,
         mode="max" if higher_is_better else "min",
     )

@@ -147,16 +147,10 @@ class Event:
 
 
 class Simulator:
-    """The event loop.
+    """The event loop; :attr:`now` starts at 0.0 seconds."""
 
-    Parameters
-    ----------
-    initial_time:
-        Starting value of :attr:`now` (seconds).
-    """
-
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         #: Heap of ``(when, priority, seq, event)`` and, from :meth:`call_at`,
         #: ``(when, priority, seq, None, callback, args, name)`` entries;
         #: ``seq`` is unique, so comparison stops before the fourth field.

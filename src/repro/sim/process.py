@@ -36,10 +36,10 @@ class Process(Event):
 
     __slots__ = ("_generator", "_target")
 
-    def __init__(self, sim: Simulator, generator: Generator, name: str = "") -> None:
+    def __init__(self, sim: Simulator, generator: Generator) -> None:
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(sim, name=name or getattr(generator, "__name__", ""))
+        super().__init__(sim, name=getattr(generator, "__name__", ""))
         self._generator = generator
         self._target: Optional[Event] = None
         # Kick the process off via an immediate, fire-and-forget step.

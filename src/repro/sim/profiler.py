@@ -13,11 +13,8 @@ scale: processes profile under ``process:<generator name>`` (e.g.
 ``event:rto``, ``event:timeout`` — falling back to the class name for
 unnamed ones (``event:Event``).
 
-With ``sample_interval`` set, the profiler also emits a deterministic
-:class:`~repro.obs.events.ProfilerSample` (queue depth + step count)
-through the simulator's probe every N steps, so queue-depth evolution
-lands in JSONL traces next to everything else — wall-clock numbers
-deliberately stay out of the event stream to keep traces replay-exact.
+Wall-clock numbers stay out of the event stream, so traces remain
+replay-exact with a profiler installed.
 
 Usage::
 
@@ -31,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.events import ProfilerSample
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Process
 from repro.xia import packet as packet_mod
@@ -53,15 +49,8 @@ class HandlerStats:
 class SimProfiler:
     """Kernel-fed wall-clock and queue profiler for one simulator."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        sample_interval: int = 0,
-    ) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        #: Emit a ProfilerSample through ``sim.probe`` every N steps
-        #: (0 disables sampling).
-        self.sample_interval = int(sample_interval)
         self.steps = 0
         self.max_depth = 0
         self._depth_sum = 0
@@ -121,11 +110,6 @@ class SimProfiler:
         self._depth_sum += depth
         if depth > self.max_depth:
             self.max_depth = depth
-        interval = self.sample_interval
-        if interval and self.steps % interval == 0:
-            probe = self.sim.probe
-            if probe.active:
-                probe.emit(ProfilerSample(depth=depth, steps=self.steps))
 
     # -- results -----------------------------------------------------------
 

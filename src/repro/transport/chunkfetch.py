@@ -36,12 +36,7 @@ class FetchOutcome:
     cid: XID
     bytes_received: int
     duration: float
-    request_attempts: int
     served_by_hid: Optional[XID]
-    served_by_nid: Optional[XID]
-    #: Time from (final) request to first data packet — the client's
-    #: working estimate of the RTT to wherever the chunk came from.
-    first_data_latency: float
     #: The received (and CID-verified) chunk object, when the transfer
     #: carried one.
     chunk: Optional[object] = None
@@ -68,7 +63,7 @@ class ChunkFetcher:
         self.fetches_completed = 0
         self.fetches_failed = 0
 
-    def fetch(self, address: DagAddress, local_dag: Optional[DagAddress] = None):
+    def fetch(self, address: DagAddress):
         """Process: fetch the chunk at ``address``; returns FetchOutcome.
 
         Yields inside a simulation process.  Raises
@@ -85,7 +80,6 @@ class ChunkFetcher:
         receiver = self.endpoint.open_receiver(session_id, config=config)
 
         attempts = 0
-        last_request_at = started_at
         while not receiver.started.triggered:
             if self.wait_for_connectivity is not None:
                 gate = self.wait_for_connectivity()
@@ -100,13 +94,11 @@ class ChunkFetcher:
                     f"after {attempts} attempts"
                 )
             attempts += 1
-            last_request_at = self.sim.now
-            self._send_request(address, session_id, local_dag)
+            self._send_request(address, session_id)
             yield self.sim.any_of(
                 [receiver.started, self.sim.timeout(config.request_timeout)]
             )
 
-        first_data_latency = self.sim.now - last_request_at
         yield receiver.done
         meta = receiver.first_data_meta or {}
 
@@ -126,30 +118,20 @@ class ChunkFetcher:
             cid=address.intent,
             bytes_received=receiver.bytes_received,
             duration=self.sim.now - started_at,
-            request_attempts=attempts,
             served_by_hid=meta.get("server_hid"),
-            served_by_nid=meta.get("server_nid"),
-            first_data_latency=first_data_latency,
             chunk=chunk,
         )
 
-    def _send_request(
-        self,
-        address: DagAddress,
-        session_id: int,
-        local_dag: Optional[DagAddress],
-    ) -> None:
+    def _send_request(self, address: DagAddress, session_id: int) -> None:
         host = self.endpoint.host
-        if local_dag is None:
-            nid = getattr(host, "nid", None) or getattr(host, "current_nid", None)
-            local_dag = DagAddress.host(host.hid, nid)
+        nid = getattr(host, "nid", None) or getattr(host, "current_nid", None)
+        local_dag = DagAddress.host(host.hid, nid)
         request = Packet.acquire(
             PacketType.CHUNK_REQUEST,
             dst=address,
             src=local_dag,
             payload={"session": session_id},
             size_bytes=self.config.ack_bytes + 40,
-            created_at=self.sim.now,
         )
         host.send(request)
 
@@ -208,11 +190,7 @@ class CacheDaemon:
             dst=packet.src,
             src=self._local_dag(),
             total_bytes=chunk.size_bytes,
-            meta={
-                "chunk": chunk,
-                "server_hid": self.node.hid,
-                "server_nid": self.nid,
-            },
+            meta={"chunk": chunk, "server_hid": self.node.hid},
         )
         if already_running:
             # A re-sent request: the client may have moved before any

@@ -60,14 +60,13 @@ class TransportEndpoint:
         src: DagAddress,
         total_bytes: int,
         meta: Optional[dict[str, Any]] = None,
-        config: Optional[TransportConfig] = None,
     ) -> "SenderSession":
         """Begin streaming ``total_bytes`` to ``dst``; idempotent per id."""
         existing = self.senders.get(session_id)
         if existing is not None:
             return existing
         session = SenderSession(
-            self, session_id, dst, src, total_bytes, meta or {}, config or self.config
+            self, session_id, dst, src, total_bytes, meta or {}, self.config
         )
         self.senders[session_id] = session
         self.host.register_session(session_id, session.on_packet)
@@ -296,7 +295,6 @@ class SenderSession:
             size_bytes=payload_bytes + config.header_bytes,
             session_id=self.session_id,
             seq=seq,
-            created_at=self.sim._now,
         )
         if retransmit:
             self.retransmissions += 1
@@ -457,7 +455,6 @@ class SenderSession:
             payload={"session": self.session_id},
             size_bytes=self.config.ack_bytes,
             session_id=self.session_id,
-            created_at=self.sim.now,
         )
         self.endpoint.host.send(ack)
         if self.done.triggered or already_here:
@@ -589,7 +586,6 @@ class ReceiverSession:
             payload={"ack": self.highest_inorder},
             size_bytes=self.config.ack_bytes,
             session_id=self.session_id,
-            created_at=self.sim._now,
         )
         self.endpoint.host.send(ack)
 
@@ -618,7 +614,6 @@ class ReceiverSession:
                 payload={"new_dag": new_local_dag, "session": self.session_id},
                 size_bytes=self.config.ack_bytes,
                 session_id=self.session_id,
-                created_at=self.sim.now,
             )
             self.endpoint.host.send(packet)
             yield self.sim.any_of(

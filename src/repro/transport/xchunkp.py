@@ -10,7 +10,7 @@ adds connectivity awareness on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim import Simulator
 from repro.transport.chunkfetch import ChunkFetcher, FetchOutcome
@@ -25,7 +25,6 @@ class ChunkedDownloadResult:
 
     bytes_received: int
     duration: float
-    chunk_outcomes: list[FetchOutcome] = field(default_factory=list)
 
     @property
     def throughput_bps(self) -> float:
@@ -47,16 +46,13 @@ class XChunkPClient:
     def download(self, content: PublishedContent):
         """Process: fetch all chunks in order; returns the result."""
         started = self.sim.now
-        outcomes: list[FetchOutcome] = []
         total = 0
         for address in content.addresses:
             outcome: FetchOutcome = yield self.sim.process(
                 self.fetcher.fetch(address)
             )
-            outcomes.append(outcome)
             total += outcome.bytes_received
         return ChunkedDownloadResult(
             bytes_received=total,
             duration=self.sim.now - started,
-            chunk_outcomes=outcomes,
         )

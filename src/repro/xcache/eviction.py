@@ -123,8 +123,8 @@ class LfuEviction(EvictionPolicy):
 class RandomEviction(EvictionPolicy):
     """Evict a uniformly random chunk."""
 
-    def __init__(self, rng: Optional[random.Random] = None) -> None:
-        self._rng = rng or random.Random(0)
+    def __init__(self) -> None:
+        self._rng = random.Random(0)
         self._members: set[XID] = set()
 
     def on_insert(self, cid: XID, now: float) -> None:

@@ -28,7 +28,6 @@ class ContentStore:
         capacity_bytes: float = float("inf"),
         eviction: Optional[EvictionPolicy] = None,
         clock=None,
-        verify_on_insert: bool = True,
         probe: Optional["Probe"] = None,
         name: str = "store",
     ) -> None:
@@ -37,7 +36,6 @@ class ContentStore:
         self.capacity_bytes = capacity_bytes
         self.eviction = eviction or LruEviction()
         self._clock = clock or (lambda: 0.0)
-        self.verify_on_insert = verify_on_insert
         #: Optional instrumentation probe (stores are not tied to a
         #: simulator, so the wiring code passes ``sim.probe`` in).
         self.probe = probe
@@ -95,7 +93,7 @@ class ContentStore:
         chunk cannot fit (bigger than capacity or everything pinned)."""
         if chunk.cid.principal_type is not PrincipalType.CID:
             raise ConfigurationError("store keys must be CIDs")
-        if self.verify_on_insert and not chunk.verify():
+        if not chunk.verify():
             raise ChunkIntegrityError(
                 f"chunk {chunk!r} failed integrity verification"
             )

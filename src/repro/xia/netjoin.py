@@ -22,8 +22,6 @@ from repro.xia.ids import PrincipalType, XID
 class NetworkAdvertisement:
     """One access network's NetJoin beacon payload."""
 
-    #: SSID-level name the client sees.
-    network_name: str
     nid: XID
     #: HID of the gateway/XCache router of this network.
     gateway_hid: XID

@@ -170,7 +170,6 @@ class Packet:
         "seq",
         "visited_mask",
         "hop_count",
-        "created_at",
         "trace",
         "_pooled",
         "_released",
@@ -185,7 +184,6 @@ class Packet:
         size_bytes: int = XIA_HEADER_BYTES,
         session_id: Optional[int] = None,
         seq: int = 0,
-        created_at: float = 0.0,
     ) -> None:
         if size_bytes < XIA_HEADER_BYTES:
             size_bytes = XIA_HEADER_BYTES
@@ -201,7 +199,6 @@ class Packet:
         #: satisfied along the DAG (updated by routers).
         self.visited_mask = 0
         self.hop_count = 0
-        self.created_at = created_at
         #: Node names traversed (``None`` unless TRACE_PACKETS was set
         #: when the packet was created).
         self.trace: Optional[list[str]] = [] if TRACE_PACKETS else None
@@ -220,7 +217,6 @@ class Packet:
         size_bytes: int = XIA_HEADER_BYTES,
         session_id: Optional[int] = None,
         seq: int = 0,
-        created_at: float = 0.0,
     ) -> "Packet":
         """A packet from the free list (or a fresh one).
 
@@ -245,14 +241,13 @@ class Packet:
             packet.seq = seq
             packet.visited_mask = 0
             packet.hop_count = 0
-            packet.created_at = created_at
             packet.trace = [] if TRACE_PACKETS else None
             packet._released = False
             return packet
         pool_allocs += 1
         packet = cls(
             ptype, dst, src, payload=payload, size_bytes=size_bytes,
-            session_id=session_id, seq=seq, created_at=created_at,
+            session_id=session_id, seq=seq,
         )
         packet._pooled = True
         return packet

@@ -110,7 +110,6 @@ class XIARouter(Host):
         hid: XID,
         nid: XID,
         processing: Optional["ProcessingModel"] = None,
-        content_store: Optional["ContentStore"] = None,
     ) -> None:
         super().__init__(sim, name, hid, processing=processing)
         if nid.principal_type is not PrincipalType.NID:
@@ -118,7 +117,7 @@ class XIARouter(Host):
         self.nid = nid
         self.engine = ForwardingEngine()
         self.engine.on_change = self._invalidate_decisions
-        self._content_store: Optional["ContentStore"] = content_store
+        self._content_store: Optional["ContentStore"] = None
         self._cid_request_handler: Optional[
             Callable[["Packet", Port], None]
         ] = None
@@ -171,16 +170,13 @@ class XIARouter(Host):
 
     # -- sending (locally originated packets) -----------------------------------
 
-    def send(self, packet: "Packet", port: Optional[Port] = None) -> None:
+    def send(self, packet: "Packet") -> None:
         """Route a locally-originated packet out the right port.
 
         Unlike plain hosts, a router picks the egress by consulting its
         own forwarding engine (cache responses leave toward whichever
         network the client is in).
         """
-        if port is not None:
-            port.send(packet)
-            return
         out = self._route(packet)
         if out is None:
             self.dropped_unroutable += 1

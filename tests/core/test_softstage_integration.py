@@ -90,13 +90,13 @@ def test_cross_network_fetch_from_previous_edge():
     scenario = TestbedScenario(params=params, seed=3)
     result, client = run_softstage(scenario)
     assert result.completed
-    nids = {
-        outcome.served_by_nid
+    hids = {
+        outcome.served_by_hid
         for outcome in result.outcomes
-        if outcome.served_by_nid is not None
+        if outcome.served_by_hid is not None
     }
-    edge_nids = {edge.router.nid for edge in scenario.edges}
-    served_from_edges = nids & edge_nids
+    edge_hids = {edge.router.hid for edge in scenario.edges}
+    served_from_edges = hids & edge_hids
     # Chunks came from at least one edge; with an 8s/2s pattern the
     # client moved while staged chunks remained behind, so at least one
     # fetch crossed networks (served from an edge we were not in, or
@@ -104,7 +104,7 @@ def test_cross_network_fetch_from_previous_edge():
     assert served_from_edges
     cross = [
         outcome for outcome in result.outcomes
-        if outcome.served_by_nid in edge_nids
+        if outcome.served_by_hid in edge_hids
     ]
     assert cross
 

@@ -172,6 +172,29 @@ _TRACE_COMMANDS = {
 }
 
 
+def test_cli_trace_summary_reports_what_the_reader_skipped(tmp_path, capsys):
+    """A clean trace's summary says nothing about skipped records; an
+    unknown event type and a torn last line are counted on one line."""
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text(_TRACE_LINES)
+    assert main(["trace", "summary", str(clean)]) == 0
+    clean_out = capsys.readouterr().out
+    assert "skipped" not in clean_out
+
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text(
+        _TRACE_LINES
+        + '{"t":2.5,"run":"r0","type":"ProfilerSample","depth":3,"steps":2}\n'
+        + '{"t":2.6,"run":"r0","type":"ProfilerSample","depth":1,"steps":4}\n'
+        + '{"t":3.0,"run":"r0","ty'
+    )
+    with pytest.warns(UserWarning):
+        assert main(["trace", "summary", str(torn)]) == 0
+    assert capsys.readouterr().out == clean_out + (
+        "skipped 3 unreadable record(s): ProfilerSample×2, <torn line>×1\n"
+    )
+
+
 def _exit_message(argv):
     """What a failing command prints: ``SystemExit`` with a string is
     that string on stderr and status 1."""

@@ -207,5 +207,5 @@ def test_run_download_keeps_shedding_knobs_nobody_turns():
     import inspect
 
     parameters = inspect.signature(run_download).parameters
-    assert "gauge_period" not in parameters  # never passed; DEFAULT_PERIOD
+    assert "gauge_period" not in parameters  # never passed; GaugeSampler.period
     assert len(parameters) == 19

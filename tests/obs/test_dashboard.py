@@ -66,14 +66,14 @@ def test_empty_dashboard_renders_placeholders():
 
 
 def test_tail_is_bounded_and_drop_counter_lands_in_the_frame():
-    dash = Dashboard(tail=3)
-    for i in range(10):
+    dash = Dashboard()
+    for i in range(Dashboard.tail + 5):
         dash.feed("wide", {"kind": "chunk", "cid": f"c{i}",
                            "t_fetched": float(i)})
-    dash.feed("end", {"published": 10, "dropped": 7})
+    dash.feed("end", {"published": 15, "dropped": 7})
     frame = dash.render()
-    assert "c9" in frame and "c0" not in frame  # only the newest kept
-    assert dash.wide_seen == 10
+    assert "c14" in frame and "c4" not in frame  # only the newest kept
+    assert dash.wide_seen == 15
     assert "dropped=7" in frame
 
 
@@ -107,32 +107,32 @@ def test_iter_sse_joins_multiline_data_and_defaults_the_event():
     assert list(iter_sse(io.BytesIO(wire))) == [("message", {"a": 1})]
 
 
-def test_run_from_sse_paints_until_end():
+def test_run_from_sse_paints_until_end(capsys):
     wire = b"".join([
         sse_format("hello", {"live": True}),
         sse_format("gauge", {"run": "r", "t": 0.0,
                              "gauge": "staging.lead_bytes", "v": 1.0}),
         sse_format("end", {"published": 1, "dropped": 0}),
     ])
-    out = io.StringIO()
-    dash = run_from_sse(io.BytesIO(wire), out=out, clear=False)
+    dash = run_from_sse(io.BytesIO(wire), clear=False)
+    painted = capsys.readouterr().out
     assert dash.items_seen == 2  # hello frames are not items
-    assert "staging.lead_bytes" in out.getvalue()
-    assert "dropped=0" in out.getvalue()
+    assert "staging.lead_bytes" in painted
+    assert "dropped=0" in painted
 
 
 def test_alert_pane_appears_only_once_alerts_arrive():
-    dash = Dashboard(alert_tail=2)
+    dash = Dashboard()
     assert "SLO alerts" not in dash.render()
-    for t in (3.0, 5.0, 9.0):
+    for t in range(1, Dashboard.alert_tail + 2):
         dash.feed("alert", {
-            "t": t, "run": "demo-seed0", "slo": "gain >= 1.2",
+            "t": float(t), "run": "demo-seed0", "slo": "gain >= 1.2",
             "value": 1.1, "burn_rate": 1.0,
         })
     frame = dash.render()
-    assert "SLO alerts (3 total):" in frame
+    assert "SLO alerts (6 total):" in frame
     assert "demo-seed0: gain >= 1.2" in frame
     assert "observed=1.1" in frame
-    # alert_tail bounds the pane: the t=3 alert scrolled off.
-    assert "t=        5" in frame and "t=        3" not in frame
-    assert "alerts=3" in frame  # footer counter
+    # alert_tail bounds the pane: the t=1 alert scrolled off.
+    assert "t=        2" in frame and "t=        1" not in frame
+    assert "alerts=6" in frame  # footer counter

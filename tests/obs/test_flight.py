@@ -48,19 +48,19 @@ def test_sampler_emits_each_gauge_every_period():
     sim.probe.run_id = "r"
     collector = _collected(sim)
     state = {"x": 0.0}
-    sampler = GaugeSampler(sim, period=1.0)
+    sampler = GaugeSampler(sim)
     sampler.register("test.x", lambda: state["x"])
     sampler.start()
 
     def bump():
         while True:
             state["x"] += 1.0
-            yield sim.timeout(1.0)
+            yield sim.timeout(GaugeSampler.period)
 
     sim.process(bump())
-    sim.run(until=3.5)
+    sim.run(until=1.75)
     series = collector.series("gauge.r.test.x")
-    assert list(series) == [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+    assert list(series) == [(0.0, 0.0), (0.5, 1.0), (1.0, 2.0), (1.5, 3.0)]
     assert sampler.samples_taken == 4
 
 
@@ -71,14 +71,9 @@ def test_sampler_rejects_duplicate_gauge_names():
         sampler.register("a", lambda: 1.0)
 
 
-def test_sampler_rejects_nonpositive_period():
-    with pytest.raises(ValueError):
-        GaugeSampler(Simulator(), period=0.0)
-
-
 def test_sampler_is_silent_without_subscribers():
     sim = Simulator()
-    sampler = GaugeSampler(sim, period=1.0)
+    sampler = GaugeSampler(sim)
     calls = []
     sampler.register("g", lambda: calls.append(1) or 0.0)
     sampler.start()
@@ -92,10 +87,10 @@ def test_start_is_idempotent():
     sim = Simulator()
     sim.probe.run_id = "r"
     collector = _collected(sim)
-    sampler = GaugeSampler(sim, period=1.0).register("g", lambda: 1.0)
+    sampler = GaugeSampler(sim).register("g", lambda: 1.0)
     sampler.start()
     sampler.start()
-    sim.run(until=2.5)
+    sim.run(until=1.25)
     assert len(collector.series("gauge.r.g")) == 3  # not doubled
 
 
@@ -380,7 +375,7 @@ def test_injected_cache_fault_is_caught_in_a_real_scenario():
     scenario.sim.probe.run_id = "fault"
     _collected(scenario.sim)
     auditor = InvariantAuditor(strict=False).attach(scenario.sim.probe.bus)
-    install_flight_recorder(scenario, period=0.5)
+    install_flight_recorder(scenario)
     store = scenario.edges[0].store
 
     def corrupt():

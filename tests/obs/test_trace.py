@@ -126,6 +126,30 @@ def test_read_trace_skips_unknown_event_types_with_warning():
     assert counts == {"QuantumTeleport": 1}
 
 
+def test_read_trace_skips_a_deleted_event_type_from_an_old_trace():
+    """Backward compatibility is the same rule as forward: a trace
+    recorded when ``ProfilerSample`` existed still loads — its lines
+    are skipped with one warning between them, and counted."""
+    import warnings as warnings_mod
+
+    text = (
+        '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"}\n'
+        '{"t":1.5,"run":"r0","type":"ProfilerSample","depth":3,"steps":2}\n'
+        '{"t":2.5,"run":"r0","type":"ProfilerSample","depth":1,"steps":4}\n'
+        '{"t":3.0,"run":"r0","type":"CacheMiss","store":"s","cid":"c"}\n'
+    )
+    counts = {}
+    with warnings_mod.catch_warnings(record=True) as caught:
+        warnings_mod.simplefilter("always")
+        restored = list(read_trace(io.StringIO(text), unknown_counts=counts))
+    assert [type(s.event).__name__ for s in restored] == ["CacheHit", "CacheMiss"]
+    assert [str(w.message) for w in caught] == [
+        "skipping unknown event type 'ProfilerSample' "
+        "(trace written by a newer version?)"
+    ]
+    assert counts == {"ProfilerSample": 2}
+
+
 def test_read_trace_strict_raises_on_unknown_type():
     import pytest
 

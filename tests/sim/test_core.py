@@ -10,10 +10,6 @@ def test_initial_time_defaults_to_zero():
     assert Simulator().now == 0.0
 
 
-def test_initial_time_can_be_set():
-    assert Simulator(initial_time=42.5).now == 42.5
-
-
 def test_run_empty_queue_returns_none():
     sim = Simulator()
     assert sim.run() is None
@@ -27,7 +23,8 @@ def test_run_until_timestamp_advances_clock():
 
 
 def test_run_until_past_timestamp_raises():
-    sim = Simulator(initial_time=5.0)
+    sim = Simulator()
+    sim.run(until=5.0)
     with pytest.raises(ValueError):
         sim.run(until=1.0)
 

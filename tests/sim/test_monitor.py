@@ -3,7 +3,6 @@
 import pytest
 
 from repro.metrics.collector import MetricsCollector
-from repro.obs.bus import EventBus
 from repro.obs.events import CacheMiss
 from repro.obs.probe import Probe
 from repro.sim import Monitor, Simulator, TimeSeries
@@ -79,18 +78,16 @@ def test_detach_twice_is_a_noop():
 def test_detach_without_attach_is_a_noop():
     collector = MetricsCollector()
     collector.detach()  # never attached at all
-    collector.detach(EventBus())  # nor to this specific bus
     assert collector.counters == {}
 
 
-def test_detach_specific_bus_leaves_others_attached():
+def test_detach_stops_every_attached_bus():
     probe_a, probe_b = Probe(Simulator()), Probe(Simulator())
     collector = MetricsCollector().attach(probe_a.bus).attach(probe_b.bus)
-    collector.detach(probe_a.bus)
-    collector.detach(probe_a.bus)  # again: still a no-op
     _emit_one(probe_a)
     _emit_one(probe_b)
-    assert collector.counters["cache.misses"] == 1
+    assert collector.counters["cache.misses"] == 2
     collector.detach()
+    _emit_one(probe_a)
     _emit_one(probe_b)
-    assert collector.counters["cache.misses"] == 1
+    assert collector.counters["cache.misses"] == 2

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.events import ProfilerSample
 from repro.sim import SimProfiler, Simulator
 
 
@@ -59,23 +58,6 @@ def test_only_one_profiler_at_a_time():
     SimProfiler(sim).install()
     with pytest.raises(RuntimeError):
         SimProfiler(sim).install()
-
-
-def test_sampling_emits_deterministic_profiler_samples():
-    sim = Simulator()
-    seen = []
-    sim.probe.bus.subscribe(ProfilerSample, seen.append)
-    with SimProfiler(sim, sample_interval=2):
-        sim.process(ticker(sim, 6))
-        sim.run()
-    assert seen, "expected ProfilerSample events"
-    for stamped in seen:
-        assert stamped.event.steps % 2 == 0
-        assert stamped.event.depth >= 0
-    # No wall-clock values leak into the event stream.
-    from dataclasses import asdict
-
-    assert set(asdict(seen[0].event)) == {"depth", "steps"}
 
 
 def test_render_is_a_table():

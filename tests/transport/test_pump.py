@@ -41,12 +41,12 @@ def record_data(pair, sessions):
     log = []
     send = pair.a.send
 
-    def recording(packet, port=None):
+    def recording(packet):
         if packet.ptype is PacketType.DATA:
             log.append(
                 (pair.sim.now, sessions.index(packet.session_id), packet.seq)
             )
-        send(packet, port)
+        send(packet)
 
     pair.a.send = recording
     return log

@@ -38,15 +38,14 @@ class Pair:
         self.ep_a = TransportEndpoint(self.sim, self.a, config)
         self.ep_b = TransportEndpoint(self.sim, self.b, config)
 
-    def transfer(self, total_bytes, config=None):
+    def transfer(self, total_bytes):
         session = new_session_id()
-        receiver = self.ep_b.open_receiver(session, config=config)
+        receiver = self.ep_b.open_receiver(session)
         sender = self.ep_a.start_send(
             session,
             dst=DagAddress.host(self.b.hid),
             src=DagAddress.host(self.a.hid),
             total_bytes=total_bytes,
-            config=config,
         )
         self.sim.run(until=receiver.done)
         # Let the final ACKs drain back so the sender completes too.

@@ -9,7 +9,6 @@ from repro.xia.netjoin import AdvertisementDirectory, NetworkAdvertisement
 
 def make_ad(vnf=True):
     return NetworkAdvertisement(
-        network_name="edge-a",
         nid=NID("edge-a"),
         gateway_hid=HID("cache-a"),
         vnf_sid=SID("staging-a") if vnf else None,
@@ -24,11 +23,11 @@ def test_advertisement_fields_and_vnf_flag():
 
 def test_advertisement_type_checks():
     with pytest.raises(ConfigurationError):
-        NetworkAdvertisement("x", HID("h"), HID("h"))
+        NetworkAdvertisement(HID("h"), HID("h"))
     with pytest.raises(ConfigurationError):
-        NetworkAdvertisement("x", NID("n"), NID("n"))
+        NetworkAdvertisement(NID("n"), NID("n"))
     with pytest.raises(ConfigurationError):
-        NetworkAdvertisement("x", NID("n"), HID("h"), vnf_sid=HID("h"))
+        NetworkAdvertisement(NID("n"), HID("h"), vnf_sid=HID("h"))
 
 
 def test_directory_announce_lookup():
