@@ -47,9 +47,7 @@ class LinkStats:
 
     __slots__ = (
         "sent_packets",
-        "sent_bytes",
         "delivered_packets",
-        "delivered_bytes",
         "dropped_loss",
         "dropped_queue",
         "dropped_down",
@@ -58,9 +56,7 @@ class LinkStats:
 
     def __init__(self) -> None:
         self.sent_packets = 0
-        self.sent_bytes = 0
         self.delivered_packets = 0
-        self.delivered_bytes = 0
         self.dropped_loss = 0
         self.dropped_queue = 0
         self.dropped_down = 0
@@ -234,7 +230,6 @@ class LinkDirection:
                     airtime = self.airtime(packet)
                 stats = self.stats
                 stats.sent_packets += 1
-                stats.sent_bytes += packet.size_bytes
                 stats.busy_time += airtime
                 medium.owner = self
                 tx_end = medium.busy_until = sim._now + airtime
@@ -295,7 +290,6 @@ class LinkDirection:
             airtime = self.airtime(packet)
         stats = self.stats
         stats.sent_packets += 1
-        stats.sent_bytes += packet.size_bytes
         stats.busy_time += airtime
         sim = self.sim
         medium = self._medium
@@ -334,7 +328,6 @@ class LinkDirection:
             self._drop(1, "loss")
             return
         stats.delivered_packets += 1
-        stats.delivered_bytes += packet.size_bytes
         sink = self.sink
         device = sink.device  # Port.deliver, inlined
         if device is not None:

@@ -37,7 +37,6 @@ class Device:
         self.name = name
         self.ports: list[Port] = []
         self.processing = processing or ProcessingModel(sim)
-        self.received_packets = 0
         #: ``handle_packet`` bound once: the ``cpu`` step's callback.
         self._handle_packet = self.handle_packet
 
@@ -63,9 +62,7 @@ class Device:
         for earlier packets to drain plus this packet's own service
         time (DESIGN.md §15 pins the float expressions).
         """
-        self.received_packets += 1
         processing = self.processing
-        processing.packets_processed += 1
         cost = processing.per_packet_seconds
         if cost:
             sim = self.sim
@@ -104,8 +101,6 @@ class Host(Device):
         self._session_handlers: dict[int, Callable[["Packet", Port], None]] = {}
         self._type_handlers: dict["PacketType", Callable[["Packet", Port], None]] = {}
         self._active_port_index = 0
-        self.dropped_unhandled = 0
-        self.dropped_misaddressed = 0
 
     # -- ports / multihoming ---------------------------------------------------
 
@@ -169,13 +164,8 @@ class Host(Device):
         return False
 
     def handle_packet(self, packet: "Packet", port: Port) -> None:
-        packet.hop_count += 1
-        trace = packet.trace
-        if trace is not None:
-            trace.append(self.name)
         if packet.dst.intent is not self.hid and not self._addressed_to_me(packet):
-            self.dropped_misaddressed += 1
-            return
+            return  # not ours: dropped
         if packet.session_id is not None:
             handler = self._session_handlers.get(packet.session_id)
             if handler is not None:
@@ -184,5 +174,3 @@ class Host(Device):
         handler = self._type_handlers.get(packet.ptype)
         if handler is not None:
             handler(packet, port)
-            return
-        self.dropped_unhandled += 1

@@ -29,7 +29,6 @@ class ProcessingModel:
             "per_packet_seconds", per_packet_seconds
         )
         self._busy_until = 0.0
-        self.packets_processed = 0
 
     def __repr__(self) -> str:
         return f"ProcessingModel(per_packet={self.per_packet_seconds * 1e6:.1f}us)"

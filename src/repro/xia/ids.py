@@ -95,18 +95,33 @@ def CID(content: bytes) -> XID:
     return XID(PrincipalType.CID, _sha1(content))
 
 
+#: One XID object per host or network identifier for the life of the
+#: process, so ``intent is hid`` holds in every scenario a process
+#: builds, also for addresses ``DagAddress.host`` interned in an earlier
+#: one (DESIGN.md §15).  Hosts and networks are few; CIDs are not kept.
+_interned: dict[tuple[PrincipalType, bytes], XID] = {}
+
+
+def _intern(principal_type: PrincipalType, id_bytes: bytes) -> XID:
+    key = (principal_type, id_bytes)
+    xid = _interned.get(key)
+    if xid is None:
+        xid = _interned[key] = XID(principal_type, id_bytes)
+    return xid
+
+
 def HID(public_key: bytes | str) -> XID:
     """Host identifier: hash of the host's public key (surrogate)."""
     if isinstance(public_key, str):
         public_key = public_key.encode("utf-8")
-    return XID(PrincipalType.HID, _sha1(b"HID|" + public_key))
+    return _intern(PrincipalType.HID, _sha1(b"HID|" + public_key))
 
 
 def NID(network_name: bytes | str) -> XID:
     """Network identifier (the XIA analogue of an IP prefix)."""
     if isinstance(network_name, str):
         network_name = network_name.encode("utf-8")
-    return XID(PrincipalType.NID, _sha1(b"NID|" + network_name))
+    return _intern(PrincipalType.NID, _sha1(b"NID|" + network_name))
 
 
 def SID(service_key: bytes | str) -> XID:

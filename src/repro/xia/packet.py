@@ -37,14 +37,6 @@ XIA_HEADER_BYTES = 64
 
 _packet_ids = itertools.count(1)
 
-#: When True, packets record the name of every device they traverse in
-#: ``packet.trace`` — invaluable in tests, too slow for big sweeps.
-#: Read at packet *creation*: the per-hop path only tests whether the
-#: packet carries a trace list, so the flag check is hoisted out of
-#: the forwarding loop while toggles after import are still honored
-#: for every packet created afterwards.
-TRACE_PACKETS = False
-
 
 class PacketType(enum.Enum):
     """Packet kinds used by the transports and the control plane."""
@@ -169,8 +161,6 @@ class Packet:
         "session_id",
         "seq",
         "visited_mask",
-        "hop_count",
-        "trace",
         "_pooled",
         "_released",
     )
@@ -198,10 +188,6 @@ class Packet:
         #: Bitmask over ``dst.plan`` node indices: XIDs already
         #: satisfied along the DAG (updated by routers).
         self.visited_mask = 0
-        self.hop_count = 0
-        #: Node names traversed (``None`` unless TRACE_PACKETS was set
-        #: when the packet was created).
-        self.trace: Optional[list[str]] = [] if TRACE_PACKETS else None
         self._pooled = False
         self._released = False
 
@@ -240,8 +226,6 @@ class Packet:
             packet.session_id = session_id
             packet.seq = seq
             packet.visited_mask = 0
-            packet.hop_count = 0
-            packet.trace = [] if TRACE_PACKETS else None
             packet._released = False
             return packet
         pool_allocs += 1
@@ -278,7 +262,6 @@ class Packet:
             self.payload = _POISON
             self.session_id = _POISON
             self.seq = _POISON
-            self.trace = None
             return
         if POOL_DISABLED or len(_pool) >= POOL_LIMIT:
             return
@@ -287,7 +270,6 @@ class Packet:
         self.dst = None  # type: ignore[assignment]
         self.src = None  # type: ignore[assignment]
         self.payload = None
-        self.trace = None
         _pool.append(self)
 
     # -- visited-set shims ---------------------------------------------------

@@ -223,11 +223,6 @@ class XIARouter(Host):
     # -- forwarding ------------------------------------------------------------
 
     def handle_packet(self, packet: "Packet", port: Port) -> None:
-        packet.hop_count += 1
-        trace = packet.trace
-        if trace is not None:
-            trace.append(self.name)
-
         dst = packet.dst
         mask = packet.visited_mask
         key = (dst._hash, mask)
@@ -319,8 +314,6 @@ class XIARouter(Host):
         handler = self._type_handlers.get(packet.ptype)
         if handler is not None:
             handler(packet, port)
-            return
-        self.dropped_unhandled += 1
 
 
 class AccessPoint(Host):
@@ -332,18 +325,10 @@ class AccessPoint(Host):
     and vice versa.
     """
 
-    def __init__(self, sim: "Simulator", name: str, hid: XID) -> None:
-        super().__init__(sim, name, hid)
-        self.bridged_packets = 0
-
     def handle_packet(self, packet: "Packet", port: Port) -> None:
-        trace = packet.trace
-        if trace is not None:
-            trace.append(self.name)
         for other in self.ports:
             if other is not port:
                 link = other.link
                 if link is not None and link._up:
-                    self.bridged_packets += 1
                     other.send(packet)
                 return

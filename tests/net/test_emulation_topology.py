@@ -147,7 +147,10 @@ def test_router_forwards_end_to_end():
     host_a.send(packet)
     sim.run()
     assert len(got) == 1
-    assert got[0].hop_count >= 3
+    # One packet crossed all three links host A -> r1 -> r2 -> host B.
+    assert [(link.name, link.forward.stats.delivered_packets,
+             link.backward.stats.delivered_packets) for link in net.links] == [
+        ("a-r1", 1, 0), ("r1-r2", 1, 0), ("r2-b", 1, 0)]
 
 
 def test_unroutable_packet_counted():

@@ -168,20 +168,56 @@ def test_class_level_shims_see_one_entry_per_hop_and_per_delivery(entries):
     directions = [d for link in links for d in (link.forward, link.backward)]
     sent = sum(d.stats.sent_packets for d in directions)
     delivered = sum(d.stats.delivered_packets for d in directions)
+
+    def received(device):
+        """Packets the directions that sink into ``device`` delivered."""
+        return sum(d.stats.delivered_packets for d in directions
+                   if d.sink.device is device)
+
     data = sender.total_segments
-    acks = r2.received_packets
+    acks = received(r2)
     assert sent == delivered == 3 * (data + acks)
     assert dict(entries) == {
         "Simulator.run": 1,
         "LinkDirection.enqueue": sent,
         "Device.receive": delivered,
         "XIARouter.send": data,
-        "XIARouter.handle_packet": r1.received_packets + r2.received_packets,
-        "AccessPoint.handle_packet": ap.received_packets,
-        "ReceiverSession.on_packet": client.received_packets,
+        "XIARouter.handle_packet": received(r1) + received(r2),
+        "AccessPoint.handle_packet": received(ap),
+        "ReceiverSession.on_packet": received(client),
         "SenderSession.on_packet": acks,
         # A connected port's ``send`` is its direction's ``enqueue`` and
         # ``_arrive`` reads ``sink.device`` itself: neither is entered.
     }
-    assert client.received_packets == data
-    assert ap.received_packets == data + acks
+    assert received(client) == data
+    assert received(ap) == data + acks
+
+
+def test_a_second_scenario_s_host_knows_its_hid_by_identity():
+    """``DagAddress.host`` interns addresses for the life of the process,
+    so a scenario built second gets the address interned first.  With
+    HIDs and NIDs interned too, that address holds the second scenario's
+    own HID object: the receiving host settles ``intent is hid`` and no
+    hop of a packet calls ``Host._addressed_to_me`` or ``XID.__eq__``
+    once the router has compiled its decision."""
+    for _build in range(2):
+        sim, host_a, chain, host_b = line(1)
+        got = []
+        host_b.register_handler(PacketType.DATA, lambda p, port: got.append(p))
+        dst = DagAddress.host(host_b.hid, chain[-1].nid)
+        src = DagAddress.host(host_a.hid, chain[0].nid)
+        for _packet in range(2):  # the first compiles the decision
+            host_a.send(Packet(PacketType.DATA, dst=dst, src=src, payload={}))
+            frames = Counter()
+
+            def hook(frame, event, arg):
+                if event == "call":
+                    frames[frame.f_code.co_qualname] += 1
+
+            sys.setprofile(hook)
+            try:
+                sim.run()
+            finally:
+                sys.setprofile(None)
+        assert len(got) == 2 and dst.intent is host_b.hid
+        assert frames["Host._addressed_to_me"] == frames["XID.__eq__"] == 0

@@ -235,11 +235,9 @@ def test_processing_model_queues_work():
     assert sim.pending("cpu") == pytest.approx([1e-3, 2e-3]) and handled == []
     sim.run()
     assert handled == pytest.approx([1e-3, 2e-3])
-    assert host.processing.packets_processed == 2
     free = Sink(sim, "free")  # zero cost: handled inside receive, no step
     free.receive(packet_to(free), None)
     assert len(free.received) == 1 and sim.pending("cpu") == []
-    assert free.processing.packets_processed == 1
 
 
 def test_link_down_emits_one_batched_drop_event():

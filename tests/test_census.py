@@ -1,7 +1,7 @@
-"""Census of ``src/repro``: every module, every public name and every
-option earns its place.
+"""Census of ``src/repro``: every module, every public name, every
+option and every packet-path write earns its place.
 
-Three properties, checked from the syntax trees alone (``repro`` is
+Four properties, checked from the syntax trees alone (``repro`` is
 never imported, so this runs in about a second):
 
 - every module under ``src/repro`` is reachable from ``repro.__main__``
@@ -17,7 +17,12 @@ never imported, so this runs in about a second):
   call under ``src/``, ``benchmarks/`` or ``examples/``, and every
   input a constructor stores is read somewhere — an option only
   ``tests/`` set becomes its default, with the branch and the tests
-  the other value selected, or is listed in :data:`KEEP_OPTIONS`.
+  the other value selected, or is listed in :data:`KEEP_OPTIONS`;
+- every attribute the packet path (:data:`HOP_FUNCTIONS`) stores or
+  augments is loaded somewhere under ``src/``, ``benchmarks/`` or
+  ``examples/`` outside its own writes — a counter only ``tests/`` read
+  is work every packet pays for nobody, and goes with its writes or is
+  listed in :data:`KEEP_WRITES`.
 
 A package ``__init__`` re-export (its ``import`` statements and its
 ``__all__``) is not a use: it resolves to the defining module and
@@ -142,6 +147,23 @@ KEEP_OPTIONS = {
         "ROADMAP item 6: the flow model becomes the oracle, or goes",
 }
 MAX_KEEP_OPTIONS = 20
+
+#: Attributes the packet path writes although nothing outside
+#: ``tests/`` reads them: ``"attribute": reason``.  A reason names the
+#: reader (``reference: <test file>``) and why the write costs a
+#: delivered packet nothing, or the ``safety:`` check it feeds.
+KEEP_WRITES = {
+    "dropped_down":
+        "reference: tests/net/test_link_equivalence.py (drops by reason "
+        "against the two-event reference link); link-down branch only",
+    "dropped_unroutable":
+        "reference: tests/net/test_emulation_topology.py (the one record of "
+        "a packet no route exists for); drop branch only",
+    "duplicate_segments":
+        "reference: tests/transport/test_reliable.py (a lossless transfer "
+        "receives no segment twice); duplicate branch only",
+}
+MAX_KEEP_WRITES = 10
 
 
 # --------------------------------------------------------------------------
@@ -388,7 +410,8 @@ def test_every_public_definition_has_a_user_outside_tests():
 
 
 def test_keep_list_is_live():
-    for keep, limit in ((KEEP, MAX_KEEP), (KEEP_OPTIONS, MAX_KEEP_OPTIONS)):
+    for keep, limit in ((KEEP, MAX_KEEP), (KEEP_OPTIONS, MAX_KEEP_OPTIONS),
+                        (KEEP_WRITES, MAX_KEEP_WRITES)):
         assert list(keep) == sorted(keep), "the keep-lists are kept sorted"
         assert len(keep) <= limit, "a short list, not a second census"
         assert all(reason.strip() for reason in keep.values())
@@ -396,6 +419,7 @@ def test_keep_list_is_live():
     census = _option_census()
     flagged = census.unset() | census.unread()
     stale += sorted(key for key in KEEP_OPTIONS if not _kept(flagged, key))
+    stale += sorted(set(KEEP_WRITES) - set(_hop_write_only()))
     assert not stale, (
         "keep-list entries that no longer exist or have gained a real user "
         "(delete the line): " + ", ".join(stale)
@@ -1017,6 +1041,99 @@ def test_a_field_changed_after_construction_is_state_not_an_option():
     assert _census_of(source, user)[0] == {"m:Span(end)", "m:Span(kind)"}
 
 
+# --------------------------------------------------------------------------
+# Write-only state on the packet path
+# --------------------------------------------------------------------------
+
+#: The functions a forwarded or delivered packet runs:
+#: ``module: {class: {method, ...}}`` — the frozen boundaries, the
+#: steps between them, the packet pool and the transport's hot methods.
+HOP_FUNCTIONS = {
+    "repro.net.link": {
+        "LinkDirection": {"_arrive", "_start", "enqueue"},
+        "Medium": {"_tx_done"},
+    },
+    "repro.net.nodes": {"Device": {"receive"}, "Host": {"handle_packet"}},
+    "repro.transport.reliable": {
+        "ReceiverSession": {"_on_data", "_send_ack", "on_packet"},
+        "SenderSession": {"_arm_timer", "_emit", "_on_ack", "_pace", "_pump",
+                          "_wake", "on_packet"},
+    },
+    "repro.xia.packet": {"Packet": {"acquire", "release"}},
+    "repro.xia.router": {
+        "AccessPoint": {"handle_packet"},
+        "XIARouter": {"handle_packet"},
+    },
+}
+
+
+def _methods(tree: ast.Module, classes: dict[str, set[str]]):
+    """``("Class.method", FunctionDef)`` of the named methods in a tree."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name in classes:
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and fn.name in classes[cls.name]):
+                    yield f"{cls.name}.{fn.name}", fn
+
+
+def _write_only(functions, reads: set[str]) -> dict[str, set[str]]:
+    """``attribute -> {"Class.method", ...}`` of what ``functions``
+    (``(label, FunctionDef)`` pairs) store and ``reads`` — an option
+    census's: attributes loaded (``x.n += 1`` stores without loading)
+    and identifier strings outside a ``__slots__`` — lacks."""
+    writers = defaultdict(set)
+    for label, fn in functions:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                writers[node.attr].add(label)
+    return {attr: where for attr, where in writers.items()
+            if attr not in reads}
+
+
+@lru_cache(maxsize=None)
+def _hop_write_only() -> dict[str, set[str]]:
+    functions = []
+    for module, classes in HOP_FUNCTIONS.items():
+        found = list(_methods(_tree(MODULES[module]), classes))
+        assert len(found) == sum(map(len, classes.values())), (
+            f"a hop function of {module} moved or was renamed: update "
+            "HOP_FUNCTIONS")
+        functions += found
+    return _write_only(functions, _option_census().reads)
+
+
+def test_no_write_only_state_on_the_packet_path():
+    orphans = sorted(f"{attr} (written by {', '.join(sorted(where))})"
+                     for attr, where in _hop_write_only().items()
+                     if attr not in KEEP_WRITES)
+    assert not orphans, (
+        "attributes the packet path writes and nothing under src/, "
+        "benchmarks/ or examples/ reads (delete them with their writes, or "
+        "add a KEEP_WRITES line naming the reader):\n  "
+        + "\n  ".join(orphans))
+
+
+def test_a_counter_only_written_is_flagged_until_something_reads_it():
+    source = ast.parse(
+        "class Port:\n"
+        "    __slots__ = ('sent', 'bytes', 'last')\n"
+        "    def send(self, packet):\n"
+        "        self.sent += 1\n"
+        "        self.bytes += packet.size\n"
+        "        self.last = packet\n")
+    hop = list(_methods(source, {"Port": {"send"}}))
+
+    def flagged(user: str) -> set[str]:
+        return set(_write_only(
+            hop, _OptionCensus({}, [source, ast.parse(user)]).reads))
+
+    # A slots string and an augmented write are no readers.
+    assert flagged("") == {"sent", "bytes", "last"}
+    assert flagged("print(port.last, getattr(port, 'sent'))") == {"bytes"}
+    assert flagged("total = port.bytes") == {"sent", "last"}
+
+
 if __name__ == "__main__":
     print("unreachable modules:", *sorted(set(MODULES) - _reachable()))
     print("unreferenced definitions:", *sorted(_unreferenced()), sep="\n  ")
@@ -1029,3 +1146,7 @@ if __name__ == "__main__":
         for ident in sorted(ours):
             print("  " + ident, "" if ident in theirs else "[tests]",
                   "[kept]" if _kept({ident}) else "")
+    print("written on the packet path, never read:")
+    for attr, where in sorted(_hop_write_only().items()):
+        print(f"  {attr} ({', '.join(sorted(where))})",
+              "[kept]" if attr in KEEP_WRITES else "")

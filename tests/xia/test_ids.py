@@ -71,3 +71,15 @@ def test_cid_deterministic(payload):
 def test_cid_injective_on_samples(a, b):
     if a != b:
         assert CID(a) != CID(b)
+
+
+def test_host_and_network_ids_are_interned_content_ids_are_not():
+    assert HID("a") is HID("a") is HID(b"a")
+    assert HID("a") is not HID("b")
+    assert NID("n") is NID("n")
+    # Interning changes identity only: a directly built XID is equal.
+    direct = XID(PrincipalType.HID, HID("a").id_bytes)
+    assert direct is not HID("a")
+    assert direct == HID("a") and HID("a") == direct
+    assert hash(direct) == hash(HID("a"))
+    assert CID(b"x") == CID(b"x") and CID(b"x") is not CID(b"x")
