@@ -36,9 +36,7 @@ class ContentServer:
         self.store = ContentStore()
         self.publisher = ContentPublisher(self.store, nid, host.hid)
         self.endpoint = TransportEndpoint(sim, host, config or XIA_CHUNK)
-        self.daemon = CacheDaemon(
-            sim, host, self.store, self.endpoint, nid=nid
-        )
+        CacheDaemon(sim, host, self.store, self.endpoint, nid=nid)
 
     def publish(self, name: str, total_bytes: int, chunk_size: int) -> PublishedContent:
         """Split ``total_bytes`` of content into chunks and publish."""

@@ -50,10 +50,8 @@ class MobilityPredictor:
         self.access_points = list(access_points)
         self.accuracy = accuracy
         self.rng = rng
-        self.predictions = 0
 
     def predict_next(self, current_name: Optional[str]) -> AccessPointInfo:
-        self.predictions += 1
         names = [info.name for info in self.access_points]
         if current_name in names and len(names) > 1:
             true_next = self.access_points[

@@ -22,7 +22,6 @@ assembles the whole thing behind a one-call download API, on the
 :class:`~repro.core.client.MobileClient` chassis the baselines share.
 """
 
-from repro.core.config import SoftStageConfig
 from repro.core.states import FetchState, StagingState
 from repro.core.profile import ChunkProfile, ChunkRecord
 from repro.core.policy import (
@@ -60,7 +59,6 @@ __all__ = [
     "RichPrefetchPolicy",
     "RssGreedyPolicy",
     "SoftStageClient",
-    "SoftStageConfig",
     "StagingAction",
     "StagingCoordinator",
     "StagingManager",

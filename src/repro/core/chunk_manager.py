@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.config import SoftStageConfig
 from repro.core.handoff import HandoffManager
 from repro.core.profile import ChunkProfile
 from repro.core.states import StagingState
@@ -30,19 +29,24 @@ from repro.xia.ids import XID
 class ChunkManager:
     """Location-transparent chunk retrieval for client applications."""
 
+    #: Per-chunk control-plane cost of the delegation API, seconds: the
+    #: extra client<->Staging-Manager IPC round trips of one
+    #: XfetchChunk* call (profile poll, state updates, staging
+    #: signalling).  The paper's Fig. 6(a): "the control plane messages
+    #: introduce more overhead with smaller chunks".
+    xfetch_control_overhead = 0.06
+
     def __init__(
         self,
         sim: Simulator,
         fetcher: ChunkFetcher,
         profile: ChunkProfile,
-        config: Optional[SoftStageConfig] = None,
         handoff_manager: Optional[HandoffManager] = None,
         chunk_delivered: Optional[Callable[[XID], None]] = None,
     ) -> None:
         self.sim = sim
         self.fetcher = fetcher
         self.profile = profile
-        self.config = config or SoftStageConfig()
         self.handoff_manager = handoff_manager
         #: Notified after every delivered chunk (policy lifecycle hook).
         self.chunk_delivered = chunk_delivered
@@ -65,10 +69,7 @@ class ChunkManager:
 
         started = self.sim.now
         fell_back = False
-        if self.config.xfetch_control_overhead > 0:
-            # Delegation-API cost: poll the Chunk Profile, refresh
-            # staging state, sync with the Staging Manager (IPC).
-            yield self.sim.timeout(self.config.xfetch_control_overhead)
+        yield self.sim.timeout(self.xfetch_control_overhead)
         address = record.best_dag
         if handoff is not None:
             handoff.fetch_active = True

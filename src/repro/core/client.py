@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
-from repro.core.config import SoftStageConfig
 from repro.core.handoff import HandoffManager, HandoffPolicy, RssGreedyPolicy
 from repro.core.manager import StagingManager
 from repro.core.policy import StagingPolicy
@@ -100,14 +99,12 @@ class MobileClient:
         endpoint: TransportEndpoint,
         controller: AssociationController,
         scanner: Scanner,
-        config: Optional[SoftStageConfig] = None,
         handoff_policy: Optional[HandoffPolicy] = None,
         staging_policy: Optional[StagingPolicy] = None,
     ) -> None:
         self.sim = sim
         self.host = host
         self.endpoint = endpoint
-        self.config = config or SoftStageConfig()
         transport = None
         if self.stream:
             transport = endpoint.config.with_(
@@ -145,7 +142,7 @@ class MobileClient:
             )
         return HandoffManager(
             self.sim, controller, scanner,
-            policy=handoff_policy or RssGreedyPolicy(), config=self.config,
+            policy=handoff_policy or RssGreedyPolicy(),
         )
 
     def _on_attach(self, association: Association) -> None:
@@ -234,7 +231,6 @@ class SoftStageClient(MobileClient):
             self.fetcher,
             controller,
             scanner,
-            config=self.config,
             handoff_policy=handoff_policy,
             staging_policy=staging_policy,
         )

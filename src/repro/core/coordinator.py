@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.core.config import SoftStageConfig
 from repro.core.network_sensor import NetworkSensor
 from repro.core.policy import (
     ActionKind,
@@ -51,21 +50,25 @@ if TYPE_CHECKING:  # pragma: no cover
 class StagingCoordinator:
     """Polls the profile and drives a StagingPolicy's decisions."""
 
+    #: How often the policy is asked to decide, seconds.
+    poll_interval = 0.25
+    #: Re-send a staging signal unconfirmed for this long, seconds
+    #: (control packets can die on the wireless segment).
+    staging_signal_timeout = 3.0
+
     def __init__(
         self,
         sim: Simulator,
         profile: ChunkProfile,
         tracker: StagingTracker,
         sensor: NetworkSensor,
-        config: Optional[SoftStageConfig] = None,
         policy: Optional[StagingPolicy] = None,
     ) -> None:
         self.sim = sim
         self.profile = profile
         self.tracker = tracker
         self.sensor = sensor
-        self.config = config or SoftStageConfig()
-        self.policy = policy or ReactiveEq1Policy(self.config)
+        self.policy = policy or ReactiveEq1Policy()
         self.ticks = 0
         self.decisions = 0
         self._running = False
@@ -114,7 +117,7 @@ class StagingCoordinator:
             if record.staging_state is StagingState.PENDING:
                 in_flight.append(record.cid)
 
-        stale = profile.stale_pending(now, self.config.staging_signal_timeout)
+        stale = profile.stale_pending(now, self.staging_signal_timeout)
 
         queue_bytes = 0
         for port in self.tracker.host.ports:
@@ -168,7 +171,7 @@ class StagingCoordinator:
     def _loop(self):
         while self._running and not self.profile.all_fetched():
             self.tick()
-            yield self.sim.timeout(self.config.coordinator_poll_interval)
+            yield self.sim.timeout(self.poll_interval)
 
     def tick(self) -> int:
         """One coordination round; returns chunks newly signalled."""

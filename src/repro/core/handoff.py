@@ -17,7 +17,6 @@ from __future__ import annotations
 import abc
 from typing import Callable, Optional
 
-from repro.core.config import SoftStageConfig
 from repro.mobility.association import Association, AssociationController
 from repro.mobility.scanner import Scanner, VisibleNetwork
 from repro.obs.events import HandoffCompleted, HandoffDeferred, HandoffStarted
@@ -73,25 +72,25 @@ class ChunkAwarePolicy(RssGreedyPolicy):
 class HandoffManager:
     """Executes policy decisions against the association controller."""
 
+    #: RSS hysteresis a target must beat the current network by, dB.
+    hysteresis_db = 3.0
+
     def __init__(
         self,
         sim: Simulator,
         controller: AssociationController,
         scanner: Scanner,
         policy: Optional[HandoffPolicy] = None,
-        config: Optional[SoftStageConfig] = None,
         prestage: Optional[Callable[[VisibleNetwork], None]] = None,
     ) -> None:
         self.sim = sim
         self.controller = controller
         self.policy = policy or RssGreedyPolicy()
-        self.config = config or SoftStageConfig()
         #: Called once per deferred-handoff target so SoftStage can
         #: pre-stage into the target network before switching.
         self.prestage = prestage
         self.pending_target: Optional[VisibleNetwork] = None
         self.handoffs = 0
-        self.deferred_handoffs = 0
         #: Set by the Chunk Manager while a chunk transfer is active.
         self.fetch_active = False
         scanner.subscribe(self.on_scan)
@@ -110,9 +109,7 @@ class HandoffManager:
             if visible:
                 self._execute(visible[0])
             return
-        target = self.policy.select_target(
-            visible, current, self.config.handoff_hysteresis_db
-        )
+        target = self.policy.select_target(visible, current, self.hysteresis_db)
         if target is None:
             if (
                 self.pending_target is not None
@@ -126,7 +123,6 @@ class HandoffManager:
                 or self.pending_target.name != target.name
             ):
                 self.pending_target = target
-                self.deferred_handoffs += 1
                 probe = self.sim.probe
                 if probe.active:
                     probe.emit(HandoffDeferred(target=target.name))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.chunk_manager import ChunkManager
-from repro.core.config import SoftStageConfig
 from repro.core.coordinator import StagingCoordinator
 from repro.core.handoff import ChunkAwarePolicy, HandoffManager, HandoffPolicy
 from repro.core.network_sensor import NetworkSensor
@@ -40,18 +39,16 @@ class StagingManager:
         fetcher: ChunkFetcher,
         controller: AssociationController,
         scanner: Scanner,
-        config: Optional[SoftStageConfig] = None,
         handoff_policy: Optional[HandoffPolicy] = None,
         staging_policy: Optional[StagingPolicy] = None,
     ) -> None:
         self.sim = sim
         self.host = host
-        self.config = config or SoftStageConfig()
-        self.profile = ChunkProfile(ewma_alpha=self.config.ewma_alpha)
+        self.profile = ChunkProfile()
         self.tracker = StagingTracker(sim, host, self.profile)
         self.sensor = NetworkSensor(sim, scanner, controller)
         self.coordinator = StagingCoordinator(
-            sim, self.profile, self.tracker, self.sensor, self.config,
+            sim, self.profile, self.tracker, self.sensor,
             policy=staging_policy,
         )
         self.handoff_manager = HandoffManager(
@@ -59,18 +56,15 @@ class StagingManager:
             controller,
             scanner,
             policy=handoff_policy or ChunkAwarePolicy(),
-            config=self.config,
             prestage=self._prestage_into,
         )
         self.chunk_manager = ChunkManager(
             sim,
             fetcher,
             self.profile,
-            config=self.config,
             handoff_manager=self.handoff_manager,
             chunk_delivered=self.coordinator.notify_chunk_delivered,
         )
-        self.prestage_signals = 0
 
     # -- content registration (step 3 of Fig. 2) --------------------------------
 
@@ -96,7 +90,6 @@ class StagingManager:
         count = self.coordinator.prestage_count()
         records = self.profile.next_to_stage(count)
         if records:
-            self.prestage_signals += 1
             probe = self.sim.probe
             if probe.active:
                 probe.emit(

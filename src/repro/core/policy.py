@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TYPE_CHECKING
 
-from repro.core.config import SoftStageConfig
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,7 +110,7 @@ class StagingObservation:
     staging_latency: Optional[float]
     edge_fetch_latency: Optional[float]
     #: How many staging-latency samples exist (Eq. 1 falls back to the
-    #: configured initial burst while this is zero).
+    #: initial burst while this is zero).
     staging_latency_samples: int
 
     # -- reactive mobility statistics (EWMAs over observed events) --
@@ -278,51 +277,61 @@ class ReactiveEq1Policy(StagingPolicy):
     """
 
     name = "reactive"
-
-    def __init__(self, config: Optional[SoftStageConfig] = None) -> None:
-        self.config = config or SoftStageConfig()
+    #: Chunks to stage before any latency estimates exist ("initial
+    #: chunks are retrieved directly from the server, while the client
+    #: contacts the edge VNF to stage future chunks", §III-A).
+    initial_stage_count = 2
+    #: Upper bound on chunks staged ahead (edge cache budget); Eq. 1
+    #: decides *when*, this bounds *how far*.
+    max_stage_ahead = 64
+    #: Working assumption for the next coverage gap's length before any
+    #: gap has been observed, seconds; once real gaps are observed their
+    #: EWMA replaces it (reactive adaptation — no mobility prediction).
+    initial_gap_estimate = 16.0
+    #: Eq. 1's inputs before Table I holds any estimate, seconds.
+    default_staging_latency = 1.0
+    default_fetch_latency = 1.0
+    default_rtt = 0.02
 
     # -- the staging algorithm ---------------------------------------------
 
     def eq1_threshold(self, obs: StagingObservation) -> float:
         """The paper's Eq. 1 right-hand side from current estimates."""
-        config = self.config
-        rtt = obs.rtt_to_edge if obs.rtt_to_edge is not None else config.default_rtt
+        rtt = obs.rtt_to_edge if obs.rtt_to_edge is not None else self.default_rtt
         stage_latency = (
             obs.staging_latency
             if obs.staging_latency is not None
-            else config.default_staging_latency
+            else self.default_staging_latency
         )
         fetch_latency = (
             obs.edge_fetch_latency
             if obs.edge_fetch_latency is not None
-            else config.default_fetch_latency
+            else self.default_fetch_latency
         )
         return (rtt + stage_latency) / max(fetch_latency, 1e-6)
 
     def gap_allowance(self, obs: StagingObservation) -> int:
         """Extra chunks signalled so staging survives a coverage gap."""
-        config = self.config
         gap = (
             obs.observed_gap
             if obs.observed_gap is not None
-            else config.initial_gap_estimate
+            else self.initial_gap_estimate
         )
         stage_latency = (
             obs.staging_latency
             if obs.staging_latency is not None
-            else config.default_staging_latency
+            else self.default_staging_latency
         )
         return math.ceil(gap / max(stage_latency, 1e-3))
 
     def target_signalled(self, obs: StagingObservation) -> int:
         """How many unfetched chunks should be READY or PENDING."""
         if obs.staging_latency_samples == 0:
-            # Nothing confirmed yet: open with the configured burst.
-            base = self.config.initial_stage_count
+            # Nothing confirmed yet: open with the initial burst.
+            base = self.initial_stage_count
         else:
             base = math.ceil(self.eq1_threshold(obs))
-        return min(base + self.gap_allowance(obs), self.config.max_stage_ahead)
+        return min(base + self.gap_allowance(obs), self.max_stage_ahead)
 
     # -- protocol ----------------------------------------------------------
 
@@ -340,7 +349,7 @@ class ReactiveEq1Policy(StagingPolicy):
     def prestage_count(self, obs: StagingObservation) -> int:
         return max(
             math.ceil(self.eq1_threshold(obs)),
-            self.config.initial_stage_count,
+            self.initial_stage_count,
         )
 
 
@@ -413,10 +422,9 @@ class MobilityAwarePolicy(StagingPolicy):
 
     name = "mobility"
 
-    def __init__(self, config: Optional[SoftStageConfig] = None) -> None:
-        self.config = config or SoftStageConfig()
+    def __init__(self) -> None:
         # Reuse the paper's break-even budget; only *placement* differs.
-        self._budget = ReactiveEq1Policy(self.config)
+        self._budget = ReactiveEq1Policy()
 
     def handoff_likelihood(self, obs: StagingObservation) -> float:
         """P(handoff before the next coordination round), crudely: the
@@ -426,7 +434,7 @@ class MobilityAwarePolicy(StagingPolicy):
         expected = (
             obs.observed_encounter
             if obs.observed_encounter is not None
-            else self.config.initial_gap_estimate
+            else self._budget.initial_gap_estimate
         )
         if expected <= 0:
             return 1.0
@@ -479,19 +487,19 @@ class MobilityAwarePolicy(StagingPolicy):
 # ---------------------------------------------------------------------------
 
 
-def _make_reactive(config, scenario):
-    return ReactiveEq1Policy(config)
+def _make_reactive(scenario):
+    return ReactiveEq1Policy()
 
 
-def _make_rich(config, scenario):
+def _make_rich(scenario):
     return RichPrefetchPolicy()
 
 
-def _make_mobility(config, scenario):
-    return MobilityAwarePolicy(config)
+def _make_mobility(scenario):
+    return MobilityAwarePolicy()
 
 
-def _make_predictive(config, scenario):
+def _make_predictive(scenario):
     from repro.baselines.predictive import PredictiveStagingPolicy
 
     if scenario is None:
@@ -503,8 +511,8 @@ def _make_predictive(config, scenario):
     return PredictiveStagingPolicy.for_scenario(scenario)
 
 
-#: name -> factory(config, scenario).  Factories may ignore either
-#: argument; ``scenario`` is None outside a testbed context.
+#: name -> factory(scenario).  Factories may ignore the argument;
+#: ``scenario`` is None outside a testbed context.
 POLICIES = {
     "reactive": _make_reactive,
     "rich": _make_rich,
@@ -519,7 +527,6 @@ def available_policies() -> tuple[str, ...]:
 
 def make_policy(
     name: str,
-    config: Optional[SoftStageConfig] = None,
     scenario: Optional["TestbedScenario"] = None,
 ) -> StagingPolicy:
     """Build a shipped policy by registry name.
@@ -533,7 +540,7 @@ def make_policy(
         raise ConfigurationError(
             f"unknown staging policy {name!r} (available: {options})"
         )
-    return factory(config or SoftStageConfig(), scenario)
+    return factory(scenario)
 
 
 def policy_name(policy) -> str:

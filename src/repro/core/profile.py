@@ -98,14 +98,17 @@ class ChunkRecord:
 class ChunkProfile:
     """All chunk records for one content download session."""
 
-    def __init__(self, ewma_alpha: float = 0.25) -> None:
+    #: EWMA smoothing of the Table I latency estimates.
+    ewma_alpha = 0.25
+
+    def __init__(self) -> None:
         self._records: dict[XID, ChunkRecord] = {}
         self._order: list[XID] = []
         #: Smoothed network-condition estimates feeding Eq. 1.
-        self.rtt_to_edge = EwmaEstimator(ewma_alpha)
-        self.edge_fetch_latency = EwmaEstimator(ewma_alpha)
-        self.staging_latency = EwmaEstimator(ewma_alpha)
-        self.origin_fetch_latency = EwmaEstimator(ewma_alpha)
+        self.rtt_to_edge = EwmaEstimator(self.ewma_alpha)
+        self.edge_fetch_latency = EwmaEstimator(self.ewma_alpha)
+        self.staging_latency = EwmaEstimator(self.ewma_alpha)
+        self.origin_fetch_latency = EwmaEstimator(self.ewma_alpha)
 
     # -- registration (step 3 in Fig. 2) ----------------------------------
 

@@ -73,7 +73,6 @@ class StagingVNF:
         #: CID -> recorded staging latency for re-announcements.
         self._staged_latency: dict[XID, float] = {}
         self._in_flight: dict[XID, list[DagAddress]] = {}
-        self.requests_received = 0
         self.chunks_staged = 0
         self.stage_failures = 0
 
@@ -82,7 +81,6 @@ class StagingVNF:
     def handle_packet(self, packet: Packet, port: "Port") -> None:
         if packet.ptype is not PacketType.STAGE_REQUEST:
             return
-        self.requests_received += 1
         chunks = packet.payload.get("chunks", ())
         probe = self.sim.probe
         if probe.active:

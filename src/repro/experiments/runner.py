@@ -176,9 +176,7 @@ def run_download(
     )
     staging_policy: Optional[StagingPolicy] = None
     if isinstance(policy, str):
-        staging_policy = make_policy(
-            policy, scenario.softstage_config, scenario
-        )
+        staging_policy = make_policy(policy, scenario)
     elif policy is not None:
         staging_policy = policy
     pname = policy_name(staging_policy)

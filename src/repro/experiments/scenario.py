@@ -27,7 +27,6 @@ from repro.apps.ftp import XftpClient
 from repro.apps.server import ContentServer
 from repro.baselines.endtoend import EndToEndClient
 from repro.core.client import MobileClient, SoftStageClient
-from repro.core.config import SoftStageConfig
 from repro.core.handoff import HandoffPolicy
 from repro.core.policy import StagingPolicy
 from repro.core.vnf import StagingVNF
@@ -45,7 +44,7 @@ from repro.net.processing import ProcessingModel
 from repro.net.topology import Network
 from repro.net.wireless import WirelessLink
 from repro.sim import RandomStreams, Simulator
-from repro.transport.config import TransportConfig, XIA_CHUNK
+from repro.transport.config import XIA_CHUNK
 from repro.transport.reliable import TransportEndpoint
 from repro.xcache.publisher import PublishedContent
 from repro.xcache.store import ContentStore
@@ -95,7 +94,6 @@ class TestbedScenario:
         num_edges: int = 2,
         coverage: Optional[Coverage] = None,
         with_vnf: bool = True,
-        transport_config: Optional[TransportConfig] = None,
     ) -> None:
         self.params = params or MicrobenchParams()
         self.seed = seed
@@ -104,10 +102,9 @@ class TestbedScenario:
         self.sim.probe.run_id = f"seed{seed}"
         self.network = Network(self.sim, self.streams)
         self.with_vnf = with_vnf
-        self.transport_config = (transport_config or XIA_CHUNK).with_(
+        self.transport_config = XIA_CHUNK.with_(
             migration_delay=calibration.MIGRATION_DELAY_S
         )
-        self.softstage_config = SoftStageConfig()
         self._client_made = False
 
         self._build_core(num_edges)
@@ -300,7 +297,6 @@ class TestbedScenario:
             self.client_endpoint,
             self.controller,
             self.scanner,
-            config=self.softstage_config,
             handoff_policy=handoff_policy,
             staging_policy=staging_policy,
         )

@@ -63,8 +63,6 @@ class AssociationController:
         self.client = client
         self.access_points = access_points
         self.current: Optional[Association] = None
-        self.associations = 0
-        self.disassociations = 0
         self._on_attach: list[Callable[[Association], None]] = []
         self._on_detach: list[Callable[[Association], None]] = []
         self._attach_waiters: list = []
@@ -129,7 +127,6 @@ class AssociationController:
             )
             self.client.set_active_port(info.client_port_index)
             self.current = Association(ap=info, since=self.sim.now)
-            self.associations += 1
         finally:
             self._joining = False
         for callback in list(self._on_attach):
@@ -152,7 +149,6 @@ class AssociationController:
         self.network.detach_client(
             self.client, self.client_port(info), info.nid
         )
-        self.disassociations += 1
         for callback in list(self._on_detach):
             callback(association)
 

@@ -51,7 +51,6 @@ class Scanner:
         self.controller = controller
         self.horizon = coverage.end_time()
         self._listeners: list[ScanListener] = []
-        self.scans = 0
         self._started = False
 
     def subscribe(self, listener: ScanListener) -> None:
@@ -76,7 +75,6 @@ class Scanner:
         return result
 
     def _scan_once(self) -> None:
-        self.scans += 1
         visible = self.visible_now()
         self._enforce_coverage(visible)
         for listener in list(self._listeners):

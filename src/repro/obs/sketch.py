@@ -367,7 +367,6 @@ class SketchRecorder:
 
     def __init__(self) -> None:
         self.sketches: dict = {}
-        self.gauge_samples = 0
         self.wide_records = 0
         self._bus: Optional[EventBus] = None
 
@@ -399,7 +398,6 @@ class SketchRecorder:
 
     def _on_gauge(self, stamped: Stamped) -> None:
         event = stamped.event
-        self.gauge_samples += 1
         name = f"gauge.{event.gauge}"
         self._stat(name).add(event.value)
         self._quantile(f"{name}.q").add(event.value)

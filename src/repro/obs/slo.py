@@ -113,13 +113,19 @@ class SLO:
         )
         suffix = (
             "" if self.window_s == DEFAULT_WINDOW_S
-            else f" @ {self.window_s:g}"
+            else f" @ {_number(self.window_s)}"
         )
-        return f"{metric} {self.op} {self.threshold:g}{suffix}"
+        return f"{metric} {self.op} {_number(self.threshold)}{suffix}"
 
     def ok(self, value: float) -> bool:
         return value >= self.threshold if self.op == ">=" \
             else value <= self.threshold
+
+
+def _number(x: float) -> str:
+    """``x`` in its short ``:g`` form when that is exact, else its repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 def parse_slo(spec: str) -> SLO:

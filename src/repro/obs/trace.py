@@ -84,7 +84,6 @@ class TraceExporter(JsonlSink):
     def __init__(self, path_or_file: Union[str, IO[str]]) -> None:
         super().__init__(path_or_file)
         self._bus: Optional[EventBus] = None
-        self.events_written = 0
 
     def attach(self, bus: EventBus) -> "TraceExporter":
         self._bus = bus
@@ -112,7 +111,6 @@ class TraceExporter(JsonlSink):
                 text = _encode_other(value)
             texts.append(text)
         self._fh.write(template % tuple(texts))
-        self.events_written += 1
 
     def close(self) -> None:
         """Detach from the bus and close the file (if we opened it)."""

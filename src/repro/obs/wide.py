@@ -146,12 +146,11 @@ class WideEventBuilder:
     ) -> None:
         #: Only events stamped with this run id are folded; ``None``
         #: adopts the first run id seen (events from other runs are
-        #: counted in :attr:`skipped_other_runs`, never mixed in).
+        #: skipped, never mixed in).
         self.run_id = run_id
         self.sinks: list[WideSink] = list(sinks or [])
         self.spans: list[Span] = []
         self.events_seen = 0
-        self.skipped_other_runs = 0
         self.records_emitted = 0
         self._open_chunks: dict[str, Span] = {}
         self._open_handoffs: dict[str, Span] = {}
@@ -189,7 +188,6 @@ class WideEventBuilder:
         if self.run_id is None:
             self.run_id = stamped.run_id
         elif stamped.run_id != self.run_id:
-            self.skipped_other_runs += 1
             return
         self.events_seen += 1
         self._last_time = stamped.time

@@ -59,9 +59,6 @@ class ChunkFetcher:
         #: event that fires on (re)attachment.  Requests are deferred
         #: while offline instead of burning the retry budget.
         self.wait_for_connectivity = wait_for_connectivity
-        self.fetches_started = 0
-        self.fetches_completed = 0
-        self.fetches_failed = 0
 
     def fetch(self, address: DagAddress):
         """Process: fetch the chunk at ``address``; returns FetchOutcome.
@@ -72,7 +69,6 @@ class ChunkFetcher:
         """
         config = self.config
         started_at = self.sim.now
-        self.fetches_started += 1
         if config.per_chunk_overhead > 0:
             # Client-side chunk-context setup (daemon IPC round trips).
             yield self.sim.timeout(config.per_chunk_overhead)
@@ -88,7 +84,6 @@ class ChunkFetcher:
                     continue
             if attempts >= config.request_retries:
                 self.endpoint.close_session(session_id)
-                self.fetches_failed += 1
                 raise TransportError(
                     f"chunk request for {address.intent.short} got no answer "
                     f"after {attempts} attempts"
@@ -107,13 +102,11 @@ class ChunkFetcher:
             yield self.sim.timeout(receiver.bytes_received / config.verify_rate)
         chunk = meta.get("chunk")
         if chunk is not None and not chunk.verify(address.intent):
-            self.fetches_failed += 1
             raise ChunkIntegrityError(
                 f"chunk from {meta.get('server_hid')} does not hash to "
                 f"{address.intent.short}"
             )
 
-        self.fetches_completed += 1
         return FetchOutcome(
             cid=address.intent,
             bytes_received=receiver.bytes_received,
@@ -159,8 +152,6 @@ class CacheDaemon:
         self.endpoint = endpoint
         self.nid = nid if nid is not None else getattr(node, "nid", None)
         self.unpin_on_serve = unpin_on_serve
-        self.requests_served = 0
-        self.requests_missed = 0
         self._install()
 
     def _install(self) -> None:
@@ -179,7 +170,6 @@ class CacheDaemon:
         cid = packet.dst.intent
         chunk = self.store.peek(cid)
         if chunk is None:
-            self.requests_missed += 1
             packet.release()
             return
         self.store.get(cid)  # count the hit / refresh recency
@@ -197,10 +187,8 @@ class CacheDaemon:
             # data reached it — restart the stream toward its current
             # address.
             sender.redirect(packet.src)
-        if not already_running:
-            self.requests_served += 1
-            if self.unpin_on_serve:
-                self.store.unpin(cid)
+        elif self.unpin_on_serve:
+            self.store.unpin(cid)
         packet.release()
 
     def _local_dag(self) -> DagAddress:

@@ -20,6 +20,7 @@ The numeric calibration story lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from repro.errors import ConfigurationError
 
@@ -39,19 +40,11 @@ class TransportConfig:
     ack_every: int = 1
     #: Initial congestion window (segments).
     initial_cwnd: float = 2.0
-    #: Initial slow-start threshold (segments).
-    initial_ssthresh: float = 64.0
     #: Per-data-packet CPU cost at an endpoint (pacing floor), seconds.
     per_packet_cost: float = 0.0
-    #: Minimum / maximum retransmission timeout, seconds.
-    min_rto: float = 0.2
-    max_rto: float = 8.0
     #: Receiver-side content verification rate in bytes/second; applied
     #: by the chunk protocol.  ``inf`` disables verification cost.
     verify_rate: float = float("inf")
-    #: Chunk-request retransmission timeout and retry budget.
-    request_timeout: float = 1.0
-    request_retries: int = 30
     #: Fixed cost of an active transport-session migration (paper §IV-C:
     #: "a fixed overhead of 1 or 2 sec").
     migration_delay: float = 1.5
@@ -62,6 +55,17 @@ class TransportConfig:
     #: more overhead with smaller chunks").
     per_chunk_overhead: float = 0.0
 
+    # -- the same for every stack ------------------------------------------
+    #: Initial slow-start threshold (segments).
+    initial_ssthresh: ClassVar[float] = 64.0
+    #: Minimum / maximum retransmission timeout, seconds.
+    min_rto: ClassVar[float] = 0.2
+    max_rto: ClassVar[float] = 8.0
+    #: Chunk-request (and migration) retransmission timeout, seconds,
+    #: and retry budget.
+    request_timeout: ClassVar[float] = 1.0
+    request_retries: ClassVar[int] = 30
+
     def __post_init__(self) -> None:
         if self.mss_bytes <= 0 or self.header_bytes < 0:
             raise ConfigurationError("invalid segment geometry")
@@ -69,8 +73,6 @@ class TransportConfig:
             raise ConfigurationError("ack_every must be >= 1")
         if self.initial_cwnd < 1:
             raise ConfigurationError("initial_cwnd must be >= 1")
-        if self.min_rto <= 0 or self.max_rto < self.min_rto:
-            raise ConfigurationError("invalid RTO bounds")
 
     @property
     def segment_bytes(self) -> int:

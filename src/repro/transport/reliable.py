@@ -150,10 +150,8 @@ class SenderSession:
         self._rto_event_at: Optional[float] = None
 
         # Stats.
-        self.started_at = self.sim.now
         self.retransmissions = 0
         self.timeouts = 0
-        self.migrations = 0
 
         #: Fires with this session when the final segment is acked.
         self.done: Event = self.sim.event(name=f"send-done-{session_id}")
@@ -459,7 +457,6 @@ class SenderSession:
         self.endpoint.host.send(ack)
         if self.done.triggered or already_here:
             return
-        self.migrations += 1
         probe = self.sim.probe
         if probe.active:
             probe.emit(SessionMigrated(session=self.session_id))

@@ -45,9 +45,7 @@ class ContentStore:
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
-        self.insertions = 0
         self.evictions = 0
-        self.rejected = 0
 
     # -- queries ------------------------------------------------------------
 
@@ -102,14 +100,11 @@ class ContentStore:
                 self._pinned.add(chunk.cid)
             return True
         if chunk.size_bytes > self.capacity_bytes:
-            self.rejected += 1
             return False
         if not self._make_room(chunk.size_bytes):
-            self.rejected += 1
             return False
         self._chunks[chunk.cid] = chunk
         self.used_bytes += chunk.size_bytes
-        self.insertions += 1
         if pin:
             self._pinned.add(chunk.cid)
         probe = self.probe

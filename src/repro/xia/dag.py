@@ -37,8 +37,7 @@ class DagPlan:
     immutable, so a plan can never go stale.
     """
 
-    __slots__ = ("address", "bit_of", "node_order", "full_mask",
-                 "_candidates_by_mask")
+    __slots__ = ("address", "bit_of", "node_order", "_candidates_by_mask")
 
     def __init__(self, address: "DagAddress") -> None:
         self.address = address
@@ -56,8 +55,6 @@ class DagPlan:
         self.bit_of = bit_of
         #: Nodes in bit order (bit ``1 << i`` is ``node_order[i]``).
         self.node_order = tuple(order)
-        #: Mask with every node bit set.
-        self.full_mask = (1 << len(order)) - 1
         self._candidates_by_mask: dict[int, tuple[XID, ...]] = {}
 
     def mask_of(self, visited: Iterable[XID]) -> int:

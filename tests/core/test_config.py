@@ -3,28 +3,8 @@
 import pytest
 
 from repro.core.client import DownloadResult
-from repro.core.config import SoftStageConfig
 from repro.errors import ConfigurationError
 from repro.transport.config import TransportConfig, XIA_CHUNK, XIA_STREAM
-
-
-def test_softstage_defaults_valid():
-    config = SoftStageConfig()
-    assert config.coordinator_poll_interval > 0
-    assert config.max_stage_ahead >= 1
-
-
-@pytest.mark.parametrize("field,value", [
-    ("coordinator_poll_interval", 0.0),
-    ("initial_stage_count", 0),
-    ("max_stage_ahead", 0),
-    ("staging_signal_timeout", 0.0),
-    ("initial_gap_estimate", -1.0),
-    ("default_staging_latency", 0.0),
-])
-def test_softstage_config_rejects_bad_values(field, value):
-    with pytest.raises(ConfigurationError):
-        SoftStageConfig(**{field: value})
 
 
 def test_transport_config_validation():
@@ -34,8 +14,6 @@ def test_transport_config_validation():
         TransportConfig(name="x", ack_every=0)
     with pytest.raises(ConfigurationError):
         TransportConfig(name="x", initial_cwnd=0.5)
-    with pytest.raises(ConfigurationError):
-        TransportConfig(name="x", min_rto=0.5, max_rto=0.1)
 
 
 def test_transport_with_copies():

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import ChunkProfile, SoftStageConfig, StagingCoordinator
+from repro.core import ChunkProfile, ReactiveEq1Policy, StagingCoordinator
 from repro.core.profile import EwmaEstimator
 from repro.core.states import StagingState
 from repro.sim import Simulator
@@ -68,7 +68,7 @@ class FakeSensor:
         return self.gap if self.gap is not None else default
 
 
-def build(num_chunks=40, config=None, sensor=None):
+def build(num_chunks=40, sensor=None):
     sim = Simulator()
     profile = ChunkProfile()
     for i in range(num_chunks):
@@ -78,7 +78,6 @@ def build(num_chunks=40, config=None, sensor=None):
     tracker = FakeTracker()
     coordinator = StagingCoordinator(
         sim, profile, tracker, sensor or FakeSensor(),
-        config or SoftStageConfig(),
     )
     return sim, profile, tracker, coordinator
 
@@ -93,11 +92,12 @@ def test_eq1_threshold_from_estimates():
 
 
 def test_eq1_threshold_uses_defaults_when_empty():
-    config = SoftStageConfig(
-        default_rtt=0.05, default_staging_latency=2.0, default_fetch_latency=1.0
+    _, _, _, coordinator = build()
+    policy = ReactiveEq1Policy
+    assert coordinator.policy.eq1_threshold(coordinator.observe()) == pytest.approx(
+        (policy.default_rtt + policy.default_staging_latency)
+        / policy.default_fetch_latency
     )
-    _, _, _, coordinator = build(config=config)
-    assert coordinator.policy.eq1_threshold(coordinator.observe()) == pytest.approx(2.05)
 
 
 def test_slow_internet_raises_threshold():
@@ -123,21 +123,22 @@ def test_gap_allowance_scales_with_observed_gap():
 
 
 def test_target_capped_by_max_stage_ahead():
-    config = SoftStageConfig(max_stage_ahead=10)
-    _, profile, _, coordinator = build(config=config, sensor=FakeSensor(gap=500.0))
+    cap = ReactiveEq1Policy.max_stage_ahead
+    _, profile, _, coordinator = build(sensor=FakeSensor(gap=10.0 * cap))
     profile.staging_latency.observe(1.0)
-    assert coordinator.policy.target_signalled(coordinator.observe()) == 10
+    assert coordinator.policy.target_signalled(coordinator.observe()) == cap
 
 
 def test_tick_signals_deficit():
     sensor = FakeSensor(gap=3.0)
-    config = SoftStageConfig(initial_gap_estimate=3.0, initial_stage_count=2,
-                             default_staging_latency=1.0)
-    _, profile, tracker, coordinator = build(config=config, sensor=sensor)
+    _, profile, tracker, coordinator = build(sensor=sensor)
     signalled = coordinator.tick()
-    # initial_stage_count (2) + gap allowance (3) = 5 before estimates.
-    assert signalled == 5
-    assert profile.pending_staging() == 5
+    # The initial burst plus the gap allowance, before any estimates.
+    policy = ReactiveEq1Policy
+    expected = policy.initial_stage_count + math.ceil(
+        3.0 / policy.default_staging_latency)
+    assert signalled == expected
+    assert profile.pending_staging() == expected
     # A second tick with nothing changed signals nothing.
     assert coordinator.tick() == 0
 
@@ -160,12 +161,11 @@ def test_tick_without_vnf_does_nothing():
 
 
 def test_tick_resignals_stale_pending():
-    config = SoftStageConfig(staging_signal_timeout=3.0)
-    sim, profile, tracker, coordinator = build(config=config)
+    sim, profile, tracker, coordinator = build()
     coordinator.tick()
     first_calls = len(tracker.calls)
     # Let the pending entries go stale.
-    sim._now = 10.0
+    sim._now = coordinator.staging_signal_timeout + 1.0
     coordinator.tick()
     assert len(tracker.calls) > first_calls
     assert tracker.calls[-1][2] in ("re-signal", "eq1")

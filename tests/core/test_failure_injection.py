@@ -10,28 +10,25 @@ from repro.core.states import StagingState
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.scenario import TestbedScenario
 from repro.mobility.coverage import Coverage, CoverageWindow
-from repro.transport.config import XIA_CHUNK
+from repro.transport.config import TransportConfig
 from repro.util import MB
 
 
-def always_on_scenario(**overrides):
+def always_on_scenario(monkeypatch):
     params = MicrobenchParams(
-        file_size=3 * MB, chunk_size=1 * MB, packet_loss=0.05, **overrides
+        file_size=3 * MB, chunk_size=1 * MB, packet_loss=0.05
     )
     coverage = Coverage([CoverageWindow("ap-A", 0.0, 100_000.0)])
     # Short retry budget so fallback happens quickly in tests.
-    return TestbedScenario(
-        params=params, seed=8, coverage=coverage,
-        transport_config=XIA_CHUNK.with_(
-            request_timeout=0.3, request_retries=4
-        ),
-    )
+    monkeypatch.setattr(TransportConfig, "request_timeout", 0.3)
+    monkeypatch.setattr(TransportConfig, "request_retries", 4)
+    return TestbedScenario(params=params, seed=8, coverage=coverage)
 
 
-def test_stale_staged_copy_falls_back_to_origin():
+def test_stale_staged_copy_falls_back_to_origin(monkeypatch):
     """A chunk marked READY whose edge copy vanished: the fetch times
     out against the edge and XfetchChunk* falls back to the raw DAG."""
-    scenario = always_on_scenario()
+    scenario = always_on_scenario(monkeypatch)
     content = scenario.publish_default_content()
     client = scenario.make_client("softstage")
     manager = client.manager
@@ -58,11 +55,11 @@ def test_stale_staged_copy_falls_back_to_origin():
     assert record.staging_state is StagingState.DONE
 
 
-def test_vnf_stage_failure_counted_and_survivable():
+def test_vnf_stage_failure_counted_and_survivable(monkeypatch):
     """The VNF cannot fetch an unpublished chunk; it records the
     failure and the client's own fetch path still works for real
     content."""
-    scenario = always_on_scenario()
+    scenario = always_on_scenario(monkeypatch)
     content = scenario.publish_default_content()
     client = scenario.make_client("softstage")
     manager = client.manager
@@ -86,10 +83,10 @@ def test_vnf_stage_failure_counted_and_survivable():
     assert not edge.store.has(ghost.cid)
 
 
-def test_lost_confirmations_are_resignalled():
+def test_lost_confirmations_are_resignalled(monkeypatch):
     """STAGE_RESPONSEs can die on the air; the coordinator re-signals
     stale PENDING entries and the VNF answers from its store."""
-    scenario = always_on_scenario()
+    scenario = always_on_scenario(monkeypatch)
     content = scenario.publish_default_content()
     client = scenario.make_client("softstage")
     manager = client.manager
@@ -111,10 +108,10 @@ def test_lost_confirmations_are_resignalled():
     assert manager.tracker.signals_sent >= 2
 
 
-def test_edge_cache_pressure_never_evicts_pinned_staged_chunks():
+def test_edge_cache_pressure_never_evicts_pinned_staged_chunks(monkeypatch):
     """Staged chunks are pinned until served; cache churn cannot evict
     them (the continuity guarantee staging relies on)."""
-    scenario = always_on_scenario()
+    scenario = always_on_scenario(monkeypatch)
     content = scenario.publish_default_content()
     client = scenario.make_client("softstage")
     manager = client.manager

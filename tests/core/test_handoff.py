@@ -5,8 +5,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.handoff import ChunkAwarePolicy, HandoffManager, RssGreedyPolicy
-from repro.core.config import SoftStageConfig
 from repro.sim import Simulator
+
+
+#: The hysteresis the Handoff Manager hands its policy, dB.
+HYSTERESIS = HandoffManager.hysteresis_db
 
 
 def visible(name: str, rss: float):
@@ -27,7 +30,7 @@ def association(name: str):
 def test_greedy_picks_strongest_when_offline():
     policy = RssGreedyPolicy()
     target = policy.select_target(
-        [visible("B", -60), visible("A", -70)], None, hysteresis_db=3.0
+        [visible("B", -60), visible("A", -70)], None, hysteresis_db=HYSTERESIS
     )
     assert target.name == "B"
 
@@ -35,27 +38,28 @@ def test_greedy_picks_strongest_when_offline():
 def test_greedy_stays_when_current_is_strongest():
     policy = RssGreedyPolicy()
     scan = [visible("A", -55), visible("B", -70)]
-    assert policy.select_target(scan, association("A"), 3.0) is None
+    assert policy.select_target(scan, association("A"), HYSTERESIS) is None
 
 
 def test_greedy_respects_hysteresis():
     policy = RssGreedyPolicy()
-    scan = [visible("B", -58), visible("A", -60)]
-    # Only 2 dB louder: below the 3 dB hysteresis.
-    assert policy.select_target(scan, association("A"), 3.0) is None
-    scan = [visible("B", -55), visible("A", -60)]
-    assert policy.select_target(scan, association("A"), 3.0).name == "B"
+    # Louder, but not by the hysteresis: stay.
+    scan = [visible("B", -60 + HYSTERESIS - 1), visible("A", -60)]
+    assert policy.select_target(scan, association("A"), HYSTERESIS) is None
+    scan = [visible("B", -60 + HYSTERESIS + 2), visible("A", -60)]
+    assert policy.select_target(scan, association("A"), HYSTERESIS).name == "B"
 
 
 def test_greedy_switches_when_current_not_audible():
     policy = RssGreedyPolicy()
     scan = [visible("B", -80)]
-    assert policy.select_target(scan, association("A"), 3.0).name == "B"
+    assert policy.select_target(scan, association("A"), HYSTERESIS).name == "B"
 
 
 def test_greedy_no_networks_no_target():
-    assert RssGreedyPolicy().select_target([], association("A"), 3.0) is None
-    assert RssGreedyPolicy().select_target([], None, 3.0) is None
+    policy = RssGreedyPolicy()
+    assert policy.select_target([], association("A"), HYSTERESIS) is None
+    assert policy.select_target([], None, HYSTERESIS) is None
 
 
 def test_chunk_aware_is_content_aware_flagged():
@@ -98,8 +102,7 @@ def make_manager(policy, prestage=None):
     controller = FakeController(sim)
     scanner = FakeScanner()
     manager = HandoffManager(
-        sim, controller, scanner, policy=policy,
-        config=SoftStageConfig(), prestage=prestage,
+        sim, controller, scanner, policy=policy, prestage=prestage,
     )
     return sim, controller, scanner, manager
 

@@ -16,7 +16,7 @@ reproduces the pre-framework coordinator's fixed-seed metrics
 
 import pytest
 
-from repro.core import ChunkProfile, SoftStageConfig, StagingCoordinator
+from repro.core import ChunkProfile, StagingCoordinator
 from repro.core.policy import (
     ActionKind,
     StagingAction,
@@ -58,10 +58,10 @@ def named_policy(name):
     scenario = TestbedScenario(
         params=MicrobenchParams(file_size=2 * MB, chunk_size=MB), seed=0
     )
-    return make_policy(name, scenario.softstage_config, scenario)
+    return make_policy(name, scenario)
 
 
-def build(num_chunks, policy, config=None, sensor=None):
+def build(num_chunks, policy, sensor=None):
     sim = Simulator()
     profile = ChunkProfile()
     for i in range(num_chunks):
@@ -70,8 +70,7 @@ def build(num_chunks, policy, config=None, sensor=None):
                          DagAddress.content(chunk.cid, NID_S, HID_S))
     tracker = FakeTracker()
     coordinator = StagingCoordinator(
-        sim, profile, tracker, sensor or FakeSensor(),
-        config or SoftStageConfig(), policy=policy,
+        sim, profile, tracker, sensor or FakeSensor(), policy=policy,
     )
     return sim, profile, tracker, coordinator
 

@@ -74,14 +74,14 @@ def test_duplicate_signal_answered_from_store():
     manager.tracker.signal(records, vnf_address)
     scenario.sim.run(until=scenario.sim.now + 10.0)
     edge = scenario.edges[0]
-    fetches_before = edge.vnf.fetcher.fetches_started
+    assert edge.vnf.chunks_staged == 1
 
     # Re-signal the same chunk (e.g. the READY response was lost).
     records[0].staging_state = StagingState.PENDING
     manager.tracker.signal(records, vnf_address)
-    scenario.sim.run(until=scenario.sim.now + 5.0)
+    scenario.sim.run(until=scenario.sim.now + 10.0)
     # Answered immediately from the store: no new origin fetch.
-    assert edge.vnf.fetcher.fetches_started == fetches_before
+    assert edge.vnf.chunks_staged == 1
     assert records[0].staging_state is StagingState.READY
 
 
@@ -124,15 +124,17 @@ def test_vnf_ignores_non_stage_packets():
     scenario = always_on_scenario()
     attach_and_register(scenario)
     edge = scenario.edges[0]
+    from repro.obs.events import StageRequestReceived
     from repro.xia.dag import DagAddress
     from repro.xia.packet import Packet, PacketType
 
+    requests = []
+    scenario.sim.probe.bus.subscribe(StageRequestReceived, requests.append)
     bogus = Packet(
         PacketType.CONTROL,
         dst=DagAddress.host(edge.router.hid),
         src=DagAddress.host(scenario.client_host.hid),
         payload={},
     )
-    before = edge.vnf.requests_received
     edge.vnf.handle_packet(bogus, None)
-    assert edge.vnf.requests_received == before
+    assert requests == []

@@ -55,12 +55,14 @@ def test_scanner_enforces_coverage_loss():
     scenario = make_scenario(coverage=coverage)
     scenario.scanner.start()
     controller = scenario.controller
+    detached = []
+    controller.on_detach(detached.append)
     scenario.sim.run(until=scenario.sim.process(controller.associate("ap-A")))
     assert controller.is_associated
     scenario.sim.run(until=6.0)
     # Coverage ended at t=5: the scanner forced a disassociation.
     assert not controller.is_associated
-    assert controller.disassociations == 1
+    assert len(detached) == 1
 
 
 def test_attach_listeners_and_waiters_fire():
@@ -86,6 +88,9 @@ def test_switching_aps_reroutes_and_changes_active_port():
         coverage=alternating_coverage(["ap-A", "ap-B"], 10.0, 0.0, 100.0)
     )
     controller = scenario.controller
+    events = []
+    controller.on_attach(lambda a: events.append(("attach", a.ap.name)))
+    controller.on_detach(lambda a: events.append(("detach", a.ap.name)))
     scenario.sim.run(until=scenario.sim.process(controller.associate("ap-A")))
     port_a = scenario.client_host.active_port
     scenario.sim.run(until=scenario.sim.process(controller.associate("ap-B")))
@@ -95,17 +100,18 @@ def test_switching_aps_reroutes_and_changes_active_port():
     gateway_b = scenario.edges[1].router
     assert scenario.client_host.hid not in gateway_a.engine.routes
     assert scenario.client_host.hid in gateway_b.engine.routes
-    assert controller.associations == 2
-    assert controller.disassociations == 1
+    assert events == [("attach", "ap-A"), ("detach", "ap-A"), ("attach", "ap-B")]
 
 
 def test_associate_same_ap_is_noop():
     coverage = Coverage([CoverageWindow("ap-A", 0.0, 50.0)])
     scenario = make_scenario(coverage=coverage)
     controller = scenario.controller
+    attached = []
+    controller.on_attach(attached.append)
     scenario.sim.run(until=scenario.sim.process(controller.associate("ap-A")))
     scenario.sim.run(until=scenario.sim.process(controller.associate("ap-A")))
-    assert controller.associations == 1
+    assert len(attached) == 1
 
 
 def test_associate_unknown_ap_raises():

@@ -264,6 +264,5 @@ def test_recorder_folds_gauge_samples_from_the_bus():
     bus.publish(Stamped(
         time=2.0, run_id="r", event=GaugeSample(gauge="x.y", value=99.0),
     ))
-    assert recorder.gauge_samples == 3
     assert recorder.sketches["gauge.x.y"].maximum == 3.0
     assert recorder.sketches["gauge.x.y.q"].count == 3

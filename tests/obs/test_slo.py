@@ -49,6 +49,21 @@ def test_spec_round_trips_through_parse():
         assert parse_slo(parse_slo(spec).spec()) == parse_slo(spec)
 
 
+@pytest.mark.parametrize("spec,canonical", [
+    ("gain >= 1.2", "gain >= 1.2"),
+    ("p95(stage_latency) <= 2.0", "p95(stage_latency) <= 2"),
+    ("gain >= 1.2345678", "gain >= 1.2345678"),
+    ("gain >= 1234567", "gain >= 1234567.0"),
+    ("gain >= 1e-9", "gain >= 1e-09"),
+    ("mean(g) <= 0.1 @ 30.0000001", "mean(g) <= 0.1 @ 30.0000001"),
+    ("mean(g) <= 3 @ 12.5", "mean(g) <= 3 @ 12.5"),
+])
+def test_spec_keeps_every_digit_it_needs(spec, canonical):
+    slo = parse_slo(spec)
+    assert slo.spec() == canonical
+    assert parse_slo(slo.spec()) == slo
+
+
 def test_parse_rejects_garbage():
     for bad in ("gain", "gain == 1", "p42(x) <= 1", "gain >= fast"):
         with pytest.raises(ValueError):
@@ -270,6 +285,16 @@ def test_live_evaluator_fires_on_transition_only():
     alert = ev.alerts[0]
     assert alert.kind == "burn" and alert.run == "r1"
     assert 0.0 < alert.burn_rate <= 1.0
+
+
+def test_live_evaluator_keeps_slos_apart_past_the_sixth_digit():
+    slos = [parse_slo("x <= 1.0000001"), parse_slo("x <= 1.0000002")]
+    assert slos[0].name != slos[1].name
+    ev = LiveSLOEvaluator(slos)
+    ev.feed(*gauge_item(0.0, 1.00000015, gauge="x"))
+    ev.feed(*gauge_item(1.0, 1.00000015, gauge="x"))
+    # Only the tighter ceiling is violated, and it stays violated.
+    assert [alert.slo for alert in ev.alerts] == ["x <= 1.0000001"]
 
 
 def test_live_window_slides_by_sim_time():

@@ -146,7 +146,7 @@ def test_builder_adopts_first_run_and_skips_others():
     builder.feed(stamp(2.0, HandoffDeferred(target="b"), run="runB"))
     builder.finish()
     assert builder.run_id == "runA"
-    assert builder.skipped_other_runs == 1
+    assert builder.events_seen == 1
     assert [s.key for s in builder.spans] == ["a"]
 
 

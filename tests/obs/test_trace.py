@@ -30,7 +30,6 @@ def export_to_string(stampeds):
     for stamped in stampeds:
         bus.publish(stamped)
     exporter.close()
-    assert exporter.events_written == len(stampeds)
     return buffer.getvalue()
 
 
@@ -57,11 +56,12 @@ def test_read_trace_round_trips_events_exactly():
 
 def test_exporter_detaches_on_close():
     bus = EventBus()
-    exporter = TraceExporter(io.StringIO()).attach(bus)
+    buffer = io.StringIO()
+    exporter = TraceExporter(buffer).attach(bus)
     bus.publish(SAMPLE[0])
     exporter.close()
     bus.publish(SAMPLE[1])
-    assert exporter.events_written == 1
+    assert buffer.getvalue().count("\n") == 1
     assert not bus.active
 
 

@@ -1,5 +1,5 @@
 """Census of ``src/repro``: every module, every public name, every
-option and every packet-path write earns its place.
+option and every stored attribute earns its place.
 
 Four properties, checked from the syntax trees alone (``repro`` is
 never imported, so this runs in about a second):
@@ -18,11 +18,13 @@ never imported, so this runs in about a second):
   input a constructor stores is read somewhere — an option only
   ``tests/`` set becomes its default, with the branch and the tests
   the other value selected, or is listed in :data:`KEEP_OPTIONS`;
-- every attribute the packet path (:data:`HOP_FUNCTIONS`) stores or
+- every attribute a method of a class under ``src/repro`` stores or
   augments is loaded somewhere under ``src/``, ``benchmarks/`` or
   ``examples/`` outside its own writes — a counter only ``tests/`` read
-  is work every packet pays for nobody, and goes with its writes or is
-  listed in :data:`KEEP_WRITES`.
+  is work the program pays for nobody, and goes with its writes or is
+  listed in :data:`KEEP_WRITES`.  Assigning a property is a call, not
+  a store, and an input a :data:`KEEP_OPTIONS` line keeps is kept
+  here too.
 
 A package ``__init__`` re-export (its ``import`` statements and its
 ``__all__``) is not a use: it resolves to the defining module and
@@ -114,9 +116,6 @@ KEEP_OPTIONS = {
     "repro.__main__:main(argv)":
         "reference: tests/experiments/test_cli.py (the CLI byte contracts "
         "run the front door in-process)",
-    "repro.core.config:SoftStageConfig":
-        "input record: Table I's stated estimates and the Staging "
-        "Manager's timers",
     "repro.core.policy:StagingObservation":
         "input record: what a StagingPolicy is shown — the policy contract "
         "(tests/core/test_policy_contract.py); ROADMAP item 5 emits it per "
@@ -126,9 +125,6 @@ KEEP_OPTIONS = {
         "paper's NID:HID and RTT cells; tests/core/test_tracker_vnf.py)",
     "repro.errors:TraceCorrupt(lineno)":
         "safety: the line a corrupt trace broke at, for whoever catches it",
-    "repro.experiments.scenario:TestbedScenario(transport_config)":
-        "reference: tests/core/test_failure_injection.py (Table II's fault "
-        "paths run on a short retry budget)",
     "repro.sim.core:Event.fail(delay)":
         "reference: tests/sim/test_primitives.py (AnyOf, which production "
         "processes wait on, fails when a constituent fails later)",
@@ -141,17 +137,16 @@ KEEP_OPTIONS = {
     "repro.sim.core:Simulator.timeout(value)":
         "reference: tests/sim/test_primitives.py (AnyOf's fired-value dict "
         "and run(until=) are pinned through valued timeouts)",
-    "repro.transport.config:TransportConfig":
-        "input record: the Fig. 5 calibration of the three transports",
     "repro.transport.flowmodel:FlowModel.transfer_time(include_verify)":
         "ROADMAP item 6: the flow model becomes the oracle, or goes",
 }
-MAX_KEEP_OPTIONS = 20
+MAX_KEEP_OPTIONS = 9
 
-#: Attributes the packet path writes although nothing outside
-#: ``tests/`` reads them: ``"attribute": reason``.  A reason names the
-#: reader (``reference: <test file>``) and why the write costs a
-#: delivered packet nothing, or the ``safety:`` check it feeds.
+#: Attributes written although nothing outside ``tests/`` reads them:
+#: ``"attribute": reason``.  A reason names the reader (``reference:
+#: <test file>``, a test that uses the count as an independent
+#: reference) and why the write costs a delivered packet nothing, or
+#: the ``safety:`` check it feeds.
 KEEP_WRITES = {
     "dropped_down":
         "reference: tests/net/test_link_equivalence.py (drops by reason "
@@ -162,6 +157,10 @@ KEEP_WRITES = {
     "duplicate_segments":
         "reference: tests/transport/test_reliable.py (a lossless transfer "
         "receives no segment twice); duplicate branch only",
+    "timeouts":
+        "reference: tests/transport/test_reliable.py (the RTO-timer tests "
+        "count expiries beside the kernel's rto events); timeout branch "
+        "only",
 }
 MAX_KEEP_WRITES = 10
 
@@ -419,7 +418,7 @@ def test_keep_list_is_live():
     census = _option_census()
     flagged = census.unset() | census.unread()
     stale += sorted(key for key in KEEP_OPTIONS if not _kept(flagged, key))
-    stale += sorted(set(KEEP_WRITES) - set(_hop_write_only()))
+    stale += sorted(set(KEEP_WRITES) - set(_write_only_state()))
     assert not stale, (
         "keep-list entries that no longer exist or have gained a real user "
         "(delete the line): " + ", ".join(stale)
@@ -1042,96 +1041,109 @@ def test_a_field_changed_after_construction_is_state_not_an_option():
 
 
 # --------------------------------------------------------------------------
-# Write-only state on the packet path
+# Write-only state
 # --------------------------------------------------------------------------
 
-#: The functions a forwarded or delivered packet runs:
-#: ``module: {class: {method, ...}}`` — the frozen boundaries, the
-#: steps between them, the packet pool and the transport's hot methods.
-HOP_FUNCTIONS = {
-    "repro.net.link": {
-        "LinkDirection": {"_arrive", "_start", "enqueue"},
-        "Medium": {"_tx_done"},
-    },
-    "repro.net.nodes": {"Device": {"receive"}, "Host": {"handle_packet"}},
-    "repro.transport.reliable": {
-        "ReceiverSession": {"_on_data", "_send_ack", "on_packet"},
-        "SenderSession": {"_arm_timer", "_emit", "_on_ack", "_pace", "_pump",
-                          "_wake", "on_packet"},
-    },
-    "repro.xia.packet": {"Packet": {"acquire", "release"}},
-    "repro.xia.router": {
-        "AccessPoint": {"handle_packet"},
-        "XIARouter": {"handle_packet"},
-    },
-}
-
-
-def _methods(tree: ast.Module, classes: dict[str, set[str]]):
-    """``("Class.method", FunctionDef)`` of the named methods in a tree."""
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef) and cls.name in classes:
+def _write_only(defs, reads: set[str]) -> dict[str, set[str]]:
+    """``attribute -> {"module:Class.method", ...}`` of what the methods
+    of every class in ``defs`` (``{module: tree}``) store and ``reads``
+    — an option census's: attributes loaded (``x.n += 1`` stores
+    without loading) and identifier strings outside a ``__slots__`` —
+    lacks.  A name some class defines a property setter for is a call,
+    not stored state."""
+    writers, setters = defaultdict(set), set()
+    for module, tree in defs.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
             for fn in cls.body:
-                if (isinstance(fn, ast.FunctionDef)
-                        and fn.name in classes[cls.name]):
-                    yield f"{cls.name}.{fn.name}", fn
-
-
-def _write_only(functions, reads: set[str]) -> dict[str, set[str]]:
-    """``attribute -> {"Class.method", ...}`` of what ``functions``
-    (``(label, FunctionDef)`` pairs) store and ``reads`` — an option
-    census's: attributes loaded (``x.n += 1`` stores without loading)
-    and identifier strings outside a ``__slots__`` — lacks."""
-    writers = defaultdict(set)
-    for label, fn in functions:
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                writers[node.attr].add(label)
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if any(_tail(d) == "setter" for d in fn.decorator_list):
+                    setters.add(fn.name)
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)):
+                        writers[node.attr].add(f"{module}:{cls.name}.{fn.name}")
     return {attr: where for attr, where in writers.items()
-            if attr not in reads}
+            if attr not in reads and attr not in setters}
 
 
 @lru_cache(maxsize=None)
-def _hop_write_only() -> dict[str, set[str]]:
-    functions = []
-    for module, classes in HOP_FUNCTIONS.items():
-        found = list(_methods(_tree(MODULES[module]), classes))
-        assert len(found) == sum(map(len, classes.values())), (
-            f"a hop function of {module} moved or was renamed: update "
-            "HOP_FUNCTIONS")
-        functions += found
-    return _write_only(functions, _option_census().reads)
+def _write_only_state() -> dict[str, set[str]]:
+    """Write-only attributes under ``src/repro``, less the stored inputs
+    a KEEP_OPTIONS line keeps."""
+    census = _option_census()
+    kept = {attribute for ident, attribute in census.stored
+            if ident in _kept(census.unread())}
+    found = _write_only(
+        {module: _tree(path) for module, path in MODULES.items()},
+        census.reads)
+    return {attr: where for attr, where in found.items() if attr not in kept}
 
 
 def test_no_write_only_state_on_the_packet_path():
+    """Every class's stores, the packet path's among them."""
     orphans = sorted(f"{attr} (written by {', '.join(sorted(where))})"
-                     for attr, where in _hop_write_only().items()
+                     for attr, where in _write_only_state().items()
                      if attr not in KEEP_WRITES)
     assert not orphans, (
-        "attributes the packet path writes and nothing under src/, "
-        "benchmarks/ or examples/ reads (delete them with their writes, or "
-        "add a KEEP_WRITES line naming the reader):\n  "
-        + "\n  ".join(orphans))
+        "attributes written and read by nothing under src/, benchmarks/ "
+        "or examples/ (delete them with their writes, or add a "
+        "KEEP_WRITES line naming the reader):\n  " + "\n  ".join(orphans))
+
+
+def _flagged(source: str, user: str = "") -> set[str]:
+    """The write-only attributes of module ``m`` with ``user`` reading."""
+    trees = [ast.parse(source), ast.parse(user)]
+    return set(_write_only({"m": trees[0]}, _OptionCensus({}, trees).reads))
 
 
 def test_a_counter_only_written_is_flagged_until_something_reads_it():
-    source = ast.parse(
+    source = (
         "class Port:\n"
         "    __slots__ = ('sent', 'bytes', 'last')\n"
         "    def send(self, packet):\n"
         "        self.sent += 1\n"
         "        self.bytes += packet.size\n"
         "        self.last = packet\n")
-    hop = list(_methods(source, {"Port": {"send"}}))
-
-    def flagged(user: str) -> set[str]:
-        return set(_write_only(
-            hop, _OptionCensus({}, [source, ast.parse(user)]).reads))
-
     # A slots string and an augmented write are no readers.
-    assert flagged("") == {"sent", "bytes", "last"}
-    assert flagged("print(port.last, getattr(port, 'sent'))") == {"bytes"}
-    assert flagged("total = port.bytes") == {"sent", "last"}
+    assert _flagged(source) == {"sent", "bytes", "last"}
+    assert _flagged(source, "print(port.last, getattr(port, 'sent'))") == {
+        "bytes"}
+    assert _flagged(source, "total = port.bytes") == {"sent", "last"}
+
+
+def test_a_counter_written_in_two_classes_and_read_in_neither_is_flagged():
+    source = (
+        "class Scanner:\n"
+        "    def __init__(self):\n"
+        "        self.scans = 0\n"
+        "    def scan(self):\n"
+        "        self.scans += 1\n"
+        "class Fetcher:\n"
+        "    def fetch(self):\n"
+        "        self.scans = 1\n")
+    tree = ast.parse(source)
+    assert _write_only({"m": tree}, _OptionCensus({}, [tree]).reads) == {
+        "scans": {"m:Scanner.__init__", "m:Scanner.scan", "m:Fetcher.fetch"}}
+    assert _flagged(source, "print(fetcher.scans)") == set()
+
+
+def test_assigning_a_property_is_a_call_not_stored_state():
+    source = (
+        "class Router:\n"
+        "    @property\n"
+        "    def handler(self):\n"
+        "        return None\n"
+        "    @handler.setter\n"
+        "    def handler(self, fn):\n"
+        "        self._table[0] = fn\n"
+        "class Daemon:\n"
+        "    def install(self, router):\n"
+        "        router.handler = self.serve\n"
+        "        router.name = 'edge'\n")
+    assert _flagged(source) == {"name"}
 
 
 if __name__ == "__main__":
@@ -1146,7 +1158,7 @@ if __name__ == "__main__":
         for ident in sorted(ours):
             print("  " + ident, "" if ident in theirs else "[tests]",
                   "[kept]" if _kept({ident}) else "")
-    print("written on the packet path, never read:")
-    for attr, where in sorted(_hop_write_only().items()):
+    print("written, never read:")
+    for attr, where in sorted(_write_only_state().items()):
         print(f"  {attr} ({', '.join(sorted(where))})",
               "[kept]" if attr in KEEP_WRITES else "")

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.net import Host, Link, Network
 from repro.net.loss import BernoulliLoss
 from repro.sim import RandomStreams, Simulator
-from repro.transport import TransportEndpoint, XIA_STREAM
+from repro.transport import TransportConfig, TransportEndpoint, XIA_STREAM
 from repro.transport.reliable import new_session_id
 from repro.util import mbps, ms
 from repro.xia import DagAddress, HID
@@ -35,19 +35,21 @@ def test_every_byte_arrives_exactly_once(total_bytes, loss, delay_ms, seed):
     )
     net.connect(a, b, Link(sim, "ab", mbps(80), ms(delay_ms),
                            loss_a_to_b=loss_model))
-    config = XIA_STREAM.with_(per_packet_cost=0.0, min_rto=0.05)
+    config = XIA_STREAM.with_(per_packet_cost=0.0)
     ep_a = TransportEndpoint(sim, a, config)
     ep_b = TransportEndpoint(sim, b, config)
 
     session = new_session_id()
     receiver = ep_b.open_receiver(session)
-    ep_a.start_send(
-        session,
-        dst=DagAddress.host(b.hid),
-        src=DagAddress.host(a.hid),
-        total_bytes=total_bytes,
-    )
-    sim.run(until=receiver.done)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TransportConfig, "min_rto", 0.05)
+        ep_a.start_send(
+            session,
+            dst=DagAddress.host(b.hid),
+            src=DagAddress.host(a.hid),
+            total_bytes=total_bytes,
+        )
+        sim.run(until=receiver.done)
     assert receiver.bytes_received == total_bytes
     assert receiver.completed
     assert not receiver._out_of_order

@@ -6,6 +6,7 @@ generator process paying one ``Timeout`` per segment — became the
 ``_pump`` callback (PR 14); the pump must reproduce them exactly.
 """
 
+from repro.obs.events import SessionMigrated
 from repro.sim.profiler import SimProfiler
 from repro.transport import XIA_STREAM
 from repro.transport.reliable import new_session_id
@@ -226,10 +227,12 @@ def test_migration_resume_restarts_sending_after_the_pause():
     pair = Pair(config=XIA_STREAM)
     sender, receiver = open_transfer(pair, total_bytes=400 * MSS)
     pair.sim.run(until=0.01)
+    migrated = []
+    pair.sim.probe.bus.subscribe(SessionMigrated, migrated.append)
     migrate = pair.sim.process(receiver.migrate(DagAddress.host(pair.b.hid, None)))
     sender.dst = DagAddress.host(pair.a.hid)  # so the announced address is new
     pair.sim.run(until=migrate)
-    assert sender.migrations == 1 and sender._paused
+    assert len(migrated) == 1 and sender._paused
     frozen = sender.next_seq
     pair.sim.run(until=pair.sim.now + XIA_STREAM.migration_delay / 2)
     assert sender.next_seq == frozen and wakeups(pair.sim) == []

@@ -66,8 +66,9 @@ def test_capacity_eviction_lru_order():
 
 def test_chunk_larger_than_capacity_rejected():
     store = ContentStore(capacity_bytes=50)
-    assert not store.put(make_chunk(0, size=100))
-    assert store.rejected == 1
+    chunk = make_chunk(0, size=100)
+    assert not store.put(chunk)
+    assert not store.has(chunk.cid) and store.used_bytes == 0
 
 
 def test_pinned_chunks_never_evicted():
@@ -83,8 +84,9 @@ def test_put_fails_when_everything_pinned():
     store = ContentStore(capacity_bytes=200)
     store.put(make_chunk(0), pin=True)
     store.put(make_chunk(1), pin=True)
-    assert not store.put(make_chunk(2))
-    assert store.rejected == 1
+    chunk = make_chunk(2)
+    assert not store.put(chunk)
+    assert not store.has(chunk.cid) and store.used_bytes == 200
 
 
 def test_unpin_allows_eviction():
