@@ -135,15 +135,18 @@ def cmd_trace_diff(args) -> None:
         run_a = pick_run(runs_a, args.run_a)
         run_b = pick_run(runs_b, args.run_b)
     else:
-        # Single multi-run file: diff two runs inside it.
+        # Single multi-run file: diff two runs inside it.  A side no flag
+        # names is the first run the other side does not name.
         ids = list(runs_a)
-        if args.run_a is None and args.run_b is None and len(ids) < 2:
+        first = args.run_a or next((i for i in ids if i != args.run_b), None)
+        second = args.run_b or next((i for i in ids if i != first), None)
+        if first is None or second is None:
             raise SystemExit(
                 f"{args.file_a} holds a single run ({ids[0]}); "
                 f"pass a second file or --run-a/--run-b"
             )
-        run_a = pick_run(runs_a, args.run_a or ids[0])
-        run_b = pick_run(runs_a, args.run_b or ids[1 if len(ids) > 1 else 0])
+        run_a = pick_run(runs_a, first)
+        run_b = pick_run(runs_a, second)
     deltas = diff_spans(run_a.spans, run_b.spans)
     rows = []
     for d in deltas:

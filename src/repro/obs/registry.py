@@ -191,7 +191,9 @@ class RunRegistry:
     def find(self, key: str) -> RunRecord:
         """Resolve ``key`` to one record.
 
-        Exact ``rec_id`` match wins; otherwise the *latest* record
+        In this order: the record whose ``rec_id`` is ``key``; the
+        *latest* record whose ``run_id`` is ``key`` (so ``xftp-seed1``
+        is not shadowed by a later ``xftp-seed10``); the *latest* record
         whose ``run_id`` (or rec_id) contains ``key``.  Raises
         :class:`RecordNotFound` (a :class:`KeyError`) when nothing
         matches.
@@ -200,7 +202,8 @@ class RunRegistry:
         for record in records:
             if record.rec_id == key:
                 return record
-        matches = [
+        matches = [record for record in records if record.run_id == key]
+        matches = matches or [
             record for record in records
             if key in record.run_id or key in record.rec_id
         ]

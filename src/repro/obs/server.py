@@ -30,7 +30,8 @@ Endpoints (all GET, all JSON unless noted):
     the wide-event directory.
 ``/diff?a=<key>&b=<key>[&threshold=<frac>]``
     Metric diff between two records
-    (:func:`repro.obs.registry.diff_payload`).  Responds **409** when
+    (:func:`repro.obs.registry.diff_payload`); ``threshold`` is a
+    fraction in [0, 1), anything else is a 400.  Responds **409** when
     a gain-family metric regressed past the paper-shape threshold, so
     ``curl -f`` (and therefore CI) fails exactly when the paper shape
     broke; 200 otherwise.
@@ -266,6 +267,11 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             )
         except ValueError:
             self._error(400, "threshold must be a number")
+            return
+        # A nan or inf threshold would switch the 409 gate off and a
+        # negative one flag every gain; nan fails both comparisons here.
+        if not 0 <= threshold < 1:
+            self._error(400, "threshold must be a fraction in [0, 1)")
             return
         payload = diff_payload(record_a, record_b, diff_records(
             record_a, record_b, gain_threshold=threshold

@@ -195,6 +195,27 @@ def test_cli_trace_summary_reports_what_the_reader_skipped(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("flag, header", [
+    ("--run-a", "A=r1  B=r0"), ("--run-b", "A=r0  B=r1")],
+    ids=["run-a", "run-b"])
+def test_cli_trace_diff_one_flag_compares_against_another_run(
+    flag, header, tmp_path, capsys
+):
+    """With one side named, the other is the first run in the file that
+    is not that run (it used to be the named run itself); a file holding
+    only the named run is an exit message."""
+    two_runs = tmp_path / "two.jsonl"
+    two_runs.write_text(_TRACE_LINES + _TRACE_LINES.replace('"r0"', '"r1"'))
+    assert main(["trace", "diff", str(two_runs), flag, "r1"]) == 0
+    assert f"Span diff: {header}" in capsys.readouterr().out
+    one_run = tmp_path / "one.jsonl"
+    one_run.write_text(_TRACE_LINES)
+    assert _exit_message(["trace", "diff", str(one_run), flag, "r0"]) == (
+        f"{one_run} holds a single run (r0); "
+        "pass a second file or --run-a/--run-b"
+    )
+
+
 def _exit_message(argv):
     """What a failing command prints: ``SystemExit`` with a string is
     that string on stderr and status 1."""

@@ -50,6 +50,18 @@ def test_find_exact_then_latest_substring(registry):
         registry.find("nonexistent")
 
 
+def test_find_prefers_an_exact_run_id_over_a_longer_one(registry):
+    registry.append("xftp-seed1", "demo", {"n": 1})
+    registry.append("xftp-seed10", "demo", {"n": 10})
+    registry.append("xftp-seed1", "demo", {"n": 2})
+    registry.append("xftp-seed10", "demo", {"n": 20})
+    # The latest record of exactly that run, not a later seed's.
+    assert registry.find("xftp-seed1").rec_id == "0003/xftp-seed1"
+    assert registry.find("xftp-seed10").metrics == {"n": 20}
+    # A key no run is named exactly still resolves by substring.
+    assert registry.find("seed1").rec_id == "0004/xftp-seed10"
+
+
 def test_concurrent_appends_never_tear_lines(registry):
     from concurrent.futures import ThreadPoolExecutor
 

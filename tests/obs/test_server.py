@@ -188,9 +188,12 @@ def test_diff_validates_its_query(service):
     assert _get(server, "/diff")[0] == 400
     assert _get(server, "/diff?a=softstage-seed0")[0] == 400
     assert _get(server, "/diff?a=softstage-seed0&b=bogus")[0] == 404
-    assert _get(
-        server, "/diff?a=softstage-seed0&b=xftp-seed0&threshold=x"
-    )[0] == 400
+    # A nan or inf threshold flags no gain collapse, a negative one every
+    # gain: each answers 400, not a diff that passes the curl -f gate.
+    for bad in ("x", "nan", "inf", "-0.5", "1.5"):
+        assert _get(
+            server, f"/diff?a=softstage-seed0&b=xftp-seed0&threshold={bad}"
+        )[0] == 400, bad
 
 
 # ---------------------------------------------------------------------------
