@@ -6,13 +6,14 @@ pair with the flight recorder on (the event mix ``obs_live`` publishes:
 mostly ``LinkRetransmission`` and ``GaugeSample``), then replays exactly
 that stream, run by run, through fresh attachments wired the way
 ``run_download`` wires them: a no-op wildcard (the bus's own cost),
-each attachment alone, and all six together — the hub with one
-draining thread, as ``benchmarks/e2e/workloads.lattice`` runs it.
+each bus attachment alone, and all of them together with the sketch
+recorder as a sink of the fold — the hub with one draining thread, as
+``benchmarks/e2e/workloads.lattice`` runs it.
 
 Per row it reports
 
 - ``events`` — events the row's handlers received (wildcard rows see
-  the whole stream, ``sketches`` and ``hub`` only the gauge samples);
+  the whole stream, ``hub`` only the gauge samples);
 - ``us_per_event`` — host µs per *published* event (median of
   ``--rounds`` replays), so rows are comparable and roughly additive;
 - ``py_calls_per_event`` — Python frames entered per published event
@@ -76,13 +77,12 @@ ROWS = {
     "trace": ("trace",),
     "audit": ("audit",),
     "fold": ("fold",),
-    "sketches": ("sketches",),
     "hub": ("hub",),
     "all": ("collector", "trace", "audit", "sketches", "fold", "hub"),
 }
 
 #: Rows whose only subscription is the ``GaugeSample`` topic.
-GAUGE_ONLY_ROWS = ("sketches", "hub")
+GAUGE_ONLY_ROWS = ("hub",)
 
 #: Read-side row → the offline view it runs over the trace at ``path``.
 READ_ROWS = {
@@ -94,12 +94,13 @@ READ_ROWS = {
 
 #: ``--check`` fails above this many Python calls per published event
 #: with the whole lattice attached.  The recorded seed-0 stream costs
-#: 10.85 since the exporter and the auditor stopped reflecting over
-#: every event and the hub's queue became a ``SimpleQueue`` (36.97
-#: before: 22.15 of them in the exporter alone); the ceiling sits ~10 %
-#: above — room for a helper on a per-chunk path, not for one more
-#: frame per event.
-ALL_PY_CALLS_PER_EVENT_CEILING = 11.9
+#: 8.98 since the sketch recorder stopped subscribing to gauge samples
+#: (10.85 before, when it folded each one into two sketches; 36.97
+#: before the exporter and the auditor stopped reflecting over every
+#: event and the hub's queue became a ``SimpleQueue``); the ceiling
+#: sits ~10 % above — room for a helper on a per-chunk path, not for
+#: one more frame per event.
+ALL_PY_CALLS_PER_EVENT_CEILING = 9.9
 
 #: ``--check`` fails above this many Python calls per event of a bare
 #: ``read_trace`` pass.  It costs 3.01 — the event's constructor, the
@@ -149,13 +150,10 @@ def _attach(consumers, bus: EventBus, run_id: str, trace_fh, wide_fh, hub):
         TraceExporter(trace_fh).attach(bus)
     if "audit" in consumers:
         InvariantAuditor(strict=True).attach(bus)
-    recorder = None
-    if "sketches" in consumers:
-        recorder = SketchRecorder().attach(bus)
     if "fold" in consumers:
         sinks = [[].append, WideEventWriter(wide_fh).write]
-        if recorder is not None:
-            sinks.append(recorder.feed_wide)
+        if "sketches" in consumers:
+            sinks.append(SketchRecorder().feed_wide)
         if "hub" in consumers:
             sinks.append(lambda record: hub.publish("wide", record))
         WideEventBuilder(run_id=run_id, sinks=sinks).attach(bus)

@@ -1,15 +1,9 @@
-"""Metric-sketch cost: fold throughput, merge cost, recording overhead.
+"""Metric-sketch cost: fold throughput and recording overhead.
 
-The fleet story (see DESIGN.md §14) only works if sketches are cheap
-in two places:
-
-- **workers** fold every gauge sample and wide event into
-  fixed-memory sketches while the simulation runs — the fold must be
-  fast enough to leave on (budget: within 15% of an uninstrumented
-  run, measured on a small full-stack download);
-- **the parent** merges one serialized sketch set per run — merging
-  must be far cheaper than the runs themselves (thousands of merges
-  per second).
+A run folds every wide event's phase latencies into fixed-memory
+sketches while the simulation runs (see DESIGN.md §14); the fold must
+be fast enough to leave on (budget: within 15% of an uninstrumented
+run, measured on a small full-stack download).
 
 Quantile answers come from bounded centroids, so accuracy is also
 spot-checked here: after folding 200k values the p50/p99 must land
@@ -22,12 +16,7 @@ from time import perf_counter
 
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.runner import run_download
-from repro.obs.sketch import (
-    QuantileSketch,
-    load_sketches,
-    merge_sketch_sets,
-    serialize_sketches,
-)
+from repro.obs.sketch import QuantileSketch
 from repro.util import MB
 
 #: Deterministic pseudo-random stream (LCG): no ``random`` state, no
@@ -54,24 +43,6 @@ def test_quantile_fold_throughput_and_accuracy(benchmark):
         estimate = sketch.quantile(q)
         rank = sum(1 for v in exact if v <= estimate) / n
         assert abs(rank - q) <= 0.02, f"p{q:g} rank error {rank - q:+.3f}"
-
-
-def test_merge_cost_is_negligible_next_to_runs(benchmark):
-    shards = []
-    for shard in range(64):
-        sketch = QuantileSketch()
-        for value in _values(4096, state=shard + 1):
-            sketch.add(value)
-        shards.append(serialize_sketches({"wide.fetch_latency": sketch}))
-
-    def merge_all():
-        merged: dict = {}
-        for shard in shards:
-            merge_sketch_sets(merged, load_sketches(shard))
-        return merged
-
-    merged = benchmark(merge_all)
-    assert merged["wide.fetch_latency"].count == 64 * 4096
 
 
 def _best_of(fn, repeats=3):

@@ -17,9 +17,8 @@ to the sequential one.  Three properties deliver that:
 - :meth:`~concurrent.futures.Executor.map` yields results in task
   order regardless of completion order, so downstream aggregation
   sees the same sequence as a sequential loop;
-- the returned :class:`RunSummary` compares by simulation outcome
-  only — its derived ``sketches`` are excluded from equality, so
-  summary comparison is exactly "did the simulation do the same
+- the returned :class:`RunSummary` holds simulation outcomes only,
+  so summary comparison is exactly "did the simulation do the same
   thing".
 
 When a worker pool cannot be set up at all (no ``fork``/``spawn``
@@ -33,8 +32,8 @@ from __future__ import annotations
 
 import statistics
 from concurrent import futures
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import IO, Optional, Sequence
 
 from repro.core.handoff import HandoffPolicy
 from repro.errors import ConfigurationError
@@ -53,10 +52,6 @@ class SweepTask:
     #: Staging-policy registry name ("" / None = system default).
     #: A name rather than a policy object keeps the task picklable.
     policy: Optional[str] = None
-    #: Fold this run's telemetry into fixed-memory sketches
-    #: (:mod:`repro.obs.sketch`); they come back serialized on the
-    #: summary and merge across the whole sweep.
-    sketches: bool = False
     #: Connectivity timeline (``None`` = Fig. 6's alternating pattern).
     #: Only read during a run, so a driver's tasks may share one.
     coverage: Optional[Coverage] = None
@@ -87,11 +82,6 @@ class RunSummary:
     handoffs: int
     staging_signals: int
     policy: str = ""
-    #: Serialized sketch set (``SweepTask.sketches=True``), JSON-shaped
-    #: so the summary stays picklable.  Excluded from equality: the
-    #: sketches are *derived* telemetry, and the determinism contract
-    #: is over simulation outcomes.
-    sketches: Optional[dict] = field(compare=False, default=None)
 
 
 def execute_task(
@@ -113,7 +103,6 @@ def execute_task(
         trace_path=trace_sink,
         run_id=task.run_id,
         policy=task.policy or None,
-        sketches=task.sketches,
     )
     return RunSummary(
         system=task.system,
@@ -121,10 +110,6 @@ def execute_task(
         download_time=result.download_time,
         **result.download.counters(),
         policy=result.policy,
-        sketches=(
-            result.sketches.to_json() if result.sketches is not None
-            else None
-        ),
     )
 
 
@@ -236,25 +221,3 @@ def run_grid(
 def cell_mean(cell: Sequence[RunSummary], metric: str = "download_time") -> float:
     """One grid cell's figure: the mean of ``metric`` over its seeds."""
     return statistics.mean(getattr(summary, metric) for summary in cell)
-
-
-def merge_summary_sketches(summaries: Iterable[RunSummary]) -> dict:
-    """One sketch set folding every summary's sketches together.
-
-    Workers fold their own runs into bounded sketches; the parent
-    merges the serialized sets name-wise (mergeability is the
-    sketches' contract — see :mod:`repro.obs.sketch`), producing a
-    sweep-wide distribution summary whose size is independent of the
-    number of runs.  Returns the *serialized* merged set.
-    """
-    from repro.obs.sketch import (
-        load_sketches,
-        merge_sketch_sets,
-        serialize_sketches,
-    )
-
-    merged: dict = {}
-    for summary in summaries:
-        if summary.sketches:
-            merge_sketch_sets(merged, load_sketches(summary.sketches))
-    return serialize_sketches(merged)

@@ -7,6 +7,13 @@ scenario simulator's event bus, and optionally a JSONL
 :class:`~repro.obs.trace.TraceExporter` whose output
 :func:`~repro.obs.trace.replay_trace` turns back into an identical
 metrics report offline.
+
+Each measurement lands in one store: counters and samples in the
+collector, gauge samples (``gauges=True``) as the collector's
+timelines, chunk lifecycles as wide records, and — with
+``sketches=True`` — those records' phase latencies as sketches, folded
+by a sink of the one wide-event builder rather than by a subscriber of
+their own.
 """
 
 from __future__ import annotations
@@ -64,8 +71,8 @@ class ExperimentResult:
     #: Wide-event records emitted live (``wide=``/``hub=``/``sketches=``
     #: set).
     wide_records: Optional[list[dict]] = field(default=None, repr=False)
-    #: Fixed-memory distribution sketches folded live
-    #: (``sketches=True``); ``.to_json()`` serializes for the registry.
+    #: Per-phase sketches of the wide events (``sketches=True``);
+    #: ``.to_json()`` serializes for the registry.
     sketches: Optional[SketchRecorder] = field(default=None, repr=False)
 
     @property
@@ -132,12 +139,11 @@ def run_download(
     JSONL — byte-identical to what ``repro trace wide`` derives from
     this run's trace offline.  However many of ``spans``, ``wide``,
     ``hub`` and ``sketches`` are set, one fold subscribes.
-    ``sketches=True`` attaches a
-    :class:`~repro.obs.sketch.SketchRecorder`: gauge samples (when
-    ``gauges=True``) and wide-event phase latencies fold into
-    fixed-memory mergeable sketches returned on the result — the
-    bounded fleet-scale alternative to full gauge timelines.  Implies
-    the fold so the phase sketches always populate.
+    ``sketches=True`` hands the fold's records to a
+    :class:`~repro.obs.sketch.SketchRecorder` sink, which folds their
+    phase latencies into fixed-memory sketches returned on the result;
+    it subscribes to nothing itself.  Gauge samples are not sketched:
+    with ``gauges=True`` their timelines land in the collector.
 
     ``hub`` fans the run's live telemetry out to a
     :class:`~repro.obs.stream.TelemetryHub`: gauge samples (when
@@ -187,7 +193,8 @@ def run_download(
     #: How to undo each attachment made below; run in reverse in
     #: ``finally`` so a raising run leaves nothing subscribed.
     teardowns: list[Callable[[], None]] = []
-    collector = exporter = fold = profiler = sampler = auditor = recorder = None
+    collector = exporter = fold = profiler = sampler = auditor = None
+    recorder = SketchRecorder() if sketches else None
     wide_records: Optional[list[dict]] = None
     run_marker = {"run": run_id, "system": system, "policy": pname, "seed": seed}
     try:
@@ -202,9 +209,6 @@ def run_download(
         if audit:
             auditor = InvariantAuditor(strict=True).attach(bus)
             teardowns.append(auditor.detach)
-        if sketches:
-            recorder = SketchRecorder().attach(bus)
-            teardowns.append(recorder.detach)
         wants_records = wide is not None or hub is not None or sketches
         if spans or wants_records:
             sinks = []

@@ -10,21 +10,21 @@ so an offline replay reproduces a live run's :meth:`report` exactly.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Optional
 
 from repro.obs import events as ev
 from repro.obs.bus import EventBus, Stamped
-from repro.sim import Monitor, Simulator, TimeSeries
+from repro.sim import Simulator, TimeSeries
 
 
 class MetricsCollector:
-    """Aggregates counters, sample monitors and time series by name."""
+    """Aggregates counters, samples and time series by name."""
 
     def __init__(self, sim: Optional[Simulator] = None) -> None:
         self.sim = sim
         self.counters: dict[str, float] = defaultdict(float)
-        self._monitors: dict[str, Monitor] = {}
         self._series: dict[str, TimeSeries] = {}
         self._samples: dict[str, list[float]] = defaultdict(list)
         self._buses: list[EventBus] = []
@@ -38,10 +38,6 @@ class MetricsCollector:
 
     def observe(self, name: str, value: float) -> None:
         self._samples[name].append(value)
-        monitor = self._monitors.get(name)
-        if monitor is None:
-            monitor = self._monitors[name] = Monitor(name)
-        monitor.observe(value)
 
     def samples(self, name: str) -> list[float]:
         return list(self._samples.get(name, []))
@@ -83,13 +79,22 @@ class MetricsCollector:
         }
 
     def report(self) -> dict[str, object]:
-        """A flat snapshot for printing or JSON dumping."""
+        """A flat snapshot for printing or JSON dumping: the counters,
+        then each sample list's ``.mean`` / ``.min`` / ``.max``.
+
+        The mean is the streaming one (``mean += (v - mean) / n``), so
+        a report is the same floats however the samples arrived.
+        """
         out: dict[str, object] = dict(self.counters)
-        for name, monitor in self._monitors.items():
-            if monitor.count:
-                out[f"{name}.mean"] = monitor.mean
-                out[f"{name}.min"] = monitor.minimum
-                out[f"{name}.max"] = monitor.maximum
+        for name, values in self._samples.items():
+            mean, low, high = 0.0, math.inf, -math.inf
+            for n, value in enumerate(values, 1):
+                mean += (value - mean) / n
+                low = min(low, value)
+                high = max(high, value)
+            out[f"{name}.mean"] = mean
+            out[f"{name}.min"] = low
+            out[f"{name}.max"] = high
         return out
 
     # -- event-bus subscription ----------------------------------------------

@@ -104,12 +104,18 @@ def opened(path_or_file: Union[str, IO[str]]) -> Iterator[IO[str]]:
             yield fh
 
 
-def read_records(path_or_file: Union[str, IO[str]]) -> Iterator[dict]:
-    """Yield the JSON value of every non-blank line, in file order.
+def read_records(
+    path_or_file: Union[str, IO[str]],
+    decode: Optional[Callable[[dict], _Record]] = None,
+) -> Iterator:
+    """Yield every non-blank line's JSON object, in file order (through
+    ``decode`` when given).
 
-    A line that does not parse (torn by a writer that died mid-append)
-    is skipped wherever it sits; once the file is read through, one
-    :func:`warnings.warn` reports how many were.
+    A line that does not parse (torn by a writer that died mid-append),
+    that is not a JSON object, or that ``decode`` rejects (``KeyError``,
+    ``TypeError``, ``ValueError``: a required key missing or of the
+    wrong shape) is skipped wherever it sits; once the file is read
+    through, one :func:`warnings.warn` reports how many were.
     """
     skipped = 0
     with opened(path_or_file) as lines:
@@ -118,8 +124,11 @@ def read_records(path_or_file: Union[str, IO[str]]) -> Iterator[dict]:
             if not line:
                 continue
             try:
-                record = decode_line(line)
-            except ValueError:
+                value = decode_line(line)
+                if not isinstance(value, dict):
+                    raise TypeError("not a JSON object")
+                record = value if decode is None else decode(value)
+            except (KeyError, TypeError, ValueError):
                 skipped += 1
                 continue
             yield record
@@ -136,7 +145,7 @@ def read_log(path: str, decode: Callable[[dict], _Record]) -> list[_Record]:
     """Every record of an append-only log, decoded; a log nobody has
     appended to yet is empty."""
     try:
-        return [decode(payload) for payload in read_records(path)]
+        return list(read_records(path, decode))
     except FileNotFoundError:
         return []
 

@@ -101,7 +101,8 @@ class RunRecord:
         return cls(
             **{key: str(payload.get(key, default))
                for key, default in _TEXT_KEYS.items()},
-            **{key: dict(payload.get(key, {})) for key in _DICT_KEYS},
+            # A null loads as the empty default, like a missing key.
+            **{key: dict(payload.get(key) or {}) for key in _DICT_KEYS},
             extra={key: value for key, value in payload.items()
                    if key not in _LINE_KEYS},
         )

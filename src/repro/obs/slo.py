@@ -10,8 +10,8 @@ written as a one-line spec and evaluated two ways:
 **offline** (:func:`evaluate_record`, ``python -m repro slo check``,
 ``GET /slo``)
     against :class:`~repro.obs.registry.RunRecord` metrics, the
-    record's serialized :mod:`~repro.obs.sketch` set, and/or a run's
-    wide-event records;
+    record's serialized :mod:`~repro.obs.sketch` set, its recorded gauge
+    timelines, and/or a run's wide-event records;
 
 **live** (:class:`LiveSLOEvaluator`)
     as a :class:`~repro.obs.stream.TelemetryHub` subscriber folding
@@ -40,7 +40,10 @@ Spec grammar::
 ``agg`` ∈ p50 / p90 / p95 / p99 / mean / max / min; a bare metric is
 the latest/recorded value.  ``@ window`` sets the live sliding window
 in simulated seconds (default ``DEFAULT_WINDOW_S``); offline
-evaluation ignores it (the whole run is the window).
+evaluation ignores it (the whole run is the window).  A gauge is judged
+from one store in both modes — its samples — with the same exact
+aggregation (:func:`_window_agg`): live over the window, offline over
+the timeline the run recorded, so a bare gauge is its last sample.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.obs import jsonl
 from repro.obs.explain import load_wide_for_run
-from repro.obs.sketch import QuantileSketch, load_sketches, sketches_from_wide
+from repro.obs.sketch import load_sketches, sketches_from_wide
 from repro.util import render_table
 
 #: Default live sliding window, in simulated seconds.
@@ -179,7 +182,7 @@ class SLOResult:
     value: Optional[float]
     #: True/False verdict; ``None`` when there was no data to judge.
     ok: Optional[bool]
-    #: Where the value came from: ``metrics`` / ``sketch`` / ``wide``.
+    #: Where the value came from: ``metrics`` / ``sketch`` / ``gauges``.
     source: str = ""
 
     @property
@@ -200,49 +203,35 @@ class SLOResult:
 
 
 def _agg_sketch(sketch, agg: str) -> Optional[float]:
-    """Collapse one sketch to one value under ``agg`` (None = can't)."""
-    if getattr(sketch, "count", 0) == 0:
+    """Collapse one sketch to one value under ``agg`` (None = can't);
+    a bare metric reads the sketch's p50."""
+    if not sketch.count:
         return None
-    if agg in ("value", "mean"):
+    if agg == "mean":
         return sketch.mean
     if agg == "max":
-        return getattr(sketch, "maximum", None)
+        return sketch.maximum
     if agg == "min":
-        return getattr(sketch, "minimum", None)
-    if isinstance(sketch, QuantileSketch) and agg.startswith("p"):
-        return sketch.quantile(int(agg[1:]) / 100.0)
-    return None
-
-
-def _sketch_lookup(sketches: dict, metric: str, agg: str) -> Optional[float]:
-    """Resolve a metric name to a value: the first sketch that can
-    answer ``agg`` among the recorder's namespaces — bare,
-    ``wide.<metric>``, ``gauge.<metric>`` (a gauge's stat twin: mean /
-    max / min) and ``gauge.<metric>.q`` (its quantile twin: p50 … p99).
-    A bare metric (``value``) reads a quantile sketch's p50 and a stat
-    sketch's mean — so a bare gauge judges its stat twin's mean."""
-    for name in (metric, f"wide.{metric}", f"gauge.{metric}",
-                 f"gauge.{metric}.q"):
-        sketch = sketches.get(name)
-        if sketch is None:
-            continue
-        bare_quantile = agg == "value" and isinstance(sketch, QuantileSketch)
-        value = _agg_sketch(sketch, "p50" if bare_quantile else agg)
-        if value is not None:
-            return value
-    return None
+        return sketch.minimum
+    return sketch.quantile(0.5 if agg == "value" else int(agg[1:]) / 100.0)
 
 
 def resolve_value(
     slo: SLO,
     metrics: Optional[dict] = None,
     sketches: Optional[dict] = None,
+    gauges: Optional[dict] = None,
 ) -> tuple[Optional[float], str]:
-    """``(value, source)`` for one SLO against metrics + sketches.
+    """``(value, source)`` for one SLO against metrics, sketches and
+    recorded gauge timelines (``{name: {"t": [...], "v": [...]}}``).
 
     ``ready_before_fetch_ratio`` is the one derived metric: the mean
     of the ``wide.ready_before_fetch`` indicator sketch the
-    :class:`~repro.obs.sketch.SketchRecorder` folds per chunk.
+    :class:`~repro.obs.sketch.SketchRecorder` folds per chunk.  Other
+    names resolve, in order, to a numeric metric (bare specs only), the
+    first sketch named ``<metric>`` or ``wide.<metric>`` that can answer
+    ``agg``, and the gauge timeline ``<metric>``, aggregated exactly as
+    the live evaluator aggregates its window.
     """
     metrics = metrics or {}
     sketches = sketches or {}
@@ -255,9 +244,19 @@ def resolve_value(
         value = metrics.get(slo.metric)
         if isinstance(value, (int, float)):
             return float(value), "metrics"
-    value = _sketch_lookup(sketches, slo.metric, slo.agg)
-    if value is not None:
-        return value, "sketch"
+    for name in (slo.metric, f"wide.{slo.metric}"):
+        sketch = sketches.get(name)
+        value = None if sketch is None else _agg_sketch(sketch, slo.agg)
+        if value is not None:
+            return value, "sketch"
+    series = (gauges or {}).get(slo.metric)
+    values = series.get("v") if isinstance(series, dict) else None
+    if isinstance(values, list) and all(
+        isinstance(v, (int, float)) for v in values
+    ):
+        value = _window_agg(values, slo.agg)
+        if value is not None:
+            return value, "gauges"
     return None, ""
 
 
@@ -266,6 +265,7 @@ def evaluate_slos(
     metrics: Optional[dict] = None,
     sketches: Optional[dict] = None,
     wide_records: Optional[Iterable[dict]] = None,
+    gauges: Optional[dict] = None,
 ) -> list[SLOResult]:
     """Judge every SLO against the given sources.
 
@@ -278,7 +278,7 @@ def evaluate_slos(
         merged.update(sketches_from_wide(wide_records))
     results = []
     for slo in slos:
-        value, source = resolve_value(slo, metrics, merged)
+        value, source = resolve_value(slo, metrics, merged, gauges)
         results.append(SLOResult(
             slo=slo,
             value=value,
@@ -293,12 +293,14 @@ def evaluate_record(
     record,
     wide_records: Optional[Iterable[dict]] = None,
 ) -> list[SLOResult]:
-    """Judge ``slos`` against one :class:`~repro.obs.registry.RunRecord`."""
+    """Judge ``slos`` against one :class:`~repro.obs.registry.RunRecord`:
+    its metrics, its sketches and its gauge timelines."""
     return evaluate_slos(
         slos,
         metrics=record.metrics,
-        sketches=load_sketches(getattr(record, "sketches", {}) or {}),
+        sketches=load_sketches(record.sketches),
         wide_records=wide_records,
+        gauges=record.gauges,
     )
 
 
@@ -546,7 +548,7 @@ class LiveSLOEvaluator:
 
 
 def _window_agg(values: list, agg: str) -> Optional[float]:
-    """Exact aggregation over a (bounded) live window."""
+    """Exact aggregation over a live window or a recorded timeline."""
     if not values:
         return None
     if agg in ("value",):

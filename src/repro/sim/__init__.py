@@ -29,7 +29,7 @@ from repro.sim.core import (
 from repro.sim.process import Interrupt, Process
 from repro.sim.primitives import AnyOf, Condition, Timeout
 from repro.sim.rng import RandomStreams
-from repro.sim.monitor import Monitor, TimeSeries
+from repro.sim.monitor import TimeSeries
 from repro.sim.profiler import SimProfiler
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "Condition",
     "Event",
     "Interrupt",
-    "Monitor",
     "Process",
     "RandomStreams",
     "SimProfiler",

@@ -145,8 +145,9 @@ def test_spans_and_wide_share_one_lifecycle_subscriber(
         spans=True, wide=str(tmp_path / "wide.jsonl"), sketches=True,
         hub=TelemetryHub(),
     )
-    # The fold, plus the recorder's and the hub feed's gauge subscriptions.
-    assert during == [(["WideEventBuilder"], 3)]
+    # The fold (the sketch recorder is one of its sinks), plus the hub
+    # feed's gauge subscription.
+    assert during == [(["WideEventBuilder"], 2)]
     (scenario,) = built_scenarios
     assert scenario.sim.probe.bus.subscriber_count == 0
     # Two views of one fold: spans close in the order records are emitted.

@@ -7,12 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import microbench, parallel
 from repro.experiments.microbench import BenchProfile
-from repro.experiments.parallel import (
-    RunSummary,
-    SweepTask,
-    execute_task,
-    run_tasks,
-)
+from repro.experiments.parallel import SweepTask, execute_task, run_tasks
 from repro.experiments.params import MicrobenchParams
 from repro.util import MB
 
@@ -26,13 +21,6 @@ def quick_task(system="softstage", seed=0):
         params=MicrobenchParams(file_size=QUICK.file_size),
         seed=seed,
     )
-
-
-def test_run_summary_equality_ignores_derived_sketches():
-    a = RunSummary("softstage", 0, 9.5, 1 * MB, 4, 3, 1, 0, 2, 2)
-    b = RunSummary("softstage", 0, 9.5, 1 * MB, 4, 3, 1, 0, 2, 2,
-                   sketches={"wide.fetch_latency": {"count": 4}})
-    assert a == b
 
 
 def test_execute_task_is_deterministic():
@@ -206,51 +194,6 @@ def test_pool_death_mid_stream_does_not_double_publish(monkeypatch):
     summaries = run_tasks(tasks, jobs=2)
     assert summaries == [execute_task(t) for t in tasks]
     assert executed == tasks  # each exactly once: the first was kept
-
-
-# ---------------------------------------------------------------------------
-# Sweep-wide sketches: per-worker fold, parent-side merge
-# ---------------------------------------------------------------------------
-
-
-def test_sketches_ride_the_summary_and_merge_across_tasks():
-    from repro.obs.sketch import load_sketches
-    from repro.experiments.parallel import merge_summary_sketches
-
-    tasks = [
-        SweepTask(
-            system="softstage",
-            params=MicrobenchParams(file_size=QUICK.file_size),
-            seed=seed,
-            sketches=True,
-        )
-        for seed in (0, 1)
-    ]
-    summaries = [execute_task(t) for t in tasks]
-    assert all(s.sketches for s in summaries)
-    merged = merge_summary_sketches(summaries)
-    sketches = load_sketches(merged)
-    per_run = [
-        load_sketches(s.sketches)["wide.fetch_latency"] for s in summaries
-    ]
-    assert sketches["wide.fetch_latency"].count == sum(
-        q.count for q in per_run
-    )
-
-
-def test_merge_summary_sketches_skips_runs_without_sketches():
-    from repro.experiments.parallel import merge_summary_sketches
-
-    plain = execute_task(quick_task(seed=0))
-    assert plain.sketches is None
-    assert merge_summary_sketches([plain]) == {}
-
-
-def test_sketches_are_excluded_from_summary_equality():
-    a = RunSummary("softstage", 0, 9.5, 1 * MB, 4, 3, 1, 0, 2, 2)
-    b = RunSummary("softstage", 0, 9.5, 1 * MB, 4, 3, 1, 0, 2, 2,
-                   sketches={"x": {"kind": "stat"}})
-    assert a == b
 
 
 def test_summary_and_registry_record_are_one_projection_of_a_download():

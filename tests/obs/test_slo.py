@@ -1,14 +1,16 @@
 """SLO engine: spec grammar, offline judging, live burn rates, alerts."""
 
 import json
+import math
 
 import pytest
 
 from repro.obs.registry import RunRecord
-from repro.obs.sketch import QuantileSketch, StatSketch, serialize_sketches
+from repro.obs.sketch import QuantileSketch, serialize_sketches
 from repro.obs.slo import (
     DEFAULT_SLOS,
     DEFAULT_WINDOW_S,
+    MAX_WINDOW_SAMPLES,
     SLO,
     AlertLog,
     AlertRecord,
@@ -82,8 +84,8 @@ def test_ok_direction():
 # -- offline evaluation -------------------------------------------------------
 
 
-def _sketches_with(name, values, kind=QuantileSketch):
-    sketch = kind() if kind is StatSketch else kind(compression=256)
+def _sketches_with(name, values):
+    sketch = QuantileSketch(compression=256)
     for value in values:
         sketch.add(value)
     return {name: sketch}
@@ -111,7 +113,7 @@ def test_evaluate_percentile_slo_from_sketch():
 
 
 def test_evaluate_ready_before_fetch_ratio():
-    indicator = StatSketch()
+    indicator = QuantileSketch()
     for value in [1.0, 1.0, 1.0, 0.0]:
         indicator.add(value)
     results = evaluate_slos(
@@ -120,6 +122,22 @@ def test_evaluate_ready_before_fetch_ratio():
     )
     assert results[0].value == pytest.approx(0.75)
     assert results[0].ok is True
+
+
+def test_ready_before_fetch_ratio_from_an_old_stat_payload():
+    """Registry lines written before there was one sketch kind hold the
+    indicator as a ``stat`` payload: the ratio keeps its value."""
+    record = RunRecord(
+        rec_id="r1", run_id="softstage-seed0", kind="demo",
+        recorded_at="", git_sha="", machine="", metrics={},
+        sketches={"wide.ready_before_fetch": {
+            "kind": "stat", "count": 4, "sum": 3.0, "min": 0.0, "max": 1.0}},
+    )
+    ratio, median = evaluate_record(
+        [parse_slo("ready_before_fetch_ratio >= 0.6"),
+         parse_slo("p50(ready_before_fetch) >= 0.5")], record)
+    assert (ratio.value, ratio.status) == (0.75, "pass")
+    assert median.status == "no-data"  # no centroids to rank
 
 
 def test_missing_metric_is_no_data_not_failure():
@@ -158,51 +176,55 @@ def test_evaluate_record_reads_serialized_sketches():
     assert [r.ok for r in results] == [True, True]
 
 
-def _recorded_gauge_sketches(gauge="staging.lead_bytes", count=100):
-    """The serialized sketch set of a run that sampled ``gauge`` at
-    0, 1, …, count - 1 (the recorder stores a stat and a quantile twin)."""
+def _recorded_gauge(values, gauge="staging.lead_bytes"):
+    """The registry gauge columns of a run whose flight recorder sampled
+    ``gauge`` once a second with ``values``, as the collector recorded
+    them (:func:`repro.obs.registry.record_from_result`'s shape)."""
+    from repro.metrics.collector import MetricsCollector
     from repro.obs.bus import EventBus, Stamped
     from repro.obs.events import GaugeSample
-    from repro.obs.sketch import SketchRecorder
 
     bus = EventBus()
-    recorder = SketchRecorder().attach(bus)
-    for i in range(count):
+    collector = MetricsCollector().attach(bus)
+    for i, value in enumerate(values):
         bus.publish(Stamped(
             time=float(i), run_id="r",
-            event=GaugeSample(gauge=gauge, value=float(i)),
+            event=GaugeSample(gauge=gauge, value=value),
         ))
-    recorder.detach()
-    return recorder.to_json()
+    collector.detach()
+    series = collector.series(f"gauge.r.{gauge}")
+    return {gauge: {"t": list(series.times), "v": list(series.values)}}
 
 
-#: spec -> (status, value) over the 0…99 gauge above: each aggregation
-#: is answered by the twin that can answer it.
+def _gauge_record(gauges, **over):
+    return RunRecord(
+        rec_id="r1", run_id="softstage-seed0", kind="demo",
+        recorded_at="", git_sha="", machine="", metrics={},
+        gauges=json.loads(json.dumps(gauges)), **over,
+    )
+
+
+#: spec -> (status, value) over a gauge sampled 0, 1, …, 99: every
+#: aggregation is exact nearest-rank over the recorded timeline.
 GAUGE_VERDICTS = {
     "p95(staging.lead_bytes) <= 50": ("FAIL", 94.0),
     "p50(staging.lead_bytes) <= 50": ("pass", 49.0),
     "mean(staging.lead_bytes) <= 50": ("pass", 49.5),
     "max(staging.lead_bytes) <= 50": ("FAIL", 99.0),
     "min(staging.lead_bytes) >= 1": ("FAIL", 0.0),
-    # A bare gauge reads the stat twin (it comes first): its mean.
-    "staging.lead_bytes <= 50": ("pass", 49.5),
-    # Naming the quantile twin itself keeps working.
-    "p95(staging.lead_bytes.q) <= 50": ("FAIL", 94.0),
+    # A bare gauge is its latest sample, live and offline alike.
+    "staging.lead_bytes <= 50": ("FAIL", 99.0),
 }
 
 
 def test_every_aggregation_over_a_recorded_gauge_is_judged_offline():
-    record = RunRecord(
-        rec_id="r1", run_id="softstage-seed0", kind="demo",
-        recorded_at="", git_sha="", machine="", metrics={},
-        sketches=json.loads(json.dumps(_recorded_gauge_sketches())),
-    )
+    record = _gauge_record(_recorded_gauge([float(i) for i in range(100)]))
     results = evaluate_record(
         [parse_slo(spec) for spec in GAUGE_VERDICTS], record)
     assert {
-        r.slo.spec(): (r.status, pytest.approx(r.value)) for r in results
+        r.slo.spec(): (r.status, r.value) for r in results
     } == GAUGE_VERDICTS
-    assert all(r.source == "sketch" for r in results)
+    assert all(r.source == "gauges" for r in results)
 
 
 def test_check_registry_judges_gauge_percentiles(tmp_path):
@@ -211,13 +233,65 @@ def test_check_registry_judges_gauge_percentiles(tmp_path):
 
     registry = RunRegistry(str(tmp_path))
     record = registry.append(
-        "softstage-seed0", "demo", {}, sketches=_recorded_gauge_sketches())
+        "softstage-seed0", "demo", {},
+        gauges=_recorded_gauge([float(i) for i in range(100)]))
     ((rec_id, results),) = check_registry(
         registry, [parse_slo(spec) for spec in GAUGE_VERDICTS])
     assert rec_id == record.rec_id
-    assert [r.status for r in results] == [
-        status for status, _value in GAUGE_VERDICTS.values()]
+    assert [(r.status, r.value) for r in results] == list(
+        GAUGE_VERDICTS.values())
     assert len(violations(results)) == 4
+
+
+@pytest.mark.parametrize("agg", ["value", "mean", "min", "max",
+                                 "p50", "p90", "p95", "p99"])
+def test_live_and_offline_judge_a_gauge_alike(agg):
+    """One non-monotone timeline of 1,000 samples, judged offline from
+    the record and live from a window longer than the run: the same
+    value, exactly (past 256 samples a sketch's percentiles were only
+    approximate, and a bare gauge read the mean)."""
+    from repro.obs.slo import _window_agg
+
+    values = [round(100 * math.sin(i * 0.37) + i % 13, 6)
+              for i in range(1000)]
+    assert len(values) < MAX_WINDOW_SAMPLES
+    metric = "staging.lead_bytes"
+    slo = parse_slo(
+        (metric if agg == "value" else f"{agg}({metric})") + " <= 0 @ 5000")
+    live = LiveSLOEvaluator([slo])
+    for t, value in enumerate(values):
+        live.feed(*gauge_item(float(t), value, gauge=metric))
+    window = [v for _t, v in live._windows[slo.name]]
+    assert window == values
+    (offline,) = evaluate_record([slo], _gauge_record(_recorded_gauge(values)))
+    assert offline.value == _window_agg(window, agg)
+
+
+def test_gauges_are_judged_from_timelines_not_old_gauge_sketches():
+    """Registry lines written before gauges were judged from timelines
+    hold ``gauge.<name>`` stat and ``.q`` sketches: they are ignored."""
+    old = serialize_sketches(_sketches_with("gauge.staging.lead_bytes.q",
+                                            [1.0, 2.0]))
+    old["gauge.staging.lead_bytes"] = {
+        "kind": "stat", "count": 2, "sum": 3.0, "min": 1.0, "max": 2.0}
+    specs = [parse_slo("max(staging.lead_bytes) <= 5"),
+             parse_slo("p50(staging.lead_bytes) <= 5")]
+    without = evaluate_record(specs, _gauge_record({}, sketches=old))
+    assert [r.status for r in without] == ["no-data", "no-data"]
+    timeline = _recorded_gauge([7.0, 3.0])
+    judged = evaluate_record(specs, _gauge_record(timeline, sketches=old))
+    assert [(r.status, r.value) for r in judged] == [
+        ("FAIL", 7.0), ("pass", 3.0)]
+
+
+@pytest.mark.parametrize("series", [
+    {"t": [0.0]}, {"t": [0.0], "v": None}, {"t": [0.0], "v": ["x"]},
+    {"t": [], "v": []}, [1.0, 2.0], None,
+])
+def test_a_series_without_numeric_values_is_no_data(series):
+    (result,) = evaluate_record([parse_slo("max(g) <= 1")],
+                                _gauge_record({"g": series}))
+    assert result.status == "no-data"
 
 
 def test_default_slos_are_the_paper_shape_set():

@@ -66,6 +66,16 @@ def test_read_records_skips_bad_lines_anywhere_with_one_counted_warning(
         assert not fh.closed
 
 
+def test_read_records_skips_lines_that_are_no_object_or_fail_to_decode(
+    tmp_path
+):
+    path = tmp_path / "log.jsonl"
+    path.write_text('[1, 2]\n5\nnull\n"x"\n{"n": 1}\n{"m": 2}\n{"n": 3}\n',
+                    encoding="utf-8")
+    with pytest.warns(UserWarning, match="5 unparseable"):
+        assert list(jsonl.read_records(str(path), lambda p: p["n"])) == [1, 3]
+
+
 def test_append_terminates_a_torn_tail_and_counts_it(tmp_path):
     path = str(tmp_path / "sub" / "log.jsonl")
     seen = []
@@ -175,6 +185,42 @@ def test_cli_answers_over_a_torn_registry(registry, where):
         )
     assert code == 0 and "all SLOs pass" in out
     assert ("0003/second" in out) == (where == "mid-file")
+
+
+def test_cli_answers_over_a_null_object_and_a_line_that_is_no_object(
+    registry
+):
+    """A null where an object belongs loads as the empty default, like a
+    missing key; a line that parses to no object is skipped and counted.
+    Both used to end ``runs list``/``show`` and ``slo check`` in a
+    ``TypeError`` traceback."""
+    _tear(registry.path, '{"rec_id":"0002/b","run_id":"b","metrics":null}\n'
+                         '[1,2]\n')
+    with pytest.warns(UserWarning, match="1 unparseable"):
+        records = registry.records()
+    assert [(r.rec_id, r.metrics) for r in records] == [
+        ("0001/first", {"gain": 1.8}), ("0002/b", {})]
+    for command in (("runs", "list"), ("runs", "show", "first"),
+                    ("slo", "check", "first", "--no-alerts")):
+        with pytest.warns(UserWarning, match="1 unparseable"):
+            code, out = _cli(command[0], "--registry-dir",
+                             registry.directory, *command[1:])
+        assert code == 0 and "first" in out, command
+
+
+def test_slo_alerts_skips_an_alert_missing_a_required_key(tmp_path):
+    """An alert line lacking one of slo/run/value/threshold is skipped
+    and counted; it used to end ``slo alerts`` in a ``TypeError``."""
+    log = AlertLog(str(tmp_path))
+    alert = AlertRecord(slo="gain >= 1.2", run="r", value=0.5, threshold=1.2)
+    log.append(alert)
+    _tear(log.path, '{}\n{"slo": "x", "run": "r", "value": 1.0}\n')
+    log.append(alert)
+    with pytest.warns(UserWarning, match="2 unparseable"):
+        assert log.read() == [alert, alert]
+    with pytest.warns(UserWarning, match="2 unparseable"):
+        code, out = _cli("slo", "--registry-dir", str(tmp_path), "alerts")
+    assert code == 0 and out.count("gain >= 1.2") == 2
 
 
 @pytest.mark.filterwarnings("ignore:skipped 1 unparseable")  # server threads

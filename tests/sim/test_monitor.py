@@ -1,15 +1,16 @@
-"""Monitor/TimeSeries edge behavior and collector attach/detach contracts."""
+"""TimeSeries edge behavior, the collector's per-name sample statistics
+and its attach/detach contracts."""
 
 import pytest
 
 from repro.metrics.collector import MetricsCollector
 from repro.obs.events import CacheMiss
 from repro.obs.probe import Probe
-from repro.sim import Monitor, Simulator, TimeSeries
+from repro.sim import Simulator, TimeSeries
 
 
 # ---------------------------------------------------------------------------
-# TimeSeries record/len/iter and Monitor streaming statistics
+# TimeSeries record/len/iter and the collector's sample monitors
 # ---------------------------------------------------------------------------
 
 
@@ -32,28 +33,46 @@ def test_timeseries_out_of_order_rejection_names_the_series():
     assert list(series) == [(5.0, 1.0), (5.0, 3.0)]
 
 
+def _observed(*values):
+    collector = MetricsCollector()
+    for value in values:
+        collector.observe("m", value)
+    return collector
+
+
 def test_monitor_streaming_stats():
-    monitor = Monitor("m")
-    for value in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-        monitor.observe(value)
-    assert monitor.count == 8
-    assert monitor.mean == pytest.approx(5.0)
-    assert monitor.minimum == 2.0
-    assert monitor.maximum == 9.0
+    collector = _observed(2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0)
+    assert len(collector.samples("m")) == 8
+    report = collector.report()
+    assert report["m.mean"] == pytest.approx(5.0)
+    assert report["m.min"] == 2.0
+    assert report["m.max"] == 9.0
 
 
 def test_monitor_empty_contract():
-    monitor = Monitor("m")
-    with pytest.raises(ValueError, match="no observations"):
-        monitor.mean
-    assert "empty" in repr(monitor)
+    # A name never observed has no statistics at all, not zeros.
+    collector = MetricsCollector()
+    collector.count("c")
+    assert collector.report() == {"c": 1.0}
+    assert collector.samples("m") == []
 
 
 def test_monitor_single_observation():
-    monitor = Monitor("m")
-    monitor.observe(3.5)
-    assert monitor.mean == 3.5
-    assert monitor.minimum == monitor.maximum == 3.5
+    report = _observed(3.5).report()
+    assert report["m.mean"] == 3.5
+    assert report["m.min"] == report["m.max"] == 3.5
+
+
+def test_monitor_mean_is_the_streaming_mean_bit_for_bit():
+    """``report()`` keeps the streaming mean's arithmetic — ``mean +=
+    (v - mean) / n`` in arrival order — so its floats are the ones a
+    replayed trace and the auditor's parity check compare against."""
+    values = [0.1, 0.7, 1e9, -3.3, 0.2]
+    mean = 0.0
+    for n, value in enumerate(values, 1):
+        mean += (value - mean) / n
+    assert mean != sum(values) / len(values)  # the order matters here
+    assert _observed(*values).report()["m.mean"] == mean
 
 
 # ---------------------------------------------------------------------------

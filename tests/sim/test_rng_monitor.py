@@ -1,9 +1,10 @@
-"""Tests for RandomStreams, Monitor and TimeSeries."""
+"""Tests for RandomStreams, the collector's sample monitors and TimeSeries."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Monitor, RandomStreams, TimeSeries
+from repro.metrics.collector import MetricsCollector
+from repro.sim import RandomStreams, TimeSeries
 
 
 # ---------------------------------------------------------------------------
@@ -45,31 +46,34 @@ def test_stream_is_cached():
 
 
 # ---------------------------------------------------------------------------
-# Monitor
+# The collector's per-name sample monitor (observe -> report)
 # ---------------------------------------------------------------------------
 
 
+def _report(values):
+    collector = MetricsCollector()
+    for value in values:
+        collector.observe("m", value)
+    return collector.report()
+
+
 def test_monitor_mean_min_max():
-    monitor = Monitor("m")
-    for value in (1.0, 2.0, 3.0, 4.0):
-        monitor.observe(value)
-    assert monitor.count == 4
-    assert monitor.mean == pytest.approx(2.5)
-    assert monitor.minimum == 1.0
-    assert monitor.maximum == 4.0
+    report = _report((1.0, 2.0, 3.0, 4.0))
+    assert report["m.mean"] == pytest.approx(2.5)
+    assert report["m.min"] == 1.0
+    assert report["m.max"] == 4.0
 
 
 def test_monitor_empty_raises():
-    with pytest.raises(ValueError):
-        _ = Monitor().mean
+    # No observation, no mean: reading one is an error, never a 0.
+    with pytest.raises(KeyError):
+        _ = _report(())["m.mean"]
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
 def test_monitor_mean_matches_batch_mean(values):
-    monitor = Monitor()
-    for value in values:
-        monitor.observe(value)
-    assert monitor.mean == pytest.approx(sum(values) / len(values), rel=1e-9, abs=1e-6)
+    mean = _report(values)["m.mean"]
+    assert mean == pytest.approx(sum(values) / len(values), rel=1e-9, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,6 @@ NAME, OPTION, WRITE = "name", "option", "write"
 KEEP = {
     "repro.core.client:DownloadResult.edge_fraction": (
         NAME, "README: the quickstart snippet prints it"),
-    "repro.experiments.parallel:merge_summary_sketches": (NAME,
-        "ROADMAP item 4: sweep-wide distributions (with SweepTask.sketches, "
-        "RunSummary.sketches, merge_sketch_sets)"),
     "repro.obs.spans:Span.to_dict": (NAME,
         "reference: tests/obs/test_golden_views.py (span_dicts sha1; "
         "live == offline in tests/obs/test_spans.py)"),
@@ -152,7 +149,7 @@ KEEP = {
         "count expiries beside the kernel's rto events); timeout branch "
         "only"),
 }
-MAX_KEEP = 28
+MAX_KEEP = 27
 
 
 def _keys(kind: str) -> set[str]:
