@@ -10,9 +10,12 @@ endpoints with.  This package holds what several families declare.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 
 from repro.core.policy import available_policies
+from repro.errors import ConfigurationError
+from repro.util import MB
 
 
 def command(subparsers, name: str, fn, **kwargs):
@@ -46,6 +49,14 @@ def trace_sink(path):
     """``--trace PATH`` as a context: the one open file every run of
     the command appends to (``None`` without a path), closed on exit."""
     return open(path, "w", encoding="utf-8") if path else nullcontext()
+
+
+def file_bytes(file_mb: float) -> int:
+    """``--file-mb`` in bytes; ``main`` words a non-finite size as the
+    exit message, the way the layers below reject one that is not > 0."""
+    if not math.isfinite(file_mb):
+        raise ConfigurationError(f"--file-mb must be finite, got {file_mb}")
+    return int(file_mb * MB)
 
 
 def policy_arg(name):

@@ -6,7 +6,7 @@ import os
 import sys
 import threading
 
-from repro.cli import command, policy_arg, policy_flag, registry_dir_flag, trace_sink
+from repro.cli import command, file_bytes, policy_arg, policy_flag, registry_dir_flag, trace_sink
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.report import render_spans
 from repro.experiments.runner import run_download
@@ -18,10 +18,10 @@ from repro.obs.registry import (
 )
 from repro.obs.stream import TelemetryHub
 from repro.obs.wide import WideEventWriter, run_id_for
-from repro.util import MB, render_table
+from repro.util import render_table
 
 
-def demo_pair(file_mb, seed, policy, trace=None, **attach):
+def demo_pair(file_size, seed, policy, trace=None, **attach):
     """Run the demo's Xftp + SoftStage pair with shared telemetry sinks.
 
     ``attach`` holds :func:`run_download`'s telemetry keywords
@@ -32,7 +32,7 @@ def demo_pair(file_mb, seed, policy, trace=None, **attach):
     ``hub`` receives both runs' live telemetry.  Used by ``demo``
     (foreground and --live) and ``serve --demo``.
     """
-    params = MicrobenchParams(file_size=int(file_mb * MB))
+    params = MicrobenchParams(file_size=file_size)
     with trace_sink(trace) as trace_fh:
         xftp = run_download(
             "xftp", params=params, seed=seed, trace_path=trace_fh, **attach
@@ -63,6 +63,7 @@ def _wide_writer(args, demo_id):
 
 def cmd_demo(args) -> None:
     policy = policy_arg(args.policy)
+    file_size = file_bytes(args.file_mb)
     # The pair's own identity: its gain record and default wide file.
     demo_id = run_id_for("demo", args.seed, policy)
     wide_writer = _wide_writer(args, demo_id)
@@ -79,7 +80,7 @@ def cmd_demo(args) -> None:
             def _work() -> None:
                 try:
                     outcome["runs"] = demo_pair(
-                        args.file_mb, args.seed, policy, hub=hub, **attach
+                        file_size, args.seed, policy, hub=hub, **attach
                     )
                 except BaseException as exc:  # repaint loop must end
                     outcome["error"] = exc
@@ -98,7 +99,7 @@ def cmd_demo(args) -> None:
             xftp, softstage = outcome["runs"]
         else:
             xftp, softstage = demo_pair(
-                args.file_mb, args.seed, policy, **attach
+                file_size, args.seed, policy, **attach
             )
     finally:
         if wide_writer is not None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.cli import command, policy_arg, policy_flag, registry_dir_flag, trace_sink
+from repro.cli import command, file_bytes, policy_arg, policy_flag, registry_dir_flag, trace_sink
 from repro.experiments import microbench
 from repro.experiments.handoff import PAPER_SAVING, run_comparison
 from repro.experiments.microbench import BenchProfile
@@ -14,7 +14,7 @@ from repro.experiments.runner import run_download
 from repro.experiments.tracedriven import run_all as run_traces
 from repro.experiments.xia_benchmark import run_all as run_fig5
 from repro.obs.registry import RunRegistry
-from repro.util import MB, render_table
+from repro.util import render_table
 
 
 def cmd_fig5(args) -> None:
@@ -34,7 +34,7 @@ def cmd_sweep(args) -> None:
             print("note: --trace forces sequential execution "
                   "(one shared trace sink)", file=sys.stderr)
         profile = BenchProfile(
-            file_size=int(args.file_mb * MB),
+            file_size=file_bytes(args.file_mb),
             seeds=tuple(range(args.seeds)),
             trace_sink=trace_fh,
             jobs=args.jobs,
@@ -64,7 +64,7 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_profile(args) -> None:
-    params = MicrobenchParams(file_size=int(args.file_mb * MB))
+    params = MicrobenchParams(file_size=file_bytes(args.file_mb))
     result = run_download(
         args.system, params=params, seed=args.seed, profile=True,
     )
@@ -78,7 +78,7 @@ def cmd_profile(args) -> None:
 
 def cmd_handoff(args) -> None:
     comparison = run_comparison(
-        file_size=int(args.file_mb * MB),
+        file_size=file_bytes(args.file_mb),
         seeds=tuple(range(args.seeds)),
     )
     print(f"default: {comparison.default_time:.1f}s   "

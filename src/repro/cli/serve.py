@@ -9,7 +9,7 @@ import threading
 import urllib.error
 import urllib.request
 
-from repro.cli import command, policy_arg, policy_flag, registry_dir_flag
+from repro.cli import command, file_bytes, policy_arg, policy_flag, registry_dir_flag
 from repro.cli.demo import demo_pair
 from repro.obs.dashboard import run_from_sse
 from repro.obs.registry import RunRegistry
@@ -46,6 +46,7 @@ def _stop_on_signals():
 
 
 def cmd_serve(args) -> None:
+    file_size = file_bytes(args.file_mb)  # before a socket is bound
     hub = TelemetryHub() if args.demo else None
     registry = RunRegistry(args.registry_dir)
     try:
@@ -70,7 +71,7 @@ def cmd_serve(args) -> None:
         def _demo() -> None:
             try:
                 demo_pair(
-                    args.file_mb, args.seed, policy,
+                    file_size, args.seed, policy,
                     gauges=True, hub=hub,
                 )
             finally:

@@ -15,6 +15,7 @@ with one connected interval per line.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,8 +33,12 @@ class ConnectivityTrace:
     ) -> None:
         self.intervals = sorted((float(a), float(b)) for a, b in intervals)
         self.duration = float(duration)
+        if not math.isfinite(self.duration):
+            raise TraceFormatError(f"non-finite duration {self.duration}")
         last_end = 0.0
         for start, end in self.intervals:
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise TraceFormatError(f"non-finite interval ({start}, {end})")
             if start < last_end:
                 raise TraceFormatError(
                     f"overlapping/unsorted interval ({start}, {end})"

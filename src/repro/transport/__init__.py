@@ -2,14 +2,9 @@
 
 XIA byte streams (Xstream) and chunk transfers (XChunkP) "use the same
 underlying TCP-like transport protocol" (paper §IV-B).  This package
-implements that transport at two fidelities:
-
-- :mod:`repro.transport.reliable` — packet-level: congestion window,
-  slow start/AIMD, fast retransmit, RTO backoff, session migration;
-  runs over the :mod:`repro.net` substrate.
-- :mod:`repro.transport.flowmodel` — analytic: closed-form transfer
-  durations (slow-start ramp + Mathis steady state) for the large
-  parameter sweeps.
+implements that transport once, at packet level, in
+:mod:`repro.transport.reliable` (congestion window, slow start/AIMD,
+fast retransmit, RTO backoff, session migration over :mod:`repro.net`).
 
 :mod:`repro.transport.config` holds the protocol presets whose
 constants are calibrated against the paper's Fig. 5 benchmark (kernel
@@ -25,15 +20,12 @@ from repro.transport.config import (
 )
 from repro.transport.reliable import TransportEndpoint
 from repro.transport.chunkfetch import CacheDaemon, ChunkFetcher, FetchOutcome
-from repro.transport.flowmodel import FlowModel, PathCharacteristics
 
 __all__ = [
     "CacheDaemon",
     "ChunkFetcher",
     "FetchOutcome",
-    "FlowModel",
     "KERNEL_TCP",
-    "PathCharacteristics",
     "TransportConfig",
     "TransportEndpoint",
     "XIA_CHUNK",

@@ -74,11 +74,6 @@ class TransportConfig:
         if self.initial_cwnd < 1:
             raise ConfigurationError("initial_cwnd must be >= 1")
 
-    @property
-    def segment_bytes(self) -> int:
-        """Full on-wire size of a data segment."""
-        return self.mss_bytes + self.header_bytes
-
     def with_(self, **changes) -> "TransportConfig":
         """A modified copy (keyword arguments as for ``dataclasses.replace``)."""
         return replace(self, **changes)

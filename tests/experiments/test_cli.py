@@ -38,6 +38,21 @@ def test_cli_seeds_zero_is_an_exit_message_not_a_traceback(command):
     assert exit_info.value.code == "a comparison needs at least one seed"
 
 
+@pytest.mark.parametrize("size", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["demo"], ["sweep", "--panel", "b", "--seeds", "1"], ["profile"],
+    ["handoff"],
+])
+def test_cli_non_finite_file_mb_is_an_exit_message_not_a_traceback(
+        command, size):
+    """``int(nan * MB)`` raised ValueError and ``int(inf * MB)``
+    OverflowError from each handler's own conversion; ``file_bytes``
+    refuses both before anything runs."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--file-mb", size])
+    assert exit_info.value.code == f"--file-mb must be finite, got {size}"
+
+
 def test_cli_demo_runs_small(capsys):
     assert main(["demo", "--file-mb", "2"]) == 0
     out = capsys.readouterr().out

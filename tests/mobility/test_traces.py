@@ -40,6 +40,22 @@ def test_trace_load_rejects_garbage(tmp_path):
         ConnectivityTrace.load(path)
 
 
+@pytest.mark.parametrize("duration, interval", [
+    ("60", "0 nan"),      # loaded with connected_time == nan
+    ("60", "nan 10"),
+    ("nan", "0 10"),
+    ("nan", "10 inf"),    # loaded an infinite encounter
+    ("inf", "10 20"),
+])
+def test_trace_load_rejects_non_finite_values(tmp_path, duration, interval):
+    """No comparison in the ordering checks is true of ``nan``, and
+    ``inf`` passes them against an infinite duration."""
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(f"# softstage-trace v1\n# duration {duration}\n{interval}\n")
+    with pytest.raises(TraceFormatError, match="non-finite"):
+        ConnectivityTrace.load(path)
+
+
 def test_trace_to_coverage_round_robins_aps():
     trace = ConnectivityTrace([(0.0, 5.0), (10.0, 15.0), (20.0, 25.0)], duration=30.0)
     coverage = trace.to_coverage(["A", "B"])

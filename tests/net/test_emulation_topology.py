@@ -4,11 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, RoutingError
 from repro.net import Host, Link, Network
-from repro.net.emulation import (
-    BandwidthShaper,
-    loss_rate_for_wired_target,
-    mathis_throughput,
-)
+from repro.net.emulation import BandwidthShaper, loss_rate_for_wired_target
 from repro.sim import RandomStreams, Simulator
 from repro.util import mbps, ms
 from repro.xia import HID, NID
@@ -16,18 +12,8 @@ from repro.xia.router import XIARouter
 
 
 # ---------------------------------------------------------------------------
-# Mathis relation and shaper
+# Shaper
 # ---------------------------------------------------------------------------
-
-
-def test_mathis_inverse_roundtrip():
-    # The relation solved by hand for the drop rate that gives 30 Mbps.
-    rate = (1.22 * 1460 * 8 / (0.02 * mbps(30))) ** 2
-    assert mathis_throughput(1460, 0.02, rate) == pytest.approx(mbps(30))
-
-
-def test_mathis_no_loss_is_unbounded():
-    assert mathis_throughput(1460, 0.02, 0.0) == float("inf")
 
 
 def test_wired_target_table_interpolation_monotone():

@@ -187,9 +187,10 @@ def test_arq_gives_up_after_max_retries_failed_draws_pinned(
         failures, lost, draws, retransmissions):
     """Pins, does not bless, an off-by-one: with ``max_retries = k`` the
     link transmits up to k + 1 times but declares the frame lost as soon
-    as the first k draws failed, so i.i.d. residual loss is p^k where
-    ``flowmodel.residual_loss`` says p^(k+1) (EXPERIMENTS.md,
-    "Deviations, honestly").  Fixing it moves every golden figure."""
+    as the first k draws failed, so i.i.d. residual loss is p^k, not the
+    p^(k+1) that k retries would suggest (EXPERIMENTS.md, "Deviations,
+    honestly").  p^k is the link's behaviour; fixing it moves every
+    golden figure."""
     sim = Simulator()
     loss = ScriptedLoss(failures)
     link = WirelessLink(sim, "w", mac_rate_bps=mbps(65), delay=ms(1),

@@ -86,14 +86,6 @@ KEEP = {
         NAME, "ROADMAP item 3(b): goes or stays with Process.interrupt"),
     "repro.sim.process:Process.interrupt": (
         NAME, "ROADMAP item 3(b): the one caller of Simulator.pooled_event"),
-    "repro.transport.flowmodel:FlowModel.bytes_in": (
-        NAME, "ROADMAP item 6: the flow model becomes the oracle, or goes"),
-    "repro.transport.flowmodel:PathCharacteristics.joined": (
-        NAME, "ROADMAP item 6: the flow model becomes the oracle, or goes"),
-    "repro.transport.flowmodel:effective_wireless_goodput": (
-        NAME, "ROADMAP item 6: the flow model becomes the oracle, or goes"),
-    "repro.transport.flowmodel:residual_loss": (
-        NAME, "ROADMAP item 6: the flow model becomes the oracle, or goes"),
     "repro.xia.dag:DagAddress.next_candidates": (NAME,
         "reference: tests/xia/test_dataplane.py (set-based walk the "
         "bitmask plan is held to)"),
@@ -133,8 +125,6 @@ KEEP = {
     "repro.sim.core:Simulator.timeout(value)": (OPTION,
         "reference: tests/sim/test_primitives.py (AnyOf's fired-value dict "
         "and run(until=) are pinned through valued timeouts)"),
-    "repro.transport.flowmodel:FlowModel.transfer_time(include_verify)": (
-        OPTION, "ROADMAP item 6: the flow model becomes the oracle, or goes"),
     "dropped_down": (WRITE,
         "reference: tests/net/test_link_equivalence.py (drops by reason "
         "against the two-event reference link); link-down branch only"),
@@ -149,7 +139,7 @@ KEEP = {
         "count expiries beside the kernel's rto events); timeout branch "
         "only"),
 }
-MAX_KEEP = 27
+MAX_KEEP = 22
 
 
 def _keys(kind: str) -> set[str]:
