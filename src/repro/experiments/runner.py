@@ -29,6 +29,8 @@ from repro.experiments.params import MicrobenchParams
 from repro.experiments.scenario import TestbedScenario, system_class
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.coverage import Coverage
+from repro.net.wireless import WirelessDirection
+from repro.obs.events import LinkRetransmission
 from repro.obs.flight import (
     GaugeSampler,
     InvariantAuditor,
@@ -249,6 +251,19 @@ def run_download(
             client.download(content, deadline=deadline)
         )
         download: DownloadResult = scenario.sim.run(until=process)
+        probe = scenario.sim.probe
+        if probe.active:
+            # ARQ retries are state on the wireless directions, published
+            # as one total each — before the fold's run record counts
+            # the events it saw.
+            for link in scenario.network.links:
+                for direction in (link.forward, link.backward):
+                    if isinstance(direction, WirelessDirection) \
+                            and direction.retransmissions:
+                        probe.emit(LinkRetransmission(
+                            link=direction.source.name,
+                            retries=direction.retransmissions,
+                        ))
         if fold is not None:
             # Emit the run-summary wide record (post-run, like the live
             # trace's last events) before anything reads the output.

@@ -24,7 +24,6 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.net.link import Link, LinkDirection
 from repro.net.loss import LossModel
-from repro.obs.events import LinkRetransmission
 from repro.util.validation import check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,6 +48,8 @@ class WirelessDirection(LinkDirection):
         self.retry_backoff = check_non_negative("retry_backoff", retry_backoff)
         #: Fixed per-frame MAC cost (DIFS + preamble + SIFS + MAC ACK).
         self.frame_overhead = check_non_negative("frame_overhead", frame_overhead)
+        #: ARQ retries so far; a traced run publishes the total once, as
+        #: one ``LinkRetransmission``, when it ends (not one per frame).
         self.retransmissions = 0
 
     def airtime(self, packet: "Packet") -> float:
@@ -65,12 +66,6 @@ class WirelessDirection(LinkDirection):
         single = packet.size_bytes * 8 / self.bandwidth_bps + self.frame_overhead
         retries = attempts - 1
         self.retransmissions += retries
-        if retries:
-            probe = self._probe
-            if probe.active:
-                probe.emit(
-                    LinkRetransmission(link=self.source.name, retries=retries)
-                )
         return attempts * single + retries * self.retry_backoff
 
 

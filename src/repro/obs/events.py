@@ -15,7 +15,8 @@ Layer      Events
 sim        :class:`ProcessFailed`
 obs        :class:`GaugeSample` (the flight recorder's sampled gauges)
 net        :class:`PacketDropped`, :class:`LinkStateChanged`,
-           :class:`LinkRetransmission`
+           :class:`LinkRetransmission` (one run total per wireless
+           direction, published when the run ends)
 transport  :class:`SegmentTimeout`, :class:`SegmentRetransmitted`,
            :class:`SessionMigrated`
 xcache     :class:`CacheHit`, :class:`CacheMiss`, :class:`CacheStored`,
@@ -85,7 +86,12 @@ class LinkStateChanged(ObsEvent):
 
 @dataclass(frozen=True, slots=True)
 class LinkRetransmission(ObsEvent):
-    """Link-layer ARQ retried a frame ``retries`` times (wireless)."""
+    """One wireless direction's link-layer ARQ retries, as a run total.
+
+    Published once per direction with retries when the run ends (the
+    direction counts them as it goes), not once per retried frame.  A
+    trace with one event per frame sums to the same counter on replay.
+    """
 
     link: str
     retries: int

@@ -84,8 +84,10 @@ def test_cli_demo_trace_and_spans(tmp_path, capsys):
 #: sha1 of ``repro sweep --panel b --file-mb 2 --seeds 2``'s printed
 #: series and of its ``--trace`` JSONL, captured at 7d9c532 (the commit
 #: before the sweep's sequential loop and worker-pool path became one).
+#: The trace's was re-captured once, when ARQ retries became one
+#: run-end ``LinkRetransmission`` per wireless direction.
 SWEEP_SERIES_SHA1 = "1e4a11b8ad9a8aba4047260f26051ec54cb98eb4"
-SWEEP_TRACE_SHA1 = "384d7e9c2c3f437f87ec6c95b413f559e3ce28f2"
+SWEEP_TRACE_SHA1 = "4d11f0fbf5ca88eca337f3aa26ce8a9e80fb1c6e"
 
 
 def test_cli_sweep_trace_and_series_are_pinned_for_any_jobs(tmp_path):

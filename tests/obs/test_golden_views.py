@@ -65,43 +65,48 @@ SCENARIOS = {
     ],
 }
 
-#: scenario -> view -> sha1 of its text, captured at f3dc417.
-GOLDEN = {'handoffs': {'emit_wide': 'ce3ea0db17b14f1d06e1067e3b7ee24004de0ce5',
+#: scenario -> view -> sha1 of its text, captured at f3dc417.  Re-captured
+#: once when ARQ retries became one run-end ``LinkRetransmission`` per
+#: wireless direction: ``trace summary`` (the event counts), ``emit_wide``
+#: and ``trace wide`` (the run record's ``events``; its ``t_end`` too
+#: where the last event used to be a retried frame before the download
+#: ended) and, through that ``t_end``, ``runs why``.
+GOLDEN = {'handoffs': {'emit_wide': '764820443e767c4d65cbf0bb069bad15d009bd0a',
               'render_spans': '03784e5343c0d8d0b4a7887d8289b690d4249f1d',
               'runs why': '21751b7acfbf8a213424761355029b0447fbe247',
               'span_dicts': 'c0e6e6e8287fd559904f733142d5f7a79e3557c1',
               'trace chrome': '884c4acbb10cc4db9e144910e2df83f6f3e93f50',
               'trace diff': '0f49f42f7a5858b2d0af48bfb17ed89e2f9ff86a',
               'trace spans --critical': 'c82d0080a0a85a90feb2677b563080dcbfffb2d6',
-              'trace summary': '34b8e8d1af48639033883b535bb5a1220ae86064',
-              'trace wide': 'ce3ea0db17b14f1d06e1067e3b7ee24004de0ce5'},
- 'pair-seed0': {'emit_wide': 'c7f2c10387d4f849c754cb9837180a6880987408',
+              'trace summary': '4c16f0bfd831ec7c296135a5e99aebb104d28f13',
+              'trace wide': '764820443e767c4d65cbf0bb069bad15d009bd0a'},
+ 'pair-seed0': {'emit_wide': 'f57563e691c4b4a5ef61a304a6d36f676d67a1d6',
                 'render_spans': 'f977ae6343567ede6223cfc9953e7053579480a6',
-                'runs why': 'e0f81f16bc3164096058a6f83be0b215bfe9e067',
+                'runs why': '992b842cb09b021c6c2198a934f89acac690a6b8',
                 'span_dicts': '460eb8800079890db797544b2adf13f9efdaeaf4',
                 'trace chrome': '6cba02ed8613883db855420eb4ac5c18ce166ec6',
                 'trace diff': '0d49a2909859e0bd864a282d63415072fef1bcd3',
                 'trace spans --critical': 'dc900e39176797f877133e4e43f27db1ad33b957',
-                'trace summary': 'b4e4d97b7c97ffc1b792da8e6d7da73b584aa6db',
-                'trace wide': 'c7f2c10387d4f849c754cb9837180a6880987408'},
- 'pair-seed1': {'emit_wide': 'e98abae24cb4c4f6b3d9e866ee957f5de9eb07e5',
+                'trace summary': '84312535f3a46f2470171e109aea472417f03de2',
+                'trace wide': 'f57563e691c4b4a5ef61a304a6d36f676d67a1d6'},
+ 'pair-seed1': {'emit_wide': 'edf1d7689dc82c7848846b7a1d75adb4c5801d18',
                 'render_spans': 'b9bd5c6c51900df78926420143b06eef7d75463b',
-                'runs why': '182074189c0fcde1b6242dfa6e4a415001bbcf3c',
+                'runs why': 'e92bb190c7c405d4ad35141c2efd15efa1367853',
                 'span_dicts': '42dea38087db6978d30c5d5ecb142ea3927419f4',
                 'trace chrome': 'de45a3f8f8c7fedb0f9a1c6611acb46194e4c05a',
                 'trace diff': '383a3abe2911a96fc0c3ac3359c244369680bef6',
                 'trace spans --critical': 'aad7aab74431175230ec47ff6fe1dabb1495b81f',
-                'trace summary': '7f7a4ee798dd2bcb41505d535f4b1f03527ce8d4',
-                'trace wide': 'e98abae24cb4c4f6b3d9e866ee957f5de9eb07e5'},
- 'rich-choppy': {'emit_wide': '727cf5501f69bef6477736d1581ab288a90610ac',
+                'trace summary': '574126e940dcca4b84e74bfd3bbea98a24147b12',
+                'trace wide': 'edf1d7689dc82c7848846b7a1d75adb4c5801d18'},
+ 'rich-choppy': {'emit_wide': 'cff16c239ce004e663d6e3c48a17a5463701ee35',
                  'render_spans': 'f34d081ca0d851fa91e9c93dc16c876cc9a9b6b6',
-                 'runs why': '57a1f059c1ff4d16f7f3732c548d5fa1b47f263b',
+                 'runs why': '3a357fbbebf4fb67895f7add350788e2ee4965aa',
                  'span_dicts': '79ac579af0940fee13b1e8d063bce0d667405cfe',
                  'trace chrome': '8750a356f79e66c015f3f4b04dc749270203f7cd',
                  'trace diff': 'fac8b1e1d2daea757f66df8bab3fed2692ebdb75',
                  'trace spans --critical': '66b5b5e907706bd730583af3876c35ce185f0e33',
-                 'trace summary': '4f0585ae3ccbd9374ec970edecd832a73a81fe22',
-                 'trace wide': '727cf5501f69bef6477736d1581ab288a90610ac'}}
+                 'trace summary': '453c39fc3b34428403b3aa7a394f5ed45c8d87ad',
+                 'trace wide': 'cff16c239ce004e663d6e3c48a17a5463701ee35'}}
 
 
 def _cli(*argv) -> str:
