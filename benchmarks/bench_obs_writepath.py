@@ -3,9 +3,10 @@ way in, and each offline view per event on the way back out.
 
 Records the stamped event stream of one fixed-seed Xftp + SoftStage
 pair with the flight recorder on (the event mix ``obs_live`` publishes:
-mostly ``GaugeSample``, with one ``LinkRetransmission`` run total per
-wireless direction), then replays exactly
-that stream, run by run, through fresh attachments wired the way
+``PacketDropped`` first, then ``SegmentRetransmitted``, one
+``GaugeSample`` per sampler tick carrying every gauge, and one
+``LinkRetransmission`` run total per wireless direction), then replays
+exactly that stream, run by run, through fresh attachments wired the way
 ``run_download`` wires them: a no-op wildcard (the bus's own cost),
 each bus attachment alone, and all of them together with the sketch
 recorder as a sink of the fold — the hub with one draining thread, as
@@ -14,7 +15,7 @@ recorder as a sink of the fold — the hub with one draining thread, as
 Per row it reports
 
 - ``events`` — events the row's handlers received (wildcard rows see
-  the whole stream, ``hub`` only the gauge samples);
+  the whole stream, ``hub`` only the gauge ticks);
 - ``us_per_event`` — host µs per *published* event (median of
   ``--rounds`` replays), so rows are comparable and roughly additive;
 - ``py_calls_per_event`` — Python frames entered per published event
@@ -23,8 +24,9 @@ Per row it reports
 
 The ``all`` row's frames are also reported per downloaded MB
 (``all.py_calls_per_mb``): what the whole lattice costs a run, whatever
-the event mix — the per-event figure alone rises when cheap events
-leave the stream.
+the event mix — the per-event figure alone rises when events are
+merged into fewer, fatter ones (a tick's ~45 gauge readings in one
+``GaugeSample``) or cheap ones leave the stream.
 
 Every row includes ``EventBus.publish`` itself; subtract ``noop`` for a
 handler's own share.
@@ -88,7 +90,8 @@ ROWS = {
     "all": ("collector", "trace", "audit", "sketches", "fold", "hub"),
 }
 
-#: Rows whose only subscription is the ``GaugeSample`` topic.
+#: Rows whose only subscription is the ``GaugeSample`` topic: their
+#: ``events`` count sampler ticks.
 GAUGE_ONLY_ROWS = ("hub",)
 
 #: Read-side row → the offline view it runs over the trace at ``path``.
@@ -101,26 +104,30 @@ READ_ROWS = {
 
 #: ``--check`` fails above this many Python calls per published event
 #: with the whole lattice attached.  The recorded seed-0 stream costs
-#: 11.78: since ARQ retries became one run total per wireless direction
-#: the stream is 90 % ``GaugeSample``, which costs more frames than the
-#: per-frame ``LinkRetransmission`` that was 59 % of it (8.98 then; no
-#: handler changed, the mix did).  The ceiling sits ~10 % above — room
-#: for a helper on a per-chunk path, not for one more frame per event.
-ALL_PY_CALLS_PER_EVENT_CEILING = 13.0
+#: 18.09: a sampler tick is one ``GaugeSample`` carrying its ~45
+#: readings, which each consumer loops over, so the 295 ticks are 17 %
+#: of the 1,734 events and the dearest of them (11.78 per event when
+#: each reading was an event, 90 % of a 14,640-event stream).  The
+#: ceiling sits ~10 % above — room for a helper on a per-chunk path,
+#: not for one more frame per event.
+ALL_PY_CALLS_PER_EVENT_CEILING = 20.0
 
 #: ``--check`` fails above this many Python calls per downloaded MB with
 #: the whole lattice attached: what a run pays, whatever its event mix.
-#: The pair costs 2,695 per MB (4,967 with one ``LinkRetransmission``
-#: per retried frame); a per-packet emit site coming back costs more
-#: than the ~11 % of room left.
-ALL_PY_CALLS_PER_MB_CEILING = 3_000
+#: The pair costs 490 per MB (2,695 with one ``GaugeSample`` per gauge
+#: reading, 4,967 with one ``LinkRetransmission`` per retried frame as
+#: well); one more frame per gauge reading is +43 %, and a per-packet
+#: emit site coming back costs more than the ~10 % of room left.
+ALL_PY_CALLS_PER_MB_CEILING = 540
 
 #: ``--check`` fails above this many Python calls per event of a bare
-#: ``read_trace`` pass.  It costs 3.01 — the event's constructor, the
-#: reader's resume and the counting consumer's — since the reader calls
-#: the ``json`` C scanner itself and builds ``Stamped`` as the tuple it
-#: is (7.01 before: three frames of ``json.loads`` and one of
-#: ``Stamped.__init__`` more); one more frame per event is +33 %.
+#: ``read_trace`` pass.  It costs 3.22 — the event's constructor, the
+#: reader's resume and the counting consumer's, plus, on the 17 % of
+#: lines that are gauge ticks, the ``__post_init__`` that turns their
+#: JSON lists back into tuples — since the reader calls the ``json`` C
+#: scanner itself and builds ``Stamped`` as the tuple it is (7.01
+#: before: three frames of ``json.loads`` and one of ``Stamped.__init__``
+#: more); one more frame per event is +31 %.
 READ_PY_CALLS_PER_EVENT_CEILING = 3.5
 
 

@@ -44,15 +44,14 @@ class MetricsCollector:
 
     # -- time series ------------------------------------------------------------
 
-    def record(self, name: str, value: float, time: Optional[float] = None) -> None:
+    def record(self, name: str, value: float) -> None:
+        """Add ``(sim.now, value)`` to series ``name``."""
+        if self.sim is None:
+            raise ValueError("no simulator attached to read the time from")
         series = self._series.get(name)
         if series is None:
             series = self._series[name] = TimeSeries(name)
-        if time is None:
-            if self.sim is None:
-                raise ValueError("no simulator attached; pass time explicitly")
-            time = self.sim.now
-        series.record(time, value)
+        series.record(self.sim.now, value)
 
     def series(self, name: str) -> TimeSeries:
         try:
@@ -119,16 +118,21 @@ class MetricsCollector:
     def _on_event(self, stamped: Stamped) -> None:
         event = stamped.event
         if type(event) is ev.GaugeSample:
-            # Gauges become time series keyed by the stamped sim time,
-            # so a replayed trace reproduces the exact timelines.  The
-            # run id is part of the series name: a multi-run trace
-            # replays each run's gauges into its own (monotonic)
-            # series, exactly as the per-run live collectors saw them.
-            self.record(
-                f"gauge.{stamped.run_id}.{event.gauge}",
-                event.value,
-                time=stamped.time,
-            )
+            # A tick's readings become one point each on per-gauge time
+            # series keyed by the stamped sim time, so a replayed trace
+            # reproduces the exact timelines.  The run id is part of
+            # the series name: a multi-run trace replays each run's
+            # gauges into its own (monotonic) series, exactly as the
+            # per-run live collectors saw them.
+            prefix = f"gauge.{stamped.run_id}."
+            time = stamped.time
+            all_series = self._series
+            for gauge, value in zip(event.gauges, event.values):
+                name = prefix + gauge
+                series = all_series.get(name)
+                if series is None:
+                    series = all_series[name] = TimeSeries(name)
+                series.record(time, value)
             return
         handler = _EVENT_METRICS.get(type(event))
         if handler is not None:

@@ -127,12 +127,13 @@ class Dashboard:
     def feed(self, topic: str, payload: dict) -> None:
         self.items_seen += 1
         if topic == "gauge":
-            name = payload.get("gauge", "?")
-            series = self._series.get(name)
-            if series is None:
-                series = self._series[name] = deque(maxlen=self.window)
-            series.append(payload.get("v", 0.0))
-            self._gauge_last_t[name] = payload.get("t", 0.0)
+            t = payload.get("t", 0.0)
+            for name, value in payload.get("gauges", {}).items():
+                series = self._series.get(name)
+                if series is None:
+                    series = self._series[name] = deque(maxlen=self.window)
+                series.append(value)
+                self._gauge_last_t[name] = t
         elif topic == "wide":
             self.wide_seen += 1
             self._tail.append(_describe_wide(payload))

@@ -1,9 +1,10 @@
 """The typed instrumentation event taxonomy.
 
 Every observable happening in the stack is a small frozen dataclass
-whose fields are JSON primitives (str/int/float/bool/None) so a trace
-can round-trip through JSONL losslessly.  Layers construct these only
-when at least one subscriber is attached (see
+whose fields are JSON primitives (str/int/float/bool/None) — or, for
+:class:`GaugeSample`'s parallel name and value columns, tuples of
+them — so a trace can round-trip through JSONL losslessly.  Layers
+construct these only when at least one subscriber is attached (see
 :class:`repro.obs.probe.Probe`), so an uninstrumented run pays nothing
 beyond one attribute check per emit site.
 
@@ -13,7 +14,8 @@ The taxonomy, by emitting layer:
 Layer      Events
 ========== ==========================================================
 sim        :class:`ProcessFailed`
-obs        :class:`GaugeSample` (the flight recorder's sampled gauges)
+obs        :class:`GaugeSample` (one flight-recorder tick: every sampled
+           gauge at one instant)
 net        :class:`PacketDropped`, :class:`LinkStateChanged`,
            :class:`LinkRetransmission` (one run total per wireless
            direction, published when the run ends)
@@ -286,21 +288,31 @@ class EncounterEnded(ObsEvent):
 
 @dataclass(frozen=True, slots=True)
 class GaugeSample(ObsEvent):
-    """One sampled state-gauge reading (flight recorder).
+    """One sampler tick: every registered state gauge read at one instant.
 
     Emitted by :class:`repro.obs.flight.GaugeSampler` on its sim-time
-    sampling period, one event per registered gauge per tick.  Values
-    are pure functions of simulation state (never wall clock), so a
-    trace replays into gauge timelines identical to the live run's.
+    sampling period, one event per tick.  ``gauges`` names the gauges
+    in registration order and ``values`` holds their readings,
+    position for position.  Values are pure functions of simulation
+    state (never wall clock), so a trace replays into gauge timelines
+    identical to the live run's.
 
-    ``gauge`` names the quantity with dotted components, coarse to
-    fine — ``cache.occupancy_bytes.xcache-A``,
-    ``staging.lead_bytes``, ``link.queue_bytes.internet.fwd`` — so
-    consumers can select families by prefix.
+    A name has dotted components, coarse to fine —
+    ``cache.occupancy_bytes.xcache-A``, ``staging.lead_bytes``,
+    ``link.queue_bytes.internet.fwd`` — so consumers can select
+    families by prefix.
+
+    Both fields are tuples, also when built from the lists a JSONL
+    trace decodes them as, so a replayed tick equals the live one.
     """
 
-    gauge: str
-    value: float
+    gauges: tuple[str, ...]
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        # ``tuple()`` of a tuple is that tuple: live ticks are not copied.
+        object.__setattr__(self, "gauges", tuple(self.gauges))
+        object.__setattr__(self, "values", tuple(self.values))
 
 
 #: Name -> class registry used by the JSONL trace replayer.

@@ -11,14 +11,16 @@ Two cooperating pieces:
 :class:`GaugeSampler`
     A simulation process that, every ``period`` sim-seconds, reads a
     set of registered gauges (name → zero-argument callable) and emits
-    one :class:`~repro.obs.events.GaugeSample` per gauge through the
-    simulator's probe.  Samples land on the bus like every other
-    event, so they aggregate into
-    :class:`~repro.sim.monitor.TimeSeries` timelines inside the
-    :class:`~repro.metrics.collector.MetricsCollector`, export to
-    JSONL, and replay into *identical* timelines offline.  Sampling is
-    off by default and adds **zero hot-path overhead** when off: no
-    per-packet work anywhere, only a periodic timer while installed.
+    the whole tick as one :class:`~repro.obs.events.GaugeSample` —
+    the names in registration order beside their readings — through
+    the simulator's probe.  A tick lands on the bus like every other
+    event, so its readings aggregate into one
+    :class:`~repro.sim.monitor.TimeSeries` timeline per gauge inside
+    the :class:`~repro.metrics.collector.MetricsCollector`, export to
+    one JSONL line, and replay into *identical* timelines offline.
+    Sampling is off by default and adds **zero hot-path overhead** when
+    off: no per-packet work anywhere, only a periodic timer while
+    installed.
 
 :class:`InvariantAuditor`
     A bus subscriber that double-enters the event stream into its own
@@ -67,8 +69,9 @@ class GaugeSampler:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self._gauges: list[tuple[str, Callable[[], float]]] = []
-        self._names: set[str] = set()
+        #: The names, in registration order: every tick's ``gauges``.
+        self._names: tuple[str, ...] = ()
+        self._gauges: list[Callable[[], float]] = []
         self._process = None
         self.samples_taken = 0
 
@@ -76,17 +79,17 @@ class GaugeSampler:
         """Register gauge ``name`` (sampled in registration order)."""
         if name in self._names:
             raise ValueError(f"gauge {name!r} already registered")
-        self._names.add(name)
-        self._gauges.append((name, fn))
+        self._names += (name,)
+        self._gauges.append(fn)
         return self
 
     def sample_now(self) -> None:
-        """Read every gauge once and emit the batch at ``sim.now``."""
+        """Read every gauge once and emit the tick at ``sim.now``."""
         probe = self.sim.probe
         if not probe.active:
             return
-        for name, fn in self._gauges:
-            probe.emit(GaugeSample(gauge=name, value=float(fn())))
+        values = tuple([float(fn()) for fn in self._gauges])
+        probe.emit(GaugeSample(self._names, values))
         self.samples_taken += 1
 
     def start(self) -> "GaugeSampler":
@@ -322,37 +325,41 @@ class InvariantAuditor:
         self.dropped_packets += event.count
 
     def _book_gauge(self, stamped: Stamped, event: GaugeSample) -> None:
-        if event.value < 0:
-            self._violate(
-                stamped, "gauge-sane",
-                f"gauge {event.gauge!r} sampled negative ({event.value})",
-            )
-        self._gauge_latest[event.gauge] = event.value
-        if event.gauge.startswith("cache.occupancy_bytes."):
-            store = event.gauge.rsplit(".", 1)[1]
-            balance = self._store_balance.get(store, 0)
-            if event.value != balance:
+        # In tick order: the pool-balance bounds (allocation counters)
+        # are registered, so read, before the free lists they bound.
+        latest = self._gauge_latest
+        for name, value in zip(event.gauges, event.values):
+            if value < 0:
                 self._violate(
-                    stamped, "cache-conservation",
-                    f"store {store!r} occupancy gauge reads {event.value:g} "
-                    f"but stored−evicted balance is {balance}",
+                    stamped, "gauge-sane",
+                    f"gauge {name!r} sampled negative ({value})",
                 )
-        elif event.gauge == "pool.events_free":
-            allocs = self._gauge_latest.get("pool.event_allocs")
-            if allocs is not None and event.value > allocs:
-                self._violate(
-                    stamped, "pool-balance",
-                    f"kernel event free list holds {event.value:g} events "
-                    f"but only {allocs:g} were ever allocated",
-                )
-        elif event.gauge == "pool.packets_free":
-            releases = self._gauge_latest.get("pool.packet_releases")
-            if releases is not None and event.value > releases:
-                self._violate(
-                    stamped, "pool-balance",
-                    f"packet free list holds {event.value:g} packets but "
-                    f"only {releases:g} were ever released",
-                )
+            latest[name] = value
+            if name.startswith("cache.occupancy_bytes."):
+                store = name.rsplit(".", 1)[1]
+                balance = self._store_balance.get(store, 0)
+                if value != balance:
+                    self._violate(
+                        stamped, "cache-conservation",
+                        f"store {store!r} occupancy gauge reads {value:g} "
+                        f"but stored−evicted balance is {balance}",
+                    )
+            elif name == "pool.events_free":
+                allocs = latest.get("pool.event_allocs")
+                if allocs is not None and value > allocs:
+                    self._violate(
+                        stamped, "pool-balance",
+                        f"kernel event free list holds {value:g} events "
+                        f"but only {allocs:g} were ever allocated",
+                    )
+            elif name == "pool.packets_free":
+                releases = latest.get("pool.packet_releases")
+                if releases is not None and value > releases:
+                    self._violate(
+                        stamped, "pool-balance",
+                        f"packet free list holds {value:g} packets but "
+                        f"only {releases:g} were ever released",
+                    )
 
     #: Event type -> the book it is entered in.
     _BOOKS = {
@@ -538,7 +545,8 @@ def install_flight_recorder(
             )
 
     # Pool levels: allocation counters sampled before free-list levels
-    # so the auditor's pool-balance check always sees a fresh bound.
+    # (a tick keeps registration order) so the auditor's pool-balance
+    # check always sees a fresh bound.
     sampler.register("pool.event_allocs", lambda: sim.pool_allocs)
     sampler.register("pool.events_free", lambda: len(sim._event_pool))
     sampler.register(

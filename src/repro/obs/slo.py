@@ -475,14 +475,13 @@ class LiveSLOEvaluator:
                     window.clear()
                 self._violating.clear()
         if topic == "gauge":
-            name = payload.get("gauge")
             t = payload.get("t", 0.0)
-            value = payload.get("v")
-            if not isinstance(value, (int, float)):
-                return
-            for slo in self.slos:
-                if slo.metric == name:
-                    self._observe(slo, t, float(value))
+            for name, value in payload.get("gauges", {}).items():
+                if not isinstance(value, (int, float)):
+                    continue
+                for slo in self.slos:
+                    if slo.metric == name:
+                        self._observe(slo, t, float(value))
         elif topic == "wide":
             if payload.get("kind") != "chunk":
                 return

@@ -18,8 +18,9 @@ Items are ``(topic, payload)`` pairs where ``payload`` is a
 JSON-serialisable dict.  The conventional topics:
 
 ``gauge``
-    One flight-recorder sample, forwarded off the event bus by
-    :class:`GaugeFeed`: ``{"run", "t", "gauge", "v"}``.
+    One flight-recorder tick, forwarded off the event bus by
+    :class:`GaugeFeed`: ``{"run", "t", "gauges": {name: value, ...}}``,
+    every gauge read at ``t``, in registration order.
 ``wide``
     One wide-event record (see :mod:`repro.obs.wide`), forwarded by
     the builder's hub sink.
@@ -242,7 +243,8 @@ class GaugeFeed:
 
     Subscribes to :class:`~repro.obs.events.GaugeSample` only, so runs
     without the flight recorder pay nothing extra, and forwards each
-    sample as a ``gauge`` item.  Forwarding is an in-memory queue
+    tick as one ``gauge`` item holding all of its readings (one queue
+    append per tick, not per gauge).  Forwarding is an in-memory queue
     append — it cannot block or reorder the simulation.
     """
 
@@ -267,6 +269,5 @@ class GaugeFeed:
         self.hub.publish("gauge", {
             "run": stamped.run_id,
             "t": stamped.time,
-            "gauge": event.gauge,
-            "v": event.value,
+            "gauges": dict(zip(event.gauges, event.values)),
         })

@@ -368,7 +368,7 @@ def _bump(span: Span, attr: str) -> None:
 
 
 def _on_gauge(b: WideEventBuilder, t: float, e: ev.GaugeSample) -> None:
-    b._gauge_latest[e.gauge] = e.value
+    b._gauge_latest.update(zip(e.gauges, e.values))
 
 
 def _on_packet_dropped(b: WideEventBuilder, t: float, e: ev.PacketDropped) -> None:

@@ -685,7 +685,7 @@ def test_cli_watch_interrupt_closes_the_stream_cleanly(
         def __iter__(self):
             yield from sse_format(
                 "gauge",
-                {"run": "r", "t": 0.0, "gauge": "g", "v": 1.0},
+                {"run": "r", "t": 0.0, "gauges": {"g": 1.0}},
             ).splitlines(keepends=True)
             raise KeyboardInterrupt
 

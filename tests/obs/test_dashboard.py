@@ -31,10 +31,11 @@ def test_sparkline_shapes():
 def _feed_demo_traffic(dash):
     dash.feed("run", {"run": "softstage-seed0", "state": "started"})
     for i in range(4):
+        gauges = {"staging.lead_bytes": float(i)}
+        if i == 3:  # a gauge registered late joins the last tick
+            gauges["vnf.queue_depth"] = 2.0
         dash.feed("gauge", {"run": "softstage-seed0", "t": float(i),
-                            "gauge": "staging.lead_bytes", "v": float(i)})
-    dash.feed("gauge", {"run": "softstage-seed0", "t": 3.0,
-                        "gauge": "vnf.queue_depth", "v": 2.0})
+                            "gauges": gauges})
     dash.feed("wide", {"kind": "chunk", "cid": "cid-123", "source": "edge",
                        "t_fetched": 3.5, "fetch_latency": 0.25,
                        "stage_wait_s": 1.0, "masked_s": 0.0,
@@ -91,7 +92,7 @@ def test_unknown_wide_kind_degrades_gracefully():
 def test_iter_sse_round_trips_sse_format():
     items = [
         ("hello", {"live": True}),
-        ("gauge", {"run": "r", "t": 1.0, "gauge": "g", "v": 2.0}),
+        ("gauge", {"run": "r", "t": 1.0, "gauges": {"g": 2.0, "h": 0.5}}),
         ("wide", {"kind": "chunk", "seq": 0}),
         ("end", {"published": 2}),
     ]
@@ -111,7 +112,7 @@ def test_run_from_sse_paints_until_end(capsys):
     wire = b"".join([
         sse_format("hello", {"live": True}),
         sse_format("gauge", {"run": "r", "t": 0.0,
-                             "gauge": "staging.lead_bytes", "v": 1.0}),
+                             "gauges": {"staging.lead_bytes": 1.0}}),
         sse_format("end", {"published": 1, "dropped": 0}),
     ])
     dash = run_from_sse(io.BytesIO(wire), clear=False)

@@ -169,6 +169,12 @@ def _stamp(event, time=1.0, run_id="r"):
     return Stamped(time=time, run_id=run_id, event=event)
 
 
+def _tick(*readings):
+    """One sampler tick holding ``(name, value)`` readings, in order."""
+    names, values = zip(*readings)
+    return GaugeSample(gauges=names, values=values)
+
+
 def _audited_bus(strict=True):
     bus = EventBus()
     auditor = InvariantAuditor(strict=strict).attach(bus)
@@ -198,9 +204,7 @@ def test_occupancy_gauge_disagreeing_with_balance_fires():
     bus, auditor = _audited_bus()
     bus.publish(_stamp(CacheStored(store="s", cid="c1", size_bytes=100, pinned=False)))
     with pytest.raises(InvariantViolationError):
-        bus.publish(
-            _stamp(GaugeSample(gauge="cache.occupancy_bytes.s", value=150.0))
-        )
+        bus.publish(_stamp(_tick(("cache.occupancy_bytes.s", 150.0))))
     assert not auditor.ok
 
 
@@ -239,22 +243,23 @@ def test_monotonic_time_violation_fires():
 def test_negative_gauge_fires():
     bus, _auditor = _audited_bus()
     with pytest.raises(InvariantViolationError) as info:
-        bus.publish(_stamp(GaugeSample(gauge="g", value=-1.0)))
+        bus.publish(_stamp(_tick(("g", -1.0))))
     assert info.value.violations[0].invariant == "gauge-sane"
 
 
 def test_pool_free_list_exceeding_allocs_fires():
     bus, _auditor = _audited_bus()
-    bus.publish(_stamp(GaugeSample(gauge="pool.event_allocs", value=10.0)))
+    # The bound is read earlier in the same tick, as the sampler orders it.
     with pytest.raises(InvariantViolationError) as info:
-        bus.publish(_stamp(GaugeSample(gauge="pool.events_free", value=11.0)))
+        bus.publish(_stamp(_tick(
+            ("pool.event_allocs", 10.0), ("pool.events_free", 11.0),
+        )))
     assert info.value.violations[0].invariant == "pool-balance"
 
 
 def test_non_strict_auditor_accumulates_instead_of_raising():
     bus, auditor = _audited_bus(strict=False)
-    bus.publish(_stamp(GaugeSample(gauge="g", value=-1.0)))
-    bus.publish(_stamp(GaugeSample(gauge="h", value=-2.0)))
+    bus.publish(_stamp(_tick(("g", -1.0), ("h", -2.0))))
     assert len(auditor.violations) == 2
     assert not auditor.ok
     assert "2 violation(s)" in auditor.render()
@@ -286,7 +291,7 @@ def test_detach_stops_auditing():
     # After detach the bus has no subscribers; publishing is a no-op
     # for the auditor even if something else re-activates the bus.
     bus.subscribe_all(lambda stamped: None)
-    bus.publish(_stamp(GaugeSample(gauge="g", value=-1.0)))
+    bus.publish(_stamp(_tick(("g", -1.0))))
     assert auditor.events_audited == bus_active_events
     assert auditor.ok
 
@@ -306,7 +311,8 @@ def _mixed_events(n=40):
     """A healthy stream cycling booked and un-booked event types."""
     makers = [
         lambda i: LinkRetransmission(link="wifi-A.fwd", retries=i % 3 + 1),
-        lambda i: GaugeSample(gauge="link.utilization.wifi-A.fwd", value=i / 64),
+        lambda i: _tick(("link.queue_bytes.wifi-A.fwd", float(i)),
+                        ("link.utilization.wifi-A.fwd", i / 64)),
         lambda i: PacketDropped(link="internet.fwd", reason="loss", count=i % 2 + 1),
         lambda i: CacheStored(store="s", cid=f"c{i}", size_bytes=10, pinned=i % 2 == 0),
         lambda i: CoordinatorTick(signalled=i, decision=True, offline=False),

@@ -202,8 +202,8 @@ def test_diff_validates_its_query(service):
 
 
 def test_sse_format_wire_shape():
-    frame = sse_format("gauge", {"v": 1.5, "gauge": "x"})
-    assert frame == b'event: gauge\ndata: {"gauge":"x","v":1.5}\n\n'
+    frame = sse_format("gauge", {"t": 1.5, "gauges": {"x": 2.0}})
+    assert frame == b'event: gauge\ndata: {"gauges":{"x":2.0},"t":1.5}\n\n'
 
 
 def test_live_streams_hub_traffic_until_close(service):
@@ -230,7 +230,7 @@ def test_live_streams_hub_traffic_until_close(service):
         if hub.subscriber_count:
             break
         threading.Event().wait(0.01)
-    hub.publish("gauge", {"run": "r", "t": 1.0, "gauge": "g", "v": 2.0})
+    hub.publish("gauge", {"run": "r", "t": 1.0, "gauges": {"g": 2.0}})
     hub.publish("wide", {"kind": "chunk", "run": "r", "seq": 0})
     hub.close()
     consumer.join(timeout=10)
@@ -238,7 +238,7 @@ def test_live_streams_hub_traffic_until_close(service):
     assert [topic for topic, _p in frames] == [
         "hello", "gauge", "wide", "end",
     ]
-    assert frames[1][1]["v"] == 2.0
+    assert frames[1][1]["gauges"] == {"g": 2.0}
     assert frames[-1][1]["published"] == 2
 
 

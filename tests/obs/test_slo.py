@@ -178,8 +178,9 @@ def test_evaluate_record_reads_serialized_sketches():
 
 def _recorded_gauge(values, gauge="staging.lead_bytes"):
     """The registry gauge columns of a run whose flight recorder sampled
-    ``gauge`` once a second with ``values``, as the collector recorded
-    them (:func:`repro.obs.registry.record_from_result`'s shape)."""
+    ``gauge`` (beside ``client.connected``) once a second with
+    ``values``, as the collector recorded them
+    (:func:`repro.obs.registry.record_from_result`'s shape)."""
     from repro.metrics.collector import MetricsCollector
     from repro.obs.bus import EventBus, Stamped
     from repro.obs.events import GaugeSample
@@ -189,7 +190,8 @@ def _recorded_gauge(values, gauge="staging.lead_bytes"):
     for i, value in enumerate(values):
         bus.publish(Stamped(
             time=float(i), run_id="r",
-            event=GaugeSample(gauge=gauge, value=value),
+            event=GaugeSample(gauges=("client.connected", gauge),
+                              values=(1.0, value)),
         ))
     collector.detach()
     series = collector.series(f"gauge.r.{gauge}")
@@ -340,7 +342,9 @@ def test_alert_log_missing_file_reads_empty(tmp_path):
 
 
 def gauge_item(t, value, gauge="staging.lead_chunks", run="r1"):
-    return "gauge", {"run": run, "t": t, "gauge": gauge, "v": value}
+    """One sampler tick's hub item: ``gauge`` read beside a neighbour."""
+    return "gauge", {"run": run, "t": t,
+                     "gauges": {"client.connected": 1.0, gauge: value}}
 
 
 def test_live_evaluator_fires_on_transition_only():

@@ -101,15 +101,20 @@ def test_gauge_feed_forwards_samples_with_run_context():
     hub = TelemetryHub()
     sub = hub.subscribe()
     feed = GaugeFeed(hub).attach(bus)
+    names = ("staging.lead_bytes", "client.connected")
     bus.publish(Stamped(3.5, "run-x",
-                        GaugeSample(gauge="staging.lead_bytes", value=42.0)))
+                        GaugeSample(gauges=names, values=(42.0, 1.0))))
     feed.detach()
     bus.publish(Stamped(4.0, "run-x",
-                        GaugeSample(gauge="staging.lead_bytes", value=43.0)))
+                        GaugeSample(gauges=names, values=(43.0, 0.0))))
     assert feed.forwarded == 1
-    assert sub.drain() == [("gauge", {
-        "run": "run-x", "t": 3.5, "gauge": "staging.lead_bytes", "v": 42.0,
-    })]
+    # One item per tick, its readings keyed by name in tick order.
+    (item,) = sub.drain()
+    assert item == ("gauge", {
+        "run": "run-x", "t": 3.5,
+        "gauges": {"staging.lead_bytes": 42.0, "client.connected": 1.0},
+    })
+    assert list(item[1]["gauges"]) == list(names)
     assert not bus.active  # detach left the bus on its zero-cost path
 
 
