@@ -3,9 +3,11 @@ way in, and each offline view per event on the way back out.
 
 Records the stamped event stream of one fixed-seed Xftp + SoftStage
 pair with the flight recorder on (the event mix ``obs_live`` publishes:
-``PacketDropped`` first, then ``SegmentRetransmitted``, one
-``GaugeSample`` per sampler tick carrying every gauge, and one
-``LinkRetransmission`` run total per wireless direction), then replays
+one ``GaugeSample`` per sampler tick carrying every gauge first, then
+``CoordinatorTick`` and ``SegmentTimeout``, and the run totals —
+``SegmentRetransmitted`` per sender session, ``PacketDropped`` per
+link direction and reason, ``LinkRetransmission`` per wireless
+direction), then replays
 exactly that stream, run by run, through fresh attachments wired the way
 ``run_download`` wires them: a no-op wildcard (the bus's own cost),
 each bus attachment alone, and all of them together with the sketch
@@ -26,7 +28,8 @@ The ``all`` row's frames are also reported per downloaded MB
 (``all.py_calls_per_mb``): what the whole lattice costs a run, whatever
 the event mix — the per-event figure alone rises when events are
 merged into fewer, fatter ones (a tick's ~45 gauge readings in one
-``GaugeSample``) or cheap ones leave the stream.
+``GaugeSample``) or cheap ones leave the stream (per-drop and
+per-retransmit events becoming run totals).
 
 Every row includes ``EventBus.publish`` itself; subtract ``noop`` for a
 handler's own share.
@@ -45,7 +48,8 @@ above ``ALL_PY_CALLS_PER_EVENT_CEILING``, when ``all.py_calls_per_mb``
 is above ``ALL_PY_CALLS_PER_MB_CEILING``, when
 ``read.py_calls_per_event`` is above ``READ_PY_CALLS_PER_EVENT_CEILING``
 or when the exporter's bytes for the stream differ from the reference
-``asdict`` + ``json.dumps`` encoding the trace format is defined by.
+``asdict`` + ``json.dumps`` encoding the trace format is defined by
+(with a run's gauge names stated once, :func:`reference_line`).
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from repro.experiments.runner import run_download
 from repro.metrics.collector import MetricsCollector
 from repro.obs.analyze import load_runs
 from repro.obs.bus import EventBus, Stamped
+from repro.obs.events import GaugeSample
 from repro.obs.flight import InvariantAuditor
 from repro.obs.sketch import SketchRecorder
 from repro.obs.stream import GaugeFeed, TelemetryHub
@@ -104,41 +109,54 @@ READ_ROWS = {
 
 #: ``--check`` fails above this many Python calls per published event
 #: with the whole lattice attached.  The recorded seed-0 stream costs
-#: 18.09: a sampler tick is one ``GaugeSample`` carrying its ~45
-#: readings, which each consumer loops over, so the 295 ticks are 17 %
-#: of the 1,734 events and the dearest of them (11.78 per event when
-#: each reading was an event, 90 % of a 14,640-event stream).  The
-#: ceiling sits ~10 % above — room for a helper on a per-chunk path,
-#: not for one more frame per event.
-ALL_PY_CALLS_PER_EVENT_CEILING = 20.0
+#: 28.29: a sampler tick is one ``GaugeSample`` carrying its ~45
+#: readings, which each consumer loops over, and the 295 ticks are 36 %
+#: of the 817 events since drops and segment retransmissions became run
+#: totals (18.09 on the 1,734-event stream with one cheap event per drop
+#: and per retransmitted segment, 11.78 when each gauge reading was an
+#: event).  The ceiling sits ~10 % above — room for a helper on a
+#: per-chunk path, not for one more frame per event.
+ALL_PY_CALLS_PER_EVENT_CEILING = 31.0
 
 #: ``--check`` fails above this many Python calls per downloaded MB with
 #: the whole lattice attached: what a run pays, whatever its event mix.
-#: The pair costs 490 per MB (2,695 with one ``GaugeSample`` per gauge
-#: reading, 4,967 with one ``LinkRetransmission`` per retried frame as
-#: well); one more frame per gauge reading is +43 %, and a per-packet
-#: emit site coming back costs more than the ~10 % of room left.
-ALL_PY_CALLS_PER_MB_CEILING = 540
+#: The pair costs 361 per MB (490 with one event per drop and per
+#: retransmitted segment, 2,695 with one ``GaugeSample`` per gauge
+#: reading as well, 4,967 with one ``LinkRetransmission`` per retried
+#: frame too); a per-packet emit site coming back costs more than the
+#: ~10 % of room left.
+ALL_PY_CALLS_PER_MB_CEILING = 400
 
 #: ``--check`` fails above this many Python calls per event of a bare
-#: ``read_trace`` pass.  It costs 3.22 — the event's constructor, the
-#: reader's resume and the counting consumer's, plus, on the 17 % of
+#: ``read_trace`` pass.  It costs 3.41 — the event's constructor, the
+#: reader's resume and the counting consumer's, plus, on the 36 % of
 #: lines that are gauge ticks, the ``__post_init__`` that turns their
-#: JSON lists back into tuples — since the reader calls the ``json`` C
+#: JSON lists back into tuples (3.22 when ticks were 17 % of a stream
+#: with one event per drop) — since the reader calls the ``json`` C
 #: scanner itself and builds ``Stamped`` as the tuple it is (7.01
 #: before: three frames of ``json.loads`` and one of ``Stamped.__init__``
-#: more); one more frame per event is +31 %.
+#: more); one more frame per event is +29 %.
 READ_PY_CALLS_PER_EVENT_CEILING = 3.5
 
 
-def reference_line(stamped: Stamped) -> str:
-    """The JSONL trace format's definition: what the exporter must write."""
+def reference_line(stamped: Stamped, written: dict) -> str:
+    """The JSONL trace format's definition: what the exporter must write.
+
+    ``written`` maps each run id to the gauge names of the last tick of
+    that run this exporter wrote, and is updated here: a tick repeating
+    them omits ``"gauges"`` (a run's names are stated once).
+    """
     record = {
         "t": stamped.time,
         "run": stamped.run_id,
         "type": type(stamped.event).__name__,
     }
     record.update(asdict(stamped.event))
+    if type(stamped.event) is GaugeSample:
+        if written.get(stamped.run_id) == record["gauges"]:
+            del record["gauges"]
+        else:
+            written[stamped.run_id] = record["gauges"]
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
@@ -233,14 +251,16 @@ def replay(runs: list[list[Stamped]], consumers,
 def exporter_matches_reference(runs: list[list[Stamped]]) -> bool:
     """Whether ``TraceExporter`` writes the reference encoding, byte for byte."""
     buffer = io.StringIO()
+    reference = []
     for stream in runs:
         bus = EventBus()
         exporter = TraceExporter(buffer).attach(bus)
+        written: dict = {}  # one per exporter, as the exporter keeps it
         for stamped in stream:
             bus.publish(stamped)
+            reference.append(reference_line(stamped, written))
         exporter.close()
-    reference = "".join(reference_line(s) for stream in runs for s in stream)
-    return buffer.getvalue() == reference
+    return buffer.getvalue() == "".join(reference)
 
 
 def measure(runs: list[list[Stamped]], trace: str, rounds: int = 5) -> dict:

@@ -19,7 +19,7 @@ their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Callable, Optional, Union
+from typing import IO, Callable, Iterable, Optional, Union
 
 from repro.core.client import DownloadResult
 from repro.core.handoff import HandoffPolicy
@@ -29,8 +29,13 @@ from repro.experiments.params import MicrobenchParams
 from repro.experiments.scenario import TestbedScenario, system_class
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.coverage import Coverage
+from repro.net.link import Link
 from repro.net.wireless import WirelessDirection
-from repro.obs.events import LinkRetransmission
+from repro.obs.events import (
+    LinkRetransmission,
+    PacketDropped,
+    SegmentRetransmitted,
+)
 from repro.obs.flight import (
     GaugeSampler,
     InvariantAuditor,
@@ -40,8 +45,10 @@ from repro.obs.sketch import SketchRecorder
 from repro.obs.spans import Span
 from repro.obs.stream import GaugeFeed, TelemetryHub
 from repro.obs.trace import TraceExporter
+from repro.obs.probe import Probe
 from repro.obs.wide import WideEventBuilder, WideEventWriter, run_id_for
 from repro.sim.profiler import SimProfiler
+from repro.transport.reliable import TransportEndpoint
 
 
 @dataclass
@@ -80,6 +87,37 @@ class ExperimentResult:
     @property
     def throughput_bps(self) -> float:
         return self.download.throughput_bps
+
+
+def publish_run_totals(
+    probe: Probe, links: Iterable[Link], endpoints: Iterable[TransportEndpoint]
+) -> None:
+    """Publish what the run's objects counted as one event per total.
+
+    In ``links`` order, forward before backward, each direction's ARQ
+    retries (wireless only) and then its drops per reason; then, in
+    ``endpoints`` order, each sender session's retransmissions.  Only
+    non-zero totals are published, so a replayed trace creates exactly
+    the counters the live collector holds.
+    """
+    emit = probe.emit
+    for link in links:
+        for direction in (link.forward, link.backward):
+            name = direction.source.name
+            if isinstance(direction, WirelessDirection) \
+                    and direction.retransmissions:
+                emit(LinkRetransmission(
+                    link=name, retries=direction.retransmissions,
+                ))
+            stats = direction.stats
+            for reason, count in (("loss", stats.dropped_loss),
+                                  ("queue", stats.dropped_queue),
+                                  ("down", stats.dropped_down)):
+                if count:
+                    emit(PacketDropped(link=name, reason=reason, count=count))
+    for endpoint in endpoints:
+        for session, count in endpoint.retransmission_totals().items():
+            emit(SegmentRetransmitted(session=session, count=count))
 
 
 def run_download(
@@ -201,7 +239,7 @@ def run_download(
     run_marker = {"run": run_id, "system": system, "policy": pname, "seed": seed}
     try:
         if instrument or trace_path is not None or gauges or audit:
-            collector = MetricsCollector(scenario.sim).attach(bus)
+            collector = MetricsCollector().attach(bus)
             if trace_path is not None:
                 exporter = TraceExporter(trace_path).attach(bus)
                 teardowns.append(exporter.close)
@@ -253,17 +291,14 @@ def run_download(
         download: DownloadResult = scenario.sim.run(until=process)
         probe = scenario.sim.probe
         if probe.active:
-            # ARQ retries are state on the wireless directions, published
-            # as one total each — before the fold's run record counts
-            # the events it saw.
-            for link in scenario.network.links:
-                for direction in (link.forward, link.backward):
-                    if isinstance(direction, WirelessDirection) \
-                            and direction.retransmissions:
-                        probe.emit(LinkRetransmission(
-                            link=direction.source.name,
-                            retries=direction.retransmissions,
-                        ))
+            # ARQ retries, drops and segment retransmissions are state on
+            # the links and sessions, published as totals — before the
+            # fold's run record counts the events it saw.
+            publish_run_totals(probe, scenario.network.links, (
+                scenario.server.endpoint,
+                *(edge.endpoint for edge in scenario.edges),
+                scenario.client_endpoint,
+            ))
         if fold is not None:
             # Emit the run-summary wide record (post-run, like the live
             # trace's last events) before anything reads the output.

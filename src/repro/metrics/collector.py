@@ -1,6 +1,6 @@
 """A per-run metrics collector: named counters, series and samples.
 
-Beyond the manual ``count``/``observe``/``record`` API, a collector can
+Beyond the manual ``count``/``observe`` API, a collector can
 subscribe to an instrumentation bus (:meth:`MetricsCollector.attach`)
 and aggregate the typed events every layer publishes (see
 :mod:`repro.obs`).  The same event-to-metric mapping is used live and
@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Optional
 
 from repro.obs import events as ev
 from repro.obs.bus import EventBus, Stamped
-from repro.sim import Simulator, TimeSeries
+from repro.sim import TimeSeries
 
 
 class MetricsCollector:
     """Aggregates counters, samples and time series by name."""
 
-    def __init__(self, sim: Optional[Simulator] = None) -> None:
-        self.sim = sim
+    def __init__(self) -> None:
         self.counters: dict[str, float] = defaultdict(float)
         self._series: dict[str, TimeSeries] = {}
+        #: ``(run id, gauge names)`` of a tick -> its readings' series,
+        #: position for position.
+        self._tick_series: dict[tuple, list[TimeSeries]] = {}
         self._samples: dict[str, list[float]] = defaultdict(list)
         self._buses: list[EventBus] = []
 
@@ -43,15 +44,6 @@ class MetricsCollector:
         return list(self._samples.get(name, []))
 
     # -- time series ------------------------------------------------------------
-
-    def record(self, name: str, value: float) -> None:
-        """Add ``(sim.now, value)`` to series ``name``."""
-        if self.sim is None:
-            raise ValueError("no simulator attached to read the time from")
-        series = self._series.get(name)
-        if series is None:
-            series = self._series[name] = TimeSeries(name)
-        series.record(self.sim.now, value)
 
     def series(self, name: str) -> TimeSeries:
         try:
@@ -123,20 +115,33 @@ class MetricsCollector:
             # reproduces the exact timelines.  The run id is part of
             # the series name: a multi-run trace replays each run's
             # gauges into its own (monotonic) series, exactly as the
-            # per-run live collectors saw them.
-            prefix = f"gauge.{stamped.run_id}."
+            # per-run live collectors saw them.  A run's ticks share
+            # one names tuple, so its series are resolved once.
+            key = (stamped.run_id, event.gauges)
+            tick_series = self._tick_series.get(key)
+            if tick_series is None:
+                tick_series = self._tick_series[key] = self._gauge_series(*key)
             time = stamped.time
-            all_series = self._series
-            for gauge, value in zip(event.gauges, event.values):
-                name = prefix + gauge
-                series = all_series.get(name)
-                if series is None:
-                    series = all_series[name] = TimeSeries(name)
+            for series, value in zip(tick_series, event.values):
                 series.record(time, value)
             return
         handler = _EVENT_METRICS.get(type(event))
         if handler is not None:
             handler(self, event)
+
+    def _gauge_series(self, run_id: str, gauges: tuple) -> list[TimeSeries]:
+        """The ``gauge.<run>.<name>`` series of each of ``gauges``,
+        created on first sight."""
+        prefix = f"gauge.{run_id}."
+        all_series = self._series
+        found = []
+        for gauge in gauges:
+            name = prefix + gauge
+            series = all_series.get(name)
+            if series is None:
+                series = all_series[name] = TimeSeries(name)
+            found.append(series)
+        return found
 
 
 # -- the event-to-metric mapping ---------------------------------------------
@@ -168,7 +173,7 @@ def _on_segment_timeout(c: MetricsCollector, e: ev.SegmentTimeout) -> None:
 
 
 def _on_segment_rexmit(c: MetricsCollector, e: ev.SegmentRetransmitted) -> None:
-    c.count("transport.retransmissions")
+    c.count("transport.retransmissions", e.count)
 
 
 def _on_session_migrated(c: MetricsCollector, e: ev.SessionMigrated) -> None:

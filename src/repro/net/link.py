@@ -23,6 +23,11 @@ exactly once — queued packets at once, the others when their
 if the link is back up by then.  A doomed frame still occupies the
 medium for its airtime.  Packets offered while the link is down are
 ``dropped_down`` at ``enqueue``.
+
+Drops are counted, not announced: the :class:`LinkStats` counters are
+the record, and an instrumented run publishes them once, as
+``PacketDropped`` run totals, when it ends
+(:func:`repro.experiments.runner.run_download`).
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ from collections import deque
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.obs.events import LinkStateChanged, PacketDropped
+from repro.obs.events import LinkStateChanged
 from repro.sim import Simulator
-from repro.sim.core import URGENT
 from repro.net.loss import LossModel, NoLoss
 from repro.util.validation import check_non_negative, check_positive
 
@@ -43,7 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class LinkStats:
-    """Per-direction counters."""
+    """Per-direction counters (the drop counters are also the run's
+    ``PacketDropped`` totals)."""
 
     __slots__ = (
         "sent_packets",
@@ -180,9 +185,6 @@ class LinkDirection:
         #: Set by :meth:`airtime` when link-layer recovery gave up on
         #: the frame being started: it never propagates.
         self._air_lost = False
-        #: The simulator probe, cached: the per-packet emit sites pay
-        #: one attribute load + one bool check, not a chain.
-        self._probe = sim.probe
         #: The owning Link, set by ``Link.__init__`` — lets the hot
         #: path read ``_link._up`` / ``_link._epoch`` directly.
         #: ``None`` for a direction constructed standalone, which
@@ -195,27 +197,15 @@ class LinkDirection:
         #: ``_arrive`` bound once: the ``arrival`` step's callback.
         self._arrival = self._arrive
 
-    def _drop(self, count: int, reason: str) -> None:
-        """Publish one batched drop event (counters update in the caller)."""
-        if count:
-            probe = self._probe
-            if probe.active:
-                probe.emit(
-                    PacketDropped(link=self.source.name, reason=reason,
-                                  count=count)
-                )
-
     # -- queueing -----------------------------------------------------------
 
     def enqueue(self, packet: "Packet") -> None:
         link = self._link
         if link is None or not link._up:
             self.stats.dropped_down += 1
-            self._drop(1, "down")
             return
         if self._queued_bytes + packet.size_bytes > self.queue_limit_bytes:
             self.stats.dropped_queue += 1
-            self._drop(1, "queue")
             return
         medium = self._medium
         if not medium.handover:
@@ -252,26 +242,10 @@ class LinkDirection:
             medium.waiting.append(self)
 
     def clear(self) -> None:
-        """Drop everything queued (link went down).
-
-        Counters update synchronously; the batched
-        :class:`PacketDropped` publishes on an URGENT step of its own
-        so it lands after the caller finishes mutating link state (e.g.
-        ``Link.set_up`` clears both directions, then flips ``_up`` —
-        subscribers observe the link consistently down).
-        """
-        dropped = len(self._queue)
-        if not dropped:
-            return
-        self.stats.dropped_down += dropped
+        """Drop everything queued (link went down)."""
+        self.stats.dropped_down += len(self._queue)
         self._queue.clear()
         self._queued_bytes = 0
-        if self._probe.active:
-            sim = self.sim
-            sim.call_at(
-                sim._now, self._drop, (dropped, "down"), "link-down-flush",
-                URGENT,
-            )
 
     @property
     def queued_bytes(self) -> int:
@@ -308,16 +282,13 @@ class LinkDirection:
         """A frame the link layer gave up on reached its tx end."""
         if epoch != self._link._epoch:
             self.stats.dropped_down += 1
-            self._drop(1, "down")
         else:
             self.stats.dropped_loss += 1
-            self._drop(1, "loss")
 
     def _arrive(self, packet: "Packet", epoch: int) -> None:
         stats = self.stats
         if epoch != self._link._epoch:
             stats.dropped_down += 1
-            self._drop(1, "down")
             return
         # Sampled on arrival — both directions share one delay, so draws
         # from a loss RNG they share stay ordered by tx-end time.
@@ -325,7 +296,6 @@ class LinkDirection:
         if (self.loss_on_arrival and loss.__class__ is not NoLoss
                 and loss.dropped(self.sim._now)):
             stats.dropped_loss += 1
-            self._drop(1, "loss")
             return
         stats.delivered_packets += 1
         sink = self.sink

@@ -16,11 +16,13 @@ Layer      Events
 sim        :class:`ProcessFailed`
 obs        :class:`GaugeSample` (one flight-recorder tick: every sampled
            gauge at one instant)
-net        :class:`PacketDropped`, :class:`LinkStateChanged`,
+net        :class:`PacketDropped` (one run total per direction and
+           reason), :class:`LinkStateChanged`,
            :class:`LinkRetransmission` (one run total per wireless
-           direction, published when the run ends)
-transport  :class:`SegmentTimeout`, :class:`SegmentRetransmitted`,
-           :class:`SessionMigrated`
+           direction), both published when the run ends
+transport  :class:`SegmentTimeout`, :class:`SegmentRetransmitted` (one
+           run total per sender session, published when the run
+           ends), :class:`SessionMigrated`
 xcache     :class:`CacheHit`, :class:`CacheMiss`, :class:`CacheStored`,
            :class:`CacheEvicted`
 core       :class:`CoordinatorTick`, :class:`StagingSignalled`,
@@ -60,17 +62,18 @@ class ProcessFailed(ObsEvent):
 
 @dataclass(frozen=True, slots=True)
 class PacketDropped(ObsEvent):
-    """A link direction dropped ``count`` packets for one reason.
+    """One link direction's packet drops for one reason, as a run total.
 
     ``reason`` is one of ``"loss"`` (channel loss, including wireless
     residual loss after ARQ), ``"queue"`` (tail drop) or ``"down"``
     (link taken down with the packet queued or in flight).
 
-    ``count`` batches same-reason drops that happen at one instant
-    (e.g. a link going down flushing its whole queue) into a single
-    event instead of one per packet.  Traces written before the field
-    existed carry implicit single-packet drops — the default keeps
-    them loading unchanged.
+    Published once per direction and reason with drops when the run
+    ends, from the direction's ``LinkStats`` counters, not once per
+    drop.  A trace with one event per drop (or per same-instant batch)
+    sums to the same counter on replay; traces written before ``count``
+    existed carry implicit single-packet drops, which the default keeps
+    loading unchanged.
     """
 
     link: str
@@ -113,10 +116,18 @@ class SegmentTimeout(ObsEvent):
 
 @dataclass(frozen=True, slots=True)
 class SegmentRetransmitted(ObsEvent):
-    """A DATA segment was retransmitted (fast retransmit or RTO)."""
+    """One sender session's DATA retransmissions (fast retransmit or
+    RTO), as a run total.
+
+    Published once per session with retransmissions when the run ends
+    (the session counts them as it goes), closed sessions and sessions
+    a deadline left open alike.  A trace with one event per segment
+    sums to the same counter on replay: its ``seq`` field is dropped
+    and ``count`` defaults to one.
+    """
 
     session: int
-    seq: int
+    count: int = 1
 
 
 @dataclass(frozen=True, slots=True)

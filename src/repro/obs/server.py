@@ -96,8 +96,15 @@ SSE_KEEPALIVE = 1.0
 
 
 def sse_format(topic: str, payload: dict) -> bytes:
-    """One SSE frame: ``event: <topic>`` + canonical-JSON ``data``."""
-    data = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    """One SSE frame: ``event: <topic>`` + canonical-JSON ``data``.
+
+    Keys are sorted, except a ``gauge`` frame's readings: a tick lists
+    them in tick (registration) order, as the in-process hub item does.
+    """
+    if topic == "gauge":
+        data = json.dumps(dict(sorted(payload.items())), separators=(",", ":"))
+    else:
+        data = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     return f"event: {topic}\ndata: {data}\n\n".encode("utf-8")
 
 

@@ -13,14 +13,24 @@ order, so streaming statistics accumulate identically).
 
 The line format is defined as what the standard ``json`` encoder with
 ``(",", ":")`` separators writes for the dict of ``t``, ``run``,
-``type`` and then the event's fields.  The exporter produces those
-bytes from a line layout compiled once per event class
-(:func:`_line_spec`) rather than by reflecting over every event, and
-the reader takes a line apart the same way: one call of the ``json`` C
-scanner (:func:`repro.obs.jsonl.decode_line` is the definition) and a
-per-class :func:`_read_spec` instead of ``json.loads`` and keyword
-matching per line.  ``tests/obs/test_trace_identity.py`` holds both to
-their definitions.
+``type`` and then the event's fields — with one exception, so that a
+run's gauge names are stated once: a :class:`GaugeSample` line omits
+``"gauges"`` when they equal the names of the previous tick of the
+same run that the same exporter wrote::
+
+    {"t":0.0,"run":"seed0","type":"GaugeSample","gauges":["a","b"],"values":[1.0,2.0]}
+    {"t":0.5,"run":"seed0","type":"GaugeSample","values":[1.5,2.0]}
+
+:func:`read_trace` keeps the last names it read for each run and puts
+them back, so every consumer sees whole ticks.
+
+The exporter produces those bytes from a line layout compiled once per
+event class (:func:`_line_spec`) rather than by reflecting over every
+event, and the reader takes a line apart the same way: one call of the
+``json`` C scanner (:func:`repro.obs.jsonl.decode_line` is the
+definition) and a per-class :func:`_read_spec` instead of
+``json.loads`` and keyword matching per line.
+``tests/obs/test_trace_identity.py`` holds both to their definitions.
 """
 
 from __future__ import annotations
@@ -32,7 +42,12 @@ from typing import IO, Iterator, Optional, Union
 
 from repro.errors import TraceCorrupt
 from repro.obs.bus import EventBus, Stamped
-from repro.obs.events import ENVELOPE_KEYS, EVENT_TYPES, event_schema
+from repro.obs.events import (
+    ENVELOPE_KEYS,
+    EVENT_TYPES,
+    GaugeSample,
+    event_schema,
+)
 from repro.obs.jsonl import JsonlSink, decode_line, opened, scan_line
 
 #: ``unknown_counts`` key under which :func:`read_trace` counts a torn
@@ -55,14 +70,17 @@ _LINE_SPECS: dict[type, tuple] = {}
 _tuple_new = tuple.__new__
 
 
-def _line_spec(cls: type) -> tuple:
+def _line_spec(cls: type, field_names: Optional[tuple] = None) -> tuple:
     """The JSONL line layout ``(getter, template)`` of event class ``cls``.
 
     ``getter(stamped)`` returns the line's values — time, run id, then
-    the event's fields in schema order — and ``template`` is the line
-    with every key pre-encoded and one ``%s`` per value.
+    the event's fields in schema order (or just ``field_names``) — and
+    ``template`` is the line with every key pre-encoded and one ``%s``
+    per value.
     """
-    name, field_names = event_schema(cls)
+    name, schema_fields = event_schema(cls)
+    if field_names is None:
+        field_names = schema_fields
 
     def key(text: str) -> str:
         return encode_basestring_ascii(text).replace("%", "%%")
@@ -78,12 +96,19 @@ def _line_spec(cls: type) -> tuple:
     return getter, template
 
 
+#: The layout of a tick that repeats its run's last written names.
+_TICK_VALUES = _line_spec(GaugeSample, ("values",))
+
+
 class TraceExporter(JsonlSink):
     """Writes every bus event to a JSONL file (or file-like object)."""
 
     def __init__(self, path_or_file: Union[str, IO[str]]) -> None:
         super().__init__(path_or_file)
         self._bus: Optional[EventBus] = None
+        #: Run id -> the gauge names of the last tick of that run this
+        #: exporter wrote.
+        self._gauge_names: dict[str, tuple] = {}
 
     def attach(self, bus: EventBus) -> "TraceExporter":
         self._bus = bus
@@ -95,6 +120,13 @@ class TraceExporter(JsonlSink):
         spec = _LINE_SPECS.get(cls)
         if spec is None:
             spec = _LINE_SPECS[cls] = _line_spec(cls)
+        if cls is GaugeSample:
+            gauges = stamped.event.gauges
+            written = self._gauge_names
+            if written.get(stamped.run_id) == gauges:
+                spec = _TICK_VALUES
+            else:
+                written[stamped.run_id] = gauges
         getter, template = spec
         texts = []
         # Exact types only, each arm being what ``json``'s own encoder
@@ -120,22 +152,28 @@ class TraceExporter(JsonlSink):
         super().close()
 
 
-def _read_spec(cls: type) -> tuple:
+def _read_spec(cls: type, field_names: Optional[tuple] = None) -> tuple:
     """How :func:`read_trace` decodes a whole line of event class
     ``cls``: ``(cls, values_of, width)``.  ``values_of(record)`` is the
-    line's time, run id and the event's fields in constructor order,
-    fetched in one C call; ``width`` is the number of keys a line of
-    this class holds when it holds exactly the schema's."""
-    field_names = event_schema(cls)[1]
+    line's time, run id and the event's fields in constructor order (or
+    just ``field_names``), fetched in one C call; ``width`` is the
+    number of keys a line of this layout holds."""
+    if field_names is None:
+        field_names = event_schema(cls)[1]
     return (cls, itemgetter("t", "run", *field_names),
             len(ENVELOPE_KEYS) + len(field_names))
 
 
-#: Wire name -> its :func:`_read_spec`.
+#: Wire name -> its :func:`_read_spec`.  A ``GaugeSample`` line's fast
+#: layout is the one without names (class ``None``: the reader puts its
+#: run's last names back); a named tick takes the careful path, once per
+#: run.
 _READ_SPECS = {name: _read_spec(cls) for name, cls in EVENT_TYPES.items()}
+_READ_SPECS["GaugeSample"] = _read_spec(None, ("values",))
 
 
-def _corrupt(lines: IO[str], line: str, behind: int) -> TraceCorrupt:
+def _corrupt(lines: IO[str], line: str, behind: int,
+             problem: str = "is not a torn last line") -> TraceCorrupt:
     """The error for an unreadable ``line`` with ``behind`` lines after
     it.  Its number is counted here, on the way out — the exhausted file
     is rewound and its lines counted — so the reader keeps no counter
@@ -147,7 +185,7 @@ def _corrupt(lines: IO[str], line: str, behind: int) -> TraceCorrupt:
         lineno = None
     return TraceCorrupt(
         getattr(lines, "name", None), lineno,
-        f"unreadable trace line {line[:40]!r} that is not a torn last line",
+        f"unreadable trace line {line[:40]!r} that {problem}",
     )
 
 
@@ -173,8 +211,16 @@ def read_trace(
     same line with anything after it is corruption and raises
     :class:`~repro.errors.TraceCorrupt`, which names the file and the
     line, as does ``strict=True``.
+
+    A ``GaugeSample`` line without ``"gauges"`` gets the names of the
+    last named tick of its run read before it.  With none, the line is
+    skipped with one warning and counted under ``"GaugeSample"`` (a
+    trace cut at the front, say), or raises ``TraceCorrupt`` under
+    ``strict=True``.
     """
     warned: set[str] = set()
+    #: Run id -> the names of its last named tick read so far.
+    gauge_names: dict = {}
     with opened(path_or_file) as lines:
         lines_left = iter(lines)
         for line in lines_left:
@@ -191,6 +237,9 @@ def read_trace(
                 if end != len(line) or len(record) != width:
                     raise ValueError
                 values = values_of(record)
+                if cls is None:  # a tick without names: its run's last
+                    cls = GaugeSample
+                    values = (*values[:2], gauge_names[values[1]], values[2])
             except (StopIteration, ValueError, LookupError, TypeError):
                 pass  # any other line: from scratch, by the rules above
             else:
@@ -238,6 +287,30 @@ def read_trace(
                         stacklevel=2,
                     )
                 continue
+            if (cls is GaugeSample and "gauges" not in record
+                    and "values" in record):
+                names = gauge_names.get(run_id)
+                if names is None:
+                    if strict:
+                        raise _corrupt(
+                            lines, line, sum(1 for _ in lines_left),
+                            "has no gauge names and no named tick of its "
+                            "run before it",
+                        )
+                    if unknown_counts is not None:
+                        unknown_counts[type_name] = (
+                            unknown_counts.get(type_name, 0) + 1
+                        )
+                    if "GaugeSample<no names>" not in warned:
+                        warned.add("GaugeSample<no names>")
+                        warnings.warn(
+                            f"skipping GaugeSample line(s) of run "
+                            f"{run_id!r} without gauge names: no named "
+                            f"tick of the run before them",
+                            stacklevel=2,
+                        )
+                    continue
+                record["gauges"] = names
             try:
                 event = cls(**record)
             except TypeError:
@@ -262,6 +335,8 @@ def read_trace(
                             unknown_counts.get(type_name, 0) + 1
                         )
                     continue
+            if cls is GaugeSample:
+                gauge_names[run_id] = event.gauges
             yield Stamped(time, run_id, event)
 
 

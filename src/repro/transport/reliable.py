@@ -18,11 +18,7 @@ import math
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.errors import TransportError
-from repro.obs.events import (
-    SegmentRetransmitted,
-    SegmentTimeout,
-    SessionMigrated,
-)
+from repro.obs.events import SegmentTimeout, SessionMigrated
 from repro.sim import Event, Simulator
 from repro.sim.core import NORMAL, PENDING, URGENT
 from repro.transport.config import TransportConfig
@@ -50,6 +46,10 @@ class TransportEndpoint:
         self.config = config
         self.senders: dict[int, SenderSession] = {}
         self.receivers: dict[int, ReceiverSession] = {}
+        #: Session id -> segments retransmitted by this endpoint's
+        #: closed sender sessions of that id that retransmitted any
+        #: (an open session still holds its own count).
+        self._closed_retransmissions: dict[int, int] = {}
 
     # -- session factories ---------------------------------------------------
 
@@ -84,9 +84,26 @@ class TransportEndpoint:
         return session
 
     def close_session(self, session_id: int) -> None:
-        self.senders.pop(session_id, None)
+        sender = self.senders.pop(session_id, None)
+        if sender is not None and sender.retransmissions:
+            closed = self._closed_retransmissions
+            closed[session_id] = (
+                closed.get(session_id, 0) + sender.retransmissions
+            )
         self.receivers.pop(session_id, None)
         self.host.unregister_session(session_id)
+
+    def retransmission_totals(self) -> dict[int, int]:
+        """Session id -> segments retransmitted, for every sender session
+        of this endpoint that retransmitted any, closed or still open:
+        the run's ``SegmentRetransmitted`` totals."""
+        totals = dict(self._closed_retransmissions)
+        for session_id, sender in self.senders.items():
+            if sender.retransmissions:
+                totals[session_id] = (
+                    totals.get(session_id, 0) + sender.retransmissions
+                )
+        return totals
 
     # -- mobility ------------------------------------------------------------
 
@@ -149,7 +166,9 @@ class SenderSession:
         self._rto_deadline = 0.0
         self._rto_event_at: Optional[float] = None
 
-        # Stats.
+        # Stats.  ``retransmissions`` is also the session's run-end
+        # ``SegmentRetransmitted`` total (see
+        # ``TransportEndpoint.retransmission_totals``).
         self.retransmissions = 0
         self.timeouts = 0
 
@@ -297,11 +316,6 @@ class SenderSession:
         if retransmit:
             self.retransmissions += 1
             self._send_times.pop(seq, None)  # Karn: no RTT sample on rexmit
-            probe = self.sim.probe
-            if probe.active:
-                probe.emit(
-                    SegmentRetransmitted(session=self.session_id, seq=seq)
-                )
         else:
             self._send_times[seq] = self.sim._now
         self.endpoint.host.send(packet)

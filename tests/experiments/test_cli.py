@@ -84,10 +84,13 @@ def test_cli_demo_trace_and_spans(tmp_path, capsys):
 #: sha1 of ``repro sweep --panel b --file-mb 2 --seeds 2``'s printed
 #: series and of its ``--trace`` JSONL, captured at 7d9c532 (the commit
 #: before the sweep's sequential loop and worker-pool path became one).
-#: The trace's was re-captured once, when ARQ retries became one
-#: run-end ``LinkRetransmission`` per wireless direction.
+#: The trace's was re-captured when ARQ retries became one run-end
+#: ``LinkRetransmission`` per wireless direction, and again when drops
+#: and segment retransmissions became run totals and a run's gauge
+#: names came to be written once (each run replays to the same report
+#: and timelines as from the trace before).
 SWEEP_SERIES_SHA1 = "1e4a11b8ad9a8aba4047260f26051ec54cb98eb4"
-SWEEP_TRACE_SHA1 = "4d11f0fbf5ca88eca337f3aa26ce8a9e80fb1c6e"
+SWEEP_TRACE_SHA1 = "c4112efde797fbc2d4749d56760b9036f5cedff4"
 
 
 def test_cli_sweep_trace_and_series_are_pinned_for_any_jobs(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics import MetricsCollector
-from repro.sim import Simulator
+from repro.sim import Simulator, TimeSeries
 
 
 def test_collector_counters_and_samples():
@@ -17,28 +17,27 @@ def test_collector_counters_and_samples():
     assert collector.samples("latency") == [0.5, 1.5]
 
 
-def test_collector_series_with_sim_clock():
+def test_time_series_records_the_sim_clock():
     sim = Simulator()
-    collector = MetricsCollector(sim)
+    series = TimeSeries("staged")
 
     def worker(sim):
-        collector.record("staged", 1)
+        series.record(sim.now, 1)
         yield sim.timeout(2.0)
-        collector.record("staged", 5)
+        series.record(sim.now, 5)
 
     sim.process(worker(sim))
     sim.run()
-    series = collector.series("staged")
     assert list(series) == [(0.0, 1), (2.0, 5)]
 
 
-def test_collector_series_needs_clock_or_time():
-    # Without a simulator only bus events, which carry their time, can
-    # add points; a bare ``record`` has no clock to read.
-    collector = MetricsCollector()
-    with pytest.raises(ValueError):
-        collector.record("x", 1.0)
-    assert collector.series_names() == []
+def test_time_series_rejects_a_sample_older_than_its_last():
+    series = TimeSeries("x")
+    series.record(2.0, 1.0)
+    series.record(2.0, 3.0)  # same instant: allowed
+    with pytest.raises(ValueError, match="non-monotonic"):
+        series.record(1.0, 4.0)
+    assert list(series) == [(2.0, 1.0), (2.0, 3.0)]
 
 
 def test_collector_unknown_names_raise():

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.experiments.runner import publish_run_totals
 from repro.net import Host, Link, Network, ProcessingModel, WirelessLink
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel
+from repro.obs.events import LinkStateChanged, PacketDropped
 from repro.sim import RandomStreams, Simulator
 from repro.util import mbps, ms
 from repro.xia import DagAddress, HID
@@ -241,57 +243,69 @@ def test_processing_model_queues_work():
     assert len(free.received) == 1 and sim.pending("cpu") == []
 
 
-def test_link_down_emits_one_batched_drop_event():
-    """clear() publishes a single PacketDropped carrying the count."""
-    from repro.obs.events import PacketDropped
+def _published(sim):
+    """Every event published on ``sim``'s bus from now on."""
+    events = []
+    sim.probe.bus.subscribe_all(lambda s: events.append(s.event))
+    return events
 
+
+def _drop_totals(sim, link):
+    """``(link, reason, count)`` of each run-end ``PacketDropped`` total
+    ``link`` publishes, the way ``run_download`` publishes them."""
+    events = []
+    sim.probe.bus.subscribe(PacketDropped, lambda s: events.append(s.event))
+    publish_run_totals(sim.probe, [link], [])
+    return [(e.link, e.reason, e.count) for e in events]
+
+
+def test_link_down_emits_one_batched_drop_event():
+    """The flushed queue is counted at once and published as one total
+    per direction and reason when the run ends — not per packet, and not
+    from a step of its own while the run is going."""
     sim = Simulator()
     link = Link(sim, "l", bandwidth_bps=mbps(1), delay=ms(50))
     sim, a, b = make_pair(link)
-    drops = []
-    sim.probe.bus.subscribe(PacketDropped, lambda s: drops.append(s.event))
+    during = _published(sim)
     for seq in range(6):
         a.send(packet_to(b, seq=seq))
 
     def take_down(sim):
         yield sim.timeout(0.001)
         link.set_up(False)
+        assert sim.pending("link-down-flush") == []
 
     sim.process(take_down(sim))
     sim.run()
     queued = link.forward.stats.dropped_down
     assert queued >= 4  # most of the burst was still queued
-    down_events = [e for e in drops if e.reason == "down" and e.count > 1]
-    assert len(down_events) == 1  # one batch, not one event per packet
-    assert sum(e.count for e in drops if e.reason == "down") == (
-        link.forward.stats.dropped_down
-    )
+    assert [type(e) for e in during] == [LinkStateChanged]
+    assert _drop_totals(sim, link) == [("l.a", "down", queued)]
 
 
-def test_single_drops_keep_count_one():
-    from repro.obs.events import PacketDropped
-
+def test_queue_drops_are_one_run_total():
     sim = Simulator()
     link = Link(sim, "l", bandwidth_bps=mbps(100), delay=ms(1),
                 queue_bytes=1500)
     sim, a, b = make_pair(link)
-    drops = []
-    sim.probe.bus.subscribe(PacketDropped, lambda s: drops.append(s.event))
+    during = _published(sim)
     for seq in range(5):
         a.send(packet_to(b, size=1000, seq=seq))
     sim.run()
-    assert link.forward.stats.dropped_queue >= 1
-    assert all(e.count == 1 for e in drops if e.reason == "queue")
+    stats = link.forward.stats
+    assert stats.dropped_queue >= 1 and during == []
+    assert stats.delivered_packets + stats.dropped_queue == 5
+    assert _drop_totals(sim, link) == [("l.a", "queue", stats.dropped_queue)]
 
 
 def test_down_link_delivery_counts_match_metrics_collector():
-    """The batched event and the per-reason counters agree end to end."""
+    """The run-end total and the per-reason counters agree end to end."""
     from repro.metrics.collector import MetricsCollector
 
     sim = Simulator()
     link = Link(sim, "l", bandwidth_bps=mbps(1), delay=ms(50))
     sim, a, b = make_pair(link)
-    collector = MetricsCollector(sim).attach(sim.probe.bus)
+    collector = MetricsCollector().attach(sim.probe.bus)
     for seq in range(6):
         a.send(packet_to(b, seq=seq))
 
@@ -301,9 +315,11 @@ def test_down_link_delivery_counts_match_metrics_collector():
 
     sim.process(take_down(sim))
     sim.run()
+    assert "net.drops.down" not in collector.counters
+    publish_run_totals(sim.probe, [link], [])
     total_down = (link.forward.stats.dropped_down
                   + link.backward.stats.dropped_down)
-    assert collector.counters["net.drops.down"] == total_down
+    assert collector.counters["net.drops.down"] == total_down > 0
 
 
 # -- the link-down contract (epochs) and on-demand tx-done --------------------
@@ -324,25 +340,22 @@ def lossy_wireless(sim):
 ])
 def test_residual_lost_frame_caught_by_link_down_counts_down_once(
         down_at, reason):
-    from repro.obs.events import PacketDropped
-
     sim = Simulator()
     link = lossy_wireless(sim)
     _, a, b = make_pair(link)
-    drops = []
-    sim.probe.bus.subscribe(PacketDropped, lambda s: drops.append(
-        (s.event.reason, s.event.count, sim.now)))
     a.send(packet_to(b, size=1000))
     if down_at is not None:
         done = sim.event()
         done.callbacks.append(lambda _event: link.set_up(False))
         done.succeed(delay=down_at)
-    sim.run()
     stats = link.forward.stats
+    sim.run(until=2.79e-3)
+    assert (stats.dropped_down, stats.dropped_loss) == (0, 0)
+    sim.run()  # ...booked at its tx end, 2.8 ms
     assert b.received == []
-    assert drops == [(reason, 1, pytest.approx(2.8e-3))]
     assert (stats.dropped_down, stats.dropped_loss) == (
         (1, 0) if reason == "down" else (0, 1))
+    assert _drop_totals(sim, link) == [("w.a", reason, 1)]
 
 
 @pytest.mark.parametrize("wireless", [False, True])

@@ -103,6 +103,19 @@ def test_iter_sse_round_trips_sse_format():
     assert parsed == items
 
 
+def test_a_gauge_frame_keeps_its_readings_in_tick_order():
+    tick = {"run": "r", "t": 1.0,
+            "gauges": {"pool.event_allocs": 4.0, "pool.events_free": 3.0,
+                       "cache.occupancy_bytes.b": 0.0, "a": 1.0}}
+    wire = sse_format("gauge", tick)
+    # The envelope's keys sort as every frame's do; the readings do not.
+    assert wire.startswith(b'event: gauge\ndata: {"gauges":{"pool.event_allocs"')
+    ((topic, payload),) = iter_sse(io.BytesIO(wire))
+    assert topic == "gauge" and payload == tick
+    assert list(payload["gauges"]) == list(tick["gauges"])
+    assert list(payload) == ["gauges", "run", "t"]
+
+
 def test_iter_sse_joins_multiline_data_and_defaults_the_event():
     wire = b"data: {\"a\":\ndata: 1}\n\n"
     assert list(iter_sse(io.BytesIO(wire))) == [("message", {"a": 1})]

@@ -38,7 +38,7 @@ PARAMS = MicrobenchParams(file_size=2 * MB)
 
 
 def _collected(sim):
-    collector = MetricsCollector(sim)
+    collector = MetricsCollector()
     collector.attach(sim.probe.bus)
     return collector
 

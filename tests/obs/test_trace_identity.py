@@ -1,6 +1,7 @@
 """The exporter's compiled line layout writes the trace format's
 definition — ``json.dumps`` of ``{"t", "run", "type", **asdict(event)}``
-with compact separators — byte for byte, for every event class and
+with compact separators, minus the ``"gauges"`` of a tick repeating its
+run's last written names — byte for byte, for every event class and
 every value a field can hold; and the reader's direct scanner call
 accepts, rejects and returns what ``json.loads`` does, line by line."""
 
@@ -30,15 +31,22 @@ from repro.obs.jsonl import decode_line
 from repro.obs.trace import TORN_LINE
 
 
-def reference_line(stamped: Stamped) -> str:
+def reference_line(stamped: Stamped, written: Optional[dict] = None) -> str:
     """The format's definition (what the exporter ran per event until
-    it compiled one line layout per class)."""
+    it compiled one line layout per class).  ``written`` — run id -> the
+    gauge names of that run's last tick written — carries the
+    names-once rule across the lines of one exporter."""
     record = {
         "t": stamped.time,
         "run": stamped.run_id,
         "type": type(stamped.event).__name__,
     }
     record.update(asdict(stamped.event))
+    if written is not None and type(stamped.event) is GaugeSample:
+        if written.get(stamped.run_id) == record["gauges"]:
+            del record["gauges"]
+        else:
+            written[stamped.run_id] = record["gauges"]
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
@@ -134,6 +142,32 @@ def test_a_gauge_tick_round_trips_as_tuples(tick, time, run_id):
         assert event.gauges == tick.gauges
         assert len(event.values) == len(tick.values)
         assert exported(Stamped(restored.time, restored.run_id, event)) == line
+
+
+#: Name sets a run's ticks switch between (the empty one included).
+_NAME_SETS = [("a", "b"), ("b", "a"), ("a", "b", "c"), ()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_tick_sequence_states_each_runs_names_once(data):
+    shapes = data.draw(st.lists(
+        st.tuples(st.sampled_from(["r", "q"]), st.sampled_from(_NAME_SETS)),
+        max_size=12,
+    ))
+    stampeds = [
+        Stamped(float(i), run, GaugeSample(gauges=names, values=tuple(
+            data.draw(st.lists(_FLOATS, min_size=len(names),
+                               max_size=len(names)))
+        )))
+        for i, (run, names) in enumerate(shapes)
+    ]
+    text = exported(*stampeds)
+    written: dict = {}
+    assert text == "".join(reference_line(s, written) for s in stampeds)
+    restored = list(read_trace(io.StringIO(text), strict=True))
+    assert [(s.run_id, s.event.gauges) for s in restored] == shapes
+    assert exported(*restored) == text
 
 
 # -- the fallback arms -----------------------------------------------------------

@@ -125,9 +125,6 @@ KEEP = {
     "repro.sim.core:Simulator.timeout(value)": (OPTION,
         "reference: tests/sim/test_primitives.py (AnyOf's fired-value dict "
         "and run(until=) are pinned through valued timeouts)"),
-    "dropped_down": (WRITE,
-        "reference: tests/net/test_link_equivalence.py (drops by reason "
-        "against the two-event reference link); link-down branch only"),
     "dropped_unroutable": (WRITE,
         "reference: tests/net/test_emulation_topology.py (the one record of "
         "a packet no route exists for); drop branch only"),
