@@ -1,13 +1,10 @@
 """Metric-sketch cost: fold throughput and recording overhead.
 
-A run folds every wide event's phase latencies into fixed-memory
-sketches while the simulation runs (see DESIGN.md §14); the fold must
-be fast enough to leave on (budget: within 15% of an uninstrumented
-run, measured on a small full-stack download).
-
-Quantile answers come from bounded centroids, so accuracy is also
-spot-checked here: after folding 200k values the p50/p99 must land
-within 2% rank error of the exact order statistics.
+A run folds every wide event's phase latencies into per-phase sketches
+while the simulation runs (see DESIGN.md §14); the fold must be fast
+enough to leave on (budget: within 15% of an uninstrumented run,
+measured on a small full-stack download).  Percentiles are exact, so
+``tests/obs/test_sketch.py`` holds their accuracy, not this file.
 """
 
 from __future__ import annotations
@@ -27,22 +24,16 @@ def _values(n: int, state: int = 12345):
         yield state / float(1 << 31)
 
 
-def test_quantile_fold_throughput_and_accuracy(benchmark):
-    n = 200_000
-    values = list(_values(n))
+def test_quantile_fold_throughput(benchmark):
+    values = list(_values(200_000))
 
     def fold():
         sketch = QuantileSketch()
         for value in values:
             sketch.add(value)
-        return sketch
+        return sketch.quantile(0.99)
 
-    sketch = benchmark(fold)
-    exact = sorted(values)
-    for q in (0.5, 0.99):
-        estimate = sketch.quantile(q)
-        rank = sum(1 for v in exact if v <= estimate) / n
-        assert abs(rank - q) <= 0.02, f"p{q:g} rank error {rank - q:+.3f}"
+    benchmark(fold)
 
 
 def _best_of(fn, repeats=3):

@@ -181,7 +181,7 @@ def run_download(
     ``hub`` and ``sketches`` are set, one fold subscribes.
     ``sketches=True`` hands the fold's records to a
     :class:`~repro.obs.sketch.SketchRecorder` sink, which folds their
-    phase latencies into fixed-memory sketches returned on the result;
+    phase latencies into per-phase sketches returned on the result;
     it subscribes to nothing itself.  Gauge samples are not sketched:
     with ``gauges=True`` their timelines land in the collector.
 

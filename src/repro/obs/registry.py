@@ -88,9 +88,8 @@ class RunRecord:
     policy: str = ""
     metrics: dict = field(default_factory=dict)
     gauges: dict = field(default_factory=dict)
-    #: Serialized fixed-memory sketches (see :mod:`repro.obs.sketch`):
-    #: ``{name: sketch.to_json()}``.  Bounded-size distribution
-    #: summaries, unlike ``gauges``' full timelines.
+    #: Serialized per-phase sketches (see :mod:`repro.obs.sketch`):
+    #: ``{name: sketch.to_json()}``, one value per chunk and phase.
     sketches: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     #: Top-level keys written by a newer version, preserved verbatim.

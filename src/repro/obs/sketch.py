@@ -1,41 +1,18 @@
-"""Fixed-memory, deterministic distribution sketches.
+"""Deterministic per-phase distributions of a run's chunk lifecycles.
 
-A wide-event file holds one record per chunk; a run's registry record
-keeps, per chunk-lifecycle phase, a **sketch** instead: a small,
-fixed-size summary that
-
-- folds a stream of values one at a time (``add``), and
-- serializes into compact JSON for :class:`~repro.obs.registry.RunRecord`
-  storage (``to_json`` / :func:`load_sketches`).
-
-There is one sketch kind, :class:`QuantileSketch`: exact count / sum /
-min / max (so an exact mean) plus a deterministic merging digest
-(t-digest family) whose values collapse into at most ``compression``
-weighted centroids, kept sorted by mean.  Rank error is bounded by half
-the largest centroid weight — ≈ ``count / (2 · compression)``, i.e. well
-under 1 % at the default compression of 256 (asserted by a hypothesis
-test).  Unlike the classical randomized t-digest, compression here is a
-pure function of the sorted centroid list, so identical input streams
-produce identical sketches (the determinism the registry and the
-``runs why`` report depend on).
-
-:class:`SketchRecorder` is the wide-event sink: hand its
-:meth:`~SketchRecorder.feed_wide` to a
-:class:`~repro.obs.wide.WideEventBuilder` and it folds every chunk
-lifecycle's phase latencies into per-phase sketches, and
-:func:`sketches_from_wide` runs the same fold over a wide file.  Gauge
-samples are not sketched: a run that samples gauges records their full
-timelines, and the SLO engine judges those.
+A run's registry record keeps, per chunk-lifecycle phase, a
+:class:`QuantileSketch`: exact count / sum / min / max and the values
+themselves, one per chunk (16 for a 32 MB download at Table III's 2 MB
+chunk).  Percentiles are exact :func:`nearest_rank`, the rule the SLO
+engine also judges gauge windows by.  :class:`SketchRecorder` folds
+them live and :func:`sketches_from_wide` offline; gauges are not
+sketched, a run that samples them records their full timelines.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
-
-#: Default centroid budget for :class:`QuantileSketch`.  Rank error is
-#: ≈ 1/(2·compression) ≤ 0.2 %, comfortably inside the 1 % contract.
-DEFAULT_COMPRESSION = 256
+from typing import Iterable, Optional, Sequence
 
 #: Chunk-record fields :class:`SketchRecorder` folds into per-phase
 #: quantile sketches (``wide.<field>`` names).
@@ -50,47 +27,32 @@ WIDE_PHASE_FIELDS = (
 )
 
 
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The value at rank ``q`` ∈ [0, 1] of the non-empty ascending
+    ``ordered``: its ⌈q·n⌉-th smallest, and the smallest at q = 0."""
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+
 class QuantileSketch:
-    """A deterministic merging quantile digest with bounded memory.
+    """A stream's exact moments and its values.
 
-    State is a sorted list of ``(mean, weight)`` centroids, at most
-    ``compression`` of them after a compression pass, plus an insert
-    buffer of the same size (so ``add`` is amortized O(1) between
-    compressions).  Compression sorts centroids by mean and greedily
-    merges neighbours while the merged weight stays within the uniform
-    cap ``ceil(count / compression)`` — no randomness, no insertion
-    ordering effects beyond the stream order itself, which is exactly
-    the determinism contract the rest of the pipeline keeps.
-
-    The true ``min``/``max`` are tracked exactly, so the extreme
-    quantiles (q→0, q→1) are exact.  Interior quantiles answer with
-    the mean of the centroid covering the target rank (nearest rank
-    over centroids): while every centroid is a singleton — i.e. until
-    the stream outgrows ``compression`` — that is *exact* nearest-rank
-    selection, and with merged centroids the rank error is bounded by
-    the per-centroid weight cap ``ceil(count / compression)``, so
-    relative rank error stays ≈ ``1 / compression``.  After greedy
-    packing the centroid list holds at most ``2 · compression``
-    entries (a pack that can't fit splits, never grows a third time).
+    ``total`` is summed in stream order: ``sum`` compensates from
+    Python 3.12 on and would move the mean.  The values are sorted in
+    place when a query or :meth:`to_json` needs them.  A sketch loaded
+    without its values keeps only the moments (fewer values than
+    ``count``).
     """
 
     kind = "quantile"
 
-    __slots__ = ("compression", "count", "total", "minimum", "maximum",
-                 "_centroids", "_buffer")
+    __slots__ = ("count", "total", "minimum", "maximum", "_values")
 
-    def __init__(self, compression: int = DEFAULT_COMPRESSION) -> None:
-        if compression < 8:
-            raise ValueError(f"compression {compression} too small (min 8)")
-        self.compression = int(compression)
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.minimum = math.inf
         self.maximum = -math.inf
-        self._centroids: list[tuple[float, float]] = []
-        self._buffer: list[float] = []
-
-    # -- folding -------------------------------------------------------------
+        self._values: list[float] = []
 
     def add(self, value: float) -> None:
         self.count += 1
@@ -99,38 +61,7 @@ class QuantileSketch:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        self._buffer.append(value)
-        if len(self._buffer) >= self.compression:
-            self._compress()
-
-    def _compress(self) -> None:
-        pending = self._centroids + [(v, 1.0) for v in self._buffer]
-        self._buffer = []
-        if not pending:
-            return
-        pending.sort()
-        total = sum(w for _m, w in pending)
-        cap = math.ceil(total / self.compression)
-        merged: list[tuple[float, float]] = []
-        mean, weight = pending[0]
-        for m, w in pending[1:]:
-            if weight + w <= cap:
-                weight += w
-                mean += (m - mean) * (w / weight)
-            else:
-                merged.append((mean, weight))
-                mean, weight = m, w
-        merged.append((mean, weight))
-        self._centroids = merged
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def centroids(self) -> list[tuple[float, float]]:
-        """The compressed ``(mean, weight)`` list (flushes the buffer)."""
-        if self._buffer:
-            self._compress()
-        return list(self._centroids)
+        self._values.append(value)
 
     @property
     def mean(self) -> Optional[float]:
@@ -138,9 +69,9 @@ class QuantileSketch:
         return self.total / self.count if self.count else None
 
     def quantile(self, q: float) -> Optional[float]:
-        """The value at rank ``q`` ∈ [0, 1]; ``None`` on an empty sketch,
-        and for an interior ``q`` on one loaded without centroids (a
-        registry line's ``stat`` payload)."""
+        """The value at rank ``q`` ∈ [0, 1] (:func:`nearest_rank`);
+        ``None`` on an empty sketch, and for an interior ``q`` on one
+        that keeps only its moments."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
         if not self.count:
@@ -149,56 +80,54 @@ class QuantileSketch:
             return self.minimum
         if q >= 1.0:
             return self.maximum
-        # Nearest rank over centroids: the first centroid whose
-        # cumulative weight reaches the target rank answers with its
-        # mean.  Singleton centroids (the n ≤ compression regime) make
-        # this *exact* nearest-rank; weighted centroids bound the rank
-        # error by the centroid cap — see the class docstring.
-        target = q * self.count
-        cum = 0.0
-        for mean, weight in self.centroids:
-            cum += weight
-            if cum >= target:
-                return mean
-        return None
-
-    # -- serialization -------------------------------------------------------
+        if len(self._values) < self.count:
+            return None
+        self._values.sort()
+        return nearest_rank(self._values, q)
 
     def to_json(self) -> dict:
-        payload = {
-            "kind": self.kind,
-            "compression": self.compression,
-            "count": self.count,
-        }
+        """The registry payload, in the replaced centroid digest's format
+        (``compression``, unit weights): ≤ 256 values match it bytewise."""
+        payload = {"kind": self.kind, "compression": 256,
+                   "count": self.count}
         if self.count:
             payload["sum"] = self.total
             payload["min"] = self.minimum
             payload["max"] = self.maximum
-            payload["c"] = [[m, w] for m, w in self.centroids]
+            if len(self._values) == self.count:
+                self._values.sort()
+                payload["c"] = [[v, 1.0] for v in self._values]
         return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "QuantileSketch":
-        sketch = cls(int(payload.get("compression", DEFAULT_COMPRESSION)))
-        sketch.count = int(payload.get("count", 0))
-        if sketch.count:
+        """Inverse of :meth:`to_json`.  ``c`` pairs of weight 1 are the
+        values; a heavier pair (the older digest's, past 256 values) or
+        no ``c`` (a ``stat`` payload) keeps only the moments.  Raises
+        ``ValueError`` for a ``count`` that is not a non-negative
+        integer, or that ``c``'s positive integer weights miss."""
+        count = payload.get("count", 0)
+        if type(count) is not int or count < 0:
+            raise ValueError(f"sketch count {count!r} is not a count")
+        sketch = cls()
+        sketch.count = count
+        if "c" in payload:
+            pairs = [(float(v), float(w)) for v, w in payload["c"]]
+            if sum(w for _v, w in pairs) != count or not all(
+                    w >= 1.0 and w.is_integer() for _v, w in pairs):
+                raise ValueError(f"sketch weights do not sum to {count}")
+            # Positive integer weights sum to count: all 1 iff n pairs.
+            if len(pairs) == count:
+                sketch._values = [v for v, _w in pairs]
+        if count:
             sketch.total = float(payload.get("sum", 0.0))
             sketch.minimum = float(payload["min"])
             sketch.maximum = float(payload["max"])
-            sketch._centroids = [
-                (float(m), float(w)) for m, w in payload.get("c", [])
-            ]
         return sketch
 
 
-# ---------------------------------------------------------------------------
-# Sketch sets: serialize / load by name
-# ---------------------------------------------------------------------------
-
 #: Payload kinds that load.  A ``stat`` payload (written before there
-#: was one sketch kind) carries count / sum / min / max and no
-#: centroids, so it loads as a :class:`QuantileSketch` whose mean, min
-#: and max answer and whose percentiles are no-data.
+#: was one sketch kind) carries only count / sum / min / max.
 _KINDS = (QuantileSketch.kind, "stat")
 
 
@@ -208,9 +137,8 @@ def serialize_sketches(sketches: dict) -> dict:
 
 
 def load_sketches(payload: dict) -> dict:
-    """Inverse of :func:`serialize_sketches`.  A body that is not an
-    object, or not of a kind that loads, is skipped (the registry's
-    forward-compat rule: never explode on newer or damaged data)."""
+    """Inverse of :func:`serialize_sketches`, skipping a body that is
+    not an object of a kind that loads, or is damaged (forward compat)."""
     sketches = {}
     for name, body in payload.items():
         if not isinstance(body, dict) or body.get("kind") not in _KINDS:
@@ -222,22 +150,15 @@ def load_sketches(payload: dict) -> dict:
     return sketches
 
 
-# ---------------------------------------------------------------------------
-# The wide-event sink: chunk phases → sketch set
-# ---------------------------------------------------------------------------
-
-
 class SketchRecorder:
-    """Folds a run's wide events into a bounded sketch set.
+    """Folds a run's wide events into per-phase sketches.
 
     Hand :meth:`feed_wide` to a wide-event builder's ``sinks``: it
     folds every chunk record's phase latencies into ``wide.<field>``
     sketches and the staged-before-fetch indicator into
     ``wide.ready_before_fetch`` (whose mean is the SLO engine's
-    ``ready_before_fetch_ratio``).
-
-    Memory is O(phases), never O(chunks).  The fold is a pure function
-    of a deterministic stream, so fixed-seed runs serialize identically.
+    ``ready_before_fetch_ratio``).  A pure fold: fixed-seed runs
+    serialize identically.
     """
 
     def __init__(self) -> None:
@@ -271,12 +192,8 @@ class SketchRecorder:
 
 
 def sketches_from_wide(records: Iterable[dict]) -> dict:
-    """Offline fold: wide-event records → live sketch set.
-
-    The same fold as a live :class:`SketchRecorder` wide sink, so
-    sketches computed from a replayed wide file equal the live run's
-    (the ``runs why`` determinism contract).
-    """
+    """Offline fold: wide-event records → the sketch set a live
+    :class:`SketchRecorder` sink folds from the same records."""
     recorder = SketchRecorder()
     for record in records:
         recorder.feed_wide(record)

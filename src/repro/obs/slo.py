@@ -48,7 +48,6 @@ the timeline the run recorded, so a bare gauge is its last sample.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import threading
@@ -58,7 +57,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.obs import jsonl
 from repro.obs.explain import load_wide_for_run
-from repro.obs.sketch import load_sketches, sketches_from_wide
+from repro.obs.sketch import load_sketches, nearest_rank, sketches_from_wide
 from repro.util import render_table
 
 #: Default live sliding window, in simulated seconds.
@@ -203,8 +202,10 @@ class SLOResult:
 
 
 def _agg_sketch(sketch, agg: str) -> Optional[float]:
-    """Collapse one sketch to one value under ``agg`` (None = can't);
-    a bare metric reads the sketch's p50."""
+    """Collapse one sketch to one value under ``agg`` (None = can't).
+    Percentiles are :func:`~repro.obs.sketch.nearest_rank`, as in
+    :func:`_window_agg`; unlike a gauge, whose bare value is its last
+    sample, a bare metric reads the sketch's p50."""
     if not sketch.count:
         return None
     if agg == "mean":
@@ -559,12 +560,7 @@ def _window_agg(values: list, agg: str) -> Optional[float]:
     if agg == "min":
         return min(values)
     if agg.startswith("p"):
-        q = int(agg[1:]) / 100.0
-        ordered = sorted(values)
-        # Nearest rank, matching the sketch's convention.
-        index = max(0, min(len(ordered) - 1,
-                           math.ceil(q * len(ordered)) - 1))
-        return ordered[index]
+        return nearest_rank(sorted(values), int(agg[1:]) / 100.0)
     return None
 
 

@@ -85,7 +85,7 @@ def test_ok_direction():
 
 
 def _sketches_with(name, values):
-    sketch = QuantileSketch(compression=256)
+    sketch = QuantileSketch()
     for value in values:
         sketch.add(value)
     return {name: sketch}
@@ -137,7 +137,7 @@ def test_ready_before_fetch_ratio_from_an_old_stat_payload():
         [parse_slo("ready_before_fetch_ratio >= 0.6"),
          parse_slo("p50(ready_before_fetch) >= 0.5")], record)
     assert (ratio.value, ratio.status) == (0.75, "pass")
-    assert median.status == "no-data"  # no centroids to rank
+    assert median.status == "no-data"  # no values to rank
 
 
 def test_missing_metric_is_no_data_not_failure():
@@ -267,6 +267,11 @@ def test_live_and_offline_judge_a_gauge_alike(agg):
     assert window == values
     (offline,) = evaluate_record([slo], _gauge_record(_recorded_gauge(values)))
     assert offline.value == _window_agg(window, agg)
+    # A sketch of the same values ranks by the same rule; only a bare
+    # spec differs (a sketch's p50, a gauge's last sample).
+    (sketched,) = evaluate_slos([slo], sketches=_sketches_with(metric, values))
+    if agg.startswith("p"):
+        assert sketched.value == offline.value
 
 
 def test_gauges_are_judged_from_timelines_not_old_gauge_sketches():
