@@ -46,6 +46,8 @@ table and, unless ``--no-record``, appends it to ``BENCH_obs.json`` via
 :mod:`repro.perf`; ``--check`` fails when ``all.py_calls_per_event`` is
 above ``ALL_PY_CALLS_PER_EVENT_CEILING``, when ``all.py_calls_per_mb``
 is above ``ALL_PY_CALLS_PER_MB_CEILING``, when
+``collector.py_calls_per_event`` is above
+``COLLECTOR_PY_CALLS_PER_EVENT_CEILING``, when
 ``read.py_calls_per_event`` is above ``READ_PY_CALLS_PER_EVENT_CEILING``
 or when the exporter's bytes for the stream differ from the reference
 ``asdict`` + ``json.dumps`` encoding the trace format is defined by
@@ -126,6 +128,14 @@ ALL_PY_CALLS_PER_EVENT_CEILING = 31.0
 #: frame too); a per-packet emit site coming back costs more than the
 #: ~10 % of room left.
 ALL_PY_CALLS_PER_MB_CEILING = 400
+
+#: ``--check`` fails above this many Python calls per published event
+#: with the collector alone attached.  It costs 3.52: the bus, the
+#: collector's ``_on_event`` and, for an event it counts, one handler
+#: and its ``count``/``observe`` frames; a gauge tick is kept whole, one
+#: frame (19.90 when each reading entered its own per-gauge series
+#: ``record`` frame).  One more frame per event is +28 %.
+COLLECTOR_PY_CALLS_PER_EVENT_CEILING = 4.0
 
 #: ``--check`` fails above this many Python calls per event of a bare
 #: ``read_trace`` pass.  It costs 3.41 — the event's constructor, the
@@ -345,6 +355,10 @@ def main(argv=None) -> int:
         if calls > ALL_PY_CALLS_PER_MB_CEILING:
             yield (f"all.py_calls_per_mb: {calls:,.0f} is above the "
                    f"{ALL_PY_CALLS_PER_MB_CEILING:,} ceiling")
+        calls = metrics["collector.py_calls_per_event"]
+        if calls > COLLECTOR_PY_CALLS_PER_EVENT_CEILING:
+            yield (f"collector.py_calls_per_event: {calls:.2f} is above the "
+                   f"{COLLECTOR_PY_CALLS_PER_EVENT_CEILING} ceiling")
         calls = metrics["read.py_calls_per_event"]
         if calls > READ_PY_CALLS_PER_EVENT_CEILING:
             yield (f"read.py_calls_per_event: {calls:.2f} is above the "

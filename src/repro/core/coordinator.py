@@ -70,6 +70,10 @@ class StagingCoordinator:
         self.sensor = sensor
         self.policy = policy or ReactiveEq1Policy()
         self.ticks = 0
+        #: Decisions taken, by a poll (:meth:`tick`) or by a lifecycle
+        #: hook alike.  The collector's ``coordinator.decisions`` counts
+        #: ``CoordinatorTick(decision=True)`` only, so for a policy whose
+        #: hooks act (rich, predictive) this is the larger number.
         self.decisions = 0
         self._running = False
         # Relay association events to the policy's lifecycle hooks.

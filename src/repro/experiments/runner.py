@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Optional, Union
 
-from repro.core.client import DownloadResult
+from repro.core.client import DownloadResult, MobileClient
 from repro.core.handoff import HandoffPolicy
 from repro.core.policy import StagingPolicy, make_policy, policy_name
 from repro.errors import ConfigurationError
@@ -75,7 +75,7 @@ class ExperimentResult:
     profile: Optional[SimProfiler] = field(default=None, repr=False)
     #: The flight-recorder sampler (``gauges=True``).
     sampler: Optional[GaugeSampler] = field(default=None, repr=False)
-    #: The invariant auditor, already parity-checked (``audit=True``).
+    #: The invariant auditor, already checked at run end (``audit=True``).
     auditor: Optional[InvariantAuditor] = field(default=None, repr=False)
     #: Wide-event records emitted live (``wide=``/``hub=``/``sketches=``
     #: set).
@@ -118,6 +118,39 @@ def publish_run_totals(
     for endpoint in endpoints:
         for session, count in endpoint.retransmission_totals().items():
             emit(SegmentRetransmitted(session=session, count=count))
+
+
+def object_totals(
+    scenario: TestbedScenario, client: MobileClient
+) -> dict[str, tuple[str, int]]:
+    """What the run's objects counted of each event type they emit, for
+    :meth:`InvariantAuditor.check_object_totals`.  Only a SoftStage
+    client has a coordinator, a tracker and a Chunk Manager."""
+    stores = [edge.store for edge in scenario.edges]
+    vnfs = [edge.vnf for edge in scenario.edges if edge.vnf is not None]
+    totals = {
+        "CacheHit": ("Σ store.hits", sum(s.hits for s in stores)),
+        "CacheEvicted": ("Σ store.evictions", sum(s.evictions for s in stores)),
+        "VnfStageCompleted": ("Σ vnf.chunks_staged",
+                              sum(v.chunks_staged for v in vnfs)),
+        "VnfStageFailed": ("Σ vnf.stage_failures",
+                           sum(v.stage_failures for v in vnfs)),
+        "HandoffStarted": ("handoff_manager.handoffs",
+                           client.handoff_manager.handoffs),
+    }
+    manager = getattr(client, "manager", None)
+    if manager is not None:
+        tracker, chunks = manager.tracker, manager.chunk_manager
+        totals["CoordinatorTick"] = (
+            "coordinator.ticks", manager.coordinator.ticks)
+        totals["StagingSignalled"] = (
+            "tracker.signals_sent", tracker.signals_sent)
+        totals["StaleStagingResponse"] = (
+            "tracker.stale_responses", tracker.stale_responses)
+        totals["ChunkFetched"] = (
+            "chunks_from_edge + chunks_from_origin",
+            chunks.chunks_from_edge + chunks.chunks_from_origin)
+    return totals
 
 
 def run_download(
@@ -168,8 +201,8 @@ def run_download(
     gauge set; implies ``instrument=True`` so the timelines land in
     the collector).
     ``audit=True`` attaches a strict :class:`InvariantAuditor` to the
-    bus and runs the end-of-run report-parity check (also implies
-    ``instrument=True``); the audited run raises
+    bus and, when the run ends, checks its event books against the
+    objects' own counts (:func:`object_totals`); the audited run raises
     :class:`~repro.obs.flight.InvariantViolationError` at the first
     conservation violation.  Both are off by default and cost nothing
     when off.
@@ -238,7 +271,7 @@ def run_download(
     wide_records: Optional[list[dict]] = None
     run_marker = {"run": run_id, "system": system, "policy": pname, "seed": seed}
     try:
-        if instrument or trace_path is not None or gauges or audit:
+        if instrument or trace_path is not None or gauges:
             collector = MetricsCollector().attach(bus)
             if trace_path is not None:
                 exporter = TraceExporter(trace_path).attach(bus)
@@ -325,8 +358,8 @@ def run_download(
             "chunks_completed": download.chunks_completed,
             "chunks_from_edge": download.chunks_from_edge,
         })
-    if auditor is not None and collector is not None:
-        auditor.check_report_parity(collector.report())
+    if auditor is not None:
+        auditor.check_object_totals(object_totals(scenario, client))
     return ExperimentResult(
         system=system,
         seed=seed,

@@ -1,4 +1,4 @@
-"""A per-run metrics collector: named counters, series and samples.
+"""A per-run metrics collector: named counters, samples and gauge ticks.
 
 Beyond the manual ``count``/``observe`` API, a collector can
 subscribe to an instrumentation bus (:meth:`MetricsCollector.attach`)
@@ -6,6 +6,10 @@ and aggregate the typed events every layer publishes (see
 :mod:`repro.obs`).  The same event-to-metric mapping is used live and
 when replaying a JSONL trace (:func:`repro.obs.trace.replay_trace`),
 so an offline replay reproduces a live run's :meth:`report` exactly.
+
+It keeps no second copy of a count an object (a store's hits, the
+download's chunk tallies) or a wide record (gap durations) holds; the
+invariant auditor checks the event stream against those homes.
 """
 
 from __future__ import annotations
@@ -15,19 +19,16 @@ from collections import defaultdict
 
 from repro.obs import events as ev
 from repro.obs.bus import EventBus, Stamped
-from repro.sim import TimeSeries
 
 
 class MetricsCollector:
-    """Aggregates counters, samples and time series by name."""
+    """Aggregates counters, samples and gauge ticks by name."""
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = defaultdict(float)
-        self._series: dict[str, TimeSeries] = {}
-        #: ``(run id, gauge names)`` of a tick -> its readings' series,
-        #: position for position.
-        self._tick_series: dict[tuple, list[TimeSeries]] = {}
         self._samples: dict[str, list[float]] = defaultdict(list)
+        #: Run id -> its gauge ticks as received: ``(time, names, values)``.
+        self._ticks: dict[str, list[tuple]] = {}
         self._buses: list[EventBus] = []
 
     # -- counters -----------------------------------------------------------
@@ -43,30 +44,29 @@ class MetricsCollector:
     def samples(self, name: str) -> list[float]:
         return list(self._samples.get(name, []))
 
-    # -- time series ------------------------------------------------------------
-
-    def series(self, name: str) -> TimeSeries:
-        try:
-            return self._series[name]
-        except KeyError:
-            raise KeyError(f"no series named {name!r}") from None
-
-    def series_names(self, prefix: str = "") -> list[str]:
-        """Recorded series names (optionally filtered by prefix), sorted."""
-        return sorted(
-            name for name in self._series if name.startswith(prefix)
-        )
+    # -- gauge timelines --------------------------------------------------------
 
     def timelines(self, prefix: str = "") -> dict[str, list[tuple[float, float]]]:
-        """``{name: [(t, v), ...]}`` for every series under ``prefix``.
+        """``{"gauge.<run>.<name>": [(t, v), ...]}`` under ``prefix``, in
+        name order: each reading of each stored tick is one point.
 
-        The flight recorder's gauges land here under ``gauge.*`` —
-        this is the comparison surface for live-vs-replay parity and
-        the payload the run registry persists.
+        The comparison surface for live-vs-replay parity and the payload
+        the run registry persists.
         """
+        lines: dict[str, list[tuple[float, float]]] = {}
+        for run_id, ticks in self._ticks.items():
+            base = f"gauge.{run_id}."
+            columns_of: dict[tuple, list] = {}
+            for time, names, values in ticks:
+                columns = columns_of.get(names)
+                if columns is None:
+                    columns = columns_of[names] = [
+                        lines.setdefault(base + name, []) for name in names
+                    ]
+                for column, value in zip(columns, values):
+                    column.append((time, value))
         return {
-            name: list(self._series[name])
-            for name in self.series_names(prefix)
+            name: lines[name] for name in sorted(lines) if name.startswith(prefix)
         }
 
     def report(self) -> dict[str, object]:
@@ -110,45 +110,30 @@ class MetricsCollector:
     def _on_event(self, stamped: Stamped) -> None:
         event = stamped.event
         if type(event) is ev.GaugeSample:
-            # A tick's readings become one point each on per-gauge time
-            # series keyed by the stamped sim time, so a replayed trace
-            # reproduces the exact timelines.  The run id is part of
-            # the series name: a multi-run trace replays each run's
-            # gauges into its own (monotonic) series, exactly as the
-            # per-run live collectors saw them.  A run's ticks share
-            # one names tuple, so its series are resolved once.
-            key = (stamped.run_id, event.gauges)
-            tick_series = self._tick_series.get(key)
-            if tick_series is None:
-                tick_series = self._tick_series[key] = self._gauge_series(*key)
+            # Kept whole under its run id, so a multi-run trace replays
+            # each run's ticks apart, as the live collectors saw them.
             time = stamped.time
-            for series, value in zip(tick_series, event.values):
-                series.record(time, value)
+            ticks = self._ticks.get(stamped.run_id)
+            if ticks is None:
+                ticks = self._ticks[stamped.run_id] = []
+            elif time < ticks[-1][0]:
+                raise ValueError(
+                    f"non-monotonic gauge tick time {time} < {ticks[-1][0]} "
+                    f"in run {stamped.run_id!r}"
+                )
+            ticks.append((time, event.gauges, event.values))
             return
         handler = _EVENT_METRICS.get(type(event))
         if handler is not None:
             handler(self, event)
 
-    def _gauge_series(self, run_id: str, gauges: tuple) -> list[TimeSeries]:
-        """The ``gauge.<run>.<name>`` series of each of ``gauges``,
-        created on first sight."""
-        prefix = f"gauge.{run_id}."
-        all_series = self._series
-        found = []
-        for gauge in gauges:
-            name = prefix + gauge
-            series = all_series.get(name)
-            if series is None:
-                series = all_series[name] = TimeSeries(name)
-            found.append(series)
-        return found
-
 
 # -- the event-to-metric mapping ---------------------------------------------
 #
-# One function per event type; counter names mirror the legacy ad-hoc
-# per-module counters so the parity tests can assert equality (e.g.
-# ``coordinator.ticks`` == StagingCoordinator.ticks).
+# One function per event type.  The names are the collector's own, not
+# mirrors of object counts: ``coordinator.decisions`` counts
+# ``CoordinatorTick(decision=True)`` only, while
+# ``StagingCoordinator.decisions`` also counts hook decisions.
 
 
 def _on_process_failed(c: MetricsCollector, e: ev.ProcessFailed) -> None:
@@ -180,21 +165,12 @@ def _on_session_migrated(c: MetricsCollector, e: ev.SessionMigrated) -> None:
     c.count("transport.migrations")
 
 
-def _on_cache_hit(c: MetricsCollector, e: ev.CacheHit) -> None:
-    c.count("cache.hits")
-
-
-def _on_cache_miss(c: MetricsCollector, e: ev.CacheMiss) -> None:
-    c.count("cache.misses")
-
-
 def _on_cache_stored(c: MetricsCollector, e: ev.CacheStored) -> None:
     c.count("cache.insertions")
     c.count("cache.stored_bytes", e.size_bytes)
 
 
 def _on_cache_evicted(c: MetricsCollector, e: ev.CacheEvicted) -> None:
-    c.count("cache.evictions")
     c.count("cache.evicted_bytes", e.size_bytes)
 
 
@@ -207,7 +183,6 @@ def _on_coordinator_tick(c: MetricsCollector, e: ev.CoordinatorTick) -> None:
 
 
 def _on_staging_signalled(c: MetricsCollector, e: ev.StagingSignalled) -> None:
-    c.count("staging.signals")
     c.count("staging.chunks_signalled", e.count)
     if e.label == "re-signal":
         c.count("staging.resignals")
@@ -230,19 +205,10 @@ def _on_stage_request(c: MetricsCollector, e: ev.StageRequestReceived) -> None:
 
 
 def _on_vnf_staged(c: MetricsCollector, e: ev.VnfStageCompleted) -> None:
-    c.count("vnf.staged")
     c.observe("vnf.staging_latency", e.latency)
 
 
-def _on_vnf_failed(c: MetricsCollector, e: ev.VnfStageFailed) -> None:
-    c.count("vnf.failures")
-
-
 def _on_chunk_fetched(c: MetricsCollector, e: ev.ChunkFetched) -> None:
-    c.count("chunks.fetched")
-    c.count("chunks.from_edge" if e.from_edge else "chunks.from_origin")
-    if e.fallback:
-        c.count("chunks.fallbacks")
     c.observe("fetch.latency", e.latency)
 
 
@@ -254,23 +220,13 @@ def _on_handoff_completed(c: MetricsCollector, e: ev.HandoffCompleted) -> None:
     c.observe("handoff.duration", e.duration)
 
 
-def _on_handoff_deferred(c: MetricsCollector, e: ev.HandoffDeferred) -> None:
-    c.count("handoff.deferred")
-
-
 def _on_prestage(c: MetricsCollector, e: ev.PrestageSignalled) -> None:
     c.count("staging.prestage_signals")
     c.count("staging.prestaged_chunks", e.count)
 
 
-def _on_coverage_gap(c: MetricsCollector, e: ev.CoverageGap) -> None:
-    c.count("coverage.gaps")
-    c.observe("coverage.gap_duration", e.duration)
-
-
 def _on_encounter_ended(c: MetricsCollector, e: ev.EncounterEnded) -> None:
     c.count("coverage.encounters")
-    c.observe("coverage.encounter_duration", e.duration)
 
 
 _EVENT_METRICS = {
@@ -281,8 +237,6 @@ _EVENT_METRICS = {
     ev.SegmentTimeout: _on_segment_timeout,
     ev.SegmentRetransmitted: _on_segment_rexmit,
     ev.SessionMigrated: _on_session_migrated,
-    ev.CacheHit: _on_cache_hit,
-    ev.CacheMiss: _on_cache_miss,
     ev.CacheStored: _on_cache_stored,
     ev.CacheEvicted: _on_cache_evicted,
     ev.CoordinatorTick: _on_coordinator_tick,
@@ -291,12 +245,9 @@ _EVENT_METRICS = {
     ev.StaleStagingResponse: _on_stale_response,
     ev.StageRequestReceived: _on_stage_request,
     ev.VnfStageCompleted: _on_vnf_staged,
-    ev.VnfStageFailed: _on_vnf_failed,
     ev.ChunkFetched: _on_chunk_fetched,
     ev.HandoffStarted: _on_handoff_started,
     ev.HandoffCompleted: _on_handoff_completed,
-    ev.HandoffDeferred: _on_handoff_deferred,
     ev.PrestageSignalled: _on_prestage,
-    ev.CoverageGap: _on_coverage_gap,
     ev.EncounterEnded: _on_encounter_ended,
 }

@@ -23,8 +23,8 @@ net        :class:`PacketDropped` (one run total per direction and
 transport  :class:`SegmentTimeout`, :class:`SegmentRetransmitted` (one
            run total per sender session, published when the run
            ends), :class:`SessionMigrated`
-xcache     :class:`CacheHit`, :class:`CacheMiss`, :class:`CacheStored`,
-           :class:`CacheEvicted`
+xcache     :class:`CacheHit`, :class:`CacheStored`, :class:`CacheEvicted`
+           (a miss is the store's own count, ``ContentStore.misses``)
 core       :class:`CoordinatorTick`, :class:`StagingSignalled`,
            :class:`ChunkStaged`, :class:`StaleStagingResponse`,
            :class:`StageRequestReceived`, :class:`VnfStageCompleted`,
@@ -142,12 +142,6 @@ class SessionMigrated(ObsEvent):
 
 @dataclass(frozen=True, slots=True)
 class CacheHit(ObsEvent):
-    store: str
-    cid: str
-
-
-@dataclass(frozen=True, slots=True)
-class CacheMiss(ObsEvent):
     store: str
     cid: str
 
@@ -338,7 +332,6 @@ EVENT_TYPES: dict[str, type[ObsEvent]] = {
         SegmentRetransmitted,
         SessionMigrated,
         CacheHit,
-        CacheMiss,
         CacheStored,
         CacheEvicted,
         CoordinatorTick,

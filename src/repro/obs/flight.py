@@ -14,22 +14,24 @@ Two cooperating pieces:
     the whole tick as one :class:`~repro.obs.events.GaugeSample` —
     the names in registration order beside their readings — through
     the simulator's probe.  A tick lands on the bus like every other
-    event, so its readings aggregate into one
-    :class:`~repro.sim.monitor.TimeSeries` timeline per gauge inside
-    the :class:`~repro.metrics.collector.MetricsCollector`, export to
-    one JSONL line, and replay into *identical* timelines offline.
+    event, so the :class:`~repro.metrics.collector.MetricsCollector`
+    keeps it as a tick (its ``timelines`` project one timeline per
+    gauge), it exports to one JSONL line, and it replays into
+    *identical* timelines offline.
     Sampling is off by default and adds **zero hot-path overhead** when
     off: no per-packet work anywhere, only a periodic timer while
     installed.
 
 :class:`InvariantAuditor`
-    A bus subscriber that double-enters the event stream into its own
-    books and checks conservation laws as the run progresses: cache
+    A bus subscriber that enters the event stream into its own books
+    and checks conservation laws as the run progresses: cache
     byte-accounting (Σ stored − Σ evicted == sampled occupancy),
     staging state-machine legality (READY only after PENDING, never
-    twice), per-run time monotonicity, gauge sanity and pool balance.
-    A failed check produces a structured :class:`InvariantViolation`
-    carrying the offending timeline slice; ``strict=True`` raises
+    twice), per-run time monotonicity, gauge sanity and pool balance;
+    at run end, its per-type event counts against the counts the
+    emitting objects keep (double entry).  A failed check produces a
+    structured :class:`InvariantViolation` carrying the offending
+    timeline slice; ``strict=True`` raises
     :class:`InvariantViolationError` at the violation site.
 
 Wiring for the standard testbed lives in
@@ -152,11 +154,10 @@ class InvariantViolationError(AssertionError):
 class InvariantAuditor:
     """Continuously audits the event stream for conservation violations.
 
-    The auditor is deliberately *independent* of the metric mapping in
-    :mod:`repro.metrics.collector`: it keeps its own per-event books,
-    so :meth:`check_report_parity` is genuine double-entry bookkeeping
-    — a drift between the event stream and the collector's counters
-    (a mapping-table regression) is itself a violation.
+    :meth:`check_object_totals` holds its per-type event books against
+    the counts the emitting objects keep (a store's hits, the
+    coordinator's ticks): the emit site and the counter are different
+    code, so an emit lost, doubled or guarded apart is a violation.
 
     Invariants checked while events flow:
 
@@ -188,7 +189,7 @@ class InvariantAuditor:
         #: The trailing events, kept as published (they are frozen) and
         #: rendered by :meth:`_evidence` only when a violation needs them.
         self._timeline: deque[Stamped] = deque(maxlen=TIMELINE_SLICE)
-        #: Independent per-event-type counts (double-entry books).
+        #: Per-event-type counts, one side of the double entry.
         self.event_counts: Counter[str] = Counter()
         # cache-conservation books.
         self._store_balance: dict[str, int] = {}
@@ -200,8 +201,6 @@ class InvariantAuditor:
         self._last_time: dict[str, float] = {}
         # pool-balance books (latest sampled levels).
         self._gauge_latest: dict[str, float] = {}
-        # drop accounting.
-        self.dropped_packets = 0
 
     # -- wiring ------------------------------------------------------------
 
@@ -319,11 +318,6 @@ class InvariantAuditor:
                 f"but no store ever held it",
             )
 
-    def _book_packet_dropped(
-        self, stamped: Stamped, event: ev.PacketDropped
-    ) -> None:
-        self.dropped_packets += event.count
-
     def _book_gauge(self, stamped: Stamped, event: GaugeSample) -> None:
         # In tick order: the pool-balance bounds (allocation counters)
         # are registered, so read, before the free lists they bound.
@@ -369,63 +363,37 @@ class InvariantAuditor:
         ev.StagingSignalled: _book_staging_signalled,
         ev.ChunkStaged: _book_chunk_staged,
         ev.VnfStageCompleted: _book_vnf_staged,
-        ev.PacketDropped: _book_packet_dropped,
         GaugeSample: _book_gauge,
     }
 
     # -- end-of-run checks ---------------------------------------------------
 
-    def check_report_parity(self, report: dict) -> list[InvariantViolation]:
-        """Double-entry check: collector counters vs the auditor's books.
+    def check_object_totals(
+        self, totals: dict[str, tuple[str, int]]
+    ) -> list[InvariantViolation]:
+        """Double entry: the auditor's event books against the objects.
 
-        ``report`` is a :meth:`MetricsCollector.report` snapshot fed by
-        the *same* bus.  Any drift between the declarative
-        event→metric mapping and the raw event stream is a violation.
-        Returns (and records) the violations found; strict mode raises.
+        ``totals`` maps an event type name to ``(source, count)``: what
+        the objects emitting that type counted of the same happening
+        (``{"CacheHit": ("Σ store.hits", 12), ...}``).  Every pair whose
+        two counts differ is a violation naming both sides.  Returns
+        (and records) the violations found; strict mode raises.
         """
         counts = self.event_counts
-        expected = {
-            "chunks.fetched": counts.get("ChunkFetched", 0),
-            "staging.signals": counts.get("StagingSignalled", 0),
-            "staging.responses": counts.get("ChunkStaged", 0),
-            "cache.insertions": counts.get("CacheStored", 0),
-            "cache.evictions": counts.get("CacheEvicted", 0),
-            "handoff.executed": counts.get("HandoffStarted", 0),
-            "vnf.staged": counts.get("VnfStageCompleted", 0),
-        }
-        found: list[InvariantViolation] = []
-        for name, want in expected.items():
-            got = report.get(name, 0)
-            if got != want:
-                found.append(
-                    InvariantViolation(
-                        invariant="report-parity",
-                        time=float("nan"),
-                        run_id="*",
-                        detail=(
-                            f"collector reports {name}={got} but the event "
-                            f"stream carried {want}"
-                        ),
-                        timeline=self._evidence(),
-                    )
-                )
-        drops = sum(
-            value for name, value in report.items()
-            if name.startswith("net.drops.")
-        )
-        if drops != self.dropped_packets:
-            found.append(
-                InvariantViolation(
-                    invariant="report-parity",
-                    time=float("nan"),
-                    run_id="*",
-                    detail=(
-                        f"collector reports {drops} dropped packets but the "
-                        f"event stream carried {self.dropped_packets}"
-                    ),
-                    timeline=self._evidence(),
-                )
+        found = [
+            InvariantViolation(
+                invariant="event-totals",
+                time=float("nan"),
+                run_id="*",
+                detail=(
+                    f"the bus carried {counts.get(kind, 0)} {kind} events "
+                    f"but {source} is {want}"
+                ),
+                timeline=self._evidence(),
             )
+            for kind, (source, want) in totals.items()
+            if counts.get(kind, 0) != want
+        ]
         self.violations.extend(found)
         if found and self.strict:
             raise InvariantViolationError(found)

@@ -341,10 +341,9 @@ def record_from_result(result) -> tuple[str, dict, dict]:
     gauges: dict[str, dict] = {}
     if result.metrics is not None:
         prefix = f"gauge.{result.run_id}."
-        for name in result.metrics.series_names(prefix):
-            series = result.metrics.series(name)
+        for name, points in result.metrics.timelines(prefix).items():
             gauges[name[len(prefix):]] = {
-                "t": list(series.times), "v": list(series.values),
+                "t": [t for t, _ in points], "v": [v for _, v in points],
             }
     return result.run_id, metrics, gauges
 

@@ -8,8 +8,9 @@ object per event::
 Because event fields are JSON primitives and Python's ``json`` module
 round-trips floats exactly, replaying a trace through a fresh
 :class:`~repro.metrics.collector.MetricsCollector` reproduces the live
-collector's ``report()`` bit-for-bit (events are replayed in recorded
-order, so streaming statistics accumulate identically).
+collector's ``report()`` and gauge ``timelines()`` bit-for-bit (events
+are replayed in recorded order, so streaming statistics accumulate
+identically and each run's ticks are kept as they were published).
 
 The line format is defined as what the standard ``json`` encoder with
 ``(",", ":")`` separators writes for the dict of ``t``, ``run``,
@@ -343,8 +344,8 @@ def read_trace(
 def replay_trace(path_or_file: Union[str, IO[str]]):
     """Replay a JSONL trace into a fresh :class:`MetricsCollector`.
 
-    Returns the collector; its ``report()`` equals the one a live
-    collector attached during the traced run would have produced.
+    Returns the collector; its ``report()`` and ``timelines()`` equal
+    a live collector's over the traced run.
     """
     from repro.metrics.collector import MetricsCollector
 

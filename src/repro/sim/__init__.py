@@ -29,7 +29,6 @@ from repro.sim.core import (
 from repro.sim.process import Interrupt, Process
 from repro.sim.primitives import AnyOf, Condition, Timeout
 from repro.sim.rng import RandomStreams
-from repro.sim.monitor import TimeSeries
 from repro.sim.profiler import SimProfiler
 
 __all__ = [
@@ -43,6 +42,5 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "StopSimulation",
-    "TimeSeries",
     "Timeout",
 ]

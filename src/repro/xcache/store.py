@@ -5,8 +5,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import CacheMiss, ChunkIntegrityError, ConfigurationError
-from repro.obs.events import CacheEvicted, CacheHit, CacheMiss as CacheMissEvent
-from repro.obs.events import CacheStored
+from repro.obs.events import CacheEvicted, CacheHit, CacheStored
 from repro.xcache.chunk import Chunk
 from repro.xcache.eviction import EvictionPolicy, LruEviction
 from repro.xia.ids import PrincipalType, XID
@@ -63,13 +62,11 @@ class ContentStore:
         """Serve a chunk (counts a hit/miss; raises on miss)."""
         self._drop_expired()
         chunk = self._chunks.get(cid)
-        probe = self.probe
         if chunk is None:
             self.misses += 1
-            if probe is not None and probe.active:
-                probe.emit(CacheMissEvent(store=self.name, cid=cid.short))
             raise CacheMiss(f"chunk {cid.short} not in store")
         self.hits += 1
+        probe = self.probe
         if probe is not None and probe.active:
             probe.emit(CacheHit(store=self.name, cid=cid.short))
         self.eviction.on_access(cid, self._clock())

@@ -180,7 +180,7 @@ def test_cli_trace_subcommands_end_to_end(tmp_path, capsys):
 #: Two whole events of one run: a trace no simulation has to write.
 _TRACE_LINES = (
     '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"}\n'
-    '{"t":2.0,"run":"r0","type":"CacheMiss","store":"s","cid":"d"}\n'
+    '{"t":2.0,"run":"r0","type":"SessionMigrated","session":4}\n'
 )
 
 _TRACE_COMMANDS = {

@@ -1,6 +1,7 @@
 """Flight recorder: gauge sampling, replay parity, invariant auditing."""
 
 import io
+import itertools
 from collections import Counter
 
 import pytest
@@ -11,10 +12,12 @@ from repro.metrics.collector import MetricsCollector
 from repro.obs.bus import EventBus, Stamped
 from repro.obs.events import (
     CacheEvicted,
+    CacheHit,
     CacheStored,
     ChunkStaged,
     CoordinatorTick,
     GaugeSample,
+    HandoffStarted,
     LinkRetransmission,
     PacketDropped,
     StagingSignalled,
@@ -59,8 +62,9 @@ def test_sampler_emits_each_gauge_every_period():
 
     sim.process(bump())
     sim.run(until=1.75)
-    series = collector.series("gauge.r.test.x")
-    assert list(series) == [(0.0, 0.0), (0.5, 1.0), (1.0, 2.0), (1.5, 3.0)]
+    assert collector.timelines() == {
+        "gauge.r.test.x": [(0.0, 0.0), (0.5, 1.0), (1.0, 2.0), (1.5, 3.0)],
+    }
     assert sampler.samples_taken == 4
 
 
@@ -91,7 +95,7 @@ def test_start_is_idempotent():
     sampler.start()
     sampler.start()
     sim.run(until=1.25)
-    assert len(collector.series("gauge.r.g")) == 3  # not doubled
+    assert len(collector.timelines()["gauge.r.g"]) == 3  # not doubled
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +128,7 @@ def test_gauge_timelines_replay_identically():
 
 def _gauge_names(result):
     prefix = f"gauge.{result.run_id}."
-    return {name[len(prefix):] for name in result.metrics.series_names(prefix)}
+    return {name[len(prefix):] for name in result.metrics.timelines(prefix)}
 
 
 def test_standard_gauge_set_covers_the_issue_surface():
@@ -157,7 +161,7 @@ def test_xftp_run_records_gauges_without_staging_pipeline():
 def test_gauges_off_means_no_sampler_and_no_gauge_series():
     result = run_download("softstage", params=PARAMS, seed=0, instrument=True)
     assert result.sampler is None
-    assert result.metrics.series_names("gauge.") == []
+    assert result.metrics.timelines("gauge.") == {}
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +269,37 @@ def test_non_strict_auditor_accumulates_instead_of_raising():
     assert "2 violation(s)" in auditor.render()
 
 
-def test_report_parity_detects_counter_drift():
+def test_object_totals_detect_an_event_the_objects_did_not_count():
     bus, auditor = _audited_bus(strict=False)
-    bus.publish(_stamp(CacheStored(store="s", cid="c", size_bytes=1, pinned=False)))
-    # A collector that (incorrectly) claims two insertions.
-    violations = auditor.check_report_parity({"cache.insertions": 2})
-    assert violations
-    assert violations[0].invariant == "report-parity"
-    assert "cache.insertions" in violations[0].detail
+    bus.publish(_stamp(CacheHit(store="s", cid="c")))
+    # The stores claim two hits; the bus carried one.
+    violations = auditor.check_object_totals({"CacheHit": ("Σ store.hits", 2)})
+    (violation,) = violations
+    assert violation.invariant == "event-totals"
+    assert violation.detail == (
+        "the bus carried 1 CacheHit events but Σ store.hits is 2"
+    )
+    assert auditor.violations == violations
 
 
-def test_report_parity_passes_on_honest_collector():
+def test_object_totals_pass_when_the_store_and_the_bus_agree():
+    from repro.xcache.chunk import Chunk
+    from repro.xcache.store import ContentStore
+
     sim = Simulator()
-    sim.probe.run_id = "r"
-    collector = _collected(sim)
     auditor = InvariantAuditor(strict=True).attach(sim.probe.bus)
-    sim.probe.emit(CacheStored(store="s", cid="c", size_bytes=1, pinned=False))
-    assert auditor.check_report_parity(collector.report()) == []
+    store = ContentStore(capacity_bytes=100, probe=sim.probe, name="s")
+    first, second = Chunk.synthetic("c", 0, 60), Chunk.synthetic("c", 1, 60)
+    store.put(first)
+    store.get(first.cid)
+    store.put(second)  # evicts the first
+    totals = {
+        "CacheHit": ("Σ store.hits", store.hits),
+        "CacheEvicted": ("Σ store.evictions", store.evictions),
+    }
+    assert totals == {"CacheHit": ("Σ store.hits", 1),
+                      "CacheEvicted": ("Σ store.evictions", 1)}
+    assert auditor.check_object_totals(totals) == []
 
 
 def test_detach_stops_auditing():
@@ -347,21 +365,23 @@ def test_violation_timeline_is_the_eager_rendering_of_the_last_16():
     assert auditor.event_counts == Counter(
         type(stamped.event).__name__ for stamped in published
     )
-    assert auditor.dropped_packets == sum(
-        s.event.count for s in published if type(s.event) is PacketDropped
-    )
 
 
-def test_report_parity_timeline_is_the_same_rendering():
+def test_object_totals_timeline_is_the_same_rendering():
     bus, auditor = _audited_bus(strict=False)
     published = _mixed_events()
     for stamped in published:
         bus.publish(stamped)
-    found = auditor.check_report_parity({"chunks.fetched": 3, "net.drops.loss": 1})
-    assert {v.detail.split("=")[0] for v in found} >= {
-        "collector reports chunks.fetched"
-    }
-    assert len(found) >= 2  # a counter drift and the drop double entry
+    found = auditor.check_object_totals({
+        "CoordinatorTick": ("coordinator.ticks", 3),  # the bus carried 6
+        "StagingSignalled": ("tracker.signals_sent", 6),  # agrees
+        "ChunkFetched": ("chunks_from_edge + chunks_from_origin", 1),
+    })
+    assert [v.detail for v in found] == [
+        "the bus carried 6 CoordinatorTick events but coordinator.ticks is 3",
+        "the bus carried 0 ChunkFetched events but "
+        "chunks_from_edge + chunks_from_origin is 1",
+    ]
     expected = tuple(_eager_entry(stamped) for stamped in published[-16:])
     assert all(violation.timeline == expected for violation in found)
     assert auditor.events_audited == 40
@@ -399,3 +419,47 @@ def test_injected_cache_fault_is_caught_in_a_real_scenario():
         v.invariant == "cache-conservation" and store.name in v.detail
         for v in auditor.violations
     )
+
+
+# -- the double entry catches an emit that drifts from its object's count --
+
+
+def _wrapped_emit(monkeypatch, rewrite):
+    """Route every probe emit through ``rewrite(emit, probe, event)``."""
+    from repro.obs.probe import Probe
+
+    emit = Probe.emit
+    monkeypatch.setattr(
+        Probe, "emit", lambda probe, event: rewrite(emit, probe, event)
+    )
+
+
+def test_a_swallowed_coordinator_tick_fails_the_audited_run(monkeypatch):
+    ticks = itertools.count()
+
+    def lossy(emit, probe, event):
+        if type(event) is CoordinatorTick and next(ticks) % 2:
+            return  # every second tick never reaches the bus
+        emit(probe, event)
+
+    _wrapped_emit(monkeypatch, lossy)
+    with pytest.raises(InvariantViolationError) as info:
+        run_download("softstage", params=PARAMS, seed=0, audit=True)
+    (violation,) = info.value.violations
+    assert violation.invariant == "event-totals"
+    assert " CoordinatorTick events but coordinator.ticks is " in violation.detail
+
+
+def test_a_doubled_handoff_start_fails_the_audited_run(monkeypatch):
+    def doubled(emit, probe, event):
+        emit(probe, event)
+        if type(event) is HandoffStarted:
+            emit(probe, event)
+
+    _wrapped_emit(monkeypatch, doubled)
+    with pytest.raises(InvariantViolationError) as info:
+        run_download("xftp", params=PARAMS, seed=0, audit=True)
+    (violation,) = info.value.violations
+    assert violation.invariant == "event-totals"
+    assert (" HandoffStarted events but handoff_manager.handoffs is "
+            in violation.detail)

@@ -94,12 +94,14 @@ def _drive():
 
 #: scenario -> (its runs, then the digests of the pair's gauge timelines
 #: and of its two ``report()``s, captured when every gauge reading was
-#: an event of its own).
+#: an event of its own).  The report digests were re-captured once when
+#: the collector stopped copying counts an object or the run record
+#: keeps: they equal the old reports with exactly those keys left out.
 PINNED = {
     "demo-pair": (_demo_pair, "1506e6ca6309fc789594f9ada6596666dc22f5ed",
-                  "0a34be7ce2863fd27543db464f141a95bbe02691"),
+                  "8dc65f8f27b1aa1f022ab78551e20454f1fee8eb"),
     "drive-30s": (_drive, "2f88b8228883a7a70104675de96981eab06fc40b",
-                  "ec1fb16b488914e17533b6df89a8b84a3fcb6c9c"),
+                  "12fcb3664821783d476e99a8f394251f3d77f2f3"),
 }
 
 

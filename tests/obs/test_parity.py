@@ -1,5 +1,6 @@
-"""Parity: bus-fed metrics equal the legacy ad-hoc counters, and a
-JSONL trace replays into a report identical to the live one."""
+"""Parity: each count has one home (an object, or the collector when no
+object keeps it), the auditor's event books match the objects' counts,
+and a JSONL trace replays into a report identical to the live one."""
 
 import pytest
 
@@ -24,28 +25,35 @@ def traced_run(tmp_path_factory):
     return result
 
 
+#: Counts an object or the run record keeps: the collector holds no copy.
+OBJECT_HOMED = (
+    "cache.hits", "cache.misses", "cache.evictions", "staging.signals",
+    "vnf.staged", "vnf.failures", "chunks.fetched", "chunks.from_edge",
+    "chunks.from_origin", "chunks.fallbacks", "coverage.gaps",
+    "handoff.deferred", "coverage.gap_duration.mean",
+    "coverage.encounter_duration.mean",
+)
+
+
 def test_collector_counters_match_legacy_download_counters(traced_run):
     download = traced_run.download
     report = traced_run.metrics.report()
-    assert report["chunks.from_edge"] == download.chunks_from_edge
-    assert report.get("chunks.from_origin", 0) == download.chunks_from_origin
-    assert report.get("chunks.fallbacks", 0) == download.fallbacks
-    assert report["chunks.fetched"] == (
-        download.chunks_from_edge + download.chunks_from_origin
-    )
     assert report["handoff.executed"] == download.handoffs
-    assert report["staging.signals"] == download.staging_signals
+    assert report["fetch.latency.mean"] > 0
+    assert not set(OBJECT_HOMED) & set(report)
 
 
 def test_coordinator_and_staging_counters_are_consistent(traced_run):
     report = traced_run.metrics.report()
+    signals = traced_run.download.staging_signals
+    assert signals > 0
     # Every signal carried at least one chunk entry.
-    assert report["staging.chunks_signalled"] >= report["staging.signals"]
+    assert report["staging.chunks_signalled"] >= signals
     # The coordinator ticked at least once per signal it raised.
-    assert report["coordinator.ticks"] >= report["staging.signals"]
+    assert report["coordinator.ticks"] >= signals
     # Staged responses observed by the tracker came from VNF completions.
-    if "staging.responses" in report:
-        assert report["staging.responses"] <= report.get("vnf.staged", 0)
+    staged = traced_run.auditor.event_counts["VnfStageCompleted"]
+    assert 0 < report["staging.responses"] <= staged
 
 
 def test_replay_report_is_identical_to_live_report(traced_run):
@@ -57,9 +65,13 @@ def test_live_run_passes_the_invariant_audit(traced_run):
     auditor = traced_run.auditor
     assert auditor is not None and auditor.ok
     assert auditor.events_audited > 0
-    # The end-of-run double-entry check already ran inside
-    # run_download; make the pass explicit here.
-    assert auditor.check_report_parity(traced_run.metrics.report()) == []
+    # The end-of-run double entry (event books against the objects'
+    # counts) ran inside run_download and found nothing.
+    assert auditor.violations == []
+    assert auditor.event_counts["ChunkFetched"] == (
+        traced_run.download.chunks_from_edge
+        + traced_run.download.chunks_from_origin
+    )
 
 
 def test_replayed_gauge_timelines_match_live(traced_run):
@@ -94,12 +106,54 @@ def test_xftp_run_emits_no_staging_events(tmp_path):
         "xftp", params=PARAMS, seed=0, trace_path=str(trace)
     )
     report = result.metrics.report()
-    assert "staging.signals" not in report
-    assert "vnf.staged" not in report
+    assert "staging.chunks_signalled" not in report
+    assert "vnf.staging_latency.mean" not in report
     # Xftp drives ChunkFetcher directly (no ChunkManager), so no
     # per-chunk fetch events — but handoffs and cache traffic still show.
-    assert "chunks.fetched" not in report
+    assert "fetch.latency.mean" not in report
     assert report["handoff.executed"] == result.download.handoffs
     assert report  # link/handoff/coverage events still flow
     replayed = replay_trace(str(trace))
     assert replayed.report() == report
+
+
+def test_audit_alone_attaches_no_collector():
+    result = run_download("softstage", params=PARAMS, seed=0, audit=True)
+    assert result.metrics is None
+    assert result.auditor.ok
+
+
+def test_object_totals_pair_the_staging_events_only_for_softstage():
+    from repro.experiments.runner import object_totals
+    from repro.experiments.scenario import TestbedScenario
+
+    keys = {}
+    for system in ("xftp", "endtoend", "softstage"):
+        scenario = TestbedScenario(params=PARAMS, seed=0)
+        keys[system] = set(object_totals(scenario, scenario.make_client(system)))
+    shared = {"CacheHit", "CacheEvicted", "VnfStageCompleted",
+              "VnfStageFailed", "HandoffStarted"}
+    assert keys["xftp"] == keys["endtoend"] == shared
+    assert keys["softstage"] == shared | {
+        "CoordinatorTick", "StagingSignalled", "StaleStagingResponse",
+        "ChunkFetched",
+    }
+
+
+def test_two_decision_counts_differ_for_a_policy_with_hooks():
+    """``coordinator.decisions`` (the collector) counts ticks that
+    decided; ``StagingCoordinator.decisions`` also counts the lifecycle
+    hooks' decisions.  The rich policy decides in a hook only."""
+    from repro.core.policy import make_policy
+    from repro.experiments.scenario import TestbedScenario
+    from repro.metrics.collector import MetricsCollector
+
+    scenario = TestbedScenario(params=MicrobenchParams(file_size=8 * MB), seed=1)
+    collector = MetricsCollector().attach(scenario.sim.probe.bus)
+    content = scenario.publish_default_content()
+    client = scenario.make_client(
+        "softstage", staging_policy=make_policy("rich", scenario)
+    )
+    scenario.sim.run(until=scenario.sim.process(client.download(content)))
+    assert collector.counters.get("coordinator.decisions", 0) == 0
+    assert client.manager.coordinator.decisions == 1

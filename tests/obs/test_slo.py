@@ -194,8 +194,8 @@ def _recorded_gauge(values, gauge="staging.lead_bytes"):
                               values=(1.0, value)),
         ))
     collector.detach()
-    series = collector.series(f"gauge.r.{gauge}")
-    return {gauge: {"t": list(series.times), "v": list(series.values)}}
+    points = collector.timelines()[f"gauge.r.{gauge}"]
+    return {gauge: {"t": [t for t, _ in points], "v": [v for _, v in points]}}
 
 
 def _gauge_record(gauges, **over):

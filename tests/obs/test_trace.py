@@ -86,8 +86,6 @@ def test_replay_trace_rebuilds_metrics():
     assert report["cache.stored_bytes"] == 512
     assert report["transport.timeouts"] == 1
     assert report["transport.rto.mean"] == 0.375
-    assert report["chunks.fetched"] == 1
-    assert report["chunks.from_edge"] == 1
     assert report["fetch.latency.mean"] == 0.875
 
 
@@ -115,39 +113,45 @@ def test_read_trace_skips_unknown_event_types_with_warning():
     text = (
         '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"}\n'
         '{"t":2.0,"run":"r0","type":"QuantumTeleport","qubits":3}\n'
-        '{"t":3.0,"run":"r0","type":"CacheMiss","store":"s","cid":"c"}\n'
+        '{"t":3.0,"run":"r0","type":"SessionMigrated","session":4}\n'
     )
     counts = {}
     with pytest.warns(UserWarning, match="QuantumTeleport"):
         restored = list(
             read_trace(io.StringIO(text), unknown_counts=counts)
         )
-    assert [type(s.event).__name__ for s in restored] == ["CacheHit", "CacheMiss"]
+    assert [type(s.event).__name__ for s in restored] == [
+        "CacheHit", "SessionMigrated"]
     assert counts == {"QuantumTeleport": 1}
 
 
 def test_read_trace_skips_a_deleted_event_type_from_an_old_trace():
     """Backward compatibility is the same rule as forward: a trace
-    recorded when ``ProfilerSample`` existed still loads — its lines
-    are skipped with one warning between them, and counted."""
+    recorded when ``ProfilerSample`` and ``CacheMiss`` existed still
+    loads — each type's lines are skipped with one warning between
+    them, and counted."""
     import warnings as warnings_mod
 
     text = (
         '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"}\n'
         '{"t":1.5,"run":"r0","type":"ProfilerSample","depth":3,"steps":2}\n'
         '{"t":2.5,"run":"r0","type":"ProfilerSample","depth":1,"steps":4}\n'
-        '{"t":3.0,"run":"r0","type":"CacheMiss","store":"s","cid":"c"}\n'
+        '{"t":2.75,"run":"r0","type":"CacheMiss","store":"s","cid":"d"}\n'
+        '{"t":3.0,"run":"r0","type":"SessionMigrated","session":4}\n'
+        '{"t":3.5,"run":"r0","type":"CacheMiss","store":"s","cid":"e"}\n'
     )
     counts = {}
     with warnings_mod.catch_warnings(record=True) as caught:
         warnings_mod.simplefilter("always")
         restored = list(read_trace(io.StringIO(text), unknown_counts=counts))
-    assert [type(s.event).__name__ for s in restored] == ["CacheHit", "CacheMiss"]
+    assert [type(s.event).__name__ for s in restored] == [
+        "CacheHit", "SessionMigrated"]
     assert [str(w.message) for w in caught] == [
-        "skipping unknown event type 'ProfilerSample' "
+        f"skipping unknown event type {name!r} "
         "(trace written by a newer version?)"
+        for name in ("ProfilerSample", "CacheMiss")
     ]
-    assert counts == {"ProfilerSample": 2}
+    assert counts == {"ProfilerSample": 2, "CacheMiss": 2}
 
 
 def test_read_trace_strict_raises_on_unknown_type():
@@ -187,13 +191,14 @@ def test_replay_trace_survives_unknown_types():
     import warnings as warnings_mod
 
     text = (
-        '{"t":1.0,"run":"r0","type":"CacheHit","store":"s","cid":"c"}\n'
+        '{"t":1.0,"run":"r0","type":"CacheStored","store":"s","cid":"c",'
+        '"size_bytes":512,"pinned":true}\n'
         '{"t":2.0,"run":"r0","type":"FutureEvent","x":1}\n'
     )
     with warnings_mod.catch_warnings():
         warnings_mod.simplefilter("ignore")
         collector = replay_trace(io.StringIO(text))
-    assert collector.report()["cache.hits"] == 1
+    assert collector.report()["cache.insertions"] == 1
 
 
 def test_pre_count_packet_dropped_traces_still_load():
@@ -273,4 +278,4 @@ def test_offline_views_survive_a_torn_trace(tmp_path):
     path.write_text(text + text.splitlines()[0][:25], encoding="utf-8")
     with pytest.warns(UserWarning, match="torn"):
         collector = replay_trace(str(path))
-    assert collector.report()["chunks.fetched"] == 1
+    assert collector.report()["fetch.latency.mean"] == 0.875

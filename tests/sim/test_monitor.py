@@ -1,36 +1,30 @@
-"""TimeSeries edge behavior, the collector's per-name sample statistics
-and its attach/detach contracts."""
+"""The collector's gauge time series edge behavior, its per-name sample
+statistics and its attach/detach contracts (more of its gauge tick store:
+tests/metrics/test_metrics.py)."""
 
 import pytest
 
 from repro.metrics.collector import MetricsCollector
-from repro.obs.events import CacheMiss
+from repro.obs.bus import EventBus, Stamped
+from repro.obs.events import GaugeSample, SessionMigrated
 from repro.obs.probe import Probe
-from repro.sim import Simulator, TimeSeries
+from repro.sim import Simulator
 
 
 # ---------------------------------------------------------------------------
-# TimeSeries record/len/iter and the collector's sample monitors
+# The collector's gauge time series and its sample monitors
 # ---------------------------------------------------------------------------
-
-
-def test_timeseries_len_iter_last_roundtrip():
-    series = TimeSeries("s")
-    series.record(10.0, 4.0)
-    series.record(20.0, 8.0)
-    assert len(series) == 2
-    assert list(series) == [(10.0, 4.0), (20.0, 8.0)]
-    assert list(TimeSeries("e")) == []
 
 
 def test_timeseries_out_of_order_rejection_names_the_series():
-    series = TimeSeries("queue")
-    series.record(5.0, 1.0)
+    bus = EventBus()
+    collector = MetricsCollector().attach(bus)
+    bus.publish(Stamped(5.0, "queue", GaugeSample(gauges=("q",), values=(1.0,))))
     with pytest.raises(ValueError, match="queue"):
-        series.record(4.0, 2.0)
+        bus.publish(Stamped(4.0, "queue", GaugeSample(gauges=("q",), values=(2.0,))))
     # Equal times are legal (step function with repeated samples).
-    series.record(5.0, 3.0)
-    assert list(series) == [(5.0, 1.0), (5.0, 3.0)]
+    bus.publish(Stamped(5.0, "queue", GaugeSample(gauges=("q",), values=(3.0,))))
+    assert collector.timelines() == {"gauge.queue.q": [(5.0, 1.0), (5.0, 3.0)]}
 
 
 def _observed(*values):
@@ -81,7 +75,7 @@ def test_monitor_mean_is_the_streaming_mean_bit_for_bit():
 
 
 def _emit_one(probe):
-    probe.emit(CacheMiss(store="s", cid="c"))
+    probe.emit(SessionMigrated(session=1))
 
 
 def test_detach_twice_is_a_noop():
@@ -91,7 +85,7 @@ def test_detach_twice_is_a_noop():
     collector.detach()
     collector.detach()  # second detach: no error, no effect
     _emit_one(probe)
-    assert collector.counters["cache.misses"] == 1
+    assert collector.counters["transport.migrations"] == 1
 
 
 def test_detach_without_attach_is_a_noop():
@@ -105,8 +99,8 @@ def test_detach_stops_every_attached_bus():
     collector = MetricsCollector().attach(probe_a.bus).attach(probe_b.bus)
     _emit_one(probe_a)
     _emit_one(probe_b)
-    assert collector.counters["cache.misses"] == 2
+    assert collector.counters["transport.migrations"] == 2
     collector.detach()
     _emit_one(probe_a)
     _emit_one(probe_b)
-    assert collector.counters["cache.misses"] == 2
+    assert collector.counters["transport.migrations"] == 2

@@ -1,10 +1,13 @@
-"""Tests for RandomStreams, the collector's sample monitors and TimeSeries."""
+"""Tests for RandomStreams, the collector's sample monitors and its gauge
+time series."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.metrics.collector import MetricsCollector
-from repro.sim import RandomStreams, TimeSeries
+from repro.obs.bus import EventBus, Stamped
+from repro.obs.events import GaugeSample
+from repro.sim import RandomStreams
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +80,25 @@ def test_monitor_mean_matches_batch_mean(values):
 
 
 # ---------------------------------------------------------------------------
-# TimeSeries
+# The collector's gauge time series
 # ---------------------------------------------------------------------------
 
 
+def _tick(time, value):
+    return Stamped(time, "ts", GaugeSample(gauges=("v",), values=(value,)))
+
+
 def test_timeseries_records_in_order():
-    series = TimeSeries("ts")
-    series.record(0.0, 1.0)
-    series.record(2.0, 3.0)
-    assert list(series) == [(0.0, 1.0), (2.0, 3.0)]
-    assert len(series) == 2
+    bus = EventBus()
+    collector = MetricsCollector().attach(bus)
+    bus.publish(_tick(0.0, 1.0))
+    bus.publish(_tick(2.0, 3.0))
+    assert collector.timelines() == {"gauge.ts.v": [(0.0, 1.0), (2.0, 3.0)]}
 
 
 def test_timeseries_rejects_time_reversal():
-    series = TimeSeries()
-    series.record(5.0, 1.0)
+    bus = EventBus()
+    MetricsCollector().attach(bus)
+    bus.publish(_tick(5.0, 1.0))
     with pytest.raises(ValueError):
-        series.record(4.0, 2.0)
+        bus.publish(_tick(4.0, 2.0))
