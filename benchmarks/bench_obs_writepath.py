@@ -5,9 +5,8 @@ Records the stamped event stream of one fixed-seed Xftp + SoftStage
 pair with the flight recorder on (the event mix ``obs_live`` publishes:
 one ``GaugeSample`` per sampler tick carrying every gauge first, then
 ``CoordinatorTick`` and ``SegmentTimeout``, and the run totals —
-``SegmentRetransmitted`` per sender session, ``PacketDropped`` per
-link direction and reason, ``LinkRetransmission`` per wireless
-direction), then replays
+``SegmentRetransmitted`` per sender session and ``PacketDropped`` per
+link direction), then replays
 exactly that stream, run by run, through fresh attachments wired the way
 ``run_download`` wires them: a no-op wildcard (the bus's own cost),
 each bus attachment alone, and all of them together with the sketch
@@ -111,35 +110,38 @@ READ_ROWS = {
 
 #: ``--check`` fails above this many Python calls per published event
 #: with the whole lattice attached.  The recorded seed-0 stream costs
-#: 28.29: a sampler tick is one ``GaugeSample`` carrying its ~45
-#: readings, which each consumer loops over, and the 295 ticks are 36 %
-#: of the 817 events since drops and segment retransmissions became run
-#: totals (18.09 on the 1,734-event stream with one cheap event per drop
-#: and per retransmitted segment, 11.78 when each gauge reading was an
-#: event).  The ceiling sits ~10 % above — room for a helper on a
-#: per-chunk path, not for one more frame per event.
+#: 11.64: a sampler tick is one ``GaugeSample`` carrying its ~45
+#: readings, which each consumer loops over, and the 295 ticks are 38 %
+#: of the 785 events (11.89 on the 817-event stream that still carried
+#: link up/down, ARQ and per-reason drop events; 28.29 before the
+#: collector kept a tick whole; 18.09 on the 1,734-event stream with one
+#: cheap event per drop and per retransmitted segment, 11.78 when each
+#: gauge reading was an event).  The ceiling was set ~10 % above the
+#: 28.29 and has not moved since.
 ALL_PY_CALLS_PER_EVENT_CEILING = 31.0
 
 #: ``--check`` fails above this many Python calls per downloaded MB with
 #: the whole lattice attached: what a run pays, whatever its event mix.
-#: The pair costs 361 per MB (490 with one event per drop and per
-#: retransmitted segment, 2,695 with one ``GaugeSample`` per gauge
-#: reading as well, 4,967 with one ``LinkRetransmission`` per retried
-#: frame too); a per-packet emit site coming back costs more than the
-#: ~10 % of room left.
+#: The pair costs 143 per MB (152 with link up/down, ARQ and per-reason
+#: drop events, 361 before the collector kept a tick whole, 490 with
+#: one event per drop and per retransmitted segment, 2,695 with one
+#: ``GaugeSample`` per gauge reading as well, 4,967 with one ARQ event
+#: per retried frame too); a per-packet emit site coming back costs
+#: more than the room left.
 ALL_PY_CALLS_PER_MB_CEILING = 400
 
 #: ``--check`` fails above this many Python calls per published event
-#: with the collector alone attached.  It costs 3.52: the bus, the
+#: with the collector alone attached.  It costs 3.10: the bus, the
 #: collector's ``_on_event`` and, for an event it counts, one handler
 #: and its ``count``/``observe`` frames; a gauge tick is kept whole, one
-#: frame (19.90 when each reading entered its own per-gauge series
-#: ``record`` frame).  One more frame per event is +28 %.
+#: frame (3.52 while it also kept names nothing read, 19.90 when each
+#: reading entered its own per-gauge series ``record`` frame).  One more
+#: frame per event is +32 %.
 COLLECTOR_PY_CALLS_PER_EVENT_CEILING = 4.0
 
 #: ``--check`` fails above this many Python calls per event of a bare
-#: ``read_trace`` pass.  It costs 3.41 — the event's constructor, the
-#: reader's resume and the counting consumer's, plus, on the 36 % of
+#: ``read_trace`` pass.  It costs 3.42 — the event's constructor, the
+#: reader's resume and the counting consumer's, plus, on the 38 % of
 #: lines that are gauge ticks, the ``__post_init__`` that turns their
 #: JSON lists back into tuples (3.22 when ticks were 17 % of a stream
 #: with one event per drop) — since the reader calls the ``json`` C

@@ -20,7 +20,6 @@ from repro.core.profile import ChunkProfile
 from repro.core.tracker import StagingTracker
 from repro.mobility.association import AssociationController
 from repro.mobility.scanner import Scanner, VisibleNetwork
-from repro.obs.events import PrestageSignalled
 from repro.sim import Simulator
 from repro.transport.chunkfetch import ChunkFetcher
 
@@ -90,11 +89,6 @@ class StagingManager:
         count = self.coordinator.prestage_count()
         records = self.profile.next_to_stage(count)
         if records:
-            probe = self.sim.probe
-            if probe.active:
-                probe.emit(
-                    PrestageSignalled(target=target.name, count=len(records))
-                )
             self.tracker.signal(records, vnf, label=f"prestage:{target.name}")
 
     def __repr__(self) -> str:

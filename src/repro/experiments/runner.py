@@ -30,12 +30,7 @@ from repro.experiments.scenario import TestbedScenario, system_class
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.coverage import Coverage
 from repro.net.link import Link
-from repro.net.wireless import WirelessDirection
-from repro.obs.events import (
-    LinkRetransmission,
-    PacketDropped,
-    SegmentRetransmitted,
-)
+from repro.obs.events import PacketDropped, SegmentRetransmitted
 from repro.obs.flight import (
     GaugeSampler,
     InvariantAuditor,
@@ -94,27 +89,20 @@ def publish_run_totals(
 ) -> None:
     """Publish what the run's objects counted as one event per total.
 
-    In ``links`` order, forward before backward, each direction's ARQ
-    retries (wireless only) and then its drops per reason; then, in
-    ``endpoints`` order, each sender session's retransmissions.  Only
-    non-zero totals are published, so a replayed trace creates exactly
-    the counters the live collector holds.
+    In ``links`` order, forward before backward, each direction's drops
+    (loss, queue and down summed); then, in ``endpoints`` order, each
+    sender session's retransmissions.  Only non-zero totals are
+    published, so a replayed trace rebuilds exactly what the live
+    collector and fold hold.  ARQ retries are not published: the
+    wireless direction's ``retransmissions`` is their one record.
     """
     emit = probe.emit
     for link in links:
         for direction in (link.forward, link.backward):
-            name = direction.source.name
-            if isinstance(direction, WirelessDirection) \
-                    and direction.retransmissions:
-                emit(LinkRetransmission(
-                    link=name, retries=direction.retransmissions,
-                ))
             stats = direction.stats
-            for reason, count in (("loss", stats.dropped_loss),
-                                  ("queue", stats.dropped_queue),
-                                  ("down", stats.dropped_down)):
-                if count:
-                    emit(PacketDropped(link=name, reason=reason, count=count))
+            count = stats.dropped_loss + stats.dropped_queue + stats.dropped_down
+            if count:
+                emit(PacketDropped(link=direction.source.name, count=count))
     for endpoint in endpoints:
         for session, count in endpoint.retransmission_totals().items():
             emit(SegmentRetransmitted(session=session, count=count))

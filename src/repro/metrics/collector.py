@@ -7,9 +7,12 @@ and aggregate the typed events every layer publishes (see
 when replaying a JSONL trace (:func:`repro.obs.trace.replay_trace`),
 so an offline replay reproduces a live run's :meth:`report` exactly.
 
-It keeps no second copy of a count an object (a store's hits, the
-download's chunk tallies) or a wide record (gap durations) holds; the
-invariant auditor checks the event stream against those homes.
+It keeps no second copy of a count an object (a store's hits, a
+link direction's drops, the download's chunk tallies) or a wide record
+(gap durations) holds; the invariant auditor checks the event stream
+against those homes.  And it keeps only names something reads: the
+end-to-end benchmark's counts and means (``benchmarks/e2e``) and
+``sim.process_failures``, the one record of a crashed process.
 """
 
 from __future__ import annotations
@@ -140,21 +143,8 @@ def _on_process_failed(c: MetricsCollector, e: ev.ProcessFailed) -> None:
     c.count("sim.process_failures")
 
 
-def _on_packet_dropped(c: MetricsCollector, e: ev.PacketDropped) -> None:
-    c.count(f"net.drops.{e.reason}", e.count)
-
-
-def _on_link_state(c: MetricsCollector, e: ev.LinkStateChanged) -> None:
-    c.count("net.link_up" if e.up else "net.link_down")
-
-
-def _on_link_rexmit(c: MetricsCollector, e: ev.LinkRetransmission) -> None:
-    c.count("net.arq_retransmissions", e.retries)
-
-
 def _on_segment_timeout(c: MetricsCollector, e: ev.SegmentTimeout) -> None:
     c.count("transport.timeouts")
-    c.observe("transport.rto", e.rto)
 
 
 def _on_segment_rexmit(c: MetricsCollector, e: ev.SegmentRetransmitted) -> None:
@@ -165,19 +155,8 @@ def _on_session_migrated(c: MetricsCollector, e: ev.SessionMigrated) -> None:
     c.count("transport.migrations")
 
 
-def _on_cache_stored(c: MetricsCollector, e: ev.CacheStored) -> None:
-    c.count("cache.insertions")
-    c.count("cache.stored_bytes", e.size_bytes)
-
-
-def _on_cache_evicted(c: MetricsCollector, e: ev.CacheEvicted) -> None:
-    c.count("cache.evicted_bytes", e.size_bytes)
-
-
 def _on_coordinator_tick(c: MetricsCollector, e: ev.CoordinatorTick) -> None:
     c.count("coordinator.ticks")
-    if e.offline:
-        c.count("coordinator.offline_ticks")
     if e.decision:
         c.count("coordinator.decisions")
 
@@ -189,23 +168,12 @@ def _on_staging_signalled(c: MetricsCollector, e: ev.StagingSignalled) -> None:
 
 
 def _on_chunk_staged(c: MetricsCollector, e: ev.ChunkStaged) -> None:
-    c.count("staging.responses")
     if e.staging_latency is not None:
         c.observe("staging.latency", e.staging_latency)
-    if e.control_rtt is not None:
-        c.observe("staging.control_rtt", e.control_rtt)
 
 
 def _on_stale_response(c: MetricsCollector, e: ev.StaleStagingResponse) -> None:
     c.count("staging.stale_responses")
-
-
-def _on_stage_request(c: MetricsCollector, e: ev.StageRequestReceived) -> None:
-    c.count("vnf.requests")
-
-
-def _on_vnf_staged(c: MetricsCollector, e: ev.VnfStageCompleted) -> None:
-    c.observe("vnf.staging_latency", e.latency)
 
 
 def _on_chunk_fetched(c: MetricsCollector, e: ev.ChunkFetched) -> None:
@@ -220,34 +188,21 @@ def _on_handoff_completed(c: MetricsCollector, e: ev.HandoffCompleted) -> None:
     c.observe("handoff.duration", e.duration)
 
 
-def _on_prestage(c: MetricsCollector, e: ev.PrestageSignalled) -> None:
-    c.count("staging.prestage_signals")
-    c.count("staging.prestaged_chunks", e.count)
-
-
 def _on_encounter_ended(c: MetricsCollector, e: ev.EncounterEnded) -> None:
     c.count("coverage.encounters")
 
 
 _EVENT_METRICS = {
     ev.ProcessFailed: _on_process_failed,
-    ev.PacketDropped: _on_packet_dropped,
-    ev.LinkStateChanged: _on_link_state,
-    ev.LinkRetransmission: _on_link_rexmit,
     ev.SegmentTimeout: _on_segment_timeout,
     ev.SegmentRetransmitted: _on_segment_rexmit,
     ev.SessionMigrated: _on_session_migrated,
-    ev.CacheStored: _on_cache_stored,
-    ev.CacheEvicted: _on_cache_evicted,
     ev.CoordinatorTick: _on_coordinator_tick,
     ev.StagingSignalled: _on_staging_signalled,
     ev.ChunkStaged: _on_chunk_staged,
     ev.StaleStagingResponse: _on_stale_response,
-    ev.StageRequestReceived: _on_stage_request,
-    ev.VnfStageCompleted: _on_vnf_staged,
     ev.ChunkFetched: _on_chunk_fetched,
     ev.HandoffStarted: _on_handoff_started,
     ev.HandoffCompleted: _on_handoff_completed,
-    ev.PrestageSignalled: _on_prestage,
     ev.EncounterEnded: _on_encounter_ended,
 }

@@ -25,8 +25,8 @@ medium for its airtime.  Packets offered while the link is down are
 ``dropped_down`` at ``enqueue``.
 
 Drops are counted, not announced: the :class:`LinkStats` counters are
-the record, and an instrumented run publishes them once, as
-``PacketDropped`` run totals, when it ends
+the record, and an instrumented run publishes each direction's sum
+once, as a ``PacketDropped`` run total, when it ends
 (:func:`repro.experiments.runner.run_download`).
 """
 
@@ -36,7 +36,6 @@ from collections import deque
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.obs.events import LinkStateChanged
 from repro.sim import Simulator
 from repro.net.loss import LossModel, NoLoss
 from repro.util.validation import check_non_negative, check_positive
@@ -47,8 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class LinkStats:
-    """Per-direction counters (the drop counters are also the run's
-    ``PacketDropped`` totals)."""
+    """Per-direction counters (the drop counters summed are also the
+    direction's ``PacketDropped`` run total)."""
 
     __slots__ = (
         "sent_packets",
@@ -375,16 +374,11 @@ class Link:
     def set_up(self, up: bool) -> None:
         """Bring the link up or down; going down drops queued and
         in-flight packets (a new epoch)."""
-        changed = self._up != up
         if self._up and not up:
             self._epoch += 1
             self.forward.clear()
             self.backward.clear()
         self._up = up
-        if changed:
-            probe = self.sim.probe
-            if probe.active:
-                probe.emit(LinkStateChanged(link=self.name, up=up))
 
     def attach(self, device_a: "Device", device_b: "Device") -> None:
         """Hand each endpoint port to its device."""

@@ -48,8 +48,7 @@ class WirelessDirection(LinkDirection):
         self.retry_backoff = check_non_negative("retry_backoff", retry_backoff)
         #: Fixed per-frame MAC cost (DIFS + preamble + SIFS + MAC ACK).
         self.frame_overhead = check_non_negative("frame_overhead", frame_overhead)
-        #: ARQ retries so far; a traced run publishes the total once, as
-        #: one ``LinkRetransmission``, when it ends (not one per frame).
+        #: ARQ retries so far: the one record of them (no event).
         self.retransmissions = 0
 
     def airtime(self, packet: "Packet") -> float:

@@ -16,10 +16,8 @@ Layer      Events
 sim        :class:`ProcessFailed`
 obs        :class:`GaugeSample` (one flight-recorder tick: every sampled
            gauge at one instant)
-net        :class:`PacketDropped` (one run total per direction and
-           reason), :class:`LinkStateChanged`,
-           :class:`LinkRetransmission` (one run total per wireless
-           direction), both published when the run ends
+net        :class:`PacketDropped` (one run total per direction,
+           published when the run ends)
 transport  :class:`SegmentTimeout`, :class:`SegmentRetransmitted` (one
            run total per sender session, published when the run
            ends), :class:`SessionMigrated`
@@ -30,8 +28,8 @@ core       :class:`CoordinatorTick`, :class:`StagingSignalled`,
            :class:`StageRequestReceived`, :class:`VnfStageCompleted`,
            :class:`VnfStageFailed`, :class:`ChunkFetched`,
            :class:`HandoffStarted`, :class:`HandoffCompleted`,
-           :class:`HandoffDeferred`, :class:`PrestageSignalled`,
-           :class:`CoverageGap`, :class:`EncounterEnded`
+           :class:`HandoffDeferred`, :class:`CoverageGap`,
+           :class:`EncounterEnded`
 ========== ==========================================================
 """
 
@@ -62,44 +60,20 @@ class ProcessFailed(ObsEvent):
 
 @dataclass(frozen=True, slots=True)
 class PacketDropped(ObsEvent):
-    """One link direction's packet drops for one reason, as a run total.
+    """One link direction's packet drops, as a run total.
 
-    ``reason`` is one of ``"loss"`` (channel loss, including wireless
-    residual loss after ARQ), ``"queue"`` (tail drop) or ``"down"``
-    (link taken down with the packet queued or in flight).
-
-    Published once per direction and reason with drops when the run
-    ends, from the direction's ``LinkStats`` counters, not once per
-    drop.  A trace with one event per drop (or per same-instant batch)
-    sums to the same counter on replay; traces written before ``count``
-    existed carry implicit single-packet drops, which the default keeps
-    loading unchanged.
+    Published once per direction with drops when the run ends: the sum
+    of the direction's ``LinkStats`` drop counters (channel loss, tail
+    drop, link down), not once per drop.  A trace with one event per
+    drop, per reason or per same-instant batch sums to the same total
+    in the wide fold; traces written before ``count`` existed carry
+    implicit single-packet drops, which the default keeps loading
+    unchanged, and the ``reason`` field older traces carry is dropped
+    on read.
     """
 
     link: str
-    reason: str
     count: int = 1
-
-
-@dataclass(frozen=True, slots=True)
-class LinkStateChanged(ObsEvent):
-    """A link went up or down (e.g. a wireless radio (dis)association)."""
-
-    link: str
-    up: bool
-
-
-@dataclass(frozen=True, slots=True)
-class LinkRetransmission(ObsEvent):
-    """One wireless direction's link-layer ARQ retries, as a run total.
-
-    Published once per direction with retries when the run ends (the
-    direction counts them as it goes), not once per retried frame.  A
-    trace with one event per frame sums to the same counter on replay.
-    """
-
-    link: str
-    retries: int
 
 
 # -- transport -------------------------------------------------------------
@@ -267,14 +241,6 @@ class HandoffDeferred(ObsEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class PrestageSignalled(ObsEvent):
-    """Chunks were pre-staged into a handoff target's VNF."""
-
-    target: str
-    count: int
-
-
-@dataclass(frozen=True, slots=True)
 class CoverageGap(ObsEvent):
     """The client re-attached after ``duration`` seconds offline."""
 
@@ -326,8 +292,6 @@ EVENT_TYPES: dict[str, type[ObsEvent]] = {
     for cls in (
         ProcessFailed,
         PacketDropped,
-        LinkStateChanged,
-        LinkRetransmission,
         SegmentTimeout,
         SegmentRetransmitted,
         SessionMigrated,
@@ -345,7 +309,6 @@ EVENT_TYPES: dict[str, type[ObsEvent]] = {
         HandoffStarted,
         HandoffCompleted,
         HandoffDeferred,
-        PrestageSignalled,
         CoverageGap,
         EncounterEnded,
         GaugeSample,

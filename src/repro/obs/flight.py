@@ -184,7 +184,6 @@ class InvariantAuditor:
     def __init__(self, strict: bool = True) -> None:
         self.strict = strict
         self.violations: list[InvariantViolation] = []
-        self.events_audited = 0
         self._bus: Optional[EventBus] = None
         #: The trailing events, kept as published (they are frozen) and
         #: rendered by :meth:`_evidence` only when a violation needs them.
@@ -218,6 +217,10 @@ class InvariantAuditor:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def events_audited(self) -> int:
+        return sum(self.event_counts.values())
+
     # -- violation plumbing -------------------------------------------------
 
     def _evidence(self) -> tuple[str, ...]:
@@ -248,7 +251,6 @@ class InvariantAuditor:
 
     def _on_event(self, stamped: Stamped) -> None:
         cls = type(stamped.event)
-        self.events_audited += 1
         self.event_counts[cls.__name__] += 1
         self._timeline.append(stamped)
 

@@ -198,10 +198,11 @@ def read_trace(
     """Yield :class:`Stamped` events from a JSONL trace, in file order.
 
     Traces written by a *newer* code version may contain event types
-    (or event fields) this version does not know.  By default those
-    records are skipped (unknown fields: dropped) with one
-    :func:`warnings.warn` per unknown name, so old code can still
-    replay the rest of the trace; pass ``strict=True`` to raise
+    (or event fields) this version does not know, and so may traces
+    written by an *older* one, holding types or fields since deleted.
+    By default those records are skipped (unknown fields: dropped) with
+    one :func:`warnings.warn` per unknown name, so the rest of the
+    trace still replays; pass ``strict=True`` to raise
     instead.  ``unknown_counts``, if given, is a dict the reader
     fills with ``{type_name: skipped_record_count}``.
 
@@ -284,7 +285,7 @@ def read_trace(
                     warned.add(type_name)
                     warnings.warn(
                         f"skipping unknown event type {type_name!r} "
-                        f"(trace written by a newer version?)",
+                        f"(trace written by another version?)",
                         stacklevel=2,
                     )
                 continue
@@ -324,7 +325,7 @@ def read_trace(
                     warned.add(key)
                     warnings.warn(
                         f"dropping unknown field(s) {extra} on {type_name} "
-                        f"(trace written by a newer version?)",
+                        f"(trace written by another version?)",
                         stacklevel=2,
                     )
                 try:

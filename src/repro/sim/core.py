@@ -183,6 +183,10 @@ class Simulator:
         #: (read by the profiler and the benches).
         self.fwd_cache_hits = 0
         self.fwd_cache_misses = 0
+        #: The last transport session id :meth:`new_session_id` handed
+        #: out: per simulator, so a scenario's ids (and its trace) do
+        #: not depend on the scenarios run before it in the process.
+        self._last_session_id = 0
         #: Total events popped and processed (heap-op counter; the
         #: push-side twin is :attr:`heap_pushes`).
         self.steps_processed = 0
@@ -196,6 +200,11 @@ class Simulator:
     def active_process(self):
         """The process currently executing, if any."""
         return self._active_process
+
+    def new_session_id(self) -> int:
+        """A transport session id unique within this simulator."""
+        self._last_session_id += 1
+        return self._last_session_id
 
     # -- scheduling ----------------------------------------------------
 

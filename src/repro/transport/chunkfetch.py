@@ -17,7 +17,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.errors import ChunkIntegrityError, TransportError
 from repro.sim import Simulator
 from repro.transport.config import TransportConfig
-from repro.transport.reliable import ReceiverSession, TransportEndpoint, new_session_id
+from repro.transport.reliable import ReceiverSession, TransportEndpoint
 from repro.xia.dag import DagAddress
 from repro.xia.ids import XID
 from repro.xia.packet import Packet, PacketType
@@ -72,7 +72,7 @@ class ChunkFetcher:
         if config.per_chunk_overhead > 0:
             # Client-side chunk-context setup (daemon IPC round trips).
             yield self.sim.timeout(config.per_chunk_overhead)
-        session_id = new_session_id()
+        session_id = self.sim.new_session_id()
         receiver = self.endpoint.open_receiver(session_id, config=config)
 
         attempts = 0

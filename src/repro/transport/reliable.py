@@ -13,7 +13,6 @@ acknowledged byte after a fixed migration cost.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Any, Optional, TYPE_CHECKING
 
@@ -28,14 +27,6 @@ from repro.xia.packet import Packet, PacketType
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Port
     from repro.net.nodes import Host
-
-_session_ids = itertools.count(1)
-
-
-def new_session_id() -> int:
-    """Globally unique transport session identifier."""
-    return next(_session_ids)
-
 
 class TransportEndpoint:
     """Per-host transport instance: creates and demuxes sessions."""

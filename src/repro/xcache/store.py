@@ -43,6 +43,9 @@ class ContentStore:
         self._pinned: set[XID] = set()
         self.used_bytes = 0
         self.hits = 0
+        #: Failed :meth:`get` calls, plus each chunk request an edge
+        #: router's content step found none of its CIDs for
+        #: (:meth:`repro.xia.router.XIARouter.handle_packet`).
         self.misses = 0
         self.evictions = 0
 

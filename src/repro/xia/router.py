@@ -247,6 +247,8 @@ class XIARouter(Host):
                     packet.visited_mask |= bit
                     self._cid_request_handler(packet, port)
                     return
+            # None here: the request falls through toward the origin.
+            store.misses += 1
         if kind == _FORWARD:
             self.forwarded_packets += 1
             arg.send(packet)

@@ -88,9 +88,11 @@ def test_cli_demo_trace_and_spans(tmp_path, capsys):
 #: ``LinkRetransmission`` per wireless direction, and again when drops
 #: and segment retransmissions became run totals and a run's gauge
 #: names came to be written once (each run replays to the same report
-#: and timelines as from the trace before).
+#: and timelines as from the trace before), and when the link up/down,
+#: ARQ and pre-staging events went and session ids became per simulator
+#: (the same wide records but for each run record's ``events``).
 SWEEP_SERIES_SHA1 = "1e4a11b8ad9a8aba4047260f26051ec54cb98eb4"
-SWEEP_TRACE_SHA1 = "c4112efde797fbc2d4749d56760b9036f5cedff4"
+SWEEP_TRACE_SHA1 = "4c5328ad5e4f3536bbeada8ff62078adb55bc4ff"
 
 
 def test_cli_sweep_trace_and_series_are_pinned_for_any_jobs(tmp_path):
@@ -101,8 +103,7 @@ def test_cli_sweep_trace_and_series_are_pinned_for_any_jobs(tmp_path):
     from repro.obs import read_trace
 
     def sweep(*extra):
-        # A fresh interpreter per sweep: trace events carry transport
-        # session ids drawn from a process-wide counter.
+        # A fresh interpreter per sweep, as from the command line.
         return subprocess.run(
             [sys.executable, "-m", "repro", "sweep", "--panel", "b",
              "--file-mb", "2", "--seeds", "2", *extra],

@@ -210,3 +210,29 @@ def test_run_download_keeps_shedding_knobs_nobody_turns():
     parameters = inspect.signature(run_download).parameters
     assert "gauge_period" not in parameters  # never passed; GaugeSampler.period
     assert len(parameters) == 19
+
+
+def test_an_edge_store_counts_the_chunk_requests_it_cannot_serve(monkeypatch):
+    """A request's content step at an edge router that finds none of its
+    CIDs is the store's miss (the request falls through to the origin),
+    so ``hit_ratio`` tells a staged edge from a cold one.  Edge stores'
+    ``(hits, misses)`` summed over a 4 MB pair: Xftp never stages, so
+    every request misses; SoftStage serves one chunk from the edge and
+    misses once, on the chunk it fetched from the origin."""
+    from repro.experiments.scenario import TestbedScenario
+
+    built = []
+    original = TestbedScenario.__init__
+
+    def capture(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(TestbedScenario, "__init__", capture)
+    counts = {}
+    for system in ("xftp", "softstage"):
+        run_download(system, params=MicrobenchParams(file_size=4 * MB), seed=0)
+        stores = [edge.store for edge in built[-1].edges]
+        counts[system] = (sum(s.hits for s in stores),
+                          sum(s.misses for s in stores))
+    assert counts == {"xftp": (0, 2), "softstage": (1, 1)}

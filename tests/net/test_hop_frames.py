@@ -25,9 +25,7 @@ from repro.net.link import LinkDirection, Port
 from repro.net.nodes import Device
 from repro.sim import Simulator
 from repro.transport import TransportEndpoint, XIA_STREAM
-from repro.transport.reliable import (
-    ReceiverSession, SenderSession, new_session_id,
-)
+from repro.transport.reliable import ReceiverSession, SenderSession
 from repro.util import mbps, ms
 from repro.xia import DagAddress, HID, NID
 from repro.xia.packet import Packet, PacketType
@@ -154,7 +152,7 @@ def test_class_level_shims_see_one_entry_per_hop_and_per_delivery(entries):
     ]
     net.build_static_routes()
     net.attach_client(client, client.port(), ap, r1.nid)
-    session = new_session_id()
+    session = sim.new_session_id()
     receiver = TransportEndpoint(sim, client, XIA_STREAM).open_receiver(session)
     sender = TransportEndpoint(sim, r2, XIA_STREAM).start_send(
         session, dst=DagAddress.host(client.hid, r1.nid),

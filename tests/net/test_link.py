@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.runner import publish_run_totals
 from repro.net import Host, Link, Network, ProcessingModel, WirelessLink
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel
-from repro.obs.events import LinkStateChanged, PacketDropped
+from repro.obs.events import PacketDropped
 from repro.sim import RandomStreams, Simulator
 from repro.util import mbps, ms
 from repro.xia import DagAddress, HID
@@ -251,18 +251,19 @@ def _published(sim):
 
 
 def _drop_totals(sim, link):
-    """``(link, reason, count)`` of each run-end ``PacketDropped`` total
+    """``(link, count)`` of each run-end ``PacketDropped`` total
     ``link`` publishes, the way ``run_download`` publishes them."""
     events = []
     sim.probe.bus.subscribe(PacketDropped, lambda s: events.append(s.event))
     publish_run_totals(sim.probe, [link], [])
-    return [(e.link, e.reason, e.count) for e in events]
+    return [(e.link, e.count) for e in events]
 
 
 def test_link_down_emits_one_batched_drop_event():
     """The flushed queue is counted at once and published as one total
-    per direction and reason when the run ends — not per packet, and not
-    from a step of its own while the run is going."""
+    per direction when the run ends — not per packet, and not from a
+    step of its own while the run is going.  Going down announces
+    nothing either: the link's state is its own."""
     sim = Simulator()
     link = Link(sim, "l", bandwidth_bps=mbps(1), delay=ms(50))
     sim, a, b = make_pair(link)
@@ -279,8 +280,8 @@ def test_link_down_emits_one_batched_drop_event():
     sim.run()
     queued = link.forward.stats.dropped_down
     assert queued >= 4  # most of the burst was still queued
-    assert [type(e) for e in during] == [LinkStateChanged]
-    assert _drop_totals(sim, link) == [("l.a", "down", queued)]
+    assert during == []
+    assert _drop_totals(sim, link) == [("l.a", queued)]
 
 
 def test_queue_drops_are_one_run_total():
@@ -295,17 +296,30 @@ def test_queue_drops_are_one_run_total():
     stats = link.forward.stats
     assert stats.dropped_queue >= 1 and during == []
     assert stats.delivered_packets + stats.dropped_queue == 5
-    assert _drop_totals(sim, link) == [("l.a", "queue", stats.dropped_queue)]
+    assert _drop_totals(sim, link) == [("l.a", stats.dropped_queue)]
 
 
-def test_down_link_delivery_counts_match_metrics_collector():
-    """The run-end total and the per-reason counters agree end to end."""
-    from repro.metrics.collector import MetricsCollector
+def test_a_direction_publishes_its_drops_summed_over_reasons():
+    """One total per direction: loss, queue and down drops together."""
+    sim = Simulator()
+    link = Link(sim, "l", bandwidth_bps=mbps(1), delay=ms(1))
+    stats = link.forward.stats
+    stats.dropped_loss, stats.dropped_queue, stats.dropped_down = 3, 4, 5
+    link.backward.stats.dropped_down = 2
+    assert _drop_totals(sim, link) == [(link.forward.source.name, 12),
+                                       (link.backward.source.name, 2)]
+
+
+def test_down_link_delivery_counts_match_the_wide_fold():
+    """The run-end total and the per-reason counters agree end to end:
+    the wide fold's ``dropped_packets`` is their sum."""
+    from repro.obs.wide import WideEventBuilder
 
     sim = Simulator()
     link = Link(sim, "l", bandwidth_bps=mbps(1), delay=ms(50))
     sim, a, b = make_pair(link)
-    collector = MetricsCollector().attach(sim.probe.bus)
+    records = []
+    fold = WideEventBuilder(sinks=[records.append]).attach(sim.probe.bus)
     for seq in range(6):
         a.send(packet_to(b, seq=seq))
 
@@ -315,11 +329,12 @@ def test_down_link_delivery_counts_match_metrics_collector():
 
     sim.process(take_down(sim))
     sim.run()
-    assert "net.drops.down" not in collector.counters
+    assert fold.events_seen == 0
     publish_run_totals(sim.probe, [link], [])
+    fold.finish()
     total_down = (link.forward.stats.dropped_down
                   + link.backward.stats.dropped_down)
-    assert collector.counters["net.drops.down"] == total_down > 0
+    assert records[-1]["dropped_packets"] == total_down > 0
 
 
 # -- the link-down contract (epochs) and on-demand tx-done --------------------
@@ -355,7 +370,7 @@ def test_residual_lost_frame_caught_by_link_down_counts_down_once(
     assert b.received == []
     assert (stats.dropped_down, stats.dropped_loss) == (
         (1, 0) if reason == "down" else (0, 1))
-    assert _drop_totals(sim, link) == [("w.a", reason, 1)]
+    assert _drop_totals(sim, link) == [("w.a", 1)]
 
 
 @pytest.mark.parametrize("wireless", [False, True])

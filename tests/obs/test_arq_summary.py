@@ -1,7 +1,7 @@
-"""ARQ retries are state, not events: a traced run publishes one
-``LinkRetransmission`` run total per wireless direction when it ends,
-and replay rebuilds ``net.arq_retransmissions`` from either format —
-these totals or an older trace's one event per retried frame."""
+"""ARQ retries are state, not events: the wireless direction's
+``retransmissions`` is their one record, a traced run publishes none,
+and an older trace's one event per retried frame is skipped on replay
+without moving the report."""
 
 import io
 import json
@@ -12,19 +12,17 @@ from repro.experiments.params import MicrobenchParams
 from repro.experiments.runner import run_download
 from repro.experiments.scenario import TestbedScenario
 from repro.experiments.tracedriven import synthesize_traces
+from repro.metrics.collector import MetricsCollector
 from repro.net.wireless import WirelessDirection
-from repro.obs.events import (
-    LinkRetransmission,
-    PacketDropped,
-    SegmentRetransmitted,
-)
+from repro.obs.bus import EventBus
 from repro.obs.trace import read_trace, replay_trace
 from repro.util import MB, ms
 
 PAIR = MicrobenchParams(file_size=4 * MB)
 
 #: Events a traced 4 MB Xftp + SoftStage pair (seed 0, gauges off) may
-#: publish.  It publishes 67; with one event per dropped packet and per
+#: publish.  It publishes 61 (67 with link up/down events and ARQ and
+#: per-reason drop totals); with one event per dropped packet and per
 #: retransmitted segment it published 209, and with one
 #: ``LinkRetransmission`` per retried frame as well 3,148, so a
 #: per-packet emit site coming back overshoots the budget.
@@ -68,61 +66,59 @@ def scenarios(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("system", ["xftp", "softstage"])
-def test_one_summary_per_wireless_direction_with_retries(system, scenarios):
-    result, text = _traced(system)
+def _with_per_frame_retries(text, directions):
+    """``text`` in an older format: ``directions``' ``(link, retries)``
+    as one ``LinkRetransmission`` line per retried frame (1 to 4 retries
+    each), ahead of the run totals the older traces closed with."""
+    lines = text.splitlines(keepends=True)
+    tail = next(i for i, line in enumerate(lines)
+                if json.loads(line)["type"] in ("PacketDropped",
+                                                "SegmentRetransmitted"))
+    envelope = json.loads(lines[tail])
+    frames = []
+    for link, remaining in directions:
+        frame = 0
+        while remaining:
+            retries = min(remaining, 1 + frame % 4)
+            remaining -= retries
+            frame += 1
+            frames.append(json.dumps(
+                {"t": envelope["t"], "run": envelope["run"],
+                 "type": "LinkRetransmission", "link": link,
+                 "retries": retries},
+                separators=(",", ":")) + "\n")
+    return "".join(lines[:tail] + frames + lines[tail:]), len(frames)
+
+
+def test_a_per_frame_trace_replays_to_the_same_report_as_its_summary(scenarios):
+    """A traced run publishes no ARQ event (the wireless direction's
+    ``retransmissions`` is the one record); an older trace's per-frame
+    ``LinkRetransmission`` lines are skipped, counted and warned about
+    once, and replay to the same report."""
+    result, text = _traced("softstage", gauges=True)
     (scenario,) = scenarios
-    expected = [
+    retried = [
         (direction.source.name, direction.retransmissions)
         for link in scenario.network.links
         for direction in (link.forward, link.backward)
         if isinstance(direction, WirelessDirection) and direction.retransmissions
     ]
-    assert expected, "the run should exercise ARQ"
-    stream = list(read_trace(io.StringIO(text)))
-    summaries = [
-        (s.event.link, s.event.retries) for s in stream
-        if isinstance(s.event, LinkRetransmission)
-    ]
-    # In link order, forward before backward, among the run's last
-    # events — its run totals — stamped when the download ended.
-    assert summaries == expected
-    totals = (LinkRetransmission, PacketDropped, SegmentRetransmitted)
-    tail = stream[-sum(isinstance(s.event, totals) for s in stream):]
-    assert all(isinstance(s.event, totals) for s in tail)
-    assert {s.time for s in tail} == {result.download_time}
-    assert result.metrics.counters["net.arq_retransmissions"] == sum(
-        retries for _link, retries in expected
-    )
-
-
-def _per_frame(text):
-    """``text`` in the old format: each run total split, in place, into
-    one event per retried frame (1 to 4 retries each)."""
-    lines = []
-    for line in text.splitlines(keepends=True):
-        record = json.loads(line)
-        if record["type"] != "LinkRetransmission":
-            lines.append(line)
-            continue
-        remaining, frame = record["retries"], 0
-        while remaining:
-            retries = min(remaining, 1 + frame % 4)
-            remaining -= retries
-            frame += 1
-            lines.append(json.dumps({**record, "retries": retries},
-                                    separators=(",", ":")) + "\n")
-    return "".join(lines)
-
-
-def test_a_per_frame_trace_replays_to_the_same_report_as_its_summary():
-    result, text = _traced("softstage", gauges=True)
-    old = _per_frame(text)
-    frames = old.count('"type":"LinkRetransmission"')
-    assert frames > text.count('"type":"LinkRetransmission"') > 0
+    assert retried, "the run should exercise ARQ"
+    assert '"LinkRetransmission"' not in text
+    old, frames = _with_per_frame_retries(text, retried)
+    assert frames > len(retried)
     summary = replay_trace(io.StringIO(text)).report()
-    assert replay_trace(io.StringIO(old)).report() == summary
     assert summary == result.metrics.report()
+    skipped = {}
+    with pytest.warns(UserWarning, match="LinkRetransmission") as caught:
+        collector = MetricsCollector()
+        bus = EventBus()
+        collector.attach(bus)
+        for stamped in read_trace(io.StringIO(old), unknown_counts=skipped):
+            bus.publish(stamped)
+    assert len(caught) == 1
+    assert skipped == {"LinkRetransmission": frames}
+    assert collector.report() == summary
 
 
 @pytest.mark.parametrize("system", ["xftp", "softstage"])

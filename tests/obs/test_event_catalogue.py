@@ -90,7 +90,7 @@ def test_event_type_is_emitted_consumed_and_documented(name):
 
 #: Event types that are run totals: counted by the objects as the run
 #: goes and published once, by ``run_download``, when it ends.
-RUN_TOTALS = ("LinkRetransmission", "PacketDropped", "SegmentRetransmitted")
+RUN_TOTALS = ("PacketDropped", "SegmentRetransmitted")
 
 
 @pytest.mark.parametrize("name", RUN_TOTALS)

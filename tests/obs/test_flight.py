@@ -18,8 +18,8 @@ from repro.obs.events import (
     CoordinatorTick,
     GaugeSample,
     HandoffStarted,
-    LinkRetransmission,
     PacketDropped,
+    SegmentRetransmitted,
     StagingSignalled,
 )
 from repro.obs.flight import (
@@ -328,10 +328,10 @@ def _eager_entry(stamped):
 def _mixed_events(n=40):
     """A healthy stream cycling booked and un-booked event types."""
     makers = [
-        lambda i: LinkRetransmission(link="wifi-A.fwd", retries=i % 3 + 1),
+        lambda i: SegmentRetransmitted(session=i, count=i % 3 + 1),
         lambda i: _tick(("link.queue_bytes.wifi-A.fwd", float(i)),
                         ("link.utilization.wifi-A.fwd", i / 64)),
-        lambda i: PacketDropped(link="internet.fwd", reason="loss", count=i % 2 + 1),
+        lambda i: PacketDropped(link="internet.fwd", count=i % 2 + 1),
         lambda i: CacheStored(store="s", cid=f"c{i}", size_bytes=10, pinned=i % 2 == 0),
         lambda i: CoordinatorTick(signalled=i, decision=True, offline=False),
         lambda i: StagingSignalled(count=1, label='vnf "A"', cids=f"c{i}"),

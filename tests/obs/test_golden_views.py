@@ -74,44 +74,46 @@ SCENARIOS = {
 #: when a sampler tick became one ``GaugeSample`` for all its gauges:
 #: ``trace summary`` (the event counts), ``emit_wide`` and ``trace wide``
 #: (the run record's ``events``, nothing else).  Re-captured once more
-#: when drops and segment retransmissions became run totals: the same
-#: three views, for the same reason.
-GOLDEN = {'handoffs': {'emit_wide': 'f6c8e86e1f6269e365abc0519265dcbb356824f2',
+#: when drops and segment retransmissions became run totals, and again
+#: when link up/down, ARQ and pre-staging events were deleted and a drop
+#: total became one per direction: the same three views, for the same
+#: reason.
+GOLDEN = {'handoffs': {'emit_wide': '8bd72bb39d1545c89e3cd47fac38327f5151c610',
               'render_spans': '03784e5343c0d8d0b4a7887d8289b690d4249f1d',
               'runs why': '21751b7acfbf8a213424761355029b0447fbe247',
               'span_dicts': 'c0e6e6e8287fd559904f733142d5f7a79e3557c1',
               'trace chrome': '884c4acbb10cc4db9e144910e2df83f6f3e93f50',
               'trace diff': '0f49f42f7a5858b2d0af48bfb17ed89e2f9ff86a',
               'trace spans --critical': 'c82d0080a0a85a90feb2677b563080dcbfffb2d6',
-              'trace summary': '15caeca5fc260d025ba227735bb8f4d8919982f4',
-              'trace wide': 'f6c8e86e1f6269e365abc0519265dcbb356824f2'},
- 'pair-seed0': {'emit_wide': '5b371546395f3ea5200c173ede1c7dbc2984852e',
+              'trace summary': '96640fff10f5553106f06a98ff605ab27bb73944',
+              'trace wide': '8bd72bb39d1545c89e3cd47fac38327f5151c610'},
+ 'pair-seed0': {'emit_wide': '6dadb98774f3981e1ef3bd2f1d0f8f9855e66eab',
                 'render_spans': 'f977ae6343567ede6223cfc9953e7053579480a6',
                 'runs why': '992b842cb09b021c6c2198a934f89acac690a6b8',
                 'span_dicts': '460eb8800079890db797544b2adf13f9efdaeaf4',
                 'trace chrome': '6cba02ed8613883db855420eb4ac5c18ce166ec6',
                 'trace diff': '0d49a2909859e0bd864a282d63415072fef1bcd3',
                 'trace spans --critical': 'dc900e39176797f877133e4e43f27db1ad33b957',
-                'trace summary': '0f915eedf9eb3c496f2d1aa8a4f7a43d499f9aec',
-                'trace wide': '5b371546395f3ea5200c173ede1c7dbc2984852e'},
- 'pair-seed1': {'emit_wide': '51f8f2c43824383674228b67ee2683dc34bbae23',
+                'trace summary': '3e2a85a235f58accb3f4c64b6ff2621c96760a60',
+                'trace wide': '6dadb98774f3981e1ef3bd2f1d0f8f9855e66eab'},
+ 'pair-seed1': {'emit_wide': '42052706b943f2e600fdf72ec1afb02a3a818732',
                 'render_spans': 'b9bd5c6c51900df78926420143b06eef7d75463b',
                 'runs why': 'e92bb190c7c405d4ad35141c2efd15efa1367853',
                 'span_dicts': '42dea38087db6978d30c5d5ecb142ea3927419f4',
                 'trace chrome': 'de45a3f8f8c7fedb0f9a1c6611acb46194e4c05a',
                 'trace diff': '383a3abe2911a96fc0c3ac3359c244369680bef6',
                 'trace spans --critical': 'aad7aab74431175230ec47ff6fe1dabb1495b81f',
-                'trace summary': '7ccdb4090fb37a1355c6a14fc7e1ec5f34608f53',
-                'trace wide': '51f8f2c43824383674228b67ee2683dc34bbae23'},
- 'rich-choppy': {'emit_wide': 'f3a123ca7a2b1e4e3a98abbe85e4a4e07b2c8d02',
+                'trace summary': '50003c555c353faec3fc29914d9360942a3c2c0e',
+                'trace wide': '42052706b943f2e600fdf72ec1afb02a3a818732'},
+ 'rich-choppy': {'emit_wide': '8f41b8ac46c7450668d9cbae4c3aefbe0b48b697',
                  'render_spans': 'f34d081ca0d851fa91e9c93dc16c876cc9a9b6b6',
                  'runs why': '3a357fbbebf4fb67895f7add350788e2ee4965aa',
                  'span_dicts': '79ac579af0940fee13b1e8d063bce0d667405cfe',
                  'trace chrome': '8750a356f79e66c015f3f4b04dc749270203f7cd',
                  'trace diff': 'fac8b1e1d2daea757f66df8bab3fed2692ebdb75',
                  'trace spans --critical': '66b5b5e907706bd730583af3876c35ce185f0e33',
-                 'trace summary': '2df625e3a7a111d16bd3578bdbb82058b9e33a93',
-                 'trace wide': 'f3a123ca7a2b1e4e3a98abbe85e4a4e07b2c8d02'}}
+                 'trace summary': 'ea3c1f2a1b1bc080cf8d93f071f39bfe2da43b9e',
+                 'trace wide': '8f41b8ac46c7450668d9cbae4c3aefbe0b48b697'}}
 
 
 def _cli(*argv) -> str:

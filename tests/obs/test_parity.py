@@ -53,7 +53,7 @@ def test_coordinator_and_staging_counters_are_consistent(traced_run):
     assert report["coordinator.ticks"] >= signals
     # Staged responses observed by the tracker came from VNF completions.
     staged = traced_run.auditor.event_counts["VnfStageCompleted"]
-    assert 0 < report["staging.responses"] <= staged
+    assert 0 < len(traced_run.metrics.samples("staging.latency")) <= staged
 
 
 def test_replay_report_is_identical_to_live_report(traced_run):
@@ -107,7 +107,7 @@ def test_xftp_run_emits_no_staging_events(tmp_path):
     )
     report = result.metrics.report()
     assert "staging.chunks_signalled" not in report
-    assert "vnf.staging_latency.mean" not in report
+    assert "staging.latency.mean" not in report
     # Xftp drives ChunkFetcher directly (no ChunkManager), so no
     # per-chunk fetch events — but handoffs and cache traffic still show.
     assert "fetch.latency.mean" not in report

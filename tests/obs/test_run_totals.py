@@ -1,10 +1,11 @@
 """Drops and segment retransmissions are state, not events: a traced run
-publishes one ``PacketDropped`` run total per link direction and reason
-(from ``LinkStats``) and one ``SegmentRetransmitted`` run total per
-sender session (from ``SenderSession.retransmissions``) when it ends,
-and replay rebuilds ``net.drops.*`` and ``transport.retransmissions``
-from either format — these totals or an older trace's one event per
-drop and per retransmitted segment."""
+publishes one ``PacketDropped`` run total per link direction (the sum
+of its ``LinkStats`` drop counters) and one ``SegmentRetransmitted``
+run total per sender session (from ``SenderSession.retransmissions``)
+when it ends, and the wide fold's ``dropped_packets`` and the replayed
+``transport.retransmissions`` are the same from either format — these
+totals or an older trace's one event per drop and per retransmitted
+segment."""
 
 import io
 import json
@@ -18,6 +19,7 @@ from repro.experiments.scenario import TestbedScenario
 from repro.experiments.tracedriven import synthesize_traces
 from repro.obs.events import PacketDropped, SegmentRetransmitted
 from repro.obs.trace import read_trace, replay_trace
+from repro.obs.wide import derive_wide
 from repro.transport.reliable import SenderSession
 from repro.util import MB, ms
 
@@ -71,26 +73,26 @@ def _of(stream, cls):
 
 @pytest.mark.parametrize("system", ["xftp", "softstage"])
 def test_one_drop_total_per_direction_and_reason(system, built):
+    """One total per direction, summing its loss, queue and down
+    counters; the wide fold's ``dropped_packets`` is their run sum."""
     result, text = _traced(system)
     (scenario,) = built["scenarios"]
     expected = [
-        (direction.source.name, reason, getattr(direction.stats, counter))
+        (direction.source.name, count)
         for link in scenario.network.links
         for direction in (link.forward, link.backward)
-        for counter, reason in (("dropped_loss", "loss"),
-                                ("dropped_queue", "queue"),
-                                ("dropped_down", "down"))
-        if getattr(direction.stats, counter)
+        for count in [direction.stats.dropped_loss
+                      + direction.stats.dropped_queue
+                      + direction.stats.dropped_down]
+        if count
     ]
     assert expected, "the run should drop packets"
-    drops = _of(read_trace(io.StringIO(text), strict=True), PacketDropped)
-    assert [(s.event.link, s.event.reason, s.event.count)
-            for s in drops] == expected
+    stream = list(read_trace(io.StringIO(text), strict=True))
+    drops = _of(stream, PacketDropped)
+    assert [(s.event.link, s.event.count) for s in drops] == expected
     assert {s.time for s in drops} == {result.download_time}
-    counters = result.metrics.counters
-    for reason in ("loss", "queue", "down"):
-        assert counters.get(f"net.drops.{reason}", 0) == sum(
-            count for _link, why, count in expected if why == reason)
+    run = derive_wide(stream)[-1]
+    assert run["dropped_packets"] == sum(count for _link, count in expected)
 
 
 @pytest.mark.parametrize("system", ["xftp", "softstage"])
@@ -153,11 +155,14 @@ def test_a_per_event_trace_replays_to_the_same_report_as_its_totals():
         '"type":"SegmentRetransmitted"') > 0
     report = replay_trace(io.StringIO(text)).report()
     assert report == result.metrics.report()
+    dropped = derive_wide(read_trace(io.StringIO(text)))[-1]["dropped_packets"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert replay_trace(io.StringIO(old)).report() == report
-    # The per-segment ``seq`` is dropped, with one warning.
+        run = derive_wide(read_trace(io.StringIO(old)))[-1]
+    assert run["dropped_packets"] == dropped > 0
+    # The per-segment ``seq`` is dropped, with one warning per read.
     assert [str(w.message) for w in caught] == [
         "dropping unknown field(s) ['seq'] on SegmentRetransmitted "
-        "(trace written by a newer version?)"]
+        "(trace written by another version?)"] * 2
 

@@ -11,9 +11,11 @@ from repro.obs.events import (
     CacheStored,
     ChunkFetched,
     CoordinatorTick,
+    PacketDropped,
     SegmentTimeout,
 )
 from repro.obs.trace import TORN_LINE
+from repro.obs.wide import derive_wide
 
 SAMPLE = [
     Stamped(0.5, "r0", CoordinatorTick(signalled=2, decision=True, offline=False)),
@@ -79,14 +81,14 @@ def test_exporter_owns_path_file(tmp_path):
 def test_replay_trace_rebuilds_metrics():
     text = export_to_string(SAMPLE)
     collector = replay_trace(io.StringIO(text))
-    report = collector.report()
-    assert report["coordinator.ticks"] == 1
-    assert report["coordinator.decisions"] == 1
-    assert report["cache.insertions"] == 1
-    assert report["cache.stored_bytes"] == 512
-    assert report["transport.timeouts"] == 1
-    assert report["transport.rto.mean"] == 0.375
-    assert report["fetch.latency.mean"] == 0.875
+    assert collector.report() == {
+        "coordinator.ticks": 1,
+        "coordinator.decisions": 1,
+        "transport.timeouts": 1,
+        "fetch.latency.mean": 0.875,
+        "fetch.latency.min": 0.875,
+        "fetch.latency.max": 0.875,
+    }
 
 
 def test_replay_matches_live_collector_report():
@@ -148,7 +150,7 @@ def test_read_trace_skips_a_deleted_event_type_from_an_old_trace():
         "CacheHit", "SessionMigrated"]
     assert [str(w.message) for w in caught] == [
         f"skipping unknown event type {name!r} "
-        "(trace written by a newer version?)"
+        "(trace written by another version?)"
         for name in ("ProfilerSample", "CacheMiss")
     ]
     assert counts == {"ProfilerSample": 2, "CacheMiss": 2}
@@ -191,29 +193,36 @@ def test_replay_trace_survives_unknown_types():
     import warnings as warnings_mod
 
     text = (
-        '{"t":1.0,"run":"r0","type":"CacheStored","store":"s","cid":"c",'
-        '"size_bytes":512,"pinned":true}\n'
+        '{"t":1.0,"run":"r0","type":"SegmentTimeout","session":1,"seq":0,'
+        '"rto":0.5}\n'
         '{"t":2.0,"run":"r0","type":"FutureEvent","x":1}\n'
     )
     with warnings_mod.catch_warnings():
         warnings_mod.simplefilter("ignore")
         collector = replay_trace(io.StringIO(text))
-    assert collector.report()["cache.insertions"] == 1
+    assert collector.report() == {"transport.timeouts": 1}
+
+
+def _dropped_packets(text):
+    """The wide fold's ``dropped_packets`` over one run's trace text."""
+    (run,) = derive_wide(read_trace(io.StringIO(text)))
+    return run["dropped_packets"]
 
 
 def test_pre_count_packet_dropped_traces_still_load():
-    """Traces written before PacketDropped.count default to one drop."""
+    """Traces written before PacketDropped.count default to one drop;
+    their ``reason`` is dropped on read."""
     old_line = '{"t":1.0,"run":"legacy","type":"PacketDropped","link":"l","reason":"loss"}\n'
-    (restored,) = list(read_trace(io.StringIO(old_line)))
-    assert restored.event.count == 1
-    collector = replay_trace(io.StringIO(old_line * 3))
-    assert collector.counters["net.drops.loss"] == 3
+    with pytest.warns(UserWarning, match=r"\['reason'\] on PacketDropped"):
+        (restored,) = list(read_trace(io.StringIO(old_line)))
+    assert restored.event == PacketDropped(link="l", count=1)
+    with pytest.warns(UserWarning):
+        assert _dropped_packets(old_line * 3) == 3
 
 
 def test_batched_packet_dropped_replays_full_count():
-    line = '{"t":1.0,"run":"r","type":"PacketDropped","link":"l","reason":"down","count":7}\n'
-    collector = replay_trace(io.StringIO(line))
-    assert collector.counters["net.drops.down"] == 7
+    line = '{"t":1.0,"run":"r","type":"PacketDropped","link":"l","count":7}\n'
+    assert _dropped_packets(line) == 7
 
 
 # -- the trace of a run that died ---------------------------------------------
@@ -279,3 +288,24 @@ def test_offline_views_survive_a_torn_trace(tmp_path):
     with pytest.warns(UserWarning, match="torn"):
         collector = replay_trace(str(path))
     assert collector.report()["fetch.latency.mean"] == 0.875
+
+
+def test_a_pair_traced_twice_in_one_process_is_the_same_bytes():
+    """Session ids are numbered per simulator, so a run's trace does not
+    depend on the runs before it in the process.  With ``gauges=True``
+    the two would still differ in ``pool.packet_releases`` and
+    ``pool.packets_free``: the packet pool is process-wide."""
+    from repro.experiments.params import MicrobenchParams
+    from repro.experiments.runner import run_download
+    from repro.util import MB
+
+    def traced_pair():
+        buffer = io.StringIO()
+        for system in ("xftp", "softstage"):
+            run_download(system, params=MicrobenchParams(file_size=4 * MB),
+                         seed=0, trace_path=buffer)
+        return buffer.getvalue()
+
+    first = traced_pair()
+    assert '"type":"SegmentTimeout"' in first
+    assert traced_pair() == first

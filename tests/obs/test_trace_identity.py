@@ -224,10 +224,10 @@ class _Ratio(float):
     Stamped(1.0, _Name("run\n1"), CacheHit(store=_Name('s"'), cid="c")),
     Stamped(_Ratio(1.5), "r", GaugeSample(gauges=(_Name("g\u00e9"), "h"),
                                           values=(_Ratio(0.1), 2.0))),
-    Stamped(_Level(2), "r", PacketDropped(link="l", reason="loss", count=_Level(3))),
+    Stamped(_Level(2), "r", PacketDropped(link="l", count=_Level(3))),
     # By value, not by annotation: a bool in an int field, an int in a
     # float field, None and non-finite floats.
-    Stamped(True, "r", PacketDropped(link="l", reason="loss", count=True)),
+    Stamped(True, "r", PacketDropped(link="l", count=True)),
     Stamped(3, "r", GaugeSample(gauges=("g", "h"), values=(4, True))),
     Stamped(float("inf"), "r",
             ChunkStaged(cid="c", staging_latency=None,
@@ -365,7 +365,7 @@ _EVENT_LIKE_LINES = st.builds(
     items=st.sampled_from([
         {"t": 2.5, "run": "r1", "type": "CacheHit", "store": "s", "cid": "c"},
         {"t": 3, "run": "r1", "type": "PacketDropped", "link": "l",
-         "reason": "loss", "count": 2},
+         "count": 2},
         {"t": 4.0, "run": "r1", "type": "CoverageGap", "duration": 1.5},
     ]).flatmap(lambda line: st.permutations(list(line.items()))),
     dropped=st.sets(st.sampled_from(

@@ -7,7 +7,6 @@ from repro.net import Host, Link, Network
 from repro.net.loss import BernoulliLoss
 from repro.sim import RandomStreams, Simulator
 from repro.transport import TransportConfig, TransportEndpoint, XIA_STREAM
-from repro.transport.reliable import new_session_id
 from repro.util import mbps, ms
 from repro.xia import DagAddress, HID
 
@@ -39,7 +38,7 @@ def test_every_byte_arrives_exactly_once(total_bytes, loss, delay_ms, seed):
     ep_a = TransportEndpoint(sim, a, config)
     ep_b = TransportEndpoint(sim, b, config)
 
-    session = new_session_id()
+    session = sim.new_session_id()
     receiver = ep_b.open_receiver(session)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TransportConfig, "min_rto", 0.05)

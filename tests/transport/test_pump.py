@@ -9,7 +9,6 @@ generator process paying one ``Timeout`` per segment — became the
 from repro.obs.events import SessionMigrated
 from repro.sim.profiler import SimProfiler
 from repro.transport import XIA_STREAM
-from repro.transport.reliable import new_session_id
 from repro.util import mbps, ms
 from repro.xia import DagAddress
 from repro.xia.packet import Packet, PacketType
@@ -127,7 +126,7 @@ def test_session_closes_at_send_free_at_when_completed_while_busy():
 
 def test_two_sessions_started_together_keep_their_interleaving():
     pair = Pair(config=XIA_STREAM, bandwidth=mbps(20), delay=ms(1))
-    sessions = [new_session_id(), new_session_id()]
+    sessions = [pair.sim.new_session_id(), pair.sim.new_session_id()]
     log = record_data(pair, sessions)
     for session in sessions:
         pair.ep_b.open_receiver(session)

@@ -11,7 +11,6 @@ from repro.net.loss import BernoulliLoss
 from repro.sim import RandomStreams, Simulator
 from repro.transport import TransportEndpoint, XIA_STREAM
 from repro.transport.config import TransportConfig
-from repro.transport.reliable import new_session_id
 from repro.util import mbps, ms
 from repro.xia import DagAddress, HID
 
@@ -39,7 +38,7 @@ class Pair:
         self.ep_b = TransportEndpoint(self.sim, self.b, config)
 
     def transfer(self, total_bytes):
-        session = new_session_id()
+        session = self.sim.new_session_id()
         receiver = self.ep_b.open_receiver(session)
         sender = self.ep_a.start_send(
             session,
@@ -143,7 +142,7 @@ def test_partial_final_segment_sizes():
 
 def test_sender_idempotent_start():
     pair = Pair()
-    session = new_session_id()
+    session = pair.sim.new_session_id()
     receiver = pair.ep_b.open_receiver(session)
     kwargs = dict(
         dst=DagAddress.host(pair.b.hid),
@@ -157,12 +156,16 @@ def test_sender_idempotent_start():
 
 
 def test_session_ids_unique():
-    assert new_session_id() != new_session_id()
+    """Unique within a simulator; each simulator counts its own, so a
+    scenario's ids do not depend on the ones built before it."""
+    sim = Simulator()
+    assert [sim.new_session_id() for _ in range(3)] == [1, 2, 3]
+    assert Simulator().new_session_id() == 1
 
 
 def test_redirect_restarts_toward_new_destination():
     pair = Pair()
-    session = new_session_id()
+    session = pair.sim.new_session_id()
     receiver = pair.ep_b.open_receiver(session)
     sender = pair.ep_a.start_send(
         session,
@@ -186,7 +189,7 @@ def rto_events(sim):
 
 
 def open_transfer(pair, total_bytes=2_000_000):
-    session = new_session_id()
+    session = pair.sim.new_session_id()
     receiver = pair.ep_b.open_receiver(session)
     sender = pair.ep_a.start_send(
         session, dst=DagAddress.host(pair.b.hid),

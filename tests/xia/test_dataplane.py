@@ -330,6 +330,7 @@ def test_cached_decision_rechecks_store_per_packet():
     class _Store:
         def __init__(self):
             self.cids = set()
+            self.misses = 0
 
         def has(self, cid):
             return cid in self.cids
@@ -350,10 +351,12 @@ def test_cached_decision_rechecks_store_per_packet():
     host_a.send(request())
     sim.run()
     assert len(reached_origin) == 1 and not served  # miss: fell back to origin
+    assert store.misses == 1  # counted where it happened
     store.cids.add(cid)  # the chunk gets staged at the edge
     host_a.send(request())
     sim.run()
     assert len(served) == 1 and len(reached_origin) == 1
+    assert store.misses == 1
     assert served[0].visited  # CID marked visited on the served request
 
 
