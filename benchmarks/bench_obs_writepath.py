@@ -1,17 +1,18 @@
-"""Observability ledger: what each bus attachment costs per event on the
-way in, and each offline view per event on the way back out.
+"""Observability ledger: what each bus attachment costs on the way in,
+and each offline view on the way back out.
 
 Records the stamped event stream of one fixed-seed Xftp + SoftStage
 pair with the flight recorder on (the event mix ``obs_live`` publishes:
-one ``GaugeSample`` per sampler tick carrying every gauge first, then
-``CoordinatorTick`` and ``SegmentTimeout``, and the run totals —
-``SegmentRetransmitted`` per sender session and ``PacketDropped`` per
-link direction), then replays
-exactly that stream, run by run, through fresh attachments wired the way
-``run_download`` wires them: a no-op wildcard (the bus's own cost),
-each bus attachment alone, and all of them together with the sketch
-recorder as a sink of the fold — the hub with one draining thread, as
-``benchmarks/e2e/workloads.lattice`` runs it.
+one ``GaugeSample`` per sampler tick carrying every gauge, the
+per-happening cache, staging, fetch, handoff and coverage events, and
+the run totals published when each run ends — ``PacketDropped`` per
+link direction, ``SegmentRetransmitted`` and ``SegmentTimeout`` per
+sender session and one ``CoordinatorTick`` per SoftStage run), then
+replays exactly that stream, run by run, through fresh attachments
+wired the way ``run_download`` wires them: a no-op wildcard (the bus's
+own cost), each bus attachment alone, and all of them together with
+the sketch recorder as a sink of the fold — the hub with one draining
+thread, as ``benchmarks/e2e/workloads.lattice`` runs it.
 
 Per row it reports
 
@@ -19,38 +20,34 @@ Per row it reports
   the whole stream, ``hub`` only the gauge ticks);
 - ``us_per_event`` — host µs per *published* event (median of
   ``--rounds`` replays), so rows are comparable and roughly additive;
-- ``py_calls_per_event`` — Python frames entered per published event
-  (``sys.setprofile`` ``call`` events on the publishing thread; exact on
-  any machine, which is what ``--check`` gates).
+- ``py_calls_per_event`` and ``py_calls_per_mb`` — Python frames
+  entered (``sys.setprofile`` ``call`` events on the publishing thread;
+  exact on any machine) per published event and per downloaded MB.
 
-The ``all`` row's frames are also reported per downloaded MB
-(``all.py_calls_per_mb``): what the whole lattice costs a run, whatever
-the event mix — the per-event figure alone rises when events are
-merged into fewer, fatter ones (a tick's ~45 gauge readings in one
-``GaugeSample``) or cheap ones leave the stream (per-drop and
-per-retransmit events becoming run totals).
+Per downloaded MB is what ``--check`` gates: what the row costs a run,
+whatever the event mix.  The per-event figure alone rises when events
+are merged into fewer, fatter ones (a tick's ~45 gauge readings in one
+``GaugeSample``) or cheap ones leave the stream (per-drop,
+per-retransmit, per-round and per-expiry events becoming run totals).
 
 Every row includes ``EventBus.publish`` itself; subtract ``noop`` for a
 handler's own share.
 
-The read side gets the same two columns over the same stream, written
-once to a temporary JSONL trace (both runs, one file) and read back by
-the four views that re-read a trace — ``read`` (``read_trace`` alone,
+The read side gets the same columns over the same stream, written once
+to a temporary JSONL trace (both runs, one file) and read back by the
+four views that re-read a trace — ``read`` (``read_trace`` alone,
 counted by a generator expression as the referee's ``obs_offline``
 counts it), ``replay`` (``replay_trace``), ``runs`` (``load_runs``) and
 ``wide`` (``derive_wide``).  Each includes the ``read`` row's work.
 
 ``PYTHONPATH=src python -m benchmarks.bench_obs_writepath`` prints the
 table and, unless ``--no-record``, appends it to ``BENCH_obs.json`` via
-:mod:`repro.perf`; ``--check`` fails when ``all.py_calls_per_event`` is
-above ``ALL_PY_CALLS_PER_EVENT_CEILING``, when ``all.py_calls_per_mb``
-is above ``ALL_PY_CALLS_PER_MB_CEILING``, when
-``collector.py_calls_per_event`` is above
-``COLLECTOR_PY_CALLS_PER_EVENT_CEILING``, when
-``read.py_calls_per_event`` is above ``READ_PY_CALLS_PER_EVENT_CEILING``
-or when the exporter's bytes for the stream differ from the reference
-``asdict`` + ``json.dumps`` encoding the trace format is defined by
-(with a run's gauge names stated once, :func:`reference_line`).
+:mod:`repro.perf`; ``--check`` fails when ``all.py_calls_per_mb``,
+``collector.py_calls_per_mb`` or ``read.py_calls_per_mb`` is above its
+``*_PY_CALLS_PER_MB_CEILING``, or when the exporter's bytes for the
+stream differ from the reference ``asdict`` + ``json.dumps`` encoding
+the trace format is defined by (with a run's gauge names stated once,
+:func:`reference_line`).
 """
 
 from __future__ import annotations
@@ -108,47 +105,31 @@ READ_ROWS = {
     "wide": lambda path: derive_wide(read_trace(path)),
 }
 
-#: ``--check`` fails above this many Python calls per published event
-#: with the whole lattice attached.  The recorded seed-0 stream costs
-#: 11.64: a sampler tick is one ``GaugeSample`` carrying its ~45
-#: readings, which each consumer loops over, and the 295 ticks are 38 %
-#: of the 785 events (11.89 on the 817-event stream that still carried
-#: link up/down, ARQ and per-reason drop events; 28.29 before the
-#: collector kept a tick whole; 18.09 on the 1,734-event stream with one
-#: cheap event per drop and per retransmitted segment, 11.78 when each
-#: gauge reading was an event).  The ceiling was set ~10 % above the
-#: 28.29 and has not moved since.
-ALL_PY_CALLS_PER_EVENT_CEILING = 31.0
+#: ``--check`` gates Python calls per downloaded MB — what a run pays,
+#: whatever its event mix — each ceiling ~10 % above the recorded pair's
+#: cost.  Per event, the figure would reward adding cheap events and
+#: punish merging or removing them (a run total in place of one event
+#: per round or per expiry leaves ``read`` 35 % less work but more
+#: frames per remaining event), so the per-event columns are
+#: information only.
+#:
+#: The whole lattice: 92 per MB on the 475-event stream, where a sampler
+#: tick is one ``GaugeSample`` carrying its ~45 readings and the 295
+#: ticks are 62 % of the events; a per-packet emit site coming back
+#: costs far more than the room left.
+ALL_PY_CALLS_PER_MB_CEILING = 101
 
-#: ``--check`` fails above this many Python calls per downloaded MB with
-#: the whole lattice attached: what a run pays, whatever its event mix.
-#: The pair costs 143 per MB (152 with link up/down, ARQ and per-reason
-#: drop events, 361 before the collector kept a tick whole, 490 with
-#: one event per drop and per retransmitted segment, 2,695 with one
-#: ``GaugeSample`` per gauge reading as well, 4,967 with one ARQ event
-#: per retried frame too); a per-packet emit site coming back costs
-#: more than the room left.
-ALL_PY_CALLS_PER_MB_CEILING = 400
+#: The collector alone: 18.6 per MB — the bus, the collector's
+#: ``_on_event`` and, for an event it counts, one handler and its
+#: ``count``/``observe`` frames; a gauge tick is kept whole, one frame.
+COLLECTOR_PY_CALLS_PER_MB_CEILING = 20.5
 
-#: ``--check`` fails above this many Python calls per published event
-#: with the collector alone attached.  It costs 3.10: the bus, the
-#: collector's ``_on_event`` and, for an event it counts, one handler
-#: and its ``count``/``observe`` frames; a gauge tick is kept whole, one
-#: frame (3.52 while it also kept names nothing read, 19.90 when each
-#: reading entered its own per-gauge series ``record`` frame).  One more
-#: frame per event is +32 %.
-COLLECTOR_PY_CALLS_PER_EVENT_CEILING = 4.0
-
-#: ``--check`` fails above this many Python calls per event of a bare
-#: ``read_trace`` pass.  It costs 3.42 — the event's constructor, the
-#: reader's resume and the counting consumer's, plus, on the 38 % of
-#: lines that are gauge ticks, the ``__post_init__`` that turns their
-#: JSON lists back into tuples (3.22 when ticks were 17 % of a stream
-#: with one event per drop) — since the reader calls the ``json`` C
-#: scanner itself and builds ``Stamped`` as the tuple it is (7.01
-#: before: three frames of ``json.loads`` and one of ``Stamped.__init__``
-#: more); one more frame per event is +29 %.
-READ_PY_CALLS_PER_EVENT_CEILING = 3.5
+#: A bare ``read_trace`` pass: 27.4 per MB — the event's constructor,
+#: the reader's resume and the counting consumer's per line, plus, on
+#: gauge ticks, the ``__post_init__`` that turns their JSON lists back
+#: into tuples; the reader calls the ``json`` C scanner itself and
+#: builds ``Stamped`` as the tuple it is.
+READ_PY_CALLS_PER_MB_CEILING = 30.0
 
 
 def reference_line(stamped: Stamped, written: dict) -> str:
@@ -310,7 +291,7 @@ def measure(runs: list[list[Stamped]], trace: str, rounds: int = 5) -> dict:
             statistics.median(seconds[row][1:]) / events * 1e6
         )
         metrics[f"{row}.py_calls_per_event"] = calls[row] / events
-    metrics["all.py_calls_per_mb"] = calls["all"] / (len(runs) * FILE_MB)
+        metrics[f"{row}.py_calls_per_mb"] = calls[row] / (len(runs) * FILE_MB)
     return metrics
 
 
@@ -321,16 +302,15 @@ def render(metrics: dict) -> str:
         for key, value in metrics.items() if key.startswith("mix.")
     )]
     lines.append(f"{'row':>10} {'events':>8} {'us/event':>9} {'ms':>8} "
-                 f"{'py calls/event':>15}")
+                 f"{'py calls/event':>15} {'py calls/MB':>12}")
     for row in (*ROWS, *READ_ROWS):
         us = metrics[f"{row}.us_per_event"]
         lines.append(
             f"{row:>10} {metrics[f'{row}.events']:>8} {us:>9.3f} "
             f"{us * events / 1e3:>8.1f} "
-            f"{metrics[f'{row}.py_calls_per_event']:>15.2f}"
+            f"{metrics[f'{row}.py_calls_per_event']:>15.2f} "
+            f"{metrics[f'{row}.py_calls_per_mb']:>12.1f}"
         )
-    lines.append(f"all: {metrics['all.py_calls_per_mb']:,.0f} py calls "
-                 f"per downloaded MB")
     return "\n".join(lines)
 
 
@@ -349,22 +329,13 @@ def main(argv=None) -> int:
     def budget_gate(args, metrics):
         if not args.check:
             return
-        calls = metrics["all.py_calls_per_event"]
-        if calls > ALL_PY_CALLS_PER_EVENT_CEILING:
-            yield (f"all.py_calls_per_event: {calls:.2f} is above the "
-                   f"{ALL_PY_CALLS_PER_EVENT_CEILING} ceiling")
-        calls = metrics["all.py_calls_per_mb"]
-        if calls > ALL_PY_CALLS_PER_MB_CEILING:
-            yield (f"all.py_calls_per_mb: {calls:,.0f} is above the "
-                   f"{ALL_PY_CALLS_PER_MB_CEILING:,} ceiling")
-        calls = metrics["collector.py_calls_per_event"]
-        if calls > COLLECTOR_PY_CALLS_PER_EVENT_CEILING:
-            yield (f"collector.py_calls_per_event: {calls:.2f} is above the "
-                   f"{COLLECTOR_PY_CALLS_PER_EVENT_CEILING} ceiling")
-        calls = metrics["read.py_calls_per_event"]
-        if calls > READ_PY_CALLS_PER_EVENT_CEILING:
-            yield (f"read.py_calls_per_event: {calls:.2f} is above the "
-                   f"{READ_PY_CALLS_PER_EVENT_CEILING} ceiling")
+        for row, ceiling in (("all", ALL_PY_CALLS_PER_MB_CEILING),
+                             ("collector", COLLECTOR_PY_CALLS_PER_MB_CEILING),
+                             ("read", READ_PY_CALLS_PER_MB_CEILING)):
+            calls = metrics[f"{row}.py_calls_per_mb"]
+            if calls > ceiling:
+                yield (f"{row}.py_calls_per_mb: {calls:.1f} is above the "
+                       f"{ceiling} ceiling")
         if not exporter_matches_reference(runs):
             yield ("TraceExporter's output differs from the reference "
                    "asdict + json.dumps encoding")

@@ -39,7 +39,6 @@ from repro.core.profile import ChunkProfile
 from repro.core.states import FetchState, StagingState
 from repro.core.tracker import StagingTracker
 from repro.core.vnf import vnf_address
-from repro.obs.events import CoordinatorTick
 from repro.sim import Simulator
 from repro.xia.dag import DagAddress
 
@@ -71,9 +70,7 @@ class StagingCoordinator:
         self.policy = policy or ReactiveEq1Policy()
         self.ticks = 0
         #: Decisions taken, by a poll (:meth:`tick`) or by a lifecycle
-        #: hook alike.  The collector's ``coordinator.decisions`` counts
-        #: ``CoordinatorTick(decision=True)`` only, so for a policy whose
-        #: hooks act (rich, predictive) this is the larger number.
+        #: hook alike.
         self.decisions = 0
         self._running = False
         # Relay association events to the policy's lifecycle hooks.
@@ -180,25 +177,12 @@ class StagingCoordinator:
     def tick(self) -> int:
         """One coordination round; returns chunks newly signalled."""
         self.ticks += 1
-        probe = self.sim.probe
         if self.sensor.current_vnf_address() is None:
-            if probe.active:
-                probe.emit(
-                    CoordinatorTick(signalled=0, decision=False, offline=True)
-                )
             return 0  # offline, or no VNF here (fault-tolerance path)
 
-        observation = self.observe()
-        actions = self.policy.decide(observation)
-        signalled, decided = self._execute(actions)
+        signalled, decided = self._execute(self.policy.decide(self.observe()))
         if decided:
             self.decisions += 1
-        if probe.active:
-            probe.emit(
-                CoordinatorTick(
-                    signalled=signalled, decision=decided, offline=False
-                )
-            )
         return signalled
 
     # -- lifecycle hook relays --------------------------------------------------

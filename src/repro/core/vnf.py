@@ -87,7 +87,6 @@ class StagingVNF:
             probe.emit(
                 StageRequestReceived(
                     vnf=self.router.name,
-                    chunks=len(chunks),
                     cids=",".join(e["cid"].short for e in chunks),
                 )
             )

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Optional, Union
 
 from repro.core.client import DownloadResult, MobileClient
+from repro.core.coordinator import StagingCoordinator
 from repro.core.handoff import HandoffPolicy
 from repro.core.policy import StagingPolicy, make_policy, policy_name
 from repro.errors import ConfigurationError
@@ -30,7 +31,7 @@ from repro.experiments.scenario import TestbedScenario, system_class
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.coverage import Coverage
 from repro.net.link import Link
-from repro.obs.events import PacketDropped, SegmentRetransmitted
+from repro.obs import events as ev
 from repro.obs.flight import (
     GaugeSampler,
     InvariantAuditor,
@@ -85,16 +86,19 @@ class ExperimentResult:
 
 
 def publish_run_totals(
-    probe: Probe, links: Iterable[Link], endpoints: Iterable[TransportEndpoint]
+    probe: Probe, links: Iterable[Link], endpoints: Iterable[TransportEndpoint],
+    coordinator: Optional[StagingCoordinator] = None,
 ) -> None:
     """Publish what the run's objects counted as one event per total.
 
     In ``links`` order, forward before backward, each direction's drops
     (loss, queue and down summed); then, in ``endpoints`` order, each
-    sender session's retransmissions.  Only non-zero totals are
-    published, so a replayed trace rebuilds exactly what the live
-    collector and fold hold.  ARQ retries are not published: the
-    wireless direction's ``retransmissions`` is their one record.
+    sender session's retransmissions and timer expiries; then the
+    ``coordinator``'s rounds and decisions (a SoftStage client's only).
+    Only non-zero totals are published, so a replayed trace rebuilds
+    exactly what the live collector and fold hold.  ARQ retries are
+    not published: the wireless direction's ``retransmissions`` is
+    their one record.
     """
     emit = probe.emit
     for link in links:
@@ -102,10 +106,15 @@ def publish_run_totals(
             stats = direction.stats
             count = stats.dropped_loss + stats.dropped_queue + stats.dropped_down
             if count:
-                emit(PacketDropped(link=direction.source.name, count=count))
+                emit(ev.PacketDropped(link=direction.source.name, count=count))
     for endpoint in endpoints:
-        for session, count in endpoint.retransmission_totals().items():
-            emit(SegmentRetransmitted(session=session, count=count))
+        for session, (rexmits, timeouts) in endpoint.session_totals().items():
+            emit(ev.SegmentRetransmitted(session=session, count=rexmits))
+            if timeouts:
+                emit(ev.SegmentTimeout(session=session, count=timeouts))
+    if coordinator is not None and coordinator.ticks:
+        emit(ev.CoordinatorTick(
+            count=coordinator.ticks, decision=coordinator.decisions))
 
 
 def object_totals(
@@ -129,8 +138,6 @@ def object_totals(
     manager = getattr(client, "manager", None)
     if manager is not None:
         tracker, chunks = manager.tracker, manager.chunk_manager
-        totals["CoordinatorTick"] = (
-            "coordinator.ticks", manager.coordinator.ticks)
         totals["StagingSignalled"] = (
             "tracker.signals_sent", tracker.signals_sent)
         totals["StaleStagingResponse"] = (
@@ -299,27 +306,26 @@ def run_download(
             handoff_policy=handoff_policy,
             staging_policy=staging_policy,
         )
+        # The staging pipeline (its gauges, the coordinator's totals)
+        # exists for a SoftStage client only.
+        manager = getattr(client, "manager", None)
         if gauges:
-            # The staging-pipeline gauges need the manager, which only
-            # exists for a SoftStage client.
-            sampler = install_flight_recorder(
-                scenario,
-                manager=getattr(client, "manager", None),
-            )
+            sampler = install_flight_recorder(scenario, manager=manager)
         process = scenario.sim.process(
             client.download(content, deadline=deadline)
         )
         download: DownloadResult = scenario.sim.run(until=process)
         probe = scenario.sim.probe
         if probe.active:
-            # ARQ retries, drops and segment retransmissions are state on
-            # the links and sessions, published as totals — before the
-            # fold's run record counts the events it saw.
+            # Drops, segment retransmissions, timer expiries and the
+            # coordinator's rounds are state on the objects that count
+            # them, published as totals — before the fold's run record
+            # counts the events it saw.
             publish_run_totals(probe, scenario.network.links, (
                 scenario.server.endpoint,
                 *(edge.endpoint for edge in scenario.edges),
                 scenario.client_endpoint,
-            ))
+            ), manager.coordinator if manager is not None else None)
         if fold is not None:
             # Emit the run-summary wide record (post-run, like the live
             # trace's last events) before anything reads the output.

@@ -133,10 +133,7 @@ class MetricsCollector:
 
 # -- the event-to-metric mapping ---------------------------------------------
 #
-# One function per event type.  The names are the collector's own, not
-# mirrors of object counts: ``coordinator.decisions`` counts
-# ``CoordinatorTick(decision=True)`` only, while
-# ``StagingCoordinator.decisions`` also counts hook decisions.
+# One function per event type.
 
 
 def _on_process_failed(c: MetricsCollector, e: ev.ProcessFailed) -> None:
@@ -144,7 +141,7 @@ def _on_process_failed(c: MetricsCollector, e: ev.ProcessFailed) -> None:
 
 
 def _on_segment_timeout(c: MetricsCollector, e: ev.SegmentTimeout) -> None:
-    c.count("transport.timeouts")
+    c.count("transport.timeouts", e.count)
 
 
 def _on_segment_rexmit(c: MetricsCollector, e: ev.SegmentRetransmitted) -> None:
@@ -156,9 +153,9 @@ def _on_session_migrated(c: MetricsCollector, e: ev.SessionMigrated) -> None:
 
 
 def _on_coordinator_tick(c: MetricsCollector, e: ev.CoordinatorTick) -> None:
-    c.count("coordinator.ticks")
+    c.count("coordinator.ticks", e.count)
     if e.decision:
-        c.count("coordinator.decisions")
+        c.count("coordinator.decisions", e.decision)
 
 
 def _on_staging_signalled(c: MetricsCollector, e: ev.StagingSignalled) -> None:

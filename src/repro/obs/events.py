@@ -19,11 +19,12 @@ obs        :class:`GaugeSample` (one flight-recorder tick: every sampled
 net        :class:`PacketDropped` (one run total per direction,
            published when the run ends)
 transport  :class:`SegmentTimeout`, :class:`SegmentRetransmitted` (one
-           run total per sender session, published when the run
+           run total each per sender session, published when the run
            ends), :class:`SessionMigrated`
 xcache     :class:`CacheHit`, :class:`CacheStored`, :class:`CacheEvicted`
            (a miss is the store's own count, ``ContentStore.misses``)
-core       :class:`CoordinatorTick`, :class:`StagingSignalled`,
+core       :class:`CoordinatorTick` (one run total, published when the
+           run ends), :class:`StagingSignalled`,
            :class:`ChunkStaged`, :class:`StaleStagingResponse`,
            :class:`StageRequestReceived`, :class:`VnfStageCompleted`,
            :class:`VnfStageFailed`, :class:`ChunkFetched`,
@@ -81,11 +82,13 @@ class PacketDropped(ObsEvent):
 
 @dataclass(frozen=True, slots=True)
 class SegmentTimeout(ObsEvent):
-    """A sender session's retransmission timer fired."""
+    """One sender session's RTO expiries, as a run total published
+    when the run ends, like :class:`SegmentRetransmitted`.  An older
+    per-expiry line reads as a total of one, ``seq`` and ``rto``
+    dropped."""
 
     session: int
-    seq: int
-    rto: float
+    count: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +128,6 @@ class CacheStored(ObsEvent):
     store: str
     cid: str
     size_bytes: int
-    pinned: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,16 +142,14 @@ class CacheEvicted(ObsEvent):
 
 @dataclass(frozen=True, slots=True)
 class CoordinatorTick(ObsEvent):
-    """One staging-coordinator round.
+    """The staging coordinator's rounds (``count``) and decisions
+    (polls and lifecycle hooks that signalled fresh chunks), as one run
+    total published when the run ends.  An older per-round line reads
+    as a total of one, ``signalled`` and ``offline`` dropped: its
+    ``decision`` bool is a count of one or zero."""
 
-    ``offline`` marks rounds skipped for lack of a reachable VNF;
-    ``decision`` marks rounds that signalled fresh (non-re-signal)
-    chunks; ``signalled`` is the total chunks signalled this round.
-    """
-
-    signalled: int
-    decision: bool
-    offline: bool
+    count: int = 1
+    decision: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +191,6 @@ class StageRequestReceived(ObsEvent):
     """
 
     vnf: str
-    chunks: int
     cids: str = ""
 
 

@@ -17,7 +17,7 @@ import math
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.errors import TransportError
-from repro.obs.events import SegmentTimeout, SessionMigrated
+from repro.obs.events import SessionMigrated
 from repro.sim import Event, Simulator
 from repro.sim.core import NORMAL, PENDING, URGENT
 from repro.transport.config import TransportConfig
@@ -37,10 +37,10 @@ class TransportEndpoint:
         self.config = config
         self.senders: dict[int, SenderSession] = {}
         self.receivers: dict[int, ReceiverSession] = {}
-        #: Session id -> segments retransmitted by this endpoint's
-        #: closed sender sessions of that id that retransmitted any
-        #: (an open session still holds its own count).
-        self._closed_retransmissions: dict[int, int] = {}
+        #: ``(session id, retransmissions, timeouts)`` of each closed
+        #: sender session that retransmitted any (every RTO expiry
+        #: retransmits); the session itself is not kept.
+        self._closed_totals: list[tuple[int, int, int]] = []
 
     # -- session factories ---------------------------------------------------
 
@@ -77,23 +77,26 @@ class TransportEndpoint:
     def close_session(self, session_id: int) -> None:
         sender = self.senders.pop(session_id, None)
         if sender is not None and sender.retransmissions:
-            closed = self._closed_retransmissions
-            closed[session_id] = (
-                closed.get(session_id, 0) + sender.retransmissions
+            self._closed_totals.append(
+                (session_id, sender.retransmissions, sender.timeouts)
             )
         self.receivers.pop(session_id, None)
         self.host.unregister_session(session_id)
 
-    def retransmission_totals(self) -> dict[int, int]:
-        """Session id -> segments retransmitted, for every sender session
-        of this endpoint that retransmitted any, closed or still open:
-        the run's ``SegmentRetransmitted`` totals."""
-        totals = dict(self._closed_retransmissions)
-        for session_id, sender in self.senders.items():
-            if sender.retransmissions:
-                totals[session_id] = (
-                    totals.get(session_id, 0) + sender.retransmissions
-                )
+    def session_totals(self) -> dict[int, tuple[int, int]]:
+        """Session id -> ``(retransmissions, timeouts)``, for every sender
+        session of this endpoint that retransmitted any, closed or still
+        open: the run's ``SegmentRetransmitted`` and ``SegmentTimeout``
+        totals."""
+        still_open = [
+            (sender.session_id, sender.retransmissions, sender.timeouts)
+            for sender in self.senders.values()
+        ]
+        totals: dict[int, tuple[int, int]] = {}
+        for session_id, rexmits, timeouts in self._closed_totals + still_open:
+            if rexmits:
+                before = totals.get(session_id, (0, 0))
+                totals[session_id] = (before[0] + rexmits, before[1] + timeouts)
         return totals
 
     # -- mobility ------------------------------------------------------------
@@ -157,9 +160,8 @@ class SenderSession:
         self._rto_deadline = 0.0
         self._rto_event_at: Optional[float] = None
 
-        # Stats.  ``retransmissions`` is also the session's run-end
-        # ``SegmentRetransmitted`` total (see
-        # ``TransportEndpoint.retransmission_totals``).
+        # Stats, and the session's run-end ``SegmentRetransmitted`` and
+        # ``SegmentTimeout`` totals (``TransportEndpoint.session_totals``).
         self.retransmissions = 0
         self.timeouts = 0
 
@@ -409,11 +411,6 @@ class SenderSession:
 
     def _on_timeout(self) -> None:
         self.timeouts += 1
-        probe = self.sim.probe
-        if probe.active:
-            probe.emit(
-                SegmentTimeout(session=self.session_id, seq=self.head, rto=self.rto)
-            )
         self.ssthresh = max(self.inflight / 2.0, 2.0)
         self.cwnd = 1.0
         self.dup_acks = 0

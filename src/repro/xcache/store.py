@@ -114,7 +114,6 @@ class ContentStore:
                     store=self.name,
                     cid=chunk.cid.short,
                     size_bytes=chunk.size_bytes,
-                    pinned=pin,
                 )
             )
         self.eviction.on_insert(chunk.cid, self._clock())

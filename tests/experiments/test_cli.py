@@ -90,9 +90,11 @@ def test_cli_demo_trace_and_spans(tmp_path, capsys):
 #: names came to be written once (each run replays to the same report
 #: and timelines as from the trace before), and when the link up/down,
 #: ARQ and pre-staging events went and session ids became per simulator
-#: (the same wide records but for each run record's ``events``).
+#: (the same wide records but for each run record's ``events``), and
+#: when coordinator rounds and RTO expiries became run totals (each run
+#: replays to the same report and timelines as from the trace before).
 SWEEP_SERIES_SHA1 = "1e4a11b8ad9a8aba4047260f26051ec54cb98eb4"
-SWEEP_TRACE_SHA1 = "4c5328ad5e4f3536bbeada8ff62078adb55bc4ff"
+SWEEP_TRACE_SHA1 = "b0bd38deb65320e7f0c5b7a2d186cb76aa7454db"
 
 
 def test_cli_sweep_trace_and_series_are_pinned_for_any_jobs(tmp_path):

@@ -1,18 +1,22 @@
 """The event catalogue is closed: every type in ``EVENT_TYPES`` is
-emitted somewhere, consumed by some view and named in DESIGN.md §7.
+emitted somewhere, consumed by some view and named in DESIGN.md §7,
+and every field of it is read by a handler of its type.
 
 And it holds state changes, not frames: the run totals are built only
 where a run ends, and no function on the packet path builds an event."""
 
 import ast
+import inspect
 import re
+import textwrap
 from collections import defaultdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 import pytest
 
-from repro.metrics.collector import _EVENT_METRICS
+from repro.metrics.collector import _EVENT_METRICS, MetricsCollector
 from repro.obs.events import EVENT_TYPES, GaugeSample
 from repro.obs.flight import InvariantAuditor
 from repro.obs.wide import _HANDLERS
@@ -88,9 +92,91 @@ def test_event_type_is_emitted_consumed_and_documented(name):
     )
 
 
+def handlers(cls: type) -> list:
+    """The functions the collector, the fold and the auditor run on an
+    event of class ``cls`` (the collector keeps a ``GaugeSample`` in its
+    ``_on_event`` itself)."""
+    found = [table[cls] for table in
+             (_EVENT_METRICS, _HANDLERS, InvariantAuditor._BOOKS)
+             if cls in table]
+    if cls is GaugeSample:
+        found.append(MetricsCollector._on_event)
+    return found
+
+
+def fields_read(handler) -> set[str]:
+    """The attributes ``handler`` reads off the event: its last
+    parameter, or a name bound to that parameter's ``.event``."""
+    function = ast.parse(textwrap.dedent(inspect.getsource(handler))).body[0]
+    names = {function.args.args[-1].arg}
+    for node in ast.walk(function):
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "event"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in names):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {
+        node.attr for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in names
+    }
+
+
+#: ``Type.field`` -> why it stays although no handler reads it: the key
+#: that says what a count or happening is of, and the crash record.
+UNREAD = {
+    "PacketDropped.link": "key: the link direction the run total is of",
+    "SegmentRetransmitted.session": "key: the sender session the run "
+                                    "total is of",
+    "SegmentTimeout.session": "key: the sender session the run total is of",
+    "SessionMigrated.session": "key: the sender session that moved",
+    "CacheHit.store": "key: the store that served the hit",
+    "CacheEvicted.cid": "key: the chunk that left the store",
+    "VnfStageFailed.vnf": "key: the VNF whose prefetch failed",
+    "ProcessFailed.process": "the one record of a crash, which people read: "
+                             "the process that died",
+    "ProcessFailed.error": "the one record of a crash, which people read: "
+                           "what it raised",
+}
+
+
+def _unread(name: str) -> list[str]:
+    cls = EVENT_TYPES[name]
+    read = set().union(*map(fields_read, handlers(cls)))
+    return [f"{name}.{f.name}" for f in fields(cls) if f.name not in read]
+
+
+@pytest.mark.parametrize("name", EVENT_TYPES)
+def test_every_field_of_an_event_has_a_reader(name):
+    unread = [field for field in _unread(name) if field not in UNREAD]
+    assert not unread, (
+        f"no handler of {name} reads {unread}: delete the field, or say in "
+        f"UNREAD why it stays"
+    )
+
+
+def test_the_unread_table_is_live():
+    unread = {field for name in EVENT_TYPES for field in _unread(name)}
+    assert set(UNREAD) <= unread, sorted(set(UNREAD) - unread)
+
+
+def test_a_handler_reads_through_its_parameter_or_its_event():
+    def book(self, stamped, event):
+        return event.cid, stamped.time
+
+    def on_event(self, stamped):
+        event = stamped.event
+        return event.gauges, self.values
+
+    assert fields_read(book) == {"cid"}
+    assert fields_read(on_event) == {"event", "gauges"}
+
+
 #: Event types that are run totals: counted by the objects as the run
 #: goes and published once, by ``run_download``, when it ends.
-RUN_TOTALS = ("PacketDropped", "SegmentRetransmitted")
+RUN_TOTALS = ("PacketDropped", "SegmentRetransmitted", "SegmentTimeout",
+              "CoordinatorTick")
 
 
 @pytest.mark.parametrize("name", RUN_TOTALS)

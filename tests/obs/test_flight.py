@@ -14,6 +14,7 @@ from repro.obs.events import (
     CacheEvicted,
     CacheHit,
     CacheStored,
+    ChunkFetched,
     ChunkStaged,
     CoordinatorTick,
     GaugeSample,
@@ -196,7 +197,7 @@ def test_audited_live_run_is_clean():
 
 def test_eviction_exceeding_stored_bytes_fires():
     bus, auditor = _audited_bus()
-    bus.publish(_stamp(CacheStored(store="s", cid="c1", size_bytes=100, pinned=False)))
+    bus.publish(_stamp(CacheStored(store="s", cid="c1", size_bytes=100)))
     with pytest.raises(InvariantViolationError) as info:
         bus.publish(_stamp(CacheEvicted(store="s", cid="c1", size_bytes=200)))
     (violation,) = info.value.violations
@@ -206,7 +207,7 @@ def test_eviction_exceeding_stored_bytes_fires():
 
 def test_occupancy_gauge_disagreeing_with_balance_fires():
     bus, auditor = _audited_bus()
-    bus.publish(_stamp(CacheStored(store="s", cid="c1", size_bytes=100, pinned=False)))
+    bus.publish(_stamp(CacheStored(store="s", cid="c1", size_bytes=100)))
     with pytest.raises(InvariantViolationError):
         bus.publish(_stamp(_tick(("cache.occupancy_bytes.s", 150.0))))
     assert not auditor.ok
@@ -214,7 +215,7 @@ def test_occupancy_gauge_disagreeing_with_balance_fires():
 
 def test_ready_without_pending_fires_with_a_useful_report():
     bus, auditor = _audited_bus()
-    bus.publish(_stamp(CacheStored(store="s", cid="c9", size_bytes=1, pinned=False)))
+    bus.publish(_stamp(CacheStored(store="s", cid="c9", size_bytes=1)))
     with pytest.raises(InvariantViolationError) as info:
         bus.publish(
             _stamp(
@@ -236,10 +237,10 @@ def test_ready_without_pending_fires_with_a_useful_report():
 
 def test_monotonic_time_violation_fires():
     bus, _auditor = _audited_bus()
-    bus.publish(_stamp(CacheStored(store="s", cid="c", size_bytes=1, pinned=False), time=5.0))
+    bus.publish(_stamp(CacheStored(store="s", cid="c", size_bytes=1), time=5.0))
     with pytest.raises(InvariantViolationError) as info:
         bus.publish(
-            _stamp(CacheStored(store="s", cid="d", size_bytes=1, pinned=False), time=4.0)
+            _stamp(CacheStored(store="s", cid="d", size_bytes=1), time=4.0)
         )
     assert info.value.violations[0].invariant == "monotonic-time"
 
@@ -332,8 +333,8 @@ def _mixed_events(n=40):
         lambda i: _tick(("link.queue_bytes.wifi-A.fwd", float(i)),
                         ("link.utilization.wifi-A.fwd", i / 64)),
         lambda i: PacketDropped(link="internet.fwd", count=i % 2 + 1),
-        lambda i: CacheStored(store="s", cid=f"c{i}", size_bytes=10, pinned=i % 2 == 0),
-        lambda i: CoordinatorTick(signalled=i, decision=True, offline=False),
+        lambda i: CacheStored(store="s", cid=f"c{i}", size_bytes=10),
+        lambda i: CoordinatorTick(count=i + 1, decision=i // 2),
         lambda i: StagingSignalled(count=1, label='vnf "A"', cids=f"c{i}"),
     ]
     return [
@@ -373,12 +374,13 @@ def test_object_totals_timeline_is_the_same_rendering():
     for stamped in published:
         bus.publish(stamped)
     found = auditor.check_object_totals({
-        "CoordinatorTick": ("coordinator.ticks", 3),  # the bus carried 6
-        "StagingSignalled": ("tracker.signals_sent", 6),  # agrees
+        "StagingSignalled": ("tracker.signals_sent", 3),  # the bus carried 6
+        "CacheHit": ("Σ store.hits", 0),  # agrees
         "ChunkFetched": ("chunks_from_edge + chunks_from_origin", 1),
     })
     assert [v.detail for v in found] == [
-        "the bus carried 6 CoordinatorTick events but coordinator.ticks is 3",
+        "the bus carried 6 StagingSignalled events but tracker.signals_sent "
+        "is 3",
         "the bus carried 0 ChunkFetched events but "
         "chunks_from_edge + chunks_from_origin is 1",
     ]
@@ -434,12 +436,12 @@ def _wrapped_emit(monkeypatch, rewrite):
     )
 
 
-def test_a_swallowed_coordinator_tick_fails_the_audited_run(monkeypatch):
-    ticks = itertools.count()
+def test_a_swallowed_chunk_fetch_fails_the_audited_run(monkeypatch):
+    fetches = itertools.count()
 
     def lossy(emit, probe, event):
-        if type(event) is CoordinatorTick and next(ticks) % 2:
-            return  # every second tick never reaches the bus
+        if type(event) is ChunkFetched and not next(fetches) % 2:
+            return  # the first fetch, and every second after it, is lost
         emit(probe, event)
 
     _wrapped_emit(monkeypatch, lossy)
@@ -447,7 +449,8 @@ def test_a_swallowed_coordinator_tick_fails_the_audited_run(monkeypatch):
         run_download("softstage", params=PARAMS, seed=0, audit=True)
     (violation,) = info.value.violations
     assert violation.invariant == "event-totals"
-    assert " CoordinatorTick events but coordinator.ticks is " in violation.detail
+    assert (" ChunkFetched events but chunks_from_edge + chunks_from_origin "
+            "is " in violation.detail)
 
 
 def test_a_doubled_handoff_start_fails_the_audited_run(monkeypatch):

@@ -135,25 +135,28 @@ def test_object_totals_pair_the_staging_events_only_for_softstage():
               "VnfStageFailed", "HandoffStarted"}
     assert keys["xftp"] == keys["endtoend"] == shared
     assert keys["softstage"] == shared | {
-        "CoordinatorTick", "StagingSignalled", "StaleStagingResponse",
-        "ChunkFetched",
+        "StagingSignalled", "StaleStagingResponse", "ChunkFetched",
     }
 
 
-def test_two_decision_counts_differ_for_a_policy_with_hooks():
-    """``coordinator.decisions`` (the collector) counts ticks that
-    decided; ``StagingCoordinator.decisions`` also counts the lifecycle
-    hooks' decisions.  The rich policy decides in a hook only."""
-    from repro.core.policy import make_policy
-    from repro.experiments.scenario import TestbedScenario
-    from repro.metrics.collector import MetricsCollector
+def test_coordinator_decisions_is_the_coordinators_own_count(monkeypatch):
+    """The collector's ``coordinator.decisions`` is the run total of
+    ``StagingCoordinator.decisions``, which counts the lifecycle hooks'
+    decisions too.  The rich policy decides in a hook only, once."""
+    from repro.core.coordinator import StagingCoordinator
 
-    scenario = TestbedScenario(params=MicrobenchParams(file_size=8 * MB), seed=1)
-    collector = MetricsCollector().attach(scenario.sim.probe.bus)
-    content = scenario.publish_default_content()
-    client = scenario.make_client(
-        "softstage", staging_policy=make_policy("rich", scenario)
-    )
-    scenario.sim.run(until=scenario.sim.process(client.download(content)))
-    assert collector.counters.get("coordinator.decisions", 0) == 0
-    assert client.manager.coordinator.decisions == 1
+    coordinators = []
+    init = StagingCoordinator.__init__
+
+    def capture(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        coordinators.append(self)
+
+    monkeypatch.setattr(StagingCoordinator, "__init__", capture)
+    result = run_download("softstage", params=MicrobenchParams(file_size=8 * MB),
+                          seed=1, policy="rich", instrument=True)
+    (coordinator,) = coordinators
+    assert coordinator.decisions == 1
+    report = result.metrics.report()
+    assert report["coordinator.decisions"] == coordinator.decisions
+    assert report["coordinator.ticks"] == coordinator.ticks

@@ -1,11 +1,13 @@
-"""Drops and segment retransmissions are state, not events: a traced run
-publishes one ``PacketDropped`` run total per link direction (the sum
-of its ``LinkStats`` drop counters) and one ``SegmentRetransmitted``
-run total per sender session (from ``SenderSession.retransmissions``)
-when it ends, and the wide fold's ``dropped_packets`` and the replayed
-``transport.retransmissions`` are the same from either format — these
-totals or an older trace's one event per drop and per retransmitted
-segment."""
+"""Drops, segment retransmissions, RTO expiries and coordinator rounds
+are state, not events: a traced run publishes one ``PacketDropped`` run
+total per link direction (the sum of its ``LinkStats`` drop counters),
+one ``SegmentRetransmitted`` and one ``SegmentTimeout`` run total per
+sender session (from ``SenderSession.retransmissions`` and
+``.timeouts``) and one ``CoordinatorTick`` per SoftStage run (from
+``StagingCoordinator.ticks`` and ``.decisions``) when it ends, and the
+wide fold's ``dropped_packets`` and the replayed report are the same
+from either format — these totals or an older trace's one event per
+drop, retransmitted segment, expiry and round."""
 
 import io
 import json
@@ -13,11 +15,17 @@ import warnings
 
 import pytest
 
+from repro.core.coordinator import StagingCoordinator
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.runner import run_download
 from repro.experiments.scenario import TestbedScenario
 from repro.experiments.tracedriven import synthesize_traces
-from repro.obs.events import PacketDropped, SegmentRetransmitted
+from repro.obs.events import (
+    CoordinatorTick,
+    PacketDropped,
+    SegmentRetransmitted,
+    SegmentTimeout,
+)
 from repro.obs.trace import read_trace, replay_trace
 from repro.obs.wide import derive_wide
 from repro.transport.reliable import SenderSession
@@ -29,21 +37,22 @@ PAIR = MicrobenchParams(file_size=4 * MB)
 @pytest.fixture
 def built(monkeypatch):
     """What ``run_download`` builds: ``{"scenarios": [...], "senders":
-    [...]}``, every sender session included, closed or not."""
-    seen = {"scenarios": [], "senders": []}
-    scenario_init = TestbedScenario.__init__
-    sender_init = SenderSession.__init__
+    [...], "coordinators": [...]}``, every sender session included,
+    closed or not."""
+    seen = {"scenarios": [], "senders": [], "coordinators": []}
 
-    def capture_scenario(self, *args, **kwargs):
-        scenario_init(self, *args, **kwargs)
-        seen["scenarios"].append(self)
+    def capture(cls, into):
+        init = cls.__init__
 
-    def capture_sender(self, *args, **kwargs):
-        sender_init(self, *args, **kwargs)
-        seen["senders"].append(self)
+        def capturing(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            into.append(self)
 
-    monkeypatch.setattr(TestbedScenario, "__init__", capture_scenario)
-    monkeypatch.setattr(SenderSession, "__init__", capture_sender)
+        monkeypatch.setattr(cls, "__init__", capturing)
+
+    capture(TestbedScenario, seen["scenarios"])
+    capture(SenderSession, seen["senders"])
+    capture(StagingCoordinator, seen["coordinators"])
     return seen
 
 
@@ -127,20 +136,75 @@ def test_one_retransmission_total_per_sender_session(shape, system, built):
             for sender in still_open)
 
 
+@pytest.mark.parametrize("system", ["xftp", "softstage"])
+@pytest.mark.parametrize("shape", ["demo-pair", "drive-30s"])
+def test_one_timeout_total_per_sender_session(shape, system, built):
+    """Each follows that session's retransmission total; every expiry
+    retransmits, so a session with expiries has one."""
+    result, text = _traced(system) if shape == "demo-pair" else _drive(system)
+    expected = {}
+    for sender in built["senders"]:
+        if sender.timeouts:
+            expected[sender.session_id] = (
+                expected.get(sender.session_id, 0) + sender.timeouts)
+    assert expected, "the run should time out"
+    stream = list(read_trace(io.StringIO(text), strict=True))
+    totals = _of(stream, SegmentTimeout)
+    assert {s.event.session: s.event.count for s in totals} == expected
+    assert len(totals) == len(expected)
+    assert {s.time for s in totals} == {result.download_time}
+    for total in totals:
+        before = stream[stream.index(total) - 1].event
+        assert before == SegmentRetransmitted(
+            session=total.event.session, count=before.count)
+    assert result.metrics.counters["transport.timeouts"] == sum(
+        expected.values())
+
+
+@pytest.mark.parametrize("policy", [None, "rich"])
+def test_one_coordinator_total_per_softstage_run(policy, built):
+    result, text = _traced("softstage", policy=policy)
+    (coordinator,) = built["coordinators"]
+    stream = list(read_trace(io.StringIO(text), strict=True))
+    (total,) = _of(stream, CoordinatorTick)
+    assert total.event == CoordinatorTick(
+        count=coordinator.ticks, decision=coordinator.decisions)
+    assert total.time == result.download_time and total is stream[-1]
+    assert coordinator.ticks > coordinator.decisions > 0
+    report = result.metrics.report()
+    assert report["coordinator.ticks"] == coordinator.ticks
+    assert report["coordinator.decisions"] == coordinator.decisions
+
+
 def _per_event(text):
     """``text`` in the older format: each drop total split, in place,
-    into one event per dropped packet, and each session total into one
-    event per retransmitted segment (with the ``seq`` it had)."""
+    into one event per dropped packet, each session total into one
+    event per retransmitted segment (with the ``seq`` it had) and per
+    expiry (with ``seq`` and ``rto``), and the coordinator's total into
+    one event per round (with ``signalled`` and ``offline``, and a
+    ``decision`` flag on the first ``decision`` rounds)."""
     lines = []
+
+    def line_of(record):
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+
     for line in text.splitlines(keepends=True):
         record = json.loads(line)
-        if record["type"] == "PacketDropped":
-            lines += [json.dumps({**record, "count": 1},
-                                 separators=(",", ":")) + "\n"] * record["count"]
-        elif record["type"] == "SegmentRetransmitted":
+        kind = record["type"]
+        if kind == "PacketDropped":
+            for _ in range(record["count"]):
+                line_of({**record, "count": 1})
+        elif kind == "SegmentRetransmitted":
             for seq in range(record.pop("count")):
-                lines.append(json.dumps({**record, "seq": seq},
-                                        separators=(",", ":")) + "\n")
+                line_of({**record, "seq": seq})
+        elif kind == "SegmentTimeout":
+            for seq in range(record.pop("count")):
+                line_of({**record, "seq": seq, "rto": 0.5})
+        elif kind == "CoordinatorTick":
+            rounds, decisions = record.pop("count"), record.pop("decision")
+            for n in range(rounds):
+                line_of({**record, "signalled": int(n < decisions),
+                         "decision": n < decisions, "offline": False})
         else:
             lines.append(line)
     return "".join(lines)
@@ -151,8 +215,9 @@ def test_a_per_event_trace_replays_to_the_same_report_as_its_totals():
     old = _per_event(text)
     assert old.count('"type":"PacketDropped"') > text.count(
         '"type":"PacketDropped"') > 0
-    assert old.count('"type":"SegmentRetransmitted"') > text.count(
-        '"type":"SegmentRetransmitted"') > 0
+    for kind in ("SegmentRetransmitted", "SegmentTimeout", "CoordinatorTick"):
+        assert old.count(f'"type":"{kind}"') > text.count(
+            f'"type":"{kind}"') > 0
     report = replay_trace(io.StringIO(text)).report()
     assert report == result.metrics.report()
     dropped = derive_wide(read_trace(io.StringIO(text)))[-1]["dropped_packets"]
@@ -161,8 +226,13 @@ def test_a_per_event_trace_replays_to_the_same_report_as_its_totals():
         assert replay_trace(io.StringIO(old)).report() == report
         run = derive_wide(read_trace(io.StringIO(old)))[-1]
     assert run["dropped_packets"] == dropped > 0
-    # The per-segment ``seq`` is dropped, with one warning per read.
+    # The per-segment, per-expiry and per-round fields are dropped, with
+    # one warning per type and read.
     assert [str(w.message) for w in caught] == [
-        "dropping unknown field(s) ['seq'] on SegmentRetransmitted "
-        "(trace written by another version?)"] * 2
+        f"dropping unknown field(s) {names} on {kind} "
+        "(trace written by another version?)"
+        for kind, names in (("SegmentRetransmitted", ["seq"]),
+                            ("SegmentTimeout", ["rto", "seq"]),
+                            ("CoordinatorTick", ["offline", "signalled"]))
+    ] * 2
 

@@ -39,9 +39,9 @@ def spans_of(stampeds, **kw):
 def test_full_edge_lifecycle_produces_one_chunk_span():
     spans = spans_of([
         stamp(1.0, StagingSignalled(count=2, label="eq1", cids="c1,c2")),
-        stamp(1.2, StageRequestReceived(vnf="edge1", chunks=2, cids="c1,c2")),
+        stamp(1.2, StageRequestReceived(vnf="edge1", cids="c1,c2")),
         stamp(2.0, VnfStageCompleted(vnf="edge1", cid="c1", latency=0.8)),
-        stamp(2.0, CacheStored(store="edge1", cid="c1", size_bytes=4, pinned=True)),
+        stamp(2.0, CacheStored(store="edge1", cid="c1", size_bytes=4)),
         stamp(2.3, ChunkStaged(cid="c1", staging_latency=0.8, control_rtt=0.5)),
         stamp(3.0, ChunkFetched(cid="c1", latency=0.4, from_edge=True, fallback=False)),
     ])
@@ -90,7 +90,7 @@ def test_re_signal_and_stale_response_marks():
 def test_cache_stored_never_opens_a_span():
     # Origin-side publishes at t=0 must not look like staging.
     spans = spans_of([
-        stamp(0.0, CacheStored(store="origin", cid="c1", size_bytes=4, pinned=False)),
+        stamp(0.0, CacheStored(store="origin", cid="c1", size_bytes=4)),
     ])
     assert spans == []
 

@@ -18,9 +18,9 @@ from repro.obs.trace import TORN_LINE
 from repro.obs.wide import derive_wide
 
 SAMPLE = [
-    Stamped(0.5, "r0", CoordinatorTick(signalled=2, decision=True, offline=False)),
-    Stamped(1.25, "r0", CacheStored(store="edge", cid="abcd", size_bytes=512, pinned=True)),
-    Stamped(2.0, "r0", SegmentTimeout(session="s1", seq=7, rto=0.375)),
+    Stamped(0.5, "r0", CoordinatorTick(count=3, decision=1)),
+    Stamped(1.25, "r0", CacheStored(store="edge", cid="abcd", size_bytes=512)),
+    Stamped(2.0, "r0", SegmentTimeout(session=1, count=2)),
     Stamped(3.125, "r0", ChunkFetched(cid="abcd", latency=0.875, from_edge=True, fallback=False)),
 ]
 
@@ -44,9 +44,8 @@ def test_exported_lines_are_flat_json_objects():
         "t": 0.5,
         "run": "r0",
         "type": "CoordinatorTick",
-        "signalled": 2,
-        "decision": True,
-        "offline": False,
+        "count": 3,
+        "decision": 1,
     }
 
 
@@ -82,9 +81,9 @@ def test_replay_trace_rebuilds_metrics():
     text = export_to_string(SAMPLE)
     collector = replay_trace(io.StringIO(text))
     assert collector.report() == {
-        "coordinator.ticks": 1,
+        "coordinator.ticks": 3,
         "coordinator.decisions": 1,
-        "transport.timeouts": 1,
+        "transport.timeouts": 2,
         "fetch.latency.mean": 0.875,
         "fetch.latency.min": 0.875,
         "fetch.latency.max": 0.875,

@@ -395,7 +395,7 @@ def two_run_trace() -> str:
     from repro.util import MB
 
     buffer = io.StringIO()
-    params = MicrobenchParams(file_size=2 * MB, chunk_size=1 * MB)
+    params = MicrobenchParams(file_size=4 * MB, chunk_size=1 * MB)
     for system in ("xftp", "softstage"):
         run_download(system, params=params, seed=1, trace_path=buffer,
                      gauges=True)

@@ -141,7 +141,7 @@ def _chunk_events(run_id, cid, t0=1.0):
         Stamped(t0, run_id,
                 ev.StagingSignalled(count=1, label="eq1", cids=cid)),
         Stamped(t0 + 0.1, run_id,
-                ev.StageRequestReceived(vnf="vnf-A", chunks=1, cids=cid)),
+                ev.StageRequestReceived(vnf="vnf-A", cids=cid)),
         Stamped(t0 + 0.5, run_id,
                 ev.VnfStageCompleted(vnf="vnf-A", cid=cid, latency=0.4)),
         Stamped(t0 + 0.6, run_id,
@@ -255,12 +255,12 @@ def test_restaged_chunk_cached_twice_keeps_both_marks_and_the_last_time():
     cid = "cid-1"
     builder, records = _fold([
         (1.0, ev.StagingSignalled(count=1, label="eq1", cids=cid)),
-        (2.0, ev.CacheStored(store="edge-A", cid=cid, size_bytes=4, pinned=True)),
-        (5.0, ev.CacheStored(store="edge-B", cid=cid, size_bytes=4, pinned=True)),
+        (2.0, ev.CacheStored(store="edge-A", cid=cid, size_bytes=4)),
+        (5.0, ev.CacheStored(store="edge-B", cid=cid, size_bytes=4)),
         (6.0, ev.ChunkFetched(cid=cid, latency=0.5, from_edge=True,
                               fallback=False)),
         # Delivered: a later store for the same cid opens nothing.
-        (7.0, ev.CacheStored(store="edge-C", cid=cid, size_bytes=4, pinned=True)),
+        (7.0, ev.CacheStored(store="edge-C", cid=cid, size_bytes=4)),
     ])
     (span,) = builder.spans
     assert [t for name, t in span.phases if name == "cached"] == [2.0, 5.0]

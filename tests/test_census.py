@@ -131,12 +131,8 @@ KEEP = {
     "duplicate_segments": (WRITE,
         "reference: tests/transport/test_reliable.py (a lossless transfer "
         "receives no segment twice); duplicate branch only"),
-    "timeouts": (WRITE,
-        "reference: tests/transport/test_reliable.py (the RTO-timer tests "
-        "count expiries beside the kernel's rto events); timeout branch "
-        "only"),
 }
-MAX_KEEP = 22
+MAX_KEEP = 21
 
 
 def _keys(kind: str) -> set[str]:
