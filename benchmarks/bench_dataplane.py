@@ -16,7 +16,9 @@ the kernel profiler installed and reports its wall-clock plus the
 forwarding-decision-cache hit rate (0 on pre-fast-path builds), then
 repeats it under ``sys.setprofile`` to count the Python-level calls it
 makes per payload MB — the packet path's *frame budget*, which unlike
-wall-clock is the same number on every machine.
+wall-clock is the same number on every machine — in total and per
+``repro`` package (``download.py_calls_per_mb.<package>``), so a
+change to the total shows which layer it landed in.
 
 Runs two ways:
 
@@ -37,9 +39,12 @@ Runs two ways:
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
+from collections import Counter
 from time import perf_counter
+from typing import Optional
 
 from repro.net import Host, Link, Network
 from repro.net.link import Port
@@ -78,10 +83,13 @@ DOWNLOAD_STEPS_PER_MB_CEILING = {2.0: 23_900.0, 4.0: 19_700.0}
 #: ``DagAddress.__hash__``, ``_start`` and the wired ``airtime`` off
 #: the hop and the property reads out of the transport; 137 882 /
 #: 118 423.5 since HIDs and NIDs are interned, so a host tells its own
-#: address by identity in every scenario a process builds.  The ceilings
-#: sit 3 % above: room for a helper on a per-chunk path, not for one
-#: more frame per packet-hop (+8 %).
-DOWNLOAD_PY_CALLS_PER_MB_CEILING = {2.0: 142_000.0, 4.0: 122_000.0}
+#: address by identity in every scenario a process builds (137 577.5 /
+#: 117 992.5 as later changes settled); 124 683 / 111 545.25 since the testbed's Fig. 6
+#: coverage is generated as the clock reaches it, not 4 320 windows up
+#: front (the ``mobility`` row: 13 038.5 / 6 553.5 -> 144 / 106.25; no
+#: other row moved).  The ceilings sit 3 % above: room for a helper on
+#: a per-chunk path, not for one more frame per packet-hop (+8 %).
+DOWNLOAD_PY_CALLS_PER_MB_CEILING = {2.0: 128_500.0, 4.0: 115_000.0}
 
 
 class _Sink(Host):
@@ -182,12 +190,36 @@ def pump(packets: int = DEFAULT_PACKETS) -> dict:
 def count_python_calls(fn) -> int:
     """Python-level calls ``fn()`` makes: ``sys.setprofile`` ``call``
     events only, so C functions and the hook itself do not count."""
-    calls = 0
+    return sum(python_calls_by_package(fn).values())
+
+
+def python_calls_by_package(fn) -> Counter:
+    """:func:`count_python_calls` split by the ``repro`` package of each
+    called function's code (``mobility``, ``net``, ...).  Code outside
+    ``repro`` (a dataclass's generated ``__init__``, the stdlib) counts
+    for the nearest ``repro`` function below it on the stack, or as
+    ``other`` when there is none."""
+    import repro
+
+    root = os.path.dirname(repro.__file__) + os.sep
+    packages: dict[str, Optional[str]] = {}
+    calls: Counter = Counter()
+
+    def package(filename):
+        if filename not in packages:
+            head = filename[len(root):].split(os.sep, 1)[0]
+            packages[filename] = (
+                head.removesuffix(".py") if filename.startswith(root) else None
+            )
+        return packages[filename]
 
     def hook(frame, event, arg):
-        nonlocal calls
         if event == "call":
-            calls += 1
+            name = package(frame.f_code.co_filename)
+            while name is None and frame.f_back is not None:
+                frame = frame.f_back
+                name = package(frame.f_code.co_filename)
+            calls[name or "other"] += 1
 
     sys.setprofile(hook)
     try:
@@ -211,14 +243,18 @@ def staging_download(file_mb: float = 4.0) -> dict:
     wall = perf_counter() - started
     report = result.profile.report()
     payload_mb = result.download.bytes_received / MB
-    py_calls = count_python_calls(
+    calls = python_calls_by_package(
         lambda: run_download("softstage", params=params, seed=0)
     )
     return {
         "download_wall_s": wall,
         "download_time_s": result.download_time,
         "steps_per_mb": report["steps"] / payload_mb if payload_mb else 0.0,
-        "py_calls_per_mb": py_calls / payload_mb if payload_mb else 0.0,
+        "py_calls_per_mb": sum(calls.values()) / payload_mb if payload_mb else 0.0,
+        "py_calls_per_mb_by_package": {
+            name: count / payload_mb if payload_mb else 0.0
+            for name, count in calls.items()
+        },
         "fwd_cache_hit_rate": float(report.get("fwd_cache_hit_rate", 0.0)),
         "packet_pool_reuse_rate": float(
             report.get("packet_pool_reuse_rate", 0.0)
@@ -245,6 +281,9 @@ def measure(packets: int = DEFAULT_PACKETS, rounds: int = 3,
         "download_wall_s": download["download_wall_s"],
         "download.steps_per_mb": download["steps_per_mb"],
         "download.py_calls_per_mb": download["py_calls_per_mb"],
+        # The same total, per package: where a change to it landed.
+        **{f"download.py_calls_per_mb.{name}": value for name, value
+           in download["py_calls_per_mb_by_package"].items()},
         "download.fwd_cache_hit_rate": download["fwd_cache_hit_rate"],
         "download.packet_pool_reuse_rate": download["packet_pool_reuse_rate"],
     }

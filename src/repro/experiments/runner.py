@@ -69,7 +69,8 @@ class ExperimentResult:
     spans: Optional[list[Span]] = field(default=None, repr=False)
     #: The kernel profiler, still queryable (``profile=True``).
     profile: Optional[SimProfiler] = field(default=None, repr=False)
-    #: The flight-recorder sampler (``gauges=True``).
+    #: The flight-recorder sampler (``gauges=True``), stopped at run
+    #: end: ``samples_taken`` stays, the testbed is let go.
     sampler: Optional[GaugeSampler] = field(default=None, repr=False)
     #: The invariant auditor, already checked at run end (``audit=True``).
     auditor: Optional[InvariantAuditor] = field(default=None, repr=False)
@@ -311,6 +312,7 @@ def run_download(
         manager = getattr(client, "manager", None)
         if gauges:
             sampler = install_flight_recorder(scenario, manager=manager)
+            teardowns.append(sampler.stop)
         process = scenario.sim.process(
             client.download(content, deadline=deadline)
         )

@@ -49,6 +49,7 @@ class Scanner:
         self.sim = sim
         self.coverage = coverage
         self.controller = controller
+        #: The last window's end, walked without building the windows.
         self.horizon = coverage.end_time()
         self._listeners: list[ScanListener] = []
         self._started = False
@@ -95,7 +96,11 @@ class Scanner:
             yield self.sim.timeout(self.scan_interval)
 
     def _edge_loop(self):
-        """Wake exactly when the visible set changes."""
+        """Wake exactly when the visible set changes.
+
+        One lazy iterator: the coverage builds its windows only as far
+        as the change time this loop waits for next.
+        """
         for change_at in self.coverage.change_times():
             if change_at > self.horizon:
                 break

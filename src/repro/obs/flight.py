@@ -70,7 +70,7 @@ class GaugeSampler:
     period = 0.5
 
     def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
+        self.sim: Optional["Simulator"] = sim
         #: The names, in registration order: every tick's ``gauges``.
         self._names: tuple[str, ...] = ()
         self._gauges: list[Callable[[], float]] = []
@@ -99,6 +99,14 @@ class GaugeSampler:
         if self._process is None:
             self._process = self.sim.process(self._sampler())
         return self
+
+    def stop(self) -> None:
+        """Let go of the simulator, the gauges (closures over its stores
+        and links) and the process once the run is over, so a kept
+        result does not keep the testbed alive; ``samples_taken`` stays."""
+        self.sim = None
+        self._gauges = []
+        self._process = None
 
     def _sampler(self):
         while True:

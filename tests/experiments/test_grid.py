@@ -11,6 +11,7 @@ Three layers, none of which simulates anything slow:
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.experiments.params import (
     PARAMETER_TABLE,
     MicrobenchParams,
 )
+from repro.mobility.coverage import overlapping_coverage
 from repro.util import MB
 
 # -- Table III ---------------------------------------------------------------
@@ -113,7 +115,11 @@ def test_run_grid_rejects_an_empty_seed_list_before_running(monkeypatch):
 
 
 def test_run_grid_cells_are_identical_for_any_jobs():
-    points = [GridPoint("p", SMALL), GridPoint("q", SMALL.with_(packet_loss=0.1))]
+    # "r" pickles a lazily generated §IV-D coverage into the workers.
+    overlap = overlapping_coverage(["ap-A", "ap-B"], encounter_time=12.0,
+                                   overlap_time=3.0, total_time=24 * 3600.0)
+    points = [GridPoint("p", SMALL), GridPoint("q", SMALL.with_(packet_loss=0.1)),
+              GridPoint("r", SMALL, coverage=overlap)]
     fanned = run_grid(points, PAIR, seeds=(0, 1), jobs=2)
     assert fanned == run_grid(points, PAIR, seeds=(0, 1), jobs=1)
     assert all(len(cell) == 2 for cell in fanned.values())
@@ -173,6 +179,13 @@ def _drive(case):
     return handoff.run_comparison(seeds=(0, 1))
 
 
+def every_window(coverage):
+    """The coverage's whole window list, in order: a query past its end
+    builds every window of a pattern."""
+    coverage.visible_at(math.inf)
+    return tuple(coverage._windows)
+
+
 def _digest(value):
     return hashlib.sha1(repr(value).encode()).hexdigest()
 
@@ -186,7 +199,7 @@ def test_driver_hands_over_the_task_list_it_always_did(case, monkeypatch):
             task.system, task.params, task.seed, task.policy,
             task.run_id if case.startswith("sweep-") else None,
             task.deadline,
-            None if task.coverage is None else tuple(task.coverage.windows),
+            None if task.coverage is None else every_window(task.coverage),
             type(task.handoff_policy).__name__,
         )
         for task in seen

@@ -59,7 +59,10 @@ def test_trace_load_rejects_non_finite_values(tmp_path, duration, interval):
 def test_trace_to_coverage_round_robins_aps():
     trace = ConnectivityTrace([(0.0, 5.0), (10.0, 15.0), (20.0, 25.0)], duration=30.0)
     coverage = trace.to_coverage(["A", "B"])
-    assert [w.ap for w in coverage.windows] == ["A", "B", "A"]
+    assert list(coverage.change_times()) == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
+    assert [list(coverage.visible_at(t)) for t in (2.5, 7.5, 12.5, 22.5)] == [
+        ["A"], [], ["B"], ["A"],
+    ]
 
 
 def test_wardriving_trace_one_high_coverage():

@@ -1,7 +1,9 @@
 """Flight recorder: gauge sampling, replay parity, invariant auditing."""
 
+import gc
 import io
 import itertools
+import weakref
 from collections import Counter
 
 import pytest
@@ -157,6 +159,32 @@ def test_xftp_run_records_gauges_without_staging_pipeline():
     names = _gauge_names(result)
     assert "client.connected" in names
     assert "staging.lead_bytes" not in names  # no manager on Xftp
+
+
+@pytest.mark.parametrize("attachment", [
+    "bare", "instrument", "audit", "spans", "sketches", "gauges", "profile",
+])
+def test_a_finished_run_releases_its_testbed_unless_profiled(
+    attachment, monkeypatch
+):
+    """A kept result does not keep the run's ``Simulator`` (and every
+    store, link and packet it reaches) alive; only the profiler, which
+    stays queryable, does."""
+    sims = []
+    original = Simulator.__init__
+
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        sims.append(weakref.ref(self))
+
+    monkeypatch.setattr(Simulator, "__init__", recording)
+    flags = {} if attachment == "bare" else {attachment: True}
+    result = run_download("softstage", params=PARAMS, seed=0, **flags)
+    gc.collect()
+    (sim,) = sims
+    assert (sim() is not None) == (attachment == "profile")
+    if attachment == "gauges":
+        assert result.sampler.samples_taken > 1
 
 
 def test_gauges_off_means_no_sampler_and_no_gauge_series():
