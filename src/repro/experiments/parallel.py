@@ -31,7 +31,6 @@ in either mode.
 from __future__ import annotations
 
 import statistics
-from concurrent import futures
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
@@ -131,12 +130,14 @@ def run_tasks(
     """
     if jobs <= 1 or len(tasks) < 2 or trace_sink is not None:
         return [execute_task(task, trace_sink) for task in tasks]
+    # Imported here, not above: ``concurrent.futures`` loads
+    # ``logging`` at once and the process-pool machinery on first use,
+    # and every driver imports this module.
+    from concurrent import futures
+
     workers = min(jobs, len(tasks))
     summaries: list[RunSummary] = []
     try:
-        # Looked up here, not imported above: ``concurrent.futures``
-        # loads the process-pool machinery (multiprocessing, ~1 MB) on
-        # first use, and every driver imports this module.
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for summary in pool.map(execute_task, tasks):
                 summaries.append(summary)

@@ -98,7 +98,8 @@ class GilbertElliottLoss(LossModel):
             return float("inf")
         return self._rng.expovariate(1.0 / mean)
 
-    def _advance(self, now: float) -> None:
+    def dropped(self, now: float) -> bool:
+        # The fade state evolves lazily, up to ``now``, then one draw.
         if now < self._clock:
             # Loss models are per-link and links see monotonic time; a
             # stale clock would only happen on misuse.
@@ -107,9 +108,6 @@ class GilbertElliottLoss(LossModel):
         while self._state_until <= now:
             self._state_bad = not self._state_bad
             self._state_until += self._sample_duration()
-
-    def dropped(self, now: float) -> bool:
-        self._advance(now)
         rate = self._bad_loss if self._state_bad else self._good_loss
         return self._rng.random() < rate
 

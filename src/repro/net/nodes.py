@@ -12,12 +12,14 @@ live in :mod:`repro.xia.router`.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.net.link import Port
 from repro.net.processing import ProcessingModel
 from repro.sim import Simulator
+from repro.sim.core import NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.xia.ids import XID
@@ -71,7 +73,11 @@ class Device:
             busy = processing._busy_until = (busy if busy > now else now) + cost
             delay = busy - now
             if delay > 0:
-                sim.call_at(now + delay, self._handle_packet, (packet, port), "cpu")
+                # Pushed as ``call_at`` would, at now + delay > now (the
+                # push rule, ``repro.net.link``).
+                sim._seq += 1
+                heappush(sim._queue, (now + delay, NORMAL, sim._seq, None,
+                                      self._handle_packet, (packet, port), "cpu"))
                 return
         self.handle_packet(packet, port)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import sys
 import time
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -45,6 +44,8 @@ HISTORY_LIMIT = 50
 
 def fingerprint() -> str:
     """A coarse machine identity wall-clock numbers are comparable on."""
+    import platform  # here, not above: a run that records nothing never needs it
+
     return (
         f"{platform.system().lower()}-{platform.machine()}"
         f"-cpu{os.cpu_count() or 1}"

@@ -156,7 +156,8 @@ class Simulator:
         #: ``seq`` is unique, so comparison stops before the fourth field.
         self._queue: list[tuple] = []
         self._seq = 0
-        #: Places taken with :meth:`reserve_place` and not (yet) pushed.
+        #: Places in push order taken and not (yet) pushed (see the
+        #: ``place`` of :meth:`call_at`).
         self._places_unpushed = 0
         self._active_process = None  # set by Process while running
         #: Instrumentation handle (see :mod:`repro.obs`): every layer
@@ -391,8 +392,14 @@ class Simulator:
         and its arguments, pushed at exactly the float ``when`` — not
         at ``now + (when - now)`` — and the kernel step is the plain
         call.  It orders like any other event: by ``(when, priority,
-        push order)``, or, with a ``place`` from :meth:`reserve_place`,
-        as if it had been pushed when the place was taken.  ``name``
+        push order)``, or, with a ``place``, as if it had been pushed
+        when the place was taken.  A caller that may need a step
+        *later* but wants it to fire as if pushed *now* (a sender that
+        learns only from a later ACK that it has something to send
+        when its CPU frees up) takes the next place without pushing
+        anything — ``sim._seq += 1; sim._places_unpushed += 1``, the
+        place being the new ``_seq`` — and hands it here at most once
+        if the need arises; an unused place costs nothing.  ``name``
         labels the step for :meth:`pending` and the profiler (see
         :meth:`_call_observed`).
         """
@@ -414,20 +421,6 @@ class Simulator:
             entry[0] for entry in self._queue
             if (entry[6] if entry[3] is None else entry[3].name) == name
         )
-
-    def reserve_place(self) -> int:
-        """Take the next place in push order without pushing anything.
-
-        Events at one timestamp and priority fire in push order.  A
-        caller that may need an event *later* but wants it to fire as
-        if pushed *now* (a sender that learns only from a later ACK
-        that it has something to send when its CPU frees up) takes its
-        place here and hands it to :meth:`call_at` — at most once — if
-        the need arises.  An unused place costs nothing.
-        """
-        self._seq += 1
-        self._places_unpushed += 1
-        return self._seq
 
     def pooled_event(self, name: str = "") -> Event:
         """An untriggered :class:`Event` drawn from the kernel free list.

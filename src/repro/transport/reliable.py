@@ -221,10 +221,10 @@ class SenderSession:
     def _pump(self) -> None:
         """Emit while the window and the sender CPU allow; close when done.
 
-        Runs inline from :meth:`_wake` or as the callback of the one
-        pending ``sender-wakeup`` event.  Each segment occupies the CPU
-        until ``_send_free_at``; the next one is paced by an event
-        there only if the window is still open.
+        Runs inline from the ACK path (:meth:`on_packet`) or as the
+        callback of the one pending ``sender-wakeup`` event.  Each
+        segment occupies the CPU until ``_send_free_at``; the next one
+        is paced by an event there only if the window is still open.
         """
         self._pump_pending = False
         total = self.total_segments
@@ -240,9 +240,18 @@ class SenderSession:
             self.next_seq += 1
             if cost > 0:
                 sim = self.sim
-                self._send_free_at = sim._now + cost
-                self._pace_place = sim.reserve_place()
-                self._pace()
+                free_at = self._send_free_at = sim._now + cost
+                # Take the next place in push order for the pace step
+                # (``Simulator.call_at``'s ``place``).
+                sim._seq += 1
+                sim._places_unpushed += 1
+                place = self._pace_place = sim._seq
+                # ``_pace``, inline (keep in sync): no wake-up is pending
+                # and the transfer is not complete here, so the pace
+                # event is due exactly when the window is still open.
+                if (not self._paused and self.next_seq < total
+                        and self.next_seq - self.head < int(self.cwnd)):
+                    self._pump_at(free_at, NORMAL, place)
                 return
 
     def _pump_at(
@@ -268,24 +277,21 @@ class SenderSession:
         ):
             self._pump_at(self._send_free_at, NORMAL, self._pace_place)
 
-    def _wake(self, inline: bool = False) -> None:
+    def _wake(self) -> None:
         """Sending may be possible again (or the transfer is complete).
 
-        ``inline`` (the ACK path only) lets the pump run inside the
-        caller when nothing else is queued at this instant — then a
-        wake-up event would be the very next step anyway.  With a tie
-        queued, or from any other caller, the pump takes its turn
-        behind the tie as an event at ``now``: two sessions on one host
-        woken at the same float timestamp must keep their order.
+        The pump takes its turn as an event at ``now``, behind anything
+        already queued at this instant: two sessions on one host woken
+        at the same float timestamp must keep their order.  The ACK
+        path (:meth:`on_packet`) holds a copy that runs the pump inline
+        when nothing else is queued at this instant — then a wake-up
+        event would be the very next step anyway.
         """
         if self._pump_pending:
             return
-        sim = self.sim
-        now = sim._now
+        now = self.sim._now
         if now < self._send_free_at:
             self._pace()
-        elif inline and not (sim._queue and sim._queue[0][0] <= now):
-            self._pump()
         else:
             self._pump_at(now)
 
@@ -318,60 +324,78 @@ class SenderSession:
     def on_packet(self, packet: Packet, port: "Port") -> None:
         # This handler is each packet's terminal consumer: nothing
         # retains the object afterwards, so it goes back to the pool.
-        if packet.ptype is PacketType.ACK:
-            self._on_ack(packet)
-            packet.release()
-        elif packet.ptype is PacketType.MIGRATE:
+        ptype = packet.ptype
+        if ptype is PacketType.MIGRATE:
             self._on_migrate(packet)
             packet.release()
-
-    def _on_ack(self, packet: Packet) -> None:
+            return
+        if ptype is not PacketType.ACK:
+            return
         if self.done._value is not PENDING:
+            packet.release()
             return
         ack = int(packet.payload["ack"])
-        if ack > self.head:
-            newly_acked = ack - self.head
-            self._sample_rtt(ack - 1)
+        head = self.head
+        if ack > head:
+            sim = self.sim
+            now = sim._now
+            # RTT sample (Jacobson/Karels) from the newest segment this
+            # ACK covers — none if it was retransmitted (Karn, ``_emit``).
+            sent_at = self._send_times.pop(ack - 1, None)
+            if sent_at is not None:
+                sample = now - sent_at
+                if self.srtt is None:
+                    self.srtt = sample
+                    self.rttvar = sample / 2
+                else:
+                    alpha, beta = 0.125, 0.25
+                    self.rttvar = (
+                        (1 - beta) * self.rttvar + beta * abs(self.srtt - sample)
+                    )
+                    self.srtt = (1 - alpha) * self.srtt + alpha * sample
+                config = self.config
+                self.rto = min(
+                    max(self.srtt + 4 * self.rttvar, config.min_rto),
+                    config.max_rto,
+                )
             self.head = ack
             self.dup_acks = 0
             if self.in_recovery:
                 self.in_recovery = False
                 self.cwnd = self.ssthresh
             else:
-                self._grow_cwnd(newly_acked)
-            if self.next_seq < self.head:
-                self.next_seq = self.head
-            self._arm_timer()
-            self._wake(inline=True)
-            if self.head >= self.total_segments and self.done._value is PENDING:
+                # Slow start, then congestion avoidance.
+                newly_acked = ack - head
+                cwnd = self.cwnd
+                if cwnd < self.ssthresh:
+                    self.cwnd = min(cwnd + newly_acked, self.ssthresh + newly_acked)
+                else:
+                    self.cwnd = cwnd + newly_acked / cwnd
+            if self.next_seq < ack:
+                self.next_seq = ack
+            total = self.total_segments
+            # ``_arm_timer``, inline: keep in sync.
+            if ack < total and not self._paused:
+                deadline = self._rto_deadline = now + self.rto
+                pending = self._rto_event_at
+                if pending is None or deadline < pending:
+                    self._push_rto_event(deadline)
+            # ``_wake``, inline (keep in sync), with the pump run inline
+            # when nothing else is queued at this instant.
+            if not self._pump_pending:
+                if now < self._send_free_at:
+                    self._pace()
+                elif not (sim._queue and sim._queue[0][0] <= now):
+                    self._pump()
+                else:
+                    self._pump_at(now)
+            if ack >= total and self.done._value is PENDING:
                 self.done.succeed(self)
-        elif ack == self.head and self.next_seq - self.head > 0:
+        elif ack == head and self.next_seq - head > 0:
             self.dup_acks += 1
             if self.dup_acks == 3 and not self.in_recovery:
                 self._fast_retransmit()
-
-    def _sample_rtt(self, seq: int) -> None:
-        sent_at = self._send_times.pop(seq, None)
-        if sent_at is None:
-            return
-        sample = self.sim._now - sent_at
-        if self.srtt is None:
-            self.srtt = sample
-            self.rttvar = sample / 2
-        else:
-            alpha, beta = 0.125, 0.25
-            self.rttvar = (1 - beta) * self.rttvar + beta * abs(self.srtt - sample)
-            self.srtt = (1 - alpha) * self.srtt + alpha * sample
-        self.rto = min(
-            max(self.srtt + 4 * self.rttvar, self.config.min_rto),
-            self.config.max_rto,
-        )
-
-    def _grow_cwnd(self, newly_acked: int) -> None:
-        if self.cwnd < self.ssthresh:
-            self.cwnd = min(self.cwnd + newly_acked, self.ssthresh + newly_acked)
-        else:
-            self.cwnd += newly_acked / self.cwnd
+        packet.release()
 
     def _fast_retransmit(self) -> None:
         self.ssthresh = max(self.inflight / 2.0, 2.0)
@@ -542,7 +566,7 @@ class ReceiverSession:
 
     def _on_data(self, packet: Packet) -> None:
         if self.done._value is not PENDING:
-            self._send_ack(force=True)  # stale retransmission: re-ack
+            self._send_ack()  # stale retransmission: re-ack
             return
         if self.total_segments is None:
             self.total_segments = int(packet.payload["total_segments"])
@@ -555,7 +579,7 @@ class ReceiverSession:
         duplicate = seq < self.highest_inorder or seq in self._out_of_order
         if duplicate:
             self.duplicate_segments += 1
-            self._send_ack(force=True)
+            self._send_ack()
             return
         self.bytes_received += int(packet.payload.get("payload_bytes", 0))
         if seq == self.highest_inorder:
@@ -565,36 +589,35 @@ class ReceiverSession:
                 self.highest_inorder += 1
             self._since_ack += 1
             if self.highest_inorder >= self.total_segments:
-                self._send_ack(force=True)
+                self._send_ack()
                 self.done.succeed(self)
                 self.endpoint.close_session(self.session_id)
             elif self._since_ack >= self.config.ack_every:
                 self._send_ack()
         else:
             self._out_of_order.add(seq)
-            self._send_ack(force=True)  # dup-ack signals the gap
+            self._send_ack()  # dup-ack signals the gap
 
-    def _send_ack(self, force: bool = False) -> None:
+    def _send_ack(self) -> None:
         if self.peer_dag is None:
             return
         self._since_ack = 0
+        # Our own address, rebuilt only when the host re-attached.
+        host = self.endpoint.host
+        nid = getattr(host, "current_nid", None) or getattr(host, "nid", None)
+        local = self._local
+        if local is None or nid is not self._local_nid:
+            self._local_nid = nid
+            local = self._local = DagAddress.host(host.hid, nid)
         ack = Packet.acquire(
             PacketType.ACK,
             dst=self.peer_dag,
-            src=self._local_dag(),
+            src=local,
             payload={"ack": self.highest_inorder},
             size_bytes=self.config.ack_bytes,
             session_id=self.session_id,
         )
-        self.endpoint.host.send(ack)
-
-    def _local_dag(self) -> DagAddress:
-        host = self.endpoint.host
-        nid = getattr(host, "current_nid", None) or getattr(host, "nid", None)
-        if self._local is None or nid is not self._local_nid:
-            self._local_nid = nid
-            self._local = DagAddress.host(host.hid, nid)
-        return self._local
+        host.send(ack)
 
     # -- migration -------------------------------------------------------------
 

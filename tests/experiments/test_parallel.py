@@ -1,6 +1,9 @@
 """Tests for the parallel sweep engine (determinism is the contract)."""
 
 import concurrent.futures
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,22 @@ def quick_task(system="softstage", seed=0):
         params=MicrobenchParams(file_size=QUICK.file_size),
         seed=seed,
     )
+
+
+def test_a_run_loads_no_pool_logging_or_platform_machinery():
+    """``concurrent.futures`` (which imports ``logging``) loads only when
+    ``run_tasks`` starts a pool, and ``platform`` only when a ledger
+    entry is stamped: a traced run and every offline view need neither."""
+    src = pathlib.Path(parallel.__file__).parents[2]
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.experiments.tracedriven, repro.obs; "
+         "print(sorted({'concurrent.futures', 'logging', 'platform'}"
+         " & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert loaded.stdout.strip() == "[]"
 
 
 def test_execute_task_is_deterministic():
@@ -79,7 +98,7 @@ def test_broken_pool_falls_back_to_sequential(monkeypatch):
         def __init__(self, *args, **kwargs):
             raise OSError("no processes for you")
 
-    monkeypatch.setattr(parallel.futures, "ProcessPoolExecutor", ExplodingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ExplodingPool)
     tasks = [quick_task(seed=0), quick_task(seed=1)]
     assert run_tasks(tasks, jobs=4) == [execute_task(t) for t in tasks]
 
@@ -98,7 +117,7 @@ def test_broken_executor_mid_flight_falls_back(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             raise concurrent.futures.BrokenExecutor("worker died")
 
-    monkeypatch.setattr(parallel.futures, "ProcessPoolExecutor", DyingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
     tasks = [quick_task(seed=0), quick_task(seed=1)]
     assert run_tasks(tasks, jobs=2) == [execute_task(t) for t in tasks]
 
@@ -117,7 +136,7 @@ def test_single_task_and_jobs_one_skip_the_pool(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("pool must not be constructed")
 
-    monkeypatch.setattr(parallel.futures, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
     assert run_tasks([quick_task()], jobs=8)[0].bytes_received == MB
     two = [quick_task(seed=0), quick_task(seed=1)]
     assert len(run_tasks(two, jobs=1)) == 2
@@ -188,7 +207,7 @@ def test_pool_death_mid_stream_does_not_double_publish(monkeypatch):
             yield fn(tasks[0])
             raise concurrent.futures.BrokenExecutor("worker died")
 
-    monkeypatch.setattr(parallel.futures, "ProcessPoolExecutor", HalfDeadPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", HalfDeadPool)
     monkeypatch.setattr(parallel, "execute_task", counting)
     tasks = [quick_task(seed=0), quick_task(seed=1)]
     summaries = run_tasks(tasks, jobs=2)

@@ -1,11 +1,15 @@
 """The packet path's frame budget and its frozen call boundaries.
 
 A forwarded router hop is two kernel steps (``arrival``, ``cpu`` —
-DESIGN.md §15 proves that floor) and, since packet-path diet IV, six
-Python frames: ``_arrive → receive → call_at``, then ``handle_packet →
-enqueue → call_at``.  It was ten (``admit``, ``DagAddress.__hash__``,
-``_start`` and ``airtime`` had frames of their own); the budget is
-seven.  The count is exact on any machine, so it is pinned here rather
+DESIGN.md §15 proves that floor) and, since packet-path diet VI, four
+Python frames: the two steps' callbacks ``_arrive`` and
+``handle_packet`` and the two boundaries they enter, ``receive`` and
+``enqueue``, which push the next step themselves (the push rule,
+``repro.net.link``).  It was ten before diet IV and six before diet
+VI (a ``call_at`` frame per push); the budget is five.  A segment
+round trip — DATA delivered, ACKed, and the ACK's window refill sent —
+enters six transport frames, budget eight (fifteen before diet VI).
+The counts are exact on any machine, so they are pinned here rather
 than timed.
 
 The methods ``benchmarks/e2e/tracer.py`` (frozen) swaps for timing
@@ -27,6 +31,7 @@ from repro.sim import Simulator
 from repro.transport import TransportEndpoint, XIA_STREAM
 from repro.transport.reliable import ReceiverSession, SenderSession
 from repro.util import mbps, ms
+from tests.transport.test_reliable import Pair
 from repro.xia import DagAddress, HID, NID
 from repro.xia.packet import Packet, PacketType
 from repro.xia.router import AccessPoint, XIARouter
@@ -92,14 +97,61 @@ def flood_frames(routers):
     return frames
 
 
-def test_a_forwarded_router_hop_is_six_python_frames():
+def test_a_forwarded_router_hop_is_four_python_frames():
     """The third router's share of the flood, per packet: everything
     else (the send, the first two hops, the delivery) cancels."""
     hop = flood_frames(3) - flood_frames(2)
-    assert {name: count / PACKETS for name, count in hop.items()} == {
+    per_packet = {name: count / PACKETS for name, count in hop.items()}
+    assert per_packet == {
         "_arrive": 1, "receive": 1, "handle_packet": 1, "enqueue": 1,
-        "call_at": 2,
-    }  # six: inside the budget of seven (parent: ten)
+    }  # four: inside the budget of five (diet IV: six; before it: ten)
+    assert sum(per_packet.values()) <= 5
+
+
+def round_trip_frames(segments, **link):
+    """Transport frames (``transport/reliable.py``), by qualified name,
+    of a lossless Xstream transfer of ``segments`` over one link."""
+    pair = Pair(config=XIA_STREAM, **link)
+    frames = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(
+                "transport/reliable.py"):
+            frames[frame.f_code.co_qualname] += 1
+
+    sys.setprofile(hook)
+    try:
+        sender, _receiver = pair.transfer(segments * XIA_STREAM.mss_bytes)
+    finally:
+        sys.setprofile(None)
+    assert sender.retransmissions == 0
+    return frames
+
+
+@pytest.mark.parametrize("link", [
+    {},  # 50 Mbps, 2 ms: ACK-clocked, a segment per ACK
+    {"bandwidth": mbps(20), "delay": ms(1)},
+    {"bandwidth": mbps(100), "delay": ms(5)},  # the window outruns the CPU
+], ids=["ack-clocked", "slow-link", "cpu-bound"])
+def test_a_segment_round_trip_is_at_most_eight_transport_frames(link):
+    """Per segment, the difference between a 400- and a 200-segment
+    transfer (set-up and close cancel): the receiver's ``on_packet →
+    _on_data → _send_ack`` and the sender's ``on_packet → _pump →
+    _emit``, plus the pace and timer steps the window calls for."""
+    trip = round_trip_frames(400, **link) - round_trip_frames(200, **link)
+    per_segment = {name: count / 200 for name, count in trip.items()}
+    for name in ("ReceiverSession.on_packet", "ReceiverSession._on_data",
+                 "ReceiverSession._send_ack", "SenderSession.on_packet",
+                 "SenderSession._emit"):
+        assert per_segment.pop(name) == 1, name
+    assert 1 <= per_segment.pop("SenderSession._pump") < 1.02
+    assert 6 <= sum(trip.values()) / 200 <= 8  # fifteen before diet VI
+    if not link:
+        # ACK-clocked: a pace step only while slow start opens the window.
+        assert per_segment == {
+            "SenderSession._can_send": 0.015, "SenderSession._pace": 0.015,
+            "SenderSession._pump_at": 0.03,
+        }
 
 
 BOUNDARIES = (

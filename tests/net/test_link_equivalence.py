@@ -346,10 +346,12 @@ def test_packets_offered_exactly_at_busy_until_match_reference(wireless):
 ], ids=["wired", "wireless", "wireless-arq", "wireless-lost-on-air"])
 def test_fused_free_medium_entry_books_exactly_what_start_does(
         wireless, loss_rate):
-    """``enqueue`` carries a copy of ``_start``'s body for a packet that
-    finds the medium free.  Twin links, the same packets: one offered
-    through ``enqueue``, one handed to ``_start`` — single-stepped, the
-    two must book the same airtime, draws, events and outcome."""
+    """``enqueue`` serializes a packet that finds the medium free with
+    the same steps ``Medium._tx_done`` takes for a packet that waited
+    (the two copies carry keep-in-sync comments).  Twin links, the
+    same packets: one offered through ``enqueue``, one queued and
+    handed over by ``_tx_done`` — single-stepped, the two must book
+    the same airtime, draws, events and outcome."""
     def twin():
         draws = []
         return *real_link(wireless, 0.4e-3, losses(loss_rate, 7, draws)), draws
@@ -364,20 +366,29 @@ def test_fused_free_medium_entry_books_exactly_what_start_does(
             direction._air_lost, list(draws), ends[1].received,
         )
 
-    fused, plain = twin(), twin()
+    def after_waiting(direction, packet):
+        """The packet waited and the medium is handed over to it."""
+        direction._queue.append(packet)
+        direction._queued_bytes += packet.size_bytes
+        medium = direction._medium
+        medium.owner = direction
+        medium._tx_done(None)
+
+    fused, waited = twin(), twin()
     for seq in range(6):
-        for side, entry in ((fused, "enqueue"), (plain, "_start")):
+        for side, entry in ((fused, LinkDirection.enqueue),
+                            (waited, after_waiting)):
             sim, link, ends, _draws = side
             assert sim.now >= link.forward._medium.busy_until  # free
-            getattr(link.forward, entry)(Packet(
+            entry(link.forward, Packet(
                 PacketType.DATA, dst=DagAddress.host(ends[1].hid),
                 src=DagAddress.host(ends[0].hid), size_bytes=700 + 100 * seq,
                 seq=seq, payload={}))
-        assert observe(*fused) == observe(*plain)
+        assert observe(*fused) == observe(*waited)
         while fused[0]._queue:
             fused[0].step()
-            plain[0].step()
-            assert observe(*fused) == observe(*plain)
+            waited[0].step()
+            assert observe(*fused) == observe(*waited)
 
 
 def test_tracer_boundaries_are_defined_on_their_own_class_and_bound_late(

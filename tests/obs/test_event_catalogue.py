@@ -191,8 +191,7 @@ def test_a_run_total_is_built_only_where_the_run_ends(name):
 #: happenings are counted on the objects, never built into events.
 HOP_FUNCTIONS = {
     "net/link.py": (
-        "Medium._expect_tx_done", "Medium._tx_done", "LinkDirection.enqueue",
-        "LinkDirection.clear", "LinkDirection._start",
+        "Medium._tx_done", "LinkDirection.enqueue", "LinkDirection.clear",
         "LinkDirection._lost_on_air", "LinkDirection._arrive",
         "LinkDirection.airtime", "Port.send", "Port.deliver",
     ),
@@ -205,8 +204,7 @@ HOP_FUNCTIONS = {
     "transport/reliable.py": (
         "SenderSession._pump", "SenderSession._pace", "SenderSession._wake",
         "SenderSession._emit", "SenderSession.on_packet",
-        "SenderSession._on_ack", "SenderSession._sample_rtt",
-        "SenderSession._grow_cwnd", "SenderSession._fast_retransmit",
+        "SenderSession._fast_retransmit",
         "ReceiverSession.on_packet", "ReceiverSession._on_data",
         "ReceiverSession._send_ack",
     ),

@@ -179,13 +179,21 @@ def test_call_at_takes_nothing_from_the_pool():
     assert (sim.pool_allocs, sim.pool_reuses) == (1, 1)
 
 
+def take_place(sim):
+    """The next place in push order, not pushed (``call_at``'s
+    ``place``; the sender pump takes its pace place so)."""
+    sim._seq += 1
+    sim._places_unpushed += 1
+    return sim._seq
+
+
 def test_reserved_place_orders_a_later_push_as_if_pushed_then():
     sim = Simulator()
     order = []
     note = order.append
     sim.call_at(1.0, note, ("before",))
-    place = sim.reserve_place()
-    unused = sim.reserve_place()
+    place = take_place(sim)
+    unused = take_place(sim)
     sim.call_at(1.0, note, ("after",))
     assert sim.heap_pushes == 2  # places taken are not pushes...
     sim.call_at(1.0, note, ("reserved",), place=place)
